@@ -62,18 +62,6 @@ pub struct Flags {
     /// `se cluster`'s residency model. Absent = residency modeling off
     /// (weights streamed per batch).
     pub buffer_kb: Option<f64>,
-    /// `--runtime sim|staged`: serving back end for `se serve` /
-    /// `se cluster`. `sim` (the default) is the serial discrete-event
-    /// simulation; `staged` runs the concurrent staged pipeline, whose
-    /// per-request outcomes are bit-identical to the sim's.
-    pub runtime: Option<String>,
-    /// `--exec-workers N`: execution-pool threads for the staged runtime.
-    /// Absent means host-sized (the `SE_PARALLELISM` environment variable,
-    /// else all cores). Outcomes never depend on this value.
-    pub exec_workers: Option<usize>,
-    /// `--workers 1,4,8`: execution-worker counts swept by
-    /// `se bench serve`.
-    pub workers: Option<Vec<usize>>,
     /// `--bench-out FILE`: where `se bench serve` writes its
     /// machine-readable JSON report (default `BENCH_serve.json`).
     pub bench_out: Option<std::path::PathBuf>,
@@ -99,7 +87,7 @@ pub struct Flags {
     /// `--trace-out FILE`: write the run's virtual-time scheduling trace
     /// as Chrome-trace/Perfetto `traceEvents` JSON (`se serve`,
     /// `se cluster`, `se bench serve`). The file is byte-identical across
-    /// `--sim-parallelism` values and `--runtime sim|staged`.
+    /// `--sim-parallelism` values.
     pub trace_out: Option<std::path::PathBuf>,
     /// `--metrics-out FILE`: write the run's folded counters, gauges, and
     /// latency histograms as Prometheus-style text exposition.
@@ -108,17 +96,6 @@ pub struct Flags {
     /// `se obs` (default 200). Converted to cycles at the accelerator
     /// frequency; every windowed aggregate covers `[k·W, (k+1)·W)`.
     pub window_us: Option<f64>,
-}
-
-/// Serving back end selected by `--runtime` (see
-/// [`Flags::runtime_kind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeKind {
-    /// The serial discrete-event simulation (the oracle).
-    #[default]
-    Sim,
-    /// The concurrent staged pipeline (same outcomes, real threads).
-    Staged,
 }
 
 /// Every flag that consumes the next argument as its value — the single
@@ -143,9 +120,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--router",
     "--deadline-us",
     "--buffer-kb",
-    "--runtime",
-    "--exec-workers",
-    "--workers",
     "--bench-out",
     "--kill",
     "--restart",
@@ -222,16 +196,6 @@ impl Flags {
                 self.deadline_us = value.parse().ok().filter(|&d: &f64| d > 0.0);
             }
             "--buffer-kb" => self.buffer_kb = value.parse().ok().filter(|&b: &f64| b > 0.0),
-            "--runtime" => self.runtime = Some(value.to_string()),
-            "--exec-workers" => self.exec_workers = value.parse().ok().filter(|&n| n >= 1),
-            "--workers" => {
-                let counts: Vec<usize> = value
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .filter(|&n| n >= 1)
-                    .collect();
-                self.workers = Some(counts).filter(|v| !v.is_empty());
-            }
             "--bench-out" => self.bench_out = Some(std::path::PathBuf::from(value)),
             // Kill/restart specs accumulate across repeats and commas;
             // they stay raw strings here and are parsed loudly by
@@ -254,32 +218,6 @@ impl Flags {
             None => true,
             Some(list) => list.iter().any(|m| m.eq_ignore_ascii_case(name)),
         }
-    }
-
-    /// Resolves `--runtime` to a [`RuntimeKind`], defaulting to the sim.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an unknown runtime name, and rejects `--exec-workers` when
-    /// the sim runtime is (explicitly or implicitly) selected — the sim
-    /// has no execution pool, so the flag would silently do nothing.
-    /// (The sim's *modeled* parallelism is `--sim-parallelism`, and the
-    /// two must not be conflated.)
-    pub fn runtime_kind(&self) -> Result<RuntimeKind> {
-        let kind = match self.runtime.as_deref() {
-            None | Some("sim") => RuntimeKind::Sim,
-            Some("staged") => RuntimeKind::Staged,
-            Some(other) => {
-                return Err(format!("unknown runtime {other:?} (expected sim|staged)").into());
-            }
-        };
-        if kind == RuntimeKind::Sim && self.exec_workers.is_some() {
-            return Err("--exec-workers only applies to --runtime staged \
-                        (the sim has no execution pool; its worker count for \
-                        trace generation is --sim-parallelism / SE_PARALLELISM)"
-                .into());
-        }
-        Ok(kind)
     }
 
     /// Whether any fault-injection flag (`--kill`, `--restart`,
@@ -422,16 +360,6 @@ impl Flags {
         Ok(Some(specs))
     }
 
-    /// The staged-runtime config these flags describe: `--exec-workers`
-    /// if given, else host-sized (`SE_PARALLELISM`, else all cores).
-    pub fn staged_config(&self) -> se_serve::StagedConfig {
-        let mut cfg = se_serve::StagedConfig::host_sized();
-        if let Some(n) = self.exec_workers {
-            cfg.exec_workers = n;
-        }
-        cfg
-    }
-
     /// Builds the comparison-runner options these flags describe: the
     /// `--fast` profile, the `--seed`, and `--sim-parallelism` applied on
     /// top of the defaults — the shared entry point of the per-figure
@@ -551,18 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn runtime_flags_parse_and_resolve() {
-        assert_eq!(parse(&[]).runtime_kind().unwrap(), RuntimeKind::Sim);
-        assert_eq!(parse(&["--runtime", "sim"]).runtime_kind().unwrap(), RuntimeKind::Sim);
-        assert_eq!(parse(&["--runtime", "staged"]).runtime_kind().unwrap(), RuntimeKind::Staged);
-        let err = parse(&["--runtime", "threads"]).runtime_kind().unwrap_err();
-        assert!(err.to_string().contains("sim|staged"), "{err}");
-        let f = parse(&["--runtime", "staged", "--exec-workers", "3"]);
-        assert_eq!(f.runtime_kind().unwrap(), RuntimeKind::Staged);
-        assert_eq!(f.staged_config().exec_workers, 3);
-        assert_eq!(parse(&["--exec-workers", "0"]).exec_workers, None);
-        assert_eq!(parse(&["--workers", "1,4,8"]).workers, Some(vec![1, 4, 8]));
-        assert_eq!(parse(&["--workers", "0"]).workers, None);
+    fn bench_out_parses() {
         assert_eq!(
             parse(&["--bench-out", "/tmp/b.json"]).bench_out.as_deref(),
             Some(std::path::Path::new("/tmp/b.json"))
@@ -581,14 +498,6 @@ mod tests {
         assert_eq!(parse(&["--window-us", "0"]).window_us, None);
         assert_eq!(parse(&["--window-us", "-4"]).window_us, None);
         assert_eq!(Flags::default().window_us, None);
-    }
-
-    #[test]
-    fn exec_workers_with_sim_runtime_errors_loudly() {
-        for args in [&["--exec-workers", "4"][..], &["--runtime", "sim", "--exec-workers", "4"]] {
-            let err = parse(args).runtime_kind().unwrap_err();
-            assert!(err.to_string().contains("--sim-parallelism"), "{err}");
-        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub const SUBCOMMANDS: &[(&str, &[&str], &str)] = &[
     ("batch", &[], "batch-size sweep: weight-fetch amortization per image"),
     ("serve", &[], "request-driven batched serving simulation (queue + aggregator)"),
     ("cluster", &[], "sharded multi-instance serving: routing, SLOs, weight residency"),
-    ("bench", &[], "wall-clock runtime benchmarks (se bench serve -> BENCH_serve.json)"),
+    ("bench", &[], "wall-clock serving benchmark (se bench serve -> BENCH_serve.json)"),
     ("obs", &[], "trace analytics over --trace-out files (se obs summarize|attribute|diff)"),
 ];
 
@@ -83,8 +83,6 @@ pub fn usage() -> String {
          --queue-cap N        bounded request-queue capacity (default 256)\n  \
          --concurrency N      clients for --arrival closed (default 2x max batch)\n  \
          --deadline-us F      per-request deadline; misses are reported (se serve/cluster)\n  \
-         --runtime KIND       sim | staged serving back end (default sim; same output)\n  \
-         --exec-workers N     staged execution-pool threads (default SE_PARALLELISM)\n  \
          --trace-out FILE     write a Chrome-trace/Perfetto JSON of the run\n  \
                               (se serve / se cluster / se bench serve)\n  \
          --metrics-out FILE   write Prometheus-style text metrics of the run\n\n\
@@ -96,17 +94,15 @@ pub fn usage() -> String {
                               name:CAP:BW triples, e.g. buf:64kb:16,dram:4mb:8,ssd:2gb:1\n  \
          --kill i@t_us        kill instance i at t microseconds (repeatable; in-flight\n  \
                               requests re-route with original arrival/deadline)\n  \
-         --restart i@t_us     restart a killed instance (empty queue, cold weight buffer)\n  \
+         --restart i@t_us     restart a killed instance (empty queue, cold weight store)\n  \
          --autoscale hi:lo    spawn above hi waiting/instance, drain below lo\n\n\
          BENCH FLAGS (se bench serve):\n  \
-         --workers 1,4,8      staged worker counts swept (default 1,min(4,host),host)\n  \
          --bench-out FILE     machine-readable report path (default BENCH_serve.json)\n\n\
          OBS FLAGS (se obs summarize|attribute|diff):\n  \
          --window-us F        analysis window width in microseconds (default 200)\n\n\
          ENVIRONMENT:\n  \
          SE_PARALLELISM       default worker count for all parallel stages\n  \
-         SE_LOG               stderr log level: error|warn|info|debug (default warn)\n  \
-         SE_TRACE_WALL        1 = annotate staged traces with wall-clock stage timings\n",
+         SE_LOG               stderr log level: error|warn|info|debug (default warn)\n",
     );
     s
 }

@@ -1,19 +1,17 @@
-//! `se bench serve` — wall-clock benchmarks of the serving runtimes.
+//! `se bench serve` — wall-clock benchmark of the serving simulation.
 //!
 //! Sweeps a grid of cluster configurations (instances × router × batch
-//! policy) over a synthetic request stream, running each configuration
-//! through the serial discrete-event sim and through the staged runtime
-//! at every `--workers` count — with **real per-batch work** (the batch
-//! engine's amortization math via `se_serve::EngineWork`) fanned across
-//! the execution pool. Every staged run is checked for per-request
-//! outcome equality against the sim on the same stream; a mismatch fails
-//! the command (the determinism contract of `docs/SERVING.md`).
+//! policy × churn × memory model) over a synthetic request stream and
+//! times each configuration's run through the serial discrete-event
+//! simulation. Every run is checked for request conservation
+//! (completed + rejected + lost == submitted); a violation fails the
+//! command.
 //!
 //! Results go to `--bench-out` (default `BENCH_serve.json`) as a
 //! machine-readable report (`se_bench::json`); the file is parsed back
 //! and schema-checked after writing, so a green exit implies a valid
 //! snapshot. Wall-clock numbers vary run to run — the JSON is a perf
-//! snapshot, not a determinism surface; only the outcome sets are.
+//! snapshot, not a determinism surface; only the outcome counts are.
 
 use crate::args::Flags;
 use crate::figures::batch::pairs_for;
@@ -22,13 +20,10 @@ use crate::json::Json;
 use crate::{cli, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
-use se_serve::cluster::{simulate_cluster_run, ClusterRun, ClusterSpec, ModelService};
+use se_serve::cluster::{simulate_cluster_run_obs, ClusterReport, ClusterSpec, ModelService};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::{self, ArrivalPattern};
-use se_serve::{
-    BatchEngine, EngineWork, FaultAction, FaultEvent, FaultPlan, Request, RouterPolicy,
-    StagedConfig, TierSpec, SE_LANE,
-};
+use se_serve::{BatchEngine, FaultAction, FaultEvent, FaultPlan, RouterPolicy, TierSpec, SE_LANE};
 use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
@@ -67,10 +62,8 @@ pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
 
 /// One benchmarked run of one configuration.
 struct Measured {
-    runtime: &'static str,
-    exec_workers: Option<usize>,
     wall_ms: f64,
-    run: ClusterRun,
+    report: ClusterReport,
 }
 
 /// The `se bench serve` driver on an explicit model set (the testable
@@ -79,19 +72,9 @@ struct Measured {
 ///
 /// # Errors
 ///
-/// Fails on conflicting flags, on any staged/sim outcome divergence, and
+/// Fails on fault flags, on any request-conservation violation, and
 /// propagates trace, simulation, and I/O failures.
 pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Write) -> Result<()> {
-    if flags.runtime.is_some() {
-        return Err("se bench serve benchmarks both runtimes itself; \
-                    --runtime does not apply (use it on se serve / se cluster)"
-            .into());
-    }
-    if flags.exec_workers.is_some() {
-        return Err("se bench serve sweeps --workers 1,4,...; \
-                    --exec-workers only applies to se serve / se cluster"
-            .into());
-    }
     if flags.has_fault_flags() {
         return Err("se bench serve scripts its own churn axis (none / kill-restart); \
                     --kill/--restart/--autoscale only apply to se cluster"
@@ -122,10 +105,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             .ok_or_else(|| format!("unknown router `{name}` (expected rr|jsq|affinity)"))?],
     };
     let max_batches = flags.max_batch.map_or_else(|| vec![1, 8], |n| vec![n]);
-    let host = StagedConfig::host_sized().exec_workers;
-    let mut workers = flags.workers.clone().unwrap_or_else(|| vec![1, host.min(4), host]);
-    workers.sort_unstable();
-    workers.dedup();
+    let host = se_core::SeConfig::default().parallelism();
     let requests = flags.requests.unwrap_or(100_000);
     // Deadlines default on so goodput is a real column (override with
     // --deadline-us; there is no "off" here — best-effort goodput equals
@@ -157,16 +137,10 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         }
     };
 
-    writeln!(
-        out,
-        "se bench serve: wall-clock runtime benchmark, {} requests/config, workers {:?}\n",
-        requests, workers
-    )?;
+    writeln!(out, "se bench serve: wall-clock serving benchmark, {} requests/config\n", requests)?;
 
-    // With `--trace-out` / `--metrics-out`, each config's sim-oracle run
-    // narrates its scheduling decisions into a recorder (one trace pid
-    // per config; the staged repeats would duplicate the same stream by
-    // the determinism contract, so only the oracle is recorded).
+    // With `--trace-out` / `--metrics-out`, each config's run narrates its
+    // scheduling decisions into a recorder (one trace pid per config).
     let observing = flags.trace_out.is_some() || flags.metrics_out.is_some();
     let mut obs_streams: Vec<(String, Vec<se_obs::Event>)> = Vec::new();
     let mut configs = Vec::new();
@@ -250,17 +224,15 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                             churn,
                             memory
                         );
-                        let mut recorder = observing.then(se_obs::Recorder::new);
-                        let measured = measure_config(
-                            &stream,
-                            &services,
-                            &spec,
-                            &engine,
-                            &per_image,
-                            &workers,
-                            recorder.as_mut(),
-                        )?;
-                        if let Some(rec) = recorder {
+                        let mut recorder = se_obs::Recorder::new();
+                        let mut untraced = se_obs::NullSink;
+                        let sink: &mut dyn se_obs::EventSink =
+                            if observing { &mut recorder } else { &mut untraced };
+                        let start = Instant::now();
+                        let report =
+                            simulate_cluster_run_obs(&stream, &services, &spec, sink)?.report;
+                        let m = Measured { wall_ms: start.elapsed().as_secs_f64() * 1e3, report };
+                        if observing {
                             obs_streams.push((
                                 format!(
                                     "inst{} {} b{} {} {}",
@@ -270,11 +242,10 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                                     churn,
                                     memory
                                 ),
-                                rec.into_events(),
+                                recorder.into_events(),
                             ));
                         }
-                        let oracle = &measured[0].run;
-                        if !oracle.report.conserves(stream.len()) {
+                        if !m.report.conserves(stream.len()) {
                             return Err(format!(
                                 "request conservation violated at {} instance(s), router {}, \
                                  max batch {}, churn {}, memory {}: {} completed + {} rejected \
@@ -284,37 +255,19 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                                 max_batch,
                                 churn,
                                 memory,
-                                oracle.report.completed(),
-                                oracle.report.rejected,
-                                oracle.report.lost,
+                                m.report.completed(),
+                                m.report.rejected,
+                                m.report.lost,
                                 stream.len()
                             )
                             .into());
                         }
-                        for m in &measured[1..] {
-                            if m.run != *oracle {
-                                return Err(format!(
-                                    "staged outcomes diverge from the sim at {} instance(s), \
-                                     router {}, max batch {}, churn {}, memory {}, {} \
-                                     worker(s) — determinism bug",
-                                    instances,
-                                    router.name(),
-                                    max_batch,
-                                    churn,
-                                    memory,
-                                    m.exec_workers.unwrap_or(0)
-                                )
-                                .into());
-                            }
-                        }
-                        for m in &measured {
-                            rows.push(summary_row(
-                                instances, router, max_batch, churn, memory, m, freq,
-                            ));
-                            configs.push(config_json(
-                                instances, router, max_batch, churn, memory, &spec, m, freq,
-                            ));
-                        }
+                        rows.push(summary_row(
+                            instances, router, max_batch, churn, memory, &m, freq,
+                        ));
+                        configs.push(config_json(
+                            instances, router, max_batch, churn, memory, &spec, &m, freq,
+                        ));
                     }
                 }
             }
@@ -331,8 +284,6 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                 "batch",
                 "churn",
                 "memory",
-                "runtime",
-                "workers",
                 "wall ms",
                 "req/s",
                 "p99 ms",
@@ -350,7 +301,9 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         // v3: memory axis ("flat" | "tiered") with per-tier traffic
         // (`tiers`: null for flat, else one entry per tier with spec and
         // hit/promotion/demotion/eviction counters and bytes moved).
-        ("schema_version".into(), Json::Num(3.0)),
+        // v4: one runtime — the per-config runtime, worker-count, and
+        // outcome-equality fields are gone.
+        ("schema_version".into(), Json::Num(4.0)),
         (
             "models".into(),
             Json::Arr(models.iter().map(|m| Json::Str(m.name().to_string())).collect()),
@@ -381,45 +334,6 @@ fn doc_configs(doc: &Json) -> usize {
     doc.get("configs").and_then(Json::as_array).map_or(0, <[Json]>::len)
 }
 
-/// Runs one configuration through the sim and through the staged runtime
-/// at each worker count. The sim is always `measured[0]`; when a recorder
-/// is given, the sim-oracle run narrates into it.
-fn measure_config(
-    stream: &[Request],
-    services: &[ModelService],
-    spec: &ClusterSpec,
-    engine: &BatchEngine,
-    per_image: &[RunResult],
-    workers: &[usize],
-    recorder: Option<&mut se_obs::Recorder>,
-) -> Result<Vec<Measured>> {
-    let mut measured = Vec::with_capacity(1 + workers.len());
-    let start = Instant::now();
-    let run = match recorder {
-        Some(rec) => se_serve::cluster::simulate_cluster_run_obs(stream, services, spec, rec)?,
-        None => simulate_cluster_run(stream, services, spec)?,
-    };
-    measured.push(Measured {
-        runtime: "sim",
-        exec_workers: None,
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        run,
-    });
-    for &w in workers {
-        let cfg = StagedConfig { exec_workers: w, ..StagedConfig::default() };
-        let work = EngineWork { engine, lane: SE_LANE, per_image };
-        let start = Instant::now();
-        let run = se_serve::run_cluster_staged(stream, services, spec, &cfg, &work)?;
-        measured.push(Measured {
-            runtime: "staged",
-            exec_workers: Some(w),
-            wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            run,
-        });
-    }
-    Ok(measured)
-}
-
 fn summary_row(
     instances: usize,
     router: &RouterPolicy,
@@ -429,15 +343,13 @@ fn summary_row(
     m: &Measured,
     freq: f64,
 ) -> Vec<String> {
-    let report = &m.run.report;
+    let report = &m.report;
     vec![
         instances.to_string(),
         router.name().to_string(),
         max_batch.to_string(),
         churn.to_string(),
         memory.to_string(),
-        m.runtime.to_string(),
-        m.exec_workers.map_or_else(|| "-".into(), |w| w.to_string()),
         format!("{:.1}", m.wall_ms),
         format!("{:.0}", report.completed() as f64 / (m.wall_ms / 1e3)),
         match report.latency_percentile(99.0) {
@@ -460,7 +372,7 @@ fn config_json(
     m: &Measured,
     freq: f64,
 ) -> Json {
-    let report = &m.run.report;
+    let report = &m.report;
     let wall_s = m.wall_ms / 1e3;
     // An all-rejected/all-lost run has no latency sample: percentiles are
     // null, not a fake 0.
@@ -493,14 +405,12 @@ fn config_json(
         ),
     };
     Json::Obj(vec![
-        ("runtime".into(), Json::Str(m.runtime.into())),
         ("instances".into(), Json::Num(instances as f64)),
         ("router".into(), Json::Str(router.name().into())),
         ("max_batch".into(), Json::Num(max_batch as f64)),
         ("churn".into(), Json::Str(churn.into())),
         ("memory".into(), Json::Str(memory.into())),
         ("tiers".into(), tiers),
-        ("exec_workers".into(), m.exec_workers.map_or(Json::Null, |w| Json::Num(w as f64))),
         ("wall_ms".into(), Json::Num(m.wall_ms)),
         ("throughput_rps".into(), Json::Num(report.completed() as f64 / wall_s)),
         ("completed".into(), Json::Num(report.completed() as f64)),
@@ -515,7 +425,6 @@ fn config_json(
         ("p99_ms".into(), pct(99.0)),
         ("weight_fetches".into(), Json::Num(report.residency.fetches as f64)),
         ("fetch_mb".into(), Json::Num(report.residency.bytes_fetched as f64 / (1024.0 * 1024.0))),
-        ("outcomes_match_sim".into(), Json::Bool(true)),
     ])
 }
 
@@ -530,8 +439,8 @@ pub fn validate_report(doc: &Json) -> Result<()> {
     if field("bench")?.as_str() != Some("serve") {
         return Err("`bench` must be \"serve\"".into());
     }
-    if field("schema_version")?.as_f64() != Some(3.0) {
-        return Err("`schema_version` must be 3".into());
+    if field("schema_version")?.as_f64() != Some(4.0) {
+        return Err("`schema_version` must be 4".into());
     }
     for key in ["frequency_hz", "requests_per_config", "host_parallelism"] {
         if field(key)?.as_f64().is_none() {
@@ -553,16 +462,6 @@ pub fn validate_report(doc: &Json) -> Result<()> {
     }
     for (i, cfg) in configs.iter().enumerate() {
         let field = |key: &str| cfg.get(key).ok_or_else(|| format!("config {i}: missing `{key}`"));
-        let runtime = field("runtime")?.as_str().ok_or("`runtime` must be a string")?;
-        match runtime {
-            "sim" if *field("exec_workers")? == Json::Null => {}
-            "staged" if field("exec_workers")?.as_f64().is_some() => {}
-            other => {
-                return Err(
-                    format!("config {i}: runtime `{other}` inconsistent with exec_workers").into()
-                )
-            }
-        }
         if field("router")?.as_str().is_none() {
             return Err(format!("config {i}: `router` must be a string").into());
         }
@@ -644,15 +543,12 @@ pub fn validate_report(doc: &Json) -> Result<()> {
                 return Err(format!("config {i}: `{key}` must be a number or null").into());
             }
         }
-        if field("outcomes_match_sim")?.as_bool() != Some(true) {
-            return Err(format!("config {i}: `outcomes_match_sim` must be true").into());
-        }
     }
     Ok(())
 }
 
-/// The identity of one config within a snapshot: every sweep axis plus
-/// the runtime/worker split — the join key of `se bench diff`.
+/// The identity of one config within a snapshot: every sweep axis — the
+/// join key of `se bench diff`.
 fn config_key(cfg: &Json) -> String {
     let s = |key: &str| cfg.get(key).and_then(Json::as_str).unwrap_or("?").to_string();
     let n = |key: &str| {
@@ -661,14 +557,12 @@ fn config_key(cfg: &Json) -> String {
         })
     };
     format!(
-        "{} inst={} router={} batch={} churn={} memory={} workers={}",
-        s("runtime"),
+        "inst={} router={} batch={} churn={} memory={}",
         n("instances"),
         s("router"),
         n("max_batch"),
         s("churn"),
         s("memory"),
-        n("exec_workers"),
     )
 }
 

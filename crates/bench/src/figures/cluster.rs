@@ -21,11 +21,9 @@
 //! Per-image simulation replays `--traces-dir` artifacts when present;
 //! the cluster itself is a serial discrete-event loop, so the whole
 //! report is **bit-identical for every worker count** given the same
-//! flags (`docs/SERVING.md`). `--runtime staged` swaps the loop for the
-//! concurrent staged pipeline with identical outcomes — and therefore
-//! identical stdout.
+//! flags (`docs/SERVING.md`).
 
-use crate::args::{Flags, RuntimeKind};
+use crate::args::Flags;
 use crate::figures::batch::pairs_for;
 use crate::figures::latency;
 use crate::{cli, table, Result};
@@ -73,7 +71,7 @@ fn scenario(flags: &Flags, frequency_hz: f64) -> Result<Scenario> {
     if flags.concurrency.is_some() {
         return Err("--concurrency is a closed-loop `se serve` flag; se cluster \
                     is open-loop (--rate sets the pressure, --instances the \
-                    parallel capacity, --exec-workers the staged thread pool)"
+                    parallel capacity)"
             .into());
     }
     let spec = ClusterSpec {
@@ -115,13 +113,6 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         return Err("se cluster needs at least one model (check --models)".into());
     }
     let opts = flags.runner_options()?;
-    let runtime = flags.runtime_kind()?;
-    let staged_cfg = flags.staged_config();
-    if runtime == RuntimeKind::Staged {
-        // Stdout stays byte-identical across runtimes (the determinism
-        // contract CI diffs); the runtime note goes to stderr.
-        se_core::se_info!("  runtime: staged ({} exec workers)", staged_cfg.exec_workers);
-    }
     let freq = SeAcceleratorConfig::default().frequency_hz;
     let sc = scenario(flags, freq)?;
     let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
@@ -249,8 +240,9 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     // Replay the same stream against every lane. With `--trace-out` /
     // `--metrics-out`, each lane's run additionally narrates its
     // scheduling decisions into a recorder (one trace pid per lane); the
-    // virtual-time stream — and so the exported bytes — is identical for
-    // sim and staged runtimes at any worker count.
+    // virtual-time stream — and so the exported bytes — is identical at
+    // any worker count. Untraced runs pass a disabled sink, which builds
+    // no events.
     let observing = flags.trace_out.is_some() || flags.metrics_out.is_some();
     let mut obs_streams: Vec<(String, Vec<se_obs::Event>)> = Vec::new();
     let mut rows = Vec::new();
@@ -280,49 +272,15 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             );
             continue;
         };
-        let report = if observing {
-            let mut recorder = se_obs::Recorder::new();
-            let report = match runtime {
-                RuntimeKind::Sim => {
-                    se_serve::cluster::simulate_cluster_run_obs(
-                        &stream,
-                        &services,
-                        &sc.spec,
-                        &mut recorder,
-                    )?
-                    .report
-                }
-                RuntimeKind::Staged => {
-                    se_serve::run_cluster_staged_obs(
-                        &stream,
-                        &services,
-                        &sc.spec,
-                        &staged_cfg,
-                        &se_serve::NoWork,
-                        &mut recorder,
-                    )?
-                    .report
-                }
-            };
+        let mut recorder = se_obs::Recorder::new();
+        let mut untraced = se_obs::NullSink;
+        let sink: &mut dyn se_obs::EventSink =
+            if observing { &mut recorder } else { &mut untraced };
+        let report =
+            se_serve::cluster::simulate_cluster_run_obs(&stream, &services, &sc.spec, sink)?.report;
+        if observing {
             obs_streams.push(((*lane_name).to_string(), recorder.into_events()));
-            report
-        } else {
-            match runtime {
-                RuntimeKind::Sim => {
-                    se_serve::cluster::simulate_cluster(&stream, &services, &sc.spec)?
-                }
-                RuntimeKind::Staged => {
-                    se_serve::run_cluster_staged(
-                        &stream,
-                        &services,
-                        &sc.spec,
-                        &staged_cfg,
-                        &se_serve::NoWork,
-                    )?
-                    .report
-                }
-            }
-        };
+        }
         let (missed, miss_pct) =
             latency::miss_cells(sc.deadline.map(|_| report.misses), report.completed());
         let [p50, p95, p99] = latency::percentile_cells(&report.latencies, freq);

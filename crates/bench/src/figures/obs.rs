@@ -18,9 +18,8 @@
 //!   the dominant regressor named.
 //!
 //! Every analysis is a pure function of the event stream, so the output
-//! is byte-identical across `--sim-parallelism`, `--exec-workers`, and
-//! `--runtime sim|staged` — the same determinism contract as the trace
-//! files themselves. The window width is `--window-us` (default 200),
+//! is byte-identical across `--sim-parallelism` values — the same
+//! determinism contract as the trace files themselves. The window width is `--window-us` (default 200),
 //! converted to cycles at the accelerator frequency.
 
 use crate::args::Flags;

@@ -291,8 +291,8 @@ mod tests {
             (
                 "configs",
                 Json::Arr(vec![
-                    obj(&[("runtime", Json::Str("sim".into())), ("workers", Json::Null)]),
-                    obj(&[("runtime", Json::Str("staged".into())), ("workers", Json::Num(4.0))]),
+                    obj(&[("memory", Json::Str("flat".into())), ("tiers", Json::Null)]),
+                    obj(&[("memory", Json::Str("tiered".into())), ("tiers", Json::Num(3.0))]),
                 ]),
             ),
             ("empty_arr", Json::Arr(vec![])),

@@ -5,10 +5,9 @@
 //!
 //! Both exports are **deterministic renderings of the virtual-time event
 //! stream**: the stream is byte-identical across `--sim-parallelism`
-//! values and across `--runtime sim|staged` (see `se_serve`'s
-//! `tests/obs_stream.rs`), and the exporters add no wall-clock or
-//! environment-dependent fields, so the files inherit that byte
-//! identity. Load a `--trace-out` file at <https://ui.perfetto.dev> (or
+//! values (see `se_serve`'s `tests/obs_stream.rs`), and the exporters add
+//! no wall-clock or environment-dependent fields, so the files inherit
+//! that byte identity. Load a `--trace-out` file at <https://ui.perfetto.dev> (or
 //! `chrome://tracing`); one trace "process" per stream (a cluster lane
 //! or a served model), one "thread" per instance, one timestamp tick
 //! per virtual cycle.
@@ -197,9 +196,6 @@ fn trace_event(pid: usize, event: &Event) -> Option<Json> {
         EventKind::TierStreamed { model, cycles, .. } => {
             vec![("model", num(model as u64)), ("cycles", num(cycles))]
         }
-        EventKind::StageWall { stage, wall_ns } => {
-            vec![("stage", Json::Str(stage.to_string())), ("wall_ns", num(wall_ns))]
-        }
         _ => unreachable!("spans and counters are handled above"),
     };
     let (tid, scope) = match kind.instance() {
@@ -350,10 +346,6 @@ fn invert_event(entry: &Json, ph: &str, pos: usize) -> crate::Result<Event> {
                 model: arg("model")? as usize,
                 cycles: arg("cycles")?,
             },
-            "stage_wall" => EventKind::StageWall {
-                stage: stage_label(arg_str(entry, "stage", pos)?),
-                wall_ns: arg("wall_ns")?,
-            },
             other => {
                 return Err(format!(
                     "trace event #{pos}: unknown instant `{other}` — foreign trace?"
@@ -364,17 +356,6 @@ fn invert_event(entry: &Json, ph: &str, pos: usize) -> crate::Result<Event> {
         other => return Err(format!("trace event #{pos}: unsupported phase `{other}`").into()),
     };
     Ok(Event { at, kind })
-}
-
-/// Restores a stage annotation's `&'static str` label: the known labels
-/// map to their static selves, anything else is leaked once (stage
-/// labels are a tiny closed set; a foreign label means a foreign trace,
-/// and the leak is bounded by the trace's distinct labels).
-fn stage_label(stage: &str) -> &'static str {
-    match stage {
-        "staged-pipeline" => "staged-pipeline",
-        other => Box::leak(other.to_string().into_boxed_str()),
-    }
 }
 
 fn str_field<'j>(entry: &'j Json, name: &str, pos: usize) -> crate::Result<&'j str> {
@@ -418,14 +399,6 @@ fn arg_bool(entry: &Json, name: &str, pos: usize) -> crate::Result<bool> {
         .and_then(|a| a.get(name))
         .and_then(Json::as_bool)
         .ok_or_else(|| format!("trace event #{pos}: missing boolean arg `{name}`").into())
-}
-
-fn arg_str<'j>(entry: &'j Json, name: &str, pos: usize) -> crate::Result<&'j str> {
-    entry
-        .get("args")
-        .and_then(|a| a.get(name))
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("trace event #{pos}: missing string arg `{name}`").into())
 }
 
 #[cfg(test)]
@@ -497,7 +470,6 @@ mod tests {
             EventKind::InstanceRestarted { instance: 1 },
             EventKind::InstanceSpawned { instance: 2 },
             EventKind::InstanceDraining { instance: 2 },
-            EventKind::StageWall { stage: "staged-pipeline", wall_ns: 12345 },
         ];
         kinds.into_iter().enumerate().map(|(i, kind)| Event { at: i as u64 * 3, kind }).collect()
     }

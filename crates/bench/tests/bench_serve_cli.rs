@@ -2,10 +2,8 @@
 //!
 //! * a small sweep produces a `BENCH_serve.json` that parses and passes
 //!   the schema check (the CI dry-run contract);
-//! * the sweep covers both runtimes and every requested worker count,
-//!   and every staged entry matched the sim (a divergence fails the
-//!   command, so a written file implies outcome equality);
-//! * conflicting flags (`--runtime`, `--exec-workers`) error loudly;
+//! * the sweep covers every axis (churn × memory) once per config;
+//! * fault flags and an empty model set error loudly;
 //! * `se bench` without a valid action errors with usage.
 
 use se_bench::args::Flags;
@@ -34,7 +32,6 @@ fn dry_run_emits_a_valid_schema_checked_report() {
     let path = std::env::temp_dir().join(format!("se-bench-serve-{}.json", std::process::id()));
     let flags = Flags {
         requests: Some(300),
-        workers: Some(vec![1, 2]),
         instances: Some(2),
         buffer_kb: Some(2.0),
         bench_out: Some(path.clone()),
@@ -51,18 +48,8 @@ fn dry_run_emits_a_valid_schema_checked_report() {
     let configs = doc.get("configs").unwrap().as_array().unwrap();
     // instances pinned to {2} x routers {rr, jsq} x max_batch {1, 8} x
     // churn {none, kill-restart} (multi-instance configs get the churn
-    // axis) x memory {flat, tiered}, each measured as sim + staged x
-    // {1, 2} workers = 3 runtime entries.
-    assert_eq!(configs.len(), 2 * 2 * 2 * 2 * 3, "sweep shape");
-    let sims = configs.iter().filter(|c| c.get("runtime").unwrap().as_str() == Some("sim"));
-    assert_eq!(sims.count(), 16);
-    for workers in [1.0, 2.0] {
-        let staged = configs.iter().filter(|c| {
-            c.get("runtime").unwrap().as_str() == Some("staged")
-                && c.get("exec_workers").unwrap().as_f64() == Some(workers)
-        });
-        assert_eq!(staged.count(), 16, "staged entries at {workers} worker(s)");
-    }
+    // axis) x memory {flat, tiered}, one entry each.
+    assert_eq!(configs.len(), 2 * 2 * 2 * 2, "sweep shape");
     // The memory axis is the other half of the sweep: every tiered config
     // carries a per-tier traffic array, every flat one a null.
     let tiered: Vec<_> =
@@ -110,20 +97,12 @@ fn dry_run_emits_a_valid_schema_checked_report() {
 fn conflicting_flags_error_loudly() {
     let mut out = Vec::new();
     let err = bench_serve::run_with_models(
-        &Flags { runtime: Some("staged".into()), ..Flags::default() },
+        &Flags { kill: vec!["0@10".into()], ..Flags::default() },
         &model_set(),
         &mut out,
     )
     .unwrap_err();
-    assert!(err.to_string().contains("--runtime does not apply"), "{err}");
-
-    let err = bench_serve::run_with_models(
-        &Flags { exec_workers: Some(4), ..Flags::default() },
-        &model_set(),
-        &mut out,
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("--workers"), "{err}");
+    assert!(err.to_string().contains("churn axis"), "{err}");
 
     let err = bench_serve::run_with_models(&Flags::default(), &[], &mut out).unwrap_err();
     assert!(err.to_string().contains("at least one model"), "{err}");

@@ -62,7 +62,7 @@ fn diff_rejects_schema_drift() {
     let base = temp_path("schema-base");
     let cand = temp_path("schema-cand");
     std::fs::write(&base, GOLDEN).unwrap();
-    let drifted = GOLDEN.replace("\"schema_version\": 3", "\"schema_version\": 2");
+    let drifted = GOLDEN.replace("\"schema_version\": 4", "\"schema_version\": 3");
     assert_ne!(drifted, GOLDEN);
     std::fs::write(&cand, drifted).unwrap();
     let mut out = Vec::new();

@@ -110,14 +110,9 @@ fn cluster_with_churn_prints_the_timeline_and_stays_deterministic() {
     assert!(churned.contains("== 48 submitted (ok)"), "{churned}");
     assert!(!churned.contains("VIOLATED"), "{churned}");
     // Churn is part of the determinism contract: byte-identical across
-    // worker counts and across runtimes.
+    // worker counts.
     let parallel = cluster_output(&Flags { sim_parallelism: Some(4), ..base.clone() }, &models);
     assert_eq!(churned, parallel);
-    let staged = cluster_output(
-        &Flags { runtime: Some("staged".into()), exec_workers: Some(3), ..base.clone() },
-        &models,
-    );
-    assert_eq!(churned, staged);
     // Fault-free output carries no churn prose (stdout stays identical to
     // the pre-fault-injection format except for the two new columns).
     let healthy = cluster_output(&cluster_flags(), &models);
@@ -170,15 +165,10 @@ fn cluster_trace_export_is_deterministic_and_perfetto_shaped() {
     assert!(metrics_text.contains("se_requests_admitted_total"), "{metrics_text}");
 
     // The export itself is part of the determinism contract: byte-identical
-    // across worker counts and across runtimes.
-    for flags in [
-        Flags { sim_parallelism: Some(4), ..base.clone() },
-        Flags { runtime: Some("staged".into()), exec_workers: Some(3), ..base.clone() },
-    ] {
-        cluster_output(&flags, &models);
-        assert_eq!(std::fs::read_to_string(&trace).unwrap(), trace_text);
-        assert_eq!(std::fs::read_to_string(&metrics).unwrap(), metrics_text);
-    }
+    // across worker counts.
+    cluster_output(&Flags { sim_parallelism: Some(4), ..base.clone() }, &models);
+    assert_eq!(std::fs::read_to_string(&trace).unwrap(), trace_text);
+    assert_eq!(std::fs::read_to_string(&metrics).unwrap(), metrics_text);
     std::fs::remove_file(&trace).unwrap();
     std::fs::remove_file(&metrics).unwrap();
 }

@@ -1,8 +1,7 @@
 //! End-to-end determinism of the `se obs` analytics CLI: traces written
-//! by the sim and by the staged runtime (at several worker counts) for
-//! the same churned, tiered cluster must analyze to byte-identical
-//! stdout — summarize, attribute, and diff alike — and a run diffed
-//! against itself reports no regression.
+//! by separate runs of the same churned, tiered cluster must analyze to
+//! byte-identical stdout — summarize, attribute, and diff alike — and a
+//! run diffed against itself reports no regression.
 
 use se_bench::args::Flags;
 use se_bench::figures::obs;
@@ -14,7 +13,6 @@ use se_serve::cluster::{
 use se_serve::fault::{FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
-use se_serve::{run_cluster_staged_obs, NoWork, StagedConfig};
 use std::path::PathBuf;
 
 fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) -> ModelService {
@@ -82,22 +80,18 @@ fn analyzer_stdout(action: &str, paths: &[&PathBuf], extra: &[&str]) -> String {
 }
 
 #[test]
-fn analyzer_output_is_byte_identical_across_runtimes_and_workers() {
+fn analyzer_output_is_byte_identical_across_runs() {
     let requests = workload();
     let services = [service("se", 200, 40, 4, 300), service("dense", 260, 50, 4, 1600)];
     let spec = spec(true);
 
-    let mut sim_rec = Recorder::new();
-    simulate_cluster_run_obs(&requests, &services, &spec, &mut sim_rec).unwrap();
-    let sim_trace = write_trace("sim", sim_rec.events());
-
-    let mut traces = vec![sim_trace];
-    for workers in [1usize, 4] {
-        let cfg = StagedConfig { exec_workers: workers, channel_cap: 2, chunk: 5 };
-        let mut rec = Recorder::new();
-        run_cluster_staged_obs(&requests, &services, &spec, &cfg, &NoWork, &mut rec).unwrap();
-        traces.push(write_trace(&format!("staged{workers}"), rec.events()));
-    }
+    let traces: Vec<PathBuf> = (0..2)
+        .map(|run| {
+            let mut rec = Recorder::new();
+            simulate_cluster_run_obs(&requests, &services, &spec, &mut rec).unwrap();
+            write_trace(&format!("run{run}"), rec.events())
+        })
+        .collect();
 
     // The trace files are byte-identical, so every analysis over them
     // must be too — but assert at the analyzer level anyway: this is the
@@ -115,10 +109,10 @@ fn analyzer_output_is_byte_identical_across_runtimes_and_workers() {
         );
     }
     for s in &summaries[1..] {
-        assert_eq!(s, &summaries[0], "summarize diverged across runtimes/workers");
+        assert_eq!(s, &summaries[0], "summarize diverged across runs");
     }
     for a in &attributions[1..] {
-        assert_eq!(a, &attributions[0], "attribute diverged across runtimes/workers");
+        assert_eq!(a, &attributions[0], "attribute diverged across runs");
     }
     assert!(summaries[0].contains("conservation ok"), "{}", summaries[0]);
 

@@ -19,12 +19,6 @@
 //! available cores); `parallelism = 1` degenerates to an inline loop with
 //! no thread spawned at all.
 //!
-//! For *streaming* work — concurrent pipeline stages rather than a batch
-//! of independent jobs — the module also provides [`bounded`], a bounded
-//! multi-producer multi-consumer channel whose blocking send is the
-//! backpressure between stages (the staged serving runtime of `se-serve`
-//! is built on it).
-//!
 //! # Error determinism
 //!
 //! A serial run reports the error of the *first* failing layer. Workers
@@ -59,9 +53,8 @@
 //! # }
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
 use crate::network::{compress_layer_reported, CompressedNetwork, LayerReport};
 use crate::{CoreError, Result, SeConfig};
@@ -332,154 +325,6 @@ where
     try_run_ordered(&jobs, cfg.parallelism(), |_, job| job.run(&wcfg).map(|(_, report)| report))
 }
 
-// ---------------------------------------------------------------------------
-// Streaming: the bounded channel behind pipelined stage handoff.
-// ---------------------------------------------------------------------------
-
-/// Interior of a bounded channel: one mutex-guarded queue plus the two
-/// condition variables of the classic bounded-buffer protocol.
-struct ChannelShared<T> {
-    state: Mutex<ChannelState<T>>,
-    /// Signaled when an item is enqueued or the last sender disconnects.
-    not_empty: Condvar,
-    /// Signaled when an item is dequeued or the last receiver disconnects.
-    not_full: Condvar,
-    cap: usize,
-}
-
-struct ChannelState<T> {
-    buf: VecDeque<T>,
-    senders: usize,
-    receivers: usize,
-}
-
-/// The sending half of a [`bounded`] channel. Cloneable: the channel
-/// closes for receivers when the **last** sender drops.
-pub struct Sender<T> {
-    shared: Arc<ChannelShared<T>>,
-}
-
-/// The receiving half of a [`bounded`] channel. Cloneable (multiple
-/// consumers compete for items — a worker pool shares one receiver); the
-/// channel closes for senders when the **last** receiver drops.
-pub struct Receiver<T> {
-    shared: Arc<ChannelShared<T>>,
-}
-
-/// Creates a bounded multi-producer multi-consumer channel of capacity
-/// `cap` (clamped to at least 1): the streaming counterpart of this
-/// module's batch queue, connecting pipeline *stages* that run
-/// concurrently. [`Sender::send`] blocks while the buffer is full — the
-/// backpressure that keeps a fast stage from outrunning a slow one — and
-/// [`Receiver::recv`] blocks while it is empty. Dropping the last half of
-/// either side closes the channel, which is the whole shutdown/drain
-/// protocol: a stage simply returns when `recv` yields `None`, and
-/// in-flight items are never dropped.
-///
-/// (Unlike [`std::sync::mpsc::sync_channel`] the receiver is cloneable,
-/// so a pool of workers can drain one stage's output concurrently.)
-pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(ChannelShared {
-        state: Mutex::new(ChannelState { buf: VecDeque::new(), senders: 1, receivers: 1 }),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-        cap: cap.max(1),
-    });
-    (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
-}
-
-impl<T> Sender<T> {
-    /// Sends one item, blocking while the channel is at capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back when every receiver has disconnected (the
-    /// downstream stage is gone, so the item could never be observed).
-    pub fn send(&self, item: T) -> std::result::Result<(), T> {
-        let mut state = self.shared.state.lock().expect("channel mutex never poisoned");
-        loop {
-            if state.receivers == 0 {
-                return Err(item);
-            }
-            if state.buf.len() < self.shared.cap {
-                state.buf.push_back(item);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.shared.not_full.wait(state).expect("channel mutex never poisoned");
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Receives the next item, blocking while the channel is empty.
-    /// Returns `None` once every sender has disconnected **and** the
-    /// buffer is drained — the graceful end-of-stream signal.
-    pub fn recv(&self) -> Option<T> {
-        let mut state = self.shared.state.lock().expect("channel mutex never poisoned");
-        loop {
-            if let Some(item) = state.buf.pop_front() {
-                self.shared.not_full.notify_one();
-                return Some(item);
-            }
-            if state.senders == 0 {
-                return None;
-            }
-            state = self.shared.not_empty.wait(state).expect("channel mutex never poisoned");
-        }
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.shared.state.lock().expect("channel mutex never poisoned").senders += 1;
-        Sender { shared: Arc::clone(&self.shared) }
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.shared.state.lock().expect("channel mutex never poisoned").receivers += 1;
-        Receiver { shared: Arc::clone(&self.shared) }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut state = self.shared.state.lock().expect("channel mutex never poisoned");
-        state.senders -= 1;
-        if state.senders == 0 {
-            drop(state);
-            // Wake every blocked receiver so it can observe end-of-stream.
-            self.shared.not_empty.notify_all();
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        let mut state = self.shared.state.lock().expect("channel mutex never poisoned");
-        state.receivers -= 1;
-        if state.receivers == 0 {
-            drop(state);
-            // Wake every blocked sender so it can observe the broken pipe.
-            self.shared.not_full.notify_all();
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sender").field("cap", &self.shared.cap).finish()
-    }
-}
-
-impl<T> std::fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Receiver").field("cap", &self.shared.cap).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -650,76 +495,5 @@ mod tests {
         let e1 = compress_network_reports(&descs, &cfg(1), failing).unwrap_err();
         let e4 = compress_network_reports(&descs, &cfg(4), failing).unwrap_err();
         assert_eq!(e1.to_string(), e4.to_string());
-    }
-
-    #[test]
-    fn channel_delivers_in_fifo_order() {
-        let (tx, rx) = bounded::<u32>(4);
-        for i in 0..4 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        assert_eq!(rx.recv(), Some(0));
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), Some(3));
-        assert_eq!(rx.recv(), None, "closed and drained");
-    }
-
-    #[test]
-    fn channel_close_semantics() {
-        // All receivers gone: send returns the item.
-        let (tx, rx) = bounded::<u32>(2);
-        drop(rx);
-        assert_eq!(tx.send(7), Err(7));
-
-        // All senders gone: buffered items still drain, then None.
-        let (tx, rx) = bounded::<u32>(2);
-        tx.send(1).unwrap();
-        let tx2 = tx.clone();
-        drop(tx);
-        tx2.send(2).unwrap();
-        drop(tx2);
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn channel_applies_backpressure_and_supports_mpmc() {
-        // Capacity-1 channel, 2 producers × 25 items, 2 consumers: every
-        // item crosses exactly once, with senders blocking on the full
-        // buffer throughout.
-        let (tx, rx) = bounded::<u32>(1);
-        let received = std::thread::scope(|scope| {
-            for p in 0..2u32 {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    for i in 0..25 {
-                        tx.send(p * 100 + i).unwrap();
-                    }
-                });
-            }
-            drop(tx);
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let rx = rx.clone();
-                    scope.spawn(move || {
-                        let mut got = Vec::new();
-                        while let Some(v) = rx.recv() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let mut all: Vec<u32> =
-                consumers.into_iter().flat_map(|c| c.join().expect("consumer thread")).collect();
-            all.sort_unstable();
-            all
-        });
-        let mut expected: Vec<u32> = (0..25).flat_map(|i| [i, 100 + i]).collect::<Vec<_>>();
-        expected.sort_unstable();
-        assert_eq!(received, expected);
     }
 }

@@ -48,9 +48,7 @@ pub use accelerator::Accelerator;
 pub use config::SeAcceleratorConfig;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::HwError;
-pub use residency::{
-    Admission, ResidencyStats, TierAdmission, TierSpec, TierStats, TieredStore, WeightBuffer,
-};
+pub use residency::{ResidencyStats, TierAdmission, TierSpec, TierStats, TieredStore};
 pub use schedule::{ScheduleCache, ScheduleKey, ScheduleRegistry};
 pub use stats::{LayerResult, MemCounters, OpCounters, RunResult};
 

@@ -10,56 +10,25 @@
 //! visible at the serving layer as fewer evictions and refetches at equal
 //! buffer size, which is the trade `se cluster` measures.
 //!
-//! [`WeightBuffer`] is the deterministic LRU residency model: models are
+//! [`TieredStore`] is the deterministic residency model: an ordered stack
+//! of memory tiers (weight buffer ↔ DRAM ↔ SSD/remote), each with a
+//! capacity and a bandwidth, LRU eviction demoting to the next tier down,
+//! and promotion charging serialized transfer time through every tier
+//! crossed. The flat weight buffer is the one-tier stack. Models are
 //! identified by caller-assigned indices, capacities and footprints are
 //! byte counts, and every decision is a pure function of the admission
 //! sequence — no clocks, no randomness — so cluster simulations built on
 //! it stay bit-identical across worker counts.
 //!
-//! [`TieredStore`] generalizes the single buffer into an ordered stack of
-//! memory tiers (weight buffer ↔ DRAM ↔ SSD/remote): each tier has a
-//! capacity and a bandwidth, LRU eviction demotes to the next tier down,
-//! and promotion charges serialized transfer time through every tier
-//! crossed. [`WeightBuffer`] is the degenerate one-tier stack and is
-//! implemented as exactly that, so the legacy admission semantics and the
-//! tiered ones can never drift apart.
-//!
-//! Both stores expose an *observed* admission path
-//! ([`TieredStore::admit_observed`]) that additionally yields the
+//! Admission and restart take an observer that receives the
 //! [`se_obs::EventKind`] tier events (hit / promotion / demotion /
-//! cold-fetch / stream) the admission produced — demotions happen deep
-//! inside the eviction cascade, so only this layer can report them. The
-//! plain [`TieredStore::admit`] runs the identical decision path with a
-//! no-op observer.
+//! cold-fetch / stream) the call produced — demotions happen deep inside
+//! the eviction cascade, so only this layer can report them. Callers that
+//! do not trace pass a no-op closure; the decision path is the same.
 
 use se_obs::EventKind;
 
-/// Outcome of admitting one model's weights ahead of a batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Admission {
-    /// The model was already resident: no DRAM weight traffic.
-    Resident,
-    /// The model was fetched into the buffer, evicting the listed models
-    /// (LRU order) to make room.
-    Fetched {
-        /// Models evicted to make room, least-recently-used first.
-        evicted: Vec<usize>,
-    },
-    /// The footprint exceeds the buffer outright: the weights are streamed
-    /// from DRAM for this batch and nothing resident is disturbed. Every
-    /// future batch of this model streams again.
-    Streamed,
-}
-
-impl Admission {
-    /// Whether this admission had to move the footprint over DRAM (a fetch
-    /// or a stream — anything but a residency hit).
-    pub fn fetched_from_dram(&self) -> bool {
-        !matches!(self, Admission::Resident)
-    }
-}
-
-/// Running residency counters of one [`WeightBuffer`].
+/// Running residency counters of one store's top tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResidencyStats {
     /// Batches served with the model's weights already resident.
@@ -257,10 +226,10 @@ impl TieredStore {
         &self.stats
     }
 
-    /// Legacy residency summary, kept exactly as a [`WeightBuffer`] would:
-    /// `hits` counts top-tier hits, `fetches` every admission that moved
-    /// the footprint (promotions, cold loads, streams), `bytes_fetched`
-    /// those footprints, `evictions` displacements out of the top tier.
+    /// Residency summary of the top tier: `hits` counts top-tier hits,
+    /// `fetches` every admission that moved the footprint (promotions,
+    /// cold loads, streams), `bytes_fetched` those footprints,
+    /// `evictions` displacements out of the top tier.
     pub fn summary(&self) -> &ResidencyStats {
         &self.summary
     }
@@ -374,29 +343,12 @@ impl TieredStore {
     /// it to the top, charging the serialized walk through every tier
     /// crossed; a model resident nowhere loads from the bottom tier
     /// through the whole stack; a footprint larger than the top tier
-    /// streams from the origin without installing.
-    pub fn admit(&mut self, model: usize, bytes: u64) -> TierAdmission {
-        self.admit_with(model, bytes, 0, &mut |_| {})
-    }
-
-    /// [`TieredStore::admit`] with tier-event observation: runs the
-    /// identical decision path and additionally returns the tier events
-    /// it produced, in the order they happened (the admission outcome
-    /// first, then any demotions its eviction cascade caused). `instance`
-    /// is stamped into every event — the store itself does not know which
-    /// cluster instance owns it.
-    pub fn admit_observed(
-        &mut self,
-        model: usize,
-        bytes: u64,
-        instance: usize,
-    ) -> (TierAdmission, Vec<EventKind>) {
-        let mut notes = Vec::new();
-        let admission = self.admit_with(model, bytes, instance, &mut |kind| notes.push(kind));
-        (admission, notes)
-    }
-
-    fn admit_with(
+    /// streams from the origin without installing. `obs` receives the tier
+    /// events in the order they happened (the admission outcome first,
+    /// then any demotions its eviction cascade caused), each stamped with
+    /// `instance` — the store itself does not know which cluster instance
+    /// owns it.
+    pub fn admit(
         &mut self,
         model: usize,
         bytes: u64,
@@ -445,26 +397,20 @@ impl TieredStore {
     /// Drops the volatile tiers — the state after the owning instance
     /// restarts. Every tier except the bottom loses its contents (the
     /// bottom tier is the durable origin: SSD contents survive a power
-    /// cycle; a one-tier store loses everything, matching the legacy
-    /// buffer). Lifetime counters survive, and the drops are not LRU
-    /// evictions: nothing was displaced *by* a fetch.
-    pub fn cold_restart(&mut self) {
-        let _ = self.cold_restart_observed(0);
-    }
-
-    /// [`TieredStore::cold_restart`] with tier-event observation: the
-    /// purged entries come back as `dropped` [`EventKind::TierDemoted`]
-    /// events (`to` = the tier count), in tier order then LRU order —
-    /// the trace's record of what the power cycle cost. Entries parked
-    /// in the durable bottom tier survive and report nothing.
-    pub fn cold_restart_observed(&mut self, instance: usize) -> Vec<EventKind> {
+    /// cycle; a one-tier store loses everything). Lifetime counters
+    /// survive, and the drops are not LRU evictions: nothing was displaced
+    /// *by* a fetch. `obs` receives each purged entry as a `dropped`
+    /// [`EventKind::TierDemoted`] (`to` = the tier count), in tier order
+    /// then LRU order — the trace's record of what the power cycle cost.
+    /// Entries parked in the durable bottom tier survive and report
+    /// nothing.
+    pub fn cold_restart(&mut self, instance: usize, obs: &mut dyn FnMut(EventKind)) {
         let keep_bottom = self.specs.len() > 1;
         let last = self.specs.len() - 1;
-        let mut notes = Vec::new();
         for (k, tier) in self.resident.iter_mut().enumerate() {
             if !(keep_bottom && k == last) {
                 for &(model, bytes) in tier.iter() {
-                    notes.push(EventKind::TierDemoted {
+                    obs(EventKind::TierDemoted {
                         instance,
                         model,
                         to: self.specs.len(),
@@ -475,99 +421,6 @@ impl TieredStore {
                 tier.clear();
             }
         }
-        notes
-    }
-}
-
-/// A finite weight buffer holding whole-model weight footprints with LRU
-/// replacement — the degenerate one-tier [`TieredStore`], kept as the
-/// legacy interface of the single-buffer serving path.
-///
-/// The buffer tracks which models' weights are currently on chip; a batch
-/// admits its model before executing ([`WeightBuffer::admit`]). Capacity
-/// and footprints are bytes; a zero-byte footprint is always resident-able.
-/// Transfer cycles are not charged here (the scheduling layer charges the
-/// switch fetch itself), so the tier bandwidth is irrelevant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WeightBuffer {
-    store: TieredStore,
-}
-
-impl WeightBuffer {
-    /// Creates an empty buffer of the given capacity.
-    pub fn new(capacity_bytes: u64) -> Self {
-        WeightBuffer { store: TieredStore::new(vec![TierSpec::new("buf", capacity_bytes, 1.0)]) }
-    }
-
-    /// Buffer capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.store.tiers()[0].capacity_bytes
-    }
-
-    /// Whether `model` is currently resident.
-    pub fn is_resident(&self, model: usize) -> bool {
-        self.store.is_resident_top(model)
-    }
-
-    /// Bytes currently occupied by resident models.
-    pub fn occupied_bytes(&self) -> u64 {
-        self.store.occupied_bytes(0)
-    }
-
-    /// The residency counters accumulated so far.
-    pub fn stats(&self) -> &ResidencyStats {
-        self.store.summary()
-    }
-
-    /// Admits `model` (footprint `bytes`) ahead of a batch: a residency
-    /// hit refreshes its LRU position for free; a miss fetches the
-    /// footprint, evicting least-recently-used models until it fits; a
-    /// footprint larger than the whole buffer is streamed — charged like a
-    /// fetch but never made resident and never evicting anything.
-    pub fn admit(&mut self, model: usize, bytes: u64) -> Admission {
-        Self::map_admission(self.store.admit(model, bytes))
-    }
-
-    /// [`WeightBuffer::admit`] with tier-event observation, as
-    /// [`TieredStore::admit_observed`] — the one-tier stack still reports
-    /// its hits, cold fetches, streams, and drop-cold demotions.
-    pub fn admit_observed(
-        &mut self,
-        model: usize,
-        bytes: u64,
-        instance: usize,
-    ) -> (Admission, Vec<EventKind>) {
-        let (admission, notes) = self.store.admit_observed(model, bytes, instance);
-        (Self::map_admission(admission), notes)
-    }
-
-    fn map_admission(admission: TierAdmission) -> Admission {
-        match admission {
-            TierAdmission::Hit => Admission::Resident,
-            TierAdmission::Cold { evicted, .. } => Admission::Fetched { evicted },
-            TierAdmission::Streamed { .. } => Admission::Streamed,
-            TierAdmission::Promoted { .. } => {
-                unreachable!("a one-tier store has no lower tier to promote from")
-            }
-        }
-    }
-
-    /// Drops all residency — the state of the buffer after its instance
-    /// restarts — while keeping the lifetime counters, so the re-fetches
-    /// a restart forces are charged to the same stats. Restart evictions
-    /// are not counted as LRU evictions: nothing was displaced *by* a
-    /// fetch, the contents simply did not survive the power cycle.
-    pub fn cold_restart(&mut self) {
-        // A one-tier stack has no durable origin below it: everything is
-        // volatile, exactly the legacy behaviour.
-        self.store.cold_restart();
-    }
-
-    /// [`WeightBuffer::cold_restart`] with tier-event observation, as
-    /// [`TieredStore::cold_restart_observed`] — every resident model
-    /// reports a `dropped` demotion with `to == 1`.
-    pub fn cold_restart_observed(&mut self, instance: usize) -> Vec<EventKind> {
-        self.store.cold_restart_observed(instance)
     }
 }
 
@@ -583,33 +436,44 @@ pub fn fetch_cycles(bytes: u64, dram_bytes_per_cycle: f64) -> u64 {
 mod tests {
     use super::*;
 
+    /// Untraced admission on instance 0.
+    fn admit(store: &mut TieredStore, model: usize, bytes: u64) -> TierAdmission {
+        store.admit(model, bytes, 0, &mut |_| {})
+    }
+
+    /// The flat weight buffer: a one-tier store (its bandwidth is never
+    /// charged — one tier crosses nothing).
+    fn buffer(capacity_bytes: u64) -> TieredStore {
+        TieredStore::new(vec![TierSpec::new("buf", capacity_bytes, 1.0)])
+    }
+
+    fn cold(evicted: Vec<usize>) -> TierAdmission {
+        TierAdmission::Cold { cycles: 0, evicted }
+    }
+
     #[test]
     fn single_model_fetches_once_then_hits() {
-        let mut buf = WeightBuffer::new(100);
-        assert_eq!(buf.admit(0, 60), Admission::Fetched { evicted: vec![] });
+        let mut buf = buffer(100);
+        assert_eq!(admit(&mut buf, 0, 60), cold(vec![]));
         for _ in 0..5 {
-            assert_eq!(buf.admit(0, 60), Admission::Resident);
+            assert_eq!(admit(&mut buf, 0, 60), TierAdmission::Hit);
         }
-        assert!(buf.is_resident(0));
+        assert!(buf.is_resident_top(0));
         assert_eq!(
-            *buf.stats(),
+            *buf.summary(),
             ResidencyStats { hits: 5, fetches: 1, evictions: 0, bytes_fetched: 60 }
         );
     }
 
     #[test]
     fn alternating_models_evict_every_time_when_only_one_fits() {
-        let mut buf = WeightBuffer::new(100);
-        buf.admit(0, 60);
+        let mut buf = buffer(100);
+        admit(&mut buf, 0, 60);
         for round in 0..4 {
-            assert_eq!(
-                buf.admit(1, 70),
-                Admission::Fetched { evicted: vec![0] },
-                "round {round}: 1 in, 0 out"
-            );
-            assert_eq!(buf.admit(0, 60), Admission::Fetched { evicted: vec![1] });
+            assert_eq!(admit(&mut buf, 1, 70), cold(vec![0]), "round {round}: 1 in, 0 out");
+            assert_eq!(admit(&mut buf, 0, 60), cold(vec![1]));
         }
-        let s = buf.stats();
+        let s = buf.summary();
         assert_eq!(s.hits, 0);
         assert_eq!(s.fetches, 9);
         assert_eq!(s.evictions, 8);
@@ -618,55 +482,53 @@ mod tests {
 
     #[test]
     fn both_resident_when_they_fit() {
-        let mut buf = WeightBuffer::new(200);
-        buf.admit(0, 60);
-        buf.admit(1, 70);
+        let mut buf = buffer(200);
+        admit(&mut buf, 0, 60);
+        admit(&mut buf, 1, 70);
         for _ in 0..3 {
-            assert_eq!(buf.admit(0, 60), Admission::Resident);
-            assert_eq!(buf.admit(1, 70), Admission::Resident);
+            assert_eq!(admit(&mut buf, 0, 60), TierAdmission::Hit);
+            assert_eq!(admit(&mut buf, 1, 70), TierAdmission::Hit);
         }
-        assert_eq!(buf.stats().fetches, 2);
-        assert_eq!(buf.stats().evictions, 0);
-        assert_eq!(buf.occupied_bytes(), 130);
+        assert_eq!(buf.summary().fetches, 2);
+        assert_eq!(buf.summary().evictions, 0);
+        assert_eq!(buf.occupied_bytes(0), 130);
     }
 
     #[test]
     fn eviction_is_least_recently_used() {
-        let mut buf = WeightBuffer::new(100);
-        buf.admit(0, 40);
-        buf.admit(1, 40);
-        buf.admit(0, 40); // refresh 0: LRU is now 1
-        assert_eq!(buf.admit(2, 40), Admission::Fetched { evicted: vec![1] });
-        assert!(buf.is_resident(0));
-        assert!(!buf.is_resident(1));
+        let mut buf = buffer(100);
+        admit(&mut buf, 0, 40);
+        admit(&mut buf, 1, 40);
+        admit(&mut buf, 0, 40); // refresh 0: LRU is now 1
+        assert_eq!(admit(&mut buf, 2, 40), cold(vec![1]));
+        assert!(buf.is_resident_top(0));
+        assert!(!buf.is_resident_top(1));
     }
 
     #[test]
     fn oversized_footprint_streams_without_evicting() {
-        let mut buf = WeightBuffer::new(100);
-        buf.admit(0, 80);
-        let a = buf.admit(1, 150);
-        assert_eq!(a, Admission::Streamed);
-        assert!(a.fetched_from_dram());
-        assert!(buf.is_resident(0), "streamed model must not evict residents");
-        assert!(!buf.is_resident(1));
-        assert_eq!(buf.stats().fetches, 2);
-        assert_eq!(buf.stats().bytes_fetched, 230);
+        let mut buf = buffer(100);
+        admit(&mut buf, 0, 80);
+        assert_eq!(admit(&mut buf, 1, 150), TierAdmission::Streamed { cycles: 0 });
+        assert!(buf.is_resident_top(0), "streamed model must not evict residents");
+        assert!(!buf.is_resident_top(1));
+        assert_eq!(buf.summary().fetches, 2);
+        assert_eq!(buf.summary().bytes_fetched, 230);
     }
 
     #[test]
     fn cold_restart_clears_residency_but_keeps_counters() {
-        let mut buf = WeightBuffer::new(200);
-        buf.admit(0, 60);
-        buf.admit(0, 60);
-        assert_eq!(buf.stats().hits, 1);
-        buf.cold_restart();
-        assert!(!buf.is_resident(0), "restart leaves nothing resident");
-        assert_eq!(buf.occupied_bytes(), 0);
-        assert_eq!(buf.stats().hits, 1, "lifetime counters survive the restart");
-        assert_eq!(buf.stats().evictions, 0, "a restart is not an LRU eviction");
-        assert_eq!(buf.admit(0, 60), Admission::Fetched { evicted: vec![] }, "re-fetch is charged");
-        assert_eq!(buf.stats().fetches, 2);
+        let mut buf = buffer(200);
+        admit(&mut buf, 0, 60);
+        admit(&mut buf, 0, 60);
+        assert_eq!(buf.summary().hits, 1);
+        buf.cold_restart(0, &mut |_| {});
+        assert!(!buf.is_resident_top(0), "restart leaves nothing resident");
+        assert_eq!(buf.occupied_bytes(0), 0);
+        assert_eq!(buf.summary().hits, 1, "lifetime counters survive the restart");
+        assert_eq!(buf.summary().evictions, 0, "a restart is not an LRU eviction");
+        assert_eq!(admit(&mut buf, 0, 60), cold(vec![]), "re-fetch is charged");
+        assert_eq!(buf.summary().fetches, 2);
     }
 
     #[test]
@@ -696,10 +558,10 @@ mod tests {
     fn cold_load_walks_the_whole_stack() {
         let mut store = stack();
         // 50 B from SSD: 50/1 (ssd→dram) + 50/5 (dram→buf) = 60 cycles.
-        let a = store.admit(0, 50);
+        let a = admit(&mut store, 0, 50);
         assert_eq!(a, TierAdmission::Cold { cycles: 60, evicted: vec![] });
         assert_eq!(a.cycles(), 60);
-        assert_eq!(store.admit(0, 50), TierAdmission::Hit);
+        assert_eq!(admit(&mut store, 0, 50), TierAdmission::Hit);
         assert!(store.is_resident_top(0));
         assert_eq!(store.cold_fetches(), 1);
         assert_eq!(store.admissions(), 2);
@@ -708,7 +570,6 @@ mod tests {
         assert_eq!(store.tier_stats()[1].bytes_up, 50);
         assert_eq!(store.tier_stats()[2].bytes_up, 50);
         assert_eq!(store.bottom_bytes_up(), 50);
-        // Legacy summary matches what a WeightBuffer would count.
         assert_eq!(
             *store.summary(),
             ResidencyStats { hits: 1, fetches: 1, evictions: 0, bytes_fetched: 50 }
@@ -718,15 +579,15 @@ mod tests {
     #[test]
     fn eviction_demotes_to_the_next_tier_and_promotion_comes_back_cheaper() {
         let mut store = stack();
-        store.admit(0, 60); // cold: 60 cycles
-        let a = store.admit(1, 70); // evicts 0 to DRAM
+        admit(&mut store, 0, 60); // cold: 60 cycles
+        let a = admit(&mut store, 1, 70); // evicts 0 to DRAM
         assert_eq!(a, TierAdmission::Cold { cycles: 84, evicted: vec![0] });
         assert_eq!(store.tier_stats()[0].evictions, 1);
         assert_eq!(store.tier_stats()[1].demotions, 1);
         assert_eq!(store.tier_stats()[1].bytes_down, 60);
         // 0 now promotes from DRAM: 60/5 = 12 cycles, far cheaper than
         // its 72-cycle cold load, and the SSD never sees it.
-        let b = store.admit(0, 60);
+        let b = admit(&mut store, 0, 60);
         assert_eq!(b, TierAdmission::Promoted { from: 1, cycles: 12, evicted: vec![1] });
         assert_eq!(store.tier_stats()[1].hits, 1);
         assert_eq!(store.tier_stats()[1].promotions, 1);
@@ -739,12 +600,12 @@ mod tests {
             TierSpec::new("buf", 100, 10.0),
             TierSpec::new("dram", 100, 5.0),
         ]);
-        store.admit(0, 100);
-        store.admit(1, 100); // 0 demotes to dram
-        store.admit(2, 100); // 1 demotes to dram, 0 falls off the bottom
+        admit(&mut store, 0, 100);
+        admit(&mut store, 1, 100); // 0 demotes to dram
+        admit(&mut store, 2, 100); // 1 demotes to dram, 0 falls off the bottom
         assert_eq!(store.tier_stats()[1].evictions, 1);
         // 0 is cold again: full-walk cost, counted as a fresh cold fetch.
-        let a = store.admit(0, 100);
+        let a = admit(&mut store, 0, 100);
         assert_eq!(a, TierAdmission::Cold { cycles: 20, evicted: vec![2] });
         assert_eq!(store.cold_fetches(), 4);
     }
@@ -752,12 +613,12 @@ mod tests {
     #[test]
     fn streams_haul_from_the_origin_every_batch_without_installing() {
         let mut store = stack();
-        store.admit(0, 80);
+        admit(&mut store, 0, 80);
         for round in 1..=3u64 {
             // 150 B > buf: stream. The deep haul (ssd→dram, 150 cycles)
             // is charged; the dram→buf crossing recurs inside the
             // streamed execution table.
-            assert_eq!(store.admit(1, 150), TierAdmission::Streamed { cycles: 150 });
+            assert_eq!(admit(&mut store, 1, 150), TierAdmission::Streamed { cycles: 150 });
             assert_eq!(store.bottom_bytes_up(), 80 + 150 * round);
         }
         assert!(store.is_resident_top(0), "streams never evict residents");
@@ -769,7 +630,7 @@ mod tests {
     fn conservation_holds_per_admission() {
         let mut store = stack();
         for (model, bytes) in [(0, 60), (1, 70), (0, 60), (2, 150), (1, 70), (1, 70)] {
-            store.admit(model, bytes);
+            admit(&mut store, model, bytes);
             let hits: u64 = store.tier_stats().iter().map(|s| s.hits).sum();
             assert_eq!(hits + store.cold_fetches() + store.streams(), store.admissions());
             for k in 0..store.tiers().len() {
@@ -781,16 +642,16 @@ mod tests {
     #[test]
     fn cold_restart_keeps_only_the_durable_bottom_tier() {
         let mut store = stack();
-        store.admit(0, 60);
-        store.admit(1, 70); // 0 demoted to DRAM
-        store.cold_restart();
+        admit(&mut store, 0, 60);
+        admit(&mut store, 1, 70); // 0 demoted to DRAM
+        store.cold_restart(0, &mut |_| {});
         assert!(!store.is_resident_top(1), "top tier lost");
         assert_eq!(store.occupied_bytes(0), 0);
         assert_eq!(store.occupied_bytes(1), 0, "DRAM is volatile too");
         // Nothing reached the SSD tier as resident state, so both models
         // are cold: the post-restart load pays the full SSD walk — the
         // "lands in SSD, not free DRAM" recovery cost.
-        assert_eq!(store.admit(0, 60), TierAdmission::Cold { cycles: 72, evicted: vec![] });
+        assert_eq!(admit(&mut store, 0, 60), TierAdmission::Cold { cycles: 72, evicted: vec![] });
         // A model demoted all the way to the durable bottom tier before
         // the restart survives the power cycle as resident state there.
         let mut deep = TieredStore::new(vec![
@@ -798,28 +659,24 @@ mod tests {
             TierSpec::new("dram", 100, 5.0),
             TierSpec::new("ssd", 1000, 1.0),
         ]);
-        deep.admit(0, 60);
-        deep.admit(1, 70); // 0 → dram
-        deep.admit(2, 80); // 1 → dram, cascading 0 → ssd
-        deep.cold_restart();
+        admit(&mut deep, 0, 60);
+        admit(&mut deep, 1, 70); // 0 → dram
+        admit(&mut deep, 2, 80); // 1 → dram, cascading 0 → ssd
+        deep.cold_restart(0, &mut |_| {});
         assert_eq!(deep.occupied_bytes(2), 60, "the SSD copy of model 0 survives");
-        assert!(matches!(deep.admit(0, 60), TierAdmission::Promoted { from: 2, .. }));
+        assert!(matches!(admit(&mut deep, 0, 60), TierAdmission::Promoted { from: 2, .. }));
     }
 
     #[test]
-    fn observed_admission_reports_the_walk_and_its_demotions() {
-        let mut observed = stack();
-        let mut plain = stack();
+    fn admission_reports_the_walk_and_its_demotions() {
+        let mut store = stack();
         // Cold load of 0, then 1 (evicting 0 → DRAM), then promote 0 back
-        // (evicting 1 → DRAM): the observed path must mirror the plain
-        // one bit for bit while narrating every move.
+        // (evicting 1 → DRAM).
         for (model, bytes) in [(0usize, 60u64), (1, 70), (0, 60)] {
-            let (a, _) = observed.admit_observed(model, bytes, 7);
-            assert_eq!(a, plain.admit(model, bytes), "observed path must not change decisions");
+            admit(&mut store, model, bytes);
         }
-        assert_eq!(observed, plain, "identical state after identical admissions");
-        let (_, notes) = observed.admit_observed(1, 70, 7);
-        plain.admit(1, 70);
+        let mut notes = Vec::new();
+        store.admit(1, 70, 7, &mut |kind| notes.push(kind));
         assert_eq!(
             notes,
             vec![
@@ -827,15 +684,15 @@ mod tests {
                 EventKind::TierDemoted { instance: 7, model: 0, to: 1, bytes: 60, dropped: false },
             ]
         );
-        assert_eq!(observed, plain);
         // A footprint larger than the top tier streams.
-        let (_, notes) = observed.admit_observed(9, 150, 3);
+        let mut notes = Vec::new();
+        store.admit(9, 150, 3, &mut |kind| notes.push(kind));
         assert_eq!(notes, vec![EventKind::TierStreamed { instance: 3, model: 9, cycles: 150 }]);
         // A one-tier buffer reports drop-cold demotions with to == 1.
-        let mut buf = WeightBuffer::new(100);
-        buf.admit(0, 60);
-        let (a, notes) = buf.admit_observed(1, 70, 0);
-        assert_eq!(a, Admission::Fetched { evicted: vec![0] });
+        let mut buf = buffer(100);
+        admit(&mut buf, 0, 60);
+        let mut notes = Vec::new();
+        assert_eq!(buf.admit(1, 70, 0, &mut |kind| notes.push(kind)), cold(vec![0]));
         assert_eq!(
             notes,
             vec![
@@ -846,11 +703,12 @@ mod tests {
     }
 
     #[test]
-    fn observed_cold_restart_reports_the_purged_entries() {
+    fn cold_restart_reports_the_purged_entries() {
         let mut store = stack();
-        store.admit(0, 60); // resident in buf
-        store.admit(1, 70); // 0 demoted to dram
-        let notes = store.cold_restart_observed(4);
+        admit(&mut store, 0, 60); // resident in buf
+        admit(&mut store, 1, 70); // 0 demoted to dram
+        let mut notes = Vec::new();
+        store.cold_restart(4, &mut |kind| notes.push(kind));
         assert_eq!(
             notes,
             vec![
@@ -860,49 +718,15 @@ mod tests {
             "both volatile tiers purge; the empty SSD tier reports nothing"
         );
         assert_eq!(store.occupied_bytes(0) + store.occupied_bytes(1), 0);
-        // The silent and observed restarts leave identical state.
-        let mut silent = stack();
-        silent.admit(0, 60);
-        silent.admit(1, 70);
-        silent.cold_restart();
-        assert_eq!(store, silent);
         // A one-tier buffer purges everything.
-        let mut buf = WeightBuffer::new(200);
-        buf.admit(0, 60);
-        let notes = buf.cold_restart_observed(2);
+        let mut buf = buffer(200);
+        admit(&mut buf, 0, 60);
+        let mut notes = Vec::new();
+        buf.cold_restart(2, &mut |kind| notes.push(kind));
         assert_eq!(
             notes,
             vec![EventKind::TierDemoted { instance: 2, model: 0, to: 1, bytes: 60, dropped: true }]
         );
-        assert_eq!(buf.occupied_bytes(), 0);
-    }
-
-    #[test]
-    fn one_tier_store_is_bit_identical_to_the_weight_buffer() {
-        // The exact alternating-eviction stream of the legacy test, run
-        // through both interfaces in lockstep.
-        let mut buf = WeightBuffer::new(100);
-        let mut store = TieredStore::new(vec![TierSpec::new("buf", 100, 1.0)]);
-        let stream = [(0usize, 60u64), (1, 70), (0, 60), (1, 70), (2, 150), (0, 60), (0, 60)];
-        for (model, bytes) in stream {
-            let legacy = buf.admit(model, bytes);
-            let tiered = store.admit(model, bytes);
-            let expect = match tiered {
-                TierAdmission::Hit => Admission::Resident,
-                TierAdmission::Cold { ref evicted, cycles } => {
-                    assert_eq!(cycles, 0, "one tier crosses nothing");
-                    Admission::Fetched { evicted: evicted.clone() }
-                }
-                TierAdmission::Streamed { cycles } => {
-                    assert_eq!(cycles, 0);
-                    Admission::Streamed
-                }
-                TierAdmission::Promoted { .. } => panic!("no lower tier exists"),
-            };
-            assert_eq!(legacy, expect);
-        }
-        assert_eq!(buf.stats(), store.summary());
-        store.cold_restart();
-        assert!(!store.is_resident_top(0), "one-tier restart loses everything");
+        assert_eq!(buf.occupied_bytes(0), 0);
     }
 }

@@ -206,7 +206,7 @@ impl LayerResult {
     /// resident batch's latency is `max(compute, activation DRAM)`. The
     /// rebuild work stays charged — on SmartExchange it reruns each batch
     /// from the resident compressed form. Used with
-    /// [`crate::residency::WeightBuffer`], which decides when a model is
+    /// [`crate::residency::TieredStore`], which decides when a model is
     /// resident and what a switch costs.
     pub fn with_weights_resident(&self, dram_bytes_per_cycle: f64) -> LayerResult {
         let mem = self.mem.with_weights_resident();

@@ -5,8 +5,7 @@
 //! exact sequence of [`Event`]s the scheduler core emitted (in memory
 //! from a `Recorder`, or re-parsed from a `--trace-out` Perfetto file),
 //! so every analysis inherits the determinism contract — byte-identical
-//! across `--sim-parallelism`, `--exec-workers`, and
-//! `--runtime sim|staged` — by construction.
+//! across `--sim-parallelism` values — by construction.
 //!
 //! **Windows** are fixed, half-open virtual-time intervals
 //! `[k·W, (k+1)·W)`; an event belongs to the window containing its `at`
@@ -547,7 +546,6 @@ pub fn analyze(events: &[Event], window: u64) -> Analysis {
                 totals.tier_walk_cycles += cycles;
                 pending_walk.entry(*instance).or_insert((0, false)).0 += cycles;
             }
-            EventKind::StageWall { .. } => {}
         }
     }
     totals.submitted = terminals.len() as u64;

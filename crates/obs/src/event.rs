@@ -196,15 +196,6 @@ pub enum EventKind {
         /// Serialized haul cost in cycles.
         cycles: u64,
     },
-    /// Wall-clock stage timing — an **opt-in** annotation the staged
-    /// runtime appends only under `SE_TRACE_WALL=1`, excluded from
-    /// determinism diffs by construction. `at` is always 0.
-    StageWall {
-        /// Stage label.
-        stage: &'static str,
-        /// Measured wall time in nanoseconds.
-        wall_ns: u64,
-    },
 }
 
 impl EventKind {
@@ -229,7 +220,6 @@ impl EventKind {
             EventKind::TierDemoted { .. } => "tier_demoted",
             EventKind::TierColdFetch { .. } => "tier_cold_fetch",
             EventKind::TierStreamed { .. } => "tier_streamed",
-            EventKind::StageWall { .. } => "stage_wall",
         }
     }
 
@@ -252,17 +242,13 @@ impl EventKind {
             | EventKind::TierDemoted { instance, .. }
             | EventKind::TierColdFetch { instance, .. }
             | EventKind::TierStreamed { instance, .. } => Some(instance),
-            EventKind::Rejected { .. } | EventKind::Lost { .. } | EventKind::StageWall { .. } => {
-                None
-            }
+            EventKind::Rejected { .. } | EventKind::Lost { .. } => None,
         }
     }
 }
 
-/// Where the scheduler core sends its events. `Send` so a sink can ride
-/// into the staged runtime's scheduler thread (which is the only thread
-/// that ever touches it — emission stays serial).
-pub trait EventSink: Send {
+/// Where the scheduler core sends its events.
+pub trait EventSink {
     /// Whether the sink wants events at all. The serving entry points
     /// check this once up front and skip the entire observed path when
     /// `false`, keeping the hot path zero-cost with the default sink.
@@ -324,12 +310,6 @@ impl EventSink for Recorder {
     fn record(&mut self, event: Event) {
         self.events.push(event);
     }
-}
-
-/// Whether wall-clock stage annotations were opted into via
-/// `SE_TRACE_WALL=1` (see [`EventKind::StageWall`]).
-pub fn wall_annotations_enabled() -> bool {
-    std::env::var("SE_TRACE_WALL").is_ok_and(|v| v == "1")
 }
 
 #[cfg(test)]

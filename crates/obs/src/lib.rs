@@ -1,9 +1,9 @@
 //! `se_obs` — deterministic tracing, metrics, and trace analytics for
 //! the serving stack.
 //!
-//! The serving runtimes (`se_serve`'s discrete-event sim and staged
-//! pipeline) advance a *virtual* clock; every scheduling decision happens
-//! at a deterministic virtual cycle. This crate gives those decisions a
+//! The serving runtime (`se_serve`'s discrete-event simulation) advances
+//! a *virtual* clock; every scheduling decision happens at a
+//! deterministic virtual cycle. This crate gives those decisions a
 //! structured, virtual-time-stamped event model ([`Event`]) and a sink
 //! abstraction ([`EventSink`]) the scheduler core emits into, plus a
 //! metrics registry ([`MetricsRegistry`]) that folds an event stream into
@@ -13,14 +13,10 @@
 //! cross-run diffs.
 //!
 //! **Determinism contract.** Events are emitted from the serial scheduler
-//! core only (never from concurrent pipeline stages), so the event stream
-//! is byte-identical across `--sim-parallelism` values and across
-//! `--runtime sim|staged`. The one exception is [`EventKind::StageWall`]:
-//! a wall-clock annotation the staged runtime appends *only* when
-//! `SE_TRACE_WALL=1` is set, excluded from determinism diffs by
-//! construction (it is never emitted unless opted in). Everything in
-//! [`analyze`] is a pure function of the stream and inherits the
-//! contract.
+//! core only, stamped with virtual time and never wall-clock time, so the
+//! event stream is byte-identical across `--sim-parallelism` values.
+//! Everything in [`analyze`] is a pure function of the stream and
+//! inherits the contract.
 //!
 //! The crate is dependency-free so the hardware model (`se_hw`) can
 //! construct events without pulling the serving stack in. Exporters that
@@ -34,5 +30,5 @@ pub mod analyze;
 pub mod event;
 pub mod metrics;
 
-pub use event::{wall_annotations_enabled, Event, EventKind, EventSink, NullSink, Recorder};
+pub use event::{Event, EventKind, EventSink, NullSink, Recorder};
 pub use metrics::{Histogram, MetricsRegistry};

@@ -258,11 +258,6 @@ impl MetricsRegistry {
                     self.inc(&keyed("se_tier_streams_total", labels), 1);
                     self.observe(&keyed("se_tier_walk_cycles", labels), *cycles);
                 }
-                EventKind::StageWall { stage, wall_ns } => {
-                    let mut with_stage: Vec<(&str, &str)> = labels.to_vec();
-                    with_stage.push(("stage", stage));
-                    self.set_gauge(&keyed("se_stage_wall_ns", &with_stage), *wall_ns as f64);
-                }
             }
         }
         for &tier in &tiers_seen {
@@ -550,16 +545,5 @@ mod tests {
         );
         // Rendering twice is byte-identical.
         assert_eq!(text, reg.render());
-    }
-
-    #[test]
-    fn stage_wall_annotations_become_labeled_gauges() {
-        let events = vec![Event {
-            at: 0,
-            kind: EventKind::StageWall { stage: "staged-pipeline", wall_ns: 123 },
-        }];
-        let mut reg = MetricsRegistry::new();
-        reg.ingest(&events, &[]);
-        assert_eq!(reg.gauge("se_stage_wall_ns{stage=\"staged-pipeline\"}"), Some(123.0));
     }
 }

@@ -30,6 +30,6 @@ pub mod sim;
 pub use router::{InstanceView, RouterPolicy};
 pub use se_hw::residency::{TierSpec, TierStats};
 pub use sim::{
-    simulate_cluster, simulate_cluster_run, simulate_cluster_run_obs, ClusterReport, ClusterRun,
-    ClusterSpec, InstanceSummary, ModelService,
+    simulate_cluster, simulate_cluster_run_obs, ClusterReport, ClusterRun, ClusterSpec,
+    InstanceSummary, ModelService,
 };

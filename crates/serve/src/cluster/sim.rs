@@ -16,12 +16,14 @@
 //!   are single-model by construction. A full batch of another model never
 //!   jumps the EDF head;
 //! * **weight-buffer residency** — with a finite per-instance buffer
-//!   ([`ClusterSpec::buffer_bytes`]), each batch first *admits* its
-//!   model's weight footprint ([`se_hw::residency::WeightBuffer`]): a hit
-//!   runs at the resident batch latency, a miss serializes the switch
-//!   fetch in front of it (evicting LRU models), and an oversized model
-//!   streams at the per-batch-fetch latency. With `buffer_bytes: None`
-//!   every batch streams — exactly the `se serve` execution model.
+//!   ([`ClusterSpec::buffer_bytes`], a one-tier
+//!   [`se_hw::residency::TieredStore`]), each batch first *admits* its
+//!   model's weight footprint: a hit runs at the resident batch latency,
+//!   a miss serializes the switch fetch in front of it (evicting LRU
+//!   models), and an oversized model streams at the per-batch-fetch
+//!   latency. With `buffer_bytes: None` every batch streams — exactly the
+//!   `se serve` execution model. [`ClusterSpec::tiers`] swaps the flat
+//!   buffer for a deeper stack.
 //!
 //! The whole simulation is a serial event loop over pre-computed latency
 //! tables, so its output is bit-identical for any worker count of the
@@ -29,20 +31,19 @@
 //! no-residency cluster reproduces [`crate::queue::simulate_open_loop`]
 //! decision-for-decision (enforced by property test).
 //!
-//! Every scheduling decision lives in the shared [`crate::sched`] core;
-//! this module is the serial driver plus report assembly. The concurrent
-//! staged runtime ([`crate::staged`]) drives the same core, which is why
-//! [`simulate_cluster_run`] doubles as its correctness oracle.
+//! Every scheduling decision lives in the [`crate::sched`] core; this
+//! module is the serial driver plus report assembly.
 
 use crate::cluster::router::RouterPolicy;
 use crate::engine::BatchEngine;
 use crate::fault::{ClusterEvent, FaultPlan};
 use crate::queue::{percentile, BatchPolicy};
 use crate::sched::{self, ClusterCore, CoreFinish, Disposition, RequestOutcome, SchedEvent};
-use crate::workload::Request;
+use crate::workload::{check_sorted, Request};
 use crate::{BoxError, Result};
 use se_hw::residency::{fetch_cycles, ResidencyStats, TierSpec, TierStats};
 use se_hw::RunResult;
+use se_obs::{EventSink, NullSink};
 
 /// One model's execution profile on one accelerator lane — everything the
 /// cluster needs to charge its batches, derived from a single per-image
@@ -107,10 +108,10 @@ pub struct ClusterSpec {
     pub buffer_bytes: Option<u64>,
     /// Per-instance tiered weight store (top tier first, bottom tier the
     /// durable origin — see [`se_hw::residency::TieredStore`]); `None`
-    /// keeps the single-buffer model above. Mutually exclusive with
+    /// keeps the flat buffer above. Mutually exclusive with
     /// `buffer_bytes`: a tier stack *replaces* the flat buffer, charging
-    /// each admission its real tier-walk cost instead of the flat
-    /// `switch_cycles`.
+    /// each miss its real tier-walk cost instead of the flat
+    /// `switch_cycles`, and reporting per-tier traffic.
     pub tiers: Option<Vec<TierSpec>>,
     /// Deterministic failure injection and elasticity script (see
     /// [`crate::fault`]). The default empty plan reproduces a cluster
@@ -176,9 +177,8 @@ pub struct InstanceSummary {
     pub batches: u64,
     /// Requests completed.
     pub completed: u64,
-    /// Residency counters of this instance's weight buffer (zeros with
-    /// residency modeling off). With a tiered store this is the legacy
-    /// summary view of the stack (top-tier hits / any-movement fetches).
+    /// Residency counters of this instance's weight store (zeros with
+    /// residency modeling off): top-tier hits and any-movement fetches.
     pub residency: ResidencyStats,
     /// Per-tier traffic of this instance's tiered store, top tier first
     /// (empty without `ClusterSpec::tiers`).
@@ -276,8 +276,7 @@ impl ClusterReport {
 }
 
 /// Full result of one cluster run: the aggregate report plus the
-/// per-request outcome set — the unit the sim-vs-staged determinism
-/// contract is stated (and property-tested) over.
+/// per-request outcome set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterRun {
     /// Aggregate report (latencies, batch sizes, residency, ...).
@@ -288,10 +287,8 @@ pub struct ClusterRun {
 
 /// Folds one scheduling event into the report and outcome set. Launched
 /// batches must be fed in launch (`seq`) order — the order `latencies`
-/// and `batch_sizes` are recorded in; the staged runtime's collector
-/// re-sorts its stream by `seq` before calling this, which is what makes
-/// its reports bit-identical to the sim's.
-pub(crate) fn record_event(
+/// and `batch_sizes` are recorded in.
+fn record_event(
     event: &SchedEvent,
     report: &mut ClusterReport,
     outcomes: &mut Vec<RequestOutcome>,
@@ -346,9 +343,8 @@ pub(crate) fn record_event(
 }
 
 /// Folds the core's teardown — per-instance summaries and the membership
-/// event log — into the report (shared by the sim and the staged
-/// collector, so both report identical churn).
-pub(crate) fn fold_finish(fin: CoreFinish, report: &mut ClusterReport) {
+/// event log — into the report.
+fn fold_finish(fin: CoreFinish, report: &mut ClusterReport) {
     for summary in fin.summaries {
         report.residency.accumulate(&summary.residency);
         if report.tier_traffic.len() < summary.tier_traffic.len() {
@@ -363,9 +359,9 @@ pub(crate) fn fold_finish(fin: CoreFinish, report: &mut ClusterReport) {
     report.events = fin.events;
 }
 
-/// Checks every request's model index against the service set (shared by
-/// both runtimes' entry points).
-pub(crate) fn validate_models(requests: &[Request], services: &[ModelService]) -> Result<()> {
+/// Checks every request's model index against the service set and the
+/// stream's arrival order.
+fn validate_requests(requests: &[Request], services: &[ModelService]) -> Result<()> {
     if let Some(r) = requests.iter().find(|r| r.model >= services.len()) {
         return Err(BoxError::from(format!(
             "request targets model {} but only {} services are defined",
@@ -373,54 +369,28 @@ pub(crate) fn validate_models(requests: &[Request], services: &[ModelService]) -
             services.len()
         )));
     }
-    debug_assert!(
-        requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "arrivals must be sorted"
-    );
-    Ok(())
+    check_sorted(requests.iter().map(|r| r.arrival))
 }
 
 /// Simulates the cluster over an open-loop request stream (arrivals
 /// non-decreasing; `model` indexes into `services`), returning the full
-/// per-request outcome set alongside the report.
+/// per-request outcome set alongside the report. Every scheduling
+/// decision is narrated into `sink` as virtual-time [`se_obs::Event`]s;
+/// a disabled sink (e.g. [`NullSink`]) builds no events, and the run
+/// result is identical either way.
 ///
 /// # Errors
 ///
-/// Rejects an invalid spec and out-of-range model indices.
-pub fn simulate_cluster_run(
-    requests: &[Request],
-    services: &[ModelService],
-    spec: &ClusterSpec,
-) -> Result<ClusterRun> {
-    simulate_inner(requests, services, spec, None)
-}
-
-/// [`simulate_cluster_run`] with observability: every scheduling decision
-/// is additionally narrated into `sink` as virtual-time
-/// [`se_obs::Event`]s. A disabled sink (e.g. [`se_obs::NullSink`]) skips
-/// the observed path entirely; the run result is identical either way.
-///
-/// # Errors
-///
-/// Rejects an invalid spec and out-of-range model indices.
+/// Rejects an invalid spec, out-of-range model indices, and an unsorted
+/// stream (naming the first out-of-order request).
 pub fn simulate_cluster_run_obs(
     requests: &[Request],
     services: &[ModelService],
     spec: &ClusterSpec,
-    sink: &mut dyn se_obs::EventSink,
+    sink: &mut dyn EventSink,
 ) -> Result<ClusterRun> {
-    let obs = sink.enabled().then_some(sink);
-    simulate_inner(requests, services, spec, obs)
-}
-
-fn simulate_inner(
-    requests: &[Request],
-    services: &[ModelService],
-    spec: &ClusterSpec,
-    obs: Option<&mut dyn se_obs::EventSink>,
-) -> Result<ClusterRun> {
-    validate_models(requests, services)?;
-    let mut core = ClusterCore::with_obs(services, spec, obs)?;
+    validate_requests(requests, services)?;
+    let mut core = ClusterCore::new(services, spec, sink)?;
     let mut report = ClusterReport::default();
     let mut outcomes = Vec::with_capacity(requests.len());
     sched::drive_open_loop(&mut core, requests.iter().copied().enumerate(), &mut |event| {
@@ -432,18 +402,19 @@ fn simulate_inner(
     Ok(ClusterRun { report, outcomes })
 }
 
-/// Simulates the cluster over an open-loop request stream, returning the
-/// aggregate report (see [`simulate_cluster_run`] for the outcome set).
+/// Simulates the cluster over an open-loop request stream, untraced,
+/// returning the aggregate report (see [`simulate_cluster_run_obs`] for
+/// the outcome set and the event stream).
 ///
 /// # Errors
 ///
-/// Rejects an invalid spec and out-of-range model indices.
+/// As [`simulate_cluster_run_obs`].
 pub fn simulate_cluster(
     requests: &[Request],
     services: &[ModelService],
     spec: &ClusterSpec,
 ) -> Result<ClusterReport> {
-    Ok(simulate_cluster_run(requests, services, spec)?.report)
+    Ok(simulate_cluster_run_obs(requests, services, spec, &mut NullSink)?.report)
 }
 
 #[cfg(test)]
@@ -689,5 +660,18 @@ mod tests {
         // the kill (fetch at first batch + fetch after restart on
         // instance 0, plus instance 1's own cold fetch).
         assert_eq!(r.residency.fetches, 3);
+    }
+
+    #[test]
+    fn unsorted_streams_are_rejected_naming_the_request() {
+        let services = [svc("m", 10, 1, 0, 64)];
+        let err = simulate_cluster(
+            &reqs(&[(0, 0), (50, 0), (40, 0)]),
+            &services,
+            &spec(1, RouterPolicy::RoundRobin, None),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("arrival 2 at cycle 40"), "{err}");
     }
 }

@@ -5,10 +5,9 @@
 //! instance `i` at cycle `t`, restart it later, and (optionally) let the
 //! cluster spawn or drain instances on queue-depth thresholds
 //! ([`AutoscalePolicy`]). The plan is part of the
-//! [`crate::cluster::ClusterSpec`], so both serving runtimes — the serial
-//! discrete-event simulation and the concurrent staged pipeline — consume
-//! it through the one shared scheduling core and replay the same churn
-//! bit-identically (the property tested in `tests/fault.rs`).
+//! [`crate::cluster::ClusterSpec`], consumed by the scheduling core, so a
+//! churned run replays bit-identically for any worker count (the property
+//! tested in `tests/fault.rs`).
 //!
 //! # Event semantics
 //!
@@ -22,8 +21,8 @@
 //!   bounces off a full queue, is **lost**: a terminal outcome
 //!   ([`crate::sched::Disposition::Lost`]), never a silent drop.
 //! * **Restart at `t`** — the instance rejoins with an empty queue, is
-//!   free from `t`, and its weight buffer is **cold**
-//!   ([`se_hw::residency::WeightBuffer::cold_restart`]): every model
+//!   free from `t`, and its weight store is **cold**
+//!   ([`se_hw::residency::TieredStore::cold_restart`]): every model
 //!   fetches again, which is exactly where a small resident footprint
 //!   (SmartExchange) recovers faster than a large one (dense).
 //! * **Spawn / Drain** — with an [`AutoscalePolicy`], an arrival that

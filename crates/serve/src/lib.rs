@@ -23,23 +23,22 @@
 //! * [`cluster`] — the **cluster front**: N instances behind one request
 //!   stream with round-robin / join-shortest-queue / model-affinity
 //!   routing, earliest-deadline-first batch formation, and per-instance
-//!   weight-buffer residency (`se_hw::residency`) charging a full
+//!   weight-store residency (`se_hw::residency`) charging a full
 //!   footprint re-fetch on every model switch — where SmartExchange's
 //!   smaller footprint becomes fewer evictions and higher goodput.
-//! * [`sched`] — the **scheduling core** shared by the serial sim and the
-//!   staged runtime: admission, routing, EDF batch formation, and
-//!   residency as one virtual-time state machine emitting a canonical
-//!   event stream.
+//! * [`sched`] — the **scheduling core** behind both fronts: admission,
+//!   routing, EDF batch formation, and residency as one virtual-time
+//!   state machine, narrating its decisions into an optional
+//!   [`se_obs::EventSink`].
 //! * [`fault`] — **failure injection and elastic membership**: scripted
 //!   kill/restart events and queue-depth autoscaling consumed by the
-//!   scheduling core, so both runtimes replay the same churn by
-//!   construction. Killed batches re-route their requests with original
-//!   arrival and deadline intact; restarted instances rejoin with cold
-//!   weight buffers.
-//! * [`staged`] — the **staged runtime**: admission → scheduling →
-//!   execution → collection as concurrent threads over bounded channels,
-//!   producing outcomes bit-identical to the sim while fanning real
-//!   per-batch work across cores.
+//!   scheduling core. Killed batches re-route their requests with
+//!   original arrival and deadline intact; restarted instances rejoin
+//!   with cold weight stores.
+//!
+//! There is one serving runtime: the serial discrete-event simulation.
+//! Each entry point takes an event sink; pass [`se_obs::NullSink`] to run
+//! untraced, which builds no events and returns the same result.
 //!
 //! # Determinism contract
 //!
@@ -47,10 +46,8 @@
 //! any worker count**: the only parallel stage (the per-image simulation
 //! grid) reassembles in network order, batching is pure integer/f64
 //! arithmetic on those results, and the queue simulation is a serial
-//! discrete-event loop. The staged runtime inherits the contract by
-//! construction (outcome equality with the sim, collector re-ordering by
-//! launch sequence). `batch = 1` reproduces today's single-image numbers
-//! exactly. See `docs/SERVING.md`.
+//! discrete-event loop. `batch = 1` reproduces today's single-image
+//! numbers exactly. See `docs/SERVING.md`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,7 +57,6 @@ pub mod engine;
 pub mod fault;
 pub mod queue;
 pub mod sched;
-pub mod staged;
 pub mod workload;
 
 pub use cluster::{
@@ -72,11 +68,6 @@ pub use fault::{
 };
 pub use queue::{BatchPolicy, ServeReport};
 pub use sched::{Disposition, PlannedBatch, Queued, RequestOutcome, SchedEvent};
-pub use staged::{
-    run_cluster_staged, run_cluster_staged_obs, run_queue_staged_closed,
-    run_queue_staged_closed_obs, run_queue_staged_open, run_queue_staged_open_obs, EngineWork,
-    ExecWork, NoWork, StagedConfig,
-};
 pub use workload::{ArrivalPattern, Request};
 
 /// Boxed error alias (`Send + Sync` so serving jobs can cross the parallel

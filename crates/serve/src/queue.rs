@@ -16,17 +16,17 @@
 //! order, so its output is bit-identical for any worker count of the
 //! surrounding harness — the determinism contract of `se serve`.
 //!
-//! Since the staged-runtime refactor the actual scheduling decisions live
-//! in the shared [`crate::sched`] core (a 1-instance, round-robin,
-//! no-residency cluster *is* this queue — long enforced by property
-//! test); this module keeps the single-accelerator entry points and the
-//! [`ServeReport`] shape.
+//! The scheduling decisions live in the [`crate::sched`] core (a
+//! 1-instance, round-robin, no-residency cluster *is* this queue —
+//! enforced by property test); this module keeps the single-accelerator
+//! entry points and the [`ServeReport`] shape.
 
 use crate::cluster::router::RouterPolicy;
 use crate::cluster::sim::{ClusterSpec, ModelService};
 use crate::sched::{self, ClusterCore, SchedEvent};
-use crate::workload::Request;
+use crate::workload::{check_sorted, Request};
 use crate::{BoxError, Result};
+use se_obs::EventSink;
 
 /// Batch-formation policy of the serving front.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,9 +154,8 @@ pub fn percentile(values: &[u64], p: f64) -> Option<u64> {
     Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
 }
 
-/// Validates the policy against the execution table (shared by both entry
-/// points and the staged runtime).
-pub(crate) fn validate_exec(exec: &[u64], policy: &BatchPolicy) -> Result<()> {
+/// Validates the policy against the execution table.
+fn validate_exec(exec: &[u64], policy: &BatchPolicy) -> Result<()> {
     policy.validate()?;
     if exec.len() < policy.max_batch {
         return Err(BoxError::from(format!(
@@ -171,7 +170,7 @@ pub(crate) fn validate_exec(exec: &[u64], policy: &BatchPolicy) -> Result<()> {
 /// The single-accelerator server as a 1-instance cluster: one model whose
 /// batch table is `exec` (no residency modeling, so streamed == resident
 /// and every batch charges the table directly).
-pub(crate) fn single_instance(exec: &[u64], policy: BatchPolicy) -> (ModelService, ClusterSpec) {
+fn single_instance(exec: &[u64], policy: BatchPolicy) -> (ModelService, ClusterSpec) {
     let service = ModelService {
         name: "serve".into(),
         streamed: exec.to_vec(),
@@ -193,16 +192,29 @@ pub(crate) fn single_instance(exec: &[u64], policy: BatchPolicy) -> (ModelServic
 /// Folds one scheduling event into a [`ServeReport`]. Launched batches
 /// must arrive in launch order (the single instance executes serially, so
 /// completion times are non-decreasing).
-pub(crate) fn record_event(event: &SchedEvent, report: &mut ServeReport) {
+///
+/// # Errors
+///
+/// A single-instance queue has no fault plan, so a lost request or a
+/// killed batch means the scheduler broke its contract: both are reported
+/// as errors rather than folded into the report.
+fn record_event(event: &SchedEvent, report: &mut ServeReport) -> Result<()> {
     match event {
         SchedEvent::Rejected(..) => report.rejected += 1,
-        // The single-instance entry points never script faults, so no
-        // batch is ever killed and no request lost here.
-        SchedEvent::Lost(..) => {
-            debug_assert!(false, "single-instance queues have no fault plan");
+        SchedEvent::Lost(id, _, at) => {
+            return Err(BoxError::from(format!(
+                "request {id} lost to an instance kill at cycle {at}, but a single-instance \
+                 queue has no fault plan"
+            )));
         }
         SchedEvent::Launched(batch) => {
-            debug_assert!(batch.killed_at.is_none(), "single-instance queues have no fault plan");
+            if let Some(at) = batch.killed_at {
+                return Err(BoxError::from(format!(
+                    "batch {} killed at cycle {at}, but a single-instance queue has no \
+                     fault plan",
+                    batch.seq
+                )));
+            }
             for m in &batch.members {
                 report.latencies.push(batch.done - m.req.arrival);
             }
@@ -210,75 +222,69 @@ pub(crate) fn record_event(event: &SchedEvent, report: &mut ServeReport) {
             report.makespan = report.makespan.max(batch.done);
         }
     }
+    Ok(())
+}
+
+/// Runs one single-instance drive, folding its events into a report and
+/// stopping at the first event [`record_event`] rejects.
+fn collect_report(
+    drive: impl FnOnce(&mut dyn FnMut(SchedEvent) -> bool) -> bool,
+) -> Result<ServeReport> {
+    let mut report = ServeReport::default();
+    let mut failure = None;
+    drive(&mut |event| match record_event(&event, &mut report) {
+        Ok(()) => true,
+        Err(e) => {
+            failure = Some(e);
+            false
+        }
+    });
+    failure.map_or(Ok(report), Err)
 }
 
 /// Simulates an **open-loop** workload: requests arrive at the given cycle
 /// timestamps (non-decreasing) regardless of service progress — the
 /// uniform/burst workloads of [`crate::workload`]. `exec[k - 1]` is the
 /// execution time of a batch of `k` images (see
-/// [`crate::engine::BatchEngine::latency_table`]).
+/// [`crate::engine::BatchEngine::latency_table`]). Scheduling decisions
+/// are narrated into `sink` as virtual-time [`se_obs::Event`]s; pass
+/// [`se_obs::NullSink`] to run untraced (the report is identical either
+/// way).
 ///
 /// # Errors
 ///
-/// Rejects an invalid policy, an empty execution table, or a table shorter
-/// than `max_batch`.
+/// Rejects an invalid policy, a table shorter than `max_batch`, and
+/// arrivals that are not non-decreasing (naming the first out-of-order
+/// index).
 pub fn simulate_open_loop(
     arrivals: &[u64],
     exec: &[u64],
     policy: &BatchPolicy,
-) -> Result<ServeReport> {
-    open_loop_inner(arrivals, exec, policy, None)
-}
-
-/// [`simulate_open_loop`] with observability: scheduling decisions are
-/// additionally narrated into `sink` as virtual-time [`se_obs::Event`]s.
-/// A disabled sink skips the observed path entirely; the report is
-/// identical either way.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_open_loop`].
-pub fn simulate_open_loop_obs(
-    arrivals: &[u64],
-    exec: &[u64],
-    policy: &BatchPolicy,
-    sink: &mut dyn se_obs::EventSink,
-) -> Result<ServeReport> {
-    let obs = sink.enabled().then_some(sink);
-    open_loop_inner(arrivals, exec, policy, obs)
-}
-
-fn open_loop_inner(
-    arrivals: &[u64],
-    exec: &[u64],
-    policy: &BatchPolicy,
-    obs: Option<&mut dyn se_obs::EventSink>,
+    sink: &mut dyn EventSink,
 ) -> Result<ServeReport> {
     validate_exec(exec, policy)?;
-    debug_assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "arrivals must be sorted");
+    check_sorted(arrivals.iter().copied())?;
     let (service, spec) = single_instance(exec, policy.clone());
     let services = [service];
-    let mut core = ClusterCore::with_obs(&services, &spec, obs)?;
-    let mut report = ServeReport::default();
-    sched::drive_open_loop(
-        &mut core,
-        arrivals
-            .iter()
-            .enumerate()
-            .map(|(id, &arrival)| (id, Request { model: 0, arrival, deadline: None })),
-        &mut |event| {
-            record_event(&event, &mut report);
-            true
-        },
-    );
-    Ok(report)
+    let mut core = ClusterCore::new(&services, &spec, sink)?;
+    collect_report(|record| {
+        sched::drive_open_loop(
+            &mut core,
+            arrivals
+                .iter()
+                .enumerate()
+                .map(|(id, &arrival)| (id, Request { model: 0, arrival, deadline: None })),
+            record,
+        )
+    })
 }
 
 /// Simulates a **closed-loop** workload: `concurrency` clients each keep
 /// exactly one request in flight, submitting the next the moment the
 /// previous completes, until `requests` total have been issued. The
 /// bounded queue never rejects here — at most `concurrency` requests are
-/// outstanding — so [`BatchPolicy::queue_cap`] is ignored.
+/// outstanding — so [`BatchPolicy::queue_cap`] is ignored. Scheduling
+/// decisions are narrated into `sink` as in [`simulate_open_loop`].
 ///
 /// # Errors
 ///
@@ -289,35 +295,7 @@ pub fn simulate_closed_loop(
     concurrency: usize,
     exec: &[u64],
     policy: &BatchPolicy,
-) -> Result<ServeReport> {
-    closed_loop_inner(requests, concurrency, exec, policy, None)
-}
-
-/// [`simulate_closed_loop`] with observability: scheduling decisions are
-/// additionally narrated into `sink` as virtual-time [`se_obs::Event`]s.
-/// A disabled sink skips the observed path entirely; the report is
-/// identical either way.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_closed_loop`].
-pub fn simulate_closed_loop_obs(
-    requests: usize,
-    concurrency: usize,
-    exec: &[u64],
-    policy: &BatchPolicy,
-    sink: &mut dyn se_obs::EventSink,
-) -> Result<ServeReport> {
-    let obs = sink.enabled().then_some(sink);
-    closed_loop_inner(requests, concurrency, exec, policy, obs)
-}
-
-fn closed_loop_inner(
-    requests: usize,
-    concurrency: usize,
-    exec: &[u64],
-    policy: &BatchPolicy,
-    obs: Option<&mut dyn se_obs::EventSink>,
+    sink: &mut dyn EventSink,
 ) -> Result<ServeReport> {
     validate_exec(exec, policy)?;
     if concurrency == 0 {
@@ -327,18 +305,15 @@ fn closed_loop_inner(
     let uncapped = BatchPolicy { queue_cap: usize::MAX, ..policy.clone() };
     let (service, spec) = single_instance(exec, uncapped);
     let services = [service];
-    let mut core = ClusterCore::with_obs(&services, &spec, obs)?;
-    let mut report = ServeReport::default();
-    sched::drive_closed_loop(&mut core, requests, concurrency, &mut |event| {
-        record_event(&event, &mut report);
-        true
-    });
-    Ok(report)
+    let mut core = ClusterCore::new(&services, &spec, sink)?;
+    collect_report(|record| sched::drive_closed_loop(&mut core, requests, concurrency, record))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{PlannedBatch, Queued};
+    use se_obs::NullSink;
 
     /// Batch of k costs 10 + 2k cycles: sublinear per image.
     fn exec(max: usize) -> Vec<u64> {
@@ -352,7 +327,8 @@ mod tests {
     #[test]
     fn immediate_singles_when_queue_is_drained() {
         // Arrivals far apart, no waiting: every request runs alone.
-        let r = simulate_open_loop(&[0, 100, 200], &exec(4), &policy(4, 0, 8)).unwrap();
+        let r =
+            simulate_open_loop(&[0, 100, 200], &exec(4), &policy(4, 0, 8), &mut NullSink).unwrap();
         assert_eq!(r.batch_sizes, vec![1, 1, 1]);
         assert_eq!(r.latencies, vec![12, 12, 12]);
         assert_eq!(r.rejected, 0);
@@ -362,7 +338,7 @@ mod tests {
     #[test]
     fn burst_fills_batches_up_to_max() {
         // Six requests at once, max batch 4: one full batch, one pair.
-        let r = simulate_open_loop(&[0; 6], &exec(4), &policy(4, 0, 8)).unwrap();
+        let r = simulate_open_loop(&[0; 6], &exec(4), &policy(4, 0, 8), &mut NullSink).unwrap();
         assert_eq!(r.batch_sizes, vec![4, 2]);
         // Full batch: 10+8 = 18 cycles; pair: 18 + (10+4) = 32.
         assert_eq!(r.latencies, vec![18, 18, 18, 18, 32, 32]);
@@ -373,9 +349,10 @@ mod tests {
     fn max_wait_holds_the_batch_open() {
         // Second request arrives within the wait window and shares the
         // batch; without waiting it would run alone.
-        let eager = simulate_open_loop(&[0, 5], &exec(4), &policy(4, 0, 8)).unwrap();
+        let eager = simulate_open_loop(&[0, 5], &exec(4), &policy(4, 0, 8), &mut NullSink).unwrap();
         assert_eq!(eager.batch_sizes, vec![1, 1]);
-        let patient = simulate_open_loop(&[0, 5], &exec(4), &policy(4, 6, 8)).unwrap();
+        let patient =
+            simulate_open_loop(&[0, 5], &exec(4), &policy(4, 6, 8), &mut NullSink).unwrap();
         assert_eq!(patient.batch_sizes, vec![2]);
         // Launch at 0+6 (wait expiry), both done at 6 + 14 = 20.
         assert_eq!(patient.latencies, vec![20, 15]);
@@ -385,7 +362,8 @@ mod tests {
     fn filling_the_batch_cuts_the_wait_short() {
         // Four arrivals inside a long wait window: the batch closes when
         // the fourth arrives (t = 3), not at the wait expiry (t = 50).
-        let r = simulate_open_loop(&[0, 1, 2, 3], &exec(4), &policy(4, 50, 8)).unwrap();
+        let r =
+            simulate_open_loop(&[0, 1, 2, 3], &exec(4), &policy(4, 50, 8), &mut NullSink).unwrap();
         assert_eq!(r.batch_sizes, vec![4]);
         assert_eq!(r.makespan, 3 + 18);
     }
@@ -395,7 +373,7 @@ mod tests {
         // Ten simultaneous arrivals, capacity 3, batch 2: the first is
         // admitted to an empty queue, two more fill it to capacity, the
         // rest bounce while the server is still at cycle 0.
-        let r = simulate_open_loop(&[0; 10], &exec(2), &policy(2, 0, 3)).unwrap();
+        let r = simulate_open_loop(&[0; 10], &exec(2), &policy(2, 0, 3), &mut NullSink).unwrap();
         assert_eq!(r.rejected, 7);
         assert_eq!(r.completed(), 3);
         assert_eq!(r.batch_sizes, vec![2, 1]);
@@ -405,7 +383,7 @@ mod tests {
     fn closed_loop_keeps_concurrency_in_flight() {
         // 3 clients, 9 requests, batch 4: every batch is exactly 3 wide —
         // the clients resubmit in lockstep at each completion.
-        let r = simulate_closed_loop(9, 3, &exec(4), &policy(4, 0, 1)).unwrap();
+        let r = simulate_closed_loop(9, 3, &exec(4), &policy(4, 0, 1), &mut NullSink).unwrap();
         assert_eq!(r.batch_sizes, vec![3, 3, 3]);
         assert_eq!(r.completed(), 9);
         assert_eq!(r.rejected, 0);
@@ -415,7 +393,7 @@ mod tests {
 
     #[test]
     fn closed_loop_stops_at_the_request_budget() {
-        let r = simulate_closed_loop(5, 4, &exec(4), &policy(4, 0, 1)).unwrap();
+        let r = simulate_closed_loop(5, 4, &exec(4), &policy(4, 0, 1), &mut NullSink).unwrap();
         assert_eq!(r.completed(), 5);
         assert_eq!(r.batch_sizes, vec![4, 1]);
     }
@@ -456,14 +434,50 @@ mod tests {
 
     #[test]
     fn degenerate_policies_are_rejected() {
-        assert!(simulate_open_loop(&[0], &exec(4), &policy(0, 0, 8)).is_err());
-        assert!(simulate_open_loop(&[0], &exec(4), &policy(4, 0, 0)).is_err());
-        assert!(simulate_open_loop(&[0], &exec(2), &policy(4, 0, 8)).is_err(), "short table");
-        assert!(simulate_closed_loop(4, 0, &exec(4), &policy(4, 0, 8)).is_err());
-        assert!(simulate_open_loop(&[], &exec(4), &policy(4, 0, 8))
+        assert!(simulate_open_loop(&[0], &exec(4), &policy(0, 0, 8), &mut NullSink).is_err());
+        assert!(simulate_open_loop(&[0], &exec(4), &policy(4, 0, 0), &mut NullSink).is_err());
+        assert!(
+            simulate_open_loop(&[0], &exec(2), &policy(4, 0, 8), &mut NullSink).is_err(),
+            "short table"
+        );
+        assert!(simulate_closed_loop(4, 0, &exec(4), &policy(4, 0, 8), &mut NullSink).is_err());
+        assert!(simulate_open_loop(&[], &exec(4), &policy(4, 0, 8), &mut NullSink)
             .unwrap()
             .batch_sizes
             .is_empty());
-        assert_eq!(simulate_closed_loop(0, 2, &exec(4), &policy(4, 0, 8)).unwrap().completed(), 0);
+        assert_eq!(
+            simulate_closed_loop(0, 2, &exec(4), &policy(4, 0, 8), &mut NullSink)
+                .unwrap()
+                .completed(),
+            0
+        );
+    }
+
+    #[test]
+    fn unsorted_arrivals_are_rejected_naming_the_index() {
+        let err = simulate_open_loop(&[0, 5, 3, 9], &exec(4), &policy(4, 0, 8), &mut NullSink)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("arrival 2"), "{err}");
+    }
+
+    #[test]
+    fn lost_requests_and_killed_batches_are_errors_not_reports() {
+        let req = Request { model: 0, arrival: 3, deadline: None };
+        let mut report = ServeReport::default();
+        let err = record_event(&SchedEvent::Lost(4, req, 10), &mut report).unwrap_err();
+        assert!(err.to_string().contains("request 4 lost"), "{err}");
+        let killed = PlannedBatch {
+            seq: 2,
+            instance: 0,
+            model: 0,
+            start: 5,
+            done: 20,
+            members: vec![Queued { id: 4, req, enqueued_at: 3 }],
+            killed_at: Some(9),
+        };
+        let err = record_event(&SchedEvent::Launched(killed), &mut report).unwrap_err();
+        assert!(err.to_string().contains("batch 2 killed"), "{err}");
+        assert_eq!(report, ServeReport::default(), "nothing was folded in");
     }
 }

@@ -1,17 +1,13 @@
-//! The shared scheduling core of the serving front.
+//! The scheduling core of the serving front.
 //!
-//! Both serving runtimes — the deterministic discrete-event simulation
-//! ([`crate::queue`], [`crate::cluster::sim`]) and the concurrent staged
-//! pipeline ([`crate::staged`]) — make their admission, routing, batch
-//! formation, residency, and failure-injection decisions through the one
-//! state machine here, `ClusterCore`. The sim drives it from a serial
-//! loop; the staged runtime drives it from its scheduling stage. Because
-//! every decision is a pure function of the arrival order, the service
-//! tables, and the scripted fault plan (never of wall-clock time), the
-//! two runtimes produce **identical per-request outcome sets** by
-//! construction — the determinism contract that lets the sim act as the
-//! staged runtime's oracle (and that the property tests in
-//! `tests/staged.rs` and `tests/fault.rs` enforce end to end).
+//! The discrete-event simulation ([`crate::queue`] for one accelerator,
+//! [`crate::cluster::sim`] for N instances) makes every admission,
+//! routing, batch-formation, residency, and failure-injection decision
+//! through the one state machine here, `ClusterCore`, driven from a
+//! serial loop. Every decision is a pure function of the arrival order,
+//! the service tables, and the scripted fault plan (never of wall-clock
+//! time), which is what makes serving output bit-identical for any worker
+//! count.
 //!
 //! The core advances a *virtual* clock: `ClusterCore::admit` routes one
 //! arrival into an instance queue (or bounces it off the cap),
@@ -22,11 +18,19 @@
 //! change ([`crate::fault::FaultPlan`]): a kill re-routes the dead
 //! instance's in-flight and queued requests with their original arrival
 //! and deadline intact, a restart brings the instance back empty with a
-//! cold weight buffer. The drivers `drive_open_loop` and
+//! cold weight store. The drivers `drive_open_loop` and
 //! `drive_closed_loop` encode the one legal interleaving of those
 //! operations: a due fault fires before anything else at its cycle, and
 //! an arrival is admitted before any batch that would launch at or after
 //! its arrival time.
+//!
+//! Residency is one model: an instance owns an optional
+//! [`TieredStore`] (`None` = every batch streams its weights; a
+//! `--buffer-kb` buffer is the one-tier stack). Flat and tiered runs
+//! differ in exactly two ways, both keyed on [`ClusterSpec::tiers`]: a
+//! flat miss charges the lane's pre-computed `switch_cycles` where a
+//! tiered miss charges the tier walk, and only tiered runs report
+//! per-tier traffic.
 
 use std::collections::VecDeque;
 
@@ -35,7 +39,7 @@ use crate::cluster::sim::{ClusterSpec, InstanceSummary, ModelService};
 use crate::fault::{ClusterEvent, ClusterEventKind, FaultAction};
 use crate::workload::Request;
 use crate::Result;
-use se_hw::residency::{Admission, TierAdmission, TieredStore, WeightBuffer};
+use se_hw::residency::{TierAdmission, TierSpec, TieredStore};
 use se_obs::{Event, EventKind, EventSink};
 
 /// A queued request plus its issue order (the final EDF tie-breaker and
@@ -64,9 +68,8 @@ impl Queued {
     }
 }
 
-/// One formed-and-launched batch: everything downstream accounting (or a
-/// real execution stage) needs, with the virtual completion time already
-/// decided. Batches are emitted in launch order (`seq` ascending).
+/// One formed-and-launched batch: everything downstream accounting
+/// needs, with the virtual completion time already decided. Batches are emitted in launch order (`seq` ascending).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedBatch {
     /// Launch sequence number across the cluster (0-based, ascending).
@@ -89,8 +92,7 @@ pub struct PlannedBatch {
     pub killed_at: Option<u64>,
 }
 
-/// What finally happened to one request — the unit of the determinism
-/// contract between the sim and staged runtimes.
+/// What finally happened to one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
     /// Bounced off a full instance queue at arrival (or arrived while no
@@ -142,51 +144,15 @@ pub enum SchedEvent {
     Lost(usize, Request, u64),
 }
 
-/// One instance's weight-residency model: nothing (every batch streams),
-/// the legacy flat buffer (misses charge the service's pre-computed
-/// `switch_cycles`), or the tiered store (every admission charges its
-/// real tier-walk cost).
-enum Residency {
-    None,
-    Buffer(WeightBuffer),
-    Tiered(TieredStore),
-}
-
-impl Residency {
-    fn fresh(spec: &ClusterSpec) -> Residency {
-        match (&spec.tiers, spec.buffer_bytes) {
-            (Some(tiers), _) => Residency::Tiered(TieredStore::new(tiers.clone())),
-            (None, Some(bytes)) => Residency::Buffer(WeightBuffer::new(bytes)),
-            (None, None) => Residency::None,
-        }
-    }
-
-    /// What routing sees as "resident": top-tier residency only — a model
-    /// parked in a lower tier still pays a promotion walk.
-    fn is_resident(&self, model: usize) -> bool {
-        match self {
-            Residency::None => false,
-            Residency::Buffer(buffer) => buffer.is_resident(model),
-            Residency::Tiered(store) => store.is_resident_top(model),
-        }
-    }
-
-    fn cold_restart(&mut self) {
-        match self {
-            Residency::None => {}
-            Residency::Buffer(buffer) => buffer.cold_restart(),
-            Residency::Tiered(store) => store.cold_restart(),
-        }
-    }
-
-    /// [`Residency::cold_restart`] narrating the purge: every entry the
-    /// power cycle dropped comes back as a `dropped` tier-demotion event.
-    fn cold_restart_observed(&mut self, instance: usize) -> Vec<EventKind> {
-        match self {
-            Residency::None => Vec::new(),
-            Residency::Buffer(buffer) => buffer.cold_restart_observed(instance),
-            Residency::Tiered(store) => store.cold_restart_observed(instance),
-        }
+/// A fresh (empty) weight store for one instance: the `--tiers` stack,
+/// the flat `--buffer-kb` buffer as a one-tier stack (its bandwidth is
+/// never charged — flat misses charge the lane's `switch_cycles`), or
+/// `None` when residency modeling is off.
+fn fresh_store(spec: &ClusterSpec) -> Option<TieredStore> {
+    match (&spec.tiers, spec.buffer_bytes) {
+        (Some(tiers), _) => Some(TieredStore::new(tiers.clone())),
+        (None, Some(bytes)) => Some(TieredStore::new(vec![TierSpec::new("buf", bytes, 1.0)])),
+        (None, None) => None,
     }
 }
 
@@ -194,7 +160,8 @@ impl Residency {
 struct Instance {
     queue: Vec<Queued>,
     free: u64,
-    residency: Residency,
+    /// Weight store (`None` = residency modeling off).
+    store: Option<TieredStore>,
     summary: InstanceSummary,
     /// `false` between a kill and the matching restart: the instance
     /// neither launches nor accepts.
@@ -219,7 +186,7 @@ impl Instance {
         Instance {
             queue: Vec::new(),
             free,
-            residency: Residency::fresh(spec),
+            store: fresh_store(spec),
             summary: InstanceSummary::default(),
             up: true,
             accepting: true,
@@ -272,7 +239,7 @@ impl Instance {
 /// What tearing a core down yields: the per-instance summaries (instance
 /// order, spawned instances appended) plus the membership events that
 /// fired — produced by the scheduler itself, never the event sink, so
-/// both runtimes report identical churn by construction.
+/// the report is the same whether or not the run is traced.
 pub(crate) struct CoreFinish {
     /// Per-instance outcome summaries.
     pub(crate) summaries: Vec<InstanceSummary>,
@@ -295,24 +262,29 @@ pub(crate) struct ClusterCore<'a, 'o> {
     /// Next unapplied event in `spec.faults.events`.
     fault_cursor: usize,
     events: Vec<ClusterEvent>,
-    /// Observability sink (`None` = tracing off: the observed paths are
-    /// skipped entirely). The core runs serially in both runtimes — the
-    /// sim's driver loop and the staged runtime's scheduler thread — so
-    /// the emitted event stream is byte-identical across runtimes and
-    /// worker counts by construction. The sink borrow has its own
-    /// lifetime: it outlives the core without pinning the services
-    /// borrow (`&mut dyn` is invariant, so sharing `'a` would force the
-    /// caller's locals and sink to live equally long).
+    /// Observability sink, kept only when it is enabled (`None` =
+    /// tracing off: no event is built). The core runs serially, so the
+    /// emitted event stream is byte-identical across worker counts by
+    /// construction. The sink borrow has its own lifetime: it outlives
+    /// the core without pinning the services borrow (`&mut dyn` is
+    /// invariant, so sharing `'a` would force the caller's locals and
+    /// sink to live equally long).
     obs: Option<&'o mut dyn EventSink>,
 }
 
 impl<'a, 'o> ClusterCore<'a, 'o> {
-    /// Builds a core over validated services and spec.
+    /// Builds a core over validated services and spec that narrates its
+    /// decisions into `sink` (a disabled sink such as
+    /// [`se_obs::NullSink`] turns tracing off).
     ///
     /// # Errors
     ///
     /// Rejects an invalid spec (see [`ClusterSpec::validate`]).
-    pub(crate) fn new(services: &'a [ModelService], spec: &'a ClusterSpec) -> Result<Self> {
+    pub(crate) fn new(
+        services: &'a [ModelService],
+        spec: &'a ClusterSpec,
+        sink: &'o mut dyn EventSink,
+    ) -> Result<Self> {
         spec.validate(services)?;
         let instances = (0..spec.instances).map(|_| Instance::fresh(spec, 0, false)).collect();
         Ok(ClusterCore {
@@ -322,20 +294,8 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             launched: 0,
             fault_cursor: 0,
             events: Vec::new(),
-            obs: None,
+            obs: sink.enabled().then_some(sink),
         })
-    }
-
-    /// Builds a core that narrates its decisions into `obs` (pass `None`
-    /// — or a disabled sink upstream — for the zero-cost plain path).
-    pub(crate) fn with_obs(
-        services: &'a [ModelService],
-        spec: &'a ClusterSpec,
-        obs: Option<&'o mut dyn EventSink>,
-    ) -> Result<Self> {
-        let mut core = ClusterCore::new(services, spec)?;
-        core.obs = obs;
-        Ok(core)
     }
 
     /// Records one observability event (no-op when tracing is off).
@@ -407,7 +367,9 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             .iter()
             .map(|inst| InstanceView {
                 queued: inst.queue.len(),
-                resident: inst.residency.is_resident(model),
+                // Routing sees top-tier residency only: a model parked in
+                // a lower tier still pays a promotion walk.
+                resident: inst.store.as_ref().is_some_and(|store| store.is_resident_top(model)),
                 accepting: inst.accepting,
             })
             .collect()
@@ -432,7 +394,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
     /// the kill cycle; victims that cannot be placed come back as
     /// [`SchedEvent::Lost`] for the caller's sink. A restart brings the
     /// instance back empty, free from the restart cycle, with a cold
-    /// weight buffer. No-op when no fault is pending.
+    /// weight store. No-op when no fault is pending.
     pub(crate) fn apply_next_fault(&mut self) -> Vec<SchedEvent> {
         let Some(&event) = self.spec.faults.events.get(self.fault_cursor) else {
             return Vec::new();
@@ -489,12 +451,14 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                 inst.accepting = true;
                 inst.free = event.at;
                 inst.plan = Some(None);
-                let purged = if obs_on {
-                    inst.residency.cold_restart_observed(event.instance)
-                } else {
-                    inst.residency.cold_restart();
-                    Vec::new()
-                };
+                let mut purged = Vec::new();
+                if let Some(store) = &mut inst.store {
+                    store.cold_restart(event.instance, &mut |kind| {
+                        if obs_on {
+                            purged.push(kind);
+                        }
+                    });
+                }
                 self.emit(event.at, EventKind::InstanceRestarted { instance: event.instance });
                 // The purge follows the restart it belongs to: the trace
                 // reads "instance came back, and these weights were lost".
@@ -570,39 +534,27 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         let members: Vec<Queued> = positions.iter().map(|&i| inst.queue[i]).collect();
         let model = members.first()?.req.model;
         let svc = services.get(model)?;
-        let exec = match &mut inst.residency {
-            Residency::None => svc.streamed[k - 1],
-            Residency::Buffer(buffer) => {
-                let admission = if obs_on {
-                    let (admission, notes) = buffer.admit_observed(model, svc.footprint_bytes, idx);
-                    tier_notes = notes;
-                    admission
-                } else {
-                    buffer.admit(model, svc.footprint_bytes)
-                };
-                match admission {
-                    Admission::Resident => svc.resident[k - 1],
-                    Admission::Fetched { .. } => svc.switch_cycles + svc.resident[k - 1],
-                    Admission::Streamed => svc.streamed[k - 1],
-                }
-            }
-            // The tiered store charges the real serialized walk through
-            // every crossed tier instead of the flat `switch_cycles`; a
-            // stream pays its deep haul on top of the per-batch-fetch
-            // table (whose fetch models the final staging-tier crossing).
-            Residency::Tiered(store) => {
-                let admission = if obs_on {
-                    let (admission, notes) = store.admit_observed(model, svc.footprint_bytes, idx);
-                    tier_notes = notes;
-                    admission
-                } else {
-                    store.admit(model, svc.footprint_bytes)
-                };
+        let exec = match &mut inst.store {
+            None => svc.streamed[k - 1],
+            Some(store) => {
+                let admission = store.admit(model, svc.footprint_bytes, idx, &mut |kind| {
+                    if obs_on {
+                        tier_notes.push(kind);
+                    }
+                });
                 match admission {
                     TierAdmission::Hit => svc.resident[k - 1],
+                    // A miss serializes its fetch in front of the batch:
+                    // the lane's flat switch fetch, or the real walk
+                    // through every crossed tier.
                     walk @ (TierAdmission::Promoted { .. } | TierAdmission::Cold { .. }) => {
-                        walk.cycles() + svc.resident[k - 1]
+                        let fetch =
+                            if spec.tiers.is_some() { walk.cycles() } else { svc.switch_cycles };
+                        fetch + svc.resident[k - 1]
                     }
+                    // A stream pays its deep haul (0 cycles in one or two
+                    // tiers) on top of the per-batch-fetch table, whose
+                    // fetch models the final staging-tier crossing.
                     walk @ TierAdmission::Streamed { .. } => walk.cycles() + svc.streamed[k - 1],
                 }
             }
@@ -624,11 +576,9 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         inst.free = done;
         inst.plan = None;
         inst.summary.batches += 1;
-        match &inst.residency {
-            Residency::None => {}
-            Residency::Buffer(buffer) => inst.summary.residency = *buffer.stats(),
-            Residency::Tiered(store) => {
-                inst.summary.residency = *store.summary();
+        if let Some(store) = &inst.store {
+            inst.summary.residency = *store.summary();
+            if spec.tiers.is_some() {
                 inst.summary.tier_traffic = store.tier_stats().to_vec();
             }
         }
@@ -799,6 +749,7 @@ mod tests {
     use crate::cluster::router::RouterPolicy;
     use crate::fault::{AutoscalePolicy, FaultEvent, FaultPlan};
     use crate::queue::BatchPolicy;
+    use se_obs::NullSink;
 
     fn svc(exec: &[u64]) -> ModelService {
         ModelService {
@@ -819,6 +770,15 @@ mod tests {
             tiers: None,
             faults: FaultPlan::default(),
         }
+    }
+
+    /// A core with tracing off (a leaked `NullSink` is zero-sized, so the
+    /// leak allocates nothing).
+    fn untraced<'a>(
+        services: &'a [ModelService],
+        spec: &'a ClusterSpec,
+    ) -> ClusterCore<'a, 'static> {
+        ClusterCore::new(services, spec, Box::leak(Box::new(NullSink))).unwrap()
     }
 
     fn drive(core: &mut ClusterCore<'_, '_>, arrivals: &[u64]) -> Vec<SchedEvent> {
@@ -842,7 +802,7 @@ mod tests {
     fn open_loop_emits_batches_in_launch_order_with_seq() {
         let services = [svc(&[10, 12, 14, 16])];
         let sp = spec(4, 0, 8);
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = untraced(&services, &sp);
         let events = drive(&mut core, &[0, 0, 0, 0, 0, 0]);
         let batches: Vec<_> = events
             .into_iter()
@@ -866,7 +826,7 @@ mod tests {
     fn sink_can_stop_the_drive_early() {
         let services = [svc(&[10])];
         let sp = spec(1, 0, 8);
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = untraced(&services, &sp);
         let mut seen = 0;
         let done = drive_open_loop(
             &mut core,
@@ -886,7 +846,7 @@ mod tests {
         // go stale (same trace as a burst through a small batch cap).
         let services = [svc(&[7, 9])];
         let sp = spec(2, 5, 16);
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = untraced(&services, &sp);
         let events = drive(&mut core, &[0, 1, 2, 30, 31, 60]);
         let served: usize = events
             .iter()
@@ -908,7 +868,7 @@ mod tests {
         let mut sp = spec(2, 0, 8);
         sp.instances = 2;
         sp.faults.events = vec![FaultEvent { at: 5, instance: 0, action: FaultAction::Kill }];
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = untraced(&services, &sp);
         let events = drive(&mut core, &[0, 0, 0, 0]);
         let batches: Vec<_> = events
             .iter()
@@ -955,7 +915,7 @@ mod tests {
         let services = [svc(&[100])];
         let mut sp = spec(1, 0, 8);
         sp.faults.events = vec![FaultEvent { at: 50, instance: 0, action: FaultAction::Kill }];
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = untraced(&services, &sp);
         let events = drive(&mut core, &[0, 0, 0]);
         let lost: Vec<_> = events
             .iter()
@@ -981,7 +941,7 @@ mod tests {
             FaultEvent { at: 5, instance: 0, action: FaultAction::Kill },
             FaultEvent { at: 40, instance: 0, action: FaultAction::Restart },
         ];
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = untraced(&services, &sp);
         let events = drive(&mut core, &[0, 60]);
         let lost = events.iter().filter(|e| matches!(e, SchedEvent::Lost(..))).count();
         assert_eq!(lost, 1, "the request in flight at the kill is lost");
@@ -994,7 +954,7 @@ mod tests {
             .collect();
         assert_eq!(served, vec![(60, 70)], "the restarted instance serves the late arrival");
         // An arrival during the outage is rejected (nothing accepting).
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = untraced(&services, &sp);
         let events = drive(&mut core, &[0, 20]);
         assert!(events.iter().any(|e| matches!(e, SchedEvent::Rejected(1, _))));
     }
@@ -1004,7 +964,7 @@ mod tests {
         let services = [svc(&[10, 12, 14, 16])];
         let mut sp = spec(4, 0, 64);
         sp.faults.autoscale = Some(AutoscalePolicy { spawn_above: 2, drain_below: 1 });
-        let mut core = ClusterCore::new(&services, &sp).unwrap();
+        let mut core = untraced(&services, &sp);
         // A burst of 8 at cycle 0: more than 2 queued per accepting
         // instance triggers a spawn (capped at 2x base = 2 instances).
         let arrivals = [0u64, 0, 0, 0, 0, 0, 0, 0, 500, 501];

@@ -104,6 +104,25 @@ pub fn request_stream(
     Ok(stream)
 }
 
+/// Rejects an arrival sequence that goes back in time, naming the first
+/// out-of-order index — the serving drivers interleave arrivals with
+/// launches and faults by time, so an unsorted stream would silently
+/// reorder the workload. One O(n) scan.
+pub(crate) fn check_sorted(arrivals: impl IntoIterator<Item = u64>) -> Result<()> {
+    let mut prev = 0u64;
+    for (i, arrival) in arrivals.into_iter().enumerate() {
+        if arrival < prev {
+            return Err(BoxError::from(format!(
+                "arrivals must be non-decreasing: arrival {i} at cycle {arrival} precedes \
+                 arrival {} at cycle {prev}",
+                i - 1
+            )));
+        }
+        prev = arrival;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

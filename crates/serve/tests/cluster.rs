@@ -16,6 +16,7 @@ use se_baselines::BaselineConfig;
 use se_hw::SeAcceleratorConfig;
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 use se_models::traces::{trace_pairs, TraceOptions};
+use se_obs::NullSink;
 use se_serve::cluster::{simulate_cluster, ClusterSpec, ModelService, RouterPolicy};
 use se_serve::fault::FaultPlan;
 use se_serve::queue::{self, BatchPolicy};
@@ -86,7 +87,7 @@ proptest! {
         }
         let exec: Vec<u64> = (1..=max_batch as u64).map(|k| base + per * k).collect();
         let policy = BatchPolicy { max_batch, max_wait, queue_cap };
-        let serve = queue::simulate_open_loop(&arrivals, &exec, &policy).unwrap();
+        let serve = queue::simulate_open_loop(&arrivals, &exec, &policy, &mut NullSink).unwrap();
 
         let requests: Vec<Request> = arrivals
             .iter()

@@ -4,24 +4,19 @@
 //! * **non-perturbation**: running with a recording sink produces exactly
 //!   the same `ClusterRun` as running blind — observation never changes a
 //!   scheduling decision;
-//! * **runtime equality**: the virtual-time event stream of the staged
-//!   runtime equals the serial sim's **bit for bit** at every exec-worker
-//!   count (the core runs serially in both, so the stream is a pure
-//!   function of the trace and spec);
+//! * **purity**: the virtual-time event stream is a function of the trace
+//!   and spec alone — two recordings are identical bit for bit;
 //! * **bookkeeping**: the stream's terminal events re-derive the report's
-//!   counters (served/rejected/lost), and wall-clock annotations never
-//!   appear unless explicitly opted in via `SE_TRACE_WALL=1`.
+//!   counters (served/rejected/lost).
 
 use proptest::prelude::*;
-use se_obs::{EventKind, Recorder};
+use se_obs::{EventKind, NullSink, Recorder};
 use se_serve::cluster::{
-    simulate_cluster_run, simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy,
-    TierSpec,
+    simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy, TierSpec,
 };
 use se_serve::fault::{AutoscalePolicy, FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
-use se_serve::{run_cluster_staged_obs, NoWork, StagedConfig};
 
 fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) -> ModelService {
     let streamed: Vec<u64> = (1..=max_batch as u64).map(|k| base + per * k).collect();
@@ -73,7 +68,7 @@ fn plan_of(
 }
 
 /// Residency draw: nothing, the flat weight buffer, or a 3-deep tier
-/// stack (buf/dram/ssd shape) — the three `Residency` arms.
+/// stack (buf/dram/ssd shape).
 fn residency_of(raw: usize, cap: u64) -> (Option<u64>, Option<Vec<TierSpec>>) {
     match raw % 3 {
         0 => (None, None),
@@ -93,10 +88,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Over random mixed-model traces, churn plans, and residency stacks:
-    /// observation does not perturb outcomes, and sim and staged runtimes
-    /// emit byte-identical virtual-time event streams at 1 and 4 workers.
+    /// observation does not perturb outcomes, the event stream is a pure
+    /// function of the inputs, and its terminal events balance the books.
     #[test]
-    fn event_stream_is_identical_across_runtimes_and_worker_counts(
+    fn observation_is_pure_and_never_perturbs_the_run(
         gaps in proptest::collection::vec(0u64..1000, 1..60),
         model_picks in proptest::collection::vec(0usize..3, 60..61),
         instances in 2usize..5,
@@ -138,11 +133,14 @@ proptest! {
             faults: plan_of(instances, &kill_ats, &restart_gaps, &flags, auto_raw),
         };
 
-        let plain = simulate_cluster_run(&requests, &services, &spec).unwrap();
+        let plain = simulate_cluster_run_obs(&requests, &services, &spec, &mut NullSink).unwrap();
         let mut sim_rec = Recorder::new();
         let observed =
             simulate_cluster_run_obs(&requests, &services, &spec, &mut sim_rec).unwrap();
         prop_assert!(observed == plain, "observation must not perturb the run");
+        let mut again = Recorder::new();
+        simulate_cluster_run_obs(&requests, &services, &spec, &mut again).unwrap();
+        prop_assert!(again.events() == sim_rec.events(), "the event stream must be pure");
 
         // Terminal events re-derive the report's books.
         let (mut served, mut rejected, mut lost) = (0usize, 0u64, 0u64);
@@ -151,39 +149,17 @@ proptest! {
                 EventKind::Served { .. } => served += 1,
                 EventKind::Rejected { .. } => rejected += 1,
                 EventKind::Lost { .. } => lost += 1,
-                EventKind::StageWall { .. } => {
-                    prop_assert!(false, "wall annotations are opt-in and never default-on");
-                }
                 _ => {}
             }
         }
         prop_assert_eq!(served, plain.report.completed());
         prop_assert_eq!(rejected, plain.report.rejected);
         prop_assert_eq!(lost, plain.report.lost);
-
-        // The staged runtime narrates the same stream bit for bit at
-        // every worker count — and still matches the blind run.
-        for exec_workers in [1usize, 4] {
-            let cfg = StagedConfig { exec_workers, channel_cap: 2, chunk: 5 };
-            let mut staged_rec = Recorder::new();
-            let staged = run_cluster_staged_obs(
-                &requests, &services, &spec, &cfg, &NoWork, &mut staged_rec,
-            )
-            .unwrap();
-            prop_assert!(staged == plain, "staged != sim at exec_workers = {}", exec_workers);
-            prop_assert!(
-                staged_rec.events() == sim_rec.events(),
-                "event stream diverged at exec_workers = {} ({} vs {} events)",
-                exec_workers,
-                staged_rec.len(),
-                sim_rec.len()
-            );
-        }
     }
 }
 
-/// A disabled sink must take the plain (unobserved) code path and record
-/// nothing, while an enabled sink on the same trace sees the full story:
+/// A disabled sink records nothing and leaves the run unchanged, while an
+/// enabled sink on the same trace sees the full story:
 /// admissions, batch spans, the kill/restart pair, and — with a tier
 /// stack — per-tier admission events.
 #[test]
@@ -215,10 +191,7 @@ fn directed_churned_tiered_run_tells_the_whole_story() {
         },
     };
 
-    let plain = simulate_cluster_run(&requests, &services, &spec).unwrap();
-    let mut null = se_obs::NullSink;
-    let blind = simulate_cluster_run_obs(&requests, &services, &spec, &mut null).unwrap();
-    assert_eq!(blind, plain, "a disabled sink must not perturb the run");
+    let plain = simulate_cluster_run_obs(&requests, &services, &spec, &mut NullSink).unwrap();
 
     let mut rec = Recorder::new();
     let observed = simulate_cluster_run_obs(&requests, &services, &spec, &mut rec).unwrap();

@@ -9,6 +9,7 @@ use se_baselines::BaselineConfig;
 use se_hw::SeAcceleratorConfig;
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 use se_models::traces::{trace_pairs, TraceOptions};
+use se_obs::NullSink;
 use se_serve::queue::{self, BatchPolicy};
 use se_serve::workload::{self, ArrivalPattern};
 use se_serve::{BatchEngine, SE_LANE};
@@ -106,7 +107,7 @@ fn serve_once(sim_workers: usize, trace_workers: usize) -> (queue::ServeReport, 
         ArrivalPattern::Burst { size: 3 },
     )
     .unwrap();
-    (queue::simulate_open_loop(&arrivals, &exec, &policy).unwrap(), exec)
+    (queue::simulate_open_loop(&arrivals, &exec, &policy, &mut NullSink).unwrap(), exec)
 }
 
 #[test]
@@ -137,6 +138,7 @@ fn batched_serving_beats_single_image_serving_on_throughput() {
         8,
         &exec,
         &BatchPolicy { max_batch: 1, ..Default::default() },
+        &mut NullSink,
     )
     .unwrap();
     let batched = queue::simulate_closed_loop(
@@ -144,6 +146,7 @@ fn batched_serving_beats_single_image_serving_on_throughput() {
         8,
         &exec,
         &BatchPolicy { max_batch: 8, ..Default::default() },
+        &mut NullSink,
     )
     .unwrap();
     assert_eq!(singles.completed(), 64);

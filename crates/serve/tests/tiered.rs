@@ -4,22 +4,23 @@
 //! * **tier conservation**: over random admission streams, stacks, and
 //!   restarts, `admissions == Σ tier hits + cold_fetches + streams`, and
 //!   no tier ever holds more bytes than its capacity;
-//! * **degenerate-stack equivalence**: a one-tier store is the legacy
-//!   `WeightBuffer`, admission by admission;
-//! * **determinism**: the staged runtime equals the serial sim bit for
-//!   bit over random tier stacks crossed with random fault plans;
+//! * **flat buffer**: a one-tier store (the `--buffer-kb` buffer) never
+//!   promotes and never charges a walk — its misses cost exactly the
+//!   lane's flat switch fetch;
+//! * **report folding**: over random tier stacks crossed with random
+//!   fault plans, the cluster's tier traffic is the per-instance fold;
 //! * **cost ordering** (directed): a post-restart cold load is strictly
 //!   costlier than a DRAM-backed promotion, and the SE lane moves
 //!   strictly fewer bottom-tier bytes than every dense lane through an
 //!   identical stack.
 
 use proptest::prelude::*;
-use se_hw::residency::{Admission, TierAdmission, TierSpec, TieredStore, WeightBuffer};
-use se_serve::cluster::{simulate_cluster_run, ClusterSpec, ModelService, RouterPolicy};
+use se_hw::residency::{TierAdmission, TierSpec, TieredStore};
+use se_obs::NullSink;
+use se_serve::cluster::{simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy};
 use se_serve::fault::{FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
-use se_serve::{run_cluster_staged, NoWork, StagedConfig};
 
 fn stack_of(caps: &[u64], bws: &[u64]) -> Vec<TierSpec> {
     caps.iter()
@@ -27,6 +28,11 @@ fn stack_of(caps: &[u64], bws: &[u64]) -> Vec<TierSpec> {
         .enumerate()
         .map(|(k, (&cap, &bw))| TierSpec::new(&format!("t{k}"), cap, (bw + 1) as f64))
         .collect()
+}
+
+/// Untraced admission on instance 0.
+fn admit(store: &mut TieredStore, model: usize, bytes: u64) -> TierAdmission {
+    store.admit(model, bytes, 0, &mut |_| {})
 }
 
 fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) -> ModelService {
@@ -47,7 +53,7 @@ proptest! {
     /// Over a random stack, a random admission stream, and periodic cold
     /// restarts: every admission is exactly one of {tier hit, cold fetch,
     /// stream}, occupancy never exceeds any tier's capacity, a fitting
-    /// footprint always lands in the top tier, and the legacy summary
+    /// footprint always lands in the top tier, and the top-tier summary
     /// splits the same total.
     #[test]
     fn random_streams_conserve_admissions_and_respect_capacity(
@@ -61,7 +67,7 @@ proptest! {
         let mut store = TieredStore::new(specs.clone());
         for (i, &m) in picks.iter().enumerate() {
             let bytes = sizes[m];
-            let adm = store.admit(m, bytes);
+            let adm = admit(&mut store, m, bytes);
             for (k, spec) in specs.iter().enumerate() {
                 prop_assert!(
                     store.occupied_bytes(k) <= spec.capacity_bytes,
@@ -77,7 +83,7 @@ proptest! {
                 prop_assert!(adm.cycles() == 0 || !matches!(adm, TierAdmission::Hit));
             }
             if (i + 1) % restart_every == 0 {
-                store.cold_restart();
+                store.cold_restart(0, &mut |_| {});
             }
         }
 
@@ -86,7 +92,7 @@ proptest! {
         prop_assert_eq!(store.admissions(), tier_hits + store.cold_fetches() + store.streams());
         prop_assert_eq!(store.admissions(), picks.len() as u64);
 
-        // Every lower-tier hit is a promotion, and the legacy summary
+        // Every lower-tier hit is a promotion, and the top-tier summary
         // splits the same admission count: hits at the top, everything
         // byte-moving under `fetches`.
         let lower_hits: u64 = store.tier_stats().iter().skip(1).map(|t| t.hits).sum();
@@ -96,48 +102,36 @@ proptest! {
         prop_assert_eq!(store.summary().hits + store.summary().fetches, store.admissions());
     }
 
-    /// A one-tier stack is the legacy `WeightBuffer`: same admission
-    /// classification, same eviction victims, same occupancy, same
-    /// summary counters, on any stream with restarts mixed in.
+    /// The flat buffer is the one-tier stack: with nothing below the top
+    /// tier, no admission ever promotes or charges walk cycles (so a flat
+    /// miss costs exactly the lane's `switch_cycles`), evictions drop
+    /// cold, and a restart empties the buffer.
     #[test]
-    fn a_one_tier_store_is_exactly_the_legacy_weight_buffer(
+    fn a_one_tier_store_never_promotes_or_charges_a_walk(
         cap in 1u64..4000,
         picks in proptest::collection::vec(0usize..5, 1..100),
         sizes in proptest::collection::vec(1u64..2000, 5..6),
         restart_every in 1usize..30,
     ) {
         let mut store = TieredStore::new(vec![TierSpec::new("buf", cap, 8.0)]);
-        let mut buf = WeightBuffer::new(cap);
         for (i, &m) in picks.iter().enumerate() {
-            let bytes = sizes[m];
-            let tiered = store.admit(m, bytes);
-            let legacy = buf.admit(m, bytes);
-            match (&tiered, &legacy) {
-                (TierAdmission::Hit, Admission::Resident) => {}
-                (TierAdmission::Streamed { cycles }, Admission::Streamed) => {
-                    // One tier: nothing deeper to haul from.
-                    prop_assert_eq!(*cycles, 0);
-                }
-                (TierAdmission::Cold { evicted, .. }, Admission::Fetched { evicted: legacy_ev }) => {
-                    prop_assert_eq!(evicted, legacy_ev);
-                }
-                other => prop_assert!(false, "diverging admissions: {:?}", other),
-            }
-            prop_assert_eq!(store.occupied_bytes(0), buf.occupied_bytes());
-            prop_assert_eq!(store.is_resident_top(m), buf.is_resident(m));
+            let adm = admit(&mut store, m, sizes[m]);
+            prop_assert!(!matches!(adm, TierAdmission::Promoted { .. }), "{:?}", adm);
+            prop_assert_eq!(adm.cycles(), 0);
+            prop_assert!(store.occupied_bytes(0) <= cap);
             if (i + 1) % restart_every == 0 {
-                store.cold_restart();
-                buf.cold_restart();
+                store.cold_restart(0, &mut |_| {});
+                prop_assert_eq!(store.occupied_bytes(0), 0);
             }
         }
-        prop_assert_eq!(store.summary(), buf.stats());
+        prop_assert_eq!(store.tier_stats()[0].demotions, 0);
     }
 
-    /// The staged runtime replays the serial sim bit for bit over random
-    /// tier stacks crossed with random fault plans, and the cluster
-    /// report's tier traffic is exactly the per-instance fold.
+    /// Over random tier stacks crossed with random fault plans, requests
+    /// are conserved and the cluster report's tier traffic is exactly the
+    /// per-instance fold.
     #[test]
-    fn staged_equals_sim_over_random_tier_stacks_and_fault_plans(
+    fn tier_traffic_folds_over_random_stacks_and_fault_plans(
         caps in proptest::collection::vec(1u64..2500, 2..5),
         bws in proptest::collection::vec(0u64..31, 5..6),
         gaps in proptest::collection::vec(0u64..1000, 1..60),
@@ -184,25 +178,19 @@ proptest! {
             tiers: Some(tiers.clone()),
             faults: FaultPlan { events, autoscale: None },
         };
-        let oracle = simulate_cluster_run(&requests, &services, &spec).unwrap();
+        let run = simulate_cluster_run_obs(&requests, &services, &spec, &mut NullSink).unwrap();
 
-        prop_assert!(oracle.report.conserves(requests.len()));
-        prop_assert_eq!(oracle.report.tier_traffic.len(), tiers.len());
+        prop_assert!(run.report.conserves(requests.len()));
+        prop_assert_eq!(run.report.tier_traffic.len(), tiers.len());
         // The report's tier traffic is the elementwise per-instance fold.
-        for (k, total) in oracle.report.tier_traffic.iter().enumerate() {
+        for (k, total) in run.report.tier_traffic.iter().enumerate() {
             let mut folded = se_serve::TierStats::default();
-            for inst in &oracle.report.per_instance {
+            for inst in &run.report.per_instance {
                 if let Some(t) = inst.tier_traffic.get(k) {
                     folded.accumulate(t);
                 }
             }
             prop_assert_eq!(&folded, total);
-        }
-
-        for exec_workers in [1usize, 3] {
-            let cfg = StagedConfig { exec_workers, channel_cap: 2, chunk: 5 };
-            let staged = run_cluster_staged(&requests, &services, &spec, &cfg, &NoWork).unwrap();
-            prop_assert!(staged == oracle, "staged != sim at exec_workers = {}", exec_workers);
         }
     }
 }
@@ -217,13 +205,13 @@ fn a_cold_load_after_restart_costs_strictly_more_than_a_dram_promotion() {
         TierSpec::new("dram", 10_000, 4.0),
         TierSpec::new("ssd", 1 << 30, 1.0),
     ]);
-    assert!(matches!(store.admit(0, 800), TierAdmission::Cold { .. }));
+    assert!(matches!(admit(&mut store, 0, 800), TierAdmission::Cold { .. }));
     // Admitting model 1 displaces model 0 out of the buffer into DRAM.
-    match store.admit(1, 800) {
+    match admit(&mut store, 1, 800) {
         TierAdmission::Cold { evicted, .. } => assert_eq!(evicted, vec![0]),
         other => panic!("expected an evicting cold load, got {other:?}"),
     }
-    let dram_walk = match store.admit(0, 800) {
+    let dram_walk = match admit(&mut store, 0, 800) {
         TierAdmission::Promoted { from: 1, cycles, .. } => cycles,
         other => panic!("expected a DRAM promotion, got {other:?}"),
     };
@@ -231,8 +219,8 @@ fn a_cold_load_after_restart_costs_strictly_more_than_a_dram_promotion() {
 
     // A restart wipes the volatile tiers; nothing was demoted as far as
     // SSD, so the model re-loads cold through the whole stack.
-    store.cold_restart();
-    let cold_walk = match store.admit(0, 800) {
+    store.cold_restart(0, &mut |_| {});
+    let cold_walk = match admit(&mut store, 0, 800) {
         TierAdmission::Cold { cycles, .. } => cycles,
         other => panic!("expected a cold load after restart, got {other:?}"),
     };
@@ -271,8 +259,10 @@ fn a_restart_forces_bottom_tier_reloads_the_healthy_run_never_pays() {
         },
         ..healthy_spec.clone()
     };
-    let healthy = simulate_cluster_run(&requests, &services, &healthy_spec).unwrap();
-    let churned = simulate_cluster_run(&requests, &services, &churn_spec).unwrap();
+    let healthy =
+        simulate_cluster_run_obs(&requests, &services, &healthy_spec, &mut NullSink).unwrap();
+    let churned =
+        simulate_cluster_run_obs(&requests, &services, &churn_spec, &mut NullSink).unwrap();
     assert!(healthy.report.conserves(120));
     assert!(churned.report.conserves(120));
 
@@ -318,7 +308,7 @@ fn se_moves_strictly_fewer_bottom_tier_bytes_than_every_dense_lane() {
                 service(&format!("{name}-0"), 200, 40, 4, fp0),
                 service(&format!("{name}-1"), 220, 45, 4, fp1),
             ];
-            let run = simulate_cluster_run(&requests, &services, &spec).unwrap();
+            let run = simulate_cluster_run_obs(&requests, &services, &spec, &mut NullSink).unwrap();
             run.report.tier_traffic.last().unwrap().bytes_up
         })
         .collect();
