@@ -225,9 +225,8 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                             memory
                         );
                         let mut recorder = se_obs::Recorder::new();
-                        let mut untraced = se_obs::NullSink;
                         let sink: &mut dyn se_obs::EventSink =
-                            if observing { &mut recorder } else { &mut untraced };
+                            if observing { &mut recorder } else { &mut se_obs::NullSink };
                         let start = Instant::now();
                         let report =
                             simulate_cluster_run_obs(&stream, &services, &spec, sink)?.report;

@@ -273,9 +273,8 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             continue;
         };
         let mut recorder = se_obs::Recorder::new();
-        let mut untraced = se_obs::NullSink;
         let sink: &mut dyn se_obs::EventSink =
-            if observing { &mut recorder } else { &mut untraced };
+            if observing { &mut recorder } else { &mut se_obs::NullSink };
         let report =
             se_serve::cluster::simulate_cluster_run_obs(&stream, &services, &sc.spec, sink)?.report;
         if observing {

@@ -140,9 +140,8 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         let exec = engine.latency_table(SE_LANE, &per_image, sc.policy.max_batch);
 
         let mut recorder = se_obs::Recorder::new();
-        let mut untraced = se_obs::NullSink;
         let sink: &mut dyn se_obs::EventSink =
-            if observing { &mut recorder } else { &mut untraced };
+            if observing { &mut recorder } else { &mut se_obs::NullSink };
         let report = match sc.open_loop {
             Some(pattern) => {
                 // Default pressure: 1.5x the single-image service rate —

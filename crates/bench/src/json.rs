@@ -222,16 +222,24 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
     expect(bytes, pos, "\"")?;
-    let mut out = String::new();
-    let mut chars = std::str::from_utf8(&bytes[*pos..])
-        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?
-        .char_indices();
+    // Find the closing quote before validating UTF-8, so each string costs
+    // its own length rather than the rest of the document. Multi-byte
+    // UTF-8 sequences never contain `"` or `\`, so a byte scan is exact.
+    let mut end = *pos;
+    loop {
+        match bytes.get(end) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => break,
+            Some(b'\\') => end += 2,
+            Some(_) => end += 1,
+        }
+    }
+    let text = std::str::from_utf8(&bytes[*pos..end])
+        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
+    let mut out = String::with_capacity(text.len());
+    let mut chars = text.char_indices();
     while let Some((offset, c)) = chars.next() {
         match c {
-            '"' => {
-                *pos += offset + 1;
-                return Ok(out);
-            }
             '\\' => match chars.next() {
                 Some((_, '"')) => out.push('"'),
                 Some((_, '\\')) => out.push('\\'),
@@ -256,7 +264,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
             c => out.push(c),
         }
     }
-    Err("unterminated string".into())
+    *pos = end + 1;
+    Ok(out)
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64> {

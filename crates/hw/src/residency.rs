@@ -144,7 +144,7 @@ pub enum TierAdmission {
         /// Serialized transfer cycles hauling the footprint from the
         /// origin to the staging tier (tier 1); the final tier-1 → tier-0
         /// crossing recurs per batch and is charged by the execution
-        /// model, exactly like the legacy streamed path.
+        /// model's per-batch-fetch table.
         cycles: u64,
     },
 }
