@@ -69,7 +69,8 @@ impl Queued {
 }
 
 /// One formed-and-launched batch: everything downstream accounting
-/// needs, with the virtual completion time already decided. Batches are emitted in launch order (`seq` ascending).
+/// needs, with the virtual completion time already decided. Batches are
+/// emitted in launch order (`seq` ascending).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedBatch {
     /// Launch sequence number across the cluster (0-based, ascending).
