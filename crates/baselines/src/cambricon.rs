@@ -8,7 +8,7 @@
 //! compressed (8-bit value + 4-bit step index); activations travel dense
 //! and are selected on chip.
 
-use crate::common::{dense_stats_cached, BaselineConfig, GeometryCache};
+use crate::common::{dense_stats, BaselineConfig};
 use se_hw::{Accelerator, LayerResult, MemCounters, OpCounters, Result};
 use se_ir::LayerTrace;
 
@@ -23,7 +23,6 @@ const REPLICAS: u64 = 4;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CambriconX {
     cfg: BaselineConfig,
-    geometry: GeometryCache,
 }
 
 impl CambriconX {
@@ -34,20 +33,7 @@ impl CambriconX {
     /// Returns a configuration error for invalid resources.
     pub fn new(cfg: BaselineConfig) -> Result<Self> {
         cfg.validate()?;
-        Ok(CambriconX { cfg, geometry: GeometryCache::default() })
-    }
-
-    /// [`CambriconX::new`] with the geometry cache drawn from the
-    /// process-wide registry ([`crate::common::shared_geometry_cache`]):
-    /// separately constructed instances share one memo table. Results are
-    /// bit-identical to [`CambriconX::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error for invalid resources.
-    pub fn with_shared_geometry(cfg: BaselineConfig) -> Result<Self> {
-        cfg.validate()?;
-        Ok(CambriconX { cfg, geometry: crate::common::shared_geometry_cache() })
+        Ok(CambriconX { cfg })
     }
 
     /// The configuration in use.
@@ -66,7 +52,7 @@ impl Accelerator for CambriconX {
     }
 
     fn process_layer(&self, trace: &LayerTrace) -> Result<LayerResult> {
-        let s = dense_stats_cached(&self.geometry, trace)?;
+        let s = dense_stats(trace)?;
 
         // Filters are distributed over PES×REPLICAS parallel filter slots;
         // each slot processes its filter's non-zeros at LANES_PER_PE per
@@ -176,8 +162,7 @@ mod tests {
         let cx = CambriconX::default();
         let t = trace_with_sparsity(0.5, 2);
         let one = cx.process_layer(&t).unwrap();
-        assert_eq!(cx.process_batch(&t, 1).unwrap(), one);
-        let b = cx.process_batch(&t, 4).unwrap();
+        let b = one.amortized_over_batch(4, cx.dram_bytes_per_cycle());
         assert_eq!(b.mem.dram_weight_bytes, one.mem.dram_weight_bytes);
         assert_eq!(b.mem.dram_index_bytes, one.mem.dram_index_bytes);
         assert_eq!(b.mem.dram_input_bytes, 4 * one.mem.dram_input_bytes);

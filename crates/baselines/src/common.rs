@@ -2,12 +2,13 @@
 //!
 //! The geometry-derived half of the per-layer statistics (MAC counts,
 //! element volumes, tiling shapes) is identical for every layer sharing a
-//! shape; each baseline accelerator memoizes it in a [`GeometryCache`]
-//! keyed by [`ScheduleKey::for_geometry`], so ResNet-style networks that
-//! repeat a geometry 18× per stage derive it once. The data-dependent half
-//! (weight/activation non-zero counts) is recomputed per layer.
+//! shape; [`dense_stats`] memoizes it in one process-wide table keyed by
+//! [`ScheduleKey::for_geometry`], shared by every baseline design, so
+//! ResNet-style networks that repeat a geometry 18× per stage derive it
+//! once. The data-dependent half (weight/activation non-zero counts) is
+//! recomputed per layer.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 use se_hw::schedule::{ScheduleCache, ScheduleKey};
 use se_hw::{HwError, Result};
@@ -73,7 +74,7 @@ impl BaselineConfig {
 }
 
 /// The geometry-derived half of [`DenseLayerStats`]: a pure function of
-/// the layer descriptor, cached per shape (see [`GeometryCache`]).
+/// the layer descriptor, cached per shape (see [`dense_stats`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseGeometry {
     /// Output channels / neurons (`M`).
@@ -92,25 +93,10 @@ pub struct DenseGeometry {
     pub outputs: u64,
 }
 
-/// Per-accelerator memo table of [`DenseGeometry`] by layer shape.
-pub type GeometryCache = ScheduleCache<DenseGeometry>;
-
-/// The process-wide shared [`GeometryCache`] behind the baselines'
-/// `with_shared_geometry` constructors.
-///
-/// [`DenseGeometry`] is a pure function of the layer *shape* alone — no
-/// accelerator configuration enters it — so, unlike the SmartExchange
-/// engine's config-keyed schedule registry
-/// ([`se_hw::schedule::ScheduleRegistry`]), a single registry entry is
-/// safe for every baseline design at once: cluster replicas, the
-/// per-model engines of a serving sweep, and all four designs share one
-/// memo table, building each distinct shape's geometry once per process.
-/// Sharing is observationally transparent (hits and misses are
-/// bit-identical); only cache-length diagnostics can observe it.
-pub fn shared_geometry_cache() -> GeometryCache {
-    static SHARED: OnceLock<GeometryCache> = OnceLock::new();
-    SHARED.get_or_init(GeometryCache::default).clone()
-}
+/// Every [`DenseGeometry`] built in this process. It is a pure function of
+/// the layer *shape* alone — no accelerator configuration enters it — so
+/// one table serves every baseline design and instance.
+static GEOMETRY: LazyLock<ScheduleCache<DenseGeometry>> = LazyLock::new(ScheduleCache::default);
 
 // Residency note: every baseline charges its (dense, CSR-compressed, or
 // nnz-packed) weight DRAM exactly once per image, so a run's per-image
@@ -183,28 +169,21 @@ pub struct DenseLayerStats {
 }
 
 /// Extracts dense statistics from a trace (baselines require
-/// [`WeightData::Dense`]), deriving the geometry half fresh.
+/// [`WeightData::Dense`]), with the geometry half served from the
+/// process-wide memo: repeated layer shapes compute it once.
 ///
 /// # Errors
 ///
 /// Returns [`HwError::UnsupportedTrace`] for SE-form weights or
 /// squeeze-excite layers presented to designs that cannot run them.
 pub fn dense_stats(trace: &LayerTrace) -> Result<DenseLayerStats> {
-    let geom = dense_geometry(trace.desc())?;
+    let geom = geometry_for(trace.desc())?;
     dense_stats_from(&geom, trace)
 }
 
-/// [`dense_stats`] with the geometry half served from a per-accelerator
-/// cache: repeated layer shapes compute it once.
-///
-/// # Errors
-///
-/// As [`dense_stats`].
-pub fn dense_stats_cached(cache: &GeometryCache, trace: &LayerTrace) -> Result<DenseLayerStats> {
-    let desc = trace.desc();
-    let geom: Arc<DenseGeometry> =
-        cache.get_or_try_build(ScheduleKey::for_geometry(desc), || dense_geometry(desc))?;
-    dense_stats_from(&geom, trace)
+/// The memoized geometry for `desc`.
+fn geometry_for(desc: &LayerDesc) -> Result<Arc<DenseGeometry>> {
+    GEOMETRY.get_or_try_build(ScheduleKey::for_geometry(desc), || dense_geometry(desc))
 }
 
 /// Combines cached geometry with the trace's data-dependent non-zero
@@ -317,31 +296,22 @@ mod tests {
 
     #[test]
     fn cached_stats_match_uncached_and_build_once() {
-        let cache = GeometryCache::default();
         let t = trace();
-        let fresh = dense_stats(&t).unwrap();
-        let cached = dense_stats_cached(&cache, &t).unwrap();
-        assert_eq!(fresh, cached);
-        assert_eq!(cache.len(), 1);
-        // Same shape again (different name/data does not matter): no growth.
-        let again = dense_stats_cached(&cache, &t).unwrap();
-        assert_eq!(again, fresh);
-        assert_eq!(cache.len(), 1);
+        let cold = dense_stats_from(&dense_geometry(t.desc()).unwrap(), &t).unwrap();
+        assert_eq!(dense_stats(&t).unwrap(), cold);
+        assert_eq!(dense_stats(&t).unwrap(), cold, "cache hit differs from cold build");
+        let geom = geometry_for(t.desc()).unwrap();
+        assert!(Arc::ptr_eq(&geom, &geometry_for(t.desc()).unwrap()), "built once");
     }
 
     #[test]
-    fn shared_geometry_cache_is_one_process_wide_table() {
-        // Other tests insert into the same process-wide table
-        // concurrently, so only monotonic properties are asserted.
-        let a = shared_geometry_cache();
-        let t = trace();
-        let fresh = dense_stats(&t).unwrap();
-        assert_eq!(dense_stats_cached(&a, &t).unwrap(), fresh);
-        // A separately fetched handle sees the same entries (a hit, bit-
-        // identical) — the whole point of the shared registry.
-        let b = shared_geometry_cache();
-        assert_eq!(dense_stats_cached(&b, &t).unwrap(), fresh);
-        assert!(!b.is_empty());
+    fn geometry_memo_is_one_process_wide_table() {
+        // Differently named layers of one shape share one memoized
+        // geometry, whichever design or instance asks for it.
+        let kind =
+            LayerKind::Conv2d { in_channels: 3, out_channels: 5, kernel: 3, stride: 2, padding: 0 };
+        let (a, b) = (LayerDesc::new("a", kind, (7, 9)), LayerDesc::new("b", kind, (7, 9)));
+        assert!(Arc::ptr_eq(&geometry_for(&a).unwrap(), &geometry_for(&b).unwrap()));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! like any other value — which is exactly why the sparsity-aware designs
 //! (and SmartExchange) beat it.
 
-use crate::common::{dense_stats_cached, BaselineConfig, GeometryCache};
+use crate::common::{dense_stats, BaselineConfig};
 use se_hw::{Accelerator, LayerResult, MemCounters, OpCounters, Result};
 use se_ir::LayerTrace;
 
@@ -15,7 +15,6 @@ use se_ir::LayerTrace;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DianNao {
     cfg: BaselineConfig,
-    geometry: GeometryCache,
 }
 
 impl DianNao {
@@ -26,21 +25,7 @@ impl DianNao {
     /// Returns a configuration error for invalid resources.
     pub fn new(cfg: BaselineConfig) -> Result<Self> {
         cfg.validate()?;
-        Ok(DianNao { cfg, geometry: GeometryCache::default() })
-    }
-
-    /// [`DianNao::new`] with the geometry cache drawn from the
-    /// process-wide registry ([`crate::common::shared_geometry_cache`]):
-    /// separately constructed instances — cluster replicas, one engine per
-    /// model — share one memo table. Results are bit-identical to
-    /// [`DianNao::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error for invalid resources.
-    pub fn with_shared_geometry(cfg: BaselineConfig) -> Result<Self> {
-        cfg.validate()?;
-        Ok(DianNao { cfg, geometry: crate::common::shared_geometry_cache() })
+        Ok(DianNao { cfg })
     }
 
     /// The configuration in use.
@@ -59,7 +44,7 @@ impl Accelerator for DianNao {
     }
 
     fn process_layer(&self, trace: &LayerTrace) -> Result<LayerResult> {
-        let s = dense_stats_cached(&self.geometry, trace)?;
+        let s = dense_stats(trace)?;
         let mults = self.cfg.multipliers as u64;
         let compute_cycles = s.macs.div_ceil(mults);
 
@@ -123,17 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_geometry_results_match_private_cache_results() {
-        let t = trace(8, 16, 16, 3);
-        let private = DianNao::default().process_layer(&t).unwrap();
-        let shared = DianNao::with_shared_geometry(BaselineConfig::default()).unwrap();
-        assert_eq!(shared.process_layer(&t).unwrap(), private);
-        // A second shared instance hits the same table, bit-identically.
-        let again = DianNao::with_shared_geometry(BaselineConfig::default()).unwrap();
-        assert_eq!(again.process_layer(&t).unwrap(), private);
-    }
-
-    #[test]
     fn cycles_are_throughput_bound() {
         let t = trace(8, 16, 16, 1);
         let d = DianNao::default();
@@ -156,8 +130,7 @@ mod tests {
         let t = trace(8, 16, 16, 4);
         let d = DianNao::default();
         let one = d.process_layer(&t).unwrap();
-        assert_eq!(d.process_batch(&t, 1).unwrap(), one);
-        let b = d.process_batch(&t, 8).unwrap();
+        let b = one.amortized_over_batch(8, d.dram_bytes_per_cycle());
         // Dense weights fetched once per batch; activations per image.
         assert_eq!(b.mem.dram_weight_bytes, one.mem.dram_weight_bytes);
         assert_eq!(b.mem.dram_input_bytes, 8 * one.mem.dram_input_bytes);

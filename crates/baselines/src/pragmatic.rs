@@ -6,9 +6,9 @@
 //! SmartExchange PE array (the equalised 8 K bit-serial lanes of Table V),
 //! so the model *reuses the validated SmartExchange engine* configured
 //! with: dense weights, plain essential bits (no 4-bit Booth encoder), no
-//! index selector, and no rebuild engines. The engine's geometry-keyed
-//! schedule cache comes along for free: repeated layer shapes build their
-//! tiling skeleton once per run.
+//! index selector, and no rebuild engines. The engine's process-wide
+//! schedule memo comes along for free: repeated layer shapes build their
+//! tiling skeleton once per process.
 
 use se_hw::sim::SeAccelerator;
 use se_hw::{Accelerator, HwError, LayerResult, Result, SeAcceleratorConfig};
@@ -35,28 +35,6 @@ impl BitPragmatic {
             ..base
         };
         Ok(BitPragmatic { engine: SeAccelerator::new(cfg)? })
-    }
-
-    /// [`BitPragmatic::new`] with the underlying engine's schedule cache
-    /// drawn from the process-wide config-keyed registry
-    /// ([`SeAccelerator::with_shared_schedules`]): separately constructed
-    /// instances with the same resource budget share one memo table. The
-    /// registry key is the *derived* Pragmatic configuration, so the cache
-    /// is never shared with a SmartExchange lane. Results are
-    /// bit-identical to [`BitPragmatic::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error for invalid resources.
-    pub fn with_shared_schedules(base: SeAcceleratorConfig) -> Result<Self> {
-        let cfg = SeAcceleratorConfig {
-            bit_serial: true,
-            booth_encoder: false,
-            index_select: false,
-            compact_dedicated: false,
-            ..base
-        };
-        Ok(BitPragmatic { engine: SeAccelerator::with_shared_schedules(cfg)? })
     }
 
     /// The underlying engine configuration.
@@ -117,15 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_schedule_results_match_private_cache_results() {
-        let t = trace(1.0, 9);
-        let private = BitPragmatic::default().process_layer(&t).unwrap();
-        let shared = BitPragmatic::with_shared_schedules(SeAcceleratorConfig::default()).unwrap();
-        assert_eq!(shared.process_layer(&t).unwrap(), private);
-        assert_eq!(shared.config(), BitPragmatic::default().config());
-    }
-
-    #[test]
     fn processes_dense_traces() {
         let r = BitPragmatic::default().process_layer(&trace(1.0, 1)).unwrap();
         assert!(r.compute_cycles > 0);
@@ -138,8 +107,7 @@ mod tests {
         let bp = BitPragmatic::default();
         let t = trace(1.0, 4);
         let one = bp.process_layer(&t).unwrap();
-        assert_eq!(bp.process_batch(&t, 1).unwrap(), one);
-        let b = bp.process_batch(&t, 4).unwrap();
+        let b = one.amortized_over_batch(4, bp.dram_bytes_per_cycle());
         assert_eq!(b.mem.dram_weight_bytes, one.mem.dram_weight_bytes);
         assert_eq!(b.mem.dram_input_bytes, 4 * one.mem.dram_input_bytes);
         assert_eq!(b.ops.pe_lane_cycles, 4 * one.ops.pe_lane_cycles);

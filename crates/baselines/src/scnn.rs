@@ -11,7 +11,7 @@
 //! Per the paper's protocol, SCNN does not process FC or squeeze-excite
 //! layers (it is a CONV-only design), and those traces are rejected.
 
-use crate::common::{dense_stats_cached, BaselineConfig, GeometryCache};
+use crate::common::{dense_stats, BaselineConfig};
 use se_hw::{Accelerator, HwError, LayerResult, MemCounters, OpCounters, Result};
 use se_ir::{LayerKind, LayerTrace};
 
@@ -22,7 +22,6 @@ const CONTENTION: f64 = 1.25;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Scnn {
     cfg: BaselineConfig,
-    geometry: GeometryCache,
 }
 
 impl Scnn {
@@ -33,20 +32,7 @@ impl Scnn {
     /// Returns a configuration error for invalid resources.
     pub fn new(cfg: BaselineConfig) -> Result<Self> {
         cfg.validate()?;
-        Ok(Scnn { cfg, geometry: GeometryCache::default() })
-    }
-
-    /// [`Scnn::new`] with the geometry cache drawn from the process-wide
-    /// registry ([`crate::common::shared_geometry_cache`]): separately
-    /// constructed instances share one memo table. Results are
-    /// bit-identical to [`Scnn::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error for invalid resources.
-    pub fn with_shared_geometry(cfg: BaselineConfig) -> Result<Self> {
-        cfg.validate()?;
-        Ok(Scnn { cfg, geometry: crate::common::shared_geometry_cache() })
+        Ok(Scnn { cfg })
     }
 
     /// The configuration in use.
@@ -77,7 +63,7 @@ impl Accelerator for Scnn {
             }
             LayerKind::Conv2d { .. } | LayerKind::DepthwiseConv2d { .. } => {}
         }
-        let s = dense_stats_cached(&self.geometry, trace)?;
+        let s = dense_stats(trace)?;
 
         // Useful multiplications: per input channel, every non-zero weight
         // pairs with every non-zero activation of that channel.
@@ -194,8 +180,7 @@ mod tests {
         let scnn = Scnn::default();
         let t = trace(0.6, 0.5, 3);
         let one = scnn.process_layer(&t).unwrap();
-        assert_eq!(scnn.process_batch(&t, 1).unwrap(), one);
-        let b = scnn.process_batch(&t, 4).unwrap();
+        let b = one.amortized_over_batch(4, scnn.dram_bytes_per_cycle());
         // Compressed weights and their coordinates fetched once per batch.
         assert_eq!(b.mem.dram_weight_bytes, one.mem.dram_weight_bytes);
         assert_eq!(b.mem.dram_index_bytes, one.mem.dram_index_bytes);

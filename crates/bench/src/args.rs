@@ -100,8 +100,9 @@ pub struct Flags {
 
 /// Every flag that consumes the next argument as its value — the single
 /// inventory shared by the parser below (a flag not listed here
-/// structurally cannot take a value) and by `se trace`'s positional-action
-/// scan, which must skip flag values when looking for `build`/`info`.
+/// structurally cannot take a value), by `cli::run_subcommand`'s
+/// unknown-flag check, and by `se trace`'s positional-action scan, which
+/// must skip flag values when looking for `build`/`info`.
 pub const VALUE_FLAGS: &[&str] = &[
     "--seed",
     "--models",

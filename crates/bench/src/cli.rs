@@ -13,7 +13,7 @@
 //! five-accelerator sweep prologue ([`comparison_sweep`]), and the
 //! normalized table with its geometric-mean row ([`normalized_view`]).
 
-use crate::args::Flags;
+use crate::args::{Flags, VALUE_FLAGS};
 use crate::runner::{self, ModelComparison, ACCEL_NAMES};
 use crate::{figures, table, Result};
 use se_ir::NetworkDesc;
@@ -140,12 +140,21 @@ pub fn run_from_args(args: &[String], out: &mut dyn Write) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Fails on unknown subcommands and propagates subcommand failures.
+/// Fails on unknown subcommands and on any `--` argument that is not a
+/// known flag, and propagates subcommand failures.
 pub fn run_subcommand(name: &str, rest: &[String], out: &mut dyn Write) -> Result<()> {
-    let flags = Flags::from_args(rest.iter().cloned());
     let Some(canon) = canonical(name) else {
         return Err(format!("unknown subcommand `{name}`\n\n{}", usage()).into());
     };
+    let mut args = rest.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg) {
+            args.next(); // the flag's value
+        } else if arg.starts_with("--") && !matches!(arg, "--fast" | "--with-fc") {
+            return Err(format!("unknown flag `{arg}` for `se {name}` (see `se help`)").into());
+        }
+    }
+    let flags = Flags::from_args(rest.iter().cloned());
     match canon {
         "table1" => figures::table1::run(&flags, out),
         "table2" => figures::table2::run(&flags, out),
@@ -188,7 +197,7 @@ pub fn selected_models(flags: &Flags) -> Vec<NetworkDesc> {
 pub fn comparison_sweep(flags: &Flags, models: &[NetworkDesc]) -> Result<Vec<ModelComparison>> {
     let opts = flags.runner_options()?;
     se_core::se_info!("running {} models x 5 accelerators (fast={})...", models.len(), flags.fast);
-    runner::compare_models_cached(models, &opts, flags.traces_dir.as_deref())
+    runner::compare_models(models, &opts, flags.traces_dir.as_deref())
 }
 
 /// Renders the normalized per-model × per-accelerator table every
@@ -253,6 +262,19 @@ mod tests {
         let mut out = Vec::new();
         let err = run_from_args(&["frobnicate".to_string()], &mut out).unwrap_err();
         assert!(err.to_string().contains("frobnicate"));
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_naming_the_flag() {
+        let args = |a: &[&str]| a.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        let err = run_from_args(&args(&["fig10", "--model", "resnet164"]), &mut out).unwrap_err();
+        assert!(err.to_string().contains("`--model`"), "{err}");
+        assert!(out.is_empty(), "nothing runs before the flag check");
+        // A flag's value is never mistaken for a flag, and the boolean
+        // flags pass.
+        let ok = args(&["table1", "--fast", "--with-fc", "--models", "--not-a-flag"]);
+        run_from_args(&ok, &mut out).unwrap();
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn run_model(net: &se_ir::NetworkDesc, include_fc: bool, flags: &Flags) -> Resul
     if include_fc {
         opts.traces = opts.traces.with_fc_layers();
     }
-    runner::run_se_model_cached(net, &opts, flags.traces_dir.as_deref())
+    runner::run_se_model(net, &opts, flags.traces_dir.as_deref())
 }
 
 /// Runs both halves of the figure (`--traces-dir` artifacts for half (b)

@@ -16,27 +16,33 @@
 //!    executes in parallel batches via [`TraceStream`]'s prefetch; the
 //!    worker count comes from `RunnerOptions::traces.se_config
 //!    .parallelism()`.
-//! 2. **Simulation** — each [`TracePair`] fans out as five `(layer,
-//!    accelerator)` grid jobs drained by `RunnerOptions::sim_parallelism`
-//!    workers ([`se_core::pipeline::try_run_grid`]).
+//! 2. **Simulation** — each chunk of [`TracePair`]s goes through the
+//!    serving subsystem's [`BatchEngine`], the single five-lane dispatch:
+//!    [`BatchEngine::per_image_comparison`] fans every pair out as five
+//!    `(layer, accelerator)` grid jobs drained by
+//!    `RunnerOptions::sim_parallelism` workers, and
+//!    [`BatchEngine::per_image_se`] runs the SmartExchange lane alone.
 //!
 //! Results are reassembled in network order at both levels, so a
 //! comparison sweep is **bit-identical for every worker count** at either
 //! level (enforced by tests). Every job is a pure function of its trace —
-//! no shared mutable state — which is what makes the guarantee hold.
+//! the only shared state is a memo of pure functions — which is what makes
+//! the guarantee hold.
 //!
-//! On top of the fan-out, every accelerator memoizes the data-independent
-//! tiling/cycle skeleton of each distinct layer *geometry* in a per-run
-//! schedule cache ([`se_hw::schedule`]): ResNet164 repeats each bottleneck
-//! shape 18× per stage, so the skeleton is derived once and only the
-//! data-dependent terms (zero rows, Booth digits, rebuild costs) are
-//! re-evaluated per layer.
+//! On top of the fan-out, every simulator memoizes the data-independent
+//! tiling/cycle skeleton of each distinct layer *geometry* in a
+//! process-wide schedule memo ([`se_hw::schedule`]): ResNet164 repeats
+//! each bottleneck shape 18× per stage, so the skeleton is derived once
+//! and only the data-dependent terms (zero rows, Booth digits, rebuild
+//! costs) are re-evaluated per layer.
+//!
+//! Every entry point takes an optional persisted-trace directory: a model
+//! with an artifact there replays it instead of regenerating its traces,
+//! bit-identically.
 
 use crate::Result;
 use se_baselines::BaselineConfig;
-use se_core::pipeline;
-use se_hw::sim::SeAccelerator;
-use se_hw::{Accelerator, EnergyModel, RunResult, SeAcceleratorConfig};
+use se_hw::{EnergyModel, RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
 use se_models::traces::{TraceOptions, TracePair, TraceStream, MAX_BATCH_PAIRS};
 use se_serve::BatchEngine;
@@ -149,75 +155,33 @@ impl RunnerOptions {
     }
 }
 
-/// The five accelerator instances of one comparison run: the serving
-/// subsystem's [`BatchEngine`], which hosts the single five-lane dispatch
-/// (`simulate_lane`) and whose per-accelerator geometry/schedule caches
-/// are shared across the run's grid jobs.
-fn accel_set(opts: &RunnerOptions) -> Result<BatchEngine> {
-    BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())
-}
-
-fn fresh_runs() -> [Option<RunResult>; 5] {
-    [
-        Some(RunResult::default()),
-        Some(RunResult::default()),
-        Some(RunResult::default()),
-        Some(RunResult::default()),
-        Some(RunResult::default()),
-    ]
-}
-
-/// Fans one chunk of trace pairs out as `(layer, accelerator)` grid jobs
-/// and folds the results into `runs` in network order. An unsupported
-/// layer turns its whole lane to `None`; lanes already dead when the chunk
-/// starts are skipped entirely (the serial protocol never simulated them),
-/// which keeps every job a pure function of `(chunk, dead-lane set)` — the
-/// set only changes at chunk boundaries, so worker scheduling still cannot
-/// leak into the results.
-fn simulate_chunk(
-    accels: &BatchEngine,
-    chunk: &[TracePair],
-    workers: usize,
-    runs: &mut [Option<RunResult>; 5],
-) -> Result<()> {
-    let dead: Vec<bool> = runs.iter().map(Option::is_none).collect();
-    let grid = pipeline::try_run_grid(chunk, ACCEL_NAMES.len(), workers, |_, pair, lane| {
-        if dead[lane] {
-            return Ok(None);
-        }
-        accels.simulate_lane(pair, lane)
-    })?;
-    for per_pair in grid {
-        for (lane, result) in per_pair.into_iter().enumerate() {
-            match result {
-                Some(layer) => {
-                    if let Some(run) = runs[lane].as_mut() {
-                        run.layers.push(layer);
-                    }
-                }
-                None => runs[lane] = None,
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Pairs per simulation chunk: enough grid jobs to feed the workers while
 /// keeping the number of trace pairs alive at once bounded.
 fn chunk_pairs(sim_parallelism: usize) -> usize {
     MAX_BATCH_PAIRS.max(sim_parallelism.div_ceil(ACCEL_NAMES.len()))
 }
 
-/// Drains the network's trace stream in chunks of up to `chunk_len` pairs,
-/// invoking `consume` on each — the shared generation half of
-/// [`compare_model`] and [`run_se_model`].
+/// Feeds the network's trace pairs to `consume` in network order — the
+/// shared generation half of [`compare_model`] and [`run_se_model`]. When
+/// `traces_dir` holds an artifact for this network and these trace
+/// options (built by `se trace build`; see `se_models::traces`), the whole
+/// artifact is replayed as one chunk instead of regenerating the
+/// decompositions; otherwise the trace stream is drained in chunks of
+/// bounded size. Both paths are bit-identical: traces round-trip exactly
+/// and every simulation job is a pure function of its pair.
 fn for_each_chunk(
     net: &NetworkDesc,
-    traces: &TraceOptions,
-    chunk_len: usize,
+    opts: &RunnerOptions,
+    traces_dir: Option<&Path>,
     mut consume: impl FnMut(&[TracePair]) -> Result<()>,
 ) -> Result<()> {
-    let mut stream = TraceStream::new(net, traces.clone());
+    if let Some(dir) = traces_dir {
+        if let Some(pairs) = se_models::traces::cached_trace_pairs(net, &opts.traces, dir)? {
+            return consume(&pairs);
+        }
+    }
+    let chunk_len = chunk_pairs(opts.sim_parallelism);
+    let mut stream = TraceStream::new(net, opts.traces.clone());
     loop {
         let mut chunk = Vec::with_capacity(chunk_len);
         while chunk.len() < chunk_len {
@@ -233,26 +197,42 @@ fn for_each_chunk(
     }
 }
 
-/// Runs one model through all five accelerators.
+/// Runs one model through all five accelerators, replaying its persisted
+/// traces from `traces_dir` when an artifact for this network and these
+/// trace options is there (built by `se trace build`; cached and direct
+/// runs are bit-identical). Each chunk goes through
+/// [`BatchEngine::per_image_comparison`] and the lanes are concatenated;
+/// a lane that is `None` in any chunk is `None` for the model.
 ///
 /// # Errors
 ///
-/// Propagates trace-generation failures and unexpected simulator errors
-/// (`UnsupportedTrace` is converted into a `None` run instead).
-pub fn compare_model(net: &NetworkDesc, opts: &RunnerOptions) -> Result<ModelComparison> {
-    let accels = accel_set(opts)?;
-    let mut runs = fresh_runs();
-    for_each_chunk(net, &opts.traces, chunk_pairs(opts.sim_parallelism), |chunk| {
-        simulate_chunk(&accels, chunk, opts.sim_parallelism, &mut runs)
+/// Propagates trace-generation/load failures and unexpected simulator
+/// errors (`UnsupportedTrace` is converted into a `None` run instead; a
+/// corrupt or mismatched artifact is an error, not a miss).
+pub fn compare_model(
+    net: &NetworkDesc,
+    opts: &RunnerOptions,
+    traces_dir: Option<&Path>,
+) -> Result<ModelComparison> {
+    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
+    let mut runs: [Option<RunResult>; 5] = std::array::from_fn(|_| Some(RunResult::default()));
+    for_each_chunk(net, opts, traces_dir, |chunk| {
+        let chunk_runs = engine.per_image_comparison(chunk, opts.sim_parallelism)?;
+        for (run, part) in runs.iter_mut().zip(chunk_runs) {
+            match (run.as_mut(), part) {
+                (Some(run), Some(part)) => run.layers.extend(part.layers),
+                _ => *run = None,
+            }
+        }
+        Ok(())
     })?;
     Ok(ModelComparison { model: net.name().to_string(), runs })
 }
 
 /// Runs pre-generated trace pairs through all five accelerators on the
-/// simulation grid — [`compare_model`] without the trace-generation half.
-/// Useful when traces are reused across sweeps (and for benchmarking the
-/// simulation fan-out in isolation); results are bit-identical to
-/// [`compare_model`] on the same pairs.
+/// simulation grid ([`BatchEngine::per_image_comparison`]) —
+/// [`compare_model`] without the trace-generation half; results are
+/// bit-identical to it on the same pairs.
 ///
 /// # Errors
 ///
@@ -262,92 +242,34 @@ pub fn compare_pairs(
     pairs: &[TracePair],
     opts: &RunnerOptions,
 ) -> Result<ModelComparison> {
-    let accels = accel_set(opts)?;
-    let mut runs = fresh_runs();
-    simulate_chunk(&accels, pairs, opts.sim_parallelism, &mut runs)?;
+    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
+    let runs = engine.per_image_comparison(pairs, opts.sim_parallelism)?;
     Ok(ModelComparison { model: model.to_string(), runs })
 }
 
-/// Runs one model through the SmartExchange accelerator alone, with the
-/// same two-level parallelism as [`compare_model`] (a single-lane grid) —
-/// the engine behind the energy-breakdown binaries.
+/// Runs one model through the SmartExchange accelerator alone
+/// ([`BatchEngine::per_image_se`] per chunk), with the trace source of
+/// [`compare_model`] — the engine behind the energy-breakdown figures.
 ///
 /// # Errors
 ///
-/// Propagates trace-generation and simulator failures.
-pub fn run_se_model(net: &NetworkDesc, opts: &RunnerOptions) -> Result<RunResult> {
-    let se = SeAccelerator::new(opts.se_cfg.clone())?;
+/// Propagates trace-generation/load and simulator failures.
+pub fn run_se_model(
+    net: &NetworkDesc,
+    opts: &RunnerOptions,
+    traces_dir: Option<&Path>,
+) -> Result<RunResult> {
+    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
     let mut run = RunResult::default();
-    for_each_chunk(net, &opts.traces, chunk_pairs(opts.sim_parallelism), |chunk| {
-        let layers = pipeline::try_run_ordered(chunk, opts.sim_parallelism, |_, pair| {
-            se.process_layer(&pair.se)
-        })?;
-        run.layers.extend(layers);
+    for_each_chunk(net, opts, traces_dir, |chunk| {
+        run.layers.extend(engine.per_image_se(chunk, opts.sim_parallelism)?.layers);
         Ok(())
     })?;
     Ok(run)
 }
 
-/// Runs pre-generated trace pairs through the SmartExchange accelerator
-/// alone — [`run_se_model`] without the trace-generation half; results are
-/// bit-identical to it on the same pairs.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn run_se_pairs(pairs: &[TracePair], opts: &RunnerOptions) -> Result<RunResult> {
-    let se = SeAccelerator::new(opts.se_cfg.clone())?;
-    let layers = pipeline::try_run_ordered(pairs, opts.sim_parallelism, |_, pair| {
-        se.process_layer(&pair.se)
-    })?;
-    Ok(RunResult { layers })
-}
-
-/// [`compare_model`] with an optional persisted-trace cache: when
-/// `traces_dir` holds an artifact for this network and these trace options
-/// (built by `se trace build`; see `se_models::traces`), the expensive
-/// decompositions are replayed from disk instead of regenerated. Cached
-/// and direct runs are **bit-identical** — traces round-trip exactly and
-/// the simulation grid is a pure function of the pairs (enforced by
-/// tests). A cache miss falls back to the streaming path untouched.
-///
-/// # Errors
-///
-/// Propagates trace-generation/load failures and unexpected simulator
-/// errors (a corrupt or mismatched artifact is an error, not a miss).
-pub fn compare_model_cached(
-    net: &NetworkDesc,
-    opts: &RunnerOptions,
-    traces_dir: Option<&Path>,
-) -> Result<ModelComparison> {
-    if let Some(dir) = traces_dir {
-        if let Some(pairs) = se_models::traces::cached_trace_pairs(net, &opts.traces, dir)? {
-            return compare_pairs(net.name(), &pairs, opts);
-        }
-    }
-    compare_model(net, opts)
-}
-
-/// [`run_se_model`] with the optional persisted-trace cache of
-/// [`compare_model_cached`] (same hit/miss and bit-identity semantics).
-///
-/// # Errors
-///
-/// Propagates trace-generation/load and simulator failures.
-pub fn run_se_model_cached(
-    net: &NetworkDesc,
-    opts: &RunnerOptions,
-    traces_dir: Option<&Path>,
-) -> Result<RunResult> {
-    if let Some(dir) = traces_dir {
-        if let Some(pairs) = se_models::traces::cached_trace_pairs(net, &opts.traces, dir)? {
-            return run_se_pairs(&pairs, opts);
-        }
-    }
-    run_se_model(net, opts)
-}
-
-/// Runs a set of models through all five accelerators.
+/// Runs a set of models through all five accelerators ([`compare_model`]
+/// each, with the same optional trace cache).
 ///
 /// # Errors
 ///
@@ -357,25 +279,12 @@ pub fn run_se_model_cached(
 pub fn compare_models(
     models: &[NetworkDesc],
     opts: &RunnerOptions,
-) -> Result<Vec<ModelComparison>> {
-    compare_models_cached(models, opts, None)
-}
-
-/// [`compare_models`] with the optional persisted-trace cache of
-/// [`compare_model_cached`].
-///
-/// # Errors
-///
-/// Propagates the first model failure, naming the failing model.
-pub fn compare_models_cached(
-    models: &[NetworkDesc],
-    opts: &RunnerOptions,
     traces_dir: Option<&Path>,
 ) -> Result<Vec<ModelComparison>> {
     models
         .iter()
         .map(|m| {
-            compare_model_cached(m, opts, traces_dir)
+            compare_model(m, opts, traces_dir)
                 .map_err(|e| format!("model {} failed: {e}", m.name()).into())
         })
         .collect()
@@ -441,7 +350,7 @@ mod tests {
 
     #[test]
     fn scnn_drops_squeeze_excite_models() {
-        let cmp = compare_model(&tiny(), &RunnerOptions::default()).unwrap();
+        let cmp = compare_model(&tiny(), &RunnerOptions::default(), None).unwrap();
         assert!(cmp.runs[0].is_some(), "DianNao runs");
         assert!(cmp.runs[1].is_none(), "SCNN cannot run squeeze-excite");
         assert!(cmp.runs[4].is_some(), "SmartExchange runs");
@@ -457,18 +366,22 @@ mod tests {
         // SCNN lane — all runs must be bit-identical.
         let net = multi_geometry();
         let serial =
-            compare_model(&net, &RunnerOptions::default().with_parallelism(1).unwrap()).unwrap();
+            compare_model(&net, &RunnerOptions::default().with_parallelism(1).unwrap(), None)
+                .unwrap();
         assert!(serial.runs[1].is_none(), "SCNN lane must be None");
         for workers in [4usize, 8] {
-            let parallel =
-                compare_model(&net, &RunnerOptions::default().with_parallelism(workers).unwrap())
-                    .unwrap();
+            let parallel = compare_model(
+                &net,
+                &RunnerOptions::default().with_parallelism(workers).unwrap(),
+                None,
+            )
+            .unwrap();
             assert_eq!(serial.runs, parallel.runs, "workers = {workers}");
         }
         // Mixed levels: serial generation, parallel simulation.
         let mixed_opts =
             RunnerOptions::default().with_parallelism(1).unwrap().with_sim_parallelism(4).unwrap();
-        let mixed = compare_model(&net, &mixed_opts).unwrap();
+        let mixed = compare_model(&net, &mixed_opts, None).unwrap();
         assert_eq!(serial.runs, mixed.runs);
     }
 
@@ -476,7 +389,7 @@ mod tests {
     fn compare_pairs_matches_compare_model() {
         let net = multi_geometry();
         let opts = RunnerOptions::default().with_parallelism(2).unwrap();
-        let streamed = compare_model(&net, &opts).unwrap();
+        let streamed = compare_model(&net, &opts, None).unwrap();
         let pairs = se_models::traces::trace_pairs(&net, &opts.traces).unwrap();
         let batched = compare_pairs(net.name(), &pairs, &opts).unwrap();
         assert_eq!(streamed.runs, batched.runs);
@@ -486,8 +399,8 @@ mod tests {
     fn run_se_model_matches_the_comparison_lane() {
         let net = multi_geometry();
         let opts = RunnerOptions::default().with_parallelism(4).unwrap();
-        let cmp = compare_model(&net, &opts).unwrap();
-        let se_only = run_se_model(&net, &opts).unwrap();
+        let cmp = compare_model(&net, &opts, None).unwrap();
+        let se_only = run_se_model(&net, &opts, None).unwrap();
         assert_eq!(cmp.runs[4].as_ref().unwrap(), &se_only);
     }
 
@@ -499,17 +412,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // Cold cache: falls back to the streaming path.
-        let direct = compare_model(&net, &opts).unwrap();
-        let cold = compare_model_cached(&net, &opts, Some(&dir)).unwrap();
+        let direct = compare_model(&net, &opts, None).unwrap();
+        let cold = compare_model(&net, &opts, Some(&dir)).unwrap();
         assert_eq!(direct.runs, cold.runs);
 
         // Warm cache: write → read → re-simulate must be bit-identical.
         se_models::traces::build_trace_file(&net, &opts.traces, &dir).unwrap();
-        let warm = compare_model_cached(&net, &opts, Some(&dir)).unwrap();
+        let warm = compare_model(&net, &opts, Some(&dir)).unwrap();
         assert_eq!(direct.runs, warm.runs);
 
-        let se_direct = run_se_model(&net, &opts).unwrap();
-        let se_warm = run_se_model_cached(&net, &opts, Some(&dir)).unwrap();
+        let se_direct = run_se_model(&net, &opts, None).unwrap();
+        let se_warm = run_se_model(&net, &opts, Some(&dir)).unwrap();
         assert_eq!(se_direct, se_warm);
         assert_eq!(&se_warm, warm.runs[4].as_ref().unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -517,7 +430,7 @@ mod tests {
 
     #[test]
     fn se_beats_diannao_on_energy() {
-        let cmp = compare_model(&tiny(), &RunnerOptions::default()).unwrap();
+        let cmp = compare_model(&tiny(), &RunnerOptions::default(), None).unwrap();
         let em = EnergyModel::default();
         let cfg = SeAcceleratorConfig::default();
         let e = cmp.energies_mj(&em, &cfg);
@@ -545,7 +458,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let err = compare_models(&[good, bad], &RunnerOptions::default()).unwrap_err();
+        let err = compare_models(&[good, bad], &RunnerOptions::default(), None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("badnet"), "error must name the failing model: {msg}");
         assert!(!msg.contains("tiny"), "error must not blame a passing model: {msg}");

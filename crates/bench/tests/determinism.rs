@@ -1,7 +1,7 @@
 //! Cross-worker-count determinism of the five-accelerator comparison on a
 //! real repeated-geometry profile: the opening of ResNet164, whose
-//! bottleneck shapes repeat and therefore hit every accelerator's
-//! geometry-keyed schedule cache. The `(layer, accelerator)` grid of
+//! bottleneck shapes repeat and therefore hit every simulator's
+//! process-wide schedule memo. The `(layer, accelerator)` grid of
 //! `se_bench::runner` must produce bit-identical `RunResult`s for every
 //! worker count at both parallelism levels.
 
@@ -27,7 +27,8 @@ fn resnet_profile_with_se() -> NetworkDesc {
 #[test]
 fn comparison_is_bit_identical_across_worker_counts() {
     let net = resnet_profile_with_se();
-    let serial = compare_model(&net, &RunnerOptions::fast().with_parallelism(1).unwrap()).unwrap();
+    let serial =
+        compare_model(&net, &RunnerOptions::fast().with_parallelism(1).unwrap(), None).unwrap();
     // The None lane must be exercised, not just empty-supported.
     assert!(serial.runs[1].is_none(), "SCNN must drop the squeeze-excite profile");
     for lane in [0usize, 2, 3, 4] {
@@ -35,7 +36,8 @@ fn comparison_is_bit_identical_across_worker_counts() {
     }
     for workers in [4usize, 8] {
         let parallel =
-            compare_model(&net, &RunnerOptions::fast().with_parallelism(workers).unwrap()).unwrap();
+            compare_model(&net, &RunnerOptions::fast().with_parallelism(workers).unwrap(), None)
+                .unwrap();
         assert_eq!(serial.runs, parallel.runs, "workers = {workers}");
     }
 }

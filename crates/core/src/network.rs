@@ -8,7 +8,8 @@
 //! results reassembled in network order — output is bit-identical to a
 //! serial run for every worker count.
 
-use crate::{layer, pipeline, CoreError, Result, SeConfig};
+use crate::pipeline::{self, LayerJob, WeightSource};
+use crate::{layer, CoreError, Result, SeConfig};
 use se_ir::{storage, LayerDesc, SeLayer};
 use se_tensor::Tensor;
 
@@ -124,8 +125,8 @@ impl CompressedNetwork {
         let mut r = ser::ByteReader::new(bytes);
         ser::expect_header(&mut r, ser::PayloadKind::CompressedNetwork).map_err(CoreError::from)?;
         let layers = r.get_u32().map_err(CoreError::from)? as usize;
-        let mut parts = Vec::with_capacity(layers.min(r.remaining()));
-        let mut reports = Vec::with_capacity(layers.min(r.remaining()));
+        // No reservations: a hostile count must not size an allocation.
+        let (mut parts, mut reports) = (Vec::new(), Vec::new());
         for _ in 0..layers {
             let name = r.get_str().map_err(CoreError::from)?;
             let params = r.get_u64().map_err(CoreError::from)?;
@@ -137,7 +138,7 @@ impl CompressedNetwork {
             let vector_sparsity = r.get_f32().map_err(CoreError::from)?;
             let recon_error = r.get_f32().map_err(CoreError::from)?;
             let n = r.get_u32().map_err(CoreError::from)? as usize;
-            let mut layer_parts = Vec::with_capacity(n.min(r.remaining()));
+            let mut layer_parts = Vec::new();
             for _ in 0..n {
                 layer_parts.push(ser::read_se_layer(&mut r).map_err(CoreError::from)?);
             }
@@ -212,7 +213,12 @@ pub fn compress_network(
     layers: &[(LayerDesc, Tensor)],
     cfg: &SeConfig,
 ) -> Result<CompressedNetwork> {
-    pipeline::compress_network(layers, cfg)
+    let jobs: Vec<LayerJob<'_>> = layers
+        .iter()
+        .map(|(desc, w)| LayerJob { desc, weights: WeightSource::Borrowed(w) })
+        .collect();
+    let (parts, reports) = pipeline::compress_jobs(&jobs, cfg)?.into_iter().unzip();
+    Ok(CompressedNetwork { parts, reports })
 }
 
 /// Streaming variant of [`compress_network`] that keeps only the reports,
@@ -232,7 +238,16 @@ pub fn compress_network_reports<F>(
 where
     F: Fn(&LayerDesc) -> Result<Tensor> + Sync,
 {
-    pipeline::compress_network_reports(descs, cfg, weights_for)
+    let jobs: Vec<LayerJob<'_>> = descs
+        .iter()
+        .map(|desc| LayerJob { desc, weights: WeightSource::Generate(&weights_for) })
+        .collect();
+    let wcfg = pipeline::worker_config(cfg, jobs.len());
+    // Parts are dropped inside the worker (only the report crosses the
+    // queue), which is what keeps the streaming path's memory bounded.
+    pipeline::try_run_ordered(&jobs, cfg.parallelism(), |_, job| {
+        job.run(&wcfg).map(|(_, report)| report)
+    })
 }
 
 #[cfg(test)]
@@ -339,6 +354,23 @@ mod tests {
         let mut wrong = bytes.clone();
         wrong[6] = 1; // TraceSet tag
         assert!(CompressedNetwork::from_bytes(&wrong).is_err());
+    }
+
+    #[test]
+    fn hostile_counts_are_an_error_not_an_abort() {
+        // A valid empty network whose layer count is patched to u32::MAX,
+        // then a first layer whose part count is u32::MAX, then 64 MB of
+        // filler: decoding must fail on the first part instead of sizing
+        // an allocation from either count.
+        let empty = CompressedNetwork { parts: vec![], reports: vec![] };
+        let mut bytes = empty.to_bytes().unwrap();
+        let count = bytes.len() - 4;
+        bytes[count..].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Layer 0: empty name, zero params/storage/sparsity/error.
+        bytes.extend_from_slice(&[0; 4 + 8 + 3 * 8 + 4 + 4]);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.resize(bytes.len() + (64 << 20), 0);
+        assert!(CompressedNetwork::from_bytes(&bytes).is_err());
     }
 
     #[test]

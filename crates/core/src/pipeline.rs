@@ -9,7 +9,8 @@
 //! reassembly order is fixed, not the completion order. Three subsystems
 //! ride this queue: whole-network compression (the [`LayerJob`] batch of
 //! this module), trace generation (`se-models`), and the five-accelerator
-//! simulation grid (`se-bench`'s `(layer, accelerator)` fan-out).
+//! simulation grid (`se-serve`'s `BatchEngine`, behind `se-bench`'s
+//! comparison figures).
 //!
 //! SmartExchange compresses each layer independently — the decomposition
 //! of Algorithm 1 never looks across layers — so whole-network compression
@@ -30,7 +31,7 @@
 //! # Examples
 //!
 //! ```
-//! use se_core::{pipeline, SeConfig};
+//! use se_core::{network, SeConfig};
 //! use se_ir::{LayerDesc, LayerKind};
 //! use se_tensor::rng;
 //!
@@ -46,8 +47,8 @@
 //!         (desc, rng::kaiming_tensor(&mut r, &[8, 4, 3, 3], 36))
 //!     })
 //!     .collect();
-//! let serial = pipeline::compress_network(&layers, &SeConfig::default().with_parallelism(1)?)?;
-//! let parallel = pipeline::compress_network(&layers, &SeConfig::default().with_parallelism(4)?)?;
+//! let serial = network::compress_network(&layers, &SeConfig::default().with_parallelism(1)?)?;
+//! let parallel = network::compress_network(&layers, &SeConfig::default().with_parallelism(4)?)?;
 //! assert_eq!(serial, parallel); // bit-identical, including every f32
 //! # Ok(())
 //! # }
@@ -56,7 +57,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::network::{compress_layer_reported, CompressedNetwork, LayerReport};
+use crate::network::{compress_layer_reported, LayerReport};
 use crate::{CoreError, Result, SeConfig};
 use se_ir::{LayerDesc, SeLayer};
 use se_tensor::Tensor;
@@ -80,12 +81,10 @@ impl std::fmt::Debug for WeightSource<'_> {
     }
 }
 
-/// One unit of work on the compression queue: compress the layer at
-/// network position `index`.
+/// One unit of work on the compression queue: compress one layer. Results
+/// are reassembled in job order.
 #[derive(Debug)]
 pub struct LayerJob<'a> {
-    /// Position of the layer within the network (reassembly key).
-    pub index: usize,
     /// Layer geometry.
     pub desc: &'a LayerDesc,
     /// Weight tensor source.
@@ -96,7 +95,7 @@ impl LayerJob<'_> {
     /// Runs the job: resolves the weights and compresses the layer,
     /// tagging failures with the layer name exactly as the serial
     /// [`crate::network::compress_network`] historically did.
-    fn run(&self, cfg: &SeConfig) -> Result<(Vec<SeLayer>, LayerReport)> {
+    pub(crate) fn run(&self, cfg: &SeConfig) -> Result<(Vec<SeLayer>, LayerReport)> {
         let owned;
         let weights = match self.weights {
             WeightSource::Borrowed(t) => t,
@@ -274,60 +273,10 @@ pub fn compress_jobs(
     try_run_ordered(jobs, cfg.parallelism(), |_, job| job.run(&wcfg))
 }
 
-/// Parallel whole-network compression: the engine behind
-/// [`crate::network::compress_network`].
-///
-/// # Errors
-///
-/// Propagates the first (lowest-index) per-layer failure, identifying the
-/// offending layer.
-pub fn compress_network(
-    layers: &[(LayerDesc, Tensor)],
-    cfg: &SeConfig,
-) -> Result<CompressedNetwork> {
-    let jobs: Vec<LayerJob<'_>> = layers
-        .iter()
-        .enumerate()
-        .map(|(index, (desc, w))| LayerJob { index, desc, weights: WeightSource::Borrowed(w) })
-        .collect();
-    let (parts, reports) = compress_jobs(&jobs, cfg)?.into_iter().unzip();
-    Ok(CompressedNetwork { parts, reports })
-}
-
-/// Parallel streaming compression: the engine behind
-/// [`crate::network::compress_network_reports`]. Weights are generated on
-/// the worker threads and dropped with each job, so peak memory is bounded
-/// by `cfg.parallelism()` layers rather than the whole network.
-///
-/// # Errors
-///
-/// Propagates the first (lowest-index) per-layer failure.
-pub fn compress_network_reports<F>(
-    descs: &[LayerDesc],
-    cfg: &SeConfig,
-    weights_for: F,
-) -> Result<Vec<LayerReport>>
-where
-    F: Fn(&LayerDesc) -> Result<Tensor> + Sync,
-{
-    let jobs: Vec<LayerJob<'_>> = descs
-        .iter()
-        .enumerate()
-        .map(|(index, desc)| LayerJob {
-            index,
-            desc,
-            weights: WeightSource::Generate(&weights_for),
-        })
-        .collect();
-    let wcfg = worker_config(cfg, jobs.len());
-    // Parts are dropped inside the worker (only the report crosses the
-    // queue), which is what keeps the streaming path's memory bounded.
-    try_run_ordered(&jobs, cfg.parallelism(), |_, job| job.run(&wcfg).map(|(_, report)| report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{compress_network, compress_network_reports};
     use se_ir::LayerKind;
     use se_tensor::rng;
 

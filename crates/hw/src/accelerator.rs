@@ -1,7 +1,7 @@
 //! The accelerator interface shared by the SmartExchange design and the
 //! four baselines.
 
-use crate::{LayerResult, Result, RunResult};
+use crate::{LayerResult, Result};
 use se_ir::LayerTrace;
 
 /// A DNN inference accelerator model: consumes per-layer traces, produces
@@ -16,7 +16,8 @@ pub trait Accelerator {
 
     /// Configured DRAM bandwidth in bytes per cycle — the constant this
     /// design converts traffic into transfer cycles with. Batched results
-    /// ([`Accelerator::process_batch`]) re-derive their DRAM time from it.
+    /// ([`LayerResult::amortized_over_batch`]) re-derive their DRAM time
+    /// from it.
     fn dram_bytes_per_cycle(&self) -> f64;
 
     /// Processes one layer trace.
@@ -27,39 +28,4 @@ pub trait Accelerator {
     /// supported by this design (e.g. SCNN and FC layers, per the paper's
     /// protocol).
     fn process_layer(&self, trace: &LayerTrace) -> Result<LayerResult>;
-
-    /// Processes one layer trace for a batch of `batch` images with the
-    /// layer's weights held resident across the batch: weights (and, on
-    /// the SmartExchange design, the basis + coefficient rebuild work) are
-    /// charged once per batch, while per-image compute and activation
-    /// traffic scale with the batch size — see
-    /// [`LayerResult::amortized_over_batch`]. The default implementation
-    /// simulates one image and amortizes, which keeps a batch result a
-    /// pure function of the trace: `batch = 1` is bit-identical to
-    /// [`Accelerator::process_layer`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::process_layer`].
-    fn process_batch(&self, trace: &LayerTrace, batch: usize) -> Result<LayerResult> {
-        let per_image = self.process_layer(trace)?;
-        Ok(per_image.amortized_over_batch(batch as u64, self.dram_bytes_per_cycle()))
-    }
-
-    /// Processes a sequence of layer traces into a run result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-layer failure.
-    fn process_layers<'a, I>(&self, traces: I) -> Result<RunResult>
-    where
-        I: IntoIterator<Item = &'a LayerTrace>,
-        Self: Sized,
-    {
-        let mut run = RunResult::default();
-        for t in traces {
-            run.layers.push(self.process_layer(t)?);
-        }
-        Ok(run)
-    }
 }

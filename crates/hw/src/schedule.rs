@@ -14,8 +14,11 @@
 //!   plus the configuration fields a schedule may depend on. The layer
 //!   *name* is deliberately excluded: two layers with different names but
 //!   the same shape share a schedule.
-//! * [`ScheduleCache`] — a thread-safe per-run memo table from key to an
-//!   immutable, shared schedule value.
+//! * [`ScheduleCache`] — a thread-safe memo table from key to an
+//!   immutable, shared schedule value. Each simulator holds one
+//!   process-wide: the SmartExchange engine keyed by
+//!   [`ScheduleKey::for_config`], the dense baselines by
+//!   [`ScheduleKey::for_geometry`].
 //!
 //! Correctness note: cached values must be **pure functions of their key**.
 //! Under that contract a cache is observationally transparent — hits and
@@ -85,11 +88,9 @@ impl ScheduleKey {
     ///
     /// Geometry-only keys must only ever be used in caches whose values
     /// are pure functions of the layer *shape* alone — under that contract
-    /// a single cache may safely be shared across designs and even
-    /// process-wide (see `se_baselines::common::shared_geometry_cache`).
-    /// Never mix them into a cache holding configuration-dependent values;
-    /// those belong under [`ScheduleKey::for_config`] in a per-config
-    /// cache ([`ScheduleRegistry`]).
+    /// one cache is shared by every dense baseline design. Never mix them
+    /// into a cache holding configuration-dependent values; those belong
+    /// under [`ScheduleKey::for_config`].
     pub fn for_geometry(desc: &LayerDesc) -> Self {
         ScheduleKey {
             kind: *desc.kind(),
@@ -108,39 +109,21 @@ impl ScheduleKey {
     }
 }
 
-/// A thread-safe per-run memo table from [`ScheduleKey`] to a shared,
-/// immutable schedule value.
+/// A thread-safe memo table from [`ScheduleKey`] to a shared, immutable
+/// schedule value; each simulator keeps one in a process-wide `static`.
 ///
-/// Values are built at most a handful of times per distinct geometry (a
+/// Values are built at most a handful of times per distinct key (a
 /// concurrent miss on the same key may build twice; the first insert wins
 /// and both results are identical because values are pure functions of the
-/// key) and shared via [`Arc`] afterwards. Cloning an accelerator shares
-/// its cache — the memoized schedules stay valid because they depend only
-/// on the configuration captured in the key.
+/// key) and shared via [`Arc`] afterwards.
 #[derive(Debug)]
 pub struct ScheduleCache<T> {
-    inner: Arc<Mutex<HashMap<ScheduleKey, Arc<T>>>>,
+    inner: Mutex<HashMap<ScheduleKey, Arc<T>>>,
 }
 
 impl<T> Default for ScheduleCache<T> {
     fn default() -> Self {
-        ScheduleCache { inner: Arc::new(Mutex::new(HashMap::new())) }
-    }
-}
-
-impl<T> Clone for ScheduleCache<T> {
-    fn clone(&self) -> Self {
-        ScheduleCache { inner: Arc::clone(&self.inner) }
-    }
-}
-
-/// Caches memoize pure functions of their key, so two caches are always
-/// observationally equivalent: equality ignores contents. This keeps
-/// accelerator types that embed a cache `PartialEq` on their configuration
-/// alone.
-impl<T> PartialEq for ScheduleCache<T> {
-    fn eq(&self, _: &Self) -> bool {
-        true
+        ScheduleCache { inner: Mutex::new(HashMap::new()) }
     }
 }
 
@@ -164,63 +147,6 @@ impl<T> ScheduleCache<T> {
         let value = Arc::new(build()?);
         let mut map = self.inner.lock().expect("schedule cache never poisoned");
         Ok(Arc::clone(map.entry(key).or_insert(value)))
-    }
-
-    /// Number of distinct geometries cached so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("schedule cache never poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A sweep-wide registry of [`ScheduleCache`]s keyed by accelerator
-/// configuration.
-///
-/// A per-run cache already shares schedules across *clones* of one
-/// accelerator (cloning shares the `Arc`ed memo table), but separately
-/// constructed instances — cluster replicas, one engine per model in a
-/// serving sweep, repeated figure runs in one process — each rebuilt every
-/// skeleton from scratch. A registry hands every instance with the same
-/// configuration the same cache, so each distinct `(geometry, config)`
-/// schedule is built once per process.
-///
-/// The key type `K` must capture **every** configuration field the cached
-/// value may depend on (hash `f64` fields by `to_bits`): two accelerators
-/// mapped to the same registry entry must be indistinguishable to the
-/// builder. Under that contract sharing is observationally transparent for
-/// the same reason per-run caching is — cached values are pure functions
-/// of `(key, cache key)`, so hits and misses are bit-identical.
-#[derive(Debug)]
-pub struct ScheduleRegistry<K, T> {
-    inner: Mutex<HashMap<K, ScheduleCache<T>>>,
-}
-
-impl<K, T> Default for ScheduleRegistry<K, T> {
-    fn default() -> Self {
-        ScheduleRegistry { inner: Mutex::new(HashMap::new()) }
-    }
-}
-
-impl<K: Eq + std::hash::Hash, T> ScheduleRegistry<K, T> {
-    /// The shared cache for configuration `key`, created empty on first
-    /// use. The returned handle shares its memo table with every other
-    /// holder of the same key.
-    pub fn cache_for(&self, key: K) -> ScheduleCache<T> {
-        self.inner.lock().expect("schedule registry never poisoned").entry(key).or_default().clone()
-    }
-
-    /// Number of distinct configurations registered so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("schedule registry never poisoned").len()
-    }
-
-    /// Whether no configuration has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -319,28 +245,6 @@ mod tests {
         let b = cache.get_or_try_build::<()>(key, || panic!("cache hit expected")).unwrap();
         assert_eq!(*a, *b);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
-        // Clones share the memo table.
-        let clone = cache.clone();
-        clone.get_or_try_build::<()>(key, || panic!("clone shares the cache")).unwrap();
-    }
-
-    #[test]
-    fn registry_shares_caches_per_key() {
-        let reg: ScheduleRegistry<u32, u64> = ScheduleRegistry::default();
-        assert!(reg.is_empty());
-        let a = reg.cache_for(7);
-        let key = ScheduleKey::for_geometry(&conv_desc("c"));
-        a.get_or_try_build::<()>(key, || Ok(42)).unwrap();
-        // Same registry key: a freshly fetched handle already holds the
-        // schedule (a panicking builder proves the hit).
-        let b = reg.cache_for(7);
-        let v = b.get_or_try_build::<()>(key, || panic!("registry must share")).unwrap();
-        assert_eq!(*v, 42);
-        // A different configuration key gets an independent cache.
-        let c = reg.cache_for(8);
-        assert!(c.is_empty());
-        assert_eq!(reg.len(), 2);
     }
 
     #[test]
@@ -348,7 +252,7 @@ mod tests {
         let cache: ScheduleCache<u64> = ScheduleCache::default();
         let key = ScheduleKey::for_geometry(&conv_desc("c"));
         assert!(cache.get_or_try_build(key, || Err("boom")).is_err());
-        assert!(cache.is_empty());
+        // The failed key is still a miss: the next lookup builds.
         let v = cache.get_or_try_build::<&str>(key, || Ok(3)).unwrap();
         assert_eq!(*v, 3);
     }

@@ -46,30 +46,32 @@
 //! volume, the partial-sum spill target of weight chunking) — is a pure
 //! function of the layer geometry and the accelerator configuration. It is
 //! captured in a `Schedule` (private to this module), memoized per
-//! [`crate::schedule::ScheduleKey`]
-//! in a per-run [`crate::schedule::ScheduleCache`], and shared across
-//! layers with identical shapes (ResNet164 repeats each bottleneck geometry
-//! 18× per stage). Only the data-dependent terms — zero activation rows,
+//! [`crate::schedule::ScheduleKey`] in one process-wide
+//! [`crate::schedule::ScheduleCache`], and shared across layers with
+//! identical shapes (ResNet164 repeats each bottleneck geometry 18× per
+//! stage) and across every accelerator with the same configuration. Only the data-dependent terms — zero activation rows,
 //! Booth-digit window costs, coefficient-row masks, rebuild costs — are
 //! re-evaluated per layer, so cache hits are bit-identical to cold builds.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock};
 
-use crate::schedule::{ScheduleCache, ScheduleKey, ScheduleRegistry};
+use crate::schedule::{ScheduleCache, ScheduleKey};
 use crate::window::{self, SerialMode};
 use crate::{
     Accelerator, HwError, LayerResult, MemCounters, OpCounters, Result, SeAcceleratorConfig,
 };
 use se_ir::{LayerDesc, LayerKind, LayerTrace, QuantTensor, SeLayer, SeLayout, WeightData};
 
+/// Every schedule built in this process, keyed by
+/// [`ScheduleKey::for_config`], which holds every field [`Schedule::build`]
+/// reads: any accelerator with that configuration — cluster replicas, one
+/// engine per model, Bit-pragmatic's derived engine — reuses it.
+static SCHEDULES: LazyLock<ScheduleCache<Schedule>> = LazyLock::new(ScheduleCache::default);
+
 /// The SmartExchange accelerator (Section IV).
-///
-/// Holds a per-run schedule cache (see the module docs); cloning shares the
-/// cache, and equality compares the configuration only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeAccelerator {
     cfg: SeAcceleratorConfig,
-    schedules: ScheduleCache<Schedule>,
 }
 
 impl SeAccelerator {
@@ -80,29 +82,7 @@ impl SeAccelerator {
     /// Returns [`HwError::InvalidConfig`] for invalid configurations.
     pub fn new(cfg: SeAcceleratorConfig) -> Result<Self> {
         cfg.validate()?;
-        Ok(SeAccelerator { cfg, schedules: ScheduleCache::default() })
-    }
-
-    /// [`SeAccelerator::new`] with the schedule cache drawn from a
-    /// process-wide [`ScheduleRegistry`] keyed by the **full**
-    /// configuration: every instance constructed with an identical `cfg` —
-    /// cluster replicas, one engine per model in a serving sweep, repeated
-    /// figure runs — shares one memo table, so each distinct layer
-    /// geometry's schedule skeleton is built once per process instead of
-    /// once per instance. Results are bit-identical to [`SeAccelerator::new`]
-    /// (schedules are pure functions of geometry + configuration); only
-    /// [`SeAccelerator::cached_schedules`] counts may differ, since the
-    /// shared table outlives any one instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HwError::InvalidConfig`] for invalid configurations.
-    pub fn with_shared_schedules(cfg: SeAcceleratorConfig) -> Result<Self> {
-        static REGISTRY: OnceLock<ScheduleRegistry<ConfigKey, Schedule>> = OnceLock::new();
-        cfg.validate()?;
-        let schedules =
-            REGISTRY.get_or_init(ScheduleRegistry::default).cache_for(ConfigKey::of(&cfg));
-        Ok(SeAccelerator { cfg, schedules })
+        Ok(SeAccelerator { cfg })
     }
 
     /// The configuration in use.
@@ -110,49 +90,12 @@ impl SeAccelerator {
         &self.cfg
     }
 
-    /// Distinct layer geometries scheduled so far (diagnostic: repeated
-    /// shapes hit the cache instead of growing this).
-    pub fn cached_schedules(&self) -> usize {
-        self.schedules.len()
-    }
-
-    /// The geometry schedule for `desc`, built once per distinct shape.
+    /// The geometry schedule for `desc`, built once per distinct shape and
+    /// configuration in the process.
     fn schedule_for(&self, desc: &LayerDesc) -> Result<Arc<Schedule>> {
-        self.schedules.get_or_try_build(ScheduleKey::for_config(desc, &self.cfg), || {
+        SCHEDULES.get_or_try_build(ScheduleKey::for_config(desc, &self.cfg), || {
             Schedule::build(desc, &self.cfg)
         })
-    }
-}
-
-/// Registry key for [`SeAccelerator::with_shared_schedules`]: **every**
-/// field of [`SeAcceleratorConfig`] (`f64`s by exact bit pattern), so two
-/// accelerators mapped to the same shared cache are indistinguishable to
-/// the schedule builder — the sharing-safety contract of
-/// [`ScheduleRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ConfigKey {
-    dims: (usize, usize, usize),
-    input_gb: (usize, u64),
-    output_gb: (usize, u64),
-    weight_buf: (usize, u64),
-    dram_bytes_per_cycle_bits: u64,
-    frequency_hz_bits: u64,
-    toggles: (bool, bool, bool, bool),
-    row_sample: usize,
-}
-
-impl ConfigKey {
-    fn of(cfg: &SeAcceleratorConfig) -> Self {
-        ConfigKey {
-            dims: (cfg.dim_m, cfg.dim_c, cfg.dim_f),
-            input_gb: (cfg.input_gb_banks, cfg.input_gb_bank_kb.to_bits()),
-            output_gb: (cfg.output_gb_banks, cfg.output_gb_bank_kb.to_bits()),
-            weight_buf: (cfg.weight_buf_banks, cfg.weight_buf_bank_kb.to_bits()),
-            dram_bytes_per_cycle_bits: cfg.dram_bytes_per_cycle.to_bits(),
-            frequency_hz_bits: cfg.frequency_hz.to_bits(),
-            toggles: (cfg.bit_serial, cfg.booth_encoder, cfg.index_select, cfg.compact_dedicated),
-            row_sample: cfg.row_sample,
-        }
     }
 }
 
@@ -1438,62 +1381,49 @@ mod tests {
 
     #[test]
     fn repeated_geometries_share_one_schedule() {
-        // Two layers with the same shape but different data, one distinct
-        // shape: the cache holds two schedules, and every warm (cache-hit)
-        // result is bit-identical to a cold single-layer run.
+        // A configuration no other test uses, so the process-wide memo
+        // starts cold for it. Two layers with the same shape but different
+        // data and one distinct shape: the repeats share one schedule, and
+        // every cache-hit result is bit-identical to a cold build.
+        let cfg = SeAcceleratorConfig { row_sample: 3, ..Default::default() };
+        let accel = SeAccelerator::new(cfg.clone()).unwrap();
         let traces =
             [se_trace(4, 8, 8, 0.5, 21), se_trace(4, 8, 8, 0.7, 22), se_trace(8, 16, 16, 0.5, 23)];
-        let shared = accel();
-        let warm: Vec<_> = traces.iter().map(|t| shared.process_layer(t).unwrap()).collect();
-        assert_eq!(shared.cached_schedules(), 2, "repeated shapes must reuse the schedule");
+        let warm: Vec<_> = traces.iter().map(|t| accel.process_layer(t).unwrap()).collect();
+        let sched = |t: &LayerTrace| accel.schedule_for(t.desc()).unwrap();
+        assert!(Arc::ptr_eq(&sched(&traces[0]), &sched(&traces[1])), "repeats reuse the schedule");
+        assert!(!Arc::ptr_eq(&sched(&traces[0]), &sched(&traces[2])));
         for (t, w) in traces.iter().zip(&warm) {
-            assert_eq!(&accel().process_layer(t).unwrap(), w, "cache hit differs from cold build");
-        }
-        // Clones share the per-run cache.
-        let clone = shared.clone();
-        clone.process_layer(&traces[0]).unwrap();
-        assert_eq!(clone.cached_schedules(), 2);
-    }
-
-    #[test]
-    fn shared_schedule_registry_is_bit_identical_and_shares_across_instances() {
-        // A distinctive configuration so no other test's registry entry
-        // interferes with the sharing assertion below.
-        let cfg = SeAcceleratorConfig { row_sample: 3, ..Default::default() };
-        let traces = [se_trace(4, 8, 8, 0.5, 31), se_trace(8, 16, 16, 0.5, 32)];
-        let private = SeAccelerator::new(cfg.clone()).unwrap();
-        let shared_a = SeAccelerator::with_shared_schedules(cfg.clone()).unwrap();
-        for t in &traces {
+            let cold = Schedule::build(t.desc(), &cfg).unwrap();
             assert_eq!(
-                shared_a.process_layer(t).unwrap(),
-                private.process_layer(t).unwrap(),
-                "registry-backed results must match private-cache results"
+                &conv_layer(&cfg, t, &cold).unwrap(),
+                w,
+                "cache hit differs from cold build"
             );
         }
-        // A separately constructed instance with the same configuration
-        // sees the schedules the first one built.
-        let shared_b = SeAccelerator::with_shared_schedules(cfg).unwrap();
-        assert_eq!(shared_b.cached_schedules(), shared_a.cached_schedules());
-        assert!(shared_b.cached_schedules() >= 2);
-        for t in &traces {
-            assert_eq!(shared_b.process_layer(t).unwrap(), private.process_layer(t).unwrap());
-        }
-        // A different configuration never shares an entry.
-        let other = SeAccelerator::with_shared_schedules(SeAcceleratorConfig {
-            row_sample: 5,
-            ..Default::default()
-        })
-        .unwrap();
-        assert_eq!(other.cached_schedules(), 0);
     }
 
     #[test]
-    fn batched_layer_amortizes_weight_side_and_rebuild() {
+    fn instances_with_one_config_share_the_process_wide_memo() {
+        // Separately constructed accelerators with one configuration (a
+        // value no other test uses) hand out the same schedule; a
+        // different configuration never shares an entry.
+        let cfg = SeAcceleratorConfig { row_sample: 5, ..Default::default() };
+        let t = se_trace(4, 8, 8, 0.5, 31);
+        let a = SeAccelerator::new(cfg.clone()).unwrap().schedule_for(t.desc()).unwrap();
+        let b = SeAccelerator::new(cfg).unwrap().schedule_for(t.desc()).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let other = SeAcceleratorConfig { row_sample: 6, ..Default::default() };
+        let c = SeAccelerator::new(other).unwrap().schedule_for(t.desc()).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn amortized_layer_charges_weight_side_and_rebuild_once() {
         let t = se_trace(8, 16, 16, 0.5, 19);
         let a = accel();
         let one = a.process_layer(&t).unwrap();
-        assert_eq!(a.process_batch(&t, 1).unwrap(), one, "batch=1 is bit-identical");
-        let four = a.process_batch(&t, 4).unwrap();
+        let four = one.amortized_over_batch(4, a.dram_bytes_per_cycle());
         // Weight fetch, basis, and rebuild once per batch.
         assert_eq!(four.mem.dram_weight_bytes, one.mem.dram_weight_bytes);
         assert_eq!(four.mem.dram_index_bytes, one.mem.dram_index_bytes);

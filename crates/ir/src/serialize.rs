@@ -228,13 +228,6 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Absolute byte offset of the next read — the cursor into the
-    /// borrowed buffer. Lets a caller record where a record started and
-    /// ended to build an offset index over the underlying bytes.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Fails unless the buffer was consumed exactly to its end — trailing
     /// garbage is as much a corruption signal as truncation.
     ///
@@ -719,7 +712,8 @@ pub fn read_se_layer(r: &mut ByteReader<'_>) -> Result<SeLayer> {
     let po2 = read_po2(r)?;
     let layout = read_se_layout(r)?;
     let n = r.get_u32()? as usize;
-    let mut slices = Vec::with_capacity(n.min(r.remaining()));
+    // No reservation: a hostile count must not size an allocation.
+    let mut slices = Vec::new();
     for _ in 0..n {
         slices.push(read_se_slice(r, &po2)?);
     }
@@ -762,7 +756,7 @@ pub fn read_weight_data(r: &mut ByteReader<'_>) -> Result<WeightData> {
         WEIGHTS_DENSE => Ok(WeightData::Dense(read_quant_tensor(r)?)),
         WEIGHTS_SE => {
             let n = r.get_u32()? as usize;
-            let mut layers = Vec::with_capacity(n.min(r.remaining()));
+            let mut layers = Vec::new();
             for _ in 0..n {
                 layers.push(read_se_layer(r)?);
             }

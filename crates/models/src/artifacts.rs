@@ -157,8 +157,7 @@ pub fn compress_network(net: &NetworkDesc, cfg: &SeConfig, seed: u64) -> Result<
     let jobs: Vec<LayerJob<'_>> = net
         .layers()
         .iter()
-        .enumerate()
-        .map(|(index, desc)| LayerJob { index, desc, weights: WeightSource::Generate(&generate) })
+        .map(|desc| LayerJob { desc, weights: WeightSource::Generate(&generate) })
         .collect();
     let (parts, reports) = pipeline::compress_jobs(&jobs, cfg)?.into_iter().unzip();
     Ok(CompressedNetwork { parts, reports })

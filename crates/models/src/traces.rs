@@ -382,7 +382,8 @@ pub fn decode_trace_pairs(bytes: &[u8]) -> Result<TraceFile> {
     let net_name = r.get_str()?;
     let digest = r.get_u64()?;
     let n = r.get_u32()? as usize;
-    let mut pairs = Vec::with_capacity(n.min(bytes.len()));
+    // No reservation: a hostile count must not size an allocation.
+    let mut pairs = Vec::new();
     for _ in 0..n {
         let layer_index = r.get_u64()? as usize;
         let dense = ser::read_layer_trace(&mut r)?;
@@ -391,139 +392,6 @@ pub fn decode_trace_pairs(bytes: &[u8]) -> Result<TraceFile> {
     }
     r.expect_end()?;
     Ok(TraceFile { net_name, digest, pairs })
-}
-
-/// An offset index over an encoded trace-set buffer: the file is read
-/// **once** into a single owned byte buffer, one validating pass records
-/// each pair's `(offset, len)` span, and individual pairs decode on
-/// demand from borrowed slices of that buffer — no second copy, no
-/// up-front materialization of every pair.
-///
-/// This is the artifact-side half of the tiered weight store: the span
-/// table gives the exact serialized byte count of every pair, so a cold
-/// load out of the bottom tier (SSD) can be charged **byte-accurately**
-/// from the artifact instead of from a modeled footprint, and a serving
-/// process that only ever touches a few layers pays decode cost for
-/// exactly those.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSetIndex {
-    bytes: Vec<u8>,
-    net_name: String,
-    digest: u64,
-    /// Per-pair `(offset, len)` spans into `bytes`, covering the
-    /// `layer_index` field and both layer traces.
-    spans: Vec<(usize, usize)>,
-}
-
-impl TraceSetIndex {
-    /// Builds the index over an encoded trace-set buffer (the bytes of
-    /// [`encode_trace_pairs`]), taking ownership of the buffer. The
-    /// indexing pass decodes every record once — validating the whole
-    /// file exactly like [`decode_trace_pairs`] — but keeps only the
-    /// span table, so a corrupt artifact fails here, loudly, and
-    /// [`TraceSetIndex::decode_pair`] cannot fail on in-bounds indices
-    /// for reasons other than a truncated rebuild.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec failures: bad magic, version or payload-kind
-    /// mismatch, truncation, or trailing garbage.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<TraceSetIndex> {
-        let (net_name, digest, spans) = {
-            let mut r = ByteReader::new(&bytes);
-            ser::expect_header(&mut r, PayloadKind::TraceSet)?;
-            let net_name = r.get_str()?;
-            let digest = r.get_u64()?;
-            let n = r.get_u32()? as usize;
-            let mut spans = Vec::with_capacity(n.min(bytes.len()));
-            for _ in 0..n {
-                let start = r.position();
-                let _layer_index = r.get_u64()?;
-                ser::read_layer_trace(&mut r)?;
-                ser::read_layer_trace(&mut r)?;
-                spans.push((start, r.position() - start));
-            }
-            r.expect_end()?;
-            (net_name, digest, spans)
-        };
-        Ok(TraceSetIndex { bytes, net_name, digest, spans })
-    }
-
-    /// Reads and indexes a trace-artifact file with a single
-    /// `fs::read`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem and codec failures.
-    pub fn open(path: &Path) -> Result<TraceSetIndex> {
-        let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-        TraceSetIndex::from_bytes(bytes)
-    }
-
-    /// Network name recorded at build time.
-    pub fn net_name(&self) -> &str {
-        &self.net_name
-    }
-
-    /// [`options_digest`] of the options the traces were generated
-    /// under.
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    /// Number of indexed trace pairs.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether the artifact holds no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Total serialized size of the artifact in bytes — the exact cold
-    /// load out of the bottom tier.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-
-    /// Exact serialized size of pair `i` in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn pair_bytes(&self, i: usize) -> u64 {
-        self.spans[i].1 as u64
-    }
-
-    /// The raw encoded bytes of pair `i`, borrowed from the single
-    /// backing buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn pair_slice(&self, i: usize) -> &[u8] {
-        let (off, len) = self.spans[i];
-        &self.bytes[off..off + len]
-    }
-
-    /// Decodes pair `i` from its borrowed slice — exactly the pair that
-    /// [`decode_trace_pairs`] would put at position `i`, without
-    /// decoding any other.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec failures (unreachable for a buffer that passed
-    /// [`TraceSetIndex::from_bytes`], but the signature keeps the codec
-    /// honest).
-    pub fn decode_pair(&self, i: usize) -> Result<TracePair> {
-        let mut r = ByteReader::new(self.pair_slice(i));
-        let layer_index = r.get_u64()? as usize;
-        let dense = ser::read_layer_trace(&mut r)?;
-        let se = ser::read_layer_trace(&mut r)?;
-        r.expect_end()?;
-        Ok(TracePair { layer_index, dense, se })
-    }
 }
 
 /// Writes a network's trace pairs into `dir` under [`trace_file_name`],
@@ -734,43 +602,15 @@ mod tests {
     }
 
     #[test]
-    fn offset_index_decodes_each_pair_identically_to_the_full_decode() {
-        let net = tiny_net();
-        let opts = TraceOptions::fast();
-        let pairs = trace_pairs(&net, &opts).unwrap();
-        let dir = temp_dir("index");
-        let path = write_trace_file(&dir, &net, &opts, &pairs).unwrap();
-
-        let index = TraceSetIndex::open(&path).unwrap();
-        let full = read_trace_file(&path).unwrap();
-        assert_eq!(index.net_name(), full.net_name);
-        assert_eq!(index.digest(), full.digest);
-        assert_eq!(index.len(), full.pairs.len());
-        assert!(!index.is_empty());
-
-        // Decode-by-index is bit-identical to the monolithic decode, and
-        // each pair's slice re-encodes to exactly its span.
-        let mut span_total = 0u64;
-        for (i, want) in full.pairs.iter().enumerate() {
-            assert_eq!(&index.decode_pair(i).unwrap(), want, "pair {i}");
-            let mut w = ByteWriter::new();
-            w.put_u64(want.layer_index as u64);
-            ser::write_layer_trace(&mut w, &want.dense).unwrap();
-            ser::write_layer_trace(&mut w, &want.se).unwrap();
-            assert_eq!(index.pair_slice(i), &w.into_bytes()[..], "pair {i} bytes");
-            span_total += index.pair_bytes(i);
-        }
-
-        // Byte accounting: the spans plus the fixed preamble cover the
-        // file exactly (header 7 B, name len+bytes, digest 8 B, count 4 B).
-        let preamble = 7 + 4 + full.net_name.len() as u64 + 8 + 4;
-        assert_eq!(preamble + span_total, index.total_bytes());
-        assert_eq!(index.total_bytes(), std::fs::metadata(&path).unwrap().len());
-
-        // A truncated buffer fails at indexing time, not at decode time.
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(TraceSetIndex::from_bytes(bytes[..bytes.len() - 3].to_vec()).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn hostile_pair_count_is_an_error_not_an_abort() {
+        // A valid empty artifact whose pair count is patched to u32::MAX,
+        // followed by 64 MB of filler: decoding must fail on the first
+        // record instead of sizing an allocation from the count.
+        let mut bytes = encode_trace_pairs("x", 0, &[]).unwrap();
+        let count = bytes.len() - 4;
+        bytes[count..].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.resize(bytes.len() + (64 << 20), 0xFF);
+        assert!(decode_trace_pairs(&bytes).is_err());
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! result is a pure function of the per-image [`LayerResult`] and the batch
 //! size — `se_hw`'s `amortized_over_batch` accounting. The engine therefore
 //! simulates each trace **once per image** on the deterministic
-//! `(layer, accelerator)` grid of [`se_core::pipeline`] — hitting the same
-//! geometry-keyed schedule caches as the comparison runner, so an N-image
-//! batch reuses one schedule skeleton per distinct shape — and derives
-//! every requested batch size from that single pass. This keeps a whole
-//! batch-size sweep as cheap as one per-image simulation and, by
-//! construction, bit-identical for every worker count.
+//! `(layer, accelerator)` grid of [`se_core::pipeline`] — hitting the
+//! simulators' process-wide schedule memos, so every distinct shape's
+//! skeleton is built once per process — and derives every requested batch
+//! size from that single pass. This keeps a whole batch-size sweep as
+//! cheap as one per-image simulation and, by construction, bit-identical
+//! for every worker count. The engine is also the single five-lane
+//! dispatch behind `se_bench::runner`'s comparison figures.
 
 use crate::{BoxError, Result};
 use se_baselines::{BaselineConfig, BitPragmatic, CambriconX, DianNao, Scnn};
@@ -28,9 +29,8 @@ pub const ACCEL_NAMES: [&str; 5] =
 /// Index of the SmartExchange lane in [`ACCEL_NAMES`]-ordered arrays.
 pub const SE_LANE: usize = 4;
 
-/// The five accelerator instances behind the serving subsystem. Each
-/// carries its per-run geometry/schedule cache, shared across all grid
-/// jobs and batch sizes of this engine.
+/// The five accelerator instances behind the serving subsystem and the
+/// comparison figures.
 #[derive(Debug, Clone)]
 pub struct BatchEngine {
     diannao: DianNao,
@@ -43,25 +43,16 @@ pub struct BatchEngine {
 impl BatchEngine {
     /// Creates the engine with the given accelerator configurations.
     ///
-    /// Every lane draws its schedule/geometry cache from the process-wide
-    /// config-keyed registries (`SeAccelerator::with_shared_schedules`,
-    /// `se_baselines::common::shared_geometry_cache`), so separately
-    /// constructed engines with the same configurations — one per model in
-    /// a serving sweep, cluster replicas, repeated figure runs — build each
-    /// schedule skeleton once per process. Sharing is observationally
-    /// transparent: results are bit-identical to private-cache engines.
-    ///
     /// # Errors
     ///
     /// Propagates configuration validation failures.
     pub fn new(se_cfg: SeAcceleratorConfig, baseline_cfg: BaselineConfig) -> Result<Self> {
         Ok(BatchEngine {
-            diannao: DianNao::with_shared_geometry(baseline_cfg.clone()).map_err(BoxError::from)?,
-            scnn: Scnn::with_shared_geometry(baseline_cfg.clone()).map_err(BoxError::from)?,
-            cambricon: CambriconX::with_shared_geometry(baseline_cfg).map_err(BoxError::from)?,
-            pragmatic: BitPragmatic::with_shared_schedules(se_cfg.clone())
-                .map_err(BoxError::from)?,
-            se: SeAccelerator::with_shared_schedules(se_cfg).map_err(BoxError::from)?,
+            diannao: DianNao::new(baseline_cfg.clone()).map_err(BoxError::from)?,
+            scnn: Scnn::new(baseline_cfg.clone()).map_err(BoxError::from)?,
+            cambricon: CambriconX::new(baseline_cfg).map_err(BoxError::from)?,
+            pragmatic: BitPragmatic::new(se_cfg.clone()).map_err(BoxError::from)?,
+            se: SeAccelerator::new(se_cfg).map_err(BoxError::from)?,
         })
     }
 
@@ -101,8 +92,7 @@ impl BatchEngine {
     /// marks a design that cannot run the layer (`UnsupportedTrace`, e.g.
     /// SCNN on squeeze-excite); real failures propagate. The SmartExchange
     /// lane consumes the compressed trace and supports every layer, so all
-    /// its errors propagate. This is the single five-lane dispatch both
-    /// this engine and `se_bench::runner`'s chunked comparison sweep use.
+    /// its errors propagate.
     ///
     /// # Errors
     ///
@@ -125,11 +115,8 @@ impl BatchEngine {
     /// Simulates the pairs through all five accelerators once per image on
     /// the `(layer, accelerator)` grid. A design that cannot run a layer
     /// turns its whole lane to `None`. Every grid job runs even on a lane
-    /// already known dead — the single-chunk semantics of
-    /// `se_bench::runner::compare_pairs`, to which results here are
-    /// bit-identical on the same pairs (the chunked streaming sweep adds a
-    /// dead-lane skip at chunk boundaries; doing so mid-grid would make
-    /// job purity depend on completion order).
+    /// already known dead: skipping mid-grid would make job purity depend
+    /// on completion order.
     ///
     /// # Errors
     ///
@@ -166,12 +153,6 @@ impl BatchEngine {
     /// re-derived at the lane's configured bandwidth. `batch = 1`
     /// reproduces `per_image` exactly.
     pub fn batched(&self, lane: usize, per_image: &RunResult, batch: usize) -> RunResult {
-        per_image.amortized_over_batch(batch as u64, self.accelerator(lane).dram_bytes_per_cycle())
-    }
-
-    /// One batched layer through `lane` (the layer-granular version of
-    /// [`BatchEngine::batched`], used by tests and diagnostics).
-    pub fn batched_layer(&self, lane: usize, per_image: &LayerResult, batch: usize) -> LayerResult {
         per_image.amortized_over_batch(batch as u64, self.accelerator(lane).dram_bytes_per_cycle())
     }
 

@@ -55,7 +55,8 @@ proptest! {
             let accel = e.accelerator(lane);
             let trace = if lane == SE_LANE { &pair.se } else { &pair.dense };
             let single = accel.process_layer(trace).unwrap();
-            let batch = accel.process_batch(trace, n as usize).unwrap();
+            let bw = accel.dram_bytes_per_cycle();
+            let batch = single.amortized_over_batch(n, bw);
 
             // Activation-side: exactly N single-image runs.
             prop_assert_eq!(batch.mem.dram_input_bytes, n * single.mem.dram_input_bytes);
@@ -79,7 +80,7 @@ proptest! {
             prop_assert_eq!(batch.ops.rebuild_shift_adds, single.ops.rebuild_shift_adds);
 
             // And batch = 1 is the single-image result, bit for bit.
-            prop_assert_eq!(accel.process_batch(trace, 1).unwrap(), single.clone());
+            prop_assert_eq!(single.amortized_over_batch(1, bw), single.clone());
         }
     }
 }
