@@ -101,8 +101,8 @@ pub struct Flags {
 /// Every flag that consumes the next argument as its value — the single
 /// inventory shared by the parser below (a flag not listed here
 /// structurally cannot take a value), by `cli::run_subcommand`'s
-/// unknown-flag check, and by `se trace`'s positional-action scan, which
-/// must skip flag values when looking for `build`/`info`.
+/// unknown-flag check, and by [`positionals`], which must skip flag
+/// values when looking for an action.
 pub const VALUE_FLAGS: &[&str] = &[
     "--seed",
     "--models",
@@ -130,6 +130,24 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--metrics-out",
     "--window-us",
 ];
+
+/// The positional arguments of a subcommand's `rest`, in order: every
+/// argument that is neither a `--` flag nor the value of a
+/// [`VALUE_FLAGS`] flag. So `se trace --traces-dir d build` finds
+/// `build`, and `se bench --bench-out serve diff a b` never mistakes the
+/// output path for the action.
+pub fn positionals(rest: &[String]) -> Vec<&str> {
+    let mut found = Vec::new();
+    let mut iter = rest.iter();
+    while let Some(arg) = iter.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            iter.next(); // skip the flag's value
+        } else if !arg.starts_with("--") {
+            found.push(arg.as_str());
+        }
+    }
+    found
+}
 
 impl Flags {
     /// Parses flags from `std::env::args`, ignoring unknown arguments.
@@ -385,6 +403,17 @@ mod tests {
 
     fn parse(args: &[&str]) -> Flags {
         Flags::from_args(args.iter().map(|s| (*s).to_string()))
+    }
+
+    #[test]
+    fn positionals_skip_flag_values_that_look_like_actions() {
+        let owned = |args: &[&str]| args.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        let rest = owned(&["--traces-dir", "build", "info", "--fast"]);
+        assert_eq!(positionals(&rest), ["info"], "a --traces-dir value is not the action");
+        let rest = owned(&["--bench-out", "serve", "diff", "a.json", "--seed", "3", "b.json"]);
+        assert_eq!(positionals(&rest), ["diff", "a.json", "b.json"]);
+        assert!(positionals(&owned(&["--fast", "--with-fc"])).is_empty());
+        assert!(positionals(&owned(&["--models"])).is_empty(), "a dangling value flag");
     }
 
     #[test]

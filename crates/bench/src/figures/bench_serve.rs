@@ -35,18 +35,7 @@ use std::time::Instant;
 ///
 /// Fails without a valid action and propagates driver failures.
 pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    // Positional scan, same as `se trace`: flag values (inventory
-    // `args::VALUE_FLAGS`) are not positionals.
-    let mut positionals: Vec<&str> = Vec::new();
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        if crate::args::VALUE_FLAGS.contains(&arg.as_str()) {
-            iter.next();
-        } else if !arg.starts_with("--") {
-            positionals.push(arg.as_str());
-        }
-    }
-    match positionals.split_first() {
+    match crate::args::positionals(rest).split_first() {
         Some((&"serve", _)) => run_with_models(flags, &cli::selected_models(flags), out),
         Some((&"diff", [baseline, candidate])) => {
             run_diff(Path::new(baseline), Path::new(candidate), out)

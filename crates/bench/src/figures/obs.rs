@@ -41,18 +41,7 @@ use std::path::Path;
 /// and on conservation violations (a stream whose windows cannot fold
 /// back to its totals is corrupt).
 pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
-    // Positional scan, same as `se trace` / `se bench`: flag values
-    // (inventory `args::VALUE_FLAGS`) are not positionals.
-    let mut positionals: Vec<&str> = Vec::new();
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        if crate::args::VALUE_FLAGS.contains(&arg.as_str()) {
-            iter.next();
-        } else if !arg.starts_with("--") {
-            positionals.push(arg.as_str());
-        }
-    }
-    match positionals.split_first() {
+    match crate::args::positionals(rest).split_first() {
         Some((&"summarize", [trace])) => run_summarize(Path::new(trace), flags, out),
         Some((&"attribute", [trace])) => run_attribute(Path::new(trace), flags, out),
         Some((&"diff", [baseline, candidate])) => {

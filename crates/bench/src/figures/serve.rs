@@ -3,9 +3,11 @@
 //! front of the SmartExchange accelerator, driven by a synthetic arrival
 //! workload (uniform / burst / closed-loop).
 //!
+//! The server is `se cluster`'s front at one instance: round-robin, no
+//! residency model (weights are fetched once per batch), no fault plan.
 //! The model is simulated once per image (replaying `--traces-dir`
 //! artifacts when present); batch execution times come from `se_serve`'s
-//! weight-fetch-amortized accounting, and the queue runs as a serial
+//! weight-fetch-amortized accounting, and the cluster runs as a serial
 //! discrete-event loop — so the whole report is **bit-identical for every
 //! worker count** given the same flags (the determinism contract of
 //! `docs/SERVING.md`).
@@ -16,9 +18,10 @@ use crate::figures::latency;
 use crate::{cli, table, Result};
 use se_hw::{EnergyModel, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
-use se_serve::queue::{self, BatchPolicy};
-use se_serve::workload::{self, ArrivalPattern};
-use se_serve::{BatchEngine, SE_LANE};
+use se_serve::cluster::{self, ClusterSpec, ModelService, RouterPolicy};
+use se_serve::queue::BatchPolicy;
+use se_serve::workload::{self, ArrivalPattern, Request};
+use se_serve::{BatchEngine, FaultPlan, SE_LANE};
 use std::io::Write;
 
 /// The serving scenario derived from the common flags.
@@ -93,14 +96,30 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                     fault model"
             .into());
     }
-    if flags.tiers.is_some() {
-        return Err("--tiers applies to se cluster; the single-instance \
-                    se serve queue has no residency model"
-            .into());
+    let cluster_only = [
+        ("--tiers", flags.tiers.is_some()),
+        ("--buffer-kb", flags.buffer_kb.is_some()),
+        ("--instances", flags.instances.is_some()),
+        ("--router", flags.router.is_some()),
+    ];
+    if let Some((flag, _)) = cluster_only.iter().find(|(_, set)| *set) {
+        return Err(format!(
+            "{flag} applies to se cluster; se serve is a single instance with no \
+             residency model or routing"
+        )
+        .into());
     }
     let opts = flags.runner_options()?;
     let freq = SeAcceleratorConfig::default().frequency_hz;
     let sc = scenario(flags, freq)?;
+    let spec = ClusterSpec {
+        instances: 1,
+        router: RouterPolicy::RoundRobin,
+        policy: sc.policy.clone(),
+        buffer_bytes: None,
+        tiers: None,
+        faults: FaultPlan::default(),
+    };
     let em = EnergyModel::default();
     let ecfg = SeAcceleratorConfig::default();
     writeln!(out, "se serve: batched serving on the SmartExchange accelerator\n")?;
@@ -137,7 +156,13 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         let pairs = pairs_for(net, flags, &opts)?;
         let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
         let per_image = engine.per_image_se(&pairs, opts.sim_parallelism)?;
-        let exec = engine.latency_table(SE_LANE, &per_image, sc.policy.max_batch);
+        let services = [ModelService::from_engine(
+            &engine,
+            SE_LANE,
+            net.name(),
+            &per_image,
+            spec.policy.max_batch,
+        )];
 
         let mut recorder = se_obs::Recorder::new();
         let sink: &mut dyn se_obs::EventSink =
@@ -147,20 +172,30 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                 // Default pressure: 1.5x the single-image service rate —
                 // enough to keep the aggregator busy without unbounded
                 // queueing at sane max-batch settings.
-                let rate = sc.rate_hz.unwrap_or_else(|| 1.5 * freq / exec[0] as f64);
-                let arrivals = workload::open_loop_arrivals(sc.requests, rate, freq, pattern)?;
-                queue::simulate_open_loop(&arrivals, &exec, &sc.policy, sink)?
+                let rate =
+                    sc.rate_hz.unwrap_or_else(|| 1.5 * freq / services[0].streamed[0] as f64);
+                let requests: Vec<Request> =
+                    workload::open_loop_arrivals(sc.requests, rate, freq, pattern)?
+                        .into_iter()
+                        .map(|arrival| Request { model: 0, arrival, deadline: None })
+                        .collect();
+                cluster::simulate_cluster_run_obs(&requests, &services, &spec, sink)?
             }
             None => {
-                queue::simulate_closed_loop(sc.requests, sc.concurrency, &exec, &sc.policy, sink)?
+                cluster::simulate_closed_loop(sc.requests, sc.concurrency, &services, &spec, sink)?
             }
-        };
+        }
+        .report;
         if observing {
             obs_streams.push((net.name().to_string(), recorder.into_events()));
         }
 
-        // Energy and weight-traffic totals from the executed batch mix.
-        let hist = report.batch_histogram(sc.policy.max_batch);
+        // Energy and weight-traffic totals from the executed batch mix
+        // (`hist[k - 1]` counts the batches of exactly `k` images).
+        let mut hist = vec![0u64; spec.policy.max_batch];
+        for &k in &report.batch_sizes {
+            hist[k - 1] += 1;
+        }
         let mut energy_mj = 0.0;
         let mut weight_dram = 0.0;
         for (k, &count) in hist.iter().enumerate() {
@@ -173,7 +208,14 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             weight_dram += count as f64 * (m.dram_weight_bytes + m.dram_index_bytes) as f64;
         }
         let completed = report.completed().max(1) as f64;
-        let misses = sc.deadline.map(|d| report.misses_over_budget(d));
+        // Every request carries the same relative deadline, so a miss is
+        // exactly a latency over the budget.
+        let misses =
+            sc.deadline.map(|d| report.latencies.iter().filter(|&&l| l > d).count() as u64);
+        let mean_batch = match report.batch_sizes.len() {
+            0 => 0.0,
+            n => report.batch_sizes.iter().sum::<usize>() as f64 / n as f64,
+        };
         let (missed, miss_pct) = latency::miss_cells(misses, report.completed());
         let [p50, p95, p99] = latency::percentile_cells(&report.latencies, freq);
 
@@ -181,7 +223,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             vec!["completed".into(), report.completed().to_string()],
             vec!["rejected".into(), report.rejected.to_string()],
             vec!["batches".into(), report.batch_sizes.len().to_string()],
-            vec!["mean batch".into(), format!("{:.2}", report.mean_batch())],
+            vec!["mean batch".into(), format!("{mean_batch:.2}")],
             vec!["throughput img/s".into(), format!("{:.1}", report.throughput_per_s(freq))],
             vec![
                 "latency mean ms".into(),

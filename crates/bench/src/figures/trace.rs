@@ -21,21 +21,8 @@ use std::io::Write;
 /// and I/O failures.
 pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
     // The action is the first positional argument after `trace`, in any
-    // position relative to flags (values of value-taking flags are not
-    // positionals: `se trace --traces-dir d build` must find `build`).
-    // The value-flag inventory is the parser's own (`args::VALUE_FLAGS`),
-    // so the two can never drift apart.
-    let mut action = None;
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        if crate::args::VALUE_FLAGS.contains(&arg.as_str()) {
-            iter.next(); // skip the flag's value
-        } else if !arg.starts_with("--") {
-            action = Some(arg.as_str());
-            break;
-        }
-    }
-    match action {
+    // position relative to flags.
+    match crate::args::positionals(rest).first().copied() {
         Some("build") => build(flags, out),
         Some("info") => info(flags, out),
         other => Err(format!(

@@ -864,6 +864,8 @@ fn depthwise_layer(
     let mut index_compares: u64 = 0;
 
     let e_scale = sched.e_scale;
+    // Per-kernel-row cycles of one channel, reset per channel.
+    let mut row_times = vec![0u64; r];
     for ei in 0..sched.e_rows.len() {
         for &(f0, nf) in &sched.f_groups {
             let seg_bytes = ((nf - 1) * stride + s) as u64;
@@ -871,8 +873,7 @@ fn depthwise_layer(
                 let c_hi = (c0 + dim_m).min(c);
                 let mut tile_max = 0u64;
                 for ci in c0..c_hi {
-                    let mut row_times = [0u64; 16];
-                    debug_assert!(r <= 16, "kernel rows exceed scratch");
+                    row_times.fill(0);
                     #[allow(clippy::needless_range_loop)]
                     for kr in 0..r {
                         let Some(iy) = sched.input_row(ei, kr) else {
@@ -901,10 +902,10 @@ fn depthwise_layer(
                     }
                     let channel_time: u64 = if cfg.compact_dedicated {
                         // Kernel rows on parallel PE lines.
-                        row_times[..r].iter().copied().max().unwrap_or(0)
+                        row_times.iter().copied().max().unwrap_or(0)
                     } else {
                         // Single line processes rows back-to-back.
-                        row_times[..r].iter().sum()
+                        row_times.iter().sum()
                     };
                     tile_max = tile_max.max(channel_time);
                 }
@@ -1325,6 +1326,26 @@ mod tests {
         let em = crate::EnergyModel::default();
         let c = SeAcceleratorConfig::default();
         assert!(ded.energy(&em, &c).total() < plain.energy(&em, &c).total());
+    }
+
+    #[test]
+    fn depthwise_kernels_taller_than_16_rows_simulate() {
+        // Regression: the per-row scratch was a fixed 16 entries, so a
+        // 17x17 depthwise kernel (a `.setrace` can carry one) indexed out
+        // of bounds in release builds.
+        let desc = LayerDesc::new(
+            "dw17",
+            LayerKind::DepthwiseConv2d { channels: 2, kernel: 17, stride: 1, padding: 8 },
+            (20, 20),
+        );
+        let w = rng::kaiming_tensor(&mut rng::seeded(21), &[2, 17, 17], 17 * 17);
+        let qw = QuantTensor::quantize(&w, 8).unwrap();
+        let t = LayerTrace::new(desc, WeightData::Dense(qw), quant_act(2, 20, 22, 0.3)).unwrap();
+        for compact_dedicated in [true, false] {
+            let cfg = SeAcceleratorConfig { compact_dedicated, ..Default::default() };
+            let res = SeAccelerator::new(cfg).unwrap().process_layer(&t).unwrap();
+            assert!(res.compute_cycles > 0, "compact_dedicated = {compact_dedicated}");
+        }
     }
 
     #[test]

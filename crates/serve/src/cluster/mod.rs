@@ -21,8 +21,9 @@
 //! Everything is a serial event loop over pre-computed latency tables
 //! (the parallel per-image simulation happens before the cluster runs),
 //! so cluster output inherits the crate's worker-count determinism
-//! contract; a 1-instance, round-robin, no-deadline, no-residency cluster
-//! reproduces `se serve` bit-identically.
+//! contract. `se serve` is this cluster at one instance, round-robin,
+//! with residency modeling off; [`simulate_closed_loop`] is its
+//! closed-loop workload.
 
 pub mod router;
 pub mod sim;
@@ -30,6 +31,6 @@ pub mod sim;
 pub use router::{InstanceView, RouterPolicy};
 pub use se_hw::residency::{TierSpec, TierStats};
 pub use sim::{
-    simulate_cluster, simulate_cluster_run_obs, ClusterReport, ClusterRun, ClusterSpec,
-    InstanceSummary, ModelService,
+    simulate_closed_loop, simulate_cluster, simulate_cluster_run_obs, ClusterReport, ClusterRun,
+    ClusterSpec, InstanceSummary, ModelService,
 };

@@ -25,8 +25,8 @@ pub struct InstanceView {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
     /// Request `i` goes to instance `i % n`: oblivious, perfectly fair in
-    /// request count, and the policy under which a 1-instance cluster
-    /// reproduces `se serve` decision-for-decision.
+    /// request count, and `se serve`'s policy (its 1-instance cluster has
+    /// nothing to choose between).
     RoundRobin,
     /// Join the instance with the fewest waiting requests (tie: lowest
     /// index) — the classical load-balancing heuristic.

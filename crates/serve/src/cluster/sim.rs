@@ -1,10 +1,9 @@
 //! The sharded cluster front: a deterministic discrete-event simulation of
 //! N accelerator instances behind one request stream.
 //!
-//! Each instance is the single-accelerator server of [`crate::queue`]
-//! replicated: a bounded waiting queue with a batch aggregator
-//! (max-batch / max-wait), executing batches back-to-back. On top of that
-//! the cluster adds:
+//! Each instance is a single-accelerator server: a bounded waiting queue
+//! with a batch aggregator ([`BatchPolicy`]: max-batch / max-wait),
+//! executing batches back-to-back. On top of that the cluster adds:
 //!
 //! * **routing** — every arrival joins one instance's queue, chosen by the
 //!   [`RouterPolicy`] from a deterministic snapshot of queue depths and
@@ -27,18 +26,19 @@
 //!
 //! The whole simulation is a serial event loop over pre-computed latency
 //! tables, so its output is bit-identical for any worker count of the
-//! surrounding harness; a 1-instance, round-robin, no-deadline,
-//! no-residency cluster reproduces [`crate::queue::simulate_open_loop`]
-//! decision-for-decision (enforced by property test).
+//! surrounding harness. `se serve` is the 1-instance, round-robin,
+//! no-residency cluster, run open loop ([`simulate_cluster_run_obs`]) or
+//! closed loop ([`simulate_closed_loop`]).
 //!
-//! Every scheduling decision lives in the [`crate::sched`] core; this
-//! module is the serial driver plus report assembly.
+//! Every scheduling decision, and the report that counts them, lives in
+//! the [`crate::sched`] core; this module holds the spec, the report
+//! shape, and the entry points.
 
 use crate::cluster::router::RouterPolicy;
 use crate::engine::BatchEngine;
 use crate::fault::{ClusterEvent, FaultPlan};
 use crate::queue::{percentile, BatchPolicy};
-use crate::sched::{self, ClusterCore, CoreFinish, Disposition, RequestOutcome, SchedEvent};
+use crate::sched::{self, ClusterCore};
 use crate::workload::{check_sorted, Request};
 use crate::{BoxError, Result};
 use se_hw::residency::{fetch_cycles, ResidencyStats, TierSpec, TierStats};
@@ -214,8 +214,8 @@ pub struct ClusterReport {
     pub killed_batches: u64,
     /// Kill victims re-admitted through the router.
     pub rerouted: u64,
-    /// Kill victims that could not be re-routed — terminal
-    /// [`Disposition::Lost`] outcomes.
+    /// Kill victims that could not be re-routed — a terminal outcome,
+    /// never a silent drop.
     pub lost: u64,
 }
 
@@ -275,88 +275,11 @@ impl ClusterReport {
     }
 }
 
-/// Full result of one cluster run: the aggregate report plus the
-/// per-request outcome set.
+/// Full result of one cluster run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterRun {
     /// Aggregate report (latencies, batch sizes, residency, ...).
     pub report: ClusterReport,
-    /// Per-request outcomes, sorted by request id.
-    pub outcomes: Vec<RequestOutcome>,
-}
-
-/// Folds one scheduling event into the report and outcome set. Launched
-/// batches must be fed in launch (`seq`) order — the order `latencies`
-/// and `batch_sizes` are recorded in.
-fn record_event(
-    event: &SchedEvent,
-    report: &mut ClusterReport,
-    outcomes: &mut Vec<RequestOutcome>,
-) {
-    match event {
-        SchedEvent::Rejected(id, req) => {
-            report.rejected += 1;
-            outcomes.push(RequestOutcome {
-                id: *id,
-                model: req.model,
-                arrival: req.arrival,
-                disposition: Disposition::Rejected,
-            });
-        }
-        SchedEvent::Lost(id, req, at) => {
-            report.lost += 1;
-            outcomes.push(RequestOutcome {
-                id: *id,
-                model: req.model,
-                arrival: req.arrival,
-                disposition: Disposition::Lost { at: *at },
-            });
-        }
-        // A batch overlapping its instance's kill completes nothing: its
-        // members' fates are decided when the kill re-routes them.
-        SchedEvent::Launched(batch) if batch.killed_at.is_some() => {
-            report.killed_batches += 1;
-        }
-        SchedEvent::Launched(batch) => {
-            for m in &batch.members {
-                let missed = m.req.deadline.is_some_and(|d| batch.done > d);
-                report.latencies.push(batch.done - m.req.arrival);
-                if missed {
-                    report.misses += 1;
-                }
-                outcomes.push(RequestOutcome {
-                    id: m.id,
-                    model: m.req.model,
-                    arrival: m.req.arrival,
-                    disposition: Disposition::Served {
-                        batch: batch.seq,
-                        instance: batch.instance,
-                        done: batch.done,
-                        missed,
-                    },
-                });
-            }
-            report.batch_sizes.push(batch.members.len());
-            report.makespan = report.makespan.max(batch.done);
-        }
-    }
-}
-
-/// Folds the core's teardown — per-instance summaries and the membership
-/// event log — into the report.
-fn fold_finish(fin: CoreFinish, report: &mut ClusterReport) {
-    for summary in fin.summaries {
-        report.residency.accumulate(&summary.residency);
-        if report.tier_traffic.len() < summary.tier_traffic.len() {
-            report.tier_traffic.resize(summary.tier_traffic.len(), TierStats::default());
-        }
-        for (agg, tier) in report.tier_traffic.iter_mut().zip(&summary.tier_traffic) {
-            agg.accumulate(tier);
-        }
-        report.per_instance.push(summary);
-    }
-    report.rerouted = fin.events.iter().map(|e| e.kind.rerouted()).sum();
-    report.events = fin.events;
 }
 
 /// Checks every request's model index against the service set and the
@@ -373,8 +296,7 @@ fn validate_requests(requests: &[Request], services: &[ModelService]) -> Result<
 }
 
 /// Simulates the cluster over an open-loop request stream (arrivals
-/// non-decreasing; `model` indexes into `services`), returning the full
-/// per-request outcome set alongside the report. Every scheduling
+/// non-decreasing; `model` indexes into `services`). Every scheduling
 /// decision is narrated into `sink` as virtual-time [`se_obs::Event`]s;
 /// a disabled sink (e.g. [`NullSink`]) builds no events, and the run
 /// result is identical either way.
@@ -391,20 +313,13 @@ pub fn simulate_cluster_run_obs(
 ) -> Result<ClusterRun> {
     validate_requests(requests, services)?;
     let mut core = ClusterCore::new(services, spec, sink)?;
-    let mut report = ClusterReport::default();
-    let mut outcomes = Vec::with_capacity(requests.len());
-    sched::drive_open_loop(&mut core, requests.iter().copied().enumerate(), &mut |event| {
-        record_event(&event, &mut report, &mut outcomes);
-        true
-    });
-    fold_finish(core.finish(), &mut report);
-    outcomes.sort_unstable_by_key(|o| o.id);
-    Ok(ClusterRun { report, outcomes })
+    sched::drive_open_loop(&mut core, requests.iter().copied().enumerate());
+    Ok(ClusterRun { report: core.finish() })
 }
 
 /// Simulates the cluster over an open-loop request stream, untraced,
-/// returning the aggregate report (see [`simulate_cluster_run_obs`] for
-/// the outcome set and the event stream).
+/// returning the report (see [`simulate_cluster_run_obs`] for the event
+/// stream).
 ///
 /// # Errors
 ///
@@ -415,6 +330,43 @@ pub fn simulate_cluster(
     spec: &ClusterSpec,
 ) -> Result<ClusterReport> {
     Ok(simulate_cluster_run_obs(requests, services, spec, &mut NullSink)?.report)
+}
+
+/// Simulates a **closed-loop** workload: `concurrency` clients each keep
+/// exactly one model-0 request in flight (no deadlines), submitting the
+/// next the moment the previous completes, until `requests` total have
+/// been issued. At most `concurrency` requests are outstanding, so the
+/// queue cap is lifted and nothing is rejected. Scheduling decisions are
+/// narrated into `sink` as in [`simulate_cluster_run_obs`].
+///
+/// # Errors
+///
+/// Rejects a zero concurrency, any fault or autoscale plan (closed-loop
+/// arrivals follow completions, which churn would sever), and an invalid
+/// spec.
+pub fn simulate_closed_loop(
+    requests: usize,
+    concurrency: usize,
+    services: &[ModelService],
+    spec: &ClusterSpec,
+    sink: &mut dyn EventSink,
+) -> Result<ClusterRun> {
+    if concurrency == 0 {
+        return Err(BoxError::from("closed-loop concurrency must be at least 1"));
+    }
+    if !spec.faults.is_empty() {
+        return Err(BoxError::from(
+            "closed-loop workloads take no fault or autoscale plan: their arrivals follow \
+             completions",
+        ));
+    }
+    let spec = ClusterSpec {
+        policy: BatchPolicy { queue_cap: usize::MAX, ..spec.policy.clone() },
+        ..spec.clone()
+    };
+    let mut core = ClusterCore::new(services, &spec, sink)?;
+    sched::drive_closed_loop(&mut core, requests, concurrency)?;
+    Ok(ClusterRun { report: core.finish() })
 }
 
 #[cfg(test)]
@@ -581,7 +533,7 @@ mod tests {
         sp.policy.max_batch = 2;
         let r = simulate_cluster(&reqs(&[(0, 0); 10]), &services, &sp).unwrap();
         assert_eq!(r.completed() as u64 + r.rejected, 10);
-        assert_eq!(r.rejected, 7, "matches the single-instance queue's admission rule");
+        assert_eq!(r.rejected, 7, "the bounded queue's admission rule");
     }
 
     #[test]
@@ -660,6 +612,26 @@ mod tests {
         // the kill (fetch at first batch + fetch after restart on
         // instance 0, plus instance 1's own cold fetch).
         assert_eq!(r.residency.fetches, 3);
+    }
+
+    #[test]
+    fn closed_loops_reject_fault_and_autoscale_plans() {
+        use crate::fault::{AutoscalePolicy, FaultAction, FaultEvent};
+        let services = [svc("m", 100, 2, 0, 64)];
+        let mut killed = spec(1, RouterPolicy::RoundRobin, None);
+        killed.faults.events = vec![FaultEvent { at: 50, instance: 0, action: FaultAction::Kill }];
+        let mut elastic = spec(1, RouterPolicy::RoundRobin, None);
+        elastic.faults.autoscale = Some(AutoscalePolicy { spawn_above: 2, drain_below: 1 });
+        for sp in [&killed, &elastic] {
+            let err = simulate_closed_loop(8, 2, &services, sp, &mut NullSink).unwrap_err();
+            assert!(err.to_string().contains("fault or autoscale plan"), "{err}");
+        }
+        // The same workload on a healthy spec runs, whatever its queue cap.
+        let mut capped = spec(1, RouterPolicy::RoundRobin, None);
+        capped.policy.queue_cap = 1;
+        let run = simulate_closed_loop(8, 2, &services, &capped, &mut NullSink).unwrap();
+        assert_eq!(run.report.completed(), 8);
+        assert_eq!(run.report.batch_sizes, vec![2, 2, 2, 2]);
     }
 
     #[test]

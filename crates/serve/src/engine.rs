@@ -158,7 +158,7 @@ impl BatchEngine {
 
     /// Batch-latency table for `lane`: `table[k - 1]` is the total cycle
     /// count of a batch of `k` images, for `k` in `1..=max_batch` — the
-    /// execution model the serving queue consumes. Derived from one
+    /// streamed execution model of the serving front. Derived from one
     /// per-image pass, so the whole table costs no extra simulation.
     pub fn latency_table(&self, lane: usize, per_image: &RunResult, max_batch: usize) -> Vec<u64> {
         (1..=max_batch.max(1)).map(|k| self.batched(lane, per_image, k).total_cycles()).collect()

@@ -18,8 +18,8 @@
 //!   keeping its original arrival and deadline — latency keeps accruing
 //!   from the original arrival, so deadline misses caused by the failure
 //!   are charged honestly. A victim that finds no accepting instance, or
-//!   bounces off a full queue, is **lost**: a terminal outcome
-//!   ([`crate::sched::Disposition::Lost`]), never a silent drop.
+//!   bounces off a full queue, is **lost**: a terminal outcome (counted
+//!   in [`crate::cluster::ClusterReport::lost`]), never a silent drop.
 //! * **Restart at `t`** — the instance rejoins with an empty queue, is
 //!   free from `t`, and its weight store is **cold**
 //!   ([`se_hw::residency::TieredStore::cold_restart`]): every model
@@ -178,14 +178,6 @@ pub enum ClusterEventKind {
 }
 
 impl ClusterEventKind {
-    /// Victims this event re-routed (0 for non-kill events).
-    pub fn rerouted(&self) -> u64 {
-        match self {
-            ClusterEventKind::Kill { rerouted, .. } => *rerouted,
-            _ => 0,
-        }
-    }
-
     /// Short display tag (`kill`/`restart`/`spawn`/`drain`).
     pub fn tag(&self) -> &'static str {
         match self {
@@ -271,9 +263,8 @@ mod tests {
     #[test]
     fn event_kind_accessors() {
         let kill = ClusterEventKind::Kill { in_flight: 2, rerouted: 3, lost: 1 };
-        assert_eq!(kill.rerouted(), 3);
         assert_eq!(kill.tag(), "kill");
-        assert_eq!(ClusterEventKind::Restart.rerouted(), 0);
+        assert_eq!(ClusterEventKind::Restart.tag(), "restart");
         assert_eq!(ClusterEventKind::Spawn.tag(), "spawn");
         assert_eq!(ClusterEventKind::Drain.tag(), "drain");
     }

@@ -4,7 +4,7 @@
 //! memory-for-computation trade of serving on the table: amortizing each
 //! layer's weight fetch (and, on SmartExchange, the basis + coefficient
 //! rebuild) across a batch of images. This crate turns the per-image
-//! simulators into a request-driven serving subsystem with three parts:
+//! simulators into a request-driven serving subsystem:
 //!
 //! * [`engine`] — the **batch engine**: runs trace pairs through the five
 //!   accelerators once per image on the deterministic work queue of
@@ -13,23 +13,24 @@
 //!   derives batched results in which weights are charged once per batch
 //!   while activation traffic and compute scale with the batch size
 //!   (`se_hw`'s `amortized_over_batch` accounting).
-//! * [`queue`] — the **serving front**: a bounded FIFO request queue with a
-//!   batch aggregator (max-batch-size + max-wait policies) drained by a
-//!   simulated single accelerator, emitting per-request latency and
-//!   aggregate throughput statistics.
+//! * [`queue`] — the **batch policy**: the bounded request queue's batch
+//!   aggregator (max-batch-size + max-wait) and the shared latency
+//!   percentile.
 //! * [`workload`] — deterministic synthetic arrival processes (uniform,
 //!   burst, closed-loop), optionally mixed-model with per-request
-//!   deadlines, that drive the queue and the cluster.
-//! * [`cluster`] — the **cluster front**: N instances behind one request
+//!   deadlines, that drive the cluster.
+//! * [`cluster`] — the **serving front**: N instances behind one request
 //!   stream with round-robin / join-shortest-queue / model-affinity
 //!   routing, earliest-deadline-first batch formation, and per-instance
 //!   weight-store residency (`se_hw::residency`) charging a full
 //!   footprint re-fetch on every model switch — where SmartExchange's
 //!   smaller footprint becomes fewer evictions and higher goodput.
-//! * [`sched`] — the **scheduling core** behind both fronts: admission,
+//!   `se serve` is its 1-instance, no-residency case, open or closed
+//!   loop.
+//! * [`sched`] — the **scheduling core** behind the front: admission,
 //!   routing, EDF batch formation, and residency as one virtual-time
-//!   state machine, narrating its decisions into an optional
-//!   [`se_obs::EventSink`].
+//!   state machine that counts its decisions into the run's
+//!   [`ClusterReport`] and narrates them into an [`se_obs::EventSink`].
 //! * [`fault`] — **failure injection and elastic membership**: scripted
 //!   kill/restart events and queue-depth autoscaling consumed by the
 //!   scheduling core. Killed batches re-route their requests with
@@ -45,7 +46,7 @@
 //! Given a fixed arrival order, every result here is **bit-identical for
 //! any worker count**: the only parallel stage (the per-image simulation
 //! grid) reassembles in network order, batching is pure integer/f64
-//! arithmetic on those results, and the queue simulation is a serial
+//! arithmetic on those results, and the cluster simulation is a serial
 //! discrete-event loop. `batch = 1` reproduces today's single-image
 //! numbers exactly. See `docs/SERVING.md`.
 
@@ -66,8 +67,7 @@ pub use engine::{BatchEngine, ACCEL_NAMES, SE_LANE};
 pub use fault::{
     AutoscalePolicy, ClusterEvent, ClusterEventKind, FaultAction, FaultEvent, FaultPlan,
 };
-pub use queue::{BatchPolicy, ServeReport};
-pub use sched::{Disposition, PlannedBatch, Queued, RequestOutcome, SchedEvent};
+pub use queue::BatchPolicy;
 pub use workload::{ArrivalPattern, Request};
 
 /// Boxed error alias (`Send + Sync` so serving jobs can cross the parallel

@@ -1,32 +1,15 @@
-//! The serving front: a bounded FIFO request queue with a batch
-//! aggregator, simulated as a deterministic discrete-event loop.
+//! The batch-formation policy of the serving front, and the one latency
+//! percentile every serving report uses.
 //!
-//! Requests arrive at simulated cycle timestamps and queue FIFO. The
-//! aggregator closes a batch when either (a) [`BatchPolicy::max_batch`]
-//! requests are waiting, or (b) the oldest waiting request has been queued
-//! for [`BatchPolicy::max_wait`] cycles — the standard latency/throughput
-//! dial of batched serving. A single simulated accelerator executes batches
-//! back-to-back; the execution time of a batch of `k` images comes from the
-//! caller-supplied table (built by
-//! [`crate::engine::BatchEngine::latency_table`], where weight fetches are
-//! amortized across the batch). Open-loop arrivals that find the bounded
-//! queue full are rejected.
-//!
-//! The whole simulation is serial integer arithmetic over a fixed arrival
-//! order, so its output is bit-identical for any worker count of the
-//! surrounding harness — the determinism contract of `se serve`.
-//!
-//! The scheduling decisions live in the [`crate::sched`] core (a
-//! 1-instance, round-robin, no-residency cluster *is* this queue —
-//! enforced by property test); this module keeps the single-accelerator
-//! entry points and the [`ServeReport`] shape.
+//! Each instance queues its requests and closes a batch when either (a)
+//! [`BatchPolicy::max_batch`] requests are waiting, or (b) the oldest
+//! waiting request has been queued for [`BatchPolicy::max_wait`] cycles —
+//! the standard latency/throughput dial of batched serving. Open-loop
+//! arrivals that find the bounded queue full are rejected. The policy is
+//! enforced by the [`crate::sched`] core; `se serve` runs it as the
+//! 1-instance cluster of [`crate::cluster`].
 
-use crate::cluster::router::RouterPolicy;
-use crate::cluster::sim::{ClusterSpec, ModelService};
-use crate::sched::{self, ClusterCore, SchedEvent};
-use crate::workload::{check_sorted, Request};
 use crate::{BoxError, Result};
-use se_obs::EventSink;
 
 /// Batch-formation policy of the serving front.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,78 +49,6 @@ impl BatchPolicy {
     }
 }
 
-/// Outcome of one serving simulation.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServeReport {
-    /// Per-request latency in cycles (completion − arrival), in completion
-    /// order — which, for the FIFO queue, is arrival order over the
-    /// admitted requests.
-    pub latencies: Vec<u64>,
-    /// Sizes of the executed batches, in execution order.
-    pub batch_sizes: Vec<usize>,
-    /// Open-loop arrivals rejected by the bounded queue.
-    pub rejected: u64,
-    /// Completion time of the last batch, in cycles.
-    pub makespan: u64,
-}
-
-impl ServeReport {
-    /// Requests served to completion.
-    pub fn completed(&self) -> usize {
-        self.latencies.len()
-    }
-
-    /// Mean executed batch size in images.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batch_sizes.is_empty() {
-            return 0.0;
-        }
-        self.batch_sizes.iter().sum::<usize>() as f64 / self.batch_sizes.len() as f64
-    }
-
-    /// Mean request latency in cycles.
-    pub fn mean_latency(&self) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
-    }
-
-    /// The `p`-th latency percentile in cycles (see [`percentile`]);
-    /// `None` when nothing completed.
-    pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        percentile(&self.latencies, p)
-    }
-
-    /// Completed requests whose latency exceeded `budget` cycles — the
-    /// deadline misses of a workload where every request carries the same
-    /// relative deadline (deadline = arrival + budget, and latency =
-    /// completion − arrival, so `latency > budget` is exactly a miss).
-    /// Shared with the cluster lane's per-request deadline accounting.
-    pub fn misses_over_budget(&self, budget: u64) -> u64 {
-        self.latencies.iter().filter(|&&l| l > budget).count() as u64
-    }
-
-    /// Sustained throughput in images per second at `frequency_hz`.
-    pub fn throughput_per_s(&self, frequency_hz: f64) -> f64 {
-        if self.makespan == 0 {
-            return 0.0;
-        }
-        self.completed() as f64 / (self.makespan as f64 / frequency_hz)
-    }
-
-    /// How many batches of each size ran: `histogram[k - 1]` counts the
-    /// executed batches of exactly `k` images (`k` up to `max_batch`).
-    pub fn batch_histogram(&self, max_batch: usize) -> Vec<u64> {
-        let mut h = vec![0u64; max_batch.max(1)];
-        let last = h.len() - 1;
-        for &k in &self.batch_sizes {
-            h[(k - 1).min(last)] += 1;
-        }
-        h
-    }
-}
-
 /// The `p`-th percentile of `values` (`p` in `[0, 100]`; nearest-rank on
 /// the sorted values). `None` for an empty sample — a run where every
 /// request was rejected or lost has *no* latency percentile, and must
@@ -154,165 +65,16 @@ pub fn percentile(values: &[u64], p: f64) -> Option<u64> {
     Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
 }
 
-/// Validates the policy against the execution table.
-fn validate_exec(exec: &[u64], policy: &BatchPolicy) -> Result<()> {
-    policy.validate()?;
-    if exec.len() < policy.max_batch {
-        return Err(BoxError::from(format!(
-            "execution table covers batches up to {}, policy allows {}",
-            exec.len(),
-            policy.max_batch
-        )));
-    }
-    Ok(())
-}
-
-/// The single-accelerator server as a 1-instance cluster: one model whose
-/// batch table is `exec` (no residency modeling, so streamed == resident
-/// and every batch charges the table directly).
-fn single_instance(exec: &[u64], policy: BatchPolicy) -> (ModelService, ClusterSpec) {
-    let service = ModelService {
-        name: "serve".into(),
-        streamed: exec.to_vec(),
-        resident: exec.to_vec(),
-        footprint_bytes: 0,
-        switch_cycles: 0,
-    };
-    let spec = ClusterSpec {
-        instances: 1,
-        router: RouterPolicy::RoundRobin,
-        policy,
-        buffer_bytes: None,
-        tiers: None,
-        faults: crate::fault::FaultPlan::default(),
-    };
-    (service, spec)
-}
-
-/// Folds one scheduling event into a [`ServeReport`]. Launched batches
-/// must arrive in launch order (the single instance executes serially, so
-/// completion times are non-decreasing).
-///
-/// # Errors
-///
-/// A single-instance queue has no fault plan, so a lost request or a
-/// killed batch means the scheduler broke its contract: both are reported
-/// as errors rather than folded into the report.
-fn record_event(event: &SchedEvent, report: &mut ServeReport) -> Result<()> {
-    match event {
-        SchedEvent::Rejected(..) => report.rejected += 1,
-        SchedEvent::Lost(id, _, at) => {
-            return Err(BoxError::from(format!(
-                "request {id} lost to an instance kill at cycle {at}, but a single-instance \
-                 queue has no fault plan"
-            )));
-        }
-        SchedEvent::Launched(batch) => {
-            if let Some(at) = batch.killed_at {
-                return Err(BoxError::from(format!(
-                    "batch {} killed at cycle {at}, but a single-instance queue has no \
-                     fault plan",
-                    batch.seq
-                )));
-            }
-            for m in &batch.members {
-                report.latencies.push(batch.done - m.req.arrival);
-            }
-            report.batch_sizes.push(batch.members.len());
-            report.makespan = report.makespan.max(batch.done);
-        }
-    }
-    Ok(())
-}
-
-/// Runs one single-instance drive, folding its events into a report and
-/// stopping at the first event [`record_event`] rejects.
-fn collect_report(
-    drive: impl FnOnce(&mut dyn FnMut(SchedEvent) -> bool) -> bool,
-) -> Result<ServeReport> {
-    let mut report = ServeReport::default();
-    let mut failure = None;
-    drive(&mut |event| match record_event(&event, &mut report) {
-        Ok(()) => true,
-        Err(e) => {
-            failure = Some(e);
-            false
-        }
-    });
-    failure.map_or(Ok(report), Err)
-}
-
-/// Simulates an **open-loop** workload: requests arrive at the given cycle
-/// timestamps (non-decreasing) regardless of service progress — the
-/// uniform/burst workloads of [`crate::workload`]. `exec[k - 1]` is the
-/// execution time of a batch of `k` images (see
-/// [`crate::engine::BatchEngine::latency_table`]). Scheduling decisions
-/// are narrated into `sink` as virtual-time [`se_obs::Event`]s; pass
-/// [`se_obs::NullSink`] to run untraced (the report is identical either
-/// way).
-///
-/// # Errors
-///
-/// Rejects an invalid policy, a table shorter than `max_batch`, and
-/// arrivals that are not non-decreasing (naming the first out-of-order
-/// index).
-pub fn simulate_open_loop(
-    arrivals: &[u64],
-    exec: &[u64],
-    policy: &BatchPolicy,
-    sink: &mut dyn EventSink,
-) -> Result<ServeReport> {
-    validate_exec(exec, policy)?;
-    check_sorted(arrivals.iter().copied())?;
-    let (service, spec) = single_instance(exec, policy.clone());
-    let services = [service];
-    let mut core = ClusterCore::new(&services, &spec, sink)?;
-    collect_report(|record| {
-        sched::drive_open_loop(
-            &mut core,
-            arrivals
-                .iter()
-                .enumerate()
-                .map(|(id, &arrival)| (id, Request { model: 0, arrival, deadline: None })),
-            record,
-        )
-    })
-}
-
-/// Simulates a **closed-loop** workload: `concurrency` clients each keep
-/// exactly one request in flight, submitting the next the moment the
-/// previous completes, until `requests` total have been issued. The
-/// bounded queue never rejects here — at most `concurrency` requests are
-/// outstanding — so [`BatchPolicy::queue_cap`] is ignored. Scheduling
-/// decisions are narrated into `sink` as in [`simulate_open_loop`].
-///
-/// # Errors
-///
-/// Rejects an invalid policy, a zero concurrency, or an execution table
-/// shorter than `max_batch`.
-pub fn simulate_closed_loop(
-    requests: usize,
-    concurrency: usize,
-    exec: &[u64],
-    policy: &BatchPolicy,
-    sink: &mut dyn EventSink,
-) -> Result<ServeReport> {
-    validate_exec(exec, policy)?;
-    if concurrency == 0 {
-        return Err(BoxError::from("closed-loop concurrency must be at least 1"));
-    }
-    // Closed loops are bounded by their concurrency, not the queue cap.
-    let uncapped = BatchPolicy { queue_cap: usize::MAX, ..policy.clone() };
-    let (service, spec) = single_instance(exec, uncapped);
-    let services = [service];
-    let mut core = ClusterCore::new(&services, &spec, sink)?;
-    collect_report(|record| sched::drive_closed_loop(&mut core, requests, concurrency, record))
-}
-
 #[cfg(test)]
 mod tests {
+    //! The batching policy's semantics, exercised through `se serve`'s
+    //! execution model: a 1-instance, round-robin, no-residency cluster
+    //! over one model whose batch of `k` costs `exec[k - 1]`.
+
     use super::*;
-    use crate::sched::{PlannedBatch, Queued};
+    use crate::cluster::{self, ClusterReport, ClusterSpec, ModelService, RouterPolicy};
+    use crate::fault::FaultPlan;
+    use crate::workload::Request;
     use se_obs::NullSink;
 
     /// Batch of k costs 10 + 2k cycles: sublinear per image.
@@ -324,11 +86,48 @@ mod tests {
         BatchPolicy { max_batch, max_wait, queue_cap: cap }
     }
 
+    fn single(exec: &[u64], policy: BatchPolicy) -> ([ModelService; 1], ClusterSpec) {
+        let service = ModelService {
+            name: "serve".into(),
+            streamed: exec.to_vec(),
+            resident: exec.to_vec(),
+            footprint_bytes: 0,
+            switch_cycles: 0,
+        };
+        let spec = ClusterSpec {
+            instances: 1,
+            router: RouterPolicy::RoundRobin,
+            policy,
+            buffer_bytes: None,
+            tiers: None,
+            faults: FaultPlan::default(),
+        };
+        ([service], spec)
+    }
+
+    fn open_loop(arrivals: &[u64], exec: &[u64], policy: BatchPolicy) -> Result<ClusterReport> {
+        let requests: Vec<Request> =
+            arrivals.iter().map(|&arrival| Request { model: 0, arrival, deadline: None }).collect();
+        let (services, spec) = single(exec, policy);
+        cluster::simulate_cluster(&requests, &services, &spec)
+    }
+
+    fn closed_loop(
+        requests: usize,
+        concurrency: usize,
+        exec: &[u64],
+        policy: BatchPolicy,
+    ) -> Result<ClusterReport> {
+        let (services, spec) = single(exec, policy);
+        let run =
+            cluster::simulate_closed_loop(requests, concurrency, &services, &spec, &mut NullSink)?;
+        Ok(run.report)
+    }
+
     #[test]
     fn immediate_singles_when_queue_is_drained() {
         // Arrivals far apart, no waiting: every request runs alone.
-        let r =
-            simulate_open_loop(&[0, 100, 200], &exec(4), &policy(4, 0, 8), &mut NullSink).unwrap();
+        let r = open_loop(&[0, 100, 200], &exec(4), policy(4, 0, 8)).unwrap();
         assert_eq!(r.batch_sizes, vec![1, 1, 1]);
         assert_eq!(r.latencies, vec![12, 12, 12]);
         assert_eq!(r.rejected, 0);
@@ -338,21 +137,19 @@ mod tests {
     #[test]
     fn burst_fills_batches_up_to_max() {
         // Six requests at once, max batch 4: one full batch, one pair.
-        let r = simulate_open_loop(&[0; 6], &exec(4), &policy(4, 0, 8), &mut NullSink).unwrap();
+        let r = open_loop(&[0; 6], &exec(4), policy(4, 0, 8)).unwrap();
         assert_eq!(r.batch_sizes, vec![4, 2]);
         // Full batch: 10+8 = 18 cycles; pair: 18 + (10+4) = 32.
         assert_eq!(r.latencies, vec![18, 18, 18, 18, 32, 32]);
-        assert_eq!(r.mean_batch(), 3.0);
     }
 
     #[test]
     fn max_wait_holds_the_batch_open() {
         // Second request arrives within the wait window and shares the
         // batch; without waiting it would run alone.
-        let eager = simulate_open_loop(&[0, 5], &exec(4), &policy(4, 0, 8), &mut NullSink).unwrap();
+        let eager = open_loop(&[0, 5], &exec(4), policy(4, 0, 8)).unwrap();
         assert_eq!(eager.batch_sizes, vec![1, 1]);
-        let patient =
-            simulate_open_loop(&[0, 5], &exec(4), &policy(4, 6, 8), &mut NullSink).unwrap();
+        let patient = open_loop(&[0, 5], &exec(4), policy(4, 6, 8)).unwrap();
         assert_eq!(patient.batch_sizes, vec![2]);
         // Launch at 0+6 (wait expiry), both done at 6 + 14 = 20.
         assert_eq!(patient.latencies, vec![20, 15]);
@@ -362,8 +159,7 @@ mod tests {
     fn filling_the_batch_cuts_the_wait_short() {
         // Four arrivals inside a long wait window: the batch closes when
         // the fourth arrives (t = 3), not at the wait expiry (t = 50).
-        let r =
-            simulate_open_loop(&[0, 1, 2, 3], &exec(4), &policy(4, 50, 8), &mut NullSink).unwrap();
+        let r = open_loop(&[0, 1, 2, 3], &exec(4), policy(4, 50, 8)).unwrap();
         assert_eq!(r.batch_sizes, vec![4]);
         assert_eq!(r.makespan, 3 + 18);
     }
@@ -373,7 +169,7 @@ mod tests {
         // Ten simultaneous arrivals, capacity 3, batch 2: the first is
         // admitted to an empty queue, two more fill it to capacity, the
         // rest bounce while the server is still at cycle 0.
-        let r = simulate_open_loop(&[0; 10], &exec(2), &policy(2, 0, 3), &mut NullSink).unwrap();
+        let r = open_loop(&[0; 10], &exec(2), policy(2, 0, 3)).unwrap();
         assert_eq!(r.rejected, 7);
         assert_eq!(r.completed(), 3);
         assert_eq!(r.batch_sizes, vec![2, 1]);
@@ -382,8 +178,9 @@ mod tests {
     #[test]
     fn closed_loop_keeps_concurrency_in_flight() {
         // 3 clients, 9 requests, batch 4: every batch is exactly 3 wide —
-        // the clients resubmit in lockstep at each completion.
-        let r = simulate_closed_loop(9, 3, &exec(4), &policy(4, 0, 1), &mut NullSink).unwrap();
+        // the clients resubmit in lockstep at each completion. The queue
+        // cap (1) does not bound a closed loop.
+        let r = closed_loop(9, 3, &exec(4), policy(4, 0, 1)).unwrap();
         assert_eq!(r.batch_sizes, vec![3, 3, 3]);
         assert_eq!(r.completed(), 9);
         assert_eq!(r.rejected, 0);
@@ -393,31 +190,9 @@ mod tests {
 
     #[test]
     fn closed_loop_stops_at_the_request_budget() {
-        let r = simulate_closed_loop(5, 4, &exec(4), &policy(4, 0, 1), &mut NullSink).unwrap();
+        let r = closed_loop(5, 4, &exec(4), policy(4, 0, 1)).unwrap();
         assert_eq!(r.completed(), 5);
         assert_eq!(r.batch_sizes, vec![4, 1]);
-    }
-
-    #[test]
-    fn report_statistics() {
-        let r = ServeReport {
-            latencies: vec![10, 30, 20, 40],
-            batch_sizes: vec![2, 2],
-            rejected: 1,
-            makespan: 100,
-        };
-        assert_eq!(r.completed(), 4);
-        assert_eq!(r.mean_latency(), 25.0);
-        assert_eq!(r.latency_percentile(50.0), Some(20));
-        assert_eq!(r.latency_percentile(100.0), Some(40));
-        assert_eq!(r.latency_percentile(0.0), Some(10));
-        assert_eq!(r.misses_over_budget(25), 2);
-        assert_eq!(r.misses_over_budget(40), 0);
-        assert_eq!(percentile(&[5, 1, 3], 99.0), Some(5));
-        assert_eq!(r.throughput_per_s(1000.0), 40.0);
-        assert_eq!(r.batch_histogram(4), vec![0, 2, 0, 0]);
-        assert_eq!(ServeReport::default().throughput_per_s(1e9), 0.0);
-        assert_eq!(ServeReport::default().mean_batch(), 0.0);
     }
 
     #[test]
@@ -426,58 +201,27 @@ mod tests {
         // indistinguishable from a perfect zero-latency run.
         assert_eq!(percentile(&[], 99.0), None);
         assert_eq!(percentile(&[], 0.0), None);
-        assert_eq!(ServeReport::default().latency_percentile(99.0), None);
-        let all_rejected = ServeReport { rejected: 7, ..Default::default() };
-        assert_eq!(all_rejected.latency_percentile(50.0), None);
         assert_eq!(percentile(&[0], 50.0), Some(0), "a real zero latency still reports 0");
+        // Nearest rank on the sorted sample, clamped to its ends.
+        assert_eq!(percentile(&[10, 30, 20, 40], 50.0), Some(20));
+        assert_eq!(percentile(&[10, 30, 20, 40], 100.0), Some(40));
+        assert_eq!(percentile(&[10, 30, 20, 40], 0.0), Some(10));
+        assert_eq!(percentile(&[5, 1, 3], 99.0), Some(5));
     }
 
     #[test]
     fn degenerate_policies_are_rejected() {
-        assert!(simulate_open_loop(&[0], &exec(4), &policy(0, 0, 8), &mut NullSink).is_err());
-        assert!(simulate_open_loop(&[0], &exec(4), &policy(4, 0, 0), &mut NullSink).is_err());
-        assert!(
-            simulate_open_loop(&[0], &exec(2), &policy(4, 0, 8), &mut NullSink).is_err(),
-            "short table"
-        );
-        assert!(simulate_closed_loop(4, 0, &exec(4), &policy(4, 0, 8), &mut NullSink).is_err());
-        assert!(simulate_open_loop(&[], &exec(4), &policy(4, 0, 8), &mut NullSink)
-            .unwrap()
-            .batch_sizes
-            .is_empty());
-        assert_eq!(
-            simulate_closed_loop(0, 2, &exec(4), &policy(4, 0, 8), &mut NullSink)
-                .unwrap()
-                .completed(),
-            0
-        );
+        assert!(open_loop(&[0], &exec(4), policy(0, 0, 8)).is_err());
+        assert!(open_loop(&[0], &exec(4), policy(4, 0, 0)).is_err());
+        assert!(open_loop(&[0], &exec(2), policy(4, 0, 8)).is_err(), "short table");
+        assert!(closed_loop(4, 0, &exec(4), policy(4, 0, 8)).is_err());
+        assert!(open_loop(&[], &exec(4), policy(4, 0, 8)).unwrap().batch_sizes.is_empty());
+        assert_eq!(closed_loop(0, 2, &exec(4), policy(4, 0, 8)).unwrap().completed(), 0);
     }
 
     #[test]
     fn unsorted_arrivals_are_rejected_naming_the_index() {
-        let err = simulate_open_loop(&[0, 5, 3, 9], &exec(4), &policy(4, 0, 8), &mut NullSink)
-            .unwrap_err()
-            .to_string();
+        let err = open_loop(&[0, 5, 3, 9], &exec(4), policy(4, 0, 8)).unwrap_err().to_string();
         assert!(err.contains("arrival 2"), "{err}");
-    }
-
-    #[test]
-    fn lost_requests_and_killed_batches_are_errors_not_reports() {
-        let req = Request { model: 0, arrival: 3, deadline: None };
-        let mut report = ServeReport::default();
-        let err = record_event(&SchedEvent::Lost(4, req, 10), &mut report).unwrap_err();
-        assert!(err.to_string().contains("request 4 lost"), "{err}");
-        let killed = PlannedBatch {
-            seq: 2,
-            instance: 0,
-            model: 0,
-            start: 5,
-            done: 20,
-            members: vec![Queued { id: 4, req, enqueued_at: 3 }],
-            killed_at: Some(9),
-        };
-        let err = record_event(&SchedEvent::Launched(killed), &mut report).unwrap_err();
-        assert!(err.to_string().contains("batch 2 killed"), "{err}");
-        assert_eq!(report, ServeReport::default(), "nothing was folded in");
     }
 }

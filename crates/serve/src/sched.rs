@@ -1,19 +1,19 @@
 //! The scheduling core of the serving front.
 //!
-//! The discrete-event simulation ([`crate::queue`] for one accelerator,
-//! [`crate::cluster::sim`] for N instances) makes every admission,
-//! routing, batch-formation, residency, and failure-injection decision
-//! through the one state machine here, `ClusterCore`, driven from a
-//! serial loop. Every decision is a pure function of the arrival order,
-//! the service tables, and the scripted fault plan (never of wall-clock
-//! time), which is what makes serving output bit-identical for any worker
-//! count.
+//! The discrete-event simulation ([`crate::cluster::sim`]: `se cluster`'s
+//! N instances, and `se serve` as the 1-instance cluster) makes every
+//! admission, routing, batch-formation, residency, and failure-injection
+//! decision through the one state machine here, `ClusterCore`, driven
+//! from a serial loop. Every decision is a pure function of the arrival
+//! order, the service tables, and the scripted fault plan (never of
+//! wall-clock time), which is what makes serving output bit-identical for
+//! any worker count.
 //!
 //! The core advances a *virtual* clock: `ClusterCore::admit` routes one
 //! arrival into an instance queue (or bounces it off the cap),
 //! `ClusterCore::launch_next` forms and launches the earliest pending
-//! batch, returning a [`PlannedBatch`] whose completion time is already
-//! known (execution latencies come from pre-computed batch tables), and
+//! batch, whose completion time is known at launch (execution latencies
+//! come from pre-computed batch tables), and
 //! `ClusterCore::apply_next_fault` fires the next scripted membership
 //! change ([`crate::fault::FaultPlan`]): a kill re-routes the dead
 //! instance's in-flight and queued requests with their original arrival
@@ -23,6 +23,11 @@
 //! operations: a due fault fires before anything else at its cycle, and
 //! an arrival is admitted before any batch that would launch at or after
 //! its arrival time.
+//!
+//! The core counts each decision into the one [`ClusterReport`] where it
+//! makes it (a rejection at admission, a loss at a kill, latencies and
+//! batch sizes at launch), and `ClusterCore::finish` hands that report
+//! back.
 //!
 //! Residency is one model: an instance owns an optional
 //! [`TieredStore`] (`None` = every batch streams its weights; a
@@ -35,28 +40,28 @@
 use std::collections::VecDeque;
 
 use crate::cluster::router::InstanceView;
-use crate::cluster::sim::{ClusterSpec, InstanceSummary, ModelService};
+use crate::cluster::sim::{ClusterReport, ClusterSpec, InstanceSummary, ModelService};
 use crate::fault::{ClusterEvent, ClusterEventKind, FaultAction};
 use crate::workload::Request;
-use crate::Result;
-use se_hw::residency::{TierAdmission, TierSpec, TieredStore};
+use crate::{BoxError, Result};
+use se_hw::residency::{TierAdmission, TierSpec, TierStats, TieredStore};
 use se_obs::{Event, EventKind, EventSink};
 
 /// A queued request plus its issue order (the final EDF tie-breaker and
 /// the identity the determinism contract is stated over).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Queued {
+struct Queued {
     /// Arrival sequence number (stamped by the driver in arrival order,
     /// counting every arrival including later-rejected ones).
-    pub id: usize,
+    id: usize,
     /// The request itself.
-    pub req: Request,
+    req: Request,
     /// The cycle the request joined its *current* queue: the arrival for
     /// a first admission, the kill cycle for a re-routed victim (whose
     /// original `req.arrival` — and so its latency and deadline clock —
     /// is untouched). Batch formation cannot start a batch before its
     /// members are physically enqueued.
-    pub enqueued_at: u64,
+    enqueued_at: u64,
 }
 
 impl Queued {
@@ -66,83 +71,6 @@ impl Queued {
     fn key(&self) -> (u64, u64, usize) {
         (self.req.deadline.unwrap_or(u64::MAX), self.req.arrival, self.id)
     }
-}
-
-/// One formed-and-launched batch: everything downstream accounting
-/// needs, with the virtual completion time already decided. Batches are
-/// emitted in launch order (`seq` ascending).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedBatch {
-    /// Launch sequence number across the cluster (0-based, ascending).
-    pub seq: u64,
-    /// The instance the batch runs on.
-    pub instance: usize,
-    /// The batch's (single) model.
-    pub model: usize,
-    /// Virtual launch cycle.
-    pub start: u64,
-    /// Virtual completion cycle (`start` + the charged execution time,
-    /// including any serialized weight-switch fetch).
-    pub done: u64,
-    /// Batch members in EDF order — the order completions are recorded.
-    pub members: Vec<Queued>,
-    /// `Some(cycle)` when a scripted kill of the instance fires before
-    /// `done`: the batch fails at that cycle, none of its members
-    /// complete, and they re-enter the router when the kill is applied.
-    /// Always `None` without failure injection.
-    pub killed_at: Option<u64>,
-}
-
-/// What finally happened to one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Disposition {
-    /// Bounced off a full instance queue at arrival (or arrived while no
-    /// instance was accepting).
-    Rejected,
-    /// Served to completion.
-    Served {
-        /// Launch sequence number of the batch that served it.
-        batch: u64,
-        /// Instance the batch ran on.
-        instance: usize,
-        /// Virtual completion cycle.
-        done: u64,
-        /// Whether completion overran the request's deadline.
-        missed: bool,
-    },
-    /// Admitted, then caught by an instance kill and not re-routable —
-    /// every live queue was full, or nothing was accepting. A terminal
-    /// outcome: the request is charged, never silently dropped.
-    Lost {
-        /// The kill cycle that orphaned it.
-        at: u64,
-    },
-}
-
-/// Per-request outcome record, ordered by request id in a
-/// [`crate::cluster::sim::ClusterRun`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestOutcome {
-    /// Arrival sequence number.
-    pub id: usize,
-    /// Model the request targeted.
-    pub model: usize,
-    /// Arrival cycle.
-    pub arrival: u64,
-    /// What happened.
-    pub disposition: Disposition,
-}
-
-/// One scheduling decision surfaced to a driver's sink.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchedEvent {
-    /// An arrival bounced off a full instance queue.
-    Rejected(usize, Request),
-    /// A batch was formed and launched.
-    Launched(PlannedBatch),
-    /// A kill victim could not be re-routed (id, request, kill cycle) —
-    /// the terminal [`Disposition::Lost`] outcome.
-    Lost(usize, Request, u64),
 }
 
 /// A fresh (empty) weight store for one instance: the `--tiers` stack,
@@ -163,6 +91,8 @@ struct Instance {
     free: u64,
     /// Weight store (`None` = residency modeling off).
     store: Option<TieredStore>,
+    /// Batch and completion counts; residency and tier traffic are read
+    /// off `store` once, at [`ClusterCore::finish`].
     summary: InstanceSummary,
     /// `false` between a kill and the matching restart: the instance
     /// neither launches nor accepts.
@@ -237,24 +167,12 @@ impl Instance {
     }
 }
 
-/// What tearing a core down yields: the per-instance summaries (instance
-/// order, spawned instances appended) plus the membership events that
-/// fired — produced by the scheduler itself, never the event sink, so
-/// the report is the same whether or not the run is traced.
-pub(crate) struct CoreFinish {
-    /// Per-instance outcome summaries.
-    pub(crate) summaries: Vec<InstanceSummary>,
-    /// Membership changes (kills, restarts, spawns, drains) in the order
-    /// they fired.
-    pub(crate) events: Vec<ClusterEvent>,
-}
-
 /// The incremental cluster scheduler: instance queues, weight buffers,
 /// batch formation, and scripted churn, advanced one admission, launch,
-/// or fault at a time. Decisions depend only on the admission order and
-/// the spec, so any driver that preserves the canonical interleaving
-/// (see [`drive_open_loop`]) reproduces the discrete-event simulation
-/// exactly.
+/// or fault at a time, each counted into the run's report as it is made.
+/// Decisions depend only on the admission order and the spec, so any
+/// driver that preserves the canonical interleaving (see
+/// [`drive_open_loop`]) reproduces the discrete-event simulation exactly.
 pub(crate) struct ClusterCore<'a, 'o> {
     services: &'a [ModelService],
     spec: &'a ClusterSpec,
@@ -262,7 +180,11 @@ pub(crate) struct ClusterCore<'a, 'o> {
     launched: u64,
     /// Next unapplied event in `spec.faults.events`.
     fault_cursor: usize,
-    events: Vec<ClusterEvent>,
+    /// The run's outcome, built decision by decision. Per-instance
+    /// summaries and the residency totals are filled in by `finish`. It
+    /// is the scheduler's own record, never the event sink's, so the
+    /// report is the same whether or not the run is traced.
+    report: ClusterReport,
     /// Observability sink, kept only when it is enabled (`None` =
     /// tracing off: no event is built). The core runs serially, so the
     /// emitted event stream is byte-identical across worker counts by
@@ -294,7 +216,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             instances,
             launched: 0,
             fault_cursor: 0,
-            events: Vec::new(),
+            report: ClusterReport::default(),
             obs: sink.enabled().then_some(sink),
         })
     }
@@ -327,10 +249,11 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
 
     /// Routes one arrival: snapshot the instances, ask the policy, join or
     /// bounce off the bounded queue. Returns `false` when rejected (full
-    /// target queue, or no accepting instance).
+    /// target queue, or no accepting instance), counting the rejection.
     pub(crate) fn admit(&mut self, id: usize, req: Request) -> bool {
         let admitted = self.enqueue(Queued { id, req, enqueued_at: req.arrival }, req.arrival);
         if !admitted {
+            self.report.rejected += 1;
             self.emit(req.arrival, EventKind::Rejected { id, model: req.model });
         }
         admitted
@@ -392,16 +315,14 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
     /// Fires the next scripted fault. A kill takes its instance down and
     /// re-routes the victims (doomed in-flight members first joined by
     /// the waiting queue, in ascending request id) through the router at
-    /// the kill cycle; victims that cannot be placed come back as
-    /// [`SchedEvent::Lost`] for the caller's sink. A restart brings the
-    /// instance back empty, free from the restart cycle, with a cold
-    /// weight store. No-op when no fault is pending.
-    pub(crate) fn apply_next_fault(&mut self) -> Vec<SchedEvent> {
+    /// the kill cycle; victims that cannot be placed are counted lost. A
+    /// restart brings the instance back empty, free from the restart
+    /// cycle, with a cold weight store. No-op when no fault is pending.
+    pub(crate) fn apply_next_fault(&mut self) {
         let Some(&event) = self.spec.faults.events.get(self.fault_cursor) else {
-            return Vec::new();
+            return;
         };
         self.fault_cursor += 1;
-        let mut out = Vec::new();
         match event.action {
             FaultAction::Kill => {
                 let (mut victims, in_flight) = {
@@ -422,13 +343,14 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                         rerouted += 1;
                     } else {
                         lost += 1;
-                        out.push(SchedEvent::Lost(victim.id, victim.req, event.at));
                         self.emit(
                             event.at,
                             EventKind::Lost { id: victim.id, model: victim.req.model },
                         );
                     }
                 }
+                self.report.rerouted += rerouted;
+                self.report.lost += lost;
                 // The totals follow the per-victim re-route/loss records.
                 self.emit(
                     event.at,
@@ -439,7 +361,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                         lost,
                     },
                 );
-                self.events.push(ClusterEvent {
+                self.report.events.push(ClusterEvent {
                     at: event.at,
                     instance: event.instance,
                     kind: ClusterEventKind::Kill { in_flight, rerouted, lost },
@@ -466,14 +388,13 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                 for kind in purged {
                     self.emit(event.at, kind);
                 }
-                self.events.push(ClusterEvent {
+                self.report.events.push(ClusterEvent {
                     at: event.at,
                     instance: event.instance,
                     kind: ClusterEventKind::Restart,
                 });
             }
         }
-        out
     }
 
     /// Spawns a fresh instance when the accepting queues exceed the
@@ -491,7 +412,11 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             let instance = self.instances.len();
             self.instances.push(Instance::fresh(self.spec, now, true));
             self.emit(now, EventKind::InstanceSpawned { instance });
-            self.events.push(ClusterEvent { at: now, instance, kind: ClusterEventKind::Spawn });
+            self.report.events.push(ClusterEvent {
+                at: now,
+                instance,
+                kind: ClusterEventKind::Spawn,
+            });
         }
     }
 
@@ -508,18 +433,23 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             if let Some(instance) = self.instances.iter().rposition(|i| i.dynamic && i.accepting) {
                 self.instances[instance].accepting = false;
                 self.emit(now, EventKind::InstanceDraining { instance });
-                self.events.push(ClusterEvent { at: now, instance, kind: ClusterEventKind::Drain });
+                self.report.events.push(ClusterEvent {
+                    at: now,
+                    instance,
+                    kind: ClusterEventKind::Drain,
+                });
             }
         }
     }
 
     /// Forms and launches the earliest pending batch: admits the model's
     /// weights, charges the batch (plus any switch fetch), removes the
-    /// members from their queue, and returns the launched batch. A batch
-    /// overlapping a scripted kill of its instance launches with
-    /// `killed_at` set and its members parked for re-routing instead of
-    /// completing. `None` when every live queue is empty.
-    pub(crate) fn launch_next(&mut self) -> Option<PlannedBatch> {
+    /// members from their queue, records their latencies, and returns the
+    /// batch's `(completion cycle, size)`. A batch overlapping a scripted
+    /// kill of its instance is counted killed and its members are parked
+    /// for re-routing instead of completing. `None` when every live queue
+    /// is empty.
+    pub(crate) fn launch_next(&mut self) -> Option<(u64, usize)> {
         let (_, idx) = self.next_launch()?;
         let spec = self.spec;
         let services = self.services;
@@ -531,7 +461,6 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         let (positions, start) = self.instances[idx].plan(spec)?.clone();
         let inst = &mut self.instances[idx];
         let k = positions.len();
-        debug_assert!(k >= 1, "launch requires a non-empty batch");
         let members: Vec<Queued> = positions.iter().map(|&i| inst.queue[i]).collect();
         let model = members.first()?.req.model;
         let svc = services.get(model)?;
@@ -577,21 +506,23 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         inst.free = done;
         inst.plan = None;
         inst.summary.batches += 1;
-        if let Some(store) = &inst.store {
-            inst.summary.residency = *store.summary();
-            if spec.tiers.is_some() {
-                inst.summary.tier_traffic = store.tier_stats().to_vec();
-            }
-        }
         let killed_at = self.next_kill_before(idx, done);
         let inst = &mut self.instances[idx];
+        let report = &mut self.report;
         if killed_at.is_some() {
             // The kill fires before this batch completes: its members
             // never finish here. Park them for the kill to re-route.
-            debug_assert!(inst.doomed.is_empty(), "one in-flight batch per kill");
+            assert!(inst.doomed.is_empty(), "one in-flight batch per kill");
             inst.doomed.extend(members.iter().copied());
+            report.killed_batches += 1;
         } else {
             inst.summary.completed += k as u64;
+            for m in &members {
+                report.latencies.push(done - m.req.arrival);
+                report.misses += u64::from(m.req.deadline.is_some_and(|d| done > d));
+            }
+            report.batch_sizes.push(k);
+            report.makespan = report.makespan.max(done);
         }
         let seq = self.launched;
         self.launched += 1;
@@ -622,35 +553,46 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             }
         }
         self.autoscale_drain(start);
-        Some(PlannedBatch { seq, instance: idx, model, start, done, members, killed_at })
+        Some((done, k))
     }
 
-    /// Tears the core down into its per-instance summaries and the
-    /// membership event log.
-    pub(crate) fn finish(self) -> CoreFinish {
-        CoreFinish {
-            summaries: self.instances.into_iter().map(|inst| inst.summary).collect(),
-            events: self.events,
+    /// Tears the core down into the run's report: each instance's
+    /// residency counters (and, in tiered runs, per-tier traffic) are
+    /// read off its store once and summed into the cluster totals. An
+    /// instance that never launched reports no tier traffic.
+    pub(crate) fn finish(self) -> ClusterReport {
+        let mut report = self.report;
+        for inst in self.instances {
+            let mut summary = inst.summary;
+            if let Some(store) = &inst.store {
+                summary.residency = *store.summary();
+                if self.spec.tiers.is_some() && summary.batches > 0 {
+                    summary.tier_traffic = store.tier_stats().to_vec();
+                }
+            }
+            report.residency.accumulate(&summary.residency);
+            if report.tier_traffic.len() < summary.tier_traffic.len() {
+                report.tier_traffic.resize(summary.tier_traffic.len(), TierStats::default());
+            }
+            for (agg, tier) in report.tier_traffic.iter_mut().zip(&summary.tier_traffic) {
+                agg.accumulate(tier);
+            }
+            report.per_instance.push(summary);
         }
+        report
     }
 }
 
 /// Drives `core` over an **open-loop** arrival stream (pre-stamped `(id,
-/// request)` pairs in non-decreasing arrival order), surfacing every
-/// decision to `sink` in the canonical order: a scripted fault due at or
-/// before the next arrival and the next launch fires first (so a kill
-/// pre-empts a batch launching at the kill cycle, and a restart is
-/// visible to a same-cycle arrival); otherwise an arrival is admitted
-/// before any batch launching at or after its arrival time — exactly the
-/// event interleaving of the discrete-event simulation. Returns `false`
-/// if `sink` asked to stop early (its return value), `true` on a full
-/// drain (which includes firing any faults scripted after the last
-/// launch).
-pub(crate) fn drive_open_loop<I>(
-    core: &mut ClusterCore<'_, '_>,
-    arrivals: I,
-    sink: &mut dyn FnMut(SchedEvent) -> bool,
-) -> bool
+/// request)` pairs in non-decreasing arrival order) to a full drain, in
+/// the canonical order: a scripted fault due at or before the next
+/// arrival and the next launch fires first (so a kill pre-empts a batch
+/// launching at the kill cycle, and a restart is visible to a same-cycle
+/// arrival); otherwise an arrival is admitted before any batch launching
+/// at or after its arrival time — exactly the event interleaving of the
+/// discrete-event simulation. Faults scripted after the last launch
+/// still fire.
+pub(crate) fn drive_open_loop<I>(core: &mut ClusterCore<'_, '_>, arrivals: I)
 where
     I: IntoIterator<Item = (usize, Request)>,
 {
@@ -662,31 +604,21 @@ where
             let beats_arrival = pending.is_none_or(|(_, req)| fault_at <= req.arrival);
             let beats_launch = next_launch.is_none_or(|(start, _)| fault_at <= start);
             if beats_arrival && beats_launch {
-                for event in core.apply_next_fault() {
-                    if !sink(event) {
-                        return false;
-                    }
-                }
+                core.apply_next_fault();
                 continue;
             }
         }
         match (pending, next_launch) {
-            (None, None) => return true,
+            (None, None) => return,
             // Arrivals landing before (or exactly when) the next batch
             // closes are admitted first — they may fill a batch and pull
             // its start in.
             (Some((id, req)), nl) if nl.is_none_or(|(start, _)| req.arrival <= start) => {
-                if !core.admit(id, req) && !sink(SchedEvent::Rejected(id, req)) {
-                    return false;
-                }
+                core.admit(id, req);
                 pending = it.next();
             }
             (_, Some(_)) => {
-                if let Some(batch) = core.launch_next() {
-                    if !sink(SchedEvent::Launched(batch)) {
-                        return false;
-                    }
-                }
+                core.launch_next();
             }
             (Some(_), None) => unreachable!("the guard admits arrivals when no launch pends"),
         }
@@ -696,18 +628,19 @@ where
 /// Drives `core` over a **closed-loop** workload: `concurrency` clients
 /// each keep exactly one request in flight (model 0, no deadlines),
 /// submitting the next the moment the previous completes, until
-/// `requests` total have been issued. The caller's spec must disable the
+/// `requests` total have been issued. The caller's spec must lift the
 /// queue cap (closed loops are bounded by their concurrency, not the
 /// queue) and must not script faults — closed-loop arrivals are derived
-/// from completions, which failure injection would sever. Returns as
-/// [`drive_open_loop`].
+/// from completions, which failure injection would sever.
+///
+/// # Errors
+///
+/// A rejected admission: the spec broke that contract.
 pub(crate) fn drive_closed_loop(
     core: &mut ClusterCore<'_, '_>,
     requests: usize,
     concurrency: usize,
-    sink: &mut dyn FnMut(SchedEvent) -> bool,
-) -> bool {
-    debug_assert!(core.spec.faults.is_empty(), "closed-loop workloads do not support fault plans");
+) -> Result<()> {
     // All future arrivals, kept sorted: completions append arrivals with
     // time >= every queued entry, so a plain FIFO stays sorted.
     let mut issued = concurrency.min(requests);
@@ -716,27 +649,24 @@ pub(crate) fn drive_closed_loop(
     loop {
         let next_launch = core.next_launch();
         match (pending.front().copied(), next_launch) {
-            (None, None) => return true,
+            (None, None) => return Ok(()),
             (Some(arrival), nl) if nl.is_none_or(|(start, _)| arrival <= start) => {
-                let admitted = core.admit(next_id, Request { model: 0, arrival, deadline: None });
-                debug_assert!(admitted, "closed-loop queues are never capped");
+                if !core.admit(next_id, Request { model: 0, arrival, deadline: None }) {
+                    return Err(BoxError::from(format!(
+                        "closed-loop request {next_id} was rejected at cycle {arrival}: a \
+                         closed loop needs an uncapped queue and no fault plan"
+                    )));
+                }
                 pending.pop_front();
                 next_id += 1;
             }
             (_, Some(_)) => {
-                let Some(batch) = core.launch_next() else {
-                    continue;
-                };
                 // Each completed request unblocks its client, which
                 // immediately submits the next request.
-                for _ in 0..batch.members.len() {
-                    if issued < requests {
-                        pending.push_back(batch.done);
-                        issued += 1;
-                    }
-                }
-                if !sink(SchedEvent::Launched(batch)) {
-                    return false;
+                if let Some((done, size)) = core.launch_next() {
+                    let more = size.min(requests - issued);
+                    pending.extend(std::iter::repeat_n(done, more));
+                    issued += more;
                 }
             }
             (Some(_), None) => unreachable!("the guard admits arrivals when no launch pends"),
@@ -750,7 +680,7 @@ mod tests {
     use crate::cluster::router::RouterPolicy;
     use crate::fault::{AutoscalePolicy, FaultEvent, FaultPlan};
     use crate::queue::BatchPolicy;
-    use se_obs::NullSink;
+    use se_obs::{Event, Recorder};
 
     fn svc(exec: &[u64]) -> ModelService {
         ModelService {
@@ -773,72 +703,52 @@ mod tests {
         }
     }
 
-    /// A core with tracing off (a leaked `NullSink` is zero-sized, so the
-    /// leak allocates nothing).
-    fn untraced<'a>(
-        services: &'a [ModelService],
-        spec: &'a ClusterSpec,
-    ) -> ClusterCore<'a, 'static> {
-        ClusterCore::new(services, spec, Box::leak(Box::new(NullSink))).unwrap()
-    }
-
-    fn drive(core: &mut ClusterCore<'_, '_>, arrivals: &[u64]) -> Vec<SchedEvent> {
-        let mut events = Vec::new();
-        let done = drive_open_loop(
-            core,
+    /// Drives a traced core over model-0 arrivals: the report plus the
+    /// event stream the core narrated.
+    fn drive(
+        services: &[ModelService],
+        spec: &ClusterSpec,
+        arrivals: &[u64],
+    ) -> (ClusterReport, Vec<Event>) {
+        let mut recorder = Recorder::new();
+        let mut core = ClusterCore::new(services, spec, &mut recorder).unwrap();
+        drive_open_loop(
+            &mut core,
             arrivals
                 .iter()
                 .enumerate()
                 .map(|(i, &a)| (i, Request { model: 0, arrival: a, deadline: None })),
-            &mut |e| {
-                events.push(e);
-                true
-            },
         );
-        assert!(done);
+        let report = core.finish();
+        (report, recorder.into_events())
+    }
+
+    /// `(seq, instance, start, done)` of every launched batch, in launch
+    /// order.
+    fn launches(events: &[Event]) -> Vec<(u64, usize, u64, u64)> {
         events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::BatchLaunched { seq, instance, done, .. } => {
+                    Some((seq, instance, e.at, done))
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
     fn open_loop_emits_batches_in_launch_order_with_seq() {
         let services = [svc(&[10, 12, 14, 16])];
-        let sp = spec(4, 0, 8);
-        let mut core = untraced(&services, &sp);
-        let events = drive(&mut core, &[0, 0, 0, 0, 0, 0]);
-        let batches: Vec<_> = events
-            .into_iter()
-            .filter_map(|e| if let SchedEvent::Launched(b) = e { Some(b) } else { None })
-            .collect();
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].seq, 0);
-        assert_eq!(batches[1].seq, 1);
-        assert_eq!(batches[0].members.len(), 4);
-        assert_eq!(batches[1].members.len(), 2);
-        assert_eq!(batches[0].done, 16);
-        assert_eq!(batches[1].done, 16 + 12);
-        assert_eq!(batches[0].killed_at, None);
-        let fin = core.finish();
-        assert_eq!(fin.summaries[0].batches, 2);
-        assert_eq!(fin.summaries[0].completed, 6);
-        assert!(fin.events.is_empty());
-    }
-
-    #[test]
-    fn sink_can_stop_the_drive_early() {
-        let services = [svc(&[10])];
-        let sp = spec(1, 0, 8);
-        let mut core = untraced(&services, &sp);
-        let mut seen = 0;
-        let done = drive_open_loop(
-            &mut core,
-            (0..5).map(|i| (i, Request { model: 0, arrival: 0, deadline: None })),
-            &mut |_| {
-                seen += 1;
-                seen < 2
-            },
-        );
-        assert!(!done, "drive reports the early stop");
-        assert_eq!(seen, 2);
+        let (report, events) = drive(&services, &spec(4, 0, 8), &[0, 0, 0, 0, 0, 0]);
+        assert_eq!(launches(&events), vec![(0, 0, 0, 16), (1, 0, 16, 16 + 12)]);
+        assert_eq!(report.batch_sizes, vec![4, 2]);
+        assert_eq!(report.latencies, vec![16, 16, 16, 16, 28, 28]);
+        assert_eq!(report.makespan, 28);
+        assert_eq!(report.killed_batches, 0);
+        assert_eq!(report.per_instance[0].batches, 2);
+        assert_eq!(report.per_instance[0].completed, 6);
+        assert!(report.events.is_empty());
     }
 
     #[test]
@@ -846,17 +756,9 @@ mod tests {
         // Interleave admissions and launches; the memoized plan must never
         // go stale (same trace as a burst through a small batch cap).
         let services = [svc(&[7, 9])];
-        let sp = spec(2, 5, 16);
-        let mut core = untraced(&services, &sp);
-        let events = drive(&mut core, &[0, 1, 2, 30, 31, 60]);
-        let served: usize = events
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Launched(b) => Some(b.members.len()),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(served, 6, "every request served");
+        let (report, _) = drive(&services, &spec(2, 5, 16), &[0, 1, 2, 30, 31, 60]);
+        assert_eq!(report.completed(), 6, "every request served");
+        assert_eq!(report.batch_sizes.iter().sum::<usize>(), 6);
     }
 
     #[test]
@@ -869,65 +771,71 @@ mod tests {
         let mut sp = spec(2, 0, 8);
         sp.instances = 2;
         sp.faults.events = vec![FaultEvent { at: 5, instance: 0, action: FaultAction::Kill }];
-        let mut core = untraced(&services, &sp);
-        let events = drive(&mut core, &[0, 0, 0, 0]);
-        let batches: Vec<_> = events
-            .iter()
-            .filter_map(|e| if let SchedEvent::Launched(b) = e { Some(b) } else { None })
-            .collect();
+        let (report, events) = drive(&services, &sp, &[0, 0, 0, 0]);
         // Batch on instance 0 (ids 0, 2) is killed at 5; instance 1's
         // batch (ids 1, 3) completes; the victims re-run on instance 1.
-        let killed: Vec<_> = batches.iter().filter(|b| b.killed_at.is_some()).collect();
-        assert_eq!(killed.len(), 1);
-        assert_eq!(killed[0].instance, 0);
-        assert_eq!(killed[0].killed_at, Some(5));
-        let completed: Vec<usize> = batches
+        let killed: Vec<(u64, usize, u64)> = events
             .iter()
-            .filter(|b| b.killed_at.is_none())
-            .flat_map(|b| b.members.iter().map(|m| m.id))
+            .filter_map(|e| match e.kind {
+                EventKind::BatchKilled { seq, instance } => Some((seq, instance, e.at)),
+                _ => None,
+            })
             .collect();
-        let mut all = completed.clone();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3], "every request completes somewhere");
+        assert_eq!(killed, vec![(0, 0, 5)]);
+        assert_eq!(report.killed_batches, 1);
+        // (id, instance, enqueued, latency) of every completion.
+        let mut served: Vec<(usize, usize, u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Served { id, instance, enqueued, latency, .. } => {
+                    Some((id, instance, enqueued, latency))
+                }
+                _ => None,
+            })
+            .collect();
+        served.sort_unstable();
+        let ids: Vec<usize> = served.iter().map(|s| s.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3], "every request completes exactly once");
         // Re-routed members keep their original arrival (latency clock)
         // but re-enqueue at the kill cycle.
-        let rerouted: Vec<&Queued> = batches
-            .iter()
-            .filter(|b| b.killed_at.is_none() && b.instance == 1)
-            .flat_map(|b| b.members.iter())
-            .filter(|m| m.enqueued_at == 5)
-            .collect();
-        assert_eq!(rerouted.len(), 2);
-        assert!(rerouted.iter().all(|m| m.req.arrival == 0));
-        let fin = core.finish();
-        assert_eq!(fin.events.len(), 1);
+        for &(id, instance, enqueued, latency) in &served {
+            assert_eq!(instance, 1, "request {id} completes on the survivor");
+            if id % 2 == 0 {
+                let done = launches(&events).last().unwrap().3;
+                assert_eq!(enqueued, 5, "request {id} re-enqueues at the kill");
+                assert_eq!(latency, done, "request {id} keeps its arrival at 0");
+            }
+        }
+        assert_eq!(report.events.len(), 1);
         assert_eq!(
-            fin.events[0].kind,
+            report.events[0].kind,
             ClusterEventKind::Kill { in_flight: 2, rerouted: 2, lost: 0 }
         );
-        assert_eq!(fin.summaries[0].completed, 0, "killed batch completes nothing");
-        assert_eq!(fin.summaries[0].batches, 1);
+        assert_eq!(report.rerouted, 2);
+        assert_eq!(report.per_instance[0].completed, 0, "killed batch completes nothing");
+        assert_eq!(report.per_instance[0].batches, 1);
     }
 
     #[test]
     fn victims_with_nowhere_to_go_are_lost_not_dropped() {
         // One instance, killed while requests wait: no accepting instance
-        // remains, so every victim surfaces as Lost.
+        // remains, so every victim is lost.
         let services = [svc(&[100])];
         let mut sp = spec(1, 0, 8);
         sp.faults.events = vec![FaultEvent { at: 50, instance: 0, action: FaultAction::Kill }];
-        let mut core = untraced(&services, &sp);
-        let events = drive(&mut core, &[0, 0, 0]);
-        let lost: Vec<_> = events
+        let (report, events) = drive(&services, &sp, &[0, 0, 0]);
+        let lost: Vec<(usize, u64)> = events
             .iter()
-            .filter_map(
-                |e| if let SchedEvent::Lost(id, _, at) = e { Some((*id, *at)) } else { None },
-            )
+            .filter_map(|e| match e.kind {
+                EventKind::Lost { id, .. } => Some((id, e.at)),
+                _ => None,
+            })
             .collect();
         assert_eq!(lost, vec![(0, 50), (1, 50), (2, 50)], "in-flight + queued, by id");
-        let fin = core.finish();
+        assert_eq!(report.lost, 3);
+        assert!(report.conserves(3));
         assert_eq!(
-            fin.events[0].kind,
+            report.events[0].kind,
             ClusterEventKind::Kill { in_flight: 1, rerouted: 0, lost: 3 }
         );
     }
@@ -942,22 +850,15 @@ mod tests {
             FaultEvent { at: 5, instance: 0, action: FaultAction::Kill },
             FaultEvent { at: 40, instance: 0, action: FaultAction::Restart },
         ];
-        let mut core = untraced(&services, &sp);
-        let events = drive(&mut core, &[0, 60]);
-        let lost = events.iter().filter(|e| matches!(e, SchedEvent::Lost(..))).count();
-        assert_eq!(lost, 1, "the request in flight at the kill is lost");
-        let served: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Launched(b) if b.killed_at.is_none() => Some((b.start, b.done)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(served, vec![(60, 70)], "the restarted instance serves the late arrival");
+        let (report, events) = drive(&services, &sp, &[0, 60]);
+        assert_eq!(report.lost, 1, "the request in flight at the kill is lost");
+        assert_eq!(report.killed_batches, 1);
+        assert_eq!(report.latencies, vec![10], "the restarted instance serves the late arrival");
+        assert_eq!(launches(&events)[1..], [(1, 0, 60, 70)]);
         // An arrival during the outage is rejected (nothing accepting).
-        let mut core = untraced(&services, &sp);
-        let events = drive(&mut core, &[0, 20]);
-        assert!(events.iter().any(|e| matches!(e, SchedEvent::Rejected(1, _))));
+        let (report, events) = drive(&services, &sp, &[0, 20]);
+        assert_eq!(report.rejected, 1);
+        assert!(events.iter().any(|e| matches!(e.kind, EventKind::Rejected { id: 1, .. })));
     }
 
     #[test]
@@ -965,23 +866,26 @@ mod tests {
         let services = [svc(&[10, 12, 14, 16])];
         let mut sp = spec(4, 0, 64);
         sp.faults.autoscale = Some(AutoscalePolicy { spawn_above: 2, drain_below: 1 });
-        let mut core = untraced(&services, &sp);
         // A burst of 8 at cycle 0: more than 2 queued per accepting
         // instance triggers a spawn (capped at 2x base = 2 instances).
         let arrivals = [0u64, 0, 0, 0, 0, 0, 0, 0, 500, 501];
-        let events = drive(&mut core, &arrivals);
-        let served: usize = events
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Launched(b) => Some(b.members.len()),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(served, 10, "nothing is lost to elasticity");
-        let fin = core.finish();
-        let tags: Vec<&str> = fin.events.iter().map(|e| e.kind.tag()).collect();
+        let (report, _) = drive(&services, &sp, &arrivals);
+        assert_eq!(report.completed(), 10, "nothing is lost to elasticity");
+        let tags: Vec<&str> = report.events.iter().map(|e| e.kind.tag()).collect();
         assert!(tags.contains(&"spawn"), "burst spawned an instance: {tags:?}");
         assert!(tags.contains(&"drain"), "idle period drained it again: {tags:?}");
-        assert_eq!(fin.summaries.len(), 2, "spawned instance reports a summary");
+        assert_eq!(report.per_instance.len(), 2, "spawned instance reports a summary");
+    }
+
+    #[test]
+    fn closed_loop_errors_on_a_rejected_admission() {
+        // A capped queue bounces the third client: the driver reports the
+        // broken contract instead of silently serving fewer requests.
+        let services = [svc(&[10, 12])];
+        let sp = spec(2, 0, 2);
+        let mut sink = se_obs::NullSink;
+        let mut core = ClusterCore::new(&services, &sp, &mut sink).unwrap();
+        let err = drive_closed_loop(&mut core, 6, 3).unwrap_err().to_string();
+        assert!(err.contains("request 2 was rejected"), "{err}");
     }
 }

@@ -1,8 +1,5 @@
 //! Cluster-subsystem invariants:
 //!
-//! * a 1-instance, round-robin, no-deadline, no-residency cluster is
-//!   **bit-identical** to the single-instance serving queue (property
-//!   test over random arrivals and policies);
 //! * cluster results are bit-identical across worker counts of the
 //!   per-image simulation;
 //! * residency: N requests to one resident model fetch weights once;
@@ -11,15 +8,13 @@
 //!   per-instance weight buffer, the SmartExchange lane refetches fewer
 //!   weights and sustains no worse goodput than every dense baseline.
 
-use proptest::prelude::*;
 use se_baselines::BaselineConfig;
 use se_hw::SeAcceleratorConfig;
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 use se_models::traces::{trace_pairs, TraceOptions};
-use se_obs::NullSink;
 use se_serve::cluster::{simulate_cluster, ClusterSpec, ModelService, RouterPolicy};
 use se_serve::fault::FaultPlan;
-use se_serve::queue::{self, BatchPolicy};
+use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
 use se_serve::{BatchEngine, ACCEL_NAMES, SE_LANE};
 
@@ -47,68 +42,6 @@ fn two_models() -> Vec<NetworkDesc> {
         )
         .unwrap(),
     ]
-}
-
-/// A single-model service whose batch tables are the given exec table
-/// (streamed == resident, zero footprint): the exact execution model of
-/// the single-instance queue.
-fn stream_only_service(exec: &[u64]) -> ModelService {
-    ModelService {
-        name: "m".into(),
-        streamed: exec.to_vec(),
-        resident: exec.to_vec(),
-        footprint_bytes: 0,
-        switch_cycles: 0,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A 1-instance cluster with round-robin routing, no deadlines, and no
-    /// residency modeling makes exactly the decisions of
-    /// `queue::simulate_open_loop`: same latencies, batch sizes,
-    /// rejections, and makespan, bit for bit, over random arrivals and
-    /// batch policies.
-    #[test]
-    fn one_instance_cluster_is_bit_identical_to_the_serving_queue(
-        gaps in proptest::collection::vec(0u64..2000, 1..60),
-        max_batch in 1usize..6,
-        max_wait in 0u64..3000,
-        queue_cap in 1usize..12,
-        base in 100u64..4000,
-        per in 1u64..500,
-    ) {
-        let mut arrivals = Vec::with_capacity(gaps.len());
-        let mut t = 0u64;
-        for g in &gaps {
-            t += g;
-            arrivals.push(t);
-        }
-        let exec: Vec<u64> = (1..=max_batch as u64).map(|k| base + per * k).collect();
-        let policy = BatchPolicy { max_batch, max_wait, queue_cap };
-        let serve = queue::simulate_open_loop(&arrivals, &exec, &policy, &mut NullSink).unwrap();
-
-        let requests: Vec<Request> = arrivals
-            .iter()
-            .map(|&arrival| Request { model: 0, arrival, deadline: None })
-            .collect();
-        let spec = ClusterSpec {
-            instances: 1,
-            router: RouterPolicy::RoundRobin,
-            policy,
-            buffer_bytes: None,
-            tiers: None,
-            faults: FaultPlan::default(),
-        };
-        let cluster = simulate_cluster(&requests, &[stream_only_service(&exec)], &spec).unwrap();
-
-        prop_assert_eq!(&cluster.latencies, &serve.latencies);
-        prop_assert_eq!(&cluster.batch_sizes, &serve.batch_sizes);
-        prop_assert_eq!(cluster.rejected, serve.rejected);
-        prop_assert_eq!(cluster.makespan, serve.makespan);
-        prop_assert_eq!(cluster.misses, 0);
-    }
 }
 
 /// The full engine-backed path: per-image simulation at several worker

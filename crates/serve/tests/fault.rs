@@ -3,17 +3,17 @@
 //!
 //! * **conservation**: completed + rejected + lost == submitted — a kill
 //!   re-routes or loses its victims, it never silently drops one;
-//! * **outcome completeness**: exactly one terminal outcome per request,
-//!   in id order, and the served/rejected/lost split matches the report's
-//!   counters.
+//! * **outcome completeness**: the run's event stream ends every request
+//!   exactly once (served, rejected, or lost), and the served/rejected/
+//!   lost split matches the report's counters.
 
 use proptest::prelude::*;
-use se_obs::NullSink;
+use se_obs::analyze::analyze;
+use se_obs::{NullSink, Recorder};
 use se_serve::cluster::{simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy};
 use se_serve::fault::{AutoscalePolicy, FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::Request;
-use se_serve::Disposition;
 
 fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) -> ModelService {
     let streamed: Vec<u64> = (1..=max_batch as u64).map(|k| base + per * k).collect();
@@ -115,7 +115,8 @@ proptest! {
             tiers: None,
             faults,
         };
-        let run = simulate_cluster_run_obs(&requests, &services, &spec, &mut NullSink).unwrap();
+        let mut recorder = Recorder::new();
+        let run = simulate_cluster_run_obs(&requests, &services, &spec, &mut recorder).unwrap();
 
         // Conservation: served + rejected + lost accounts for every
         // submitted request exactly once.
@@ -124,20 +125,15 @@ proptest! {
             run.report.completed(), run.report.rejected, run.report.lost,
             requests.len());
 
-        // Outcome completeness and report consistency.
-        prop_assert_eq!(run.outcomes.len(), requests.len());
-        let (mut served, mut rejected, mut lost) = (0usize, 0u64, 0u64);
-        for (id, outcome) in run.outcomes.iter().enumerate() {
-            prop_assert_eq!(outcome.id, id);
-            match outcome.disposition {
-                Disposition::Rejected => rejected += 1,
-                Disposition::Served { .. } => served += 1,
-                Disposition::Lost { .. } => lost += 1,
-            }
-        }
-        prop_assert_eq!(served, run.report.completed());
-        prop_assert_eq!(rejected, run.report.rejected);
-        prop_assert_eq!(lost, run.report.lost);
+        // Outcome completeness and report consistency: every request id
+        // reaches exactly one terminal event on the stream.
+        let totals = analyze(&recorder.into_events(), 1_000).totals;
+        prop_assert_eq!(totals.submitted, requests.len() as u64);
+        prop_assert_eq!(totals.duplicate_terminals, 0);
+        prop_assert!(totals.conserves());
+        prop_assert_eq!(totals.served, run.report.completed() as u64);
+        prop_assert_eq!(totals.rejected, run.report.rejected);
+        prop_assert_eq!(totals.lost, run.report.lost);
         if !scripted {
             prop_assert_eq!(run.report.lost, 0);
             prop_assert_eq!(run.report.killed_batches, 0);

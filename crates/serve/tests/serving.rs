@@ -10,9 +10,10 @@ use se_hw::SeAcceleratorConfig;
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 use se_models::traces::{trace_pairs, TraceOptions};
 use se_obs::NullSink;
-use se_serve::queue::{self, BatchPolicy};
-use se_serve::workload::{self, ArrivalPattern};
-use se_serve::{BatchEngine, SE_LANE};
+use se_serve::cluster::{self, ClusterReport, ClusterSpec, ModelService, RouterPolicy};
+use se_serve::queue::BatchPolicy;
+use se_serve::workload::{self, ArrivalPattern, Request};
+use se_serve::{BatchEngine, FaultPlan, SE_LANE};
 
 fn conv(name: &str, ci: usize, co: usize, k: usize, hw: usize) -> LayerDesc {
     LayerDesc::new(
@@ -24,6 +25,19 @@ fn conv(name: &str, ci: usize, co: usize, k: usize, hw: usize) -> LayerDesc {
 
 fn engine() -> BatchEngine {
     BatchEngine::new(SeAcceleratorConfig::default(), BaselineConfig::default()).unwrap()
+}
+
+/// `se serve`'s server: the 1-instance, round-robin, no-residency
+/// cluster.
+fn one_instance(policy: BatchPolicy) -> ClusterSpec {
+    ClusterSpec {
+        instances: 1,
+        router: RouterPolicy::RoundRobin,
+        policy,
+        buffer_bytes: None,
+        tiers: None,
+        faults: FaultPlan::default(),
+    }
 }
 
 proptest! {
@@ -87,7 +101,7 @@ proptest! {
 
 /// A serving run end to end, returning a value that captures everything
 /// `se serve` would print: per-request latencies, batch sizes, rejects.
-fn serve_once(sim_workers: usize, trace_workers: usize) -> (queue::ServeReport, Vec<u64>) {
+fn serve_once(sim_workers: usize, trace_workers: usize) -> (ClusterReport, Vec<u64>) {
     let net = NetworkDesc::new(
         "det",
         Dataset::Cifar10,
@@ -99,16 +113,20 @@ fn serve_once(sim_workers: usize, trace_workers: usize) -> (queue::ServeReport, 
     let pairs = trace_pairs(&net, &opts).unwrap();
     let e = engine();
     let per_image = e.per_image_se(&pairs, sim_workers).unwrap();
-    let policy = BatchPolicy { max_batch: 4, max_wait: 2_000, queue_cap: 64 };
-    let exec = e.latency_table(SE_LANE, &per_image, policy.max_batch);
-    let arrivals = workload::open_loop_arrivals(
+    let spec = one_instance(BatchPolicy { max_batch: 4, max_wait: 2_000, queue_cap: 64 });
+    let service = ModelService::from_engine(&e, SE_LANE, "det", &per_image, spec.policy.max_batch);
+    let requests: Vec<Request> = workload::open_loop_arrivals(
         48,
         200_000.0,
         SeAcceleratorConfig::default().frequency_hz,
         ArrivalPattern::Burst { size: 3 },
     )
-    .unwrap();
-    (queue::simulate_open_loop(&arrivals, &exec, &policy, &mut NullSink).unwrap(), exec)
+    .unwrap()
+    .into_iter()
+    .map(|arrival| Request { model: 0, arrival, deadline: None })
+    .collect();
+    let report = cluster::simulate_cluster(&requests, std::slice::from_ref(&service), &spec);
+    (report.unwrap(), service.streamed)
 }
 
 #[test]
@@ -131,25 +149,15 @@ fn batched_serving_beats_single_image_serving_on_throughput() {
     let se_cfg = SeAcceleratorConfig { dram_bytes_per_cycle: 0.25, ..Default::default() };
     let e = BatchEngine::new(se_cfg, BaselineConfig::default()).unwrap();
     let per_image = e.per_image_se(&pairs, 2).unwrap();
-    let exec = e.latency_table(SE_LANE, &per_image, 8);
+    let services = [ModelService::from_engine(&e, SE_LANE, "thr", &per_image, 8)];
     // A closed loop saturates the server; wider batches finish the same
     // demand sooner because each batch fetches weights once.
-    let singles = queue::simulate_closed_loop(
-        64,
-        8,
-        &exec,
-        &BatchPolicy { max_batch: 1, ..Default::default() },
-        &mut NullSink,
-    )
-    .unwrap();
-    let batched = queue::simulate_closed_loop(
-        64,
-        8,
-        &exec,
-        &BatchPolicy { max_batch: 8, ..Default::default() },
-        &mut NullSink,
-    )
-    .unwrap();
+    let closed = |max_batch| {
+        let spec = one_instance(BatchPolicy { max_batch, ..Default::default() });
+        cluster::simulate_closed_loop(64, 8, &services, &spec, &mut NullSink).unwrap().report
+    };
+    let singles = closed(1);
+    let batched = closed(8);
     assert_eq!(singles.completed(), 64);
     assert_eq!(batched.completed(), 64);
     assert!(
