@@ -19,6 +19,24 @@ fn bench_decompose_matrix(c: &mut Criterion) {
     }
 }
 
+/// The unit shapes `se trace build --fast` spends its time on: the average
+/// decomposition unit is about 43×3, and depthwise 5×5 kernels are whole
+/// units, at the trace configuration (6 iterations, relative threshold).
+fn bench_decompose_cold_units(c: &mut Criterion) {
+    let cfg = SeConfig::default()
+        .with_max_iterations(6)
+        .unwrap()
+        .with_vector_sparsity(VectorSparsity::RelativeThreshold(0.4))
+        .unwrap();
+    for (rows, cols) in [(43usize, 3usize), (5, 5)] {
+        let mut r = rng::seeded((rows * cols) as u64);
+        let w = rng::normal_mat(&mut r, rows, cols, 0.08);
+        c.bench_function(&format!("decompose_cold_{rows}x{cols}"), |b| {
+            b.iter(|| black_box(algorithm::decompose(black_box(&w), &cfg).unwrap()))
+        });
+    }
+}
+
 fn bench_compress_conv_layer(c: &mut Criterion) {
     let cfg = SeConfig::default()
         .with_max_iterations(6)
@@ -90,6 +108,7 @@ fn bench_compress_network_parallel(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_decompose_matrix,
+    bench_decompose_cold_units,
     bench_compress_conv_layer,
     bench_reconstruct,
     bench_compress_network_parallel

@@ -18,7 +18,8 @@
 
 use crate::{sparsify, CoreError, Result, SeConfig};
 use se_ir::{Po2Set, SeSlice};
-use se_tensor::{linalg, Mat};
+use se_tensor::linalg::LstsqWorkspace;
+use se_tensor::{by_width, Mat, TensorError};
 
 /// The result of decomposing one matrix: `W ≈ ce · basis`.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +104,7 @@ pub struct DecompositionTrace {
 /// Returns [`CoreError::InvalidWeights`] for empty or non-finite inputs and
 /// propagates linear-algebra failures.
 pub fn decompose(w: &Mat, cfg: &SeConfig) -> Result<Decomposition> {
-    Ok(decompose_traced(w, cfg)?.0)
+    solve(w, cfg, config_channel_mask(w, cfg).as_deref(), None)
 }
 
 /// Like [`decompose`], also returning the per-iteration trace (Fig. 9).
@@ -112,11 +113,9 @@ pub fn decompose(w: &Mat, cfg: &SeConfig) -> Result<Decomposition> {
 ///
 /// See [`decompose`].
 pub fn decompose_traced(w: &Mat, cfg: &SeConfig) -> Result<(Decomposition, DecompositionTrace)> {
-    let mask = cfg.channel_prune_threshold().map(|t| {
-        let group = w.cols().max(1);
-        sparsify::channel_mask(w, group, t)
-    });
-    decompose_with_channel_mask(w, cfg, mask.as_deref())
+    let mut trace = DecompositionTrace::default();
+    let d = solve(w, cfg, config_channel_mask(w, cfg).as_deref(), Some(&mut trace))?;
+    Ok((d, trace))
 }
 
 /// Decomposes `w` with an explicit channel keep-mask (`None` disables
@@ -131,12 +130,29 @@ pub fn decompose_with_channel_mask(
     w: &Mat,
     cfg: &SeConfig,
     channel_mask: Option<&[bool]>,
-) -> Result<(Decomposition, DecompositionTrace)> {
+) -> Result<Decomposition> {
+    solve(w, cfg, channel_mask, None)
+}
+
+/// The channel mask `cfg` asks for: one flag per `w.cols()` rows.
+fn config_channel_mask(w: &Mat, cfg: &SeConfig) -> Option<Vec<bool>> {
+    cfg.channel_prune_threshold().map(|t| sparsify::channel_mask(w, w.cols().max(1), t))
+}
+
+/// Algorithm 1. Every iteration runs in place on `ce`, `basis` and one
+/// set of scratch buffers; the Fig. 9 records are measured only when
+/// `trace` asks for them.
+fn solve(
+    w: &Mat,
+    cfg: &SeConfig,
+    channel_mask: Option<&[bool]>,
+    mut trace: Option<&mut DecompositionTrace>,
+) -> Result<Decomposition> {
     validate_weights(w)?;
     let n = w.cols();
     let mut ce = w.clone();
     let mut basis = Mat::identity(n);
-    let identity_norm = (n as f32).sqrt();
+    let mut ws = Workspace::new(w.rows(), n);
 
     // Channel-wise sparsification happens once, up front (Algorithm 1,
     // line 1): the paper observes the pruned channel structure does not
@@ -146,29 +162,31 @@ pub fn decompose_with_channel_mask(
     }
     let forced_zero = forced_zero_rows(&ce, channel_mask, n);
 
-    let mut trace = DecompositionTrace::default();
     for iteration in 1..=cfg.max_iterations() {
         // Step 1: quantize Ce to powers of 2 (on unit-norm columns).
-        normalize_columns(&mut ce, &mut basis);
-        let delta = quantize_in_place(&mut ce, cfg.po2());
+        let delta =
+            by_width!(n, n, normalize_and_quantize(&mut ce, &mut basis, cfg.po2(), &mut ws));
 
         // Record the *quantized* state (the solution the hardware would
         // use if we stopped here) — this is the series Fig. 9 plots; the
         // subsequent unconstrained refit is exact for full-rank bases and
         // would always read as zero error.
-        trace.records.push(IterationRecord {
-            iteration,
-            recon_error: relative_error(w, &ce, &basis)?,
-            ce_sparsity: ce.sparsity(),
-            ce_row_sparsity: ce.zero_rows() as f32 / ce.rows() as f32,
-            basis_identity_dist: basis.sub(&Mat::identity(n))?.frobenius_norm() / identity_norm,
-            quant_delta: delta,
-        });
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.records.push(IterationRecord {
+                iteration,
+                recon_error: relative_error(w, &ce, &basis)?,
+                ce_sparsity: ce.sparsity(),
+                ce_row_sparsity: ce.zero_rows() as f32 / ce.rows() as f32,
+                basis_identity_dist: basis.sub(&Mat::identity(n))?.frobenius_norm()
+                    / (n as f32).sqrt(),
+                quant_delta: delta,
+            });
+        }
 
         // Step 2: fit B, then fit Ce (two unconstrained least squares).
-        basis = fit_basis(&ce, w, cfg.ridge())?;
-        ce = fit_coefficients(w, &basis, cfg.ridge())?;
-        apply_forced_zeros(&mut ce, &forced_zero);
+        fit_basis(&mut ws.lstsq, &ce, w, cfg.ridge(), &mut basis)?;
+        escalate_ridge(cfg.ridge(), |r| ws.lstsq.lstsq_right_into(w, &basis, r, &mut ce))?;
+        apply_forced_zeros(&mut ce, forced_zero.as_deref());
 
         // Step 3: vector-wise sparsify Ce.
         sparsify::vector_sparsify(&mut ce, cfg.vector_sparsity());
@@ -179,43 +197,65 @@ pub fn decompose_with_channel_mask(
     }
 
     // Conclude: re-quantize Ce and re-fit B (Algorithm 1, line 8).
-    normalize_columns(&mut ce, &mut basis);
-    quantize_in_place(&mut ce, cfg.po2());
-    apply_forced_zeros(&mut ce, &forced_zero);
-    basis = fit_basis(&ce, w, cfg.ridge())?;
+    by_width!(n, n, normalize_and_quantize(&mut ce, &mut basis, cfg.po2(), &mut ws));
+    apply_forced_zeros(&mut ce, forced_zero.as_deref());
+    fit_basis(&mut ws.lstsq, &ce, w, cfg.ridge(), &mut basis)?;
     if cfg.quantize_basis() {
         quantize_basis_8bit(&mut basis);
     }
 
-    Ok((Decomposition { ce, basis }, trace))
+    Ok(Decomposition { ce, basis })
+}
+
+/// Buffers one decomposition reuses across its iterations.
+struct Workspace {
+    lstsq: LstsqWorkspace,
+    /// Receives the quantized `Ce`, then swaps with it.
+    spare: Mat,
+    /// Per-column sums of squares.
+    col_sq: Vec<f64>,
+    /// Per-column normalisation factors.
+    col_inv: Vec<f32>,
+}
+
+impl Workspace {
+    fn new(rows: usize, cols: usize) -> Self {
+        Workspace {
+            lstsq: LstsqWorkspace::default(),
+            spare: Mat::zeros(rows, cols),
+            col_sq: vec![0.0; cols],
+            col_inv: vec![0.0; cols],
+        }
+    }
+}
+
+/// Fits `basis ← argmin_B ‖W − Ce·B‖` in place.
+pub(crate) fn fit_basis(
+    lstsq: &mut LstsqWorkspace,
+    ce: &Mat,
+    w: &Mat,
+    ridge: f32,
+    basis: &mut Mat,
+) -> Result<()> {
+    escalate_ridge(ridge, |r| lstsq.lstsq_left_into(ce, w, r, basis))
 }
 
 /// Quantized coefficient matrices routinely develop linearly dependent
 /// columns (identical power-of-2 patterns), so the least-squares fits retry
 /// with escalating ridge regularisation rather than failing.
-pub(crate) fn fit_basis(ce: &Mat, w: &Mat, ridge: f32) -> Result<Mat> {
+fn escalate_ridge(
+    ridge: f32,
+    mut fit: impl FnMut(f32) -> std::result::Result<(), TensorError>,
+) -> Result<()> {
     let mut r = ridge.max(1e-9);
     for _ in 0..6 {
-        match linalg::lstsq_left(ce, w, r) {
-            Ok(b) => return Ok(b),
-            Err(se_tensor::TensorError::Singular) => r *= 100.0,
+        match fit(r) {
+            Ok(()) => return Ok(()),
+            Err(TensorError::Singular) => r *= 100.0,
             Err(e) => return Err(e.into()),
         }
     }
-    Err(CoreError::Tensor(se_tensor::TensorError::Singular))
-}
-
-/// See [`fit_basis`]; the same escalation for the coefficient fit.
-fn fit_coefficients(w: &Mat, basis: &Mat, ridge: f32) -> Result<Mat> {
-    let mut r = ridge.max(1e-9);
-    for _ in 0..6 {
-        match linalg::lstsq_right(w, basis, r) {
-            Ok(c) => return Ok(c),
-            Err(se_tensor::TensorError::Singular) => r *= 100.0,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Err(CoreError::Tensor(se_tensor::TensorError::Singular))
+    Err(CoreError::Tensor(TensorError::Singular))
 }
 
 fn validate_weights(w: &Mat) -> Result<()> {
@@ -232,67 +272,77 @@ fn validate_weights(w: &Mat) -> Result<()> {
 
 /// Rows forced to zero by channel pruning; vector sparsity is recomputed
 /// every iteration, but channel-pruned rows must stay zero through refits.
-fn forced_zero_rows(ce: &Mat, mask: Option<&[bool]>, group: usize) -> Vec<bool> {
-    let mut forced = vec![false; ce.rows()];
-    if let Some(mask) = mask {
-        if group > 0 && mask.len() * group == ce.rows() {
-            for (c, &keep) in mask.iter().enumerate() {
-                if !keep {
-                    for f in &mut forced[c * group..(c + 1) * group] {
-                        *f = true;
-                    }
-                }
-            }
-        }
-    }
-    forced
+fn forced_zero_rows(ce: &Mat, mask: Option<&[bool]>, group: usize) -> Option<Vec<bool>> {
+    let mask = mask.filter(|m| group > 0 && m.len() * group == ce.rows())?;
+    Some(mask.iter().flat_map(|&keep| std::iter::repeat_n(!keep, group)).collect())
 }
 
-fn apply_forced_zeros(ce: &mut Mat, forced: &[bool]) {
-    for (i, &z) in forced.iter().enumerate() {
+fn apply_forced_zeros(ce: &mut Mat, forced: Option<&[bool]>) {
+    for (i, &z) in forced.unwrap_or_default().iter().enumerate() {
         if z {
             ce.row_mut(i).fill(0.0);
         }
     }
 }
 
-/// Normalises each column of `ce` to unit L2 norm, folding the scale into
-/// the corresponding row of `basis` so `ce · basis` is unchanged.
-fn normalize_columns(ce: &mut Mat, basis: &mut Mat) {
-    let (rows, cols) = (ce.rows(), ce.cols());
-    for j in 0..cols {
-        let norm = (0..rows)
-            .map(|i| {
-                let v = ce.get(i, j) as f64;
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt() as f32;
-        if norm <= f32::MIN_POSITIVE {
-            continue; // fully-pruned column: leave as is
-        }
-        let inv = 1.0 / norm;
-        for i in 0..rows {
-            let v = ce.get(i, j) * inv;
-            ce.set(i, j, v);
-        }
-        for k in 0..basis.cols() {
-            let v = basis.get(j, k) * norm;
-            basis.set(j, k, v);
+/// Step 1: normalises each column of `ce` to unit L2 norm, folding the
+/// scale into the corresponding row of `basis` so `ce · basis` is
+/// unchanged, then rounds every entry to the nearest element of `po2`.
+/// Returns the Frobenius norm of the rounding (`‖δ(Ce)‖`).
+///
+/// The rounding lands in `ws.spare`, which then swaps with `ce`. The
+/// quantize pass is branch-free so it vectorizes; the rare entries next
+/// to a rounding boundary send the whole pass through the exact scalar
+/// [`Po2Set::quantize`]. `N` is the width when non-zero (see
+/// [`se_tensor::by_width`]).
+fn normalize_and_quantize<const N: usize>(
+    ce: &mut Mat,
+    basis: &mut Mat,
+    po2: &Po2Set,
+    ws: &mut Workspace,
+) -> f32 {
+    let n = if N == 0 { ce.cols() } else { N };
+    let (col_sq, col_inv) = (&mut ws.col_sq[..n], &mut ws.col_inv[..n]);
+    col_sq.fill(0.0);
+    for row in ce.data().chunks_exact(n) {
+        for (acc, &v) in col_sq.iter_mut().zip(row) {
+            let v = f64::from(v);
+            *acc += v * v;
         }
     }
-}
-
-/// Rounds every entry of `ce` to the nearest element of `po2`, returning the
-/// Frobenius norm of the change (`‖δ(Ce)‖`).
-fn quantize_in_place(ce: &mut Mat, po2: &Po2Set) -> f32 {
+    // A fully-pruned column is left as is: scaling by 1 is exact.
+    for (j, (&sq, inv)) in col_sq.iter().zip(col_inv.iter_mut()).enumerate() {
+        let norm = sq.sqrt() as f32;
+        let pruned = norm <= f32::MIN_POSITIVE;
+        let fold = if pruned { 1.0 } else { norm };
+        *inv = if pruned { 1.0 } else { 1.0 / norm };
+        for b in basis.row_mut(j) {
+            *b *= fold;
+        }
+    }
+    for row in ce.data_mut().chunks_exact_mut(n) {
+        for (v, &inv) in row.iter_mut().zip(col_inv.iter()) {
+            *v *= inv;
+        }
+    }
+    let (x, q) = (ce.data(), ws.spare.data_mut());
+    let mut near_boundary = false;
+    for (q, &x) in q.iter_mut().zip(x) {
+        let (v, near) = po2.quantize_bits(x);
+        *q = v;
+        near_boundary |= near;
+    }
+    if near_boundary {
+        for (q, &x) in q.iter_mut().zip(x) {
+            *q = po2.quantize(x);
+        }
+    }
     let mut delta_sq = 0.0f64;
-    for v in ce.data_mut() {
-        let q = po2.quantize(*v);
-        let d = (q - *v) as f64;
+    for (&q, &x) in q.iter().zip(x) {
+        let d = f64::from(q - x);
         delta_sq += d * d;
-        *v = q;
     }
+    std::mem::swap(ce, &mut ws.spare);
     delta_sq.sqrt() as f32
 }
 
@@ -320,7 +370,7 @@ fn relative_error(w: &Mat, ce: &Mat, basis: &Mat) -> Result<f32> {
 mod tests {
     use super::*;
     use crate::VectorSparsity;
-    use se_tensor::rng;
+    use se_tensor::{linalg, rng};
 
     fn cfg() -> SeConfig {
         SeConfig::default()
@@ -378,7 +428,7 @@ mod tests {
         let mut r = rng::seeded(8);
         let w = rng::normal_mat(&mut r, 12, 3, 0.1); // 4 channels of 3 rows
         let mask = vec![true, false, true, false];
-        let (d, _) = decompose_with_channel_mask(&w, &cfg(), Some(&mask)).unwrap();
+        let d = decompose_with_channel_mask(&w, &cfg(), Some(&mask)).unwrap();
         for ch in [1usize, 3] {
             for row in ch * 3..(ch + 1) * 3 {
                 assert!(d.ce.row(row).iter().all(|&x| x == 0.0), "row {row} not zero");
@@ -458,6 +508,29 @@ mod tests {
         assert!(
             dn.reconstruction_error(&w).unwrap() <= dq.reconstruction_error(&w).unwrap() + 1e-4
         );
+    }
+
+    #[test]
+    fn dependent_columns_escalate_the_ridge() {
+        // Identical unit-norm columns: at the 1e-9 floor the ridge rounds
+        // away in f32 and the normal matrix is singular, so both fits retry
+        // at 1e-7; the bits pin the escalated solutions.
+        let ce = Mat::from_rows(&[&[0.5, 0.5], &[0.5, 0.5], &[0.5, 0.5], &[0.5, 0.5]]).unwrap();
+        let w = Mat::from_rows(&[&[0.3, -0.1], &[0.2, 0.4], &[-0.5, 0.1], &[0.25, 0.0]]).unwrap();
+        assert_eq!(linalg::lstsq_left(&ce, &w, 1e-9), Err(TensorError::Singular));
+        let mut lstsq = LstsqWorkspace::default();
+        let mut basis = Mat::zeros(2, 2);
+        fit_basis(&mut lstsq, &ce, &w, 0.0, &mut basis).unwrap();
+        let bits: Vec<u32> = basis.data().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, [0x3d7f_fffb, 0x3dcc_ccc9, 0x3d80_0001, 0x3dcc_ccce]);
+
+        let basis = ce.transpose();
+        let w = Mat::from_rows(&[&[0.3, -0.1, 0.2, 0.7], &[0.2, 0.4, -0.3, 0.1]]).unwrap();
+        assert_eq!(linalg::lstsq_right(&w, &basis, 1e-9), Err(TensorError::Singular));
+        let mut c = Mat::zeros(2, 2);
+        escalate_ridge(0.0, |r| lstsq.lstsq_right_into(&w, &basis, r, &mut c)).unwrap();
+        let bits: Vec<u32> = c.data().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, [0x3e8c_ccca, 0x3e8c_ccce, 0x3dcc_ccc9, 0x3dcc_ccce]);
     }
 
     #[test]

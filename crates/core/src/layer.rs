@@ -14,6 +14,7 @@
 
 use crate::{algorithm, sparsify, CoreError, Result, SeConfig};
 use se_ir::{LayerDesc, LayerKind, SeLayer, SeLayout, SeSlice};
+use se_tensor::linalg::LstsqWorkspace;
 use se_tensor::{Mat, Tensor};
 
 /// Splits `total` rows into chunks of at most `max_rows`, returning the
@@ -52,26 +53,19 @@ fn decompose_unit(
                 }
             }
         }
-        let group_mask = forced_rows.map(|mask| {
-            // Convert the row mask into a per-row "channel" mask with group
-            // size 1 semantics: decompose_with_channel_mask expects groups
-            // of `cols` rows, so we instead mark rows via a synthetic mask
-            // only when they align; otherwise rely on the pre-zeroing plus
-            // per-iteration re-zeroing below.
-            mask[r0..r1].to_vec()
-        });
-        let slice = decompose_chunk(&chunk, cfg, group_mask.as_deref())?;
+        let slice = decompose_chunk(&chunk, cfg, forced_rows.map(|m| &m[r0..r1]))?;
         slices.push(slice);
     }
     Ok(slices)
 }
 
-/// Decomposes a chunk with per-row forced zeros.
+/// Decomposes a chunk whose `forced` rows (from channel pruning) must end
+/// up zero. The chunk is decomposed without a channel mask, since
+/// `decompose_with_channel_mask` groups rows by `cols` and a chunk
+/// boundary can split a channel. Then any forced row the fit refilled is
+/// re-zeroed, and `B` is refitted once.
 fn decompose_chunk(chunk: &Mat, cfg: &SeConfig, forced: Option<&[bool]>) -> Result<SeSlice> {
-    // `decompose_with_channel_mask` takes group-of-n masks; we need per-row
-    // control, so emulate it: run the decomposition, then re-zero and refit
-    // the basis if any forced row was refilled.
-    let (mut d, _) = algorithm::decompose_with_channel_mask(chunk, cfg, None)?;
+    let mut d = algorithm::decompose_with_channel_mask(chunk, cfg, None)?;
     if let Some(mask) = forced {
         let mut touched = false;
         for (i, &z) in mask.iter().enumerate() {
@@ -81,7 +75,8 @@ fn decompose_chunk(chunk: &Mat, cfg: &SeConfig, forced: Option<&[bool]>) -> Resu
             }
         }
         if touched {
-            d.basis = algorithm::fit_basis(&d.ce, chunk, cfg.ridge())?;
+            let mut lstsq = LstsqWorkspace::default();
+            algorithm::fit_basis(&mut lstsq, &d.ce, chunk, cfg.ridge(), &mut d.basis)?;
         }
     }
     d.into_se_slice(cfg.po2())

@@ -12,7 +12,7 @@
 //!   index selector exploits.
 
 use crate::VectorSparsity;
-use se_tensor::Mat;
+use se_tensor::{by_width, Mat};
 
 /// Root-mean-square of a slice (0 for empty).
 fn rms(xs: &[f32]) -> f32 {
@@ -38,21 +38,10 @@ fn rms(xs: &[f32]) -> f32 {
 /// assert_eq!(ce.row(1), &[0.0, 0.0]);
 /// ```
 pub fn vector_sparsify(ce: &mut Mat, policy: VectorSparsity) -> usize {
-    let rows = ce.rows();
+    let (rows, n) = (ce.rows(), ce.cols());
     match policy {
         VectorSparsity::None => (0..rows).filter(|&i| rms(ce.row(i)) == 0.0).count(),
-        VectorSparsity::Threshold(theta) => {
-            let mut zeroed = 0;
-            for i in 0..rows {
-                if rms(ce.row(i)) < theta {
-                    ce.row_mut(i).fill(0.0);
-                }
-                if ce.row(i).iter().all(|&x| x == 0.0) {
-                    zeroed += 1;
-                }
-            }
-            zeroed
-        }
+        VectorSparsity::Threshold(theta) => by_width!(n, n, zero_rows_below(ce, theta)),
         VectorSparsity::KeepFraction(frac) => {
             let keep = (((rows as f64) * f64::from(frac)).round() as usize).min(rows);
             let mut norms: Vec<(usize, f32)> = (0..rows).map(|i| (i, rms(ce.row(i)))).collect();
@@ -64,26 +53,67 @@ pub fn vector_sparsify(ce: &mut Mat, policy: VectorSparsity) -> usize {
             }
             (0..rows).filter(|&i| ce.row(i).iter().all(|&x| x == 0.0)).count()
         }
-        VectorSparsity::RelativeThreshold(frac) => {
-            let norms: Vec<f32> = (0..rows).map(|i| rms(ce.row(i))).collect();
-            let live: Vec<f32> = norms.iter().copied().filter(|&n| n > 0.0).collect();
-            if live.is_empty() {
-                return rows;
-            }
-            let mean = live.iter().sum::<f32>() / live.len() as f32;
-            let theta = frac * mean;
-            let mut zeroed = 0;
-            for (i, &n) in norms.iter().enumerate() {
-                if n < theta {
-                    ce.row_mut(i).fill(0.0);
-                }
-                if ce.row(i).iter().all(|&x| x == 0.0) {
-                    zeroed += 1;
-                }
-            }
-            zeroed
+        VectorSparsity::RelativeThreshold(frac) => by_width!(n, n, relative_threshold(ce, frac)),
+    }
+}
+
+/// Rows whose RMS [`block_rms`] computes together, as vector lanes.
+const LANES: usize = 8;
+
+/// The RMS of rows `r0..r0 + LANES` of `ce`, each bit-identical to
+/// [`rms`] of the row, and whether each row is all zero (its f64 sum of
+/// squares is exactly zero). Lanes past the last row read as zero rows.
+/// `N` is the row width when non-zero (see [`se_tensor::by_width`]).
+#[inline(always)]
+fn block_rms<const N: usize>(ce: &Mat, r0: usize) -> ([f32; LANES], [bool; LANES]) {
+    let n = if N == 0 { ce.cols() } else { N };
+    let rows = &ce.data()[r0 * n..(r0 + LANES).min(ce.rows()) * n];
+    let mut sq = [0.0f64; LANES];
+    for (acc, row) in sq.iter_mut().zip(rows.chunks_exact(n.max(1))) {
+        for &x in row {
+            let x = f64::from(x);
+            *acc += x * x;
         }
     }
+    let rms = sq.map(|s| if n == 0 { 0.0 } else { (s / n as f64).sqrt() as f32 });
+    (rms, sq.map(|s| s == 0.0))
+}
+
+/// [`VectorSparsity::RelativeThreshold`]: the threshold is `frac ×` the
+/// mean RMS of the non-zero rows, summed in row order.
+fn relative_threshold<const N: usize>(ce: &mut Mat, frac: f32) -> usize {
+    let rows = ce.rows();
+    let (mut sum, mut live) = (0.0f32, 0usize);
+    for r0 in (0..rows).step_by(LANES) {
+        for &n in &block_rms::<N>(ce, r0).0[..LANES.min(rows - r0)] {
+            sum += if n > 0.0 { n } else { 0.0 };
+            live += usize::from(n > 0.0);
+        }
+    }
+    if live == 0 {
+        return rows;
+    }
+    zero_rows_below::<N>(ce, frac * (sum / live as f32))
+}
+
+/// Zeros every row of `ce` whose RMS is below `theta`; returns the number
+/// of all-zero rows afterwards.
+fn zero_rows_below<const N: usize>(ce: &mut Mat, theta: f32) -> usize {
+    let (rows, n) = (ce.rows(), if N == 0 { ce.cols() } else { N });
+    let mut zeroed = 0;
+    for r0 in (0..rows).step_by(LANES) {
+        let (norms, zero) = block_rms::<N>(ce, r0);
+        let len = LANES.min(rows - r0);
+        let block = &mut ce.data_mut()[r0 * n..(r0 + len) * n];
+        for (l, (&norm, &zero)) in norms.iter().zip(&zero).take(len).enumerate() {
+            let drop = norm < theta;
+            for x in &mut block[l * n..(l + 1) * n] {
+                *x = if drop { 0.0 } else { *x };
+            }
+            zeroed += usize::from(drop | zero);
+        }
+    }
+    zeroed
 }
 
 /// Computes a per-channel keep mask for a reshaped weight matrix whose rows
@@ -151,6 +181,13 @@ mod tests {
         let zeroed = vector_sparsify(&mut ce, VectorSparsity::None);
         assert_eq!(zeroed, 1);
         assert_eq!(ce.row(1), &[1.0, 1.0]);
+    }
+
+    #[test]
+    fn rows_without_columns_count_as_zero() {
+        let mut ce = Mat::zeros(3, 0);
+        assert_eq!(vector_sparsify(&mut ce, VectorSparsity::Threshold(0.01)), 3);
+        assert_eq!(vector_sparsify(&mut ce, VectorSparsity::RelativeThreshold(0.4)), 3);
     }
 
     #[test]

@@ -1,5 +1,25 @@
 use crate::{IrError, Result};
 
+const MANT_BITS: u32 = 23;
+const MANT_MASK: u32 = (1 << MANT_BITS) - 1;
+const SIGN_MASK: u32 = 1 << 31;
+const EXP_BIAS: i32 = 127;
+/// The mantissa field of `√2` as an f32.
+const SQRT2_MANT: u32 = std::f32::consts::SQRT_2.to_bits() & MANT_MASK;
+/// How close (in mantissa ulps) to √2's mantissa [`Po2Set::quantize`]
+/// defers to `log2().round()`. `log2` is accurate to about an ulp of its
+/// result, at most 2^-17 for exponents in f32 range, while 256 mantissa
+/// ulps move `log2` by about 2^-15; outside this window the bit test and
+/// the rounded `log2` agree (checked exhaustively by the ignored test
+/// `quantize_matches_log_domain_on_every_f32`).
+const ROUNDING_GUARD: u32 = 256;
+
+/// `±2^p` from a sign bit and `p` in `-127..=127`; `-127` (an all-zero
+/// exponent field) gives a signed zero.
+fn pow2_bits(sign: u32, p: i32) -> f32 {
+    f32::from_bits(sign | (((p + EXP_BIAS) as u32) << MANT_BITS))
+}
+
 /// The power-of-2 quantization alphabet `Ω_P = {0} ∪ {±2^p | p ∈ P}` of
 /// Eq. (2) in the paper, with `P` a contiguous integer range
 /// `{max_exp - count + 1, …, max_exp}`.
@@ -93,7 +113,40 @@ impl Po2Set {
     /// Rounding happens in the log domain (nearest exponent), the standard
     /// choice for power-of-2 quantizers: magnitudes below the halfway point
     /// under `2^min_exp` become zero, magnitudes above `2^max_exp` clamp.
+    ///
+    /// The nearest exponent is read from the bits: it is the exponent field,
+    /// plus one when the mantissa lies above √2's. Mantissas within 256 ulps
+    /// of √2's take the `log2().round()` path, so the result is the f32
+    /// log-domain rounding bit for bit, including where `log2` itself rounds
+    /// across the half-octave boundary.
+    #[inline]
     pub fn quantize(&self, x: f32) -> f32 {
+        match self.quantize_bits(x) {
+            (q, false) => q,
+            (_, true) => self.quantize_log_domain(x),
+        }
+    }
+
+    /// The branch-free half of [`Po2Set::quantize`], for loops that should
+    /// vectorize: the bit-arithmetic result, and whether `x` lies next to
+    /// the half-octave boundary. When the flag is set the result may be
+    /// off by one exponent and only `quantize` is exact.
+    #[inline]
+    pub fn quantize_bits(&self, x: f32) -> (f32, bool) {
+        let bits = x.to_bits();
+        let mant = bits & MANT_MASK;
+        let field = (bits >> MANT_BITS) & 0xff;
+        let p = field as i32 - EXP_BIAS + i32::from(mant > SQRT2_MANT);
+        let out = pow2_bits(bits & SIGN_MASK, p.min(self.max_exp));
+        // Zeros and subnormals have p < -120 <= min_exp; inf and NaN have
+        // the all-ones field.
+        let q = if p >= self.min_exp() && field != 0xff { out } else { 0.0 };
+        (q, mant.abs_diff(SQRT2_MANT) <= ROUNDING_GUARD)
+    }
+
+    /// [`Po2Set::quantize`] through `log2().round()`, for mantissas next to
+    /// the half-octave boundary.
+    fn quantize_log_domain(&self, x: f32) -> f32 {
         if x == 0.0 || !x.is_finite() {
             return 0.0;
         }
@@ -118,18 +171,20 @@ impl Po2Set {
         sign * (p as f32).exp2()
     }
 
-    /// Whether `x` is exactly representable in this set.
+    /// Whether `x` is exactly representable in this set: zero, or a normal
+    /// float with an empty mantissa and an exponent in `P`.
     pub fn contains(&self, x: f32) -> bool {
-        if x == 0.0 {
-            return true;
-        }
-        let mag = x.abs();
-        let p = mag.log2();
-        if p.fract() != 0.0 {
-            return false;
-        }
-        let p = p as i32;
-        p >= self.min_exp() && p <= self.max_exp
+        x == 0.0 || self.exponent_of(x).is_some()
+    }
+
+    /// The exponent `p` of a member `±2^p`, read from the bits; `None` for
+    /// zero and for every value outside the set.
+    fn exponent_of(&self, x: f32) -> Option<i32> {
+        let bits = x.to_bits();
+        let p = ((bits >> MANT_BITS) & 0xff) as i32 - EXP_BIAS;
+        // The range check also rejects subnormals and inf/NaN: P lies in
+        // [-120, 120].
+        (bits & MANT_MASK == 0 && (self.min_exp()..=self.max_exp).contains(&p)).then_some(p)
     }
 
     /// Encodes a representable value as a compact code
@@ -142,10 +197,9 @@ impl Po2Set {
         if x == 0.0 {
             return Ok(0);
         }
-        if !self.contains(x) {
+        let Some(p) = self.exponent_of(x) else {
             return Err(IrError::InvalidPo2 { reason: format!("{x} is not in Ω_P") });
-        }
-        let p = x.abs().log2() as i32;
+        };
         let idx = (self.max_exp - p) as u16;
         let sign_bit = u16::from(x < 0.0);
         Ok(1 + 2 * idx + sign_bit)
@@ -232,6 +286,108 @@ mod tests {
         assert!(!s.contains(0.3));
         assert!(!s.contains(2.0)); // above max_exp
         assert!(!s.contains(2.0f32.powi(-7))); // below min_exp
+    }
+
+    #[test]
+    fn contains_rejects_the_neighbours_of_every_member() {
+        // One ulp above 256 has an f32 `log2` of exactly 8.
+        let big = Po2Set::new(10, 20).unwrap();
+        let off = f32::from_bits(256f32.to_bits() + 1);
+        assert!(!big.contains(off));
+        assert!(big.encode(off).is_err());
+        for set in [Po2Set::default(), Po2Set::new(120, 241).unwrap()] {
+            for p in set.exponents() {
+                for v in [(p as f32).exp2(), -(p as f32).exp2()] {
+                    assert!(set.contains(v), "{v} is a member");
+                    for n in [f32::from_bits(v.to_bits() - 1), f32::from_bits(v.to_bits() + 1)] {
+                        assert!(!set.contains(n), "{n:e} next to {v:e}");
+                        assert!(set.encode(n).is_err(), "{n:e} encoded");
+                    }
+                }
+            }
+            assert!(!set.contains(f32::INFINITY) && !set.contains(f32::NAN));
+        }
+    }
+
+    /// The log-domain formula, the reference `quantize` must match bit for
+    /// bit.
+    fn quantize_reference(set: &Po2Set, x: f32) -> f32 {
+        if x == 0.0 || !x.is_finite() {
+            return 0.0;
+        }
+        let sign = x.signum();
+        let mag = x.abs();
+        let p = mag.log2().round() as i32;
+        if p > set.max_exp() {
+            return sign * (set.max_exp() as f32).exp2();
+        }
+        if p < set.min_exp() {
+            let min_val = (set.min_exp() as f32).exp2();
+            if mag >= min_val / std::f32::consts::SQRT_2 {
+                return sign * min_val;
+            }
+            return 0.0;
+        }
+        sign * (p as f32).exp2()
+    }
+
+    /// Every f32 bit pattern, against the reference, bit for bit. Slow in
+    /// debug builds; CI runs it with
+    /// `cargo test --release -p se-ir -- --ignored quantize_matches_log_domain_on_every_f32`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn quantize_matches_log_domain_on_every_f32() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        for set in [Po2Set::default(), Po2Set::new(120, 241).unwrap()] {
+            let span = (1u64 << 32).div_ceil(threads);
+            let mismatches: u64 = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|t| {
+                        s.spawn(move || {
+                            let end = ((t + 1) * span).min(1 << 32);
+                            (t * span..end)
+                                .filter(|&b| {
+                                    let x = f32::from_bits(b as u32);
+                                    set.quantize(x).to_bits()
+                                        != quantize_reference(&set, x).to_bits()
+                                })
+                                .count() as u64
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            assert_eq!(mismatches, 0, "{set:?}");
+        }
+    }
+
+    #[test]
+    fn quantize_matches_log_domain_near_the_boundary() {
+        // The fast path's edges: mantissas just outside the guard window,
+        // every exponent, both signs, for a few alphabets.
+        for set in
+            [Po2Set::default(), Po2Set::new(120, 241).unwrap(), Po2Set::new(-114, 7).unwrap()]
+        {
+            for field in 0..=255u32 {
+                for m in [
+                    0,
+                    1,
+                    SQRT2_MANT - ROUNDING_GUARD - 1,
+                    SQRT2_MANT,
+                    SQRT2_MANT + ROUNDING_GUARD + 1,
+                    MANT_MASK,
+                ] {
+                    for sign in [0, SIGN_MASK] {
+                        let x = f32::from_bits(sign | (field << MANT_BITS) | m);
+                        assert_eq!(
+                            set.quantize(x).to_bits(),
+                            quantize_reference(&set, x).to_bits(),
+                            "{set:?} {x:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
