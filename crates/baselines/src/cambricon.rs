@@ -9,7 +9,7 @@
 //! and are selected on chip.
 
 use crate::common::{dense_stats, BaselineConfig};
-use se_hw::{Accelerator, LayerResult, MemCounters, OpCounters, Result};
+use se_hw::{Accelerator, LayerResult, MemCounters, Result};
 use se_ir::LayerTrace;
 
 /// Per-PE multiplier lanes in the original design.
@@ -87,27 +87,16 @@ impl Accelerator for CambriconX {
             weight_gb_write_bytes: weight_bytes + index_bytes,
             rf_bytes: 0,
         };
-        let lanes = self.cfg.multipliers as u64;
-        let ops = OpCounters {
-            pe_lane_cycles: 0,
-            macs: effective_macs,
-            accumulator_adds: effective_macs,
-            rebuild_shift_adds: 0,
-            // The indexing unit examines every weight position once per
-            // output position to steer activations.
-            index_compares: s.weights * s.spatial_out as u64 / LANES_PER_PE.max(1),
-            idle_lane_cycles: (compute_cycles * lanes).saturating_sub(effective_macs),
-        };
-        let dram_cycles =
-            (mem.dram_total_bytes() as f64 / self.cfg.dram_bytes_per_cycle).ceil() as u64;
-        Ok(LayerResult {
-            name: trace.desc().name().to_string(),
+        // The indexing unit examines every weight position once per output
+        // position to steer activations.
+        let index_compares = s.weights * s.spatial_out as u64 / LANES_PER_PE.max(1);
+        Ok(self.cfg.layer_result(
+            trace.desc().name(),
             compute_cycles,
-            dram_cycles,
-            total_cycles: compute_cycles.max(dram_cycles),
             mem,
-            ops,
-        })
+            effective_macs,
+            index_compares,
+        ))
     }
 }
 

@@ -1,18 +1,7 @@
 //! Shared baseline resources and trace statistics.
-//!
-//! The geometry-derived half of the per-layer statistics (MAC counts,
-//! element volumes, tiling shapes) is identical for every layer sharing a
-//! shape; [`dense_stats`] memoizes it in one process-wide table keyed by
-//! [`ScheduleKey::for_geometry`], shared by every baseline design, so
-//! ResNet-style networks that repeat a geometry 18× per stage derive it
-//! once. The data-dependent half (weight/activation non-zero counts) is
-//! recomputed per layer.
 
-use std::sync::{Arc, LazyLock};
-
-use se_hw::schedule::{ScheduleCache, ScheduleKey};
-use se_hw::{HwError, Result};
-use se_ir::{LayerDesc, LayerKind, LayerTrace, QuantTensor, WeightData};
+use se_hw::{HwError, LayerResult, MemCounters, OpCounters, Result};
+use se_ir::{LayerKind, LayerTrace, QuantTensor, WeightData};
 
 /// Equalised baseline resources (Table V): the same total on-chip SRAM as
 /// the SmartExchange accelerator and 1 K 8-bit multipliers.
@@ -47,16 +36,19 @@ impl BaselineConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`HwError::InvalidConfig`] for non-positive resources.
+    /// Returns [`HwError::InvalidConfig`] for no multipliers, an SRAM size,
+    /// bandwidth or frequency that is not finite and positive, or an input
+    /// share outside `[0, 1]`.
     pub fn validate(&self) -> Result<()> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
         if self.multipliers == 0
-            || self.sram_bytes <= 0.0
+            || !positive(self.sram_bytes)
             || !(0.0..=1.0).contains(&self.input_share)
-            || self.dram_bytes_per_cycle <= 0.0
-            || self.frequency_hz <= 0.0
+            || !positive(self.dram_bytes_per_cycle)
+            || !positive(self.frequency_hz)
         {
             return Err(HwError::InvalidConfig {
-                reason: "baseline resources must be positive".into(),
+                reason: "baseline resources must be finite and positive".into(),
             });
         }
         Ok(())
@@ -71,32 +63,23 @@ impl BaselineConfig {
             input_bytes * output_tiles.max(1)
         }
     }
-}
 
-/// The geometry-derived half of [`DenseLayerStats`]: a pure function of
-/// the layer descriptor, cached per shape (see [`dense_stats`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseGeometry {
-    /// Output channels / neurons (`M`).
-    pub m: usize,
-    /// Input channels / features (`C`).
-    pub c: usize,
-    /// Kernel side (1 for FC).
-    pub kernel: usize,
-    /// Output spatial positions (`E × F`; 1 for FC).
-    pub spatial_out: usize,
-    /// Total MACs of the dense layer.
-    pub macs: u64,
-    /// Total input elements.
-    pub inputs: u64,
-    /// Total output elements.
-    pub outputs: u64,
+    /// A layer's result on the multiplier datapath: `macs` products, each
+    /// accumulated once, with every multiplier not multiplying idle for
+    /// the rest of `compute_cycles`.
+    pub fn layer_result(
+        &self,
+        name: &str,
+        compute_cycles: u64,
+        mem: MemCounters,
+        macs: u64,
+        index_compares: u64,
+    ) -> LayerResult {
+        let ops = OpCounters { macs, accumulator_adds: macs, index_compares, ..Default::default() }
+            .with_idle_lanes(compute_cycles, self.multipliers as u64);
+        LayerResult::new(name, compute_cycles, mem, ops, self.dram_bytes_per_cycle)
+    }
 }
-
-/// Every [`DenseGeometry`] built in this process. It is a pure function of
-/// the layer *shape* alone — no accelerator configuration enters it — so
-/// one table serves every baseline design and instance.
-static GEOMETRY: LazyLock<ScheduleCache<DenseGeometry>> = LazyLock::new(ScheduleCache::default);
 
 // Residency note: every baseline charges its (dense, CSR-compressed, or
 // nnz-packed) weight DRAM exactly once per image, so a run's per-image
@@ -106,36 +89,6 @@ static GEOMETRY: LazyLock<ScheduleCache<DenseGeometry>> = LazyLock::new(Schedule
 // (see `se_hw::residency`). The dense counterpart of the SmartExchange
 // lane's compressed footprint; the invariant is pinned by tests below and
 // per design.
-
-/// Computes the geometry statistics for one layer descriptor.
-///
-/// # Errors
-///
-/// Propagates invalid layer geometry.
-pub fn dense_geometry(desc: &LayerDesc) -> Result<DenseGeometry> {
-    let (m, c, kernel) = match *desc.kind() {
-        LayerKind::Conv2d { in_channels, out_channels, kernel, .. } => {
-            (out_channels, in_channels, kernel)
-        }
-        LayerKind::DepthwiseConv2d { channels, kernel, .. } => (channels, 1, kernel),
-        LayerKind::Linear { in_features, out_features } => (out_features, in_features, 1),
-        LayerKind::SqueezeExcite { channels, reduced } => (2 * reduced, channels, 1),
-    };
-    let (e, f) = desc.output_hw()?;
-    let spatial_out = match desc.kind() {
-        LayerKind::Linear { .. } => 1,
-        _ => e * f,
-    };
-    Ok(DenseGeometry {
-        m,
-        c,
-        kernel,
-        spatial_out,
-        macs: desc.macs()?,
-        inputs: desc.input_elems(),
-        outputs: desc.output_elems()?,
-    })
-}
 
 /// Dense layer statistics every baseline consumes.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,36 +122,35 @@ pub struct DenseLayerStats {
 }
 
 /// Extracts dense statistics from a trace (baselines require
-/// [`WeightData::Dense`]), with the geometry half served from the
-/// process-wide memo: repeated layer shapes compute it once.
+/// [`WeightData::Dense`]).
 ///
 /// # Errors
 ///
-/// Returns [`HwError::UnsupportedTrace`] for SE-form weights or
-/// squeeze-excite layers presented to designs that cannot run them.
+/// Returns [`HwError::UnsupportedTrace`] for SE-form weights, and
+/// propagates invalid layer geometry.
 pub fn dense_stats(trace: &LayerTrace) -> Result<DenseLayerStats> {
-    let geom = geometry_for(trace.desc())?;
-    dense_stats_from(&geom, trace)
-}
-
-/// The memoized geometry for `desc`.
-fn geometry_for(desc: &LayerDesc) -> Result<Arc<DenseGeometry>> {
-    GEOMETRY.get_or_try_build(ScheduleKey::for_geometry(desc), || dense_geometry(desc))
-}
-
-/// Combines cached geometry with the trace's data-dependent non-zero
-/// counts.
-fn dense_stats_from(geom: &DenseGeometry, trace: &LayerTrace) -> Result<DenseLayerStats> {
+    let desc = trace.desc();
     let WeightData::Dense(qw) = trace.weights() else {
         return Err(HwError::UnsupportedTrace {
             reason: format!(
                 "baseline accelerators process dense weights; layer {} is SE-compressed",
-                trace.desc().name()
+                desc.name()
             ),
         });
     };
-    let desc = trace.desc();
-    let DenseGeometry { m, c, kernel, spatial_out, macs, inputs, outputs } = *geom;
+    let (m, c, kernel) = match *desc.kind() {
+        LayerKind::Conv2d { in_channels, out_channels, kernel, .. } => {
+            (out_channels, in_channels, kernel)
+        }
+        LayerKind::DepthwiseConv2d { channels, kernel, .. } => (channels, 1, kernel),
+        LayerKind::Linear { in_features, out_features } => (out_features, in_features, 1),
+        LayerKind::SqueezeExcite { channels, reduced } => (2 * reduced, channels, 1),
+    };
+    let (e, f) = desc.output_hw()?;
+    let spatial_out = match desc.kind() {
+        LayerKind::Linear { .. } => 1,
+        _ => e * f,
+    };
     let per_filter = qw.len() / m.max(1);
     let mut filter_nnz = Vec::with_capacity(m);
     for fi in 0..m {
@@ -244,15 +196,15 @@ fn dense_stats_from(geom: &DenseGeometry, trace: &LayerTrace) -> Result<DenseLay
         c,
         kernel,
         spatial_out,
-        macs,
+        macs: desc.macs()?,
         weights: qw.len() as u64,
         weight_nnz,
         filter_nnz,
         channel_w_nnz,
         channel_a_nnz,
-        inputs,
+        inputs: desc.input_elems(),
         input_nnz,
-        outputs,
+        outputs: desc.output_elems()?,
     })
 }
 
@@ -292,26 +244,6 @@ mod tests {
         a.set(&[1, 3, 3], 0.5);
         let qa = QuantTensor::quantize(&a, 8).unwrap();
         LayerTrace::new(desc, WeightData::Dense(qw), qa).unwrap()
-    }
-
-    #[test]
-    fn cached_stats_match_uncached_and_build_once() {
-        let t = trace();
-        let cold = dense_stats_from(&dense_geometry(t.desc()).unwrap(), &t).unwrap();
-        assert_eq!(dense_stats(&t).unwrap(), cold);
-        assert_eq!(dense_stats(&t).unwrap(), cold, "cache hit differs from cold build");
-        let geom = geometry_for(t.desc()).unwrap();
-        assert!(Arc::ptr_eq(&geom, &geometry_for(t.desc()).unwrap()), "built once");
-    }
-
-    #[test]
-    fn geometry_memo_is_one_process_wide_table() {
-        // Differently named layers of one shape share one memoized
-        // geometry, whichever design or instance asks for it.
-        let kind =
-            LayerKind::Conv2d { in_channels: 3, out_channels: 5, kernel: 3, stride: 2, padding: 0 };
-        let (a, b) = (LayerDesc::new("a", kind, (7, 9)), LayerDesc::new("b", kind, (7, 9)));
-        assert!(Arc::ptr_eq(&geometry_for(&a).unwrap(), &geometry_for(&b).unwrap()));
     }
 
     #[test]
@@ -359,6 +291,29 @@ mod tests {
         assert!(c.validate().is_err());
         let c = BaselineConfig { input_share: 2.0, ..Default::default() };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_and_non_positive_resources() {
+        type Field = fn(&mut BaselineConfig) -> &mut f64;
+        let fields: [(&str, Field); 4] = [
+            ("sram_bytes", |c| &mut c.sram_bytes),
+            ("input_share", |c| &mut c.input_share),
+            ("dram_bytes_per_cycle", |c| &mut c.dram_bytes_per_cycle),
+            ("frequency_hz", |c| &mut c.frequency_hz),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+                let mut c = BaselineConfig::default();
+                *field(&mut c) = bad;
+                // An input share of 0 (no SRAM for inputs) is valid.
+                if name == "input_share" && bad == 0.0 {
+                    c.validate().unwrap();
+                    continue;
+                }
+                assert!(c.validate().is_err(), "{name} = {bad} must be rejected");
+            }
+        }
     }
 
     #[test]

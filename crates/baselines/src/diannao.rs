@@ -8,7 +8,7 @@
 //! (and SmartExchange) beat it.
 
 use crate::common::{dense_stats, BaselineConfig};
-use se_hw::{Accelerator, LayerResult, MemCounters, OpCounters, Result};
+use se_hw::{Accelerator, LayerResult, MemCounters, Result};
 use se_ir::LayerTrace;
 
 /// The DianNao baseline accelerator.
@@ -63,24 +63,7 @@ impl Accelerator for DianNao {
             weight_gb_write_bytes: s.weights,
             rf_bytes: 0,
         };
-        let ops = OpCounters {
-            pe_lane_cycles: 0,
-            macs: s.macs,
-            accumulator_adds: s.macs,
-            rebuild_shift_adds: 0,
-            index_compares: 0,
-            idle_lane_cycles: (compute_cycles * mults).saturating_sub(s.macs),
-        };
-        let dram_cycles =
-            (mem.dram_total_bytes() as f64 / self.cfg.dram_bytes_per_cycle).ceil() as u64;
-        Ok(LayerResult {
-            name: trace.desc().name().to_string(),
-            compute_cycles,
-            dram_cycles,
-            total_cycles: compute_cycles.max(dram_cycles),
-            mem,
-            ops,
-        })
+        Ok(self.cfg.layer_result(trace.desc().name(), compute_cycles, mem, s.macs, 0))
     }
 }
 

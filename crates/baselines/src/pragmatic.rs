@@ -6,9 +6,7 @@
 //! SmartExchange PE array (the equalised 8 K bit-serial lanes of Table V),
 //! so the model *reuses the validated SmartExchange engine* configured
 //! with: dense weights, plain essential bits (no 4-bit Booth encoder), no
-//! index selector, and no rebuild engines. The engine's process-wide
-//! schedule memo comes along for free: repeated layer shapes build their
-//! tiling skeleton once per process.
+//! index selector, and no rebuild engines.
 
 use se_hw::sim::SeAccelerator;
 use se_hw::{Accelerator, HwError, LayerResult, Result, SeAcceleratorConfig};

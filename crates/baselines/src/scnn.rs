@@ -12,7 +12,7 @@
 //! layers (it is a CONV-only design), and those traces are rejected.
 
 use crate::common::{dense_stats, BaselineConfig};
-use se_hw::{Accelerator, HwError, LayerResult, MemCounters, OpCounters, Result};
+use se_hw::{Accelerator, HwError, LayerResult, MemCounters, Result};
 use se_ir::{LayerKind, LayerTrace};
 
 /// Crossbar/accumulator-bank contention factor (calibrated constant).
@@ -101,24 +101,15 @@ impl Accelerator for Scnn {
             weight_gb_write_bytes: weight_bytes,
             rf_bytes: 0,
         };
-        let ops = OpCounters {
-            pe_lane_cycles: 0,
-            macs: products,
-            accumulator_adds: products,
-            rebuild_shift_adds: 0,
-            index_compares: s.weight_nnz + s.input_nnz, // coordinate decode
-            idle_lane_cycles: (compute_cycles * mults).saturating_sub(products),
-        };
-        let dram_cycles =
-            (mem.dram_total_bytes() as f64 / self.cfg.dram_bytes_per_cycle).ceil() as u64;
-        Ok(LayerResult {
-            name: trace.desc().name().to_string(),
+        // Coordinate decode: one compare per non-zero weight and activation.
+        let index_compares = s.weight_nnz + s.input_nnz;
+        Ok(self.cfg.layer_result(
+            trace.desc().name(),
             compute_cycles,
-            dram_cycles,
-            total_cycles: compute_cycles.max(dram_cycles),
             mem,
-            ops,
-        })
+            products,
+            index_compares,
+        ))
     }
 }
 

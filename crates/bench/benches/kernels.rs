@@ -42,12 +42,13 @@ fn bench_window(c: &mut Criterion) {
     let t = rng::normal_tensor(&mut r, &[64, 32, 32], 1.0).map(f32::abs);
     let q = QuantTensor::quantize(&t, 8).unwrap();
     let counts = window::serial_counts(&q, SerialMode::Booth);
-    c.bench_function("window_max_sweep_32row", |b| {
+    c.bench_function("window_sweep_32row", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for row in counts.chunks(32) {
                 for start in 0..24 {
-                    acc += u64::from(window::window_max(black_box(row), start, 1, 8));
+                    let (max, sum) = window::window(black_box(row), start, 1, 8);
+                    acc += u64::from(max) + u64::from(sum);
                 }
             }
             black_box(acc)

@@ -25,16 +25,10 @@
 //!
 //! Results are reassembled in network order at both levels, so a
 //! comparison sweep is **bit-identical for every worker count** at either
-//! level (enforced by tests). Every job is a pure function of its trace —
-//! the only shared state is a memo of pure functions — which is what makes
-//! the guarantee hold.
-//!
-//! On top of the fan-out, every simulator memoizes the data-independent
-//! tiling/cycle skeleton of each distinct layer *geometry* in a
-//! process-wide schedule memo ([`se_hw::schedule`]): ResNet164 repeats
-//! each bottleneck shape 18× per stage, so the skeleton is derived once
-//! and only the data-dependent terms (zero rows, Booth digits, rebuild
-//! costs) are re-evaluated per layer.
+//! level (enforced by tests). Every job is a pure function of its trace,
+//! with no state shared between jobs, which is what makes the guarantee
+//! hold. Each simulator builds a layer's tiling/cycle skeleton per layer
+//! (see [`se_hw::schedule`] for why it is not memoized).
 //!
 //! Every entry point takes an optional persisted-trace directory: a model
 //! with an artifact there replays it instead of regenerating its traces,
@@ -317,8 +311,8 @@ mod tests {
         .unwrap()
     }
 
-    /// Repeated geometries (to exercise the schedule caches) plus a
-    /// squeeze-excite layer (to exercise the SCNN `None` lane).
+    /// Repeated geometries plus a squeeze-excite layer (to exercise the
+    /// SCNN `None` lane).
     fn multi_geometry() -> NetworkDesc {
         let conv = |name: &str, ci: usize, co: usize, hw: usize| {
             LayerDesc::new(
@@ -362,7 +356,7 @@ mod tests {
     #[test]
     fn parallel_comparison_is_bit_identical_to_serial() {
         // Worker counts {1, 4, 8} at both levels, on a network with
-        // repeated geometries (schedule-cache hits) and an unsupported
+        // repeated geometries and an unsupported
         // SCNN lane — all runs must be bit-identical.
         let net = multi_geometry();
         let serial =

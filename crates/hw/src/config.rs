@@ -86,8 +86,9 @@ impl SeAcceleratorConfig {
     /// # Errors
     ///
     /// Returns [`HwError::InvalidConfig`] for zero-sized arrays/buffers or a
-    /// non-positive bandwidth/frequency.
+    /// bandwidth, frequency or buffer size that is not finite and positive.
     pub fn validate(&self) -> Result<()> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
         if self.dim_m == 0 || self.dim_c == 0 || self.dim_f == 0 {
             return Err(HwError::InvalidConfig {
                 reason: "PE array dimensions must be positive".into(),
@@ -96,15 +97,15 @@ impl SeAcceleratorConfig {
         if self.input_gb_banks == 0
             || self.output_gb_banks == 0
             || self.weight_buf_banks == 0
-            || self.input_gb_bank_kb <= 0.0
-            || self.output_gb_bank_kb <= 0.0
-            || self.weight_buf_bank_kb <= 0.0
+            || !positive(self.input_gb_bank_kb)
+            || !positive(self.output_gb_bank_kb)
+            || !positive(self.weight_buf_bank_kb)
         {
             return Err(HwError::InvalidConfig { reason: "buffers must be non-empty".into() });
         }
-        if self.dram_bytes_per_cycle <= 0.0 || self.frequency_hz <= 0.0 {
+        if !positive(self.dram_bytes_per_cycle) || !positive(self.frequency_hz) {
             return Err(HwError::InvalidConfig {
-                reason: "bandwidth and frequency must be positive".into(),
+                reason: "bandwidth and frequency must be finite and positive".into(),
             });
         }
         if self.row_sample == 0 {
@@ -181,6 +182,25 @@ mod tests {
         assert!(c.validate().is_err());
         let c = SeAcceleratorConfig { input_gb_bank_kb: -1.0, ..Default::default() };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_and_non_positive_resources() {
+        type Field = fn(&mut SeAcceleratorConfig) -> &mut f64;
+        let fields: [(&str, Field); 5] = [
+            ("input_gb_bank_kb", |c| &mut c.input_gb_bank_kb),
+            ("output_gb_bank_kb", |c| &mut c.output_gb_bank_kb),
+            ("weight_buf_bank_kb", |c| &mut c.weight_buf_bank_kb),
+            ("dram_bytes_per_cycle", |c| &mut c.dram_bytes_per_cycle),
+            ("frequency_hz", |c| &mut c.frequency_hz),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+                let mut c = SeAcceleratorConfig::default();
+                *field(&mut c) = bad;
+                assert!(c.validate().is_err(), "{name} = {bad} must be rejected");
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use config::SeAcceleratorConfig;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::HwError;
 pub use residency::{ResidencyStats, TierAdmission, TierSpec, TierStats, TieredStore};
-pub use schedule::{ScheduleCache, ScheduleKey};
+pub use schedule::ScheduleKey;
 pub use stats::{LayerResult, MemCounters, OpCounters, RunResult};
 
 /// Crate-wide result alias.

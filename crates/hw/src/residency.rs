@@ -426,9 +426,19 @@ impl TieredStore {
 
 /// DRAM cycles to move a `bytes`-sized weight footprint at the given
 /// bandwidth — the latency a model switch serializes in front of its first
-/// batch (the fetch cannot overlap compute that needs the weights).
+/// batch (the fetch cannot overlap compute that needs the weights), and
+/// the DRAM time of every simulated layer ([`crate::LayerResult::new`]).
+///
+/// # Panics
+///
+/// Panics unless the bandwidth is finite and positive; every caller
+/// passes one that a configuration's `validate` (or
+/// [`TieredStore::new`]) has checked.
 pub fn fetch_cycles(bytes: u64, dram_bytes_per_cycle: f64) -> u64 {
-    debug_assert!(dram_bytes_per_cycle > 0.0, "bandwidth must be positive");
+    assert!(
+        dram_bytes_per_cycle.is_finite() && dram_bytes_per_cycle > 0.0,
+        "bandwidth must be finite and positive, got {dram_bytes_per_cycle}"
+    );
     (bytes as f64 / dram_bytes_per_cycle).ceil() as u64
 }
 

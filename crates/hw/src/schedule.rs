@@ -1,48 +1,36 @@
-//! Geometry-keyed schedule reuse.
+//! The inputs of a layer's simulation schedule.
 //!
-//! ResNet-style networks repeat identical layer geometries many times
-//! (ResNet164 repeats each bottleneck shape 18× per stage), and the
-//! data-independent part of a simulator pass — which output rows are
+//! The data-independent part of a simulator pass — which output rows are
 //! sampled, where every kernel row reads its input row, how output pixels
 //! group onto MAC lanes, how filters tile onto PE slices — depends only on
 //! the layer *geometry* and the accelerator *configuration*, never on the
-//! weights or activations. This module provides the two pieces that let
-//! every simulator compute that skeleton once per distinct shape and reuse
-//! it across repeats:
+//! weights or activations. [`ScheduleKey`] names exactly those inputs; the
+//! layer *name* is not one of them.
 //!
-//! * [`ScheduleKey`] — a hashable key derived from [`LayerDesc`] geometry
-//!   plus the configuration fields a schedule may depend on. The layer
-//!   *name* is deliberately excluded: two layers with different names but
-//!   the same shape share a schedule.
-//! * [`ScheduleCache`] — a thread-safe memo table from key to an
-//!   immutable, shared schedule value. Each simulator holds one
-//!   process-wide: the SmartExchange engine keyed by
-//!   [`ScheduleKey::for_config`], the dense baselines by
-//!   [`ScheduleKey::for_geometry`].
-//!
-//! Correctness note: cached values must be **pure functions of their key**.
-//! Under that contract a cache is observationally transparent — hits and
-//! misses produce bit-identical simulation results, for any worker count
-//! and any layer order — which is what keeps the parallel five-accelerator
-//! runner's output independent of scheduling (see `se_bench::runner`).
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+//! `se_hw::sim` builds the schedule per spatial layer rather than keeping
+//! it. Building costs O(E·R + F) against the pass's O(E·F·C·R·S); on the
+//! `replay` workload (the five simulators over MobileNetV2,
+//! EfficientNet-B0 and ResNet164 traces) a process-wide memo of it, with
+//! one of the baselines' dense geometry, measured no faster than building
+//! per layer: the SE simulation read 300 and 324 ms with the memos and 304
+//! and 228 ms without them (two traced pairs on a 2-vCPU host), so neither
+//! is kept.
 
 use crate::SeAcceleratorConfig;
 use se_ir::{LayerDesc, LayerKind};
 
-/// Cache key for a layer's simulation schedule: the full layer geometry
+/// The inputs a `Schedule` is a function of: the full layer geometry
 /// (kind with all its dimensions, plus the input feature-map size) and the
 /// configuration fields that shape a schedule (PE-array tile dimensions,
-/// output-row sampling, the feature toggles, and the output-GB geometry
-/// the partial-sum spill target derives from).
+/// output-row sampling, and the output-GB geometry the partial-sum spill
+/// target derives from). The key also holds `dim_c` and the feature
+/// toggles, which the schedule does not read, so configurations that
+/// differ only there count as distinct schedules.
 ///
 /// Two keys compare equal exactly when every geometry and configuration
 /// field matches; any differing field — kernel, stride, padding, channel
 /// counts, input size, tile dimensions, `row_sample`, or a feature toggle —
-/// produces a distinct key, so schedules can never silently collide across
-/// shapes.
+/// produces a distinct key. Layers with equal keys build equal schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScheduleKey {
     kind: LayerKind,
@@ -55,16 +43,15 @@ pub struct ScheduleKey {
     booth_encoder: bool,
     index_select: bool,
     compact_dedicated: bool,
-    /// Output-GB geometry (bank count, bank size as `f32`-exact bits):
-    /// the cached skeleton's partial-sum spill target depends on it, and
-    /// cached values must stay pure functions of their key.
+    /// Output-GB geometry (bank count, bank size as exact `f64` bits): the
+    /// schedule's partial-sum spill target depends on it.
     output_gb_banks: usize,
     output_gb_bank_kb_bits: u64,
 }
 
 impl ScheduleKey {
-    /// Key for a schedule that depends on the SmartExchange accelerator
-    /// configuration (the SE engine and Bit-pragmatic, which reuses it).
+    /// The schedule inputs of `desc` under `cfg` (the SE engine's
+    /// configuration, or Bit-pragmatic's, which runs on it).
     pub fn for_config(desc: &LayerDesc, cfg: &SeAcceleratorConfig) -> Self {
         ScheduleKey {
             kind: *desc.kind(),
@@ -80,73 +67,6 @@ impl ScheduleKey {
             output_gb_banks: cfg.output_gb_banks,
             output_gb_bank_kb_bits: cfg.output_gb_bank_kb.to_bits(),
         }
-    }
-
-    /// Key for a configuration-independent cached value (the baseline
-    /// accelerators' geometry statistics): configuration fields are pinned
-    /// to neutral values so the key is pure geometry.
-    ///
-    /// Geometry-only keys must only ever be used in caches whose values
-    /// are pure functions of the layer *shape* alone — under that contract
-    /// one cache is shared by every dense baseline design. Never mix them
-    /// into a cache holding configuration-dependent values; those belong
-    /// under [`ScheduleKey::for_config`].
-    pub fn for_geometry(desc: &LayerDesc) -> Self {
-        ScheduleKey {
-            kind: *desc.kind(),
-            input_hw: desc.input_hw(),
-            dim_m: 0,
-            dim_c: 0,
-            dim_f: 0,
-            row_sample: 0,
-            bit_serial: false,
-            booth_encoder: false,
-            index_select: false,
-            compact_dedicated: false,
-            output_gb_banks: 0,
-            output_gb_bank_kb_bits: 0,
-        }
-    }
-}
-
-/// A thread-safe memo table from [`ScheduleKey`] to a shared, immutable
-/// schedule value; each simulator keeps one in a process-wide `static`.
-///
-/// Values are built at most a handful of times per distinct key (a
-/// concurrent miss on the same key may build twice; the first insert wins
-/// and both results are identical because values are pure functions of the
-/// key) and shared via [`Arc`] afterwards.
-#[derive(Debug)]
-pub struct ScheduleCache<T> {
-    inner: Mutex<HashMap<ScheduleKey, Arc<T>>>,
-}
-
-impl<T> Default for ScheduleCache<T> {
-    fn default() -> Self {
-        ScheduleCache { inner: Mutex::new(HashMap::new()) }
-    }
-}
-
-impl<T> ScheduleCache<T> {
-    /// Returns the cached value for `key`, building it with `build` on a
-    /// miss. The lock is not held while building, so concurrent simulator
-    /// workers never serialize on schedule construction; a racing build for
-    /// the same key keeps the first inserted value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `build` failure (nothing is cached in that case).
-    pub fn get_or_try_build<E>(
-        &self,
-        key: ScheduleKey,
-        build: impl FnOnce() -> std::result::Result<T, E>,
-    ) -> std::result::Result<Arc<T>, E> {
-        if let Some(hit) = self.inner.lock().expect("schedule cache never poisoned").get(&key) {
-            return Ok(Arc::clone(hit));
-        }
-        let value = Arc::new(build()?);
-        let mut map = self.inner.lock().expect("schedule cache never poisoned");
-        Ok(Arc::clone(map.entry(key).or_insert(value)))
     }
 }
 
@@ -222,38 +142,5 @@ mod tests {
             let k = ScheduleKey::for_config(&desc, cfg);
             assert_ne!(base, k, "config variant {i} must produce a distinct key");
         }
-    }
-
-    #[test]
-    fn geometry_key_ignores_config() {
-        let desc = conv_desc("c");
-        let a = ScheduleKey::for_geometry(&desc);
-        let b = ScheduleKey::for_geometry(&conv_desc("other_name"));
-        assert_eq!(a, b);
-        // But geometry still distinguishes.
-        let c = ScheduleKey::for_geometry(&LayerDesc::new("c", *desc.kind(), (8, 8)));
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn cache_builds_once_per_key_and_shares() {
-        let cache: ScheduleCache<u64> = ScheduleCache::default();
-        let cfg = SeAcceleratorConfig::default();
-        let key = ScheduleKey::for_config(&conv_desc("c"), &cfg);
-        let a = cache.get_or_try_build::<()>(key, || Ok(7)).unwrap();
-        // Second lookup must not rebuild (a panicking builder proves it).
-        let b = cache.get_or_try_build::<()>(key, || panic!("cache hit expected")).unwrap();
-        assert_eq!(*a, *b);
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn cache_build_errors_are_not_cached() {
-        let cache: ScheduleCache<u64> = ScheduleCache::default();
-        let key = ScheduleKey::for_geometry(&conv_desc("c"));
-        assert!(cache.get_or_try_build(key, || Err("boom")).is_err());
-        // The failed key is still a miss: the next lookup builds.
-        let v = cache.get_or_try_build::<&str>(key, || Ok(3)).unwrap();
-        assert_eq!(*v, 3);
     }
 }

@@ -37,36 +37,24 @@
 //! Compute and DRAM transfers overlap through double buffering:
 //! `total_cycles = max(compute, DRAM bytes / bandwidth)`.
 //!
-//! # Schedule reuse
+//! # Schedule
 //!
-//! The data-independent skeleton of a layer pass — which output rows are
-//! sampled under `row_sample`, the input row each kernel row reads, the
-//! `(f0, nf)` output-pixel groups, the slice-fold width, and the
-//! memory-model constants (output-channel tile count, output-element
-//! volume, the partial-sum spill target of weight chunking) — is a pure
-//! function of the layer geometry and the accelerator configuration. It is
-//! captured in a `Schedule` (private to this module), memoized per
-//! [`crate::schedule::ScheduleKey`] in one process-wide
-//! [`crate::schedule::ScheduleCache`], and shared across layers with
-//! identical shapes (ResNet164 repeats each bottleneck geometry 18× per
-//! stage) and across every accelerator with the same configuration. Only the data-dependent terms — zero activation rows,
-//! Booth-digit window costs, coefficient-row masks, rebuild costs — are
-//! re-evaluated per layer, so cache hits are bit-identical to cold builds.
+//! The data-independent skeleton of a spatial layer pass — which output
+//! rows are sampled under `row_sample`, the input row each kernel row
+//! reads, the `(f0, nf)` output-pixel groups, and the memory-model
+//! constants (output-channel tile count, output-element volume, the
+//! partial-sum spill target of weight chunking) — is a `Schedule` (private
+//! to this module), a pure function of the layer geometry and the
+//! configuration fields [`crate::schedule::ScheduleKey::for_config`]
+//! lists. `process_layer` builds one per spatial layer: building costs
+//! O(E·R + F) against the pass's O(E·F·C·R·S), and a process-wide memo of
+//! it measured no faster (see [`crate::schedule`]).
 
-use std::sync::{Arc, LazyLock};
-
-use crate::schedule::{ScheduleCache, ScheduleKey};
 use crate::window::{self, SerialMode};
 use crate::{
     Accelerator, HwError, LayerResult, MemCounters, OpCounters, Result, SeAcceleratorConfig,
 };
 use se_ir::{LayerDesc, LayerKind, LayerTrace, QuantTensor, SeLayer, SeLayout, WeightData};
-
-/// Every schedule built in this process, keyed by
-/// [`ScheduleKey::for_config`], which holds every field [`Schedule::build`]
-/// reads: any accelerator with that configuration — cluster replicas, one
-/// engine per model, Bit-pragmatic's derived engine — reuses it.
-static SCHEDULES: LazyLock<ScheduleCache<Schedule>> = LazyLock::new(ScheduleCache::default);
 
 /// The SmartExchange accelerator (Section IV).
 #[derive(Debug, Clone, PartialEq)]
@@ -89,14 +77,6 @@ impl SeAccelerator {
     pub fn config(&self) -> &SeAcceleratorConfig {
         &self.cfg
     }
-
-    /// The geometry schedule for `desc`, built once per distinct shape and
-    /// configuration in the process.
-    fn schedule_for(&self, desc: &LayerDesc) -> Result<Arc<Schedule>> {
-        SCHEDULES.get_or_try_build(ScheduleKey::for_config(desc, &self.cfg), || {
-            Schedule::build(desc, &self.cfg)
-        })
-    }
 }
 
 impl Accelerator for SeAccelerator {
@@ -109,41 +89,41 @@ impl Accelerator for SeAccelerator {
     }
 
     fn process_layer(&self, trace: &LayerTrace) -> Result<LayerResult> {
-        let desc = trace.desc();
-        match *desc.kind() {
+        let (cfg, desc) = (&self.cfg, trace.desc());
+        let (compute, mem, ops) = match *desc.kind() {
             LayerKind::Conv2d { kernel, .. } if kernel > 1 => {
-                let sched = self.schedule_for(desc)?;
-                conv_layer(&self.cfg, trace, &sched)
+                conv_layer(cfg, trace, &Schedule::build(desc, cfg)?)?
             }
-            LayerKind::Conv2d { .. } => {
-                let sched = self.schedule_for(desc)?;
-                pointwise_layer(&self.cfg, trace, &sched)
-            }
+            LayerKind::Conv2d { .. } => pointwise_layer(cfg, trace, &Schedule::build(desc, cfg)?)?,
             LayerKind::DepthwiseConv2d { .. } => {
-                let sched = self.schedule_for(desc)?;
-                depthwise_layer(&self.cfg, trace, &sched)
+                depthwise_layer(cfg, trace, &Schedule::build(desc, cfg)?)?
             }
-            LayerKind::Linear { .. } => fc_layer(&self.cfg, trace),
-            LayerKind::SqueezeExcite { .. } => squeeze_excite_layer(&self.cfg, trace),
-        }
+            LayerKind::Linear { .. } => fc_layer(cfg, trace)?,
+            LayerKind::SqueezeExcite { .. } => squeeze_excite_layer(cfg, trace)?,
+        };
+        let ops = ops.with_idle_lanes(compute, cfg.total_lanes() as u64);
+        Ok(LayerResult::new(desc.name(), compute, mem, ops, cfg.dram_bytes_per_cycle))
     }
 }
 
+/// Compute cycles, memory counters and operation counters of one layer
+/// pass (idle lanes not yet charged).
+type Pass = (u64, MemCounters, OpCounters);
+
 /// The data-independent skeleton of one simulator pass over a spatial
 /// (CONV / 1×1 CONV / depth-wise) layer: everything derivable from the
-/// layer geometry and the accelerator configuration alone, computed once
-/// per distinct shape and reused across repeats.
+/// layer geometry and the accelerator configuration alone.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Schedule {
+struct Schedule {
     /// Output rows simulated under `row_sample`.
-    e_rows: Vec<usize>,
+    e_rows: usize,
     /// Factor scaling sampled totals back to the full layer.
     e_scale: f64,
     /// Kernel rows tracked per output row (`R` for CONV/depth-wise, 1 for
     /// 1×1 CONV).
     r: usize,
     /// `row_iy[ei * r + kr]`: the input row kernel row `kr` reads at
-    /// sampled output row `e_rows[ei]`, or `None` for pure padding rows.
+    /// sampled output row `ei`, or `None` for pure padding rows.
     row_iy: Vec<Option<usize>>,
     /// Output-pixel groups `(f0, nf)` with `nf <= eff_f`.
     f_groups: Vec<(usize, usize)>,
@@ -191,22 +171,17 @@ impl Schedule {
                 })
             }
         };
-        let (e_rows, e_scale) = sampled_rows(e_out, cfg.row_sample);
-        let mut row_iy = Vec::with_capacity(e_rows.len() * r);
-        for &e in &e_rows {
+        let row_step = cfg.row_sample.max(1);
+        let e_rows = e_out.div_ceil(row_step);
+        let e_scale = if e_rows == 0 { 1.0 } else { e_out as f64 / e_rows as f64 };
+        let mut row_iy = Vec::with_capacity(e_rows * r);
+        for e in (0..e_out).step_by(row_step) {
             for kr in 0..r {
                 let iy = (e * stride + kr) as isize - padding as isize;
                 row_iy.push(if iy < 0 || iy as usize >= h { None } else { Some(iy as usize) });
             }
         }
-        let mut f_groups = Vec::new();
-        let mut f0 = 0;
-        while f0 < f_out {
-            f_groups.push((f0, eff_f.min(f_out - f0)));
-            f0 += eff_f;
-        }
-        // Memory-model constants, folded into the cached skeleton so batch
-        // replays of a geometry never recompute them.
+        let f_groups = (0..f_out).step_by(eff_f).map(|f0| (f0, eff_f.min(f_out - f0))).collect();
         let outputs = (out_units * e_out * f_out) as u64;
         let tile_psums = (cfg.dim_m as u64) * 2 * outputs.div_ceil(cfg.dim_m as u64).max(1);
         let psum_to_gb =
@@ -219,6 +194,15 @@ impl Schedule {
     #[inline]
     fn input_row(&self, ei: usize, kr: usize) -> Option<usize> {
         self.row_iy[ei * self.r + kr]
+    }
+
+    /// `v` scaled from the sampled output rows to the full layer.
+    fn scale(&self, v: u64) -> u64 {
+        if self.e_scale == 1.0 {
+            v
+        } else {
+            (v as f64 * self.e_scale).round() as u64
+        }
     }
 }
 
@@ -251,31 +235,22 @@ impl PreparedWeights {
     }
 }
 
-fn se_storage_bytes(layer: &SeLayer) -> (u64, u64, u64) {
-    let s = se_ir::storage::se_layer_storage(layer);
-    ((s.ce_bits + s.basis_bits).div_ceil(8), s.index_bits.div_ceil(8), s.basis_bits.div_ceil(8))
-}
-
 /// Builds [`PreparedWeights`] from an SE layer whose layout units map to
 /// "filters" (works for both `ConvPerFilter` and `FcPerRow`).
 fn prepare_se(layer: &SeLayer) -> PreparedWeights {
-    let (filters, per_unit_slices) = match *layer.layout() {
-        SeLayout::ConvPerFilter { out_channels, slices_per_filter, .. } => {
-            (out_channels, slices_per_filter)
-        }
-        SeLayout::FcPerRow { out_features, slices_per_row, .. } => (out_features, slices_per_row),
+    let filters = match *layer.layout() {
+        SeLayout::ConvPerFilter { out_channels, .. } => out_channels,
+        SeLayout::FcPerRow { out_features, .. } => out_features,
     };
     let rows_per_filter = layer.layout().rows_per_unit();
-    let mut nnz_row = Vec::with_capacity(filters * rows_per_filter);
-    for unit in layer.slices().chunks(per_unit_slices) {
-        for slice in unit {
+    let nnz_row: Vec<u16> = layer
+        .slices()
+        .iter()
+        .flat_map(|slice| {
             let ce = slice.ce();
-            for r in 0..ce.rows() {
-                let nnz = ce.row(r).iter().filter(|&&x| x != 0.0).count() as u16;
-                nnz_row.push(nnz);
-            }
-        }
-    }
+            (0..ce.rows()).map(move |r| ce.row(r).iter().filter(|&&x| x != 0.0).count() as u16)
+        })
+        .collect();
     let mut any_row = vec![false; rows_per_filter];
     for f in 0..filters {
         for r in 0..rows_per_filter {
@@ -284,16 +259,15 @@ fn prepare_se(layer: &SeLayer) -> PreparedWeights {
             }
         }
     }
-    let (weight_bytes, index_bytes, basis_bytes) = se_storage_bytes(layer);
-    let total_nnz = layer.nnz() as u64;
+    let s = se_ir::storage::se_layer_storage(layer);
     PreparedWeights {
         rows_per_filter,
         nnz_row,
         any_row,
-        weight_bytes,
-        index_bytes,
-        basis_bytes,
-        total_nnz,
+        weight_bytes: (s.ce_bits + s.basis_bits).div_ceil(8),
+        index_bytes: s.index_bits.div_ceil(8),
+        basis_bytes: s.basis_bits.div_ceil(8),
+        total_nnz: layer.nnz() as u64,
         is_se: true,
     }
 }
@@ -313,6 +287,40 @@ fn prepare_dense(filters: usize, rows_per_filter: usize, row_len: usize) -> Prep
     }
 }
 
+/// The weights of a single-part `trace` in cycle-model form, with the
+/// width of the input group one coefficient row covers. An SE layer must
+/// pass `layout`, which returns that width or what is wrong with the
+/// layout for this path; dense weights are `filters × rows` rows of
+/// `row_len`, one input per row position.
+fn prepare_weights(
+    trace: &LayerTrace,
+    layout: impl FnOnce(&SeLayout) -> std::result::Result<usize, String>,
+    (filters, rows, row_len): (usize, usize, usize),
+) -> Result<(PreparedWeights, usize)> {
+    let name = trace.desc().name();
+    match trace.weights() {
+        WeightData::Se(parts) if parts.len() == 1 => {
+            let group = layout(parts[0].layout()).map_err(|reason| HwError::UnsupportedTrace {
+                reason: format!("layer {name}: {reason}"),
+            })?;
+            Ok((prepare_se(&parts[0]), group))
+        }
+        WeightData::Se(parts) => Err(HwError::UnsupportedTrace {
+            reason: format!("layer {name} carries {} SE parts where 1 is expected", parts.len()),
+        }),
+        WeightData::Dense(_) => Ok((prepare_dense(filters, rows, row_len), 1)),
+    }
+}
+
+/// The layout check of the FC-style paths: `FcPerRow`, whose row width is
+/// the input group of one coefficient row.
+fn fc_width(path: &str) -> impl FnOnce(&SeLayout) -> std::result::Result<usize, String> + '_ {
+    move |layout| match *layout {
+        SeLayout::FcPerRow { width, .. } => Ok(width),
+        SeLayout::ConvPerFilter { .. } => Err(format!("{path} expects FcPerRow SE layout")),
+    }
+}
+
 fn serial_mode(cfg: &SeAcceleratorConfig) -> SerialMode {
     match (cfg.bit_serial, cfg.booth_encoder) {
         (true, true) => SerialMode::Booth,
@@ -321,27 +329,43 @@ fn serial_mode(cfg: &SeAcceleratorConfig) -> SerialMode {
     }
 }
 
-#[inline]
-fn step_cost(wmax: u8) -> u64 {
-    u64::from(wmax.max(1))
-}
-
-/// Output rows to simulate under `row_sample`, plus the factor that scales
-/// sampled totals back to the full layer.
-fn sampled_rows(e_out: usize, row_sample: usize) -> (Vec<usize>, f64) {
-    let rs = row_sample.max(1);
-    let rows: Vec<usize> = (0..e_out).step_by(rs).collect();
-    let scale = if rows.is_empty() { 1.0 } else { e_out as f64 / rows.len() as f64 };
-    (rows, scale)
-}
-
-#[inline]
-fn scale_u64(v: u64, s: f64) -> u64 {
-    if s == 1.0 {
-        v
-    } else {
-        (v as f64 * s).round() as u64
+/// Cycles and switching work of one weight row of `steps` taps over the
+/// `nf` output pixels from `f0`: lanes run in lockstep, so a tap costs its
+/// window's slowest lane (a fully-zero window still costs one issue
+/// cycle), while the work is the window's sum.
+fn row_cost(
+    row: &[u8],
+    f0: usize,
+    nf: usize,
+    stride: usize,
+    padding: usize,
+    steps: usize,
+) -> (u64, u64) {
+    let (mut cycles, mut energy) = (0u64, 0u64);
+    for si in 0..steps {
+        let start = (f0 * stride + si) as isize - padding as isize;
+        let (max, sum) = window::window(row, start, stride, nf);
+        cycles += u64::from(max.max(1));
+        energy += u64::from(sum);
     }
+    (cycles, energy)
+}
+
+/// Input bytes a spatial pass fetches from DRAM: the `w`-byte rows of the
+/// channels `needed` keeps (of `c` channels of `h` rows), without the zero
+/// rows the index selector skips.
+fn needed_input_bytes(
+    cfg: &SeAcceleratorConfig,
+    act_nz: &[bool],
+    (c, h, w): (usize, usize, usize),
+    needed: impl Fn(usize) -> bool,
+) -> u64 {
+    let live = (0..c)
+        .filter(|&ci| needed(ci))
+        .flat_map(|ci| &act_nz[ci * h..(ci + 1) * h])
+        .filter(|&&nz| !cfg.index_select || nz)
+        .count();
+    live as u64 * w as u64
 }
 
 /// DRAM input traffic with tiling-aware refetch: one pass when the needed
@@ -356,65 +380,69 @@ fn input_dram_bytes(cfg: &SeAcceleratorConfig, needed_bytes: u64, m_tiles: u64) 
 
 /// Weight-buffer overflow handling: filters whose compressed form exceeds
 /// the per-slice buffer are processed in channel chunks with partial sums
-/// spilled between passes. Returns `(chunks, spill_bytes)`; the spill goes
-/// to the output GB when a slice tile's partial sums fit (the cached
-/// `Schedule::psum_to_gb` constant), else DRAM.
-fn weight_chunking(
-    cfg: &SeAcceleratorConfig,
-    per_filter_bytes: u64,
-    sched: &Schedule,
-) -> (u64, u64) {
+/// spilled between passes. Returns the spill bytes, which go to the output
+/// GB when a slice tile's partial sums fit (`Schedule::psum_to_gb`), else
+/// to DRAM.
+fn weight_chunking(cfg: &SeAcceleratorConfig, per_filter_bytes: u64, sched: &Schedule) -> u64 {
     let buf = (cfg.weight_buf_banks as f64 * cfg.weight_buf_bank_kb * 1024.0) as u64;
     let chunks = per_filter_bytes.div_ceil(buf.max(1)).max(1);
-    if chunks <= 1 {
-        return (1, 0);
-    }
     // 16-bit partial sums, written and re-read once per extra chunk.
-    (chunks, 2 * (chunks - 1) * sched.outputs * 2)
+    2 * (chunks - 1) * sched.outputs * 2
 }
 
-fn finish(
+/// The memory counters of a pass that fetches its weights once and reads
+/// them from the buffer once: `needed_in` input bytes staged through the
+/// input GB (see [`input_dram_bytes`]) and `gb_in_read` bytes read from
+/// it, `outputs` written once, and the basis loaded into the RE register
+/// files once per output-channel tile next to the `rebuild` traffic.
+fn pass_mem(
     cfg: &SeAcceleratorConfig,
-    name: &str,
-    compute_cycles: u64,
-    mem: MemCounters,
-    mut ops: OpCounters,
-) -> LayerResult {
-    let dram_cycles = (mem.dram_total_bytes() as f64 / cfg.dram_bytes_per_cycle).ceil() as u64;
-    let lanes = cfg.total_lanes() as u64;
-    let busy = ops.pe_lane_cycles + ops.macs;
-    ops.idle_lane_cycles = (compute_cycles * lanes).saturating_sub(busy);
-    LayerResult {
-        name: name.to_string(),
-        compute_cycles,
-        dram_cycles,
-        total_cycles: compute_cycles.max(dram_cycles),
-        mem,
-        ops,
+    pw: &PreparedWeights,
+    needed_in: u64,
+    m_tiles: u64,
+    gb_in_read: u64,
+    outputs: u64,
+    rebuild: u64,
+) -> MemCounters {
+    let dram_in = input_dram_bytes(cfg, needed_in, m_tiles);
+    let weight_fill = pw.weight_bytes + pw.index_bytes;
+    MemCounters {
+        dram_input_bytes: dram_in,
+        dram_output_bytes: outputs,
+        dram_weight_bytes: pw.weight_bytes,
+        dram_index_bytes: pw.index_bytes,
+        input_gb_read_bytes: gb_in_read,
+        input_gb_write_bytes: dram_in,
+        output_gb_read_bytes: 0,
+        output_gb_write_bytes: outputs,
+        weight_gb_read_bytes: weight_fill,
+        weight_gb_write_bytes: weight_fill,
+        rf_bytes: rebuild + pw.basis_bytes * m_tiles,
     }
 }
 
-/// Extracts the single SE part or signals a dense layer.
-fn weight_form(trace: &LayerTrace) -> Result<Option<&SeLayer>> {
-    match trace.weights() {
-        WeightData::Se(parts) if parts.len() == 1 => Ok(Some(&parts[0])),
-        WeightData::Se(parts) => Err(HwError::UnsupportedTrace {
-            reason: format!(
-                "layer {} carries {} SE parts where 1 is expected",
-                trace.desc().name(),
-                parts.len()
-            ),
-        }),
-        WeightData::Dense(_) => Ok(None),
+/// The operation counters of a pass whose PE work is `pe_busy`: bit-serial
+/// lane-cycles on the serial datapath, full multiplies otherwise.
+fn pass_ops(
+    cfg: &SeAcceleratorConfig,
+    pe_busy: u64,
+    accumulator_adds: u64,
+    rebuild_shift_adds: u64,
+    index_compares: u64,
+) -> OpCounters {
+    let (pe_lane_cycles, macs) = if cfg.bit_serial { (pe_busy, 0) } else { (0, pe_busy) };
+    OpCounters {
+        pe_lane_cycles,
+        macs,
+        accumulator_adds,
+        rebuild_shift_adds,
+        index_compares,
+        idle_lane_cycles: 0,
     }
 }
 
 /// Standard CONV path (`R = S > 1`).
-fn conv_layer(
-    cfg: &SeAcceleratorConfig,
-    trace: &LayerTrace,
-    sched: &Schedule,
-) -> Result<LayerResult> {
+fn conv_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace, sched: &Schedule) -> Result<Pass> {
     let desc = trace.desc();
     let LayerKind::Conv2d { in_channels: c, out_channels: m, kernel, stride, padding } =
         *desc.kind()
@@ -426,27 +454,16 @@ fn conv_layer(
     let r = kernel;
     let s = kernel;
 
-    let pw = match weight_form(trace)? {
-        Some(layer) => {
-            if layer.layout().rows_per_unit() != c * r {
-                return Err(HwError::UnsupportedTrace {
-                    reason: format!(
-                        "layer {}: SE rows {} do not match C*R = {}",
-                        desc.name(),
-                        layer.layout().rows_per_unit(),
-                        c * r
-                    ),
-                });
-            }
-            prepare_se(layer)
-        }
-        None => prepare_dense(m, c * r, s),
-    };
-
-    let q = trace.input();
-    let mode = serial_mode(cfg);
-    let sc = window::serial_counts(q, mode);
-    let act_nz = window::activation_row_nonzero(q);
+    let (pw, _) = prepare_weights(
+        trace,
+        |layout| match layout.rows_per_unit() {
+            rows if rows == c * r => Ok(1),
+            rows => Err(format!("SE rows {rows} do not match C*R = {}", c * r)),
+        },
+        (m, c * r, s),
+    )?;
+    let sc = window::serial_counts(trace.input(), serial_mode(cfg));
+    let act_nz = window::activation_row_nonzero(trace.input());
 
     let (dim_m, dim_c) = (cfg.dim_m, cfg.dim_c);
     let mut compute: u64 = 0;
@@ -455,12 +472,12 @@ fn conv_layer(
     let mut gb_in_read: u64 = 0;
     let mut index_compares: u64 = 0;
 
-    // Scratch per (e, f0): row cycle/energy tables over (c, kr).
+    // Scratch per (e, f0): row cycle/energy tables over (c, kr), valid
+    // where `processed`.
     let mut t_row = vec![0u64; c * r];
     let mut e_row = vec![0u64; c * r];
     let mut processed = vec![false; c * r];
 
-    let e_scale = sched.e_scale;
     // Per-filter pooled work for one output row: the index selector
     // dispatches (coefficient row, pixel group) pairs from the layer-wide
     // index to whichever PE line is free, so a slice's work pools across
@@ -468,7 +485,7 @@ fn conv_layer(
     let mut slice_work = vec![0u64; m];
     let mut slice_longest = vec![0u64; m];
     let mut line_total = vec![0u64; c];
-    for ei in 0..sched.e_rows.len() {
+    for ei in 0..sched.e_rows {
         slice_work.fill(0);
         slice_longest.fill(0);
         line_total.fill(0);
@@ -477,35 +494,22 @@ fn conv_layer(
             for ci in 0..c {
                 for kr in 0..r {
                     let idx = ci * r + kr;
+                    processed[idx] = false;
+                    // Pure padding row: no hardware iterates it.
                     let Some(iy) = sched.input_row(ei, kr) else {
-                        // Pure padding row: no hardware iterates it.
-                        t_row[idx] = 0;
-                        e_row[idx] = 0;
-                        processed[idx] = false;
                         continue;
                     };
-                    let act_live = act_nz[ci * h + iy];
+                    let row = ci * h + iy;
                     // Index selector: zero activation rows are skipped for
                     // every filter; one compare per considered row.
                     if cfg.index_select {
                         index_compares += 1;
+                        if !act_nz[row] {
+                            continue;
+                        }
                     }
-                    if cfg.index_select && !act_live {
-                        t_row[idx] = 0;
-                        e_row[idx] = 0;
-                        processed[idx] = false;
-                        continue;
-                    }
-                    let row_sc = &sc[(ci * h + iy) * w..(ci * h + iy + 1) * w];
-                    let mut cycles = 0u64;
-                    let mut energy = 0u64;
-                    for si in 0..s {
-                        let start = (f0 * stride + si) as isize - padding as isize;
-                        cycles += step_cost(window::window_max(row_sc, start, stride, nf));
-                        energy += u64::from(window::window_sum(row_sc, start, stride, nf));
-                    }
-                    t_row[idx] = cycles;
-                    e_row[idx] = energy;
+                    (t_row[idx], e_row[idx]) =
+                        row_cost(&sc[row * w..][..w], f0, nf, stride, padding, s);
                     processed[idx] = true;
                 }
             }
@@ -538,17 +542,10 @@ fn conv_layer(
             } else {
                 // Static line ownership: every filter pays the same line
                 // times (no per-filter skipping hardware).
-                #[allow(clippy::needless_range_loop)]
-                for ci in 0..c {
-                    for kr in 0..r {
-                        let idx = ci * r + kr;
-                        if !processed[idx] {
-                            continue;
-                        }
-                        line_total[ci] += t_row[idx];
-                        pe_busy += e_row[idx] * m as u64;
-                        acc_adds += (s * nf * m) as u64;
-                    }
+                for idx in (0..c * r).filter(|&idx| processed[idx]) {
+                    line_total[idx / r] += t_row[idx];
+                    pe_busy += e_row[idx] * m as u64;
+                    acc_adds += (s * nf * m) as u64;
                 }
             }
         }
@@ -565,20 +562,13 @@ fn conv_layer(
                 compute += tile_max;
             }
         } else {
-            let m_tiles = m.div_ceil(dim_m) as u64;
-            for c0 in (0..c).step_by(dim_c) {
-                let c_hi = (c0 + dim_c).min(c);
-                let line_max = (c0..c_hi).map(|ci| line_total[ci]).max().unwrap_or(0);
-                compute += line_max * m_tiles;
+            for lines in line_total.chunks(dim_c) {
+                compute += lines.iter().copied().max().unwrap_or(0) * sched.m_tiles;
             }
         }
     }
-
-    compute = scale_u64(compute, e_scale);
-    pe_busy = scale_u64(pe_busy, e_scale);
-    acc_adds = scale_u64(acc_adds, e_scale);
-    gb_in_read = scale_u64(gb_in_read, e_scale);
-    index_compares = scale_u64(index_compares, e_scale);
+    let [compute, pe_busy, acc_adds, gb_in_read, index_compares] =
+        [compute, pe_busy, acc_adds, gb_in_read, index_compares].map(|v| sched.scale(v));
 
     // Rebuild engine: active coefficient rows are rebuilt once per output
     // row (the rebuilt row stays registered across the f0 tiles).
@@ -597,28 +587,13 @@ fn conv_layer(
         active_row_codes *= e_out as u64;
     }
 
-    // Memory accounting (volume/tiling constants from the cached schedule).
-    let outputs = sched.outputs;
-    let per_filter_bytes = (pw.weight_bytes + pw.index_bytes).div_ceil(m.max(1) as u64);
-    let (_, spill) = weight_chunking(cfg, per_filter_bytes, sched);
-    let spill_to_gb = sched.psum_to_gb;
-
     // Needed input rows: non-zero rows of channels any filter uses.
-    let mut needed_in: u64 = 0;
-    for ci in 0..c {
-        let channel_needed = !cfg.index_select || (0..r).any(|kr| pw.any_row[ci * r + kr]);
-        if !channel_needed {
-            continue;
-        }
-        for y in 0..h {
-            if !cfg.index_select || act_nz[ci * h + y] {
-                needed_in += w as u64;
-            }
-        }
-    }
-    let m_tiles = sched.m_tiles;
-    let dram_in = input_dram_bytes(cfg, needed_in, m_tiles);
-
+    let needed_in = needed_input_bytes(cfg, &act_nz, (c, h, w), |ci| {
+        !cfg.index_select || (0..r).any(|kr| pw.any_row[ci * r + kr])
+    });
+    let per_filter_bytes = (pw.weight_bytes + pw.index_bytes).div_ceil(m.max(1) as u64);
+    let spill = weight_chunking(cfg, per_filter_bytes, sched);
+    let (gb_spill, dram_spill) = if sched.psum_to_gb { (spill / 2, 0) } else { (0, spill) };
     let code_bits = 4u64; // 4-bit coefficients in the paper's configuration
     let weight_gb_read = if pw.is_se {
         active_row_codes * code_bits / 8 + pw.basis_bytes + pw.index_bytes
@@ -626,29 +601,15 @@ fn conv_layer(
         // Dense: each weight row re-read per output row.
         (m * c * r * s) as u64 * e_out as u64
     };
-
+    let mem = pass_mem(cfg, &pw, needed_in, sched.m_tiles, gb_in_read, sched.outputs, rebuild);
     let mem = MemCounters {
-        dram_input_bytes: dram_in,
-        dram_output_bytes: outputs + if spill_to_gb { 0 } else { spill },
-        dram_weight_bytes: pw.weight_bytes,
-        dram_index_bytes: pw.index_bytes,
-        input_gb_read_bytes: gb_in_read,
-        input_gb_write_bytes: dram_in,
-        output_gb_read_bytes: if spill_to_gb { spill / 2 } else { 0 },
-        output_gb_write_bytes: outputs + if spill_to_gb { spill / 2 } else { 0 },
+        dram_output_bytes: mem.dram_output_bytes + dram_spill,
+        output_gb_read_bytes: gb_spill,
+        output_gb_write_bytes: mem.output_gb_write_bytes + gb_spill,
         weight_gb_read_bytes: weight_gb_read,
-        weight_gb_write_bytes: pw.weight_bytes + pw.index_bytes,
-        rf_bytes: rebuild + pw.basis_bytes * m_tiles,
+        ..mem
     };
-    let ops = OpCounters {
-        pe_lane_cycles: if cfg.bit_serial { pe_busy } else { 0 },
-        macs: if cfg.bit_serial { 0 } else { pe_busy },
-        accumulator_adds: acc_adds,
-        rebuild_shift_adds: rebuild,
-        index_compares,
-        idle_lane_cycles: 0,
-    };
-    Ok(finish(cfg, desc.name(), compute, mem, ops))
+    Ok((compute, mem, pass_ops(cfg, pe_busy, acc_adds, rebuild, index_compares)))
 }
 
 /// 1×1 CONV path: FC-style coefficient rows (groups of `fc_width` input
@@ -657,32 +618,18 @@ fn pointwise_layer(
     cfg: &SeAcceleratorConfig,
     trace: &LayerTrace,
     sched: &Schedule,
-) -> Result<LayerResult> {
+) -> Result<Pass> {
     let desc = trace.desc();
     let LayerKind::Conv2d { in_channels: c, out_channels: m, stride, padding, .. } = *desc.kind()
     else {
         unreachable!("dispatch guarantees Conv2d");
     };
     let (h, w) = desc.input_hw();
-    let e_out = sched.e_out;
 
-    let (pw, group) = match weight_form(trace)? {
-        Some(layer) => {
-            let SeLayout::FcPerRow { width, .. } = *layer.layout() else {
-                return Err(HwError::UnsupportedTrace {
-                    reason: format!("layer {}: 1x1 CONV expects FcPerRow SE layout", desc.name()),
-                });
-            };
-            (prepare_se(layer), width)
-        }
-        None => (prepare_dense(m, c, 1), 1),
-    };
+    let (pw, group) = prepare_weights(trace, fc_width("1x1 CONV"), (m, c, 1))?;
     let groups = pw.rows_per_filter;
-
-    let q = trace.input();
-    let mode = serial_mode(cfg);
-    let sc = window::serial_counts(q, mode);
-    let act_nz = window::activation_row_nonzero(q);
+    let sc = window::serial_counts(trace.input(), serial_mode(cfg));
+    let act_nz = window::activation_row_nonzero(trace.input());
 
     let (dim_m, dim_c) = (cfg.dim_m, cfg.dim_c);
     let mut compute: u64 = 0;
@@ -696,8 +643,7 @@ fn pointwise_layer(
     let mut live = vec![false; groups];
     let mut lanes = vec![0u64; groups];
 
-    let e_scale = sched.e_scale;
-    for ei in 0..sched.e_rows.len() {
+    for ei in 0..sched.e_rows {
         let Some(iy) = sched.input_row(ei, 0) else {
             continue;
         };
@@ -708,28 +654,22 @@ fn pointwise_layer(
                 let mut cycles = 0u64;
                 let mut energy = 0u64;
                 let mut act_live = false;
-                let mut active_lanes = 0u64;
                 for ci in c_lo..c_hi {
-                    if act_nz[ci * h + iy] {
-                        act_live = true;
-                    }
-                    let row_sc = &sc[(ci * h + iy) * w..(ci * h + iy + 1) * w];
-                    let start = (f0 * stride) as isize - padding as isize;
-                    cycles += step_cost(window::window_max(row_sc, start, stride, nf));
-                    energy += u64::from(window::window_sum(row_sc, start, stride, nf));
-                    active_lanes += nf as u64;
+                    let row = ci * h + iy;
+                    act_live |= act_nz[row];
+                    let (cy, en) = row_cost(&sc[row * w..][..w], f0, nf, stride, padding, 1);
+                    cycles += cy;
+                    energy += en;
                 }
                 if cfg.index_select {
                     index_compares += 1;
                 }
-                if cfg.index_select && !act_live {
-                    live[g] = false;
-                    continue;
+                live[g] = !cfg.index_select || act_live;
+                if live[g] {
+                    t_row[g] = cycles;
+                    e_row[g] = energy;
+                    lanes[g] = ((c_hi - c_lo) * nf) as u64;
                 }
-                live[g] = true;
-                t_row[g] = cycles;
-                e_row[g] = energy;
-                lanes[g] = active_lanes;
             }
             let seg_bytes = (((nf - 1) * stride + 1) * group) as u64;
             #[allow(clippy::needless_range_loop)]
@@ -779,12 +719,8 @@ fn pointwise_layer(
             }
         }
     }
-
-    compute = scale_u64(compute, e_scale);
-    pe_busy = scale_u64(pe_busy, e_scale);
-    acc_adds = scale_u64(acc_adds, e_scale);
-    gb_in_read = scale_u64(gb_in_read, e_scale);
-    index_compares = scale_u64(index_compares, e_scale);
+    let [compute, pe_busy, acc_adds, gb_in_read, index_compares] =
+        [compute, pe_busy, acc_adds, gb_in_read, index_compares].map(|v| sched.scale(v));
 
     let mut rebuild: u64 = 0;
     if pw.is_se {
@@ -793,40 +729,12 @@ fn pointwise_layer(
                 rebuild += u64::from(pw.row_nnz(fi, g)) * group as u64;
             }
         }
-        rebuild *= e_out as u64;
+        rebuild *= sched.e_out as u64;
     }
 
-    let outputs = sched.outputs;
-    let needed_in: u64 = (0..c)
-        .map(|ci| {
-            (0..h).filter(|&y| !cfg.index_select || act_nz[ci * h + y]).count() as u64 * w as u64
-        })
-        .sum();
-    let m_tiles = sched.m_tiles;
-    let dram_in = input_dram_bytes(cfg, needed_in, m_tiles);
-
-    let mem = MemCounters {
-        dram_input_bytes: dram_in,
-        dram_output_bytes: outputs,
-        dram_weight_bytes: pw.weight_bytes,
-        dram_index_bytes: pw.index_bytes,
-        input_gb_read_bytes: gb_in_read,
-        input_gb_write_bytes: dram_in,
-        output_gb_read_bytes: 0,
-        output_gb_write_bytes: outputs,
-        weight_gb_read_bytes: pw.weight_bytes + pw.index_bytes,
-        weight_gb_write_bytes: pw.weight_bytes + pw.index_bytes,
-        rf_bytes: rebuild + pw.basis_bytes * m_tiles,
-    };
-    let ops = OpCounters {
-        pe_lane_cycles: if cfg.bit_serial { pe_busy } else { 0 },
-        macs: if cfg.bit_serial { 0 } else { pe_busy },
-        accumulator_adds: acc_adds,
-        rebuild_shift_adds: rebuild,
-        index_compares,
-        idle_lane_cycles: 0,
-    };
-    Ok(finish(cfg, desc.name(), compute, mem, ops))
+    let needed_in = needed_input_bytes(cfg, &act_nz, (c, h, w), |_| true);
+    let mem = pass_mem(cfg, &pw, needed_in, sched.m_tiles, gb_in_read, sched.outputs, rebuild);
+    Ok((compute, mem, pass_ops(cfg, pe_busy, acc_adds, rebuild, index_compares)))
 }
 
 /// Depth-wise CONV: with the dedicated design, kernel rows run on parallel
@@ -836,25 +744,18 @@ fn depthwise_layer(
     cfg: &SeAcceleratorConfig,
     trace: &LayerTrace,
     sched: &Schedule,
-) -> Result<LayerResult> {
+) -> Result<Pass> {
     let desc = trace.desc();
     let LayerKind::DepthwiseConv2d { channels: c, kernel, stride, padding } = *desc.kind() else {
         unreachable!("dispatch guarantees DepthwiseConv2d");
     };
     let (h, w) = desc.input_hw();
-    let e_out = sched.e_out;
     let r = kernel;
     let s = kernel;
 
-    let pw = match weight_form(trace)? {
-        Some(layer) => prepare_se(layer),
-        None => prepare_dense(c, r, s),
-    };
-
-    let q = trace.input();
-    let mode = serial_mode(cfg);
-    let sc = window::serial_counts(q, mode);
-    let act_nz = window::activation_row_nonzero(q);
+    let (pw, _) = prepare_weights(trace, |_| Ok(1), (c, r, s))?;
+    let sc = window::serial_counts(trace.input(), serial_mode(cfg));
+    let act_nz = window::activation_row_nonzero(trace.input());
 
     let dim_m = cfg.dim_m;
     let mut compute: u64 = 0;
@@ -863,10 +764,9 @@ fn depthwise_layer(
     let mut gb_in_read: u64 = 0;
     let mut index_compares: u64 = 0;
 
-    let e_scale = sched.e_scale;
     // Per-kernel-row cycles of one channel, reset per channel.
     let mut row_times = vec![0u64; r];
-    for ei in 0..sched.e_rows.len() {
+    for ei in 0..sched.e_rows {
         for &(f0, nf) in &sched.f_groups {
             let seg_bytes = ((nf - 1) * stride + s) as u64;
             for c0 in (0..c).step_by(dim_m) {
@@ -879,22 +779,15 @@ fn depthwise_layer(
                         let Some(iy) = sched.input_row(ei, kr) else {
                             continue;
                         };
+                        let row = ci * h + iy;
                         if cfg.index_select {
                             index_compares += 1;
+                            if !act_nz[row] || pw.row_nnz(ci, kr) == 0 {
+                                continue;
+                            }
                         }
-                        let act_live = act_nz[ci * h + iy];
-                        let coeff_live = pw.row_nnz(ci, kr) > 0;
-                        if cfg.index_select && (!act_live || !coeff_live) {
-                            continue;
-                        }
-                        let row_sc = &sc[(ci * h + iy) * w..(ci * h + iy + 1) * w];
-                        let mut cycles = 0u64;
-                        let mut energy = 0u64;
-                        for si in 0..s {
-                            let start = (f0 * stride + si) as isize - padding as isize;
-                            cycles += step_cost(window::window_max(row_sc, start, stride, nf));
-                            energy += u64::from(window::window_sum(row_sc, start, stride, nf));
-                        }
+                        let (cycles, energy) =
+                            row_cost(&sc[row * w..][..w], f0, nf, stride, padding, s);
                         row_times[kr] = cycles;
                         pe_busy += energy;
                         acc_adds += (s * nf) as u64;
@@ -913,44 +806,13 @@ fn depthwise_layer(
             }
         }
     }
+    let [compute, pe_busy, acc_adds, gb_in_read, index_compares] =
+        [compute, pe_busy, acc_adds, gb_in_read, index_compares].map(|v| sched.scale(v));
 
-    compute = scale_u64(compute, e_scale);
-    pe_busy = scale_u64(pe_busy, e_scale);
-    acc_adds = scale_u64(acc_adds, e_scale);
-    gb_in_read = scale_u64(gb_in_read, e_scale);
-    index_compares = scale_u64(index_compares, e_scale);
-
-    let mut rebuild: u64 = 0;
-    if pw.is_se {
-        rebuild = pw.total_nnz * s as u64 * e_out as u64;
-    }
-    let outputs = sched.outputs;
-    let needed_in: u64 =
-        (0..c * h).filter(|&row| !cfg.index_select || act_nz[row]).count() as u64 * w as u64;
-    let dram_in = input_dram_bytes(cfg, needed_in, sched.m_tiles);
-
-    let mem = MemCounters {
-        dram_input_bytes: dram_in,
-        dram_output_bytes: outputs,
-        dram_weight_bytes: pw.weight_bytes,
-        dram_index_bytes: pw.index_bytes,
-        input_gb_read_bytes: gb_in_read,
-        input_gb_write_bytes: dram_in,
-        output_gb_read_bytes: 0,
-        output_gb_write_bytes: outputs,
-        weight_gb_read_bytes: pw.weight_bytes + pw.index_bytes,
-        weight_gb_write_bytes: pw.weight_bytes + pw.index_bytes,
-        rf_bytes: rebuild + pw.basis_bytes,
-    };
-    let ops = OpCounters {
-        pe_lane_cycles: if cfg.bit_serial { pe_busy } else { 0 },
-        macs: if cfg.bit_serial { 0 } else { pe_busy },
-        accumulator_adds: acc_adds,
-        rebuild_shift_adds: rebuild,
-        index_compares,
-        idle_lane_cycles: 0,
-    };
-    Ok(finish(cfg, desc.name(), compute, mem, ops))
+    let rebuild = if pw.is_se { pw.total_nnz * s as u64 * sched.e_out as u64 } else { 0 };
+    let needed_in = needed_input_bytes(cfg, &act_nz, (c, h, w), |_| true);
+    let mem = pass_mem(cfg, &pw, needed_in, sched.m_tiles, gb_in_read, sched.outputs, rebuild);
+    Ok((compute, mem, pass_ops(cfg, pe_busy, acc_adds, rebuild, index_compares)))
 }
 
 /// Work (serial cycles) for one output neuron of an FC matrix given its
@@ -980,7 +842,7 @@ fn fc_neuron_work(
             continue;
         }
         for &x in seg {
-            cycles += step_cost(x);
+            cycles += u64::from(x.max(1));
             energy += u64::from(x);
         }
         adds += seg.len() as u64;
@@ -990,28 +852,13 @@ fn fc_neuron_work(
 
 /// FC path: output neurons distributed over slices × lines (× 2 clusters
 /// with the dedicated compact-model design).
-fn fc_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<LayerResult> {
-    let desc = trace.desc();
-    let LayerKind::Linear { in_features: c, out_features: m } = *desc.kind() else {
+fn fc_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<Pass> {
+    let LayerKind::Linear { in_features: c, out_features: m } = *trace.desc().kind() else {
         unreachable!("dispatch guarantees Linear");
     };
-    let (pw, group) = match weight_form(trace)? {
-        Some(layer) => {
-            let SeLayout::FcPerRow { width, .. } = *layer.layout() else {
-                return Err(HwError::UnsupportedTrace {
-                    reason: format!("layer {}: FC expects FcPerRow SE layout", desc.name()),
-                });
-            };
-            (prepare_se(layer), width)
-        }
-        None => (prepare_dense(m, c, 1), 1),
-    };
-
-    let q = trace.input();
-    let mode = serial_mode(cfg);
-    let sc = window::serial_counts(q, mode);
-    let (compute, mem, ops) = fc_engine(cfg, &pw, group, &sc, m, c)?;
-    Ok(finish(cfg, desc.name(), compute, mem, ops))
+    let (pw, group) = prepare_weights(trace, fc_width("FC"), (m, c, 1))?;
+    let sc = window::serial_counts(trace.input(), serial_mode(cfg));
+    Ok(fc_engine(cfg, &pw, group, &sc, m, c))
 }
 
 /// Shared FC cycle/memory engine (used by both FC and squeeze-excite).
@@ -1022,7 +869,7 @@ fn fc_engine(
     sc: &[u8],
     m: usize,
     c: usize,
-) -> Result<(u64, MemCounters, OpCounters)> {
+) -> Pass {
     let clusters = if cfg.compact_dedicated { 2 } else { 1 };
     let units = cfg.dim_m * cfg.dim_c * clusters;
     let mut unit_work = vec![0u64; units.max(1)];
@@ -1040,35 +887,15 @@ fn fc_engine(
     }
     let compute = unit_work.iter().copied().max().unwrap_or(0);
     let rebuild = if pw.is_se { pw.total_nnz * group as u64 } else { 0 };
-
-    let input_bytes = c as u64;
-    let mem = MemCounters {
-        dram_input_bytes: input_bytes,
-        dram_output_bytes: m as u64,
-        dram_weight_bytes: pw.weight_bytes,
-        dram_index_bytes: pw.index_bytes,
-        input_gb_read_bytes: input_bytes * (m as u64).div_ceil(units as u64).max(1),
-        input_gb_write_bytes: input_bytes,
-        output_gb_read_bytes: 0,
-        output_gb_write_bytes: m as u64,
-        weight_gb_read_bytes: pw.weight_bytes + pw.index_bytes,
-        weight_gb_write_bytes: pw.weight_bytes + pw.index_bytes,
-        rf_bytes: rebuild + pw.basis_bytes,
-    };
-    let ops = OpCounters {
-        pe_lane_cycles: if cfg.bit_serial { pe_busy } else { 0 },
-        macs: if cfg.bit_serial { 0 } else { pe_busy },
-        accumulator_adds: acc_adds,
-        rebuild_shift_adds: rebuild,
-        index_compares,
-        idle_lane_cycles: 0,
-    };
-    Ok((compute, mem, ops))
+    // Every input is read once per round of output neurons over the units.
+    let gb_in_read = c as u64 * (m as u64).div_ceil(units as u64).max(1);
+    let mem = pass_mem(cfg, pw, c as u64, 1, gb_in_read, m as u64, rebuild);
+    (compute, mem, pass_ops(cfg, pe_busy, acc_adds, rebuild, index_compares))
 }
 
 /// Squeeze-and-excite: global pool, two FC matrices (executed on the FC
 /// engine), and the channel-wise rescale of the feature map.
-fn squeeze_excite_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<LayerResult> {
+fn squeeze_excite_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<Pass> {
     let desc = trace.desc();
     let LayerKind::SqueezeExcite { channels, reduced } = *desc.kind() else {
         unreachable!("dispatch guarantees SqueezeExcite");
@@ -1137,9 +964,9 @@ fn squeeze_excite_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result
 
     let mode = serial_mode(cfg);
     let sc1 = window::serial_counts(&pooled_q, mode);
-    let (cy1, mem1, ops1) = fc_engine(cfg, &squeeze_pw, group, &sc1, reduced, channels)?;
+    let (cy1, mem1, ops1) = fc_engine(cfg, &squeeze_pw, group, &sc1, reduced, channels);
     let sc2 = window::serial_counts(&fc1_out, mode);
-    let (cy2, mem2, ops2) = fc_engine(cfg, &excite_pw, group, &sc2, channels, reduced)?;
+    let (cy2, mem2, ops2) = fc_engine(cfg, &excite_pw, group, &sc2, channels, reduced);
 
     let map_elems = (channels * h * w) as u64;
     // Pooling adds + rescale multiplies over the feature map; the map is
@@ -1159,12 +986,13 @@ fn squeeze_excite_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result
     let rescale_cycles = map_elems.div_ceil(cfg.total_lanes() as u64);
     let pool_cycles = map_elems.div_ceil(cfg.total_lanes() as u64);
     let compute = cy1 + cy2 + rescale_cycles + pool_cycles;
-    Ok(finish(cfg, desc.name(), compute, mem, ops))
+    Ok((compute, mem, ops))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ScheduleKey;
     use se_core::{layer as se_layer, SeConfig, VectorSparsity};
     use se_ir::{LayerDesc, QuantTensor};
     use se_tensor::rng;
@@ -1402,41 +1230,26 @@ mod tests {
 
     #[test]
     fn repeated_geometries_share_one_schedule() {
-        // A configuration no other test uses, so the process-wide memo
-        // starts cold for it. Two layers with the same shape but different
-        // data and one distinct shape: the repeats share one schedule, and
-        // every cache-hit result is bit-identical to a cold build.
+        // Two layers with one `ScheduleKey` but different names and data
+        // build equal schedules: the key lists everything a schedule reads.
         let cfg = SeAcceleratorConfig { row_sample: 3, ..Default::default() };
-        let accel = SeAccelerator::new(cfg.clone()).unwrap();
-        let traces =
-            [se_trace(4, 8, 8, 0.5, 21), se_trace(4, 8, 8, 0.7, 22), se_trace(8, 16, 16, 0.5, 23)];
-        let warm: Vec<_> = traces.iter().map(|t| accel.process_layer(t).unwrap()).collect();
-        let sched = |t: &LayerTrace| accel.schedule_for(t.desc()).unwrap();
-        assert!(Arc::ptr_eq(&sched(&traces[0]), &sched(&traces[1])), "repeats reuse the schedule");
-        assert!(!Arc::ptr_eq(&sched(&traces[0]), &sched(&traces[2])));
-        for (t, w) in traces.iter().zip(&warm) {
-            let cold = Schedule::build(t.desc(), &cfg).unwrap();
-            assert_eq!(
-                &conv_layer(&cfg, t, &cold).unwrap(),
-                w,
-                "cache hit differs from cold build"
-            );
-        }
-    }
-
-    #[test]
-    fn instances_with_one_config_share_the_process_wide_memo() {
-        // Separately constructed accelerators with one configuration (a
-        // value no other test uses) hand out the same schedule; a
-        // different configuration never shares an entry.
-        let cfg = SeAcceleratorConfig { row_sample: 5, ..Default::default() };
-        let t = se_trace(4, 8, 8, 0.5, 31);
-        let a = SeAccelerator::new(cfg.clone()).unwrap().schedule_for(t.desc()).unwrap();
-        let b = SeAccelerator::new(cfg).unwrap().schedule_for(t.desc()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let other = SeAcceleratorConfig { row_sample: 6, ..Default::default() };
-        let c = SeAccelerator::new(other).unwrap().schedule_for(t.desc()).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
+        let (a, b) = (se_trace(4, 8, 8, 0.5, 21), se_trace(4, 8, 8, 0.7, 22));
+        let renamed = LayerDesc::new("conv_repeat", *b.desc().kind(), b.desc().input_hw());
+        assert_ne!(a.weights(), b.weights());
+        assert_eq!(
+            ScheduleKey::for_config(a.desc(), &cfg),
+            ScheduleKey::for_config(&renamed, &cfg)
+        );
+        assert_eq!(
+            Schedule::build(a.desc(), &cfg).unwrap(),
+            Schedule::build(&renamed, &cfg).unwrap()
+        );
+        // A distinct shape builds a distinct schedule.
+        let other = se_trace(8, 16, 16, 0.5, 23);
+        assert_ne!(
+            Schedule::build(a.desc(), &cfg).unwrap(),
+            Schedule::build(other.desc(), &cfg).unwrap()
+        );
     }
 
     #[test]

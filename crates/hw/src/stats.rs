@@ -1,6 +1,7 @@
 //! Access/operation counters and per-layer / per-run results.
 
 use crate::energy::{EnergyBreakdown, EnergyModel};
+use crate::residency::fetch_cycles;
 use crate::SeAcceleratorConfig;
 
 /// Byte-granular memory access counters.
@@ -150,6 +151,14 @@ impl OpCounters {
             idle_lane_cycles: self.idle_lane_cycles * n,
         }
     }
+
+    /// These counters with `idle_lane_cycles` set to the lane-cycles of
+    /// `compute_cycles` on `lanes` lanes that neither switched
+    /// (`pe_lane_cycles`) nor multiplied (`macs`).
+    pub fn with_idle_lanes(self, compute_cycles: u64, lanes: u64) -> OpCounters {
+        let busy = self.pe_lane_cycles + self.macs;
+        OpCounters { idle_lane_cycles: (compute_cycles * lanes).saturating_sub(busy), ..self }
+    }
 }
 
 /// One layer's simulation outcome.
@@ -171,6 +180,28 @@ pub struct LayerResult {
 }
 
 impl LayerResult {
+    /// A layer's result from its compute time and counters: the DRAM time
+    /// moves `mem`'s DRAM bytes at `dram_bytes_per_cycle`
+    /// ([`fetch_cycles`]), and compute and DRAM overlap through double
+    /// buffering, so the layer takes the maximum of the two.
+    pub fn new(
+        name: &str,
+        compute_cycles: u64,
+        mem: MemCounters,
+        ops: OpCounters,
+        dram_bytes_per_cycle: f64,
+    ) -> LayerResult {
+        let dram_cycles = fetch_cycles(mem.dram_total_bytes(), dram_bytes_per_cycle);
+        LayerResult {
+            name: name.to_string(),
+            compute_cycles,
+            dram_cycles,
+            total_cycles: compute_cycles.max(dram_cycles),
+            mem,
+            ops,
+        }
+    }
+
     /// The result of processing `batch` images of this layer back-to-back
     /// with the weights held resident: weight-side DRAM traffic and the
     /// rebuild work are charged once per batch (see
@@ -185,18 +216,13 @@ impl LayerResult {
     /// `batch = 1` reproduces `self` exactly, bit for bit.
     pub fn amortized_over_batch(&self, batch: u64, dram_bytes_per_cycle: f64) -> LayerResult {
         let n = batch.max(1);
-        let mem = self.mem.amortized_over_batch(n);
-        let ops = self.ops.amortized_over_batch(n);
-        let compute_cycles = self.compute_cycles * n;
-        let dram_cycles = (mem.dram_total_bytes() as f64 / dram_bytes_per_cycle).ceil() as u64;
-        LayerResult {
-            name: self.name.clone(),
-            compute_cycles,
-            dram_cycles,
-            total_cycles: compute_cycles.max(dram_cycles),
-            mem,
-            ops,
-        }
+        LayerResult::new(
+            &self.name,
+            self.compute_cycles * n,
+            self.mem.amortized_over_batch(n),
+            self.ops.amortized_over_batch(n),
+            dram_bytes_per_cycle,
+        )
     }
 
     /// This (possibly batched) layer result with its weights already
@@ -210,15 +236,7 @@ impl LayerResult {
     /// resident and what a switch costs.
     pub fn with_weights_resident(&self, dram_bytes_per_cycle: f64) -> LayerResult {
         let mem = self.mem.with_weights_resident();
-        let dram_cycles = (mem.dram_total_bytes() as f64 / dram_bytes_per_cycle).ceil() as u64;
-        LayerResult {
-            name: self.name.clone(),
-            compute_cycles: self.compute_cycles,
-            dram_cycles,
-            total_cycles: self.compute_cycles.max(dram_cycles),
-            mem,
-            ops: self.ops,
-        }
+        LayerResult::new(&self.name, self.compute_cycles, mem, self.ops, dram_bytes_per_cycle)
     }
 
     /// Converts counters into the per-component energy breakdown.

@@ -1,5 +1,5 @@
 //! Shared cycle-model machinery: per-activation serial-cycle counts,
-//! strided window max/sum, and row-occupancy masks.
+//! the strided window max and sum, and row-occupancy masks.
 //!
 //! The bit-serial MAC lanes of a PE line run in lockstep: one weight
 //! element is broadcast to `dimF` lanes, each multiplying it by its own
@@ -42,40 +42,27 @@ pub fn serial_counts(q: &QuantTensor, mode: SerialMode) -> Vec<u8> {
     q.data().iter().map(|&c| mode.cycles(c)).collect()
 }
 
-/// Maximum serial count over a strided window of a row.
+/// Maximum and sum of the serial counts over a strided window of a row:
+/// the lockstep step cost and the switching work feeding the PE energy
+/// counter, from one walk.
 ///
 /// `start` may be negative or run past the row (zero padding): out-of-range
 /// lanes hold zero activations and cost nothing.
 #[inline]
-pub fn window_max(row: &[u8], start: isize, stride: usize, count: usize) -> u8 {
-    let mut best = 0u8;
+pub fn window(row: &[u8], start: isize, stride: usize, count: usize) -> (u8, u32) {
+    let (mut max, mut sum) = (0u8, 0u32);
     let len = row.len() as isize;
     let stride = stride as isize;
     let mut x = start;
     for _ in 0..count {
         if x >= 0 && x < len {
-            best = best.max(row[x as usize]);
+            let v = row[x as usize];
+            max = max.max(v);
+            sum += u32::from(v);
         }
         x += stride;
     }
-    best
-}
-
-/// Sum of serial counts over a strided window (the per-lane switching work
-/// feeding the PE energy counter).
-#[inline]
-pub fn window_sum(row: &[u8], start: isize, stride: usize, count: usize) -> u32 {
-    let mut sum = 0u32;
-    let len = row.len() as isize;
-    let stride = stride as isize;
-    let mut x = start;
-    for _ in 0..count {
-        if x >= 0 && x < len {
-            sum += u32::from(row[x as usize]);
-        }
-        x += stride;
-    }
-    sum
+    (max, sum)
 }
 
 /// Per-input-row occupancy of a `(C, H, W)` activation map: `mask[c*H + y]`
@@ -120,19 +107,22 @@ mod tests {
     #[test]
     fn window_max_respects_stride_and_padding() {
         let row = [1u8, 5, 2, 7, 3];
-        assert_eq!(window_max(&row, 0, 1, 3), 5);
-        assert_eq!(window_max(&row, 1, 2, 2), 7); // elements 1 and 3
-        assert_eq!(window_max(&row, -2, 1, 3), 1); // two padding lanes
-        assert_eq!(window_max(&row, 4, 1, 4), 3); // runs off the end
-        assert_eq!(window_max(&row, -10, 1, 2), 0); // fully out of range
+        let max = |start, stride, count| window(&row, start, stride, count).0;
+        assert_eq!(max(0, 1, 3), 5);
+        assert_eq!(max(1, 2, 2), 7); // elements 1 and 3
+        assert_eq!(max(-2, 1, 3), 1); // two padding lanes
+        assert_eq!(max(4, 1, 4), 3); // runs off the end
+        assert_eq!(max(-10, 1, 2), 0); // fully out of range
     }
 
     #[test]
     fn window_sum_matches_manual() {
         let row = [1u8, 5, 2, 7, 3];
-        assert_eq!(window_sum(&row, 0, 1, 5), 18);
-        assert_eq!(window_sum(&row, 0, 2, 3), 1 + 2 + 3);
-        assert_eq!(window_sum(&row, -1, 1, 3), 6);
+        let sum = |start, stride, count| window(&row, start, stride, count).1;
+        assert_eq!(sum(0, 1, 5), 18);
+        assert_eq!(sum(0, 2, 3), 1 + 2 + 3);
+        assert_eq!(sum(-1, 1, 3), 6);
+        assert_eq!(sum(4, 1, 4), 3);
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! result is a pure function of the per-image [`LayerResult`] and the batch
 //! size — `se_hw`'s `amortized_over_batch` accounting. The engine therefore
 //! simulates each trace **once per image** on the deterministic
-//! `(layer, accelerator)` grid of [`se_core::pipeline`] — hitting the
-//! simulators' process-wide schedule memos, so every distinct shape's
-//! skeleton is built once per process — and derives every requested batch
-//! size from that single pass. This keeps a whole batch-size sweep as
+//! `(layer, accelerator)` grid of [`se_core::pipeline`] and derives every
+//! requested batch size from that single pass. This keeps a whole batch-size sweep as
 //! cheap as one per-image simulation and, by construction, bit-identical
 //! for every worker count. The engine is also the single five-lane
 //! dispatch behind `se_bench::runner`'s comparison figures.

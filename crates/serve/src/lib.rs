@@ -8,9 +8,7 @@
 //!
 //! * [`engine`] — the **batch engine**: runs trace pairs through the five
 //!   accelerators once per image on the deterministic work queue of
-//!   [`se_core::pipeline`] (reusing the simulators' process-wide schedule
-//!   memos, so an N-image batch shares one schedule skeleton) and
-//!   derives batched results in which weights are charged once per batch
+//!   [`se_core::pipeline`] and derives batched results in which weights are charged once per batch
 //!   while activation traffic and compute scale with the batch size
 //!   (`se_hw`'s `amortized_over_batch` accounting).
 //! * [`queue`] — the **batch policy**: the bounded request queue's batch
