@@ -35,8 +35,7 @@ fn test_net() -> NetworkDesc {
 fn bench_simulators(c: &mut Criterion) {
     let net = test_net();
     let opts = TraceOptions::fast();
-    let dense = traces::dense_trace(&net, 0, 0).unwrap();
-    let se = traces::se_trace(&net, 0, 0, &opts.se_config).unwrap();
+    let traces::TracePair { dense, se, .. } = traces::trace_pair(&net, 0, &opts).unwrap();
 
     let mut group = c.benchmark_group("simulate_conv_64x64x3x3_16x16");
     group.sample_size(20);

@@ -99,10 +99,9 @@ pub struct Flags {
 }
 
 /// Every flag that consumes the next argument as its value — the single
-/// inventory shared by the parser below (a flag not listed here
-/// structurally cannot take a value), by `cli::run_subcommand`'s
-/// unknown-flag check, and by [`positionals`], which must skip flag
-/// values when looking for an action.
+/// inventory shared by both parsers below (a flag not listed here
+/// structurally cannot take a value) and by [`positionals`], which must
+/// skip flag values when looking for an action.
 pub const VALUE_FLAGS: &[&str] = &[
     "--seed",
     "--models",
@@ -149,6 +148,21 @@ pub fn positionals(rest: &[String]) -> Vec<&str> {
     found
 }
 
+/// Fails unless every comma-separated `--models` entry names a model of
+/// [`se_models::zoo::all_models`], ignoring case.
+fn check_model_names(value: &str) -> std::result::Result<(), String> {
+    let names: Vec<String> =
+        se_models::zoo::all_models().iter().map(|m| m.name().to_string()).collect();
+    match value.split(',').map(str::trim).find(|m| !names.iter().any(|n| n.eq_ignore_ascii_case(m)))
+    {
+        None => Ok(()),
+        Some(m) => Err(format!(
+            "invalid value `{value}` for `--models`: `{m}` matches no models (known: {})",
+            names.join(", ")
+        )),
+    }
+}
+
 impl Flags {
     /// Parses flags from `std::env::args`, ignoring unknown arguments.
     pub fn parse() -> Flags {
@@ -156,76 +170,128 @@ impl Flags {
     }
 
     /// Parses flags from an explicit argument list (testable core of
-    /// [`Flags::parse`]).
+    /// [`Flags::parse`]). Lenient: unknown arguments are ignored and a
+    /// malformed value leaves its field at the default. The `se` binary
+    /// parses with [`Flags::from_args_checked`] instead.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Flags {
         let args: Vec<String> = args.into_iter().collect();
         let mut flags = Flags::default();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].as_str();
-            if VALUE_FLAGS.contains(&arg) {
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            if VALUE_FLAGS.contains(&arg.as_str()) {
                 // A value flag with no value left is ignored, like any
                 // unknown argument.
-                if let Some(value) = args.get(i + 1) {
+                if let Some(value) = iter.next() {
                     flags.apply_value(arg, value);
-                    i += 1;
                 }
             } else {
-                match arg {
-                    "--fast" => flags.fast = true,
-                    "--with-fc" => flags.with_fc = true,
-                    _ => {}
-                }
+                flags.apply_switch(arg);
             }
-            i += 1;
         }
         flags
     }
 
+    /// Parses a subcommand's arguments strictly, the `se` binary's
+    /// contract: an unknown `--` flag, a value flag without its value, a
+    /// value that [`Flags::from_args`] would replace by the default, and a
+    /// `--models` entry that names no model of `se_models::zoo` are errors
+    /// naming the flag (and the value). Other arguments are the
+    /// subcommand's positionals.
+    ///
+    /// # Errors
+    ///
+    /// The first offending argument, as a message.
+    pub fn from_args_checked(args: &[String]) -> std::result::Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            if VALUE_FLAGS.contains(&arg.as_str()) {
+                let value = iter.next().ok_or_else(|| format!("flag `{arg}` needs a value"))?;
+                if !flags.apply_value(arg, value) {
+                    return Err(format!("invalid value `{value}` for `{arg}`"));
+                }
+                if arg == "--models" {
+                    check_model_names(value)?;
+                }
+            } else if arg.starts_with("--") && !flags.apply_switch(arg) {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// Applies a boolean flag; `false` when `arg` is not one.
+    fn apply_switch(&mut self, arg: &str) -> bool {
+        match arg {
+            "--fast" => self.fast = true,
+            "--with-fc" => self.with_fc = true,
+            _ => return false,
+        }
+        true
+    }
+
     /// Applies one value-taking flag (listed in [`VALUE_FLAGS`]) to the
-    /// parsed set; degenerate values (zero sizes, negative rates,
-    /// non-numerics) leave the field at its default.
-    fn apply_value(&mut self, flag: &str, value: &str) {
+    /// parsed set and returns whether the value was well formed. A
+    /// malformed value (zero sizes, negative rates, non-numerics) leaves
+    /// the field at its default.
+    fn apply_value(&mut self, flag: &str, value: &str) -> bool {
+        /// Stores `parsed` and reports whether there was a value to store.
+        fn set<T>(field: &mut Option<T>, parsed: Option<T>) -> bool {
+            *field = parsed;
+            field.is_some()
+        }
+        let count = |s: &str| s.parse().ok().filter(|&n: &usize| n >= 1);
+        let positive = || value.parse().ok().filter(|&x: &f64| x > 0.0);
+        let path = || Some(std::path::PathBuf::from(value));
         match flag {
-            "--seed" => self.seed = value.parse().unwrap_or(0),
-            "--models" => {
-                self.models = Some(value.split(',').map(|s| s.trim().to_string()).collect());
+            "--seed" => {
+                let seed = value.parse().ok();
+                self.seed = seed.unwrap_or(0);
+                seed.is_some()
             }
-            "--sim-parallelism" => self.sim_parallelism = value.parse().ok().filter(|&n| n >= 1),
-            "--traces-dir" => self.traces_dir = Some(std::path::PathBuf::from(value)),
+            "--models" => set(
+                &mut self.models,
+                Some(value.split(',').map(|s| s.trim().to_string()).collect()),
+            ),
+            "--sim-parallelism" => set(&mut self.sim_parallelism, count(value)),
+            "--traces-dir" => set(&mut self.traces_dir, path()),
             "--batch-sizes" => {
-                let sizes: Vec<usize> = value
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .filter(|&n| n >= 1)
-                    .collect();
-                self.batch_sizes = Some(sizes).filter(|v| !v.is_empty());
+                let sizes: Vec<Option<usize>> = value.split(',').map(|s| count(s.trim())).collect();
+                let valid: Vec<usize> = sizes.iter().flatten().copied().collect();
+                set(&mut self.batch_sizes, Some(valid).filter(|v| !v.is_empty()))
+                    && sizes.iter().all(Option::is_some)
             }
-            "--max-batch" => self.max_batch = value.parse().ok().filter(|&n| n >= 1),
-            "--max-wait-us" => self.max_wait_us = value.parse().ok().filter(|&w: &f64| w >= 0.0),
-            "--arrival" => self.arrival = Some(value.to_string()),
-            "--requests" => self.requests = value.parse().ok().filter(|&n| n >= 1),
-            "--rate" => self.rate = value.parse().ok().filter(|&r: &f64| r > 0.0),
-            "--queue-cap" => self.queue_cap = value.parse().ok().filter(|&n| n >= 1),
-            "--concurrency" => self.concurrency = value.parse().ok().filter(|&n| n >= 1),
-            "--burst" => self.burst = value.parse().ok().filter(|&n| n >= 1),
-            "--instances" => self.instances = value.parse().ok().filter(|&n| n >= 1),
-            "--router" => self.router = Some(value.to_string()),
-            "--deadline-us" => {
-                self.deadline_us = value.parse().ok().filter(|&d: &f64| d > 0.0);
+            "--max-batch" => set(&mut self.max_batch, count(value)),
+            "--max-wait-us" => {
+                set(&mut self.max_wait_us, value.parse().ok().filter(|&w: &f64| w >= 0.0))
             }
-            "--buffer-kb" => self.buffer_kb = value.parse().ok().filter(|&b: &f64| b > 0.0),
-            "--bench-out" => self.bench_out = Some(std::path::PathBuf::from(value)),
+            "--arrival" => set(&mut self.arrival, Some(value.to_string())),
+            "--requests" => set(&mut self.requests, count(value)),
+            "--rate" => set(&mut self.rate, positive()),
+            "--queue-cap" => set(&mut self.queue_cap, count(value)),
+            "--concurrency" => set(&mut self.concurrency, count(value)),
+            "--burst" => set(&mut self.burst, count(value)),
+            "--instances" => set(&mut self.instances, count(value)),
+            "--router" => set(&mut self.router, Some(value.to_string())),
+            "--deadline-us" => set(&mut self.deadline_us, positive()),
+            "--buffer-kb" => set(&mut self.buffer_kb, positive()),
+            "--bench-out" => set(&mut self.bench_out, path()),
             // Kill/restart specs accumulate across repeats and commas;
             // they stay raw strings here and are parsed loudly by
             // `fault_plan` (a malformed spec must error, not vanish).
-            "--kill" => self.kill.extend(value.split(',').map(|s| s.trim().to_string())),
-            "--restart" => self.restart.extend(value.split(',').map(|s| s.trim().to_string())),
-            "--autoscale" => self.autoscale = Some(value.to_string()),
-            "--tiers" => self.tiers = Some(value.to_string()),
-            "--trace-out" => self.trace_out = Some(std::path::PathBuf::from(value)),
-            "--metrics-out" => self.metrics_out = Some(std::path::PathBuf::from(value)),
-            "--window-us" => self.window_us = value.parse().ok().filter(|&w: &f64| w > 0.0),
+            "--kill" => {
+                self.kill.extend(value.split(',').map(|s| s.trim().to_string()));
+                true
+            }
+            "--restart" => {
+                self.restart.extend(value.split(',').map(|s| s.trim().to_string()));
+                true
+            }
+            "--autoscale" => set(&mut self.autoscale, Some(value.to_string())),
+            "--tiers" => set(&mut self.tiers, Some(value.to_string())),
+            "--trace-out" => set(&mut self.trace_out, path()),
+            "--metrics-out" => set(&mut self.metrics_out, path()),
+            "--window-us" => set(&mut self.window_us, positive()),
             other => unreachable!("VALUE_FLAGS entry {other} not handled"),
         }
     }

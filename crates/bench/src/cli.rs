@@ -13,7 +13,7 @@
 //! five-accelerator sweep prologue ([`comparison_sweep`]), and the
 //! normalized table with its geometric-mean row ([`normalized_view`]).
 
-use crate::args::{Flags, VALUE_FLAGS};
+use crate::args::Flags;
 use crate::runner::{self, ModelComparison, ACCEL_NAMES};
 use crate::{figures, table, Result};
 use se_ir::NetworkDesc;
@@ -140,21 +140,16 @@ pub fn run_from_args(args: &[String], out: &mut dyn Write) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Fails on unknown subcommands and on any `--` argument that is not a
-/// known flag, and propagates subcommand failures.
+/// Fails on unknown subcommands and on any argument
+/// [`Flags::from_args_checked`] rejects (an unknown flag, or a missing or
+/// malformed value, named in the message), and propagates subcommand
+/// failures.
 pub fn run_subcommand(name: &str, rest: &[String], out: &mut dyn Write) -> Result<()> {
     let Some(canon) = canonical(name) else {
         return Err(format!("unknown subcommand `{name}`\n\n{}", usage()).into());
     };
-    let mut args = rest.iter().map(String::as_str);
-    while let Some(arg) = args.next() {
-        if VALUE_FLAGS.contains(&arg) {
-            args.next(); // the flag's value
-        } else if arg.starts_with("--") && !matches!(arg, "--fast" | "--with-fc") {
-            return Err(format!("unknown flag `{arg}` for `se {name}` (see `se help`)").into());
-        }
-    }
-    let flags = Flags::from_args(rest.iter().cloned());
+    let flags =
+        Flags::from_args_checked(rest).map_err(|e| format!("se {name}: {e} (see `se help`)"))?;
     match canon {
         "table1" => figures::table1::run(&flags, out),
         "table2" => figures::table2::run(&flags, out),
@@ -273,8 +268,71 @@ mod tests {
         assert!(out.is_empty(), "nothing runs before the flag check");
         // A flag's value is never mistaken for a flag, and the boolean
         // flags pass.
-        let ok = args(&["table1", "--fast", "--with-fc", "--models", "--not-a-flag"]);
+        let ok = args(&["table1", "--fast", "--with-fc", "--traces-dir", "--not-a-flag"]);
         run_from_args(&ok, &mut out).unwrap();
+        let err = run_from_args(&args(&["table1", "--models", "--not-a-flag"]), &mut out)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("`--not-a-flag` for `--models`"), "{err}");
+    }
+
+    /// Every value flag, with a value the lenient parser would replace by
+    /// its default (`None` where any string is accepted here and checked
+    /// by the subcommand that reads it).
+    const MALFORMED: &[(&str, Option<&str>)] = &[
+        ("--seed", Some("abc")),
+        ("--models", Some("resnet5")),
+        ("--sim-parallelism", Some("0")),
+        ("--traces-dir", None),
+        ("--batch-sizes", Some("1,x")),
+        ("--max-batch", Some("0")),
+        ("--max-wait-us", Some("-1")),
+        ("--arrival", None),
+        ("--requests", Some("0")),
+        ("--rate", Some("-5")),
+        ("--burst", Some("0")),
+        ("--queue-cap", Some("none")),
+        ("--concurrency", Some("0")),
+        ("--instances", Some("0")),
+        ("--router", None),
+        ("--deadline-us", Some("-3")),
+        ("--buffer-kb", Some("0")),
+        ("--bench-out", None),
+        ("--kill", None),
+        ("--restart", None),
+        ("--autoscale", None),
+        ("--tiers", None),
+        ("--trace-out", None),
+        ("--metrics-out", None),
+        ("--window-us", Some("0")),
+    ];
+
+    #[test]
+    fn malformed_flag_values_are_errors_naming_flag_and_value() {
+        let mut listed: Vec<&str> = MALFORMED.iter().map(|(flag, _)| *flag).collect();
+        let mut all = crate::args::VALUE_FLAGS.to_vec();
+        listed.sort_unstable();
+        all.sort_unstable();
+        assert_eq!(listed, all, "every value flag has a row");
+        let run = |list: &[&str]| {
+            let argv: Vec<String> = list.iter().map(ToString::to_string).collect();
+            let mut out = Vec::new();
+            let res = run_from_args(&argv, &mut out);
+            assert!(res.is_ok() || out.is_empty(), "nothing runs before the flag check");
+            res
+        };
+        for &(flag, bad) in MALFORMED {
+            let err = run(&["table1", flag]).unwrap_err().to_string();
+            assert!(err.contains(&format!("`{flag}` needs a value")), "{err}");
+            if let Some(bad) = bad {
+                let err = run(&["table1", flag, bad]).unwrap_err().to_string();
+                assert!(err.contains(&format!("`{bad}` for `{flag}`")), "{err}");
+            }
+        }
+        // Model names match any zoo model, ignoring case.
+        run(&["table1", "--models", "resnet164,MOBILENETV2, mlp-1"]).unwrap();
+        let err = run(&["table1", "--models", "vgg11,"]).unwrap_err().to_string();
+        assert!(err.contains("--models"), "{err}");
     }
 
     #[test]

@@ -10,41 +10,9 @@ use crate::args::Flags;
 use crate::{table, Result};
 use se_hw::sim::SeAccelerator;
 use se_hw::{Accelerator, EnergyModel, RunResult, SeAcceleratorConfig};
-use se_models::traces::{self, TraceOptions, TracePair, TraceStream};
+use se_models::traces::{self, TraceOptions};
 use se_models::zoo;
 use std::io::Write;
-
-/// Runs one ablation step over pre-loaded pairs or the streaming path.
-fn run_step(
-    cfg: SeAcceleratorConfig,
-    net: &se_ir::NetworkDesc,
-    opts: &TraceOptions,
-    cached: Option<&[TracePair]>,
-    use_se_weights: bool,
-) -> Result<RunResult> {
-    let accel = SeAccelerator::new(cfg)?;
-    let mut run = RunResult::default();
-    let mut process = |pair: &TracePair| -> Result<()> {
-        let trace = if use_se_weights { &pair.se } else { &pair.dense };
-        run.layers.push(accel.process_layer(trace)?);
-        Ok(())
-    };
-    match cached {
-        // Replayed traces: the four ablation steps reuse one decomposition
-        // instead of regenerating it per step.
-        Some(pairs) => {
-            for pair in pairs {
-                process(pair)?;
-            }
-        }
-        None => {
-            for pair in TraceStream::new(net, opts.clone()) {
-                process(&pair?)?;
-            }
-        }
-    }
-    Ok(run)
-}
 
 /// Runs the component-ablation ladder.
 ///
@@ -56,13 +24,6 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
     let opts = TraceOptions::fast().with_seed(flags.seed);
     let em = EnergyModel::default();
     let report_cfg = SeAcceleratorConfig::default();
-
-    // With `--traces-dir`, load the decomposition once and replay it for
-    // all four steps; without, each step streams (bounded memory).
-    let cached: Option<Vec<TracePair>> = match flags.traces_dir.as_deref() {
-        Some(dir) => traces::cached_trace_pairs(&net, &opts, dir)?,
-        None => None,
-    };
 
     let mut sample = SeAcceleratorConfig::default();
     if flags.fast {
@@ -107,14 +68,32 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
         ),
     ];
 
+    // One pass over the trace source runs every step on each chunk, so
+    // the decomposition is generated (or replayed) once for all four. The
+    // steps simulate serially, so a chunk only needs one layer per
+    // generation worker, up to four: that bounds the pairs alive at once.
+    let accels = steps
+        .iter()
+        .map(|(_, cfg, _)| SeAccelerator::new(cfg.clone()))
+        .collect::<se_hw::Result<Vec<_>>>()?;
+    let mut runs = vec![RunResult::default(); steps.len()];
+    let chunk = opts.se_config.parallelism().min(4);
+    traces::for_each_chunk(&net, &opts, flags.traces_dir.as_deref(), chunk, |pairs| {
+        for ((accel, (_, _, use_se)), run) in accels.iter().zip(&steps).zip(&mut runs) {
+            for pair in &pairs {
+                let trace = if *use_se { &pair.se } else { &pair.dense };
+                run.layers.push(accel.process_layer(trace)?);
+            }
+        }
+        Result::Ok(())
+    })?;
+
     writeln!(out, "Section V-B component ablation on ResNet50\n")?;
     let mut rows = Vec::new();
     let mut base: Option<(f64, u64, u64)> = None;
     let mut prev_dram: Option<u64> = None;
     let mut base_dram_total = 0u64;
-    for (name, cfg, use_se) in steps {
-        se_core::se_info!("  {name}...");
-        let r = run_step(cfg, &net, &opts, cached.as_deref(), use_se)?;
+    for ((name, _, _), r) in steps.iter().zip(runs) {
         let energy = r.energy(&em, &report_cfg).total();
         let cycles = r.total_cycles();
         let dram = r.mem_totals().dram_total_bytes();

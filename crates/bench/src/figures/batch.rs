@@ -11,7 +11,7 @@
 //! `se fig10`/`fig11`/`fig12` exactly.
 
 use crate::args::Flags;
-use crate::runner::RunnerOptions;
+use crate::runner::{self, RunnerOptions};
 use crate::{cli, table, Result};
 use se_hw::{EnergyModel, RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
@@ -31,16 +31,22 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
     run_with_models(flags, &cli::selected_models(flags), out)
 }
 
-/// The trace pairs for one model: replayed from `--traces-dir` artifacts
-/// when a matching one exists, generated otherwise (bit-identical either
-/// way).
+/// Every trace pair of one model at once, from the one trace source
+/// (`se_models::traces::for_each_chunk`): replayed from a `--traces-dir`
+/// artifact when a matching one exists, generated otherwise
+/// (bit-identical either way). For callers that need the whole network in
+/// memory, such as the `perfbench` layer harness.
+///
+/// # Errors
+///
+/// Propagates trace generation and artifact failures.
 pub fn pairs_for(net: &NetworkDesc, flags: &Flags, opts: &RunnerOptions) -> Result<Vec<TracePair>> {
-    if let Some(dir) = flags.traces_dir.as_deref() {
-        if let Some(pairs) = traces::cached_trace_pairs(net, &opts.traces, dir)? {
-            return Ok(pairs);
-        }
-    }
-    Ok(traces::trace_pairs(net, &opts.traces)?)
+    let mut pairs = Vec::new();
+    traces::for_each_chunk(net, &opts.traces, flags.traces_dir.as_deref(), usize::MAX, |chunk| {
+        pairs.extend(chunk);
+        Result::Ok(())
+    })?;
+    Ok(pairs)
 }
 
 /// [`run`] on an explicit model set (the testable core).
@@ -54,12 +60,11 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         flags.batch_sizes.clone().unwrap_or_else(|| DEFAULT_BATCH_SIZES.to_vec());
     let em = EnergyModel::default();
     let ecfg = SeAcceleratorConfig::default();
+    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
     writeln!(out, "se batch: weight-fetch amortization across batch sizes\n")?;
     for net in models {
         se_core::se_info!("  batching {} x{:?}...", net.name(), sizes);
-        let pairs = pairs_for(net, flags, &opts)?;
-        let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
-        let runs = engine.per_image_comparison(&pairs, opts.sim_parallelism)?;
+        let runs = runner::compare_model(net, &opts, flags.traces_dir.as_deref())?.runs;
         let se = runs[SE_LANE].as_ref().expect("SmartExchange supports every layer");
 
         // Per-image SmartExchange cost vs batch size.

@@ -14,10 +14,9 @@
 //! snapshot, not a determinism surface; only the outcome counts are.
 
 use crate::args::Flags;
-use crate::figures::batch::pairs_for;
 use crate::figures::latency;
 use crate::json::Json;
-use crate::{cli, table, Result};
+use crate::{cli, runner, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
 use se_serve::cluster::{simulate_cluster_run_obs, ClusterReport, ClusterSpec, ModelService};
@@ -80,8 +79,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     let mut per_image: Vec<RunResult> = Vec::with_capacity(models.len());
     for net in models {
         se_core::se_info!("  profiling {}...", net.name());
-        let pairs = pairs_for(net, flags, &opts)?;
-        per_image.push(engine.per_image_se(&pairs, opts.sim_parallelism)?);
+        per_image.push(runner::run_se_model(net, &opts, flags.traces_dir.as_deref())?);
     }
     let mean_exec1: f64 =
         per_image.iter().map(|r| r.total_cycles() as f64).sum::<f64>() / models.len() as f64;

@@ -24,9 +24,8 @@
 //! flags (`docs/SERVING.md`).
 
 use crate::args::Flags;
-use crate::figures::batch::pairs_for;
 use crate::figures::latency;
-use crate::{cli, table, Result};
+use crate::{cli, runner, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
 use se_serve::cluster::{ClusterSpec, ModelService, RouterPolicy};
@@ -122,8 +121,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     let mut per_model: Vec<[Option<RunResult>; 5]> = Vec::with_capacity(models.len());
     for net in models {
         se_core::se_info!("  clustering {}...", net.name());
-        let pairs = pairs_for(net, flags, &opts)?;
-        per_model.push(engine.per_image_comparison(&pairs, opts.sim_parallelism)?);
+        per_model.push(runner::compare_model(net, &opts, flags.traces_dir.as_deref())?.runs);
     }
 
     writeln!(

@@ -8,26 +8,10 @@ use crate::args::Flags;
 use crate::{table, Result};
 use se_hw::sim::SeAccelerator;
 use se_hw::{Accelerator, EnergyModel, SeAcceleratorConfig};
-use se_ir::{LayerKind, LayerTrace};
+use se_ir::LayerKind;
 use se_models::traces::{self, TraceOptions};
 use se_models::zoo;
 use std::io::Write;
-
-/// The SE trace for one layer: taken from pre-loaded `--traces-dir`
-/// pairs when the artifact covers it, otherwise generated directly —
-/// bit-identical either way.
-fn se_trace_maybe_cached(
-    net: &se_ir::NetworkDesc,
-    layer_index: usize,
-    opts: &TraceOptions,
-    cached: Option<&[traces::TracePair]>,
-) -> Result<LayerTrace> {
-    if let Some(pair) = cached.and_then(|pairs| pairs.iter().find(|p| p.layer_index == layer_index))
-    {
-        return Ok(pair.se.clone());
-    }
-    Ok(traces::se_trace(net, layer_index, opts.base_seed, &opts.se_config)?)
-}
 
 /// Runs the dedicated-design comparison.
 ///
@@ -56,7 +40,9 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
 
     writeln!(out, "Fig. 15: MobileNetV2 depth-wise layers, dedicated design on/off\n")?;
     let opts = TraceOptions::fast().with_seed(flags.seed);
-    // Decode the artifact once for all picks (it holds the whole network).
+    // The four picked layers come from the artifact when `--traces-dir`
+    // holds one (decoded once; it covers every depth-wise layer), else
+    // each is generated alone: the same bits either way.
     let cached = match flags.traces_dir.as_deref() {
         Some(dir) => traces::cached_trace_pairs(&net, &opts, dir)?,
         None => None,
@@ -64,9 +50,12 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
     let mut rows = Vec::new();
     for &p in &picks {
         let li = dw_indices[p.min(dw_indices.len() - 1)];
-        let trace = se_trace_maybe_cached(&net, li, &opts, cached.as_deref())?;
-        let with = with_accel.process_layer(&trace)?;
-        let without = without_accel.process_layer(&trace)?;
+        let pair = match cached.as_ref().and_then(|c| c.iter().find(|p| p.layer_index == li)) {
+            Some(pair) => pair.clone(),
+            None => traces::trace_pair(&net, li, &opts)?,
+        };
+        let with = with_accel.process_layer(&pair.se)?;
+        let without = without_accel.process_layer(&pair.se)?;
         let e_with = with.energy(&em, &with_cfg).total();
         let e_without = without.energy(&em, &with_cfg).total();
         rows.push(vec![

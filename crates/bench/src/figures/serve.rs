@@ -13,9 +13,8 @@
 //! `docs/SERVING.md`).
 
 use crate::args::Flags;
-use crate::figures::batch::pairs_for;
 use crate::figures::latency;
-use crate::{cli, table, Result};
+use crate::{cli, runner, table, Result};
 use se_hw::{EnergyModel, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
 use se_serve::cluster::{self, ClusterSpec, ModelService, RouterPolicy};
@@ -153,9 +152,8 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     let mut obs_streams: Vec<(String, Vec<se_obs::Event>)> = Vec::new();
     for net in models {
         se_core::se_info!("  serving {}...", net.name());
-        let pairs = pairs_for(net, flags, &opts)?;
+        let per_image = runner::run_se_model(net, &opts, flags.traces_dir.as_deref())?;
         let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
-        let per_image = engine.per_image_se(&pairs, opts.sim_parallelism)?;
         let services = [ModelService::from_engine(
             &engine,
             SE_LANE,

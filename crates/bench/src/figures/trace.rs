@@ -12,6 +12,7 @@ use crate::{cli, table, Result};
 use se_models::artifacts::{self, NETWORK_FILE_EXT};
 use se_models::traces::{self, TRACE_FILE_EXT};
 use std::io::Write;
+use std::path::Path;
 
 /// Dispatches the `trace` subcommand's action (`build` or `info`).
 ///
@@ -33,7 +34,7 @@ pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
     }
 }
 
-fn traces_dir(flags: &Flags) -> Result<&std::path::Path> {
+fn traces_dir(flags: &Flags) -> Result<&Path> {
     flags
         .traces_dir
         .as_deref()
@@ -57,12 +58,11 @@ fn build(flags: &Flags, out: &mut dyn Write) -> Result<()> {
     for net in &models {
         se_core::se_info!("  building traces for {} (with_fc={})...", net.name(), flags.with_fc);
         let (path, pairs) = traces::build_trace_file(net, &opts, dir)?;
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         rows.push(vec![
             net.name().to_string(),
             pairs.to_string(),
-            format!("{:.2}", bytes as f64 / (1024.0 * 1024.0)),
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_string(),
+            megabytes(&path)?,
+            file_name(&path),
         ]);
     }
     writeln!(out, "trace artifacts built in {}\n", dir.display())?;
@@ -77,8 +77,18 @@ fn build(flags: &Flags, out: &mut dyn Write) -> Result<()> {
     Ok(())
 }
 
+/// An artifact's size on disk in MB, as the tables print it.
+fn megabytes(path: &Path) -> Result<String> {
+    Ok(format!("{:.2}", artifacts::artifact_bytes(path)? as f64 / (1024.0 * 1024.0)))
+}
+
+/// An artifact's file name, as the tables print it.
+fn file_name(path: &Path) -> String {
+    path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_string()
+}
+
 /// Artifact paths in `dir` with the given extension, sorted.
-fn artifact_paths(dir: &std::path::Path, ext: &str) -> Result<Vec<std::path::PathBuf>> {
+fn artifact_paths(dir: &Path, ext: &str) -> Result<Vec<std::path::PathBuf>> {
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -99,15 +109,14 @@ fn info(flags: &Flags, out: &mut dyn Write) -> Result<()> {
     let mut rows = Vec::new();
     for path in &paths {
         let file = traces::read_trace_file(path)?;
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         let with_fc = file.pairs.iter().any(|p| !p.dense.desc().kind().is_conv_like());
         rows.push(vec![
             file.net_name,
             format!("{:016x}", file.digest),
             file.pairs.len().to_string(),
             if with_fc { "yes" } else { "no" }.to_string(),
-            format!("{:.2}", bytes as f64 / (1024.0 * 1024.0)),
-            path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_string(),
+            megabytes(path)?,
+            file_name(path),
         ]);
     }
     writeln!(
@@ -122,12 +131,11 @@ fn info(flags: &Flags, out: &mut dyn Write) -> Result<()> {
         let mut rows = Vec::new();
         for path in &networks {
             let net = artifacts::read_network_file(path)?;
-            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
             rows.push(vec![
                 net.reports.len().to_string(),
                 format!("{:.2}", net.compression_rate()),
-                format!("{:.2}", bytes as f64 / (1024.0 * 1024.0)),
-                path.file_name().and_then(|n| n.to_str()).unwrap_or("?").to_string(),
+                megabytes(path)?,
+                file_name(path),
             ]);
         }
         writeln!(out, "{}", table::render(&["layers", "CR", "MB", "file"], &rows))?;

@@ -12,11 +12,12 @@
 //! Both halves of a sweep run on the deterministic work queue of
 //! [`se_core::pipeline`]:
 //!
-//! 1. **Trace generation** — the SmartExchange decomposition per layer —
-//!    executes in parallel batches via [`TraceStream`]'s prefetch; the
-//!    worker count comes from `RunnerOptions::traces.se_config
-//!    .parallelism()`.
-//! 2. **Simulation** — each chunk of [`TracePair`]s goes through the
+//! 1. **Trace generation**, the SmartExchange decomposition per layer,
+//!    comes from [`traces::for_each_chunk`]: it replays a persisted
+//!    artifact whole, or generates the layers in chunks of
+//!    `chunk_pairs` on `RunnerOptions::traces.se_config.parallelism()`
+//!    workers.
+//! 2. **Simulation**: each chunk of [`TracePair`]s goes through the
 //!    serving subsystem's [`BatchEngine`], the single five-lane dispatch:
 //!    [`BatchEngine::per_image_comparison`] fans every pair out as five
 //!    `(layer, accelerator)` grid jobs drained by
@@ -38,7 +39,7 @@ use crate::Result;
 use se_baselines::BaselineConfig;
 use se_hw::{EnergyModel, RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
-use se_models::traces::{TraceOptions, TracePair, TraceStream, MAX_BATCH_PAIRS};
+use se_models::traces::{self, TraceOptions, TracePair};
 use se_serve::BatchEngine;
 use std::path::Path;
 
@@ -149,46 +150,12 @@ impl RunnerOptions {
     }
 }
 
-/// Pairs per simulation chunk: enough grid jobs to feed the workers while
-/// keeping the number of trace pairs alive at once bounded.
+/// Generated trace pairs per simulation chunk: enough grid jobs to feed
+/// the `sim_parallelism` workers, and at least four pairs so generation
+/// has layers to spread over its workers, while keeping the number of
+/// pairs alive at once bounded.
 fn chunk_pairs(sim_parallelism: usize) -> usize {
-    MAX_BATCH_PAIRS.max(sim_parallelism.div_ceil(ACCEL_NAMES.len()))
-}
-
-/// Feeds the network's trace pairs to `consume` in network order — the
-/// shared generation half of [`compare_model`] and [`run_se_model`]. When
-/// `traces_dir` holds an artifact for this network and these trace
-/// options (built by `se trace build`; see `se_models::traces`), the whole
-/// artifact is replayed as one chunk instead of regenerating the
-/// decompositions; otherwise the trace stream is drained in chunks of
-/// bounded size. Both paths are bit-identical: traces round-trip exactly
-/// and every simulation job is a pure function of its pair.
-fn for_each_chunk(
-    net: &NetworkDesc,
-    opts: &RunnerOptions,
-    traces_dir: Option<&Path>,
-    mut consume: impl FnMut(&[TracePair]) -> Result<()>,
-) -> Result<()> {
-    if let Some(dir) = traces_dir {
-        if let Some(pairs) = se_models::traces::cached_trace_pairs(net, &opts.traces, dir)? {
-            return consume(&pairs);
-        }
-    }
-    let chunk_len = chunk_pairs(opts.sim_parallelism);
-    let mut stream = TraceStream::new(net, opts.traces.clone());
-    loop {
-        let mut chunk = Vec::with_capacity(chunk_len);
-        while chunk.len() < chunk_len {
-            match stream.next() {
-                Some(pair) => chunk.push(pair?),
-                None => break,
-            }
-        }
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        consume(&chunk)?;
-    }
+    4.max(sim_parallelism.div_ceil(ACCEL_NAMES.len()))
 }
 
 /// Runs one model through all five accelerators, replaying its persisted
@@ -210,15 +177,16 @@ pub fn compare_model(
 ) -> Result<ModelComparison> {
     let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
     let mut runs: [Option<RunResult>; 5] = std::array::from_fn(|_| Some(RunResult::default()));
-    for_each_chunk(net, opts, traces_dir, |chunk| {
-        let chunk_runs = engine.per_image_comparison(chunk, opts.sim_parallelism)?;
+    let chunk = chunk_pairs(opts.sim_parallelism);
+    traces::for_each_chunk(net, &opts.traces, traces_dir, chunk, |pairs| {
+        let chunk_runs = engine.per_image_comparison(&pairs, opts.sim_parallelism)?;
         for (run, part) in runs.iter_mut().zip(chunk_runs) {
             match (run.as_mut(), part) {
                 (Some(run), Some(part)) => run.layers.extend(part.layers),
                 _ => *run = None,
             }
         }
-        Ok(())
+        Result::Ok(())
     })?;
     Ok(ModelComparison { model: net.name().to_string(), runs })
 }
@@ -255,9 +223,10 @@ pub fn run_se_model(
 ) -> Result<RunResult> {
     let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
     let mut run = RunResult::default();
-    for_each_chunk(net, opts, traces_dir, |chunk| {
-        run.layers.extend(engine.per_image_se(chunk, opts.sim_parallelism)?.layers);
-        Ok(())
+    let chunk = chunk_pairs(opts.sim_parallelism);
+    traces::for_each_chunk(net, &opts.traces, traces_dir, chunk, |pairs| {
+        run.layers.extend(engine.per_image_se(&pairs, opts.sim_parallelism)?.layers);
+        Result::Ok(())
     })?;
     Ok(run)
 }

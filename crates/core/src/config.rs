@@ -163,12 +163,6 @@ impl SeConfig {
         self.quantize_basis
     }
 
-    /// Sets the power-of-2 alphabet.
-    pub fn with_po2(mut self, po2: Po2Set) -> Self {
-        self.po2 = po2;
-        self
-    }
-
     /// Sets the iteration budget.
     ///
     /// # Errors
@@ -181,22 +175,6 @@ impl SeConfig {
             });
         }
         self.max_iterations = n;
-        Ok(self)
-    }
-
-    /// Sets the convergence tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] for negative or non-finite
-    /// tolerances.
-    pub fn with_tol(mut self, tol: f32) -> Result<Self> {
-        if !tol.is_finite() || tol < 0.0 {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("tol {tol} must be finite and >= 0"),
-            });
-        }
-        self.tol = tol;
         Ok(self)
     }
 
@@ -228,19 +206,6 @@ impl SeConfig {
             }
         }
         self.channel_prune_threshold = threshold;
-        Ok(self)
-    }
-
-    /// Sets the FC reshape width `S`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if `s == 0`.
-    pub fn with_fc_width(mut self, s: usize) -> Result<Self> {
-        if s == 0 {
-            return Err(CoreError::InvalidConfig { reason: "fc_width must be positive".into() });
-        }
-        self.fc_width = s;
         Ok(self)
     }
 
@@ -313,14 +278,11 @@ mod tests {
     #[test]
     fn builder_validation() {
         assert!(SeConfig::default().with_max_iterations(0).is_err());
-        assert!(SeConfig::default().with_tol(-1.0).is_err());
-        assert!(SeConfig::default().with_tol(f32::NAN).is_err());
         assert!(SeConfig::default()
             .with_vector_sparsity(VectorSparsity::KeepFraction(1.5))
             .is_err());
         assert!(SeConfig::default().with_vector_sparsity(VectorSparsity::Threshold(-0.1)).is_err());
         assert!(SeConfig::default().with_channel_prune(Some(-1.0)).is_err());
-        assert!(SeConfig::default().with_fc_width(0).is_err());
         assert!(SeConfig::default().with_max_unit_rows(0).is_err());
         assert!(SeConfig::default().with_parallelism(0).is_err());
     }

@@ -119,14 +119,6 @@ impl SeAcceleratorConfig {
         self.input_gb_banks as f64 * self.input_gb_bank_kb * 1024.0
     }
 
-    /// Total on-chip SRAM in bytes (input GB + output GB + all weight
-    /// buffers) — the quantity equalised across accelerators in Table V.
-    pub fn total_sram_bytes(&self) -> f64 {
-        self.input_gb_bytes()
-            + self.output_gb_banks as f64 * self.output_gb_bank_kb * 1024.0
-            + self.dim_m as f64 * self.weight_buf_banks as f64 * self.weight_buf_bank_kb * 1024.0
-    }
-
     /// Total multiplier lanes (`dimM × dimC × dimF`); with `bit_serial`
     /// these are the 8 K bit-serial lanes equivalent to 1 K 8-bit
     /// multipliers.
@@ -201,12 +193,5 @@ mod tests {
                 assert!(c.validate().is_err(), "{name} = {bad} must be rejected");
             }
         }
-    }
-
-    #[test]
-    fn total_sram_counts_all_buffers() {
-        let c = SeAcceleratorConfig::default();
-        // 512KB input + 4KB output + 64 slices * 4KB weight = 772KB.
-        assert!((c.total_sram_bytes() - 772.0 * 1024.0).abs() < 1e-6);
     }
 }

@@ -250,13 +250,6 @@ impl TieredStore {
         self.streams
     }
 
-    /// Bytes read out of the bottom tier — the cost the stack exists to
-    /// measure (cold loads and deep promotions hit it, hits near the top
-    /// do not).
-    pub fn bottom_bytes_up(&self) -> u64 {
-        self.stats.last().map_or(0, |s| s.bytes_up)
-    }
-
     /// Whether `model` is resident in the top tier (what routing sees as
     /// "resident": anything lower still pays a promotion walk).
     pub fn is_resident_top(&self, model: usize) -> bool {
@@ -579,7 +572,7 @@ mod tests {
         // share is the cold-load figure of merit.
         assert_eq!(store.tier_stats()[1].bytes_up, 50);
         assert_eq!(store.tier_stats()[2].bytes_up, 50);
-        assert_eq!(store.bottom_bytes_up(), 50);
+        assert_eq!(store.tier_stats().last().unwrap().bytes_up, 50);
         assert_eq!(
             *store.summary(),
             ResidencyStats { hits: 1, fetches: 1, evictions: 0, bytes_fetched: 50 }
@@ -601,7 +594,11 @@ mod tests {
         assert_eq!(b, TierAdmission::Promoted { from: 1, cycles: 12, evicted: vec![1] });
         assert_eq!(store.tier_stats()[1].hits, 1);
         assert_eq!(store.tier_stats()[1].promotions, 1);
-        assert_eq!(store.bottom_bytes_up(), 60 + 70, "only the two cold loads hit the SSD");
+        assert_eq!(
+            store.tier_stats().last().unwrap().bytes_up,
+            60 + 70,
+            "only the two cold loads hit the SSD"
+        );
     }
 
     #[test]
@@ -629,7 +626,7 @@ mod tests {
             // is charged; the dram→buf crossing recurs inside the
             // streamed execution table.
             assert_eq!(admit(&mut store, 1, 150), TierAdmission::Streamed { cycles: 150 });
-            assert_eq!(store.bottom_bytes_up(), 80 + 150 * round);
+            assert_eq!(store.tier_stats().last().unwrap().bytes_up, 80 + 150 * round);
         }
         assert!(store.is_resident_top(0), "streams never evict residents");
         assert_eq!(store.streams(), 3);

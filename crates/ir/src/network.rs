@@ -137,12 +137,6 @@ impl NetworkDesc {
     pub fn fp32_megabytes(&self) -> f64 {
         self.total_params() as f64 * 4.0 / (1024.0 * 1024.0)
     }
-
-    /// Layers that the CONV-style datapath processes (everything except FC);
-    /// the subset used in the Figs. 10–12 comparisons.
-    pub fn conv_like_layers(&self) -> impl Iterator<Item = &LayerDesc> {
-        self.layers.iter().filter(|l| l.kind().is_conv_like())
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +198,12 @@ mod tests {
     #[test]
     fn conv_like_filter_excludes_fc() {
         let n = tiny();
-        let names: Vec<_> = n.conv_like_layers().map(|l| l.name().to_string()).collect();
+        let names: Vec<_> = n
+            .layers()
+            .iter()
+            .filter(|l| l.kind().is_conv_like())
+            .map(|l| l.name().to_string())
+            .collect();
         assert_eq!(names, vec!["c1"]);
     }
 

@@ -308,19 +308,6 @@ impl<'a> ByteReader<'a> {
         Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
     }
 
-    /// Reads a `bool` byte, rejecting anything but `0` and `1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::Serialize`] on truncation or a non-boolean byte.
-    pub fn get_bool(&mut self) -> Result<bool> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(err(format!("invalid bool byte {other}"))),
-        }
-    }
-
     /// Reads a `u32`-length-prefixed UTF-8 string.
     ///
     /// # Errors
@@ -863,7 +850,7 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), 1 << 40);
         assert_eq!(r.get_i32().unwrap(), -9);
         assert_eq!(r.get_f32().unwrap().to_bits(), 0.1f32.to_bits());
-        assert!(r.get_bool().unwrap());
+        assert_eq!(r.get_u8().unwrap(), 1, "true is written as byte 1");
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_f32_vec(2).unwrap(), vec![1.5, -2.25]);
         assert_eq!(r.get_i8_vec(3).unwrap(), vec![-128, 0, 127]);

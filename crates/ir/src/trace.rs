@@ -71,11 +71,6 @@ impl LayerTrace {
     pub fn input(&self) -> &QuantTensor {
         &self.input
     }
-
-    /// Element-wise input sparsity (fraction of zero activation codes).
-    pub fn input_sparsity(&self) -> f32 {
-        self.input.sparsity()
-    }
 }
 
 #[cfg(test)]
@@ -123,19 +118,5 @@ mod tests {
         .unwrap();
         assert!(WeightData::Se(vec![layer]).is_se());
         assert!(!WeightData::Dense(quant(4)).is_se());
-    }
-
-    #[test]
-    fn input_sparsity_passthrough() {
-        let input = QuantTensor::quantize(
-            &Tensor::from_vec(vec![0.0; 8].into_iter().chain(vec![1.0; 8]).collect(), &[16])
-                .unwrap(),
-            8,
-        )
-        .unwrap();
-        let d =
-            LayerDesc::new("fc", LayerKind::Linear { in_features: 16, out_features: 2 }, (1, 1));
-        let t = LayerTrace::new(d, WeightData::Dense(quant(32)), input).unwrap();
-        assert_eq!(t.input_sparsity(), 0.5);
     }
 }

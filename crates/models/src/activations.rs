@@ -128,27 +128,6 @@ pub fn network_bit_sparsity(net: &NetworkDesc, base_seed: u64) -> Result<booth::
     })
 }
 
-/// Vector-wise activation sparsity of a `(C, H, W)` map: the fraction of
-/// feature-map rows (length `W`, per channel) that are entirely zero —
-/// the rows whose weight-vector fetches the accelerator can skip.
-pub fn vector_activation_sparsity(q: &QuantTensor) -> f32 {
-    let s = q.shape();
-    if s.len() != 3 {
-        return 0.0;
-    }
-    let (c, h, w) = (s[0], s[1], s[2]);
-    if c * h == 0 || w == 0 {
-        return 0.0;
-    }
-    let mut zero_rows = 0usize;
-    for row in 0..c * h {
-        if q.data()[row * w..(row + 1) * w].iter().all(|&x| x == 0) {
-            zero_rows += 1;
-        }
-    }
-    zero_rows as f32 / (c * h) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +177,27 @@ mod tests {
         assert!((0.70..0.95).contains(&s.plain), "plain {}", s.plain);
         assert!((0.55..0.90).contains(&s.booth), "booth {}", s.booth);
         assert!(s.plain > s.booth, "plain bit sparsity exceeds Booth digit sparsity");
+    }
+
+    /// Vector-wise activation sparsity of a `(C, H, W)` map: the fraction of
+    /// feature-map rows (length `W`, per channel) that are entirely zero —
+    /// the rows whose weight-vector fetches the accelerator can skip.
+    fn vector_activation_sparsity(q: &QuantTensor) -> f32 {
+        let s = q.shape();
+        if s.len() != 3 {
+            return 0.0;
+        }
+        let (c, h, w) = (s[0], s[1], s[2]);
+        if c * h == 0 || w == 0 {
+            return 0.0;
+        }
+        let mut zero_rows = 0usize;
+        for row in 0..c * h {
+            if q.data()[row * w..(row + 1) * w].iter().all(|&x| x == 0) {
+                zero_rows += 1;
+            }
+        }
+        zero_rows as f32 / (c * h) as f32
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! for traces. Artifacts are self-populating: a cached run writes on miss
 //! and replays on hit, and both paths produce bit-identical reports.
 
-use crate::traces::{fnv1a, put_se_config, sanitize_net_name};
-use crate::{weights, ModelError, Result};
+use crate::traces::{fnv1a, io_err, publish, put_se_config, sanitize_net_name};
+use crate::{weights, Result};
 use se_core::network::{CompressedNetwork, LayerReport};
 use se_core::pipeline::{self, LayerJob, WeightSource};
 use se_core::{CoreError, SeConfig};
@@ -22,10 +22,6 @@ use std::path::{Path, PathBuf};
 
 /// File extension of persisted compressed networks.
 pub const NETWORK_FILE_EXT: &str = "senet";
-
-fn io_err(path: &Path, e: impl std::fmt::Display) -> ModelError {
-    ModelError::Io { path: path.display().to_string(), reason: e.to_string() }
-}
 
 /// A stable 64-bit digest of everything that determines a compressed
 /// network: the synthetic-weight seed and the full [`SeConfig`] (worker
@@ -66,18 +62,12 @@ pub fn write_network_file(
     seed: u64,
     network: &CompressedNetwork,
 ) -> Result<PathBuf> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let path = dir.join(network_file_name(net_name, cfg, seed));
     let bytes = network.to_bytes()?;
-    let tmp = path.with_extension(format!("{NETWORK_FILE_EXT}.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-    Ok(path)
+    publish(dir, &network_file_name(net_name, cfg, seed), &bytes)
 }
 
-/// Serialized size in bytes of an artifact on disk, without reading or
-/// decoding it — the byte-accurate cold-load cost when the artifact
-/// file is the durable bottom tier of a tiered weight store.
+/// Size in bytes of an artifact file of either kind (`*.senet` or
+/// `*.setrace`) on disk, without reading or decoding it.
 ///
 /// # Errors
 ///

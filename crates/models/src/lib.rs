@@ -19,8 +19,8 @@
 //!   underlying tensors);
 //! * [`artifacts`] — persisted whole-network compression artifacts
 //!   (`*.senet`), keyed like the `*.setrace` trace files;
-//! * [`trainable`] — scaled-down trainable `se-nn` models (and the exact
-//!   MLP-1/MLP-2) for the accuracy experiments.
+//! * [`trainable`] — SmartExchange projection and compression of trainable
+//!   `se-nn` models for the accuracy experiments.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

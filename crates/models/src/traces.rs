@@ -2,9 +2,16 @@
 //! packaged both ways — dense 8-bit for the baseline accelerators and
 //! SmartExchange-compressed for the SE accelerator — so every simulator
 //! sees identical data (the paper's equal-footing methodology).
+//!
+//! [`for_each_chunk`] is the one source of a network's pairs. An artifact
+//! replay (`*.setrace`, built by `se trace build`) holds the whole network
+//! in memory and is handed over as one chunk; generation streams the
+//! traced layers in chunks of a caller-chosen size, so peak memory stays
+//! bounded on ImageNet-scale models. [`trace_pairs`] is the collect-all
+//! form and [`trace_pair`] generates one layer.
 
-use crate::{activations, weights, Result};
-use se_core::SeConfig;
+use crate::{activations, weights, ModelError, Result};
+use se_core::{pipeline, SeConfig};
 use se_ir::{LayerTrace, NetworkDesc, QuantTensor, WeightData};
 
 /// Options controlling trace generation.
@@ -78,44 +85,10 @@ pub struct TracePair {
     pub se: LayerTrace,
 }
 
-/// Generates the dense trace for one layer.
-///
-/// # Errors
-///
-/// Propagates weight/activation generation and quantization failures.
-pub fn dense_trace(net: &NetworkDesc, layer_index: usize, base_seed: u64) -> Result<LayerTrace> {
-    let desc = net.layers()[layer_index].clone();
-    let w = weights::synthetic_weights(net.name(), &desc, base_seed)?;
-    let qw = QuantTensor::quantize(&w, 8)?;
-    let act = activations::synthetic_activation(net, layer_index, base_seed)?;
-    let qa = QuantTensor::quantize(&act, 8)?;
-    Ok(LayerTrace::new(desc, WeightData::Dense(qw), qa)?)
-}
-
-/// Generates the SmartExchange-compressed trace for one layer (same
-/// underlying weights and activations as [`dense_trace`]).
-///
-/// # Errors
-///
-/// Propagates compression failures.
-pub fn se_trace(
-    net: &NetworkDesc,
-    layer_index: usize,
-    base_seed: u64,
-    cfg: &SeConfig,
-) -> Result<LayerTrace> {
-    let desc = net.layers()[layer_index].clone();
-    let w = weights::synthetic_weights(net.name(), &desc, base_seed)?;
-    let parts = se_core::layer::compress_layer(&desc, &w, cfg)?;
-    let act = activations::synthetic_activation(net, layer_index, base_seed)?;
-    let qa = QuantTensor::quantize(&act, 8)?;
-    Ok(LayerTrace::new(desc, WeightData::Se(parts), qa)?)
-}
-
 /// Generates the matched trace pair for one layer. The synthetic weights
-/// and activations are generated once and shared by both traces (they are
-/// bit-identical to what [`dense_trace`] and [`se_trace`] produce, at half
-/// the generation cost — this is the pipeline's hot path).
+/// and activations are generated once and shared by both traces: the
+/// dense trace quantizes them to 8 bits, the SE trace compresses the same
+/// weights with `opts.se_config`.
 ///
 /// # Errors
 ///
@@ -133,95 +106,64 @@ pub fn trace_pair(net: &NetworkDesc, layer_index: usize, opts: &TraceOptions) ->
     Ok(TracePair { layer_index, dense, se })
 }
 
-/// Generates every eligible layer's trace pair on the parallel work queue
-/// of [`se_core::pipeline`] (worker count from the options'
-/// `se_config.parallelism()`), in network order.
-///
-/// Unlike [`TraceStream`], this holds every pair at once — use the stream
-/// for ImageNet-scale models.
+/// Indices of the layers the options trace, in network order: every layer,
+/// or only the conv-like ones.
+fn traced_layers(net: &NetworkDesc, opts: &TraceOptions) -> Vec<usize> {
+    let keep = |d: &se_ir::LayerDesc| !opts.conv_like_only || d.kind().is_conv_like();
+    net.layers().iter().enumerate().filter(|(_, d)| keep(d)).map(|(i, _)| i).collect()
+}
+
+/// Generates the pairs of `layers` on the work queue of
+/// [`se_core::pipeline`], in the given order. `pipeline::worker_config`
+/// splits the thread budget of `opts.se_config.parallelism()` between the
+/// layer queue and the per-layer decomposition threads; results are
+/// bit-identical for every worker count.
+fn generate(net: &NetworkDesc, layers: &[usize], opts: &TraceOptions) -> Result<Vec<TracePair>> {
+    let wopts = opts.clone().with_se_config(pipeline::worker_config(&opts.se_config, layers.len()));
+    pipeline::try_run_ordered(layers, opts.se_config.parallelism(), |_, &i| {
+        trace_pair(net, i, &wopts)
+    })
+}
+
+/// Generates every traced layer's pair at once, in network order. This
+/// holds the whole network; [`for_each_chunk`] bounds memory for
+/// ImageNet-scale models.
 ///
 /// # Errors
 ///
 /// Returns the first (lowest-index) per-layer failure.
 pub fn trace_pairs(net: &NetworkDesc, opts: &TraceOptions) -> Result<Vec<TracePair>> {
-    TraceStream::new(net, opts.clone()).collect()
+    generate(net, &traced_layers(net, opts), opts)
 }
 
-/// Maximum trace pairs generated (and therefore alive) per
-/// [`TraceStream`] batch: bounds streaming memory independently of core
-/// count; thread budget beyond this flows to the per-layer decomposition
-/// level.
-pub const MAX_BATCH_PAIRS: usize = 4;
-
-/// Streams matched trace pairs layer by layer, generating them in batches
-/// on the parallel work queue of [`se_core::pipeline`] (thread budget from
-/// the options' `se_config.parallelism()`).
+/// Feeds a network's trace pairs to `consume` in network order: the one
+/// place that decides where pairs come from. When `dir` holds an artifact
+/// for this network and these options, the whole artifact is handed over
+/// as one chunk (see [`cached_trace_pairs`]). Otherwise the traced layers
+/// are generated `chunk` at a time, so at most `chunk` generated pairs are
+/// alive at once. Both sources give the same bits: artifacts round-trip
+/// exactly and generation is a pure function of the options.
 ///
-/// Traces for ImageNet-scale layers are large, so batches are capped at
-/// [`MAX_BATCH_PAIRS`] pairs regardless of core count — peak memory stays
-/// a small constant, and thread budget beyond the batch width flows to the
-/// per-layer decomposition level instead. With `parallelism = 1` this
-/// degenerates to the fully lazy one-layer-at-a-time stream. Pairs are
-/// yielded in network order for every worker count.
-#[derive(Debug)]
-pub struct TraceStream<'a> {
-    net: &'a NetworkDesc,
-    opts: TraceOptions,
-    /// Eligible layer indices not yet generated, in network order.
-    pending: std::collections::VecDeque<usize>,
-    /// Generated pairs not yet yielded, in network order.
-    ready: std::collections::VecDeque<Result<TracePair>>,
-    /// Whether a batch has been generated yet (the first batch is a single
-    /// pair so one-pair consumers never pay for a full batch).
-    warmed: bool,
-}
-
-impl<'a> TraceStream<'a> {
-    /// Creates a stream over the network's layers.
-    pub fn new(net: &'a NetworkDesc, opts: TraceOptions) -> Self {
-        let pending = net
-            .layers()
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !opts.conv_like_only || d.kind().is_conv_like())
-            .map(|(i, _)| i)
-            .collect();
-        TraceStream { net, opts, pending, ready: std::collections::VecDeque::new(), warmed: false }
-    }
-
-    /// Generates the next batch of pairs on the work queue, in network
-    /// order. The first batch is a single pair (common consumers take one
-    /// pair and stop — they keep the old one-layer-alive behaviour);
-    /// subsequent batches are `min(parallelism, MAX_BATCH_PAIRS)` wide.
-    /// The total thread budget is split between this batch level and the
-    /// per-layer decomposition threads via
-    /// `se_core::pipeline::worker_config`.
-    fn refill(&mut self) {
-        let workers = self.opts.se_config.parallelism().max(1);
-        let width = if self.warmed { workers.min(MAX_BATCH_PAIRS) } else { 1 };
-        self.warmed = true;
-        let batch: Vec<usize> = (0..width).filter_map(|_| self.pending.pop_front()).collect();
-        if batch.is_empty() {
-            return;
+/// # Errors
+///
+/// Propagates artifact read/decode failures, the lowest-index generation
+/// failure, and the first failure of `consume`.
+pub fn for_each_chunk<E: From<ModelError>>(
+    net: &NetworkDesc,
+    opts: &TraceOptions,
+    dir: Option<&Path>,
+    chunk: usize,
+    mut consume: impl FnMut(Vec<TracePair>) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    if let Some(dir) = dir {
+        if let Some(pairs) = cached_trace_pairs(net, opts, dir)? {
+            return consume(pairs);
         }
-        let wcfg = se_core::pipeline::worker_config(&self.opts.se_config, batch.len());
-        let wopts = self.opts.clone().with_se_config(wcfg);
-        let net = self.net;
-        self.ready.extend(se_core::pipeline::run_ordered(&batch, width, |_, &i| {
-            trace_pair(net, i, &wopts)
-        }));
     }
-}
-
-impl Iterator for TraceStream<'_> {
-    type Item = Result<TracePair>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.ready.is_empty() {
-            self.refill();
-        }
-        self.ready.pop_front()
+    for layers in traced_layers(net, opts).chunks(chunk.max(1)) {
+        consume(generate(net, layers, opts)?)?;
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -242,8 +184,24 @@ use std::path::{Path, PathBuf};
 /// File extension of persisted trace-pair sets.
 pub const TRACE_FILE_EXT: &str = "setrace";
 
-fn io_err(path: &Path, e: impl std::fmt::Display) -> crate::ModelError {
-    crate::ModelError::Io { path: path.display().to_string(), reason: e.to_string() }
+/// The error for a failed read or write of an artifact file (shared by
+/// every artifact kind).
+pub(crate) fn io_err(path: &Path, e: impl std::fmt::Display) -> ModelError {
+    ModelError::Io { path: path.display().to_string(), reason: e.to_string() }
+}
+
+/// Writes `bytes` to `dir/name`, creating `dir` if needed, and returns the
+/// path (shared by every artifact kind). The file is published atomically
+/// (written to a temp name, then renamed): an interrupted build must never
+/// leave a truncated artifact at the final path, since a present-but-corrupt
+/// artifact is a loud error for every later cached run.
+pub(crate) fn publish(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf> {
+    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    let path = dir.join(name);
+    let tmp = dir.join(format!("{name}.tmp-{}", std::process::id()));
+    std::fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
+    std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+    Ok(path)
 }
 
 /// A stable 64-bit digest of every [`TraceOptions`] field that influences
@@ -395,7 +353,8 @@ pub fn decode_trace_pairs(bytes: &[u8]) -> Result<TraceFile> {
 }
 
 /// Writes a network's trace pairs into `dir` under [`trace_file_name`],
-/// creating the directory if needed. Returns the file path.
+/// creating the directory if needed and publishing atomically. Returns the
+/// file path.
 ///
 /// # Errors
 ///
@@ -406,17 +365,8 @@ pub fn write_trace_file(
     opts: &TraceOptions,
     pairs: &[TracePair],
 ) -> Result<PathBuf> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let path = dir.join(trace_file_name(net.name(), opts));
     let bytes = encode_trace_pairs(net.name(), options_digest(opts), pairs)?;
-    // Publish atomically (write to a temp name, then rename): an
-    // interrupted build must never leave a truncated artifact at the
-    // final path, since a present-but-corrupt artifact is a loud error
-    // for every later cached run.
-    let tmp = path.with_extension(format!("{TRACE_FILE_EXT}.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-    Ok(path)
+    publish(dir, &trace_file_name(net.name(), opts), &bytes)
 }
 
 /// Reads a trace-artifact file.
@@ -531,7 +481,7 @@ mod tests {
     fn dense_and_se_traces_share_inputs() {
         let net = tiny_net();
         let opts = TraceOptions::fast();
-        let pairs: Vec<_> = TraceStream::new(&net, opts).collect::<Result<_>>().unwrap();
+        let pairs = trace_pairs(&net, &opts).unwrap();
         assert_eq!(pairs.len(), 2); // FC skipped by default
         for p in &pairs {
             assert_eq!(p.dense.input(), p.se.input());
@@ -545,15 +495,11 @@ mod tests {
         let net = tiny_net();
         let serial_opts = TraceOptions::fast()
             .with_se_config(TraceOptions::fast().se_config.with_parallelism(1).unwrap());
-        let serial: Vec<TracePair> =
-            TraceStream::new(&net, serial_opts).collect::<Result<_>>().unwrap();
+        let serial = trace_pairs(&net, &serial_opts).unwrap();
         for workers in [2usize, 4] {
             let opts = TraceOptions::fast()
                 .with_se_config(TraceOptions::fast().se_config.with_parallelism(workers).unwrap());
-            let parallel: Vec<TracePair> =
-                TraceStream::new(&net, opts.clone()).collect::<Result<_>>().unwrap();
-            assert_eq!(serial, parallel, "workers = {workers}");
-            assert_eq!(trace_pairs(&net, &opts).unwrap(), serial);
+            assert_eq!(trace_pairs(&net, &opts).unwrap(), serial, "workers = {workers}");
         }
     }
 
@@ -561,7 +507,7 @@ mod tests {
     fn fc_included_when_requested() {
         let net = tiny_net();
         let opts = TraceOptions::fast().with_fc_layers();
-        let pairs: Vec<_> = TraceStream::new(&net, opts).collect::<Result<_>>().unwrap();
+        let pairs = trace_pairs(&net, &opts).unwrap();
         assert_eq!(pairs.len(), 3);
         assert_eq!(pairs[2].layer_index, 2);
     }
@@ -569,7 +515,7 @@ mod tests {
     #[test]
     fn se_weights_approximate_dense_weights() {
         let net = tiny_net();
-        let pair = TraceStream::new(&net, TraceOptions::fast()).next().unwrap().unwrap();
+        let pair = trace_pair(&net, 0, &TraceOptions::fast()).unwrap();
         let (dense_w, se_parts) = match (pair.dense.weights(), pair.se.weights()) {
             (WeightData::Dense(d), WeightData::Se(s)) => (d, s),
             other => panic!("unexpected weight kinds {other:?}"),
@@ -578,6 +524,104 @@ mod tests {
         let orig = dense_w.dequantize();
         let rel = orig.sub(&recon).unwrap().norm() / orig.norm();
         assert!(rel < 0.45, "relative error {rel}");
+    }
+
+    fn with_workers(opts: TraceOptions, workers: usize) -> TraceOptions {
+        let cfg = opts.se_config.clone().with_parallelism(workers).unwrap();
+        opts.with_se_config(cfg)
+    }
+
+    /// Every chunk [`for_each_chunk`] hands over, in order.
+    fn chunks(
+        net: &NetworkDesc,
+        opts: &TraceOptions,
+        dir: Option<&Path>,
+        chunk: usize,
+    ) -> Vec<Vec<TracePair>> {
+        let mut out = Vec::new();
+        for_each_chunk(net, opts, dir, chunk, |pairs| {
+            out.push(pairs);
+            Result::Ok(())
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn chunked_pairs_equal_trace_pairs_and_artifact_replay() {
+        let dir = temp_dir("chunks");
+        for (net, opts) in [
+            (tiny_net(), TraceOptions::fast()),
+            (tiny_net(), TraceOptions::fast().with_fc_layers()),
+            (zoo::mlp2(), TraceOptions::fast().with_fc_layers().with_seed(4)),
+        ] {
+            let all = trace_pairs(&net, &opts).unwrap();
+            assert!(all.len() >= 2, "{}: a chunk size of 1 must split the network", net.name());
+            for workers in [1usize, 4] {
+                let opts = with_workers(opts.clone(), workers);
+                for chunk in [1, 2, all.len()] {
+                    let got = chunks(&net, &opts, None, chunk);
+                    assert!(got.iter().all(|c| !c.is_empty() && c.len() <= chunk));
+                    assert_eq!(got.len(), all.len().div_ceil(chunk));
+                    assert_eq!(got.concat(), all, "{} chunk {chunk} workers {workers}", net.name());
+                }
+            }
+            // An artifact hit is one chunk holding the whole network, at
+            // any chunk size; a miss in `dir` falls back to generation.
+            assert_eq!(chunks(&net, &opts, Some(&dir), 1).concat(), all);
+            build_trace_file(&net, &opts, &dir).unwrap();
+            for chunk in [1, 2] {
+                assert_eq!(chunks(&net, &opts, Some(&dir), chunk), vec![all.clone()]);
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failing_layer_gives_the_lowest_index_error_at_every_chunk_size() {
+        // Squeeze-excite layers with a zero-width bottleneck pass the
+        // geometry checks but fail compression: layers 2 and 4 fail.
+        let conv = |name: &str| {
+            LayerDesc::new(
+                name,
+                LayerKind::Conv2d {
+                    in_channels: 8,
+                    out_channels: 8,
+                    kernel: 3,
+                    stride: 1,
+                    padding: 1,
+                },
+                (8, 8),
+            )
+        };
+        let bad = |name: &str, channels| {
+            LayerDesc::new(name, LayerKind::SqueezeExcite { channels, reduced: 0 }, (8, 8))
+        };
+        let net = NetworkDesc::new(
+            "failing",
+            Dataset::Cifar10,
+            vec![conv("c0"), conv("c1"), bad("se2", 8), conv("c3"), bad("se4", 16)],
+        )
+        .unwrap();
+        let opts = TraceOptions::fast();
+        let expected = trace_pair(&net, 2, &opts).unwrap_err();
+        assert_eq!(trace_pairs(&net, &opts).unwrap_err(), expected);
+        for workers in [1usize, 4] {
+            let opts = with_workers(opts.clone(), workers);
+            for chunk in [1, 2, net.layers().len()] {
+                let mut consumed = Vec::new();
+                let err = for_each_chunk(&net, &opts, None, chunk, |pairs| {
+                    consumed.extend(pairs.into_iter().map(|p| p.layer_index));
+                    Result::Ok(())
+                })
+                .unwrap_err();
+                assert_eq!(err, expected, "chunk {chunk} workers {workers}");
+                // Only the whole chunks before the failing layer were
+                // handed over.
+                let before = if chunk > 2 { 0 } else { 2 };
+                assert_eq!(consumed, (0..before).collect::<Vec<_>>());
+            }
+        }
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -791,12 +835,10 @@ mod tests {
         // MLP-2 is small enough to trace in full.
         let net = zoo::mlp2();
         let opts = TraceOptions::fast().with_fc_layers();
-        let mut count = 0;
-        for pair in TraceStream::new(&net, opts) {
-            let p = pair.unwrap();
+        let pairs = trace_pairs(&net, &opts).unwrap();
+        for p in &pairs {
             assert_eq!(p.dense.input().len() as u64, p.dense.desc().input_elems());
-            count += 1;
         }
-        assert_eq!(count, 3);
+        assert_eq!(pairs.len(), 3);
     }
 }

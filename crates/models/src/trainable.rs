@@ -1,94 +1,13 @@
-//! Trainable `se-nn` counterparts for the accuracy experiments.
-//!
-//! The MLPs are exact reproductions of the paper's MNIST models; the CNNs
-//! are scaled-down VGG-style stand-ins (DESIGN.md records the substitution:
-//! ImageNet/CIFAR training of the full architectures is the gate, and
-//! accuracy-vs-compression *orderings* are preserved on the synthetic
-//! tasks).
+//! SmartExchange on trainable `se-nn` models, for the accuracy
+//! experiments: layer descriptors of a model's weighted layers, the
+//! compress-and-reconstruct projection used during re-training, and
+//! storage reports of a compressed model.
 
 use crate::{ModelError, Result};
 use se_core::SeConfig;
 use se_ir::{LayerDesc, LayerKind};
-use se_nn::layers::Layer;
 use se_nn::model::Sequential;
 use se_tensor::Tensor;
-
-/// MLP-1: 784–2048–1024–10 (the power-of-2 quantization comparison of
-/// \[40\]).
-///
-/// # Errors
-///
-/// Infallible for this static architecture.
-pub fn mlp1_trainable(seed: u64) -> Result<Sequential> {
-    Ok(Sequential::new(vec![
-        Layer::flatten(),
-        Layer::linear(784, 2048, seed)?,
-        Layer::relu(),
-        Layer::linear(2048, 1024, seed + 1)?,
-        Layer::relu(),
-        Layer::linear(1024, 10, seed + 2)?,
-    ]))
-}
-
-/// MLP-2: LeNet-300-100 (the pruned+quantized MLP of Cambricon-S \[56\]).
-///
-/// # Errors
-///
-/// Infallible for this static architecture.
-pub fn mlp2_trainable(seed: u64) -> Result<Sequential> {
-    Ok(Sequential::new(vec![
-        Layer::flatten(),
-        Layer::linear(784, 300, seed)?,
-        Layer::relu(),
-        Layer::linear(300, 100, seed + 1)?,
-        Layer::relu(),
-        Layer::linear(100, 10, seed + 2)?,
-    ]))
-}
-
-/// A scaled-down VGG-style CNN for `32×32×3` inputs (stand-in for the
-/// VGG/ResNet accuracy experiments): three conv stages + classifier head.
-///
-/// # Errors
-///
-/// Infallible for this static architecture.
-pub fn vgg_small(classes: usize, seed: u64) -> Result<Sequential> {
-    Ok(Sequential::new(vec![
-        Layer::conv2d(3, 16, 3, 1, 1, seed)?,
-        Layer::relu(),
-        Layer::max_pool(2), // 16x16
-        Layer::conv2d(16, 32, 3, 1, 1, seed + 1)?,
-        Layer::relu(),
-        Layer::max_pool(2), // 8x8
-        Layer::conv2d(32, 64, 3, 1, 1, seed + 2)?,
-        Layer::relu(),
-        Layer::max_pool(2), // 4x4
-        Layer::flatten(),
-        Layer::linear(64 * 4 * 4, classes, seed + 3)?,
-    ]))
-}
-
-/// A compact depth-wise-separable CNN for `32×32×3` inputs (stand-in for
-/// the MobileNetV2/EfficientNet compact-model experiments). Depth-wise
-/// stages are modelled with grouped channels compressed per-channel.
-///
-/// # Errors
-///
-/// Infallible for this static architecture.
-pub fn compact_small(classes: usize, seed: u64) -> Result<Sequential> {
-    Ok(Sequential::new(vec![
-        Layer::conv2d(3, 16, 3, 2, 1, seed)?, // 16x16
-        Layer::relu(),
-        Layer::conv2d(16, 32, 1, 1, 0, seed + 1)?,
-        Layer::relu(),
-        Layer::conv2d(32, 32, 3, 2, 1, seed + 2)?, // 8x8
-        Layer::relu(),
-        Layer::conv2d(32, 64, 1, 1, 0, seed + 3)?,
-        Layer::relu(),
-        Layer::global_avg_pool(),
-        Layer::linear(64, classes, seed + 4)?,
-    ]))
-}
 
 /// Descriptors for the weighted layers of a trainable model, in layer
 /// order, paired with the model-layer index. Spatial input sizes are
@@ -176,22 +95,46 @@ pub fn compress_trainable(
 mod tests {
     use super::*;
     use se_core::VectorSparsity;
+    use se_nn::layers::Layer;
     use se_nn::{data, train};
 
-    #[test]
-    fn mlp_shapes_match_zoo() {
-        let m1 = mlp1_trainable(0).unwrap();
-        // Weights only (exclude biases) must match the descriptor totals.
-        let w: u64 = m1.weight_tensors().map(|t| t.len() as u64).sum();
-        assert_eq!(w, crate::zoo::mlp1().total_params());
-        let m2 = mlp2_trainable(0).unwrap();
-        let w2: u64 = m2.weight_tensors().map(|t| t.len() as u64).sum();
-        assert_eq!(w2, crate::zoo::mlp2().total_params());
+    /// A small VGG-style CNN for `32×32×3` inputs: three conv stages and
+    /// a classifier head.
+    fn vgg_small(classes: usize, seed: u64) -> Sequential {
+        Sequential::new(vec![
+            Layer::conv2d(3, 16, 3, 1, 1, seed).unwrap(),
+            Layer::relu(),
+            Layer::max_pool(2), // 16x16
+            Layer::conv2d(16, 32, 3, 1, 1, seed + 1).unwrap(),
+            Layer::relu(),
+            Layer::max_pool(2), // 8x8
+            Layer::conv2d(32, 64, 3, 1, 1, seed + 2).unwrap(),
+            Layer::relu(),
+            Layer::max_pool(2), // 4x4
+            Layer::flatten(),
+            Layer::linear(64 * 4 * 4, classes, seed + 3).unwrap(),
+        ])
+    }
+
+    /// A compact CNN with 1×1 and strided 3×3 stages for `32×32×3` inputs.
+    fn compact_small(classes: usize, seed: u64) -> Sequential {
+        Sequential::new(vec![
+            Layer::conv2d(3, 16, 3, 2, 1, seed).unwrap(), // 16x16
+            Layer::relu(),
+            Layer::conv2d(16, 32, 1, 1, 0, seed + 1).unwrap(),
+            Layer::relu(),
+            Layer::conv2d(32, 32, 3, 2, 1, seed + 2).unwrap(), // 8x8
+            Layer::relu(),
+            Layer::conv2d(32, 64, 1, 1, 0, seed + 3).unwrap(),
+            Layer::relu(),
+            Layer::global_avg_pool(),
+            Layer::linear(64, classes, seed + 4).unwrap(),
+        ])
     }
 
     #[test]
     fn weighted_descs_track_shapes() {
-        let m = vgg_small(10, 1).unwrap();
+        let m = vgg_small(10, 1);
         let descs = weighted_layer_descs(&m, &[3, 32, 32]).unwrap();
         assert_eq!(descs.len(), 4);
         // Second conv sees the pooled 16x16 map.
@@ -227,7 +170,7 @@ mod tests {
     #[test]
     fn retraining_recovers_projection_loss() {
         let ds = data::gaussian_clusters(2, &[3, 8, 8], 12, 0.25, 13).unwrap();
-        let mut m = compact_small(2, 50).unwrap();
+        let mut m = compact_small(2, 50);
         let cfg = train::TrainConfig::default().with_epochs(6).with_lr(0.04);
         train::train(&mut m, &ds, &cfg).unwrap();
         let se_cfg = SeConfig::default().with_max_iterations(5).unwrap();
@@ -241,7 +184,7 @@ mod tests {
 
     #[test]
     fn compress_trainable_reports_storage() {
-        let m = vgg_small(10, 3).unwrap();
+        let m = vgg_small(10, 3);
         let cfg = SeConfig::default().with_max_iterations(4).unwrap();
         let net = compress_trainable(&m, &[3, 32, 32], &cfg).unwrap();
         assert_eq!(net.reports.len(), 4);

@@ -7,7 +7,7 @@
 //! not on task semantics).
 
 use crate::Result;
-use se_ir::{LayerDesc, LayerKind, NetworkDesc};
+use se_ir::{LayerDesc, LayerKind};
 use se_tensor::{rng, Tensor};
 
 /// A stable per-layer seed derived from the network and layer names, so
@@ -186,18 +186,6 @@ pub fn synthetic_weights_with_sparsity(
     Ok(w)
 }
 
-/// Generates weights for every layer of a network.
-///
-/// # Errors
-///
-/// See [`synthetic_weights`].
-pub fn network_weights(net: &NetworkDesc, base_seed: u64) -> Result<Vec<(LayerDesc, Tensor)>> {
-    net.layers()
-        .iter()
-        .map(|l| Ok((l.clone(), synthetic_weights(net.name(), l, base_seed)?)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +194,8 @@ mod tests {
     #[test]
     fn weights_match_descriptor_shapes() {
         let net = zoo::mlp2();
-        for (desc, w) in network_weights(&net, 1).unwrap() {
+        for desc in net.layers() {
+            let w = synthetic_weights(net.name(), desc, 1).unwrap();
             assert_eq!(w.shape(), desc.weight_shape().as_slice());
             assert_eq!(w.len() as u64, desc.params());
         }

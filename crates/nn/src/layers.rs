@@ -404,15 +404,6 @@ impl Layer {
         }
     }
 
-    /// Batch-norm scale factors (`γ`), if this is a batch-norm layer — the
-    /// channel-pruning saliency the paper uses.
-    pub fn bn_gamma(&self) -> Option<&[f32]> {
-        match self {
-            Layer::BatchNorm2d(b) => Some(&b.gamma),
-            _ => None,
-        }
-    }
-
     /// Number of trainable parameters.
     pub fn params(&self) -> u64 {
         match self {

@@ -248,15 +248,6 @@ impl ClusterReport {
         self.completed() as u64 + self.rejected + self.lost == submitted as u64
     }
 
-    /// Deadline-miss rate over completed requests (0 when nothing
-    /// completed).
-    pub fn miss_rate(&self) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        self.misses as f64 / self.latencies.len() as f64
-    }
-
     /// Completed requests per second at `frequency_hz`.
     pub fn throughput_per_s(&self, frequency_hz: f64) -> f64 {
         if self.makespan == 0 {
@@ -468,7 +459,6 @@ mod tests {
         let r = simulate_cluster(&rs, &services, &spec(1, RouterPolicy::RoundRobin, None)).unwrap();
         assert_eq!(r.completed(), 2);
         assert_eq!(r.misses, 1, "the 500-cycle deadline cannot be met");
-        assert!((r.miss_rate() - 0.5).abs() < 1e-12);
         assert!((r.goodput_per_s(1e9) - r.throughput_per_s(1e9) / 2.0).abs() < 1e-6);
     }
 
@@ -571,7 +561,6 @@ mod tests {
         assert_eq!(r.goodput_per_s(1000.0), 30.0);
         assert!(r.conserves(5), "4 completed + 1 rejected");
         assert!(!r.conserves(6));
-        assert_eq!(ClusterReport::default().miss_rate(), 0.0);
         assert_eq!(ClusterReport::default().goodput_per_s(1e9), 0.0);
         assert_eq!(
             ClusterReport::default().latency_percentile(99.0),

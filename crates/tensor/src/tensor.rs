@@ -157,13 +157,6 @@ impl Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// Applies a function to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Element-wise addition.
     ///
     /// # Errors

@@ -7,7 +7,7 @@
 use smartexchange::baselines::{BaselineConfig, DianNao};
 use smartexchange::hw::sim::SeAccelerator;
 use smartexchange::hw::{Accelerator, EnergyModel, RunResult, SeAcceleratorConfig};
-use smartexchange::models::traces::{TraceOptions, TraceStream};
+use smartexchange::models::traces::{self, TraceOptions};
 use smartexchange::models::zoo;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,11 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("generating traces and simulating (a minute or two)...");
     let mut se_run = RunResult::default();
     let mut dn_run = RunResult::default();
-    for pair in TraceStream::new(&net, TraceOptions::fast()) {
-        let pair = pair?;
-        se_run.layers.push(se.process_layer(&pair.se)?);
-        dn_run.layers.push(diannao.process_layer(&pair.dense)?);
-    }
+    // Four layers' traces at a time: generation stays bounded in memory.
+    traces::for_each_chunk(&net, &TraceOptions::fast(), None, 4, |pairs| {
+        for pair in &pairs {
+            se_run.layers.push(se.process_layer(&pair.se)?);
+            dn_run.layers.push(diannao.process_layer(&pair.dense)?);
+        }
+        Ok::<_, Box<dyn std::error::Error>>(())
+    })?;
 
     let se_energy = se_run.energy_mj(&em, &se_cfg);
     let dn_energy = dn_run.energy_mj(&em, &se_cfg);

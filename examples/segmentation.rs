@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let aspp_index =
         net.layers().iter().position(|l| l.name() == "aspp1").expect("DeepLabV3+ has aspp1");
     let opts = TraceOptions::fast();
-    let trace = traces::se_trace(&net, aspp_index, 0, &opts.se_config)?;
+    let trace = traces::trace_pair(&net, aspp_index, &opts)?.se;
     let hw = SeAcceleratorConfig { row_sample: 2, ..Default::default() };
     let accel = SeAccelerator::new(hw.clone())?;
     let result = accel.process_layer(&trace)?;

@@ -5,7 +5,7 @@ use smartexchange::baselines::{BaselineConfig, BitPragmatic, CambriconX, DianNao
 use smartexchange::hw::sim::SeAccelerator;
 use smartexchange::hw::{Accelerator, EnergyModel, SeAcceleratorConfig};
 use smartexchange::ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
-use smartexchange::models::traces::{TraceOptions, TraceStream};
+use smartexchange::models::traces::{trace_pair, TraceOptions};
 
 fn conv_net(c: usize, m: usize, hw: usize) -> NetworkDesc {
     NetworkDesc::new(
@@ -24,7 +24,7 @@ fn run_all(net: &NetworkDesc, seed: u64) -> Vec<(String, f64, u64, u64)> {
     let em = EnergyModel::default();
     let hw_cfg = SeAcceleratorConfig::default();
     let opts = TraceOptions::fast().with_seed(seed);
-    let pair = TraceStream::new(net, opts).next().unwrap().unwrap();
+    let pair = trace_pair(net, 0, &opts).unwrap();
 
     let mut out = Vec::new();
     let se = SeAccelerator::new(hw_cfg.clone()).unwrap();
@@ -83,7 +83,7 @@ fn every_accelerator_scales_with_layer_size() {
 fn ablation_ladder_is_monotone_in_energy_efficiency() {
     // Adding each SmartExchange feature must not hurt (Section V-B).
     let net = conv_net(16, 32, 16);
-    let pair = TraceStream::new(&net, TraceOptions::fast().with_seed(3)).next().unwrap().unwrap();
+    let pair = trace_pair(&net, 0, &TraceOptions::fast().with_seed(3)).unwrap();
     let em = EnergyModel::default();
     let report_cfg = SeAcceleratorConfig::default();
 
@@ -111,7 +111,7 @@ fn ablation_ladder_is_monotone_in_energy_efficiency() {
 #[test]
 fn dram_bandwidth_only_affects_latency() {
     let net = conv_net(8, 16, 12);
-    let pair = TraceStream::new(&net, TraceOptions::fast()).next().unwrap().unwrap();
+    let pair = trace_pair(&net, 0, &TraceOptions::fast()).unwrap();
     let fast_cfg = SeAcceleratorConfig::default();
     let slow_cfg = SeAcceleratorConfig { dram_bytes_per_cycle: 0.5, ..Default::default() };
     let em = EnergyModel::default();

@@ -6,7 +6,7 @@ use smartexchange::core::{layer, network, SeConfig, VectorSparsity};
 use smartexchange::hw::sim::SeAccelerator;
 use smartexchange::hw::{Accelerator, EnergyModel, RunResult, SeAcceleratorConfig};
 use smartexchange::ir::{storage, Dataset, LayerDesc, LayerKind, NetworkDesc};
-use smartexchange::models::traces::{TraceOptions, TraceStream};
+use smartexchange::models::traces::{trace_pair, trace_pairs, TraceOptions};
 use smartexchange::models::{activations, weights, zoo};
 use smartexchange::tensor::rng;
 
@@ -86,8 +86,7 @@ fn compress_reconstruct_simulate_pipeline() {
     let diannao = DianNao::new(BaselineConfig::default()).unwrap();
     let mut se_run = RunResult::default();
     let mut dn_run = RunResult::default();
-    for pair in TraceStream::new(&net, TraceOptions::fast()) {
-        let pair = pair.unwrap();
+    for pair in trace_pairs(&net, &TraceOptions::fast()).unwrap() {
         se_run.layers.push(se_accel.process_layer(&pair.se).unwrap());
         dn_run.layers.push(diannao.process_layer(&pair.dense).unwrap());
     }
@@ -103,7 +102,7 @@ fn compress_reconstruct_simulate_pipeline() {
 #[test]
 fn all_five_accelerators_run_the_same_conv_trace() {
     let net = small_net();
-    let pair = TraceStream::new(&net, TraceOptions::fast()).next().unwrap().unwrap();
+    let pair = trace_pair(&net, 0, &TraceOptions::fast()).unwrap();
     let em = EnergyModel::default();
     let hw_cfg = SeAcceleratorConfig::default();
 
@@ -127,7 +126,7 @@ fn all_five_accelerators_run_the_same_conv_trace() {
 #[test]
 fn row_sampling_stays_close_to_exact() {
     let net = small_net();
-    let pair = TraceStream::new(&net, TraceOptions::fast()).next().unwrap().unwrap();
+    let pair = trace_pair(&net, 0, &TraceOptions::fast()).unwrap();
     let exact = SeAccelerator::new(SeAcceleratorConfig::default())
         .unwrap()
         .process_layer(&pair.se)
@@ -202,8 +201,8 @@ fn determinism_across_full_pipeline() {
     let run = |seed| {
         let mut cycles = Vec::new();
         let accel = SeAccelerator::new(SeAcceleratorConfig::default()).unwrap();
-        for pair in TraceStream::new(&net, TraceOptions::fast().with_seed(seed)) {
-            cycles.push(accel.process_layer(&pair.unwrap().se).unwrap().total_cycles);
+        for pair in trace_pairs(&net, &TraceOptions::fast().with_seed(seed)).unwrap() {
+            cycles.push(accel.process_layer(&pair.se).unwrap().total_cycles);
         }
         cycles
     };
