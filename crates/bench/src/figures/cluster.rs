@@ -28,6 +28,7 @@ use crate::figures::latency;
 use crate::{cli, runner, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
+use se_obs::EventKind;
 use se_serve::cluster::{ClusterSpec, ModelService, RouterPolicy};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::{self, ArrivalPattern};
@@ -319,17 +320,22 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         }
         if !sc.spec.faults.is_empty() {
             for e in &report.events {
-                churn_lines.push(format!(
-                    "  {}: {} inst {} @ {} cycles{}",
-                    lane_name,
-                    e.kind.tag(),
-                    e.instance,
-                    e.at,
-                    match e.kind {
-                        se_serve::ClusterEventKind::Kill { in_flight, rerouted, lost } =>
-                            format!(" (in-flight {in_flight}, rerouted {rerouted}, lost {lost})"),
-                        _ => String::new(),
+                let (word, instance, detail) = match e.kind {
+                    EventKind::InstanceKilled { instance, in_flight, rerouted, lost } => (
+                        "kill",
+                        instance,
+                        format!(" (in-flight {in_flight}, rerouted {rerouted}, lost {lost})"),
+                    ),
+                    EventKind::InstanceRestarted { instance } => {
+                        ("restart", instance, String::new())
                     }
+                    EventKind::InstanceSpawned { instance } => ("spawn", instance, String::new()),
+                    EventKind::InstanceDraining { instance } => ("drain", instance, String::new()),
+                    _ => continue,
+                };
+                churn_lines.push(format!(
+                    "  {lane_name}: {word} inst {instance} @ {} cycles{detail}",
+                    e.at
                 ));
             }
             churn_lines.push(format!(

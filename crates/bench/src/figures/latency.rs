@@ -4,7 +4,7 @@
 //! row per accelerator lane) report the same quantities — latency
 //! percentiles in milliseconds and deadline-miss accounting — through the
 //! helpers here, so the two outputs use one percentile definition
-//! (`se_serve::queue::percentile`, nearest-rank), one cycle→time
+//! (`se_obs::analyze::percentile`, nearest-rank), one cycle→time
 //! conversion, and one formatting, and stay directly comparable.
 
 /// The percentiles every serving report prints.
@@ -20,7 +20,7 @@ pub fn ms(frequency_hz: f64, cycles: f64) -> f64 {
 /// An empty sample (nothing completed) renders as `-`, never as a
 /// fake `0.0000`.
 pub fn percentile_cells(latencies: &[u64], frequency_hz: f64) -> [String; 3] {
-    REPORT_PERCENTILES.map(|p| match se_serve::queue::percentile(latencies, p) {
+    REPORT_PERCENTILES.map(|p| match se_obs::analyze::percentile(latencies, p) {
         Some(cycles) => format!("{:.4}", ms(frequency_hz, cycles as f64)),
         None => "-".to_string(),
     })

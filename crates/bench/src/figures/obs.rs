@@ -187,7 +187,10 @@ fn run_summarize(trace: &Path, flags: &Flags, out: &mut dyn Write) -> Result<()>
                 &rows
             )
         )?;
-        let idle = a.windows.len() - active.len();
+        // Windows no event lands in are absent from the analysis, and
+        // present ones may still hold nothing worth a row.
+        let windows = (t.makespan / window).saturating_add(1);
+        let idle = windows - active.len() as u64;
         if idle > 0 {
             writeln!(out, "  ({idle} idle window(s) elided)")?;
         }

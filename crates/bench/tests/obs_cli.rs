@@ -151,3 +151,29 @@ fn self_diff_is_zero_and_healthy_vs_churned_names_a_regressor() {
         std::fs::remove_file(&path).ok();
     }
 }
+
+/// A hostile trace: one admission at cycle 10^15. Analyzing it must cost
+/// memory in proportion to its events, not to its makespan (allocating
+/// every window from cycle 0 needs about 1 TB and aborts).
+#[test]
+fn a_far_future_timestamp_is_analyzed_without_allocating_every_window() {
+    let path = std::env::temp_dir().join(format!("se-obs-cli-{}-far.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"{"traceEvents": [
+            {"ph": "M", "pid": 0, "tid": 0, "ts": 0, "name": "process_name", "args": {"name": "se"}},
+            {"ph": "i", "pid": 0, "tid": 0, "ts": 1e15, "name": "admitted", "args": {"id": 0, "model": 0}}
+        ]}"#,
+    )
+    .unwrap();
+    let summary = analyzer_stdout("summarize", &[&path], &[]);
+    assert!(summary.contains("conservation ok"), "{summary}");
+    // 10^15 cycles in 200 us (200,000-cycle) windows: 5·10^9 + 1
+    // windows, one of them active.
+    assert!(summary.contains("(5000000000 idle window(s) elided)"), "{summary}");
+    let attribution = analyzer_stdout("attribute", &[&path], &[]);
+    assert!(attribution.contains("no misses to attribute"), "{attribution}");
+    let diff = analyzer_stdout("diff", &[&path, &path], &[]);
+    assert!(diff.contains("no window-level changes"), "{diff}");
+    std::fs::remove_file(&path).ok();
+}

@@ -103,17 +103,27 @@ impl WindowStats {
         }
     }
 
-    /// Nearest-rank `p`-th percentile of the window's completion
-    /// latencies (`None` when nothing completed).
+    /// The [`percentile`] of the window's completion latencies (`None`
+    /// when nothing completed).
     pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+        percentile(&self.latencies, p)
     }
+}
+
+/// The `p`-th percentile of `values` (`p` in `[0, 100]`; nearest-rank on
+/// the sorted values). `None` for an empty sample — a run where every
+/// request was rejected or lost has *no* latency percentile, and must
+/// not print the `0` of a perfect run (reports render it as `-`). The
+/// one percentile definition of every serving report and analysis, so
+/// their latency columns are directly comparable.
+pub fn percentile(values: &[u64], p: f64) -> Option<u64> {
+    if values.is_empty() {
+        return None;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    let rank = ((p.clamp(0.0, 100.0) / 100.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
 }
 
 /// Whole-stream totals, tallied independently of the windows (the
@@ -254,7 +264,8 @@ pub struct CauseGroup {
 pub struct Analysis {
     /// Window width in cycles.
     pub window: u64,
-    /// Per-window aggregates, dense from cycle 0 through the makespan.
+    /// Per-window aggregates of the windows some event lands in, in
+    /// ascending index order (every window missing here is idle).
     pub windows: Vec<WindowStats>,
     /// Whole-stream totals (window-independent).
     pub totals: StreamTotals,
@@ -387,14 +398,10 @@ struct BatchInfo {
 pub fn analyze(events: &[Event], window: u64) -> Analysis {
     let window = window.max(1);
     let makespan = events.iter().map(|e| e.at).max().unwrap_or(0);
-    let mut windows: Vec<WindowStats> = (0..=makespan / window)
-        .map(|index| WindowStats {
-            index,
-            start: index * window,
-            end: (index + 1) * window,
-            ..WindowStats::default()
-        })
-        .collect();
+    // Only windows some event lands in exist: memory follows the stream,
+    // never the makespan (one far-future timestamp must not allocate
+    // every window before it).
+    let mut windows: BTreeMap<u64, WindowStats> = BTreeMap::new();
     let mut totals = StreamTotals { makespan, ..StreamTotals::default() };
     let mut attributions = Vec::new();
 
@@ -410,7 +417,13 @@ pub fn analyze(events: &[Event], window: u64) -> Analysis {
     let mut batches: BTreeMap<u64, BatchInfo> = BTreeMap::new();
 
     for event in events {
-        let w = &mut windows[(event.at / window) as usize];
+        let index = event.at / window;
+        let w = windows.entry(index).or_insert_with(|| WindowStats {
+            index,
+            start: index * window,
+            end: (index * window).saturating_add(window),
+            ..WindowStats::default()
+        });
         match &event.kind {
             EventKind::Admitted { id, .. } => {
                 w.admitted += 1;
@@ -550,14 +563,14 @@ pub fn analyze(events: &[Event], window: u64) -> Analysis {
     }
     totals.submitted = terminals.len() as u64;
     totals.duplicate_terminals = terminals.values().filter(|&&n| n > 1).count() as u64;
-    Analysis { window, windows, totals, attributions }
+    Analysis { window, windows: windows.into_values().collect(), totals, attributions }
 }
 
 /// Signed per-window deltas (candidate − baseline) of the headline
 /// window aggregates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowDelta {
-    /// Window index (shared; absent windows on either side read as 0).
+    /// Window index (a window absent on one side reads as 0 there).
     pub index: u64,
     /// Δ requests served.
     pub served: i64,
@@ -587,7 +600,8 @@ impl WindowDelta {
 /// dominant regressor.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalysisDiff {
-    /// Candidate − baseline per window, dense over the longer run.
+    /// Candidate − baseline per window, over the union of both sides'
+    /// windows in ascending index order.
     pub windows: Vec<WindowDelta>,
     /// Candidate − baseline miss-cycles per attribution bucket, in
     /// fixed bucket order.
@@ -600,20 +614,30 @@ pub struct AnalysisDiff {
     pub worst_window: Option<(u64, i64)>,
 }
 
+/// The window of `analysis` with index `index`, when some event landed
+/// in it.
+fn window_at(analysis: &Analysis, index: u64) -> Option<&WindowStats> {
+    let pos = analysis.windows.binary_search_by_key(&index, |w| w.index).ok()?;
+    Some(&analysis.windows[pos])
+}
+
 /// Diffs `candidate` against `baseline` (positive = more in the
 /// candidate). Both analyses must use the same window width — the
 /// caller aligns that before calling.
 pub fn diff(baseline: &Analysis, candidate: &Analysis) -> AnalysisDiff {
     let d = |b: u64, c: u64| c as i64 - b as i64;
     let empty = WindowStats::default();
-    let len = baseline.windows.len().max(candidate.windows.len());
-    let mut windows = Vec::with_capacity(len);
+    let mut indices: Vec<u64> =
+        baseline.windows.iter().chain(&candidate.windows).map(|w| w.index).collect();
+    indices.sort_unstable();
+    indices.dedup();
+    let mut windows = Vec::with_capacity(indices.len());
     let mut worst_window: Option<(u64, i64)> = None;
-    for i in 0..len {
-        let b = baseline.windows.get(i).unwrap_or(&empty);
-        let c = candidate.windows.get(i).unwrap_or(&empty);
+    for i in indices {
+        let b = window_at(baseline, i).unwrap_or(&empty);
+        let c = window_at(candidate, i).unwrap_or(&empty);
         let delta = WindowDelta {
-            index: i as u64,
+            index: i,
             served: d(b.served, c.served),
             served_ok: d(b.served_ok(), c.served_ok()),
             missed: d(b.missed, c.missed),
@@ -623,7 +647,7 @@ pub fn diff(baseline: &Analysis, candidate: &Analysis) -> AnalysisDiff {
             tier_walk_cycles: d(b.tier_walk_cycles, c.tier_walk_cycles),
         };
         if delta.served_ok < 0 && worst_window.is_none_or(|(_, drop)| delta.served_ok < drop) {
-            worst_window = Some((i as u64, delta.served_ok));
+            worst_window = Some((i, delta.served_ok));
         }
         windows.push(delta);
     }
@@ -704,6 +728,35 @@ mod tests {
         assert_eq!(a.totals.submitted, 3);
         assert!(a.totals.conserves());
         assert_eq!(a.fold_windows(), a.totals);
+    }
+
+    #[test]
+    fn empty_samples_have_no_percentile() {
+        // Regression: an all-rejected run used to report p50/p95/p99 = 0,
+        // indistinguishable from a perfect zero-latency run.
+        assert_eq!(percentile(&[], 99.0), None);
+        assert_eq!(percentile(&[], 0.0), None);
+        assert_eq!(percentile(&[0], 50.0), Some(0), "a real zero latency still reports 0");
+        // Nearest rank on the sorted sample, clamped to its ends.
+        assert_eq!(percentile(&[10, 30, 20, 40], 50.0), Some(20));
+        assert_eq!(percentile(&[10, 30, 20, 40], 100.0), Some(40));
+        assert_eq!(percentile(&[10, 30, 20, 40], 0.0), Some(10));
+        assert_eq!(percentile(&[5, 1, 3], 99.0), Some(5));
+    }
+
+    #[test]
+    fn only_windows_with_events_exist() {
+        // One event at cycle 10^15: a dense window vector would need 10^13
+        // entries; the analysis holds one.
+        let events = vec![admitted(3, 0), admitted(1_000_000_000_000_000, 1)];
+        let a = analyze(&events, 100);
+        let indices: Vec<u64> = a.windows.iter().map(|w| w.index).collect();
+        assert_eq!(indices, vec![0, 10_000_000_000_000]);
+        assert_eq!(a.totals.makespan, 1_000_000_000_000_000);
+        assert_eq!(a.fold_windows(), a.totals);
+        let d = diff(&analyze(&events[..1], 100), &a);
+        assert_eq!(d.windows.len(), 2, "the union of both sides' windows");
+        assert!(d.windows[0].is_zero());
     }
 
     #[test]

@@ -36,14 +36,14 @@
 
 use crate::cluster::router::RouterPolicy;
 use crate::engine::BatchEngine;
-use crate::fault::{ClusterEvent, FaultPlan};
-use crate::queue::{percentile, BatchPolicy};
+use crate::fault::FaultPlan;
+use crate::queue::BatchPolicy;
 use crate::sched::{self, ClusterCore};
 use crate::workload::{check_sorted, Request};
 use crate::{BoxError, Result};
 use se_hw::residency::{fetch_cycles, ResidencyStats, TierSpec, TierStats};
 use se_hw::RunResult;
-use se_obs::{EventSink, NullSink};
+use se_obs::{Event, EventSink, NullSink};
 
 /// One model's execution profile on one accelerator lane — everything the
 /// cluster needs to charge its batches, derived from a single per-image
@@ -206,9 +206,12 @@ pub struct ClusterReport {
     /// Per-instance summaries (spawned instances appended after the base
     /// cluster).
     pub per_instance: Vec<InstanceSummary>,
-    /// Membership changes that fired (kills, restarts, spawns, drains),
-    /// in the order they fired. Empty without failure injection.
-    pub events: Vec<ClusterEvent>,
+    /// Membership changes that fired, in the order they fired: the
+    /// `InstanceKilled` (with its victim accounting), `InstanceRestarted`,
+    /// `InstanceSpawned` and `InstanceDraining` events the core also
+    /// narrates into its sink. Logged whether or not the run is traced;
+    /// empty without failure injection.
+    pub events: Vec<Event>,
     /// In-flight batches failed by an instance kill (their members either
     /// re-routed or were lost; none completed in the failed batch).
     pub killed_batches: u64,
@@ -233,12 +236,12 @@ impl ClusterReport {
         self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
     }
 
-    /// The `p`-th latency percentile in cycles (shared nearest-rank
-    /// definition — [`crate::queue::percentile`]); `None` when nothing
+    /// The `p`-th latency percentile in cycles (the shared nearest-rank
+    /// definition, [`se_obs::analyze::percentile`]); `None` when nothing
     /// completed, so an all-rejected/all-lost run is distinguishable from
     /// a zero-latency one.
     pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        percentile(&self.latencies, p)
+        se_obs::analyze::percentile(&self.latencies, p)
     }
 
     /// The conservation law of the serving front: every submitted request
@@ -571,7 +574,8 @@ mod tests {
 
     #[test]
     fn a_kill_mid_run_conserves_requests_and_reports_the_event() {
-        use crate::fault::{ClusterEventKind, FaultAction, FaultEvent};
+        use crate::fault::{FaultAction, FaultEvent};
+        use se_obs::EventKind;
         // Two instances; instance 0 dies while loaded and comes back
         // later. Nothing may vanish: completed + rejected + lost ==
         // submitted, and the report carries the event lines.
@@ -593,9 +597,12 @@ mod tests {
         assert_eq!(r.killed_batches, 1, "instance 0's in-flight batch failed");
         assert!(r.rerouted >= 2, "its members re-routed to instance 1");
         assert_eq!(r.lost, 0, "instance 1 had queue room for every victim");
-        let tags: Vec<&str> = r.events.iter().map(|e| e.kind.tag()).collect();
-        assert_eq!(tags, vec!["kill", "restart"]);
-        assert!(matches!(r.events[0].kind, ClusterEventKind::Kill { in_flight: 2, .. }));
+        assert_eq!(r.events.len(), 2);
+        assert!(matches!(r.events[0].kind, EventKind::InstanceKilled { in_flight: 2, .. }));
+        assert_eq!(
+            r.events[1],
+            Event { at: 10_000, kind: EventKind::InstanceRestarted { instance: 0 } }
+        );
         // The restarted instance is cold: its post-restart batch at
         // 20_000 re-fetches the model even though it was resident before
         // the kill (fetch at first batch + fetch after restart on

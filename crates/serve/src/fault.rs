@@ -35,6 +35,11 @@
 //! Routing only ever sees accepting instances; every policy's tie-breaks
 //! stay deterministic under churn (lowest index, with round-robin
 //! counting over the accepting subset in index order).
+//!
+//! Each change that fires is logged once, as the [`se_obs::Event`] the
+//! core also narrates into its sink (`InstanceKilled` with the victim
+//! accounting, `InstanceRestarted`, `InstanceSpawned`,
+//! `InstanceDraining`), in [`crate::cluster::ClusterReport::events`].
 
 use crate::{BoxError, Result};
 
@@ -141,54 +146,6 @@ impl FaultPlan {
     }
 }
 
-/// One membership change that actually happened during a run, with its
-/// accounting — the per-event lines of a
-/// [`crate::cluster::ClusterReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterEvent {
-    /// Virtual cycle the event fired at.
-    pub at: u64,
-    /// The instance it changed.
-    pub instance: usize,
-    /// What happened, with the kill's victim accounting.
-    pub kind: ClusterEventKind,
-}
-
-/// The kind of a [`ClusterEvent`], carrying per-event accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterEventKind {
-    /// A scripted kill: how many victims were in the failed in-flight
-    /// batch, how many victims (in-flight + queued) re-routed to live
-    /// instances, and how many were lost.
-    Kill {
-        /// Members of the in-flight batch that failed (0 if the instance
-        /// was idle).
-        in_flight: u64,
-        /// Victims re-admitted through the router.
-        rerouted: u64,
-        /// Victims with no accepting instance or only full queues.
-        lost: u64,
-    },
-    /// A scripted restart: the instance rejoined empty and cold.
-    Restart,
-    /// Autoscale spawned a fresh instance.
-    Spawn,
-    /// Autoscale stopped a spawned instance from accepting.
-    Drain,
-}
-
-impl ClusterEventKind {
-    /// Short display tag (`kill`/`restart`/`spawn`/`drain`).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ClusterEventKind::Kill { .. } => "kill",
-            ClusterEventKind::Restart => "restart",
-            ClusterEventKind::Spawn => "spawn",
-            ClusterEventKind::Drain => "drain",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,14 +215,5 @@ mod tests {
         assert!(bad(2, 3).validate(1).is_err());
         assert!(bad(4, 1).validate(1).is_ok());
         assert!(!bad(4, 1).is_empty());
-    }
-
-    #[test]
-    fn event_kind_accessors() {
-        let kill = ClusterEventKind::Kill { in_flight: 2, rerouted: 3, lost: 1 };
-        assert_eq!(kill.tag(), "kill");
-        assert_eq!(ClusterEventKind::Restart.tag(), "restart");
-        assert_eq!(ClusterEventKind::Spawn.tag(), "spawn");
-        assert_eq!(ClusterEventKind::Drain.tag(), "drain");
     }
 }

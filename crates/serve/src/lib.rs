@@ -12,8 +12,7 @@
 //!   while activation traffic and compute scale with the batch size
 //!   (`se_hw`'s `amortized_over_batch` accounting).
 //! * [`queue`] — the **batch policy**: the bounded request queue's batch
-//!   aggregator (max-batch-size + max-wait) and the shared latency
-//!   percentile.
+//!   aggregator (max-batch-size + max-wait).
 //! * [`workload`] — deterministic synthetic arrival processes (uniform,
 //!   burst, closed-loop), optionally mixed-model with per-request
 //!   deadlines, that drive the cluster.
@@ -62,9 +61,7 @@ pub use cluster::{
     ClusterReport, ClusterRun, ClusterSpec, ModelService, RouterPolicy, TierSpec, TierStats,
 };
 pub use engine::{BatchEngine, ACCEL_NAMES, SE_LANE};
-pub use fault::{
-    AutoscalePolicy, ClusterEvent, ClusterEventKind, FaultAction, FaultEvent, FaultPlan,
-};
+pub use fault::{AutoscalePolicy, FaultAction, FaultEvent, FaultPlan};
 pub use queue::BatchPolicy;
 pub use workload::{ArrivalPattern, Request};
 

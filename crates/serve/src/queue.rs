@@ -1,5 +1,4 @@
-//! The batch-formation policy of the serving front, and the one latency
-//! percentile every serving report uses.
+//! The batch-formation policy of the serving front.
 //!
 //! Each instance queues its requests and closes a batch when either (a)
 //! [`BatchPolicy::max_batch`] requests are waiting, or (b) the oldest
@@ -47,22 +46,6 @@ impl BatchPolicy {
         }
         Ok(())
     }
-}
-
-/// The `p`-th percentile of `values` (`p` in `[0, 100]`; nearest-rank on
-/// the sorted values). `None` for an empty sample — a run where every
-/// request was rejected or lost has *no* latency percentile, and must
-/// not print the `0` of a perfect run (reports render it as `-`). The
-/// single percentile definition shared by the serving and cluster
-/// reports, so their latency columns are directly comparable.
-pub fn percentile(values: &[u64], p: f64) -> Option<u64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p.clamp(0.0, 100.0) / 100.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
 }
 
 #[cfg(test)]
@@ -193,20 +176,6 @@ mod tests {
         let r = closed_loop(5, 4, &exec(4), policy(4, 0, 1)).unwrap();
         assert_eq!(r.completed(), 5);
         assert_eq!(r.batch_sizes, vec![4, 1]);
-    }
-
-    #[test]
-    fn empty_samples_have_no_percentile() {
-        // Regression: an all-rejected run used to report p50/p95/p99 = 0,
-        // indistinguishable from a perfect zero-latency run.
-        assert_eq!(percentile(&[], 99.0), None);
-        assert_eq!(percentile(&[], 0.0), None);
-        assert_eq!(percentile(&[0], 50.0), Some(0), "a real zero latency still reports 0");
-        // Nearest rank on the sorted sample, clamped to its ends.
-        assert_eq!(percentile(&[10, 30, 20, 40], 50.0), Some(20));
-        assert_eq!(percentile(&[10, 30, 20, 40], 100.0), Some(40));
-        assert_eq!(percentile(&[10, 30, 20, 40], 0.0), Some(10));
-        assert_eq!(percentile(&[5, 1, 3], 99.0), Some(5));
     }
 
     #[test]

@@ -24,10 +24,16 @@
 //! an arrival is admitted before any batch that would launch at or after
 //! its arrival time.
 //!
+//! Each instance keeps its waiting requests in EDF order, one ordered
+//! queue per model keyed by `(deadline or u64::MAX, arrival, id)`. The
+//! next batch is read straight off them: its model is the minimum of at
+//! most M queue heads, its members are that queue's first `max_batch`
+//! entries, and the launch pops them.
+//!
 //! The core counts each decision into the one [`ClusterReport`] where it
 //! makes it (a rejection at admission, a loss at a kill, latencies and
-//! batch sizes at launch), and `ClusterCore::finish` hands that report
-//! back.
+//! batch sizes at launch, a membership change as its `se_obs` event),
+//! and `ClusterCore::finish` hands that report back.
 //!
 //! Residency is one model: an instance owns an optional
 //! [`TieredStore`] (`None` = every batch streams its weights; a
@@ -37,11 +43,12 @@
 //! tiered miss charges the tier walk, and only tiered runs report
 //! per-tier traffic.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::cluster::router::InstanceView;
 use crate::cluster::sim::{ClusterReport, ClusterSpec, InstanceSummary, ModelService};
-use crate::fault::{ClusterEvent, ClusterEventKind, FaultAction};
+use crate::fault::FaultAction;
+use crate::queue::BatchPolicy;
 use crate::workload::Request;
 use crate::{BoxError, Result};
 use se_hw::residency::{TierAdmission, TierSpec, TierStats, TieredStore};
@@ -85,9 +92,15 @@ fn fresh_store(spec: &ClusterSpec) -> Option<TieredStore> {
     }
 }
 
-/// One instance's private state, including its memoized launch plan.
+/// One instance's private state. Its waiting requests are kept in EDF
+/// order, one queue per model, so the next batch is read off the queue
+/// heads ([`Instance::next_batch`]) and nothing about it is cached.
 struct Instance {
-    queue: Vec<Queued>,
+    /// Waiting requests, `queues[model]` keyed by [`Queued::key`].
+    queues: Vec<BTreeMap<(u64, u64, usize), Queued>>,
+    /// Requests waiting across `queues`: the depth routing, the queue
+    /// cap and autoscale read.
+    waiting: usize,
     free: u64,
     /// Weight store (`None` = residency modeling off).
     store: Option<TieredStore>,
@@ -105,17 +118,15 @@ struct Instance {
     /// Members of an in-flight batch doomed by a pending kill, parked
     /// here between the launch and the kill event that re-routes them.
     doomed: Vec<Queued>,
-    /// Memoized next-launch plan: `None` = stale (queue or `free`
-    /// changed), `Some(None)` = empty queue, `Some(Some((members in EDF
-    /// order as queue positions, start)))` otherwise.
-    plan: Option<Option<(Vec<usize>, u64)>>,
 }
 
 impl Instance {
-    /// A fresh (empty, cold) instance, free from `free`.
-    fn fresh(spec: &ClusterSpec, free: u64, dynamic: bool) -> Instance {
+    /// A fresh (empty, cold) instance serving `models` models, free from
+    /// `free`.
+    fn fresh(spec: &ClusterSpec, models: usize, free: u64, dynamic: bool) -> Instance {
         Instance {
-            queue: Vec::new(),
+            queues: vec![BTreeMap::new(); models],
+            waiting: 0,
             free,
             store: fresh_store(spec),
             summary: InstanceSummary::default(),
@@ -123,47 +134,31 @@ impl Instance {
             accepting: true,
             dynamic,
             doomed: Vec::new(),
-            plan: Some(None),
         }
     }
 
-    /// The batch this instance would launch next: member positions (EDF
-    /// order) and the earliest start time. Memoized until the queue or
-    /// server availability changes.
-    fn plan(&mut self, spec: &ClusterSpec) -> Option<&(Vec<usize>, u64)> {
-        if self.plan.is_none() {
-            self.plan = Some(self.compute_plan(spec));
-        }
-        match &self.plan {
-            Some(plan) => plan.as_ref(),
-            None => None,
-        }
-    }
-
-    fn compute_plan(&self, spec: &ClusterSpec) -> Option<(Vec<usize>, u64)> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let policy = &spec.policy;
-        // Head = EDF-minimum over the whole queue (O(Q)); only the head
-        // model's requests — the batch candidates — need sorting.
-        let head_pos = (0..self.queue.len()).min_by_key(|&i| self.queue[i].key())?;
-        let head = &self.queue[head_pos];
-        let mut members: Vec<usize> =
-            (0..self.queue.len()).filter(|&i| self.queue[i].req.model == head.req.model).collect();
-        members.sort_by_key(|&i| self.queue[i].key());
-        members.truncate(policy.max_batch);
-        let start = if members.len() >= policy.max_batch {
+    /// The batch this instance would launch next, as `(start, model)`:
+    /// the model of the EDF-minimum head, whose queue's first
+    /// `max_batch` entries are the members. `None` when nothing waits.
+    fn next_batch(&self, policy: &BatchPolicy) -> Option<(u64, usize)> {
+        let (_, model, head) = self
+            .queues
+            .iter()
+            .enumerate()
+            .filter_map(|(model, queue)| queue.first_key_value().map(|(&k, q)| (k, model, q)))
+            .min_by_key(|&(key, _, _)| key)?;
+        let queue = &self.queues[model];
+        let start = if queue.len() >= policy.max_batch {
             // Full batch: ready as soon as its last member is enqueued
             // (= its arrival, or the kill cycle for a re-routed victim).
             let last_enqueued =
-                members.iter().map(|&i| self.queue[i].enqueued_at).max().unwrap_or(0);
+                queue.values().take(policy.max_batch).map(|q| q.enqueued_at).max().unwrap_or(0);
             self.free.max(last_enqueued)
         } else {
             // Short batch: wait out the head-of-line request's patience.
             self.free.max(head.enqueued_at.saturating_add(policy.max_wait))
         };
-        Some((members, start))
+        Some((start, model))
     }
 }
 
@@ -209,7 +204,8 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         sink: &'o mut dyn EventSink,
     ) -> Result<Self> {
         spec.validate(services)?;
-        let instances = (0..spec.instances).map(|_| Instance::fresh(spec, 0, false)).collect();
+        let instances =
+            (0..spec.instances).map(|_| Instance::fresh(spec, services.len(), 0, false)).collect();
         Ok(ClusterCore {
             services,
             spec,
@@ -228,6 +224,13 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         }
     }
 
+    /// Logs one membership change (kill, restart, spawn or drain) into
+    /// the report and narrates it.
+    fn membership(&mut self, at: u64, kind: EventKind) {
+        self.emit(at, kind.clone());
+        self.report.events.push(Event { at, kind });
+    }
+
     /// The cycle of the next unapplied scripted fault, if any.
     pub(crate) fn next_fault_at(&self) -> Option<u64> {
         self.spec.faults.events.get(self.fault_cursor).map(|e| e.at)
@@ -237,13 +240,12 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
     /// instance)` — ties break toward the lowest instance index — or
     /// `None` when every live queue is empty. Killed instances never
     /// launch; draining ones still flush their queues.
-    pub(crate) fn next_launch(&mut self) -> Option<(u64, usize)> {
-        let spec = self.spec;
+    pub(crate) fn next_launch(&self) -> Option<(u64, usize)> {
         self.instances
-            .iter_mut()
+            .iter()
             .enumerate()
             .filter(|(_, inst)| inst.up)
-            .filter_map(|(i, inst)| inst.plan(spec).map(|&(_, start)| (start, i)))
+            .filter_map(|(i, inst)| inst.next_batch(&self.spec.policy).map(|(start, _)| (start, i)))
             .min()
     }
 
@@ -269,14 +271,15 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         let Some(target) = self.spec.router.route(item.id as u64, item.req.model, &views) else {
             return false;
         };
-        if self.instances[target].queue.len() >= self.spec.policy.queue_cap {
+        let inst = &mut self.instances[target];
+        if inst.waiting >= self.spec.policy.queue_cap {
             return false;
         }
         item.enqueued_at = now;
-        self.instances[target].queue.push(item);
-        self.instances[target].plan = None;
+        inst.queues[item.req.model].insert(item.key(), item);
+        inst.waiting += 1;
         if self.obs.is_some() {
-            let depth = self.instances[target].queue.len();
+            let depth = self.instances[target].waiting;
             self.emit(
                 now,
                 EventKind::Admitted { id: item.id, model: item.req.model, instance: target },
@@ -290,7 +293,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         self.instances
             .iter()
             .map(|inst| InstanceView {
-                queued: inst.queue.len(),
+                queued: inst.waiting,
                 // Routing sees top-tier residency only: a model parked in
                 // a lower tier still pays a promotion walk.
                 resident: inst.store.as_ref().is_some_and(|store| store.is_resident_top(model)),
@@ -329,10 +332,12 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                     let inst = &mut self.instances[event.instance];
                     inst.up = false;
                     inst.accepting = false;
-                    inst.plan = Some(None);
                     let mut victims = std::mem::take(&mut inst.doomed);
                     let in_flight = victims.len() as u64;
-                    victims.append(&mut inst.queue);
+                    for queue in &mut inst.queues {
+                        victims.extend(std::mem::take(queue).into_values());
+                    }
+                    inst.waiting = 0;
                     (victims, in_flight)
                 };
                 victims.sort_unstable_by_key(|q| q.id);
@@ -352,7 +357,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                 self.report.rerouted += rerouted;
                 self.report.lost += lost;
                 // The totals follow the per-victim re-route/loss records.
-                self.emit(
+                self.membership(
                     event.at,
                     EventKind::InstanceKilled {
                         instance: event.instance,
@@ -361,11 +366,6 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                         lost,
                     },
                 );
-                self.report.events.push(ClusterEvent {
-                    at: event.at,
-                    instance: event.instance,
-                    kind: ClusterEventKind::Kill { in_flight, rerouted, lost },
-                });
             }
             FaultAction::Restart => {
                 let obs_on = self.obs.is_some();
@@ -373,7 +373,6 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                 inst.up = true;
                 inst.accepting = true;
                 inst.free = event.at;
-                inst.plan = Some(None);
                 let mut purged = Vec::new();
                 if let Some(store) = &mut inst.store {
                     store.cold_restart(event.instance, &mut |kind| {
@@ -382,17 +381,15 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                         }
                     });
                 }
-                self.emit(event.at, EventKind::InstanceRestarted { instance: event.instance });
+                self.membership(
+                    event.at,
+                    EventKind::InstanceRestarted { instance: event.instance },
+                );
                 // The purge follows the restart it belongs to: the trace
                 // reads "instance came back, and these weights were lost".
                 for kind in purged {
                     self.emit(event.at, kind);
                 }
-                self.report.events.push(ClusterEvent {
-                    at: event.at,
-                    instance: event.instance,
-                    kind: ClusterEventKind::Restart,
-                });
             }
         }
     }
@@ -407,16 +404,11 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         }
         let accepting = self.instances.iter().filter(|i| i.accepting).count() as u64;
         let queued: u64 =
-            self.instances.iter().filter(|i| i.accepting).map(|i| i.queue.len() as u64).sum();
+            self.instances.iter().filter(|i| i.accepting).map(|i| i.waiting as u64).sum();
         if queued > auto.spawn_above.saturating_mul(accepting) {
             let instance = self.instances.len();
-            self.instances.push(Instance::fresh(self.spec, now, true));
-            self.emit(now, EventKind::InstanceSpawned { instance });
-            self.report.events.push(ClusterEvent {
-                at: now,
-                instance,
-                kind: ClusterEventKind::Spawn,
-            });
+            self.instances.push(Instance::fresh(self.spec, self.services.len(), now, true));
+            self.membership(now, EventKind::InstanceSpawned { instance });
         }
     }
 
@@ -428,23 +420,18 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         let Some(auto) = self.spec.faults.autoscale else { return };
         let accepting = self.instances.iter().filter(|i| i.accepting).count() as u64;
         let queued: u64 =
-            self.instances.iter().filter(|i| i.accepting).map(|i| i.queue.len() as u64).sum();
+            self.instances.iter().filter(|i| i.accepting).map(|i| i.waiting as u64).sum();
         if queued < auto.drain_below.saturating_mul(accepting) {
             if let Some(instance) = self.instances.iter().rposition(|i| i.dynamic && i.accepting) {
                 self.instances[instance].accepting = false;
-                self.emit(now, EventKind::InstanceDraining { instance });
-                self.report.events.push(ClusterEvent {
-                    at: now,
-                    instance,
-                    kind: ClusterEventKind::Drain,
-                });
+                self.membership(now, EventKind::InstanceDraining { instance });
             }
         }
     }
 
     /// Forms and launches the earliest pending batch: admits the model's
-    /// weights, charges the batch (plus any switch fetch), removes the
-    /// members from their queue, records their latencies, and returns the
+    /// weights, charges the batch (plus any switch fetch), pops the
+    /// members off their queue, records their latencies, and returns the
     /// batch's `(completion cycle, size)`. A batch overlapping a scripted
     /// kill of its instance is counted killed and its members are parked
     /// for re-routing instead of completing. `None` when every live queue
@@ -458,11 +445,15 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         // are only visible there); replayed into the sink once the
         // instance borrow ends.
         let mut tier_notes: Vec<EventKind> = Vec::new();
-        let (positions, start) = self.instances[idx].plan(spec)?.clone();
         let inst = &mut self.instances[idx];
-        let k = positions.len();
-        let members: Vec<Queued> = positions.iter().map(|&i| inst.queue[i]).collect();
-        let model = members.first()?.req.model;
+        let (start, model) = inst.next_batch(&spec.policy)?;
+        let queue = &mut inst.queues[model];
+        let members: Vec<Queued> = std::iter::from_fn(|| queue.pop_first())
+            .take(spec.policy.max_batch)
+            .map(|(_, q)| q)
+            .collect();
+        let k = members.len();
+        inst.waiting -= k;
         let svc = services.get(model)?;
         let exec = match &mut inst.store {
             None => svc.streamed[k - 1],
@@ -490,21 +481,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             }
         };
         let done = start.saturating_add(exec);
-        // Compact the queue, preserving the keepers' relative order.
-        let mut taken = vec![false; inst.queue.len()];
-        for &i in &positions {
-            taken[i] = true;
-        }
-        let mut keep = 0usize;
-        for (i, &gone) in taken.iter().enumerate() {
-            if !gone {
-                inst.queue.swap(keep, i);
-                keep += 1;
-            }
-        }
-        inst.queue.truncate(keep);
         inst.free = done;
-        inst.plan = None;
         inst.summary.batches += 1;
         let killed_at = self.next_kill_before(idx, done);
         let inst = &mut self.instances[idx];
@@ -679,8 +656,8 @@ mod tests {
     use super::*;
     use crate::cluster::router::RouterPolicy;
     use crate::fault::{AutoscalePolicy, FaultEvent, FaultPlan};
-    use crate::queue::BatchPolicy;
-    use se_obs::{Event, Recorder};
+    use proptest::prelude::*;
+    use se_obs::Recorder;
 
     fn svc(exec: &[u64]) -> ModelService {
         ModelService {
@@ -751,14 +728,146 @@ mod tests {
         assert!(report.events.is_empty());
     }
 
-    #[test]
-    fn memoized_plans_match_recomputation_across_admissions() {
-        // Interleave admissions and launches; the memoized plan must never
-        // go stale (same trace as a burst through a small batch cap).
-        let services = [svc(&[7, 9])];
-        let (report, _) = drive(&services, &spec(2, 5, 16), &[0, 1, 2, 30, 31, 60]);
-        assert_eq!(report.completed(), 6, "every request served");
-        assert_eq!(report.batch_sizes.iter().sum::<usize>(), 6);
+    /// `(model, member ids, start)` of the batch `inst` launches next by
+    /// the flat rule the ordered queues replace: the EDF minimum over
+    /// every waiting request picks the model, that model's requests
+    /// sorted by key and cut at `max_batch` are the members, and a full
+    /// batch starts once its last member is enqueued, a short one when
+    /// the head's wait runs out.
+    fn flat_batch(inst: &Instance, policy: &BatchPolicy) -> Option<(usize, Vec<usize>, u64)> {
+        let edf = |q: &Queued| (q.req.deadline.unwrap_or(u64::MAX), q.req.arrival, q.id);
+        let waiting: Vec<Queued> = inst.queues.iter().flat_map(|q| q.values().copied()).collect();
+        let head = *waiting.iter().min_by_key(|q| edf(q))?;
+        let mut members: Vec<Queued> =
+            waiting.into_iter().filter(|q| q.req.model == head.req.model).collect();
+        members.sort_by_key(edf);
+        members.truncate(policy.max_batch);
+        let start = if members.len() >= policy.max_batch {
+            inst.free.max(members.iter().map(|q| q.enqueued_at).max().unwrap_or(0))
+        } else {
+            inst.free.max(head.enqueued_at.saturating_add(policy.max_wait))
+        };
+        Some((head.req.model, members.iter().map(|q| q.id).collect(), start))
+    }
+
+    /// The same triple read off the ordered queues.
+    fn ordered_batch(inst: &Instance, policy: &BatchPolicy) -> Option<(usize, Vec<usize>, u64)> {
+        let (start, model) = inst.next_batch(policy)?;
+        let members = inst.queues[model].values().take(policy.max_batch).map(|q| q.id).collect();
+        Some((model, members, start))
+    }
+
+    /// Every instance's queues hold each request under its own key, in
+    /// its model's queue, counted in `waiting`; every live instance's
+    /// next batch matches the flat rule, and so does the cluster's.
+    fn check(core: &ClusterCore<'_, '_>) -> std::result::Result<(), TestCaseError> {
+        let policy = &core.spec.policy;
+        for inst in &core.instances {
+            let mut waiting = 0;
+            for (model, queue) in inst.queues.iter().enumerate() {
+                for (key, q) in queue {
+                    prop_assert!(*key == q.key() && q.req.model == model);
+                    prop_assert!(q.enqueued_at >= q.req.arrival);
+                }
+                waiting += queue.len();
+            }
+            prop_assert_eq!(inst.waiting, waiting);
+            if inst.up {
+                prop_assert_eq!(ordered_batch(inst, policy), flat_batch(inst, policy));
+            }
+        }
+        let flat_launch = (core.instances.iter().enumerate())
+            .filter(|(_, inst)| inst.up)
+            .filter_map(|(i, inst)| flat_batch(inst, policy).map(|(_, _, start)| (start, i)))
+            .min();
+        prop_assert_eq!(core.next_launch(), flat_launch);
+        Ok(())
+    }
+
+    /// Ids waiting on `inst`, ascending.
+    fn waiting_ids(inst: &Instance) -> Vec<usize> {
+        let mut ids: Vec<usize> =
+            inst.queues.iter().flat_map(|q| q.values().map(|q| q.id)).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random three-model streams, with and without deadlines (equal
+        /// deadlines and equal arrivals included), routed over two
+        /// instances through launches and a kill whose victims re-enqueue
+        /// after their arrival: before every step the ordered queues
+        /// agree with the flat rule, and every launch pops exactly the
+        /// flat rule's members.
+        #[test]
+        fn ordered_queues_match_the_flat_edf_rule(
+            gaps in collection::vec(0u64..40, 1..80),
+            models in collection::vec(0usize..3, 80..81),
+            budgets in collection::vec(0u64..4, 80..81),
+            router in 0usize..3,
+            max_batch in 1usize..5,
+            max_wait in 0u64..60,
+            queue_cap in 1usize..16,
+            kill_at in 1u64..1500,
+            restart_after in 1u64..800,
+        ) {
+            let services = [svc(&[30, 34, 38, 42]), svc(&[20, 26, 32, 38]), svc(&[50, 51, 52, 53])];
+            let mut sp = spec(max_batch, max_wait, queue_cap);
+            sp.instances = 2;
+            sp.router = [RouterPolicy::RoundRobin, RouterPolicy::JoinShortestQueue, RouterPolicy::ModelAffinity][router];
+            sp.faults.events = vec![
+                FaultEvent { at: kill_at, instance: 0, action: FaultAction::Kill },
+                FaultEvent { at: kill_at + restart_after, instance: 0, action: FaultAction::Restart },
+            ];
+            let mut arrival = 0;
+            let requests: Vec<Request> = gaps
+                .iter()
+                .zip(&models)
+                .zip(&budgets)
+                .map(|((&gap, &model), &budget)| {
+                    arrival += gap;
+                    // Budget 0 is best effort; the rest collide often.
+                    Request { model, arrival, deadline: (budget > 0).then_some(arrival + 100 * budget) }
+                })
+                .collect();
+            let mut sink = se_obs::NullSink;
+            let mut core = ClusterCore::new(&services, &sp, &mut sink).unwrap();
+            let mut pending = requests.iter().copied().enumerate().peekable();
+            // The canonical interleaving of `drive_open_loop`, checked
+            // before every step.
+            loop {
+                check(&core)?;
+                let next_launch = core.next_launch();
+                if let Some(fault_at) = core.next_fault_at() {
+                    if pending.peek().is_none_or(|(_, r)| fault_at <= r.arrival)
+                        && next_launch.is_none_or(|(start, _)| fault_at <= start)
+                    {
+                        core.apply_next_fault();
+                        continue;
+                    }
+                }
+                match (pending.peek().copied(), next_launch) {
+                    (None, None) => break,
+                    (Some((id, req)), nl) if nl.is_none_or(|(start, _)| req.arrival <= start) => {
+                        core.admit(id, req);
+                        pending.next();
+                    }
+                    (_, Some((_, idx))) => {
+                        let inst = &core.instances[idx];
+                        let (_, members, _) = flat_batch(inst, &sp.policy).unwrap();
+                        let mut left = waiting_ids(inst);
+                        left.retain(|id| !members.contains(id));
+                        let (_, size) = core.launch_next().unwrap();
+                        prop_assert_eq!(size, members.len());
+                        prop_assert_eq!(waiting_ids(&core.instances[idx]), left);
+                    }
+                    (Some(_), None) => unreachable!("the guard admits arrivals when no launch pends"),
+                }
+            }
+            prop_assert!(core.finish().conserves(requests.len()));
+        }
     }
 
     #[test]
@@ -806,10 +915,12 @@ mod tests {
                 assert_eq!(latency, done, "request {id} keeps its arrival at 0");
             }
         }
-        assert_eq!(report.events.len(), 1);
         assert_eq!(
-            report.events[0].kind,
-            ClusterEventKind::Kill { in_flight: 2, rerouted: 2, lost: 0 }
+            report.events,
+            vec![Event {
+                at: 5,
+                kind: EventKind::InstanceKilled { instance: 0, in_flight: 2, rerouted: 2, lost: 0 }
+            }]
         );
         assert_eq!(report.rerouted, 2);
         assert_eq!(report.per_instance[0].completed, 0, "killed batch completes nothing");
@@ -836,7 +947,7 @@ mod tests {
         assert!(report.conserves(3));
         assert_eq!(
             report.events[0].kind,
-            ClusterEventKind::Kill { in_flight: 1, rerouted: 0, lost: 3 }
+            EventKind::InstanceKilled { instance: 0, in_flight: 1, rerouted: 0, lost: 3 }
         );
     }
 
@@ -871,9 +982,15 @@ mod tests {
         let arrivals = [0u64, 0, 0, 0, 0, 0, 0, 0, 500, 501];
         let (report, _) = drive(&services, &sp, &arrivals);
         assert_eq!(report.completed(), 10, "nothing is lost to elasticity");
-        let tags: Vec<&str> = report.events.iter().map(|e| e.kind.tag()).collect();
-        assert!(tags.contains(&"spawn"), "burst spawned an instance: {tags:?}");
-        assert!(tags.contains(&"drain"), "idle period drained it again: {tags:?}");
+        let kinds: Vec<&EventKind> = report.events.iter().map(|e| &e.kind).collect();
+        assert!(
+            kinds.contains(&&EventKind::InstanceSpawned { instance: 1 }),
+            "burst spawned an instance: {kinds:?}"
+        );
+        assert!(
+            kinds.contains(&&EventKind::InstanceDraining { instance: 1 }),
+            "idle period drained it again: {kinds:?}"
+        );
         assert_eq!(report.per_instance.len(), 2, "spawned instance reports a summary");
     }
 

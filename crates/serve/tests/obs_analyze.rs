@@ -139,7 +139,7 @@ proptest! {
         let report = &run.report;
         let a = analyze(rec.events(), window);
 
-        // The fold property: the dense windows partition the stream.
+        // The fold property: the windows partition the stream.
         prop_assert_eq!(&a.fold_windows(), &a.totals);
 
         // The totals re-derive the run's own report.
