@@ -2,6 +2,10 @@
 
 use crate::runner::RunnerOptions;
 use crate::Result;
+use se_serve::{ArrivalPattern, BatchPolicy, RouterPolicy};
+
+/// `--max-batch` when absent: also the default `--burst` size.
+const DEFAULT_MAX_BATCH: usize = 8;
 
 /// Parsed common flags.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -445,6 +449,79 @@ impl Flags {
         Ok(Some(specs))
     }
 
+    /// The serving batch policy: `--max-batch` (default 8), `--max-wait-us`
+    /// (default 50, converted to cycles at `frequency_hz`) and
+    /// `--queue-cap` (default 256).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`BatchPolicy::validate`].
+    pub(crate) fn batch_policy(&self, frequency_hz: f64) -> Result<BatchPolicy> {
+        let policy = BatchPolicy {
+            max_batch: self.max_batch.unwrap_or(DEFAULT_MAX_BATCH),
+            max_wait: (self.max_wait_us.unwrap_or(50.0) * 1e-6 * frequency_hz).round() as u64,
+            queue_cap: self.queue_cap.unwrap_or(256),
+        };
+        policy.validate()?;
+        Ok(policy)
+    }
+
+    /// The `--router rr|jsq|affinity` policy; `Ok(None)` when the flag is
+    /// absent, so each front picks its own default.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an unknown router name.
+    pub(crate) fn router_policy(&self) -> Result<Option<RouterPolicy>> {
+        let Some(name) = self.router.as_deref() else {
+            return Ok(None);
+        };
+        let router = RouterPolicy::parse(name)
+            .ok_or_else(|| format!("unknown router `{name}` (expected rr|jsq|affinity)"))?;
+        Ok(Some(router))
+    }
+
+    /// The arrival shape of `--arrival uniform|burst|closed` (default
+    /// uniform); `Ok(None)` is the closed loop. A burst is `--burst`
+    /// requests, default `--max-batch`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an unknown shape and every pressure flag the shape would
+    /// ignore: `--burst` without `--arrival burst`, `--rate` with the
+    /// closed loop, and `--concurrency` with an open loop.
+    pub(crate) fn arrival_pattern(&self) -> Result<Option<ArrivalPattern>> {
+        let pattern = match self.arrival.as_deref().unwrap_or("uniform") {
+            "uniform" => Some(ArrivalPattern::Uniform),
+            "burst" => Some(ArrivalPattern::Burst {
+                size: self.burst.or(self.max_batch).unwrap_or(DEFAULT_MAX_BATCH),
+            }),
+            "closed" | "closed-loop" => None,
+            other => {
+                return Err(
+                    format!("unknown --arrival `{other}` (expected uniform|burst|closed)").into()
+                )
+            }
+        };
+        if self.burst.is_some() && !matches!(pattern, Some(ArrivalPattern::Burst { .. })) {
+            return Err("--burst only applies to --arrival burst".into());
+        }
+        match (pattern, self.rate, self.concurrency) {
+            (None, Some(_), _) => Err("--rate only applies to open-loop arrivals \
+                                       (closed-loop pressure is --concurrency)"
+                .into()),
+            (Some(_), _, Some(_)) => Err("--concurrency only applies to --arrival closed \
+                                          (open-loop pressure is --rate)"
+                .into()),
+            _ => Ok(pattern),
+        }
+    }
+
+    /// `--buffer-kb` in bytes, rounded; `None` when the flag is absent.
+    pub(crate) fn buffer_bytes(&self) -> Option<u64> {
+        self.buffer_kb.map(|kb| (kb * 1024.0).round() as u64)
+    }
+
     /// Builds the comparison-runner options these flags describe: the
     /// `--fast` profile, the `--seed`, and `--sim-parallelism` applied on
     /// top of the defaults — the shared entry point of the per-figure
@@ -550,6 +627,34 @@ mod tests {
         assert_eq!(parse(&["--max-batch", "0"]).max_batch, None);
         assert_eq!(parse(&["--rate", "-1"]).rate, None);
         assert_eq!(parse(&["--queue-cap"]).queue_cap, None);
+
+        // 1 MHz: microseconds are cycles; 25.5 rounds up.
+        let policy = f.batch_policy(1e6).unwrap();
+        assert_eq!((policy.max_batch, policy.max_wait, policy.queue_cap), (8, 26, 32));
+        let policy = Flags::default().batch_policy(1e9).unwrap();
+        assert_eq!((policy.max_batch, policy.max_wait, policy.queue_cap), (8, 50_000, 256));
+
+        let burst = Flags { concurrency: None, ..f.clone() };
+        assert_eq!(burst.arrival_pattern().unwrap(), Some(ArrivalPattern::Burst { size: 4 }));
+        assert_eq!(Flags::default().arrival_pattern().unwrap(), Some(ArrivalPattern::Uniform));
+        let sized = parse(&["--arrival", "burst", "--max-batch", "3"]).arrival_pattern();
+        assert_eq!(sized.unwrap(), Some(ArrivalPattern::Burst { size: 3 }));
+        let closed = parse(&["--arrival", "closed", "--concurrency", "6"]).arrival_pattern();
+        assert_eq!(closed.unwrap(), None);
+        // Unknown shapes and the pressure flags a shape ignores are errors
+        // naming the flag.
+        for (args, flag) in [
+            (&["--arrival", "poisson"][..], "--arrival"),
+            (&["--burst", "4"], "--burst"),
+            (&["--arrival", "closed", "--burst", "4"], "--burst"),
+            (&["--arrival", "closed", "--rate", "1000"], "--rate"),
+            (&["--concurrency", "6"], "--concurrency"),
+        ] {
+            let err = parse(args).arrival_pattern().unwrap_err().to_string();
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
+        let err = f.arrival_pattern().unwrap_err().to_string();
+        assert!(err.contains("--concurrency"), "{err}");
     }
 
     #[test]
@@ -572,6 +677,17 @@ mod tests {
         assert_eq!(parse(&["--deadline-us", "-3"]).deadline_us, None);
         assert_eq!(parse(&["--buffer-kb", "0"]).buffer_kb, None);
         assert_eq!(parse(&["--router"]).router, None);
+
+        assert_eq!(f.router_policy().unwrap(), Some(RouterPolicy::ModelAffinity));
+        assert_eq!(
+            parse(&["--router", "rr"]).router_policy().unwrap(),
+            Some(RouterPolicy::RoundRobin)
+        );
+        assert_eq!(Flags::default().router_policy().unwrap(), None);
+        let err = parse(&["--router", "random"]).router_policy().unwrap_err();
+        assert!(err.to_string().contains("`random`"), "{err}");
+        assert_eq!(f.buffer_bytes(), Some(262_656));
+        assert_eq!(Flags::default().buffer_bytes(), None);
     }
 
     #[test]

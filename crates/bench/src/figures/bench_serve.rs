@@ -16,6 +16,7 @@
 use crate::args::Flags;
 use crate::figures::latency;
 use crate::json::Json;
+use crate::obs_export::Recording;
 use crate::{cli, runner, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
@@ -23,6 +24,7 @@ use se_serve::cluster::{simulate_cluster_run_obs, ClusterReport, ClusterSpec, Mo
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::{self, ArrivalPattern};
 use se_serve::{BatchEngine, FaultAction, FaultEvent, FaultPlan, RouterPolicy, TierSpec, SE_LANE};
+use std::fmt;
 use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
@@ -48,10 +50,33 @@ pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
     }
 }
 
-/// One benchmarked run of one configuration.
-struct Measured {
-    wall_ms: f64,
-    report: ClusterReport,
+/// One point of the sweep grid. Displays as its trace label,
+/// `inst{n} {router} b{k} {churn} {memory}`.
+struct Config {
+    instances: usize,
+    router: RouterPolicy,
+    max_batch: usize,
+    churn: &'static str,
+    memory: &'static str,
+}
+
+impl fmt::Display for Config {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Config { instances, router, max_batch, churn, memory } = self;
+        write!(f, "inst{instances} {} b{max_batch} {churn} {memory}", router.name())
+    }
+}
+
+/// The churn axis's fault plan: instance 0 killed a third of the way
+/// through the stream and restarted at two thirds.
+fn kill_restart(last_arrival: u64) -> FaultPlan {
+    let kill = (last_arrival / 3).max(1);
+    let restart = (2 * last_arrival / 3).max(kill + 1);
+    let event = |at, action| FaultEvent { at, instance: 0, action };
+    FaultPlan {
+        events: vec![event(kill, FaultAction::Kill), event(restart, FaultAction::Restart)],
+        autoscale: None,
+    }
 }
 
 /// The `se bench serve` driver on an explicit model set (the testable
@@ -60,13 +85,25 @@ struct Measured {
 ///
 /// # Errors
 ///
-/// Fails on fault flags, on any request-conservation violation, and
-/// propagates trace, simulation, and I/O failures.
+/// Fails on fault and arrival-shape flags, on any request-conservation
+/// violation, and propagates trace, simulation, and I/O failures.
 pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Write) -> Result<()> {
     if flags.has_fault_flags() {
         return Err("se bench serve scripts its own churn axis (none / kill-restart); \
                     --kill/--restart/--autoscale only apply to se cluster"
             .into());
+    }
+    let shape_flags = [
+        ("--arrival", flags.arrival.is_some()),
+        ("--burst", flags.burst.is_some()),
+        ("--concurrency", flags.concurrency.is_some()),
+    ];
+    if let Some((flag, _)) = shape_flags.iter().find(|(_, set)| *set) {
+        return Err(format!(
+            "{flag} does not apply to se bench serve: every config runs uniform \
+             open-loop arrivals (--rate sets the pressure)"
+        )
+        .into());
     }
     if models.is_empty() {
         return Err("se bench serve needs at least one model (check --models)".into());
@@ -83,22 +120,28 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     }
     let mean_exec1: f64 =
         per_image.iter().map(|r| r.total_cycles() as f64).sum::<f64>() / models.len() as f64;
+    let services = |max_batch: usize| -> Vec<ModelService> {
+        models
+            .iter()
+            .zip(&per_image)
+            .map(|(net, r)| ModelService::from_engine(&engine, SE_LANE, net.name(), r, max_batch))
+            .collect()
+    };
 
     // The sweep grid: a flag narrows its axis to the given value.
     let instance_counts = flags.instances.map_or_else(|| vec![1, 4], |n| vec![n]);
-    let routers: Vec<RouterPolicy> = match flags.router.as_deref() {
-        None => vec![RouterPolicy::RoundRobin, RouterPolicy::JoinShortestQueue],
-        Some(name) => vec![RouterPolicy::parse(name)
-            .ok_or_else(|| format!("unknown router `{name}` (expected rr|jsq|affinity)"))?],
-    };
+    let routers = flags.router_policy()?.map_or_else(
+        || vec![RouterPolicy::RoundRobin, RouterPolicy::JoinShortestQueue],
+        |r| vec![r],
+    );
     let max_batches = flags.max_batch.map_or_else(|| vec![1, 8], |n| vec![n]);
+    let policy = flags.batch_policy(freq)?;
     let host = se_core::SeConfig::default().parallelism();
     let requests = flags.requests.unwrap_or(100_000);
     // Deadlines default on so goodput is a real column (override with
     // --deadline-us; there is no "off" here — best-effort goodput equals
     // throughput and says nothing).
     let deadline = latency::deadline_cycles(flags.deadline_us.or(Some(2000.0)), freq);
-    let buffer_bytes = flags.buffer_kb.map(|kb| (kb * 1024.0).round() as u64);
     // The memory axis: every config runs "flat" (the --buffer-kb buffer,
     // possibly unmodeled) and "tiered" (--tiers if given, else a stack
     // derived from the model footprints: a top buffer that fits exactly
@@ -107,13 +150,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     let tier_stack: Vec<TierSpec> = match flags.tier_specs()? {
         Some(stack) => stack,
         None => {
-            let footprints: Vec<u64> = models
-                .iter()
-                .zip(&per_image)
-                .map(|(net, r)| {
-                    ModelService::from_engine(&engine, SE_LANE, net.name(), r, 1).footprint_bytes
-                })
-                .collect();
+            let footprints: Vec<u64> = services(1).iter().map(|s| s.footprint_bytes).collect();
             let max_fp = footprints.iter().copied().max().unwrap_or(1);
             let sum_fp: u64 = footprints.iter().sum();
             vec![
@@ -126,10 +163,8 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
 
     writeln!(out, "se bench serve: wall-clock serving benchmark, {} requests/config\n", requests)?;
 
-    // With `--trace-out` / `--metrics-out`, each config's run narrates its
-    // scheduling decisions into a recorder (one trace pid per config).
-    let observing = flags.trace_out.is_some() || flags.metrics_out.is_some();
-    let mut obs_streams: Vec<(String, Vec<se_obs::Event>)> = Vec::new();
+    // One recorded stream (trace pid) per config.
+    let mut recording = Recording::new(flags);
     let mut configs = Vec::new();
     let mut rows = Vec::new();
     for &instances in &instance_counts {
@@ -152,108 +187,44 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         let last_arrival = stream.last().map_or(0, |r| r.arrival);
         let churns: &[&str] =
             if instances > 1 && last_arrival > 0 { &["none", "kill-restart"] } else { &["none"] };
-        for router in &routers {
+        for &router in &routers {
             for &max_batch in &max_batches {
+                let services = services(max_batch);
                 for &churn in churns {
                     for memory in ["flat", "tiered"] {
-                        let policy = BatchPolicy {
-                            max_batch,
-                            max_wait: (flags.max_wait_us.unwrap_or(50.0) * 1e-6 * freq).round()
-                                as u64,
-                            queue_cap: flags.queue_cap.unwrap_or(256),
-                        };
-                        let faults = match churn {
-                            "none" => FaultPlan::default(),
-                            _ => FaultPlan {
-                                events: vec![
-                                    FaultEvent {
-                                        at: (last_arrival / 3).max(1),
-                                        instance: 0,
-                                        action: FaultAction::Kill,
-                                    },
-                                    FaultEvent {
-                                        at: (2 * last_arrival / 3)
-                                            .max((last_arrival / 3).max(1) + 1),
-                                        instance: 0,
-                                        action: FaultAction::Restart,
-                                    },
-                                ],
-                                autoscale: None,
-                            },
-                        };
+                        let config = Config { instances, router, max_batch, churn, memory };
                         let spec = ClusterSpec {
                             instances,
-                            router: *router,
-                            policy,
-                            buffer_bytes: if memory == "flat" { buffer_bytes } else { None },
+                            router,
+                            policy: BatchPolicy { max_batch, ..policy.clone() },
+                            buffer_bytes: flags.buffer_bytes().filter(|_| memory == "flat"),
                             tiers: (memory == "tiered").then(|| tier_stack.clone()),
-                            faults,
+                            faults: match churn {
+                                "none" => FaultPlan::default(),
+                                _ => kill_restart(last_arrival),
+                            },
                         };
-                        let services: Vec<ModelService> = models
-                            .iter()
-                            .zip(&per_image)
-                            .map(|(net, r)| {
-                                ModelService::from_engine(
-                                    &engine,
-                                    SE_LANE,
-                                    net.name(),
-                                    r,
-                                    max_batch,
-                                )
-                            })
-                            .collect();
-                        se_core::se_info!(
-                            "  bench: {} instance(s), router {}, max batch {}, churn {}, \
-                             memory {}...",
-                            instances,
-                            router.name(),
-                            max_batch,
-                            churn,
-                            memory
-                        );
-                        let mut recorder = se_obs::Recorder::new();
-                        let sink: &mut dyn se_obs::EventSink =
-                            if observing { &mut recorder } else { &mut se_obs::NullSink };
-                        let start = Instant::now();
-                        let report =
-                            simulate_cluster_run_obs(&stream, &services, &spec, sink)?.report;
-                        let m = Measured { wall_ms: start.elapsed().as_secs_f64() * 1e3, report };
-                        if observing {
-                            obs_streams.push((
-                                format!(
-                                    "inst{} {} b{} {} {}",
-                                    instances,
-                                    router.name(),
-                                    max_batch,
-                                    churn,
-                                    memory
-                                ),
-                                recorder.into_events(),
-                            ));
-                        }
-                        if !m.report.conserves(stream.len()) {
+                        se_core::se_info!("  bench: {config}...");
+                        // The clock times the simulation alone.
+                        let (wall_ms, report) = recording.run(&config, |sink| -> Result<_> {
+                            let start = Instant::now();
+                            let report =
+                                simulate_cluster_run_obs(&stream, &services, &spec, sink)?.report;
+                            Ok((start.elapsed().as_secs_f64() * 1e3, report))
+                        })?;
+                        if !report.conserves(stream.len()) {
                             return Err(format!(
-                                "request conservation violated at {} instance(s), router {}, \
-                                 max batch {}, churn {}, memory {}: {} completed + {} rejected \
-                                 + {} lost != {} submitted",
-                                instances,
-                                router.name(),
-                                max_batch,
-                                churn,
-                                memory,
-                                m.report.completed(),
-                                m.report.rejected,
-                                m.report.lost,
+                                "request conservation violated at {config}: {} completed + {} \
+                                 rejected + {} lost != {} submitted",
+                                report.completed(),
+                                report.rejected,
+                                report.lost,
                                 stream.len()
                             )
                             .into());
                         }
-                        rows.push(summary_row(
-                            instances, router, max_batch, churn, memory, &m, freq,
-                        ));
-                        configs.push(config_json(
-                            instances, router, max_batch, churn, memory, &spec, &m, freq,
-                        ));
+                        rows.push(summary_row(&config, wall_ms, &report, freq));
+                        configs.push(config_json(&config, &spec, wall_ms, &report, freq));
                     }
                 }
             }
@@ -308,36 +279,22 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     validate_report(&Json::parse(&text)?)?;
     std::fs::write(&path, &text)?;
     writeln!(out, "wrote {} ({} configs)", path.display(), doc_configs(&doc))?;
-    crate::obs_export::write_observability(
-        flags.trace_out.as_deref(),
-        flags.metrics_out.as_deref(),
-        &obs_streams,
-    )?;
-    Ok(())
+    recording.write()
 }
 
 fn doc_configs(doc: &Json) -> usize {
     doc.get("configs").and_then(Json::as_array).map_or(0, <[Json]>::len)
 }
 
-fn summary_row(
-    instances: usize,
-    router: &RouterPolicy,
-    max_batch: usize,
-    churn: &str,
-    memory: &str,
-    m: &Measured,
-    freq: f64,
-) -> Vec<String> {
-    let report = &m.report;
+fn summary_row(config: &Config, wall_ms: f64, report: &ClusterReport, freq: f64) -> Vec<String> {
     vec![
-        instances.to_string(),
-        router.name().to_string(),
-        max_batch.to_string(),
-        churn.to_string(),
-        memory.to_string(),
-        format!("{:.1}", m.wall_ms),
-        format!("{:.0}", report.completed() as f64 / (m.wall_ms / 1e3)),
+        config.instances.to_string(),
+        config.router.name().to_string(),
+        config.max_batch.to_string(),
+        config.churn.to_string(),
+        config.memory.to_string(),
+        format!("{wall_ms:.1}"),
+        format!("{:.0}", report.completed() as f64 / (wall_ms / 1e3)),
         match report.latency_percentile(99.0) {
             Some(p) => format!("{:.4}", latency::ms(freq, p as f64)),
             None => "-".to_string(),
@@ -347,19 +304,13 @@ fn summary_row(
     ]
 }
 
-#[allow(clippy::too_many_arguments)]
 fn config_json(
-    instances: usize,
-    router: &RouterPolicy,
-    max_batch: usize,
-    churn: &str,
-    memory: &str,
+    config: &Config,
     spec: &ClusterSpec,
-    m: &Measured,
+    wall_ms: f64,
+    report: &ClusterReport,
     freq: f64,
 ) -> Json {
-    let report = &m.report;
-    let wall_s = m.wall_ms / 1e3;
     // An all-rejected/all-lost run has no latency sample: percentiles are
     // null, not a fake 0.
     let pct = |p: f64| {
@@ -391,14 +342,14 @@ fn config_json(
         ),
     };
     Json::Obj(vec![
-        ("instances".into(), Json::Num(instances as f64)),
-        ("router".into(), Json::Str(router.name().into())),
-        ("max_batch".into(), Json::Num(max_batch as f64)),
-        ("churn".into(), Json::Str(churn.into())),
-        ("memory".into(), Json::Str(memory.into())),
+        ("instances".into(), Json::Num(config.instances as f64)),
+        ("router".into(), Json::Str(config.router.name().into())),
+        ("max_batch".into(), Json::Num(config.max_batch as f64)),
+        ("churn".into(), Json::Str(config.churn.into())),
+        ("memory".into(), Json::Str(config.memory.into())),
         ("tiers".into(), tiers),
-        ("wall_ms".into(), Json::Num(m.wall_ms)),
-        ("throughput_rps".into(), Json::Num(report.completed() as f64 / wall_s)),
+        ("wall_ms".into(), Json::Num(wall_ms)),
+        ("throughput_rps".into(), Json::Num(report.completed() as f64 / (wall_ms / 1e3))),
         ("completed".into(), Json::Num(report.completed() as f64)),
         ("rejected".into(), Json::Num(report.rejected as f64)),
         ("misses".into(), Json::Num(report.misses as f64)),

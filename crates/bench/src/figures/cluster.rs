@@ -25,72 +25,15 @@
 
 use crate::args::Flags;
 use crate::figures::latency;
+use crate::obs_export::Recording;
 use crate::{cli, runner, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
 use se_obs::EventKind;
 use se_serve::cluster::{ClusterSpec, ModelService, RouterPolicy};
-use se_serve::queue::BatchPolicy;
 use se_serve::workload::{self, ArrivalPattern};
 use se_serve::{BatchEngine, ACCEL_NAMES, SE_LANE};
 use std::io::Write;
-
-/// The cluster scenario derived from the flags.
-#[derive(Debug, Clone, PartialEq)]
-struct Scenario {
-    spec: ClusterSpec,
-    requests: usize,
-    pattern: ArrivalPattern,
-    rate_hz: Option<f64>,
-    deadline: Option<u64>,
-}
-
-fn scenario(flags: &Flags, frequency_hz: f64) -> Result<Scenario> {
-    let max_batch = flags.max_batch.unwrap_or(8);
-    let max_wait_us = flags.max_wait_us.unwrap_or(50.0);
-    let policy = BatchPolicy {
-        max_batch,
-        max_wait: (max_wait_us * 1e-6 * frequency_hz).round() as u64,
-        queue_cap: flags.queue_cap.unwrap_or(256),
-    };
-    let router = match flags.router.as_deref() {
-        None => RouterPolicy::JoinShortestQueue,
-        Some(name) => RouterPolicy::parse(name)
-            .ok_or_else(|| format!("unknown router `{name}` (expected rr|jsq|affinity)"))?,
-    };
-    let pattern = match flags.arrival.as_deref().unwrap_or("uniform") {
-        "uniform" => ArrivalPattern::Uniform,
-        "burst" => ArrivalPattern::Burst { size: flags.burst.unwrap_or(max_batch) },
-        other => {
-            return Err(format!(
-                "unknown arrival pattern `{other}` for se cluster (expected uniform|burst)"
-            )
-            .into())
-        }
-    };
-    if flags.concurrency.is_some() {
-        return Err("--concurrency is a closed-loop `se serve` flag; se cluster \
-                    is open-loop (--rate sets the pressure, --instances the \
-                    parallel capacity)"
-            .into());
-    }
-    let spec = ClusterSpec {
-        instances: flags.instances.unwrap_or(4),
-        router,
-        policy,
-        buffer_bytes: flags.buffer_kb.map(|kb| (kb * 1024.0).round() as u64),
-        tiers: flags.tier_specs()?,
-        faults: flags.fault_plan(frequency_hz)?,
-    };
-    spec.faults.validate(spec.instances)?;
-    Ok(Scenario {
-        spec,
-        requests: flags.requests.unwrap_or(256),
-        pattern,
-        rate_hz: flags.rate,
-        deadline: latency::deadline_cycles(flags.deadline_us, frequency_hz),
-    })
-}
 
 /// Runs the cluster simulation on the selected benchmark models.
 ///
@@ -114,7 +57,20 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     }
     let opts = flags.runner_options()?;
     let freq = SeAcceleratorConfig::default().frequency_hz;
-    let sc = scenario(flags, freq)?;
+    let spec = ClusterSpec {
+        instances: flags.instances.unwrap_or(4),
+        router: flags.router_policy()?.unwrap_or(RouterPolicy::JoinShortestQueue),
+        policy: flags.batch_policy(freq)?,
+        buffer_bytes: flags.buffer_bytes(),
+        tiers: flags.tier_specs()?,
+        faults: flags.fault_plan(freq)?,
+    };
+    spec.faults.validate(spec.instances)?;
+    let pattern = flags.arrival_pattern()?.ok_or(
+        "se cluster is open-loop (expected --arrival uniform|burst); the closed loop is se serve's",
+    )?;
+    let requests = flags.requests.unwrap_or(256);
+    let deadline = latency::deadline_cycles(flags.deadline_us, freq);
     let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
 
     // One per-image comparison pass per model; every lane's service
@@ -128,17 +84,17 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     writeln!(
         out,
         "se cluster: sharded serving across {} instance(s), router {}\n",
-        sc.spec.instances,
-        sc.spec.router.name()
+        spec.instances,
+        spec.router.name()
     )?;
     writeln!(
         out,
         "policy: max batch {}, max wait {} cycles, queue cap {}/instance; {} requests, {}",
-        sc.spec.policy.max_batch,
-        sc.spec.policy.max_wait,
-        sc.spec.policy.queue_cap,
-        sc.requests,
-        match sc.pattern {
+        spec.policy.max_batch,
+        spec.policy.max_wait,
+        spec.policy.queue_cap,
+        requests,
+        match pattern {
             ArrivalPattern::Uniform => "uniform arrivals".to_string(),
             ArrivalPattern::Burst { size } => format!("bursts of {size}"),
         }
@@ -146,11 +102,11 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     writeln!(
         out,
         "slo: {}; weight buffer: {}",
-        match sc.deadline {
+        match deadline {
             Some(d) => format!("deadline {d} cycles/request (EDF batch formation)"),
             None => "best effort (no deadlines)".to_string(),
         },
-        match (&sc.spec.tiers, sc.spec.buffer_bytes) {
+        match (&spec.tiers, spec.buffer_bytes) {
             (Some(tiers), _) => {
                 let stack: Vec<String> = tiers
                     .iter()
@@ -171,9 +127,8 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     )?;
     // Fault-free runs print nothing here: stdout stays byte-identical to
     // a build without failure injection.
-    if !sc.spec.faults.is_empty() {
-        let scripted: Vec<String> = sc
-            .spec
+    if !spec.faults.is_empty() {
+        let scripted: Vec<String> = spec
             .faults
             .events
             .iter()
@@ -193,7 +148,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             out,
             "faults: {}; autoscale: {}",
             if scripted.is_empty() { "none scripted".to_string() } else { scripted.join(", ") },
-            match &sc.spec.faults.autoscale {
+            match &spec.faults.autoscale {
                 Some(p) => format!(
                     "spawn above {} waiting/instance, drain below {}",
                     p.spawn_above, p.drain_below
@@ -232,18 +187,13 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         })
         .sum::<f64>()
         / models.len() as f64;
-    let rate = sc.rate_hz.unwrap_or_else(|| 1.5 * sc.spec.instances as f64 * freq / mean_se_exec1);
-    let stream =
-        workload::request_stream(sc.requests, rate, freq, sc.pattern, models.len(), sc.deadline)?;
+    let rate = flags.rate.unwrap_or_else(|| 1.5 * spec.instances as f64 * freq / mean_se_exec1);
+    let stream = workload::request_stream(requests, rate, freq, pattern, models.len(), deadline)?;
 
-    // Replay the same stream against every lane. With `--trace-out` /
-    // `--metrics-out`, each lane's run additionally narrates its
-    // scheduling decisions into a recorder (one trace pid per lane); the
-    // virtual-time stream — and so the exported bytes — is identical at
-    // any worker count. Untraced runs pass a disabled sink, which builds
-    // no events.
-    let observing = flags.trace_out.is_some() || flags.metrics_out.is_some();
-    let mut obs_streams: Vec<(String, Vec<se_obs::Event>)> = Vec::new();
+    // Replay the same stream against every lane, one recorded stream
+    // (trace pid) per lane; the virtual-time stream — and so the exported
+    // bytes — is identical at any worker count.
+    let mut recording = Recording::new(flags);
     let mut rows = Vec::new();
     let mut churn_lines: Vec<String> = Vec::new();
     let mut tier_lines: Vec<String> = Vec::new();
@@ -253,13 +203,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             .zip(&per_model)
             .map(|(net, runs)| {
                 runs[lane].as_ref().map(|r| {
-                    ModelService::from_engine(
-                        &engine,
-                        lane,
-                        net.name(),
-                        r,
-                        sc.spec.policy.max_batch,
-                    )
+                    ModelService::from_engine(&engine, lane, net.name(), r, spec.policy.max_batch)
                 })
             })
             .collect();
@@ -271,16 +215,13 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             );
             continue;
         };
-        let mut recorder = se_obs::Recorder::new();
-        let sink: &mut dyn se_obs::EventSink =
-            if observing { &mut recorder } else { &mut se_obs::NullSink };
-        let report =
-            se_serve::cluster::simulate_cluster_run_obs(&stream, &services, &sc.spec, sink)?.report;
-        if observing {
-            obs_streams.push(((*lane_name).to_string(), recorder.into_events()));
-        }
+        let report = recording
+            .run(lane_name, |sink| {
+                se_serve::cluster::simulate_cluster_run_obs(&stream, &services, &spec, sink)
+            })?
+            .report;
         let (missed, miss_pct) =
-            latency::miss_cells(sc.deadline.map(|_| report.misses), report.completed());
+            latency::miss_cells(deadline.map(|_| report.misses), report.completed());
         let [p50, p95, p99] = latency::percentile_cells(&report.latencies, freq);
         rows.push(vec![
             (*lane_name).to_string(),
@@ -302,7 +243,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         // to a build without the tiered store. The lane table's columns
         // never change (CI's awk scripts index them by position) — tier
         // traffic goes on its own gated lines.
-        if let Some(tiers) = &sc.spec.tiers {
+        if let Some(tiers) = &spec.tiers {
             for (t, stats) in tiers.iter().zip(&report.tier_traffic) {
                 tier_lines.push(format!(
                     "  {}: tier {}: hits {}, promotions {}, demotions {}, evictions {}, \
@@ -318,7 +259,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                 ));
             }
         }
-        if !sc.spec.faults.is_empty() {
+        if !spec.faults.is_empty() {
             for e in &report.events {
                 let (word, instance, detail) = match e.kind {
                     EventKind::InstanceKilled { instance, in_flight, rerouted, lost } => (
@@ -392,10 +333,5 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         "determinism: output is bit-identical for any worker count\n\
          (SE_PARALLELISM / --sim-parallelism) given the same flags."
     )?;
-    crate::obs_export::write_observability(
-        flags.trace_out.as_deref(),
-        flags.metrics_out.as_deref(),
-        &obs_streams,
-    )?;
-    Ok(())
+    recording.write()
 }

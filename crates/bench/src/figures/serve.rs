@@ -14,64 +14,14 @@
 
 use crate::args::Flags;
 use crate::figures::latency;
+use crate::obs_export::Recording;
 use crate::{cli, runner, table, Result};
 use se_hw::{EnergyModel, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
 use se_serve::cluster::{self, ClusterSpec, ModelService, RouterPolicy};
-use se_serve::queue::BatchPolicy;
 use se_serve::workload::{self, ArrivalPattern, Request};
 use se_serve::{BatchEngine, FaultPlan, SE_LANE};
 use std::io::Write;
-
-/// The serving scenario derived from the common flags.
-#[derive(Debug, Clone, PartialEq)]
-struct Scenario {
-    policy: BatchPolicy,
-    requests: usize,
-    /// `None` = closed loop with `concurrency` clients.
-    open_loop: Option<ArrivalPattern>,
-    /// Absolute arrival rate; `None` derives 1.5× the model's single-image
-    /// service rate (enough pressure to form batches, deterministic).
-    rate_hz: Option<f64>,
-    concurrency: usize,
-    /// Per-request deadline budget in cycles (`None` = best effort).
-    deadline: Option<u64>,
-}
-
-fn scenario(flags: &Flags, frequency_hz: f64) -> Result<Scenario> {
-    let max_batch = flags.max_batch.unwrap_or(8);
-    let max_wait_us = flags.max_wait_us.unwrap_or(50.0);
-    let policy = BatchPolicy {
-        max_batch,
-        max_wait: (max_wait_us * 1e-6 * frequency_hz).round() as u64,
-        queue_cap: flags.queue_cap.unwrap_or(256),
-    };
-    policy.validate()?;
-    let open_loop = match flags.arrival.as_deref().unwrap_or("uniform") {
-        "uniform" => Some(ArrivalPattern::Uniform),
-        "burst" => Some(ArrivalPattern::Burst { size: flags.burst.unwrap_or(max_batch) }),
-        "closed" | "closed-loop" => None,
-        other => {
-            return Err(format!(
-                "unknown arrival pattern `{other}` (expected uniform|burst|closed)"
-            )
-            .into())
-        }
-    };
-    if open_loop.is_some() && flags.concurrency.is_some() {
-        return Err("--concurrency only applies to --arrival closed \
-                    (open-loop pressure is --rate)"
-            .into());
-    }
-    Ok(Scenario {
-        policy,
-        requests: flags.requests.unwrap_or(256),
-        open_loop,
-        rate_hz: flags.rate,
-        concurrency: flags.concurrency.unwrap_or(2 * max_batch),
-        deadline: latency::deadline_cycles(flags.deadline_us, frequency_hz),
-    })
-}
 
 /// Runs the serving simulation on the selected benchmark models.
 ///
@@ -110,46 +60,46 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     }
     let opts = flags.runner_options()?;
     let freq = SeAcceleratorConfig::default().frequency_hz;
-    let sc = scenario(flags, freq)?;
     let spec = ClusterSpec {
         instances: 1,
         router: RouterPolicy::RoundRobin,
-        policy: sc.policy.clone(),
+        policy: flags.batch_policy(freq)?,
         buffer_bytes: None,
         tiers: None,
         faults: FaultPlan::default(),
     };
+    let requests = flags.requests.unwrap_or(256);
+    let arrival = flags.arrival_pattern()?;
+    let concurrency = flags.concurrency.unwrap_or(2 * spec.policy.max_batch);
+    let deadline = latency::deadline_cycles(flags.deadline_us, freq);
     let em = EnergyModel::default();
     let ecfg = SeAcceleratorConfig::default();
     writeln!(out, "se serve: batched serving on the SmartExchange accelerator\n")?;
     writeln!(
         out,
         "policy: max batch {}, max wait {} cycles, queue cap {}; {} requests, {}",
-        sc.policy.max_batch,
-        sc.policy.max_wait,
-        sc.policy.queue_cap,
-        sc.requests,
-        match sc.open_loop {
+        spec.policy.max_batch,
+        spec.policy.max_wait,
+        spec.policy.queue_cap,
+        requests,
+        match arrival {
             Some(ArrivalPattern::Uniform) => "uniform arrivals".to_string(),
             Some(ArrivalPattern::Burst { size }) => format!("bursts of {size}"),
-            None => format!("closed loop x{}", sc.concurrency),
+            None => format!("closed loop x{concurrency}"),
         }
     )?;
     writeln!(
         out,
         "slo: {}",
-        match sc.deadline {
+        match deadline {
             Some(d) => format!("deadline {d} cycles/request"),
             None => "best effort (no deadline)".to_string(),
         }
     )?;
     writeln!(out)?;
 
-    // With `--trace-out` / `--metrics-out`, each model's run narrates its
-    // scheduling decisions into a recorder (one trace pid per model);
-    // untraced runs pass a disabled sink, which builds no events.
-    let observing = flags.trace_out.is_some() || flags.metrics_out.is_some();
-    let mut obs_streams: Vec<(String, Vec<se_obs::Event>)> = Vec::new();
+    // One recorded stream (trace pid) per model.
+    let mut recording = Recording::new(flags);
     for net in models {
         se_core::se_info!("  serving {}...", net.name());
         let per_image = runner::run_se_model(net, &opts, flags.traces_dir.as_deref())?;
@@ -161,32 +111,26 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             &per_image,
             spec.policy.max_batch,
         )];
-
-        let mut recorder = se_obs::Recorder::new();
-        let sink: &mut dyn se_obs::EventSink =
-            if observing { &mut recorder } else { &mut se_obs::NullSink };
-        let report = match sc.open_loop {
-            Some(pattern) => {
-                // Default pressure: 1.5x the single-image service rate —
-                // enough to keep the aggregator busy without unbounded
-                // queueing at sane max-batch settings.
-                let rate =
-                    sc.rate_hz.unwrap_or_else(|| 1.5 * freq / services[0].streamed[0] as f64);
-                let requests: Vec<Request> =
-                    workload::open_loop_arrivals(sc.requests, rate, freq, pattern)?
-                        .into_iter()
-                        .map(|arrival| Request { model: 0, arrival, deadline: None })
-                        .collect();
-                cluster::simulate_cluster_run_obs(&requests, &services, &spec, sink)?
-            }
-            None => {
-                cluster::simulate_closed_loop(sc.requests, sc.concurrency, &services, &spec, sink)?
-            }
-        }
-        .report;
-        if observing {
-            obs_streams.push((net.name().to_string(), recorder.into_events()));
-        }
+        let report = recording
+            .run(net.name(), |sink| match arrival {
+                Some(pattern) => {
+                    // Default pressure: 1.5x the single-image service rate —
+                    // enough to keep the aggregator busy without unbounded
+                    // queueing at sane max-batch settings.
+                    let rate =
+                        flags.rate.unwrap_or_else(|| 1.5 * freq / services[0].streamed[0] as f64);
+                    let stream: Vec<Request> =
+                        workload::open_loop_arrivals(requests, rate, freq, pattern)?
+                            .into_iter()
+                            .map(|arrival| Request { model: 0, arrival, deadline: None })
+                            .collect();
+                    cluster::simulate_cluster_run_obs(&stream, &services, &spec, sink)
+                }
+                None => {
+                    cluster::simulate_closed_loop(requests, concurrency, &services, &spec, sink)
+                }
+            })?
+            .report;
 
         // Energy and weight-traffic totals from the executed batch mix
         // (`hist[k - 1]` counts the batches of exactly `k` images).
@@ -208,8 +152,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         let completed = report.completed().max(1) as f64;
         // Every request carries the same relative deadline, so a miss is
         // exactly a latency over the budget.
-        let misses =
-            sc.deadline.map(|d| report.latencies.iter().filter(|&&l| l > d).count() as u64);
+        let misses = deadline.map(|d| report.latencies.iter().filter(|&&l| l > d).count() as u64);
         let mean_batch = match report.batch_sizes.len() {
             0 => 0.0,
             n => report.batch_sizes.iter().sum::<usize>() as f64 / n as f64,
@@ -250,10 +193,5 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         "determinism: output is bit-identical for any worker count\n\
          (SE_PARALLELISM / --sim-parallelism) given the same flags."
     )?;
-    crate::obs_export::write_observability(
-        flags.trace_out.as_deref(),
-        flags.metrics_out.as_deref(),
-        &obs_streams,
-    )?;
-    Ok(())
+    recording.write()
 }

@@ -115,11 +115,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Fails on malformed input or trailing garbage.
+    /// Fails on malformed input, trailing garbage, and arrays or objects
+    /// nested more than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}").into());
@@ -127,6 +128,12 @@ impl Json {
         Ok(value)
     }
 }
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the bound keeps a hostile document
+/// from overflowing the stack; every document the repo writes is a few
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
 
 fn push_indent(s: &mut String, indent: usize) {
     for _ in 0..indent {
@@ -174,8 +181,12 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}").into());
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -194,7 +205,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
                 if !items.is_empty() {
                     expect(bytes, pos, ",")?;
                 }
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
             }
         }
         Some(b'{') => {
@@ -213,7 +224,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth + 1)?));
             }
         }
         Some(_) => parse_number(bytes, pos).map(Json::Num),
@@ -333,5 +344,20 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "nul", "1 2", "[1] trailing"] {
             assert!(Json::parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let err = Json::parse(&nested(100_000)).unwrap_err().to_string();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        let doc = Json::parse(&nested(MAX_DEPTH)).unwrap();
+        let mut deepest = &doc;
+        for _ in 1..MAX_DEPTH {
+            deepest = &deepest.as_array().unwrap()[0];
+        }
+        assert_eq!(deepest, &Json::Arr(vec![]));
+        let err = Json::parse(&format!("{{\"a\": {}}}", nested(MAX_DEPTH))).unwrap_err();
+        assert!(err.to_string().contains("at byte"), "{err}");
     }
 }

@@ -13,9 +13,12 @@
 //! per virtual cycle.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
+use std::path::Path;
 
-use se_obs::{Event, EventKind, MetricsRegistry};
+use se_obs::{Event, EventKind, EventSink, MetricsRegistry, NullSink, Recorder};
 
+use crate::args::Flags;
 use crate::json::Json;
 
 /// Builds a Chrome-trace document from named event streams (one trace
@@ -63,35 +66,64 @@ pub fn metrics_text(streams: &[(String, &[Event])]) -> String {
 /// # Errors
 ///
 /// Propagates the I/O error, naming the file.
-pub fn write_export(path: &std::path::Path, content: &str) -> crate::Result<()> {
+pub fn write_export(path: &Path, content: &str) -> crate::Result<()> {
     std::fs::write(path, content).map_err(|e| format!("writing {}: {e}", path.display()).into())
 }
 
-/// The `--trace-out` / `--metrics-out` epilogue shared by `se serve`,
-/// `se cluster`, and `se bench serve`: renders the recorded streams into
-/// whichever exports were requested. Confirmation notes go to stderr at
-/// info level (`SE_LOG=info`), never stdout — report output stays
-/// byte-identical whether or not exports were written.
-///
-/// # Errors
-///
-/// Propagates file-write failures.
-pub fn write_observability(
-    trace_out: Option<&std::path::Path>,
-    metrics_out: Option<&std::path::Path>,
-    streams: &[(String, Vec<Event>)],
-) -> crate::Result<()> {
-    let views: Vec<(String, &[Event])> =
-        streams.iter().map(|(name, events)| (name.clone(), events.as_slice())).collect();
-    if let Some(path) = trace_out {
-        write_export(path, &chrome_trace(&views).render())?;
-        se_core::se_info!("wrote Chrome-trace JSON to {}", path.display());
+/// The `--trace-out` / `--metrics-out` recording shared by `se serve`,
+/// `se cluster` and `se bench serve`: each run narrates its scheduling
+/// decisions into one labelled stream (one trace pid per stream) when an
+/// export was asked for, and into a disabled sink, which builds no
+/// events, otherwise.
+pub(crate) struct Recording<'a> {
+    trace_out: Option<&'a Path>,
+    metrics_out: Option<&'a Path>,
+    streams: Vec<(String, Vec<Event>)>,
+}
+
+impl<'a> Recording<'a> {
+    /// An empty recording for the exports `flags` ask for.
+    pub fn new(flags: &'a Flags) -> Self {
+        Recording {
+            trace_out: flags.trace_out.as_deref(),
+            metrics_out: flags.metrics_out.as_deref(),
+            streams: Vec::new(),
+        }
     }
-    if let Some(path) = metrics_out {
-        write_export(path, &metrics_text(&views))?;
-        se_core::se_info!("wrote metrics exposition to {}", path.display());
+
+    /// Runs `f` with this recording's sink and keeps what it emitted as
+    /// the stream `label`.
+    pub fn run<T>(&mut self, label: impl Display, f: impl FnOnce(&mut dyn EventSink) -> T) -> T {
+        if self.trace_out.is_none() && self.metrics_out.is_none() {
+            return f(&mut NullSink);
+        }
+        let mut recorder = Recorder::new();
+        let result = f(&mut recorder);
+        self.streams.push((label.to_string(), recorder.into_events()));
+        result
     }
-    Ok(())
+
+    /// Renders the recorded streams into whichever exports were asked
+    /// for. Confirmation notes go to stderr at info level
+    /// (`SE_LOG=info`), never stdout: report output stays byte-identical
+    /// whether or not exports were written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-write failures.
+    pub fn write(self) -> crate::Result<()> {
+        let views: Vec<(String, &[Event])> =
+            self.streams.iter().map(|(name, events)| (name.clone(), events.as_slice())).collect();
+        if let Some(path) = self.trace_out {
+            write_export(path, &chrome_trace(&views).render())?;
+            se_core::se_info!("wrote Chrome-trace JSON to {}", path.display());
+        }
+        if let Some(path) = self.metrics_out {
+            write_export(path, &metrics_text(&views))?;
+            se_core::se_info!("wrote metrics exposition to {}", path.display());
+        }
+        Ok(())
+    }
 }
 
 fn num(n: u64) -> Json {

@@ -3,7 +3,7 @@
 //! * a small sweep produces a `BENCH_serve.json` that parses and passes
 //!   the schema check (the CI dry-run contract);
 //! * the sweep covers every axis (churn × memory) once per config;
-//! * fault flags and an empty model set error loudly;
+//! * fault flags, arrival-shape flags and an empty model set error loudly;
 //! * `se bench` without a valid action errors with usage.
 
 use se_bench::args::Flags;
@@ -106,6 +106,24 @@ fn conflicting_flags_error_loudly() {
 
     let err = bench_serve::run_with_models(&Flags::default(), &[], &mut out).unwrap_err();
     assert!(err.to_string().contains("at least one model"), "{err}");
+}
+
+#[test]
+fn arrival_shape_flags_are_errors() {
+    // Every config runs uniform open-loop arrivals, so a shape flag would
+    // be silently ignored.
+    let path = std::env::temp_dir().join(format!("se-bench-shape-{}.json", std::process::id()));
+    let base = Flags { requests: Some(24), bench_out: Some(path), ..Flags::default() };
+    let cases = [
+        ("--arrival", Flags { arrival: Some("burst".into()), ..base.clone() }),
+        ("--burst", Flags { burst: Some(4), ..base.clone() }),
+        ("--concurrency", Flags { concurrency: Some(3), ..base }),
+    ];
+    for (flag, flags) in cases {
+        let mut out = Vec::new();
+        let err = bench_serve::run_with_models(&flags, &model_set(), &mut out).unwrap_err();
+        assert!(err.to_string().contains(flag), "{flag}: {err}");
+    }
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! * `--traces-dir` artifacts replay byte-identically;
 //! * the SmartExchange lane and the `n/a` handling of unsupported lanes
 //!   (SCNN on squeeze-excite models) render in the lane table;
-//! * `se serve` reports the shared p50/p95/p99 + deadline columns.
+//! * `se serve` reports the shared p50/p95/p99 + deadline columns;
+//! * a pressure flag the arrival shape would ignore is an error.
 
 use se_bench::args::Flags;
 use se_bench::figures;
@@ -193,6 +194,27 @@ fn serve_rejects_fault_flags() {
         assert!(err.contains(flag) && err.contains("se cluster"), "{flag}: {err}");
         assert!(out.is_empty(), "{flag}: nothing is printed before the error");
     }
+}
+
+#[test]
+fn serve_rejects_rate_with_the_closed_loop() {
+    // The closed loop's pressure is --concurrency; a --rate would be ignored.
+    let flags = Flags { arrival: Some("closed".into()), rate: Some(1000.0), ..Flags::default() };
+    let mut out = Vec::new();
+    let err = figures::serve::run_with_models(&flags, &model_set()[..1], &mut out).unwrap_err();
+    assert!(err.to_string().contains("--rate"), "{err}");
+}
+
+#[test]
+fn burst_without_burst_arrivals_is_an_error() {
+    // Both fronts would otherwise run uniform arrivals.
+    let mut out = Vec::new();
+    let flags = Flags { burst: Some(4), ..cluster_flags() };
+    let err = figures::cluster::run_with_models(&flags, &model_set(), &mut out).unwrap_err();
+    assert!(err.to_string().contains("--burst"), "{err}");
+    let flags = Flags { burst: Some(4), arrival: Some("uniform".into()), ..Flags::default() };
+    let err = figures::serve::run_with_models(&flags, &model_set()[..1], &mut out).unwrap_err();
+    assert!(err.to_string().contains("--burst"), "{err}");
 }
 
 #[test]

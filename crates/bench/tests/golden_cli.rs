@@ -1,7 +1,8 @@
-//! Byte-identity goldens of the serving subcommands: `se cluster` and
-//! `se serve` on the small in-test networks of `cluster_cli.rs`, each case
-//! pinning stdout, the `--trace-out` Chrome trace, and the `--metrics-out`
-//! exposition against committed fixtures. The other end-to-end tests
+//! Byte-identity goldens of the serving subcommands: `se cluster`,
+//! `se serve` and `se bench serve` on the small in-test networks of
+//! `cluster_cli.rs`, each case pinning the `--trace-out` Chrome trace and
+//! the `--metrics-out` exposition against committed fixtures, plus stdout
+//! where it holds no wall-clock numbers. The other end-to-end tests
 //! compare runs against each other; these compare against fixed bytes, so
 //! a refactor of the serving path that shifts any output fails here.
 
@@ -66,20 +67,31 @@ fn assert_bytes(name: &str, actual: &str) {
 
 type Run = fn(&Flags, &[NetworkDesc], &mut dyn std::io::Write) -> se_bench::Result<()>;
 
-/// Runs one case with both exports on and checks all three outputs.
-fn check(case: &str, run: Run, flags: Flags, models: &[NetworkDesc]) {
+/// Runs one case with both exports on, checks the two export files, and
+/// returns stdout.
+fn check_exports(case: &str, run: Run, flags: Flags, models: &[NetworkDesc]) -> String {
     let dir = std::env::temp_dir().join(format!("se-golden-{case}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("trace.json");
     let metrics = dir.join("metrics.prom");
-    let flags =
-        Flags { trace_out: Some(trace.clone()), metrics_out: Some(metrics.clone()), ..flags };
+    let flags = Flags {
+        trace_out: Some(trace.clone()),
+        metrics_out: Some(metrics.clone()),
+        bench_out: Some(dir.join("bench.json")),
+        ..flags
+    };
     let mut out = Vec::new();
     run(&flags, models, &mut out).unwrap();
-    assert_bytes(&format!("{case}.stdout.txt"), &String::from_utf8(out).unwrap());
     assert_bytes(&format!("{case}.trace.json"), &std::fs::read_to_string(&trace).unwrap());
     assert_bytes(&format!("{case}.metrics.prom"), &std::fs::read_to_string(&metrics).unwrap());
     std::fs::remove_dir_all(&dir).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+/// Runs one case with both exports on and checks all three outputs.
+fn check(case: &str, run: Run, flags: Flags, models: &[NetworkDesc]) {
+    let stdout = check_exports(case, run, flags, models);
+    assert_bytes(&format!("{case}.stdout.txt"), &stdout);
 }
 
 fn cluster_flags() -> Flags {
@@ -138,4 +150,22 @@ fn serve_closed_loop_matches_the_golden_bytes() {
         ..Flags::default()
     };
     check("serve_closed", figures::serve::run_with_models, flags, &model_set()[..1]);
+}
+
+#[test]
+fn bench_serve_exports_match_the_golden_bytes() {
+    // Two instances give the churn axis: none/kill-restart x flat/tiered.
+    let flags = Flags {
+        requests: Some(24),
+        instances: Some(2),
+        router: Some("rr".into()),
+        max_batch: Some(8),
+        buffer_kb: Some(1.5),
+        deadline_us: Some(5.0),
+        ..Flags::default()
+    };
+    // stdout carries wall-clock columns, so only the exports are pinned.
+    let stdout =
+        check_exports("bench_serve", figures::bench_serve::run_with_models, flags, &model_set());
+    assert!(stdout.contains("(4 configs)"), "{stdout}");
 }
