@@ -62,7 +62,8 @@ impl Po2Set {
         if count == 0 {
             return Err(IrError::InvalidPo2 { reason: "exponent set must be non-empty".into() });
         }
-        let min_exp = max_exp - count as i32 + 1;
+        // In i64: a count past i32::MAX must not wrap into a valid range.
+        let min_exp = i64::from(max_exp) - i64::from(count) + 1;
         if !(-120..=120).contains(&max_exp) || !(-120..=120).contains(&min_exp) {
             return Err(IrError::InvalidPo2 {
                 reason: format!("exponent range [{min_exp}, {max_exp}] outside f32 range"),
@@ -173,18 +174,18 @@ impl Po2Set {
 
     /// Whether `x` is exactly representable in this set: zero, or a normal
     /// float with an empty mantissa and an exponent in `P`.
+    ///
+    /// Branch-free bit tests, so a fold over a slice vectorizes. Members
+    /// other than zero have magnitude bits `field << 23` with `field` in
+    /// `[min_exp + 127, max_exp + 127]`; one wrapping subtraction checks
+    /// that range. It also rejects subnormals and inf/NaN, since `P` lies
+    /// in `[-120, 120]`.
+    #[inline]
     pub fn contains(&self, x: f32) -> bool {
-        x == 0.0 || self.exponent_of(x).is_some()
-    }
-
-    /// The exponent `p` of a member `±2^p`, read from the bits; `None` for
-    /// zero and for every value outside the set.
-    fn exponent_of(&self, x: f32) -> Option<i32> {
-        let bits = x.to_bits();
-        let p = ((bits >> MANT_BITS) & 0xff) as i32 - EXP_BIAS;
-        // The range check also rejects subnormals and inf/NaN: P lies in
-        // [-120, 120].
-        (bits & MANT_MASK == 0 && (self.min_exp()..=self.max_exp).contains(&p)).then_some(p)
+        let mag = x.to_bits() & !SIGN_MASK;
+        let lo = ((self.min_exp() + EXP_BIAS) as u32) << MANT_BITS;
+        let hi = ((self.max_exp + EXP_BIAS) as u32) << MANT_BITS;
+        (mag == 0) | ((mag & MANT_MASK == 0) & (mag.wrapping_sub(lo) <= hi - lo))
     }
 
     /// Encodes a representable value as a compact code
@@ -194,15 +195,22 @@ impl Po2Set {
     ///
     /// Returns [`IrError::InvalidPo2`] if `x` is not in the set.
     pub fn encode(&self, x: f32) -> Result<u16> {
-        if x == 0.0 {
-            return Ok(0);
-        }
-        let Some(p) = self.exponent_of(x) else {
+        if !self.contains(x) {
             return Err(IrError::InvalidPo2 { reason: format!("{x} is not in Ω_P") });
-        };
-        let idx = (self.max_exp - p) as u16;
-        let sign_bit = u16::from(x < 0.0);
-        Ok(1 + 2 * idx + sign_bit)
+        }
+        Ok(self.member_code(x))
+    }
+
+    /// [`Po2Set::encode`] of a value already known to be a member, without
+    /// branches (a zero test would mispredict on a sparse `Ce`), so a loop
+    /// over a checked slice vectorizes. A non-member gives a meaningless
+    /// code.
+    #[inline]
+    pub(crate) fn member_code(&self, x: f32) -> u16 {
+        let bits = x.to_bits();
+        let p = ((bits >> MANT_BITS) & 0xff) as i32 - EXP_BIAS;
+        let code = 1 + 2 * (self.max_exp - p) as u32 + (bits >> 31);
+        (code * u32::from(bits & !SIGN_MASK != 0)) as u16
     }
 
     /// Decodes a code produced by [`Po2Set::encode`].
@@ -309,6 +317,91 @@ mod tests {
         }
     }
 
+    /// The membership rule `contains` must match: zero, or a normal float
+    /// with an empty mantissa and an exponent in `P`.
+    fn contains_reference(set: &Po2Set, x: f32) -> bool {
+        let bits = x.to_bits();
+        let p = ((bits >> MANT_BITS) & 0xff) as i32 - EXP_BIAS;
+        x == 0.0 || (bits & MANT_MASK == 0 && (set.min_exp()..=set.max_exp()).contains(&p))
+    }
+
+    /// Alphabets at both ends of the exponent range plus the default.
+    fn membership_sets() -> [Po2Set; 4] {
+        [
+            Po2Set::default(),
+            Po2Set::new(120, 241).unwrap(),
+            Po2Set::new(-114, 7).unwrap(),
+            Po2Set::new(120, 1).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn contains_matches_the_exponent_rule() {
+        let mut probes = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        // Smallest, a middle and the largest subnormal, both signs.
+        for m in [1, 1 << 11, MANT_MASK] {
+            probes.extend([f32::from_bits(m), f32::from_bits(SIGN_MASK | m)]);
+        }
+        // Every ±2^p (mantissa 0) and its upper neighbour (mantissa 1).
+        for field in 0..=255u32 {
+            for m in [0, 1] {
+                for sign in [0, SIGN_MASK] {
+                    probes.push(f32::from_bits(sign | (field << MANT_BITS) | m));
+                }
+            }
+        }
+        // 1M random bit patterns (splitmix64).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        probes.extend((0..1 << 20).map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            f32::from_bits((z ^ (z >> 31)) as u32)
+        }));
+        for set in membership_sets() {
+            for &x in &probes {
+                assert_eq!(
+                    set.contains(x),
+                    contains_reference(&set, x),
+                    "{set:?} {:#010x}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    /// `contains` against the exponent rule on every f32 bit pattern. CI
+    /// runs it with
+    /// `cargo test --release -p se-ir -- --ignored contains_matches_the_exponent_rule_on_every_f32`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn contains_matches_the_exponent_rule_on_every_f32() {
+        for set in membership_sets() {
+            let mismatches = count_on_every_f32(|x| set.contains(x) != contains_reference(&set, x));
+            assert_eq!(mismatches, 0, "{set:?}");
+        }
+    }
+
+    /// How many of the 2^32 f32 bit patterns satisfy `pred`, split across
+    /// the available cores.
+    fn count_on_every_f32(pred: impl Fn(f32) -> bool + Sync) -> u64 {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let span = (1u64 << 32).div_ceil(threads);
+        let pred = &pred;
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    s.spawn(move || {
+                        let end = ((t + 1) * span).min(1 << 32);
+                        (t * span..end).filter(|&b| pred(f32::from_bits(b as u32))).count() as u64
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
+    }
+
     /// The log-domain formula, the reference `quantize` must match bit for
     /// bit.
     fn quantize_reference(set: &Po2Set, x: f32) -> f32 {
@@ -337,25 +430,9 @@ mod tests {
     #[test]
     #[ignore = "exhaustive over 2^32 inputs; run in release"]
     fn quantize_matches_log_domain_on_every_f32() {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
         for set in [Po2Set::default(), Po2Set::new(120, 241).unwrap()] {
-            let span = (1u64 << 32).div_ceil(threads);
-            let mismatches: u64 = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|t| {
-                        s.spawn(move || {
-                            let end = ((t + 1) * span).min(1 << 32);
-                            (t * span..end)
-                                .filter(|&b| {
-                                    let x = f32::from_bits(b as u32);
-                                    set.quantize(x).to_bits()
-                                        != quantize_reference(&set, x).to_bits()
-                                })
-                                .count() as u64
-                        })
-                    })
-                    .collect();
-                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            let mismatches = count_on_every_f32(|x| {
+                set.quantize(x).to_bits() != quantize_reference(&set, x).to_bits()
             });
             assert_eq!(mismatches, 0, "{set:?}");
         }
@@ -440,5 +517,10 @@ mod tests {
     fn invalid_construction() {
         assert!(Po2Set::new(0, 0).is_err());
         assert!(Po2Set::new(-100, 60).is_err());
+        // A hostile count would wrap to -1 as an i32 and pass a narrower
+        // range check.
+        assert!(Po2Set::new(0, u32::MAX).is_err());
+        assert!(Po2Set::new(120, 1 << 31).is_err());
+        assert!(Po2Set::new(120, 241).is_ok() && Po2Set::new(120, 242).is_err());
     }
 }

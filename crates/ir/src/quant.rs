@@ -91,11 +91,16 @@ impl QuantTensor {
                 reason: format!("scale {scale} must be finite and positive"),
             });
         }
-        let qmax = ((1i32 << (bits - 1)) - 1) as i8;
-        if let Some(&q) = data.iter().find(|&&q| q > qmax || q < -qmax) {
-            return Err(IrError::InvalidDescriptor {
-                reason: format!("code {q} exceeds the {bits}-bit signed range ±{qmax}"),
-            });
+        let qmax = ((1i32 << (bits - 1)) - 1) as u8;
+        // One branch-free pass over the codes (it vectorizes); the first
+        // offender is looked for only once the pass has failed.
+        let widest = data.iter().fold(0, |m, &q| m.max(q.unsigned_abs()));
+        if widest > qmax {
+            if let Some(q) = data.iter().find(|q| q.unsigned_abs() > qmax) {
+                return Err(IrError::InvalidDescriptor {
+                    reason: format!("code {q} exceeds the {bits}-bit signed range ±{qmax}"),
+                });
+            }
         }
         Ok(QuantTensor { shape, data, scale, bits })
     }
@@ -202,6 +207,24 @@ mod tests {
     fn invalid_bits_rejected() {
         assert!(QuantTensor::quantize(&t(vec![1.0]), 1).is_err());
         assert!(QuantTensor::quantize(&t(vec![1.0]), 9).is_err());
+    }
+
+    #[test]
+    fn from_parts_names_the_first_out_of_range_code() {
+        // 4-bit codes span ±7; -8 and 12 both exceed it, -8 comes first.
+        let err = QuantTensor::from_parts(vec![5], vec![7, -7, -8, 0, 12], 1.0, 4).unwrap_err();
+        assert_eq!(
+            err,
+            IrError::InvalidDescriptor {
+                reason: "code -8 exceeds the 4-bit signed range ±7".into()
+            }
+        );
+        // At 8 bits only -128 is out of range, wherever it sits.
+        let mut data = vec![127i8; 4096];
+        data[4000] = -128;
+        let err = QuantTensor::from_parts(vec![4096], data, 1.0, 8).unwrap_err();
+        assert!(err.to_string().contains("code -128 exceeds the 8-bit"), "{err}");
+        assert!(QuantTensor::from_parts(vec![2], vec![127, -127], 1.0, 8).is_ok());
     }
 
     #[test]

@@ -32,8 +32,11 @@ impl SeSlice {
                 ),
             });
         }
-        for (i, &v) in ce.data().iter().enumerate() {
-            if !po2.contains(v) {
+        // One branch-free pass (it vectorizes); the first offender is looked
+        // for only once the pass has failed.
+        if !ce.data().iter().fold(true, |all, &v| all & po2.contains(v)) {
+            if let Some(i) = ce.data().iter().position(|&v| !po2.contains(v)) {
+                let v = ce.data()[i];
                 return Err(IrError::InvalidPo2 {
                     reason: format!("Ce element {i} = {v} is not in Ω_P"),
                 });
@@ -178,9 +181,19 @@ impl SeLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::LayoutMismatch`] if the slice count differs from
-    /// the layout's expectation or the per-unit row counts do not add up.
+    /// Returns [`IrError::LayoutMismatch`] if the layout has a zero FC
+    /// width or zero slices per unit, the slice count differs from the
+    /// layout's expectation, or the per-unit row counts do not add up.
     pub fn new(layout: SeLayout, po2: Po2Set, slices: Vec<SeSlice>) -> Result<Self> {
+        let (per_unit, width) = match layout {
+            SeLayout::ConvPerFilter { slices_per_filter, .. } => (slices_per_filter, 1),
+            SeLayout::FcPerRow { slices_per_row, width, .. } => (slices_per_row, width),
+        };
+        if per_unit == 0 || width == 0 {
+            return Err(IrError::LayoutMismatch {
+                reason: format!("{layout:?} has a zero width or slices-per-unit count"),
+            });
+        }
         if slices.len() != layout.expected_slices() {
             return Err(IrError::LayoutMismatch {
                 reason: format!(
@@ -190,10 +203,6 @@ impl SeLayer {
                 ),
             });
         }
-        let per_unit = match layout {
-            SeLayout::ConvPerFilter { slices_per_filter, .. } => slices_per_filter,
-            SeLayout::FcPerRow { slices_per_row, .. } => slices_per_row,
-        };
         let rows_per_unit = layout.rows_per_unit();
         for unit in slices.chunks(per_unit) {
             let rows: usize = unit.iter().map(|s| s.ce().rows()).sum();
@@ -312,6 +321,21 @@ mod tests {
     }
 
     #[test]
+    fn slice_names_the_first_non_member() {
+        // Members (0, ±1, 2^-6) surround three non-members: 2.0 (above
+        // max_exp) is the first, then a NaN and 0.3.
+        let ce = Mat::from_rows(&[&[0.0, -1.0, 0.015_625], &[2.0, f32::NAN, 0.3]]).unwrap();
+        assert_eq!(
+            SeSlice::new(ce, Mat::identity(3), &po2()).unwrap_err(),
+            IrError::InvalidPo2 { reason: "Ce element 3 = 2 is not in Ω_P".into() }
+        );
+        let mut ce = Mat::zeros(64, 3);
+        ce.set(50, 2, 2.0f32.powi(-7));
+        let err = SeSlice::new(ce, Mat::identity(3), &po2()).unwrap_err();
+        assert!(err.to_string().contains("Ce element 152 = 0.0078125 is not"), "{err}");
+    }
+
+    #[test]
     fn slice_rejects_shape_mismatch() {
         let ce = Mat::zeros(4, 2);
         assert!(matches!(
@@ -382,6 +406,27 @@ mod tests {
             vec![slice(3, 1.0)],
         );
         assert!(matches!(r, Err(IrError::LayoutMismatch { .. })));
+    }
+
+    #[test]
+    fn layer_rejects_zero_width_and_zero_slices_per_unit() {
+        let fc = |width, slices_per_row| SeLayout::FcPerRow {
+            out_features: 1,
+            in_features: 3,
+            width,
+            slices_per_row,
+        };
+        let conv = SeLayout::ConvPerFilter {
+            out_channels: 0,
+            in_channels: 1,
+            kernel: 3,
+            slices_per_filter: 0,
+        };
+        for layout in [fc(0, 1), fc(3, 0), conv] {
+            let slices = if layout.expected_slices() == 0 { vec![] } else { vec![slice(1, 1.0)] };
+            let r = SeLayer::new(layout, po2(), slices);
+            assert!(matches!(r, Err(IrError::LayoutMismatch { .. })), "{layout:?}");
+        }
     }
 
     #[test]

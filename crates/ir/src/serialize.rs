@@ -120,6 +120,12 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// Reserves room for at least `additional` more bytes, so a writer
+    /// that knows its output size (see [`layer_trace_len`]) grows once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consumes the writer, returning the accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -191,19 +197,17 @@ impl ByteWriter {
     /// Appends an `f32` slice as consecutive bit patterns (no length
     /// prefix; the element count comes from the surrounding layout).
     pub fn put_f32_slice(&mut self, v: &[f32]) {
-        self.buf.reserve(v.len() * 4);
-        for &x in v {
-            self.put_f32(x);
+        let start = self.buf.len();
+        self.buf.resize(start + v.len() * 4, 0);
+        for (out, x) in self.buf[start..].chunks_exact_mut(4).zip(v) {
+            out.copy_from_slice(&x.to_le_bytes());
         }
     }
 
     /// Appends an `i8` slice as consecutive two's-complement bytes (no
     /// length prefix).
     pub fn put_i8_slice(&mut self, v: &[i8]) {
-        self.buf.reserve(v.len());
-        for &x in v {
-            self.buf.push(x as u8);
-        }
+        self.buf.extend(v.iter().map(|&x| x as u8));
     }
 }
 
@@ -572,6 +576,56 @@ fn narrow_codes(po2: &Po2Set) -> bool {
     po2.code_bits() <= 8
 }
 
+/// The value of every valid `Ce` code of one alphabet. It is built by
+/// calling [`Po2Set::decode`] on each code, so a lookup matches `decode`
+/// bit for bit by construction; a code past the table still goes through
+/// `decode`, so an invalid code fails with `decode`'s own error.
+struct CeTable {
+    po2: Po2Set,
+    /// `values[c] = po2.decode(c)` for the `valid` codes; zero padding to
+    /// at least 256 entries lets a byte index it without a bounds check.
+    values: Vec<f32>,
+    valid: usize,
+}
+
+impl CeTable {
+    fn new(po2: &Po2Set) -> Result<Self> {
+        let valid = 2 * po2.count() as usize + 1;
+        let mut values = vec![0.0; valid.max(256)];
+        for (code, v) in (0u16..).zip(&mut values[..valid]) {
+            *v = po2.decode(code)?;
+        }
+        Ok(CeTable { po2: *po2, values, valid })
+    }
+
+    fn lookup(&self, code: u16) -> Result<f32> {
+        match self.values[..self.valid].get(usize::from(code)) {
+            Some(&v) => Ok(v),
+            None => self.po2.decode(code),
+        }
+    }
+
+    /// Decodes a run of `len` codes, taking its bytes with one bounds
+    /// check: a truncated run is reported before any code is checked.
+    fn read(&self, r: &mut ByteReader<'_>, len: usize) -> Result<Vec<f32>> {
+        if !narrow_codes(&self.po2) {
+            let bytes = r.take(len.checked_mul(2).ok_or_else(|| err("Ce volume overflow"))?)?;
+            return bytes
+                .chunks_exact(2)
+                .map(|c| self.lookup(u16::from_le_bytes([c[0], c[1]])))
+                .collect();
+        }
+        let bytes = r.take(len)?;
+        // One branch-free pass finds the largest code; only a run holding
+        // an invalid one takes the per-code path, which stops at the first.
+        if usize::from(bytes.iter().fold(0, |m, &b| m.max(b))) >= self.valid {
+            return bytes.iter().map(|&b| self.lookup(u16::from(b))).collect();
+        }
+        let lut: &[f32; 256] = self.values[..256].try_into().expect("table has 256 entries");
+        Ok(bytes.iter().map(|&b| lut[usize::from(b)]).collect())
+    }
+}
+
 /// Writes one [`SeSlice`] against its owning layer's alphabet: `Ce`
 /// dimensions, the `Ce` entries as [`Po2Set::encode`] codes (one byte per
 /// code for alphabets of at most 8 code bits, two otherwise), then the
@@ -586,13 +640,20 @@ pub fn write_se_slice(w: &mut ByteWriter, slice: &SeSlice, po2: &Po2Set) -> Resu
     let ce = slice.ce();
     w.put_u32(dim_u32(ce.rows(), "Ce rows")?);
     w.put_u32(dim_u32(ce.cols(), "Ce cols")?);
-    let narrow = narrow_codes(po2);
-    for &v in ce.data() {
-        let code = po2.encode(v)?;
-        if narrow {
-            w.put_u8(u8::try_from(code).expect("code fits 8 bits by alphabet width"));
-        } else {
-            w.put_u16(code);
+    let data = ce.data();
+    // One branch-free membership pass; only a failing slice is encoded
+    // code by code, which stops at the first non-member.
+    if !data.iter().fold(true, |all, &v| all & po2.contains(v)) {
+        for &v in data {
+            po2.encode(v)?;
+        }
+    }
+    if narrow_codes(po2) {
+        w.buf.extend(data.iter().map(|&v| po2.member_code(v) as u8));
+    } else {
+        w.reserve(data.len() * 2);
+        for &v in data {
+            w.put_u16(po2.member_code(v));
         }
     }
     write_mat(w, slice.basis())
@@ -606,20 +667,16 @@ pub fn write_se_slice(w: &mut ByteWriter, slice: &SeSlice, po2: &Po2Set) -> Resu
 /// Returns [`IrError::Serialize`] on malformed input, or the underlying
 /// decode/validation error.
 pub fn read_se_slice(r: &mut ByteReader<'_>, po2: &Po2Set) -> Result<SeSlice> {
+    read_se_slice_with(r, &CeTable::new(po2)?)
+}
+
+fn read_se_slice_with(r: &mut ByteReader<'_>, table: &CeTable) -> Result<SeSlice> {
     let rows = r.get_u32()? as usize;
     let cols = r.get_u32()? as usize;
     let len = rows.checked_mul(cols).ok_or_else(|| err("Ce volume overflow"))?;
-    let narrow = narrow_codes(po2);
-    // Capacity is capped by the bytes actually present so a corrupted count
-    // cannot trigger a giant allocation; truncation errors out on read.
-    let mut data = Vec::with_capacity(len.min(r.remaining()));
-    for _ in 0..len {
-        let code = if narrow { u16::from(r.get_u8()?) } else { r.get_u16()? };
-        data.push(po2.decode(code)?);
-    }
-    let ce = Mat::from_vec(data, rows, cols).map_err(IrError::from)?;
+    let ce = Mat::from_vec(table.read(r, len)?, rows, cols).map_err(IrError::from)?;
     let basis = read_mat(r)?;
-    SeSlice::new(ce, basis, po2)
+    SeSlice::new(ce, basis, &table.po2)
 }
 
 const LAYOUT_CONV_PER_FILTER: u8 = 0;
@@ -699,10 +756,11 @@ pub fn read_se_layer(r: &mut ByteReader<'_>) -> Result<SeLayer> {
     let po2 = read_po2(r)?;
     let layout = read_se_layout(r)?;
     let n = r.get_u32()? as usize;
+    let table = CeTable::new(&po2)?;
     // No reservation: a hostile count must not size an allocation.
     let mut slices = Vec::new();
     for _ in 0..n {
-        slices.push(read_se_slice(r, &po2)?);
+        slices.push(read_se_slice_with(r, &table)?);
     }
     SeLayer::new(layout, po2, slices)
 }
@@ -762,6 +820,39 @@ pub fn write_layer_trace(w: &mut ByteWriter, trace: &LayerTrace) -> Result<()> {
     write_layer_desc(w, trace.desc())?;
     write_weight_data(w, trace.weights())?;
     write_quant_tensor(w, trace.input())
+}
+
+/// The exact number of bytes [`write_layer_trace`] writes for `trace`, so
+/// an encoder can size its buffer once instead of growing it by copies.
+pub fn layer_trace_len(trace: &LayerTrace) -> usize {
+    let desc = trace.desc();
+    let dims = match desc.kind() {
+        LayerKind::Conv2d { .. } => 5,
+        LayerKind::DepthwiseConv2d { .. } => 4,
+        LayerKind::Linear { .. } | LayerKind::SqueezeExcite { .. } => 2,
+    };
+    // Name, kind tag and dimensions, input (H, W).
+    let desc_len = 4 + desc.name().len() + 1 + 4 * dims + 8;
+    // Rank, dims, code bits, scale, codes.
+    let quant_len = |q: &QuantTensor| 1 + 4 * q.shape().len() + 1 + 4 + q.len();
+    let weights_len = match trace.weights() {
+        WeightData::Dense(q) => quant_len(q),
+        WeightData::Se(layers) => {
+            let layer_len = |l: &SeLayer| {
+                let width = if narrow_codes(l.po2()) { 1 } else { 2 };
+                // Ce rows and cols, codes, basis rows and cols, floats.
+                let slices: usize = l
+                    .slices()
+                    .iter()
+                    .map(|s| 8 + s.ce().data().len() * width + 8 + 4 * s.basis().data().len())
+                    .sum();
+                // Alphabet, layout tag and fields, slice count.
+                8 + 17 + 4 + slices
+            };
+            4 + layers.iter().map(layer_len).sum::<usize>()
+        }
+    };
+    desc_len + 1 + weights_len + quant_len(trace.input())
 }
 
 /// Reads a [`LayerTrace`] written by [`write_layer_trace`], re-validating
@@ -955,18 +1046,88 @@ mod tests {
     }
 
     #[test]
+    fn layer_trace_len_is_the_written_length() {
+        let wide = Po2Set::new(60, 180).unwrap();
+        let ce = Mat::from_rows(&[&[2.0f32.powi(-100)], &[2.0]]).unwrap();
+        let slice = SeSlice::new(ce, Mat::from_fn(1, 2, |_, j| j as f32), &wide).unwrap();
+        let layer = SeLayer::new(
+            SeLayout::FcPerRow { out_features: 1, in_features: 4, width: 2, slices_per_row: 1 },
+            wide,
+            vec![slice],
+        )
+        .unwrap();
+        let desc =
+            LayerDesc::new("fc", LayerKind::Linear { in_features: 4, out_features: 1 }, (1, 1));
+        let x = QuantTensor::quantize(&Tensor::full(&[4], 0.5), 8).unwrap();
+        let wide_trace = LayerTrace::new(desc, WeightData::Se(vec![layer]), x).unwrap();
+        for trace in [sample_dense_trace(), sample_se_trace(), wide_trace] {
+            let mut w = ByteWriter::new();
+            write_layer_trace(&mut w, &trace).unwrap();
+            assert_eq!(layer_trace_len(&trace), w.len(), "{}", trace.desc().name());
+        }
+    }
+
+    /// Alphabets of every narrow code width and a spread of exponents.
+    fn narrow_alphabets() -> impl Iterator<Item = Po2Set> {
+        (2..=8).flat_map(|bits| {
+            [120, 60, 0, -50].into_iter().filter_map(move |e| Po2Set::with_bits(e, bits).ok())
+        })
+    }
+
+    #[test]
+    fn ce_table_decodes_every_byte_like_po2_decode() {
+        let mut seen = 0;
+        for po2 in narrow_alphabets() {
+            assert!(narrow_codes(&po2), "{po2:?}");
+            seen += 1;
+            let table = CeTable::new(&po2).unwrap();
+            let bytes: Vec<u8> = (0..=255).collect();
+            for &b in &bytes {
+                let want = po2.decode(u16::from(b)).map(f32::to_bits);
+                let got = table.lookup(u16::from(b));
+                assert_eq!(got.map(f32::to_bits), want, "{po2:?} code {b}");
+                // A one-code run through the reader: the same value or error.
+                let one = table.read(&mut ByteReader::new(&[b]), 1);
+                assert_eq!(one.map(|v| v[0].to_bits()), want, "{po2:?} {b}");
+            }
+            // The whole byte range as one run fails on the first bad code.
+            let first_bad = po2.decode(2 * po2.count() as u16 + 1).unwrap_err();
+            assert_eq!(table.read(&mut ByteReader::new(&bytes), 256).unwrap_err(), first_bad);
+        }
+        assert!(seen >= 20, "only {seen} alphabets");
+    }
+
+    #[test]
+    fn ce_run_truncation_is_reported_before_its_codes() {
+        let po2 = Po2Set::default();
+        let table = CeTable::new(&po2).unwrap();
+        // An invalid code (15) inside a run that is two bytes short.
+        let err = table.read(&mut ByteReader::new(&[1, 15, 3]), 5).unwrap_err();
+        assert!(matches!(err, IrError::Serialize { .. }), "{err}");
+        let err = table.read(&mut ByteReader::new(&[1, 15, 3]), 3).unwrap_err();
+        assert!(matches!(err, IrError::InvalidPo2 { .. }), "{err}");
+    }
+
+    #[test]
     fn wide_alphabet_uses_u16_codes() {
         // count = 180 > 127 exponents: codes exceed one byte.
         let po2 = Po2Set::new(60, 180).unwrap();
         assert!(po2.code_bits() > 8);
-        let ce = Mat::from_rows(&[&[2.0f32.powi(-100), 0.0, 2.0f32.powi(60)]]).unwrap();
+        let ce = Mat::from_rows(&[&[2.0f32.powi(-100), 0.0, -2.0f32.powi(60)]]).unwrap();
         let slice = SeSlice::new(ce, Mat::from_fn(3, 2, |i, j| (i + j) as f32), &po2).unwrap();
         let mut w = ByteWriter::new();
         write_se_slice(&mut w, &slice, &po2).unwrap();
         let bytes = w.into_bytes();
+        assert_eq!(&bytes[8..14], &[65, 1, 0, 0, 2, 0], "u16 LE codes 321, 0, 2");
         let mut r = ByteReader::new(&bytes);
         assert_eq!(read_se_slice(&mut r, &po2).unwrap(), slice);
         r.expect_end().unwrap();
+        // Past the byte range, the table still agrees with `decode`.
+        let table = CeTable::new(&po2).unwrap();
+        for code in 0..=400 {
+            let want = po2.decode(code).map(f32::to_bits);
+            assert_eq!(table.lookup(code).map(f32::to_bits), want, "code {code}");
+        }
     }
 
     #[test]

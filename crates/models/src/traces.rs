@@ -319,6 +319,12 @@ pub fn encode_trace_pairs(net_name: &str, digest: u64, pairs: &[TracePair]) -> R
     w.put_str(net_name)?;
     w.put_u64(digest);
     w.put_u32(pairs.len() as u32);
+    w.reserve(
+        pairs
+            .iter()
+            .map(|p| 8 + ser::layer_trace_len(&p.dense) + ser::layer_trace_len(&p.se))
+            .sum(),
+    );
     for pair in pairs {
         w.put_u64(pair.layer_index as u64);
         ser::write_layer_trace(&mut w, &pair.dense)?;

@@ -1,0 +1,199 @@
+//! Hostile-input properties of the `.setrace` decoder: a damaged artifact
+//! (truncated, bit-flipped, or with a length field blown up to a huge
+//! count) must decode to `Ok` or `Err`, never panic or abort on a giant
+//! allocation.
+
+use proptest::prelude::*;
+use se_ir::serialize::ByteReader;
+use se_ir::{Dataset, IrError, LayerDesc, LayerKind, NetworkDesc, Po2Set};
+use se_models::traces::{decode_trace_pairs, encode_trace_pairs, trace_pairs, TraceOptions};
+use se_models::ModelError;
+use std::sync::OnceLock;
+
+/// A small real artifact plus the offsets of its `u32` fields and of its
+/// `Ce` code bytes, with each code's alphabet size.
+struct Fixture {
+    bytes: Vec<u8>,
+    u32_fields: Vec<usize>,
+    ce_codes: Vec<(usize, u32)>,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let conv = |name: &str, in_channels, out_channels| {
+            let kind =
+                LayerKind::Conv2d { in_channels, out_channels, kernel: 3, stride: 1, padding: 1 };
+            LayerDesc::new(name, kind, (6, 6))
+        };
+        let net = NetworkDesc::new(
+            "hostile",
+            Dataset::Cifar10,
+            vec![
+                conv("c1", 3, 4),
+                LayerDesc::new(
+                    "dw",
+                    LayerKind::DepthwiseConv2d { channels: 4, kernel: 3, stride: 1, padding: 1 },
+                    (6, 6),
+                ),
+                LayerDesc::new("fc", LayerKind::Linear { in_features: 4, out_features: 5 }, (1, 1)),
+            ],
+        )
+        .unwrap();
+        let pairs = trace_pairs(&net, &TraceOptions::fast().with_fc_layers()).unwrap();
+        let bytes = encode_trace_pairs(net.name(), 7, &pairs).unwrap();
+        let mut walk = Walk {
+            r: ByteReader::new(&bytes),
+            len: bytes.len(),
+            u32_fields: Vec::new(),
+            ce_codes: Vec::new(),
+        };
+        walk.file();
+        assert_eq!(walk.r.remaining(), 0, "the walk covers the whole artifact");
+        assert!(!walk.ce_codes.is_empty());
+        assert!(walk.ce_codes.iter().all(|&(_, valid)| valid < 256), "one-byte codes only");
+        Fixture { u32_fields: walk.u32_fields, ce_codes: walk.ce_codes, bytes }
+    })
+}
+
+/// Steps through an artifact along the layout of docs/TRACE_FORMAT.md,
+/// recording where each `u32` field and each `Ce` code sits.
+struct Walk<'a> {
+    r: ByteReader<'a>,
+    len: usize,
+    u32_fields: Vec<usize>,
+    ce_codes: Vec<(usize, u32)>,
+}
+
+impl Walk<'_> {
+    fn pos(&self) -> usize {
+        self.len - self.r.remaining()
+    }
+
+    fn u32(&mut self) -> usize {
+        self.u32_fields.push(self.pos());
+        self.r.get_u32().unwrap() as usize
+    }
+
+    fn skip(&mut self, n: usize) {
+        self.r.get_i8_vec(n).unwrap();
+    }
+
+    fn file(&mut self) {
+        self.skip(7); // magic, version, payload kind
+        let name = self.u32();
+        self.skip(name + 8); // name, options digest
+        for _ in 0..self.u32() {
+            self.skip(8); // layer index
+            self.layer_trace();
+            self.layer_trace();
+        }
+    }
+
+    fn layer_trace(&mut self) {
+        let name = self.u32();
+        self.skip(name);
+        let dims = match self.r.get_u8().unwrap() {
+            0 => 5,
+            1 => 4,
+            _ => 2,
+        };
+        for _ in 0..dims + 2 {
+            self.u32(); // kind dimensions, input H and W
+        }
+        if self.r.get_u8().unwrap() == 0 {
+            self.quant_tensor();
+        } else {
+            for _ in 0..self.u32() {
+                self.se_layer();
+            }
+        }
+        self.quant_tensor();
+    }
+
+    fn quant_tensor(&mut self) {
+        let rank = self.r.get_u8().unwrap();
+        let volume: usize = (0..rank).map(|_| self.u32()).product();
+        self.skip(5 + volume); // code bits, scale, codes
+    }
+
+    fn se_layer(&mut self) {
+        let max_exp = self.r.get_i32().unwrap();
+        let count = self.u32() as u32;
+        let narrow = Po2Set::new(max_exp, count).unwrap().code_bits() <= 8;
+        self.skip(1); // layout tag
+        for _ in 0..4 {
+            self.u32();
+        }
+        for _ in 0..self.u32() {
+            let codes = self.u32() * self.u32();
+            let width = if narrow { 1 } else { 2 };
+            let start = self.pos();
+            self.ce_codes.extend((0..codes).map(|i| (start + i * width, 2 * count + 1)));
+            self.skip(codes * width);
+            let basis = self.u32() * self.u32();
+            self.skip(4 * basis);
+        }
+    }
+}
+
+#[test]
+fn the_undamaged_fixture_decodes() {
+    let f = fixture();
+    let file = decode_trace_pairs(&f.bytes).unwrap();
+    assert_eq!(file.pairs.len(), 3);
+    assert!(f.u32_fields.len() > 50, "{} u32 fields", f.u32_fields.len());
+}
+
+#[test]
+fn every_u32_field_at_its_edge_values_never_panics() {
+    let f = fixture();
+    for &at in &f.u32_fields {
+        for v in [0, 1, u32::MAX] {
+            let mut bytes = f.bytes.clone();
+            bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            let _ = decode_trace_pairs(&bytes);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn truncation_is_an_error(cut in 0..fixture().bytes.len()) {
+        prop_assert!(decode_trace_pairs(&fixture().bytes[..cut]).is_err());
+    }
+
+    #[test]
+    fn a_flipped_byte_never_panics(at in 0..fixture().bytes.len(), mask in 1u16..256) {
+        let mut bytes = fixture().bytes.clone();
+        bytes[at] ^= mask as u8;
+        let _ = decode_trace_pairs(&bytes);
+    }
+
+    #[test]
+    fn a_huge_count_never_panics_or_aborts(
+        field in 0..fixture().u32_fields.len(),
+        count in (1u32 << 24)..u32::MAX,
+        max in any::<bool>(),
+    ) {
+        let mut bytes = fixture().bytes.clone();
+        let at = fixture().u32_fields[field];
+        let count = if max { u32::MAX } else { count };
+        bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        let _ = decode_trace_pairs(&bytes);
+    }
+
+    #[test]
+    fn a_ce_code_outside_the_alphabet_is_invalid_po2(
+        code in 0..fixture().ce_codes.len(),
+        byte in any::<u8>(),
+    ) {
+        let (at, valid) = fixture().ce_codes[code];
+        let mut bytes = fixture().bytes.clone();
+        bytes[at] = (valid + u32::from(byte) % (256 - valid)) as u8;
+        let err = decode_trace_pairs(&bytes).unwrap_err();
+        prop_assert!(matches!(err, ModelError::Ir(IrError::InvalidPo2 { .. })), "{err}");
+    }
+}
