@@ -19,7 +19,8 @@ pub struct Flags {
     /// `--models a,b,c`: restrict to a subset of model names.
     pub models: Option<Vec<String>>,
     /// `--sim-parallelism N`: worker threads for the `(layer, accelerator)`
-    /// simulation grid (see `se_bench::runner`). Results are bit-identical
+    /// simulation grid (see `se_bench::runner`) and for `se cluster`'s
+    /// five lanes (one job per lane). Results are bit-identical
     /// for every value; absent means the default (the `SE_PARALLELISM`
     /// environment variable, else all cores).
     pub sim_parallelism: Option<usize>,

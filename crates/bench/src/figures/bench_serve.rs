@@ -163,10 +163,12 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
 
     writeln!(out, "se bench serve: wall-clock serving benchmark, {} requests/config\n", requests)?;
 
-    // One recorded stream (trace pid) per config.
-    let mut recording = Recording::new(flags);
-    let mut configs = Vec::new();
-    let mut rows = Vec::new();
+    // The grid's configs, each with its spec, its stream (one per
+    // instance count) and its service tables (one set per batch cap), the
+    // last two as indices into `streams` and `tables`.
+    let tables: Vec<Vec<ModelService>> = max_batches.iter().map(|&b| services(b)).collect();
+    let mut streams = Vec::new();
+    let mut grid: Vec<(Config, ClusterSpec, usize, usize)> = Vec::new();
     for &instances in &instance_counts {
         // Arrival pressure scales with capacity so every instance count
         // sees the same per-instance load.
@@ -188,11 +190,9 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         let churns: &[&str] =
             if instances > 1 && last_arrival > 0 { &["none", "kill-restart"] } else { &["none"] };
         for &router in &routers {
-            for &max_batch in &max_batches {
-                let services = services(max_batch);
+            for (table, &max_batch) in max_batches.iter().enumerate() {
                 for &churn in churns {
                     for memory in ["flat", "tiered"] {
-                        let config = Config { instances, router, max_batch, churn, memory };
                         let spec = ClusterSpec {
                             instances,
                             router,
@@ -204,32 +204,45 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                                 _ => kill_restart(last_arrival),
                             },
                         };
-                        se_core::se_info!("  bench: {config}...");
-                        // The clock times the simulation alone.
-                        let (wall_ms, report) = recording.run(&config, |sink| -> Result<_> {
-                            let start = Instant::now();
-                            let report =
-                                simulate_cluster_run_obs(&stream, &services, &spec, sink)?.report;
-                            Ok((start.elapsed().as_secs_f64() * 1e3, report))
-                        })?;
-                        if !report.conserves(stream.len()) {
-                            return Err(format!(
-                                "request conservation violated at {config}: {} completed + {} \
-                                 rejected + {} lost != {} submitted",
-                                report.completed(),
-                                report.rejected,
-                                report.lost,
-                                stream.len()
-                            )
-                            .into());
-                        }
-                        rows.push(summary_row(&config, wall_ms, &report, freq));
-                        configs.push(config_json(&config, &spec, wall_ms, &report, freq));
+                        let config = Config { instances, router, max_batch, churn, memory };
+                        grid.push((config, spec, streams.len(), table));
                     }
                 }
             }
         }
+        streams.push(stream);
     }
+
+    // One job and one recorded stream (trace pid) per config, on one
+    // worker: each config's wall clock must time its simulation alone,
+    // with no other config competing for the cores.
+    let labels: Vec<&Config> = grid.iter().map(|(config, ..)| config).collect();
+    let mut recording = Recording::new(flags);
+    let results = recording.run_ordered(&labels, 1, |i, sink| {
+        let (config, spec, stream, table) = &grid[i];
+        let (stream, services) = (&streams[*stream], &tables[*table]);
+        se_core::se_info!("  bench: {config}...");
+        // The clock times the simulation alone.
+        let start = Instant::now();
+        let report = simulate_cluster_run_obs(stream, services, spec, sink)?.report;
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        if !report.conserves(stream.len()) {
+            return Err(format!(
+                "request conservation violated at {config}: {} completed + {} rejected + {} \
+                 lost != {} submitted",
+                report.completed(),
+                report.rejected,
+                report.lost,
+                stream.len()
+            )
+            .into());
+        }
+        Ok((
+            summary_row(config, wall_ms, &report, freq),
+            config_json(config, spec, wall_ms, &report, freq),
+        ))
+    })?;
+    let (rows, configs): (Vec<Vec<String>>, Vec<Json>) = results.into_iter().unzip();
 
     writeln!(
         out,

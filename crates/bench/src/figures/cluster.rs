@@ -18,10 +18,13 @@
 //! footprints thrash, showing up as fewer weight fetches and higher
 //! goodput at equal buffer size.
 //!
-//! Per-image simulation replays `--traces-dir` artifacts when present;
-//! the cluster itself is a serial discrete-event loop, so the whole
-//! report is **bit-identical for every worker count** given the same
-//! flags (`docs/SERVING.md`).
+//! Per-image simulation replays `--traces-dir` artifacts when present.
+//! The five lanes then run as independent jobs on up to
+//! `--sim-parallelism` workers (`SE_PARALLELISM` by default), each lane
+//! a serial discrete-event loop with its own event sink; rows, churn and
+//! tier lines and recorded streams are assembled in lane order, so the
+//! whole report and both exports are **bit-identical for every worker
+//! count** given the same flags (`docs/SERVING.md`).
 
 use crate::args::Flags;
 use crate::figures::latency;
@@ -30,7 +33,7 @@ use crate::{cli, runner, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
 use se_obs::EventKind;
-use se_serve::cluster::{ClusterSpec, ModelService, RouterPolicy};
+use se_serve::cluster::{ClusterReport, ClusterSpec, ModelService, RouterPolicy};
 use se_serve::workload::{self, ArrivalPattern};
 use se_serve::{BatchEngine, ACCEL_NAMES, SE_LANE};
 use std::io::Write;
@@ -190,105 +193,57 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     let rate = flags.rate.unwrap_or_else(|| 1.5 * spec.instances as f64 * freq / mean_se_exec1);
     let stream = workload::request_stream(requests, rate, freq, pattern, models.len(), deadline)?;
 
-    // Replay the same stream against every lane, one recorded stream
-    // (trace pid) per lane; the virtual-time stream — and so the exported
-    // bytes — is identical at any worker count.
+    // Replay the same stream against every lane that supports every
+    // model, one job per lane on the simulation workers and one recorded
+    // stream (trace pid) per lane. Each lane's loop is serial and the
+    // results come back in lane order, so the virtual-time streams — and
+    // so stdout and the exported bytes — are identical at any worker
+    // count.
+    let lanes: Vec<usize> = (0..ACCEL_NAMES.len())
+        .filter(|&lane| per_model.iter().all(|runs| runs[lane].is_some()))
+        .collect();
+    let labels: Vec<&str> = lanes.iter().map(|&lane| ACCEL_NAMES[lane]).collect();
     let mut recording = Recording::new(flags);
+    let mut outputs = recording
+        .run_ordered(&labels, opts.sim_parallelism, |i, sink| {
+            let lane = lanes[i];
+            let services: Vec<ModelService> = models
+                .iter()
+                .zip(&per_model)
+                .map(|(net, runs)| {
+                    let run = runs[lane].as_ref().expect("the lane supports every model");
+                    ModelService::from_engine(&engine, lane, net.name(), run, spec.policy.max_batch)
+                })
+                .collect();
+            let report =
+                se_serve::cluster::simulate_cluster_run_obs(&stream, &services, &spec, sink)?
+                    .report;
+            Ok(lane_output(
+                ACCEL_NAMES[lane],
+                &report,
+                &spec,
+                deadline.is_some(),
+                freq,
+                stream.len(),
+            ))
+        })?
+        .into_iter();
     let mut rows = Vec::new();
     let mut churn_lines: Vec<String> = Vec::new();
     let mut tier_lines: Vec<String> = Vec::new();
     for (lane, lane_name) in ACCEL_NAMES.iter().enumerate() {
-        let services: Option<Vec<ModelService>> = models
-            .iter()
-            .zip(&per_model)
-            .map(|(net, runs)| {
-                runs[lane].as_ref().map(|r| {
-                    ModelService::from_engine(&engine, lane, net.name(), r, spec.policy.max_batch)
-                })
-            })
-            .collect();
-        let Some(services) = services else {
+        if !lanes.contains(&lane) {
             rows.push(
                 std::iter::once((*lane_name).to_string())
                     .chain(std::iter::repeat_n("n/a".to_string(), 13))
                     .collect(),
             );
             continue;
-        };
-        let report = recording
-            .run(lane_name, |sink| {
-                se_serve::cluster::simulate_cluster_run_obs(&stream, &services, &spec, sink)
-            })?
-            .report;
-        let (missed, miss_pct) =
-            latency::miss_cells(deadline.map(|_| report.misses), report.completed());
-        let [p50, p95, p99] = latency::percentile_cells(&report.latencies, freq);
-        rows.push(vec![
-            (*lane_name).to_string(),
-            report.completed().to_string(),
-            report.rejected.to_string(),
-            missed,
-            miss_pct,
-            format!("{:.1}", report.goodput_per_s(freq)),
-            p50,
-            p95,
-            p99,
-            report.residency.fetches.to_string(),
-            format!("{:.2}", report.residency.bytes_fetched as f64 / (1024.0 * 1024.0)),
-            report.residency.evictions.to_string(),
-            report.rerouted.to_string(),
-            report.lost.to_string(),
-        ]);
-        // Tier-free runs print nothing here: stdout stays byte-identical
-        // to a build without the tiered store. The lane table's columns
-        // never change (CI's awk scripts index them by position) — tier
-        // traffic goes on its own gated lines.
-        if let Some(tiers) = &spec.tiers {
-            for (t, stats) in tiers.iter().zip(&report.tier_traffic) {
-                tier_lines.push(format!(
-                    "  {}: tier {}: hits {}, promotions {}, demotions {}, evictions {}, \
-                     up {:.2} MB, down {:.2} MB",
-                    lane_name,
-                    t.name,
-                    stats.hits,
-                    stats.promotions,
-                    stats.demotions,
-                    stats.evictions,
-                    stats.bytes_up as f64 / (1024.0 * 1024.0),
-                    stats.bytes_down as f64 / (1024.0 * 1024.0),
-                ));
-            }
         }
-        if !spec.faults.is_empty() {
-            for e in &report.events {
-                let (word, instance, detail) = match e.kind {
-                    EventKind::InstanceKilled { instance, in_flight, rerouted, lost } => (
-                        "kill",
-                        instance,
-                        format!(" (in-flight {in_flight}, rerouted {rerouted}, lost {lost})"),
-                    ),
-                    EventKind::InstanceRestarted { instance } => {
-                        ("restart", instance, String::new())
-                    }
-                    EventKind::InstanceSpawned { instance } => ("spawn", instance, String::new()),
-                    EventKind::InstanceDraining { instance } => ("drain", instance, String::new()),
-                    _ => continue,
-                };
-                churn_lines.push(format!(
-                    "  {lane_name}: {word} inst {instance} @ {} cycles{detail}",
-                    e.at
-                ));
-            }
-            churn_lines.push(format!(
-                "  {}: accounting: {} completed + {} rejected + {} lost == {} submitted ({})",
-                lane_name,
-                report.completed(),
-                report.rejected,
-                report.lost,
-                stream.len(),
-                if report.conserves(stream.len()) { "ok" } else { "VIOLATED" }
-            ));
-        }
+        let output = outputs.next().expect("one output per supported lane");
+        rows.push(output.row);
+        tier_lines.extend(output.tier_lines);
+        churn_lines.extend(output.churn_lines);
     }
     writeln!(out, "cluster serving, all lanes on the same request stream:")?;
     writeln!(
@@ -334,4 +289,92 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
          (SE_PARALLELISM / --sim-parallelism) given the same flags."
     )?;
     recording.write()
+}
+
+/// One lane's share of the report: its table row and its gated tier and
+/// churn lines.
+struct LaneOutput {
+    row: Vec<String>,
+    tier_lines: Vec<String>,
+    churn_lines: Vec<String>,
+}
+
+/// Renders one lane's run; `submitted` is the stream length the churn
+/// accounting line checks conservation against.
+fn lane_output(
+    lane_name: &str,
+    report: &ClusterReport,
+    spec: &ClusterSpec,
+    deadlines: bool,
+    freq: f64,
+    submitted: usize,
+) -> LaneOutput {
+    let (missed, miss_pct) =
+        latency::miss_cells(deadlines.then_some(report.misses), report.completed());
+    let [p50, p95, p99] = latency::percentile_cells(&report.latencies, freq);
+    let row = vec![
+        lane_name.to_string(),
+        report.completed().to_string(),
+        report.rejected.to_string(),
+        missed,
+        miss_pct,
+        format!("{:.1}", report.goodput_per_s(freq)),
+        p50,
+        p95,
+        p99,
+        report.residency.fetches.to_string(),
+        format!("{:.2}", report.residency.bytes_fetched as f64 / (1024.0 * 1024.0)),
+        report.residency.evictions.to_string(),
+        report.rerouted.to_string(),
+        report.lost.to_string(),
+    ];
+    // Tier-free runs print nothing here: stdout stays byte-identical to a
+    // build without the tiered store. The lane table's columns never
+    // change (CI's awk scripts index them by position) — tier traffic
+    // goes on its own gated lines.
+    let mut tier_lines = Vec::new();
+    if let Some(tiers) = &spec.tiers {
+        for (t, stats) in tiers.iter().zip(&report.tier_traffic) {
+            tier_lines.push(format!(
+                "  {}: tier {}: hits {}, promotions {}, demotions {}, evictions {}, \
+                 up {:.2} MB, down {:.2} MB",
+                lane_name,
+                t.name,
+                stats.hits,
+                stats.promotions,
+                stats.demotions,
+                stats.evictions,
+                stats.bytes_up as f64 / (1024.0 * 1024.0),
+                stats.bytes_down as f64 / (1024.0 * 1024.0),
+            ));
+        }
+    }
+    let mut churn_lines = Vec::new();
+    if !spec.faults.is_empty() {
+        for e in &report.events {
+            let (word, instance, detail) = match e.kind {
+                EventKind::InstanceKilled { instance, in_flight, rerouted, lost } => (
+                    "kill",
+                    instance,
+                    format!(" (in-flight {in_flight}, rerouted {rerouted}, lost {lost})"),
+                ),
+                EventKind::InstanceRestarted { instance } => ("restart", instance, String::new()),
+                EventKind::InstanceSpawned { instance } => ("spawn", instance, String::new()),
+                EventKind::InstanceDraining { instance } => ("drain", instance, String::new()),
+                _ => continue,
+            };
+            churn_lines
+                .push(format!("  {lane_name}: {word} inst {instance} @ {} cycles{detail}", e.at));
+        }
+        churn_lines.push(format!(
+            "  {}: accounting: {} completed + {} rejected + {} lost == {} submitted ({})",
+            lane_name,
+            report.completed(),
+            report.rejected,
+            report.lost,
+            submitted,
+            if report.conserves(submitted) { "ok" } else { "VIOLATED" }
+        ));
+    }
+    LaneOutput { row, tier_lines, churn_lines }
 }

@@ -98,9 +98,13 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     )?;
     writeln!(out)?;
 
-    // One recorded stream (trace pid) per model.
+    // One job and one recorded stream (trace pid) per model, on one
+    // worker: `runner::run_se_model` already spreads each model's
+    // simulation over the workers.
+    let names: Vec<&str> = models.iter().map(NetworkDesc::name).collect();
     let mut recording = Recording::new(flags);
-    for net in models {
+    let tables = recording.run_ordered(&names, 1, |i, sink| {
+        let net = &models[i];
         se_core::se_info!("  serving {}...", net.name());
         let per_image = runner::run_se_model(net, &opts, flags.traces_dir.as_deref())?;
         let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
@@ -111,27 +115,23 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             &per_image,
             spec.policy.max_batch,
         )];
-        let report = recording
-            .run(net.name(), |sink| match arrival {
-                Some(pattern) => {
-                    // Default pressure: 1.5x the single-image service rate —
-                    // enough to keep the aggregator busy without unbounded
-                    // queueing at sane max-batch settings.
-                    let rate =
-                        flags.rate.unwrap_or_else(|| 1.5 * freq / services[0].streamed[0] as f64);
-                    let stream: Vec<Request> =
-                        workload::open_loop_arrivals(requests, rate, freq, pattern)?
-                            .into_iter()
-                            .map(|arrival| Request { model: 0, arrival, deadline: None })
-                            .collect();
-                    cluster::simulate_cluster_run_obs(&stream, &services, &spec, sink)
-                }
-                None => {
-                    cluster::simulate_closed_loop(requests, concurrency, &services, &spec, sink)
-                }
-            })?
-            .report;
-
+        let report = match arrival {
+            Some(pattern) => {
+                // Default pressure: 1.5x the single-image service rate —
+                // enough to keep the aggregator busy without unbounded
+                // queueing at sane max-batch settings.
+                let rate =
+                    flags.rate.unwrap_or_else(|| 1.5 * freq / services[0].streamed[0] as f64);
+                let stream: Vec<Request> =
+                    workload::open_loop_arrivals(requests, rate, freq, pattern)?
+                        .into_iter()
+                        .map(|arrival| Request { model: 0, arrival, deadline: None })
+                        .collect();
+                cluster::simulate_cluster_run_obs(&stream, &services, &spec, sink)
+            }
+            None => cluster::simulate_closed_loop(requests, concurrency, &services, &spec, sink),
+        }?
+        .report;
         // Energy and weight-traffic totals from the executed batch mix
         // (`hist[k - 1]` counts the batches of exactly `k` images).
         let mut hist = vec![0u64; spec.policy.max_batch];
@@ -185,8 +185,10 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             vec!["energy mJ/img".into(), format!("{:.4}", energy_mj / completed)],
             vec!["wgt DRAM B/img".into(), format!("{:.1}", weight_dram / completed)],
         ];
-        writeln!(out, "{}", net.name())?;
-        writeln!(out, "{}", table::render(&["metric", "value"], &rows))?;
+        Ok(format!("{}\n{}\n", net.name(), table::render(&["metric", "value"], &rows)))
+    })?;
+    for table in tables {
+        write!(out, "{table}")?;
     }
     writeln!(
         out,

@@ -74,7 +74,7 @@ pub fn write_export(path: &Path, content: &str) -> crate::Result<()> {
 /// `se cluster` and `se bench serve`: each run narrates its scheduling
 /// decisions into one labelled stream (one trace pid per stream) when an
 /// export was asked for, and into a disabled sink, which builds no
-/// events, otherwise.
+/// events, otherwise. Runs fan out through [`Recording::run_ordered`].
 pub(crate) struct Recording<'a> {
     trace_out: Option<&'a Path>,
     metrics_out: Option<&'a Path>,
@@ -91,16 +91,45 @@ impl<'a> Recording<'a> {
         }
     }
 
-    /// Runs `f` with this recording's sink and keeps what it emitted as
-    /// the stream `label`.
-    pub fn run<T>(&mut self, label: impl Display, f: impl FnOnce(&mut dyn EventSink) -> T) -> T {
-        if self.trace_out.is_none() && self.metrics_out.is_none() {
-            return f(&mut NullSink);
+    /// Runs `f(i, sink)` for every `labels[i]` on up to `workers` threads
+    /// ([`se_core::pipeline::try_run_ordered`]), each job with its own
+    /// sink: a fresh [`Recorder`] when an export was asked for, a
+    /// [`NullSink`] otherwise. Results come back, and each job's events
+    /// are kept as the stream of its label, in label order, so the
+    /// exports are the same bytes at any worker count.
+    ///
+    /// # Errors
+    ///
+    /// The failure of the lowest-indexed failing job (a serial run's
+    /// error); nothing is recorded then.
+    pub fn run_ordered<L, T>(
+        &mut self,
+        labels: &[L],
+        workers: usize,
+        f: impl Fn(usize, &mut dyn EventSink) -> crate::Result<T> + Sync,
+    ) -> crate::Result<Vec<T>>
+    where
+        L: Display + Sync,
+        T: Send,
+    {
+        let record = self.trace_out.is_some() || self.metrics_out.is_some();
+        let runs =
+            se_core::pipeline::try_run_ordered(labels, workers, |i, _| -> crate::Result<_> {
+                if !record {
+                    return Ok((f(i, &mut NullSink)?, None));
+                }
+                let mut recorder = Recorder::new();
+                let out = f(i, &mut recorder)?;
+                Ok((out, Some(recorder.into_events())))
+            })?;
+        let mut results = Vec::with_capacity(runs.len());
+        for (label, (out, events)) in labels.iter().zip(runs) {
+            if let Some(events) = events {
+                self.streams.push((label.to_string(), events));
+            }
+            results.push(out);
         }
-        let mut recorder = Recorder::new();
-        let result = f(&mut recorder);
-        self.streams.push((label.to_string(), recorder.into_events()));
-        result
+        Ok(results)
     }
 
     /// Renders the recorded streams into whichever exports were asked

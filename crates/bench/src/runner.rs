@@ -95,9 +95,9 @@ pub struct RunnerOptions {
     pub se_cfg: SeAcceleratorConfig,
     /// Baseline resources.
     pub baseline_cfg: BaselineConfig,
-    /// Worker threads draining the `(layer, accelerator)` simulation grid
-    /// (results are bit-identical for every value). Defaults to the trace
-    /// generator's worker count.
+    /// Worker threads draining the `(layer, accelerator)` simulation grid,
+    /// and `se cluster`'s lane jobs (results are bit-identical for every
+    /// value). Defaults to the trace generator's worker count.
     pub sim_parallelism: usize,
 }
 

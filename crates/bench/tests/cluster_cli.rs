@@ -61,20 +61,42 @@ fn cluster_flags() -> Flags {
     }
 }
 
+/// `se cluster`'s stdout and its `--trace-out` and `--metrics-out` bytes
+/// at `workers` simulation workers.
+fn cluster_run(flags: &Flags, models: &[NetworkDesc], workers: usize) -> (String, [Vec<u8>; 2]) {
+    let path = |ext: &str| {
+        std::env::temp_dir().join(format!("se-cluster-run-{}-{workers}.{ext}", std::process::id()))
+    };
+    let (trace, metrics) = (path("json"), path("prom"));
+    let flags = Flags {
+        sim_parallelism: Some(workers),
+        trace_out: Some(trace.clone()),
+        metrics_out: Some(metrics.clone()),
+        ..flags.clone()
+    };
+    let stdout = cluster_output(&flags, models);
+    let exports = [std::fs::read(&trace).unwrap(), std::fs::read(&metrics).unwrap()];
+    std::fs::remove_file(&trace).unwrap();
+    std::fs::remove_file(&metrics).unwrap();
+    (stdout, exports)
+}
+
 #[test]
 fn cluster_output_is_bit_identical_across_worker_counts() {
     let models = model_set();
     let base = cluster_flags();
-    let serial = cluster_output(&Flags { sim_parallelism: Some(1), ..base.clone() }, &models);
+    let (serial, serial_exports) = cluster_run(&base, &models, 1);
     assert!(serial.contains("SmartExchange"), "{serial}");
     assert!(serial.contains("weight footprint per model"), "{serial}");
     assert!(serial.contains("goodput img/s"), "{serial}");
     let scnn_row = serial.lines().find(|l| l.trim_start().starts_with("SCNN")).unwrap();
     assert!(scnn_row.contains("n/a"), "SCNN lane must be n/a on the squeeze-excite mix");
-    for workers in [4usize, 8] {
-        let parallel =
-            cluster_output(&Flags { sim_parallelism: Some(workers), ..base.clone() }, &models);
+    // The four supported lanes run one job each: two and three workers
+    // split them unevenly, four and eight leave workers idle.
+    for workers in [2usize, 3, 4, 8] {
+        let (parallel, exports) = cluster_run(&base, &models, workers);
         assert_eq!(serial, parallel, "workers = {workers}");
+        assert!(exports == serial_exports, "export bytes, workers = {workers}");
     }
     // Every router and the no-deadline / no-buffer paths stay
     // deterministic too.

@@ -6,11 +6,12 @@
 //! results **in item order**, which makes the parallel output bit-identical
 //! to a serial run: every job's work happens on exactly one thread with
 //! exactly the same inputs regardless of the worker count, and only the
-//! reassembly order is fixed, not the completion order. Three subsystems
+//! reassembly order is fixed, not the completion order. Four subsystems
 //! ride this queue: whole-network compression (the [`LayerJob`] batch of
-//! this module), trace generation (`se-models`), and the five-accelerator
+//! this module), trace generation (`se-models`), the five-accelerator
 //! simulation grid (`se-serve`'s `BatchEngine`, behind `se-bench`'s
-//! comparison figures).
+//! comparison figures), and `se-bench`'s recorded serving runs (one job
+//! per `se cluster` lane).
 //!
 //! SmartExchange compresses each layer independently — the decomposition
 //! of Algorithm 1 never looks across layers — so whole-network compression

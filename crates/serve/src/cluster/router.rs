@@ -2,8 +2,8 @@
 //!
 //! A router decides, at each request's arrival, which instance's queue it
 //! joins. Decisions are pure functions of the request sequence number, the
-//! target model, and a deterministic snapshot of per-instance state
-//! ([`InstanceView`]) taken by the serial event loop — ties always break
+//! target model, and deterministic per-instance state ([`InstanceView`])
+//! read by the serial event loop — ties always break
 //! toward the lowest instance index — so a routed trace is bit-identical
 //! across runs and worker counts.
 
@@ -70,20 +70,36 @@ impl RouterPolicy {
     /// Returns `None` when no instance accepts (the whole cluster is
     /// down), in which case the arrival is rejected.
     pub fn route(&self, seq: u64, model: usize, views: &[InstanceView]) -> Option<usize> {
-        let accepting: Vec<usize> = (0..views.len()).filter(|&i| views[i].accepting).collect();
-        if accepting.is_empty() {
-            return None;
-        }
-        let shortest = |candidates: &mut dyn Iterator<Item = usize>| -> Option<usize> {
-            candidates.min_by_key(|&i| (views[i].queued, i))
+        self.route_over(seq, model, views.len(), |i| views[i])
+    }
+
+    /// [`RouterPolicy::route`] over `instances` views produced on demand by
+    /// `view(i)`: the scheduler routes straight off its instances, with no
+    /// snapshot collected and nothing allocated.
+    pub(crate) fn route_over(
+        &self,
+        seq: u64,
+        model: usize,
+        instances: usize,
+        view: impl Fn(usize) -> InstanceView,
+    ) -> Option<usize> {
+        let accepting = || (0..instances).filter(|&i| view(i).accepting);
+        // The `n`-th accepting instance, counting modulo their number.
+        let nth = |n: u64| {
+            let count = accepting().count() as u64;
+            (count > 0).then(|| accepting().nth((n % count) as usize)).flatten()
+        };
+        let shortest = |resident_only: bool| {
+            (0..instances)
+                .map(|i| (i, view(i)))
+                .filter(|(_, v)| v.accepting && (v.resident || !resident_only))
+                .min_by_key(|&(i, v)| (v.queued, i))
+                .map(|(i, _)| i)
         };
         match self {
-            RouterPolicy::RoundRobin => Some(accepting[(seq % accepting.len() as u64) as usize]),
-            RouterPolicy::JoinShortestQueue => shortest(&mut accepting.iter().copied()),
-            RouterPolicy::ModelAffinity => Some(
-                shortest(&mut accepting.iter().copied().filter(|&i| views[i].resident))
-                    .unwrap_or(accepting[model % accepting.len()]),
-            ),
+            RouterPolicy::RoundRobin => nth(seq),
+            RouterPolicy::JoinShortestQueue => shortest(false),
+            RouterPolicy::ModelAffinity => shortest(true).or_else(|| nth(model as u64)),
         }
     }
 }

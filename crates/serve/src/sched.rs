@@ -11,8 +11,9 @@
 //!
 //! The core advances a *virtual* clock: `ClusterCore::admit` routes one
 //! arrival into an instance queue (or bounces it off the cap),
-//! `ClusterCore::launch_next` forms and launches the earliest pending
-//! batch, whose completion time is known at launch (execution latencies
+//! `ClusterCore::launch` forms and launches the earliest pending batch
+//! (the `Launch` that `ClusterCore::pending_launch` found and the driver
+//! chose), whose completion time is known at launch (execution latencies
 //! come from pre-computed batch tables), and
 //! `ClusterCore::apply_next_fault` fires the next scripted membership
 //! change ([`crate::fault::FaultPlan`]): a kill re-routes the dead
@@ -162,6 +163,16 @@ impl Instance {
     }
 }
 
+/// A batch launch the scheduler found pending: `instance` starts a batch
+/// of `model` at cycle `start`. The drivers read it to order the launch
+/// against arrivals and faults, then hand it to [`ClusterCore::launch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Launch {
+    pub start: u64,
+    pub instance: usize,
+    pub model: usize,
+}
+
 /// The incremental cluster scheduler: instance queues, weight buffers,
 /// batch formation, and scripted churn, advanced one admission, launch,
 /// or fault at a time, each counted into the run's report as it is made.
@@ -236,21 +247,25 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         self.spec.faults.events.get(self.fault_cursor).map(|e| e.at)
     }
 
-    /// The earliest pending launch across the cluster as `(start,
-    /// instance)` — ties break toward the lowest instance index — or
-    /// `None` when every live queue is empty. Killed instances never
-    /// launch; draining ones still flush their queues.
-    pub(crate) fn next_launch(&self) -> Option<(u64, usize)> {
+    /// The earliest pending launch across the cluster — ties break toward
+    /// the lowest instance index — or `None` when every live queue is
+    /// empty. Killed instances never launch; draining ones still flush
+    /// their queues. A driver hands the launch it chose back to
+    /// [`ClusterCore::launch`].
+    pub(crate) fn pending_launch(&self) -> Option<Launch> {
         self.instances
             .iter()
             .enumerate()
             .filter(|(_, inst)| inst.up)
-            .filter_map(|(i, inst)| inst.next_batch(&self.spec.policy).map(|(start, _)| (start, i)))
-            .min()
+            .filter_map(|(instance, inst)| {
+                let (start, model) = inst.next_batch(&self.spec.policy)?;
+                Some(Launch { start, instance, model })
+            })
+            .min_by_key(|l| (l.start, l.instance))
     }
 
-    /// Routes one arrival: snapshot the instances, ask the policy, join or
-    /// bounce off the bounded queue. Returns `false` when rejected (full
+    /// Routes one arrival: ask the policy over the instances' current
+    /// state, join or bounce off the bounded queue. Returns `false` when rejected (full
     /// target queue, or no accepting instance), counting the rejection.
     pub(crate) fn admit(&mut self, id: usize, req: Request) -> bool {
         let admitted = self.enqueue(Queued { id, req, enqueued_at: req.arrival }, req.arrival);
@@ -267,8 +282,21 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
     /// the queue at (arrival or kill cycle).
     fn enqueue(&mut self, mut item: Queued, now: u64) -> bool {
         self.autoscale_spawn(now);
-        let views = self.views(item.req.model);
-        let Some(target) = self.spec.router.route(item.id as u64, item.req.model, &views) else {
+        let model = item.req.model;
+        let instances = &self.instances;
+        let view = |i: usize| {
+            let inst = &instances[i];
+            InstanceView {
+                queued: inst.waiting,
+                // Routing sees top-tier residency only: a model parked in
+                // a lower tier still pays a promotion walk.
+                resident: inst.store.as_ref().is_some_and(|store| store.is_resident_top(model)),
+                accepting: inst.accepting,
+            }
+        };
+        let Some(target) =
+            self.spec.router.route_over(item.id as u64, model, instances.len(), view)
+        else {
             return false;
         };
         let inst = &mut self.instances[target];
@@ -287,19 +315,6 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             self.emit(now, EventKind::QueueDepth { instance: target, depth });
         }
         true
-    }
-
-    fn views(&self, model: usize) -> Vec<InstanceView> {
-        self.instances
-            .iter()
-            .map(|inst| InstanceView {
-                queued: inst.waiting,
-                // Routing sees top-tier residency only: a model parked in
-                // a lower tier still pays a promotion walk.
-                resident: inst.store.as_ref().is_some_and(|store| store.is_resident_top(model)),
-                accepting: inst.accepting,
-            })
-            .collect()
     }
 
     /// The first unapplied kill of `instance` strictly before `done`, if
@@ -429,15 +444,15 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         }
     }
 
-    /// Forms and launches the earliest pending batch: admits the model's
-    /// weights, charges the batch (plus any switch fetch), pops the
-    /// members off their queue, records their latencies, and returns the
-    /// batch's `(completion cycle, size)`. A batch overlapping a scripted
-    /// kill of its instance is counted killed and its members are parked
-    /// for re-routing instead of completing. `None` when every live queue
-    /// is empty.
-    pub(crate) fn launch_next(&mut self) -> Option<(u64, usize)> {
-        let (_, idx) = self.next_launch()?;
+    /// Launches the batch `launch` names, which must be the current
+    /// [`ClusterCore::pending_launch`]: admits the model's weights,
+    /// charges the batch (plus any switch fetch), pops the members off
+    /// their queue, records their latencies, and returns the batch's
+    /// `(completion cycle, size)`. A batch overlapping a scripted kill of
+    /// its instance is counted killed and its members are parked for
+    /// re-routing instead of completing.
+    pub(crate) fn launch(&mut self, launch: Launch) -> (u64, usize) {
+        let Launch { start, instance: idx, model } = launch;
         let spec = self.spec;
         let services = self.services;
         let obs_on = self.obs.is_some();
@@ -446,7 +461,6 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         // instance borrow ends.
         let mut tier_notes: Vec<EventKind> = Vec::new();
         let inst = &mut self.instances[idx];
-        let (start, model) = inst.next_batch(&spec.policy)?;
         let queue = &mut inst.queues[model];
         let members: Vec<Queued> = std::iter::from_fn(|| queue.pop_first())
             .take(spec.policy.max_batch)
@@ -454,7 +468,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             .collect();
         let k = members.len();
         inst.waiting -= k;
-        let svc = services.get(model)?;
+        let svc = &services[model];
         let exec = match &mut inst.store {
             None => svc.streamed[k - 1],
             Some(store) => {
@@ -530,7 +544,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             }
         }
         self.autoscale_drain(start);
-        Some((done, k))
+        (done, k)
     }
 
     /// Tears the core down into the run's report: each instance's
@@ -560,6 +574,20 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
     }
 }
 
+#[cfg(test)]
+impl ClusterCore<'_, '_> {
+    /// The pending launch as `(start, instance)`.
+    fn next_launch(&self) -> Option<(u64, usize)> {
+        self.pending_launch().map(|l| (l.start, l.instance))
+    }
+
+    /// Launches the pending batch, if any, as `(completion cycle, size)`.
+    fn launch_next(&mut self) -> Option<(u64, usize)> {
+        let launch = self.pending_launch()?;
+        Some(self.launch(launch))
+    }
+}
+
 /// Drives `core` over an **open-loop** arrival stream (pre-stamped `(id,
 /// request)` pairs in non-decreasing arrival order) to a full drain, in
 /// the canonical order: a scripted fault due at or before the next
@@ -576,10 +604,10 @@ where
     let mut it = arrivals.into_iter();
     let mut pending = it.next();
     loop {
-        let next_launch = core.next_launch();
+        let next_launch = core.pending_launch();
         if let Some(fault_at) = core.next_fault_at() {
             let beats_arrival = pending.is_none_or(|(_, req)| fault_at <= req.arrival);
-            let beats_launch = next_launch.is_none_or(|(start, _)| fault_at <= start);
+            let beats_launch = next_launch.is_none_or(|l| fault_at <= l.start);
             if beats_arrival && beats_launch {
                 core.apply_next_fault();
                 continue;
@@ -590,12 +618,12 @@ where
             // Arrivals landing before (or exactly when) the next batch
             // closes are admitted first — they may fill a batch and pull
             // its start in.
-            (Some((id, req)), nl) if nl.is_none_or(|(start, _)| req.arrival <= start) => {
+            (Some((id, req)), nl) if nl.is_none_or(|l| req.arrival <= l.start) => {
                 core.admit(id, req);
                 pending = it.next();
             }
-            (_, Some(_)) => {
-                core.launch_next();
+            (_, Some(launch)) => {
+                core.launch(launch);
             }
             (Some(_), None) => unreachable!("the guard admits arrivals when no launch pends"),
         }
@@ -624,10 +652,9 @@ pub(crate) fn drive_closed_loop(
     let mut pending: VecDeque<u64> = std::iter::repeat_n(0u64, issued).collect();
     let mut next_id = 0usize;
     loop {
-        let next_launch = core.next_launch();
-        match (pending.front().copied(), next_launch) {
+        match (pending.front().copied(), core.pending_launch()) {
             (None, None) => return Ok(()),
-            (Some(arrival), nl) if nl.is_none_or(|(start, _)| arrival <= start) => {
+            (Some(arrival), nl) if nl.is_none_or(|l| arrival <= l.start) => {
                 if !core.admit(next_id, Request { model: 0, arrival, deadline: None }) {
                     return Err(BoxError::from(format!(
                         "closed-loop request {next_id} was rejected at cycle {arrival}: a \
@@ -637,14 +664,13 @@ pub(crate) fn drive_closed_loop(
                 pending.pop_front();
                 next_id += 1;
             }
-            (_, Some(_)) => {
+            (_, Some(launch)) => {
                 // Each completed request unblocks its client, which
                 // immediately submits the next request.
-                if let Some((done, size)) = core.launch_next() {
-                    let more = size.min(requests - issued);
-                    pending.extend(std::iter::repeat_n(done, more));
-                    issued += more;
-                }
+                let (done, size) = core.launch(launch);
+                let more = size.min(requests - issued);
+                pending.extend(std::iter::repeat_n(done, more));
+                issued += more;
             }
             (Some(_), None) => unreachable!("the guard admits arrivals when no launch pends"),
         }
