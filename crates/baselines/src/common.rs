@@ -1,4 +1,13 @@
 //! Shared baseline resources and trace statistics.
+//!
+//! [`BaselineConfig`] holds the equalised Table V resources and the two
+//! rules every dense baseline shares: input refetch and the layer result on
+//! a multiplier datapath. [`dense_stats`] is the one read of a dense trace
+//! the DianNao, SCNN and Cambricon-X models make: a single pass over the
+//! weights counts each filter's and each input channel's non-zeros at
+//! once, and a single pass over the activations counts each channel's,
+//! both in byte-wide lanes with no per-element division. A baseline job
+//! therefore costs about two scans of its trace.
 
 use se_hw::{HwError, LayerResult, MemCounters, OpCounters, Result};
 use se_ir::{LayerKind, LayerTrace, QuantTensor, WeightData};
@@ -122,11 +131,18 @@ pub struct DenseLayerStats {
 }
 
 /// Extracts dense statistics from a trace (baselines require
-/// [`WeightData::Dense`]).
+/// [`WeightData::Dense`]), in one pass over the weights and one over the
+/// activations.
+///
+/// The weights are `M` filters of equal length. A weight's input channel is
+/// its `R × S` block of the filter on the conv layout `(M, C, R, S)`, and
+/// its column on every other layout, counted only when the column is below
+/// `C` (so a depth-wise filter, whose `C` is 1, counts only its first tap).
 ///
 /// # Errors
 ///
-/// Returns [`HwError::UnsupportedTrace`] for SE-form weights, and
+/// Returns [`HwError::UnsupportedTrace`] for SE-form weights or dense
+/// weights of another size than the layer's parameter count, and
 /// propagates invalid layer geometry.
 pub fn dense_stats(trace: &LayerTrace) -> Result<DenseLayerStats> {
     let desc = trace.desc();
@@ -138,6 +154,16 @@ pub fn dense_stats(trace: &LayerTrace) -> Result<DenseLayerStats> {
             ),
         });
     };
+    if qw.len() as u64 != desc.kind().params() {
+        return Err(HwError::UnsupportedTrace {
+            reason: format!(
+                "layer {} carries {} dense weights where {} are expected",
+                desc.name(),
+                qw.len(),
+                desc.kind().params()
+            ),
+        });
+    }
     let (m, c, kernel) = match *desc.kind() {
         LayerKind::Conv2d { in_channels, out_channels, kernel, .. } => {
             (out_channels, in_channels, kernel)
@@ -151,42 +177,34 @@ pub fn dense_stats(trace: &LayerTrace) -> Result<DenseLayerStats> {
         LayerKind::Linear { .. } => 1,
         _ => e * f,
     };
+    // Weights per input channel within a filter.
+    let per_channel = match desc.kind() {
+        LayerKind::Conv2d { .. } => kernel * kernel,
+        _ => 1,
+    };
     let per_filter = qw.len() / m.max(1);
-    let mut filter_nnz = Vec::with_capacity(m);
-    for fi in 0..m {
-        let nz =
-            qw.data()[fi * per_filter..(fi + 1) * per_filter].iter().filter(|&&x| x != 0).count()
-                as u64;
-        filter_nnz.push(nz);
+    let mut filter_nnz = vec![0u64; m];
+    let mut channel_w_nnz = vec![0u64; c];
+    if per_filter > 0 {
+        for (nnz, filter) in filter_nnz.iter_mut().zip(qw.data().chunks_exact(per_filter)) {
+            *nnz = if per_channel == 1 {
+                for (n, &x) in channel_w_nnz.iter_mut().zip(filter) {
+                    *n += u64::from(x != 0);
+                }
+                nonzeros(filter)
+            } else {
+                let blocks = filter.chunks_exact(per_channel).zip(channel_w_nnz.iter_mut());
+                blocks
+                    .map(|(block, n)| {
+                        let k = nonzeros(block);
+                        *n += k;
+                        k
+                    })
+                    .sum()
+            };
+        }
     }
     let weight_nnz = filter_nnz.iter().sum();
-
-    // Per-input-channel weight non-zeros (conv layout (M, C, R, S)).
-    let mut channel_w_nnz = vec![0u64; c];
-    match desc.kind() {
-        LayerKind::Conv2d { .. } => {
-            let per_chan = kernel * kernel;
-            for fi in 0..m {
-                #[allow(clippy::needless_range_loop)]
-                for ci in 0..c {
-                    let base = fi * per_filter + ci * per_chan;
-                    channel_w_nnz[ci] +=
-                        qw.data()[base..base + per_chan].iter().filter(|&&x| x != 0).count() as u64;
-                }
-            }
-        }
-        _ => {
-            // FC-style: column ci of the (M, C) matrix.
-            for (i, &x) in qw.data().iter().enumerate() {
-                if x != 0 {
-                    let ci = i % per_filter.max(1);
-                    if ci < c {
-                        channel_w_nnz[ci] += 1;
-                    }
-                }
-            }
-        }
-    }
 
     let channel_a_nnz = channel_activation_nnz(trace.input(), c);
     let input_nnz = channel_a_nnz.iter().sum();
@@ -208,13 +226,21 @@ pub fn dense_stats(trace: &LayerTrace) -> Result<DenseLayerStats> {
     })
 }
 
+/// Non-zero codes in `codes`, counted in byte-wide lanes (it vectorizes)
+/// over runs short enough not to overflow them.
+fn nonzeros(codes: &[i8]) -> u64 {
+    let run = |run: &[i8]| run.iter().fold(0u8, |n, &x| n + u8::from(x != 0));
+    codes.chunks(usize::from(u8::MAX)).map(|r| u64::from(run(r))).sum()
+}
+
+/// Non-zero activations of each of `channels` equal slices of `q`.
 fn channel_activation_nnz(q: &QuantTensor, channels: usize) -> Vec<u64> {
     let per = q.len() / channels.max(1);
     (0..channels)
         .map(|ci| {
             let lo = ci * per;
             let hi = ((ci + 1) * per).min(q.len());
-            q.data()[lo..hi].iter().filter(|&&x| x != 0).count() as u64
+            nonzeros(&q.data()[lo..hi])
         })
         .collect()
 }

@@ -1,6 +1,8 @@
 //! Criterion benches for the accelerator simulators: per-layer simulation
-//! throughput for the SmartExchange engine and the four baselines, plus
-//! the serial-vs-parallel five-accelerator comparison grid on a
+//! throughput for the SmartExchange engine and the four baselines on a
+//! 3×3 CONV and on the two MobileNetV2 shapes that dominate a compact
+//! model's simulation time (a 1×1 CONV and a depth-wise CONV at 56×56),
+//! plus the serial-vs-parallel five-accelerator comparison grid on a
 //! repeated-geometry (ResNet164-profile) network.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -13,31 +15,17 @@ use se_models::traces::{self, TraceOptions};
 use se_models::zoo;
 use std::hint::black_box;
 
-fn test_net() -> NetworkDesc {
-    NetworkDesc::new(
-        "bench",
-        Dataset::Cifar10,
-        vec![LayerDesc::new(
-            "c1",
-            LayerKind::Conv2d {
-                in_channels: 64,
-                out_channels: 64,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            (16, 16),
-        )],
-    )
-    .unwrap()
+/// A one-layer network around `kind` at `hw × hw`.
+fn one_layer(name: &str, kind: LayerKind, hw: usize) -> NetworkDesc {
+    NetworkDesc::new("bench", Dataset::Cifar10, vec![LayerDesc::new(name, kind, (hw, hw))]).unwrap()
 }
 
-fn bench_simulators(c: &mut Criterion) {
-    let net = test_net();
+/// Each of the five simulators on one layer's trace pair, as group `group`.
+fn bench_layer(c: &mut Criterion, group: &str, net: &NetworkDesc) {
     let opts = TraceOptions::fast();
-    let traces::TracePair { dense, se, .. } = traces::trace_pair(&net, 0, &opts).unwrap();
+    let traces::TracePair { dense, se, .. } = traces::trace_pair(net, 0, &opts).unwrap();
 
-    let mut group = c.benchmark_group("simulate_conv_64x64x3x3_16x16");
+    let mut group = c.benchmark_group(group);
     group.sample_size(20);
 
     let accel = SeAccelerator::new(SeAcceleratorConfig::default()).unwrap();
@@ -72,6 +60,21 @@ fn bench_simulators(c: &mut Criterion) {
     });
 
     group.finish();
+}
+
+fn bench_simulators(c: &mut Criterion) {
+    let conv = |c, m, k, p| LayerKind::Conv2d {
+        in_channels: c,
+        out_channels: m,
+        kernel: k,
+        stride: 1,
+        padding: p,
+    };
+    bench_layer(c, "simulate_conv_64x64x3x3_16x16", &one_layer("c1", conv(64, 64, 3, 1), 16));
+    // MobileNetV2's stage-2 projection and the depth-wise CONV before it.
+    bench_layer(c, "simulate_pointwise_144x24_56x56", &one_layer("pw", conv(144, 24, 1, 0), 56));
+    let dw = LayerKind::DepthwiseConv2d { channels: 144, kernel: 3, stride: 1, padding: 1 };
+    bench_layer(c, "simulate_depthwise_144x3x3_56x56", &one_layer("dw", dw, 56));
 }
 
 /// Serial vs parallel five-accelerator simulation on a repeated-geometry

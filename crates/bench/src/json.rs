@@ -260,11 +260,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
                 Some((_, 'r')) => out.push('\r'),
                 Some((_, 'u')) => {
                     let hex_at = *pos + offset + 2;
+                    // Exactly four hex digits, inside the string (a sign,
+                    // a short escape or the closing quote is an error).
                     let hex = bytes
-                        .get(hex_at..hex_at + 4)
-                        .and_then(|h| std::str::from_utf8(h).ok())
-                        .ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16).map_err(|e| format!("\\u: {e}"))?;
+                        .get(hex_at..(hex_at + 4).min(end))
+                        .filter(|h| h.len() == 4 && h.iter().all(u8::is_ascii_hexdigit))
+                        .ok_or("\\u escape needs four hex digits")?;
+                    let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+                    let code = u32::from_str_radix(hex, 16).expect("four hex digits fit a u32");
                     out.push(char::from_u32(code).ok_or("\\u escape outside the BMP")?);
                     for _ in 0..4 {
                         chars.next();
@@ -279,17 +282,48 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
     Ok(out)
 }
 
+/// Parses a number of JSON's grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?`
+/// followed by an optional `[eE][+-]?[0-9]+`, whose value is finite.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    let invalid = || format!("invalid number at byte {start}").into();
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("invalid number at byte {start}").into())
+    let int_start = *pos;
+    match digits(pos) {
+        0 => return Err(invalid()),
+        1 => {}
+        _ if bytes[int_start] == b'0' => return Err(invalid()),
+        _ => {}
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(invalid());
+        }
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).expect("the grammar is ASCII");
+    match text.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(value),
+        _ => Err(format!("number at byte {start} is out of range").into()),
+    }
 }
 
 #[cfg(test)]
@@ -342,6 +376,18 @@ mod tests {
     #[test]
     fn malformed_documents_are_rejected_loudly() {
         for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "nul", "1 2", "[1] trailing"] {
+            assert!(Json::parse(bad).is_err(), "must reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (good, value) in
+            [("0", 0.0), ("-0", -0.0), ("12.5", 12.5), ("1e3", 1e3), ("2E-2", 0.02)]
+        {
+            assert_eq!(Json::parse(good).unwrap(), Json::Num(value), "{good}");
+        }
+        for bad in ["+1", ".5", "1.", "01", "-", "1e", "1e+", "--1", "1.2.3", "1e400", "0x10"] {
             assert!(Json::parse(bad).is_err(), "must reject {bad:?}");
         }
     }

@@ -338,7 +338,9 @@ fn invert_event(entry: &Json, ph: &str, pos: usize) -> crate::Result<Event> {
             instance: tid,
             model: arg("model")? as usize,
             size: arg("size")? as usize,
-            done: at + u64_field(entry, "dur", pos)?,
+            done: at
+                .checked_add(u64_field(entry, "dur", pos)?)
+                .ok_or_else(|| format!("trace event #{pos}: `ts` + `dur` overflows the clock"))?,
         },
         "C" => EventKind::QueueDepth { instance: tid, depth: arg("depth")? as usize },
         "i" => match str_field(entry, "name", pos)? {
@@ -431,7 +433,7 @@ fn u64_field(entry: &Json, name: &str, pos: usize) -> crate::Result<u64> {
         .get(name)
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("trace event #{pos}: missing numeric `{name}`"))?;
-    if value < 0.0 || value.fract() != 0.0 || value > u64::MAX as f64 {
+    if !fits_u64(value) {
         return Err(
             format!("trace event #{pos}: `{name}` = {value} is not an unsigned integer").into()
         );
@@ -445,13 +447,19 @@ fn arg_u64(entry: &Json, name: &str, pos: usize) -> crate::Result<u64> {
         .and_then(|a| a.get(name))
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("trace event #{pos}: missing numeric arg `{name}`"))?;
-    if value < 0.0 || value.fract() != 0.0 || value > u64::MAX as f64 {
+    if !fits_u64(value) {
         return Err(format!(
             "trace event #{pos}: arg `{name}` = {value} is not an unsigned integer"
         )
         .into());
     }
     Ok(value as u64)
+}
+
+/// Whether `value` is a whole number a `u64` holds: `u64::MAX as f64`
+/// rounds up to 2^64, which a cast would clamp, so it is out of range.
+fn fits_u64(value: f64) -> bool {
+    value >= 0.0 && value.fract() == 0.0 && value < u64::MAX as f64
 }
 
 fn arg_bool(entry: &Json, name: &str, pos: usize) -> crate::Result<bool> {

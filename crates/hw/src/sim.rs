@@ -47,8 +47,41 @@
 //! to this module), a pure function of the layer geometry and the
 //! configuration fields [`crate::schedule::ScheduleKey::for_config`]
 //! lists. `process_layer` builds one per spatial layer: building costs
-//! O(E·R + F) against the pass's O(E·F·C·R·S), and a process-wide memo of
-//! it measured no faster (see [`crate::schedule`]).
+//! O(E·R + F) against the pass itself, and a process-wide memo of it
+//! measured no faster (see [`crate::schedule`]).
+//!
+//! # Cost of a pass
+//!
+//! A pass costs what the layer's non-zero work costs, not `M × C·R` per
+//! pixel group. The weights are scanned once
+//! ([`se_ir::storage::row_nnz`], which also yields the storage and index
+//! bits) into each filter's list of *active* rows (rows holding a
+//! non-zero) and a per-row count of the filters holding one. Every count
+//! is an integer sum or maximum, so the pass reorders them freely:
+//!
+//! - **Activation side**, O(sampled input rows × taps × F): only the input
+//!   rows some sampled output row reads are converted to serial counts,
+//!   zero-padded so that every tap window is a plain slice. A row's
+//!   switching work over all its windows is one weighted sum
+//!   ([`crate::window::window_sum`]); its cycles are one window maximum
+//!   per (tap, pixel group).
+//! - **Weight side**, O(sampled output rows × active rows), the *active-row
+//!   walk*: per-row work counters (PE work, accumulations) are multiplied
+//!   by the row's filter count instead of being added per filter, and a
+//!   slice's pooled time is summed over its active rows only. CONV rows
+//!   are processed or skipped for a whole output row, so their cycles are
+//!   totalled over the pixel groups first and each filter is walked once
+//!   per output row; 1×1 CONV walks per pixel group (line tiles are
+//!   closed per group), over per-(filter, line tile) bounds found once per
+//!   layer. A tile's slowest slice is `max(ceil(most work / dimC),
+//!   longest row)`, one division per tile.
+//! - Without the index selector (static line ownership, the Bit-pragmatic
+//!   configuration) every filter pays the same line times, so the weight
+//!   side is O(rows), independent of `M`.
+//!
+//! `flat_reference` (a test module) keeps the flat per-(filter, row,
+//! pixel group) loops as an oracle for a property test over random
+//! geometries and configurations.
 
 use crate::window::{self, SerialMode};
 use crate::{
@@ -127,6 +160,9 @@ struct Schedule {
     row_iy: Vec<Option<usize>>,
     /// Output-pixel groups `(f0, nf)` with `nf <= eff_f`.
     f_groups: Vec<(usize, usize)>,
+    /// Convolution stride and zero padding.
+    stride: usize,
+    padding: usize,
     /// Output feature-map height.
     e_out: usize,
     /// Output-channel tiles driving input refetch (`ceil(M / dimM)`; 1 for
@@ -186,7 +222,19 @@ impl Schedule {
         let tile_psums = (cfg.dim_m as u64) * 2 * outputs.div_ceil(cfg.dim_m as u64).max(1);
         let psum_to_gb =
             (tile_psums as f64) <= cfg.output_gb_banks as f64 * cfg.output_gb_bank_kb * 1024.0;
-        Ok(Schedule { e_rows, e_scale, r, row_iy, f_groups, e_out, m_tiles, outputs, psum_to_gb })
+        Ok(Schedule {
+            e_rows,
+            e_scale,
+            r,
+            row_iy,
+            f_groups,
+            stride,
+            padding,
+            e_out,
+            m_tiles,
+            outputs,
+            psum_to_gb,
+        })
     }
 
     /// The input row kernel row `kr` reads at sampled output row index
@@ -208,14 +256,19 @@ impl Schedule {
 
 /// Weight information normalised for the cycle model.
 struct PreparedWeights {
+    /// Filters (output channels, or output neurons of an FC matrix).
+    filters: usize,
     /// Coefficient rows per filter.
     rows_per_filter: usize,
-    /// Non-zeros per coefficient row, `filters × rows_per_filter`,
-    /// row-major by filter. For dense weights every row counts as full.
-    nnz_row: Vec<u16>,
-    /// Per row position: does *any* filter have a non-zero there
-    /// (drives shared activation fetches).
-    any_row: Vec<bool>,
+    /// The rows holding a non-zero coefficient, ascending, filter after
+    /// filter: filter `f` owns `active[starts[f]..starts[f + 1]]`. Dense
+    /// weights keep one list of every row, shared by all filters, and no
+    /// `starts`.
+    active: Vec<u32>,
+    starts: Vec<usize>,
+    /// Per row position: how many filters hold a non-zero there (the
+    /// index selector fetches a row's activations when any filter does).
+    row_filters: Vec<u32>,
     /// DRAM bytes for coefficients+basis (or dense weights).
     weight_bytes: u64,
     /// DRAM bytes for the 1-bit row index (zero for dense).
@@ -229,45 +282,75 @@ struct PreparedWeights {
 }
 
 impl PreparedWeights {
+    /// The rows of `filter` holding a non-zero, ascending.
     #[inline]
-    fn row_nnz(&self, filter: usize, row: usize) -> u16 {
-        self.nnz_row[filter * self.rows_per_filter + row]
+    fn active_rows(&self, filter: usize) -> &[u32] {
+        if self.is_se {
+            &self.active[self.starts[filter]..self.starts[filter + 1]]
+        } else {
+            &self.active
+        }
+    }
+
+    /// The (filter, row) pairs holding a non-zero.
+    fn active_pairs(&self) -> u64 {
+        if self.is_se {
+            self.active.len() as u64
+        } else {
+            (self.filters * self.active.len()) as u64
+        }
+    }
+
+    /// Filters per row that the pass charges: those holding a non-zero
+    /// there with the index selector, every filter without it.
+    #[inline]
+    fn charged_filters(&self, cfg: &SeAcceleratorConfig, row: usize) -> u64 {
+        if cfg.index_select {
+            u64::from(self.row_filters[row])
+        } else {
+            self.filters as u64
+        }
     }
 }
 
 /// Builds [`PreparedWeights`] from an SE layer whose layout units map to
-/// "filters" (works for both `ConvPerFilter` and `FcPerRow`).
+/// "filters" (works for both `ConvPerFilter` and `FcPerRow`), from one scan
+/// of its coefficients ([`se_ir::storage::row_nnz`]).
 fn prepare_se(layer: &SeLayer) -> PreparedWeights {
     let filters = match *layer.layout() {
         SeLayout::ConvPerFilter { out_channels, .. } => out_channels,
         SeLayout::FcPerRow { out_features, .. } => out_features,
     };
     let rows_per_filter = layer.layout().rows_per_unit();
-    let nnz_row: Vec<u16> = layer
-        .slices()
-        .iter()
-        .flat_map(|slice| {
-            let ce = slice.ce();
-            (0..ce.rows()).map(move |r| ce.row(r).iter().filter(|&&x| x != 0.0).count() as u16)
-        })
-        .collect();
-    let mut any_row = vec![false; rows_per_filter];
+    let nnz = se_ir::storage::row_nnz(layer);
+    let s = se_ir::storage::storage_from_row_nnz(layer, &nnz);
+    // Compacted without a data-dependent branch: every row is written,
+    // and the end advances past the rows holding a non-zero.
+    let mut active = vec![0u32; nnz.len()];
+    let mut starts = Vec::with_capacity(filters + 1);
+    let mut row_filters = vec![0u32; rows_per_filter];
+    let mut end = 0;
+    starts.push(0);
     for f in 0..filters {
-        for r in 0..rows_per_filter {
-            if nnz_row[f * rows_per_filter + r] > 0 {
-                any_row[r] = true;
-            }
+        let unit = &nnz[f * rows_per_filter..(f + 1) * rows_per_filter];
+        for ((row, &n), count) in unit.iter().enumerate().zip(row_filters.iter_mut()) {
+            active[end] = row as u32;
+            end += usize::from(n > 0);
+            *count += u32::from(n > 0);
         }
+        starts.push(end);
     }
-    let s = se_ir::storage::se_layer_storage(layer);
+    active.truncate(end);
     PreparedWeights {
+        filters,
         rows_per_filter,
-        nnz_row,
-        any_row,
+        active,
+        starts,
+        row_filters,
         weight_bytes: (s.ce_bits + s.basis_bits).div_ceil(8),
         index_bytes: s.index_bits.div_ceil(8),
         basis_bytes: s.basis_bits.div_ceil(8),
-        total_nnz: layer.nnz() as u64,
+        total_nnz: nnz.iter().map(|&n| u64::from(n)).sum(),
         is_se: true,
     }
 }
@@ -276,9 +359,11 @@ fn prepare_se(layer: &SeLayer) -> PreparedWeights {
 /// (MUX1 path ③): no sparsity metadata, every row processed.
 fn prepare_dense(filters: usize, rows_per_filter: usize, row_len: usize) -> PreparedWeights {
     PreparedWeights {
+        filters,
         rows_per_filter,
-        nnz_row: vec![row_len as u16; filters * rows_per_filter],
-        any_row: vec![true; rows_per_filter],
+        active: (0..rows_per_filter as u32).collect(),
+        starts: Vec::new(),
+        row_filters: vec![filters as u32; rows_per_filter],
         weight_bytes: (filters * rows_per_filter * row_len) as u64,
         index_bytes: 0,
         basis_bytes: 0,
@@ -290,8 +375,8 @@ fn prepare_dense(filters: usize, rows_per_filter: usize, row_len: usize) -> Prep
 /// The weights of a single-part `trace` in cycle-model form, with the
 /// width of the input group one coefficient row covers. An SE layer must
 /// pass `layout`, which returns that width or what is wrong with the
-/// layout for this path; dense weights are `filters × rows` rows of
-/// `row_len`, one input per row position.
+/// layout for this path, and hold one unit per filter; dense weights are
+/// `filters × rows` rows of `row_len`, one input per row position.
 fn prepare_weights(
     trace: &LayerTrace,
     layout: impl FnOnce(&SeLayout) -> std::result::Result<usize, String>,
@@ -303,7 +388,13 @@ fn prepare_weights(
             let group = layout(parts[0].layout()).map_err(|reason| HwError::UnsupportedTrace {
                 reason: format!("layer {name}: {reason}"),
             })?;
-            Ok((prepare_se(&parts[0]), group))
+            let pw = prepare_se(&parts[0]);
+            if pw.filters != filters {
+                return Err(HwError::UnsupportedTrace {
+                    reason: format!("layer {name}: SE units {} do not match {filters}", pw.filters),
+                });
+            }
+            Ok((pw, group))
         }
         WeightData::Se(parts) => Err(HwError::UnsupportedTrace {
             reason: format!("layer {name} carries {} SE parts where 1 is expected", parts.len()),
@@ -329,26 +420,89 @@ fn serial_mode(cfg: &SeAcceleratorConfig) -> SerialMode {
     }
 }
 
-/// Cycles and switching work of one weight row of `steps` taps over the
-/// `nf` output pixels from `f0`: lanes run in lockstep, so a tap costs its
-/// window's slowest lane (a fully-zero window still costs one issue
-/// cycle), while the work is the window's sum.
-fn row_cost(
-    row: &[u8],
-    f0: usize,
-    nf: usize,
-    stride: usize,
-    padding: usize,
-    steps: usize,
-) -> (u64, u64) {
-    let (mut cycles, mut energy) = (0u64, 0u64);
-    for si in 0..steps {
-        let start = (f0 * stride + si) as isize - padding as isize;
-        let (max, sum) = window::window(row, start, stride, nf);
-        cycles += u64::from(max.max(1));
-        energy += u64::from(sum);
+/// The serial counts of the input rows a spatial pass reads (those some
+/// sampled output row's kernel rows land on), each zero-padded so that
+/// every tap window of the pass lies inside it: `padding` zero codes in
+/// front, and enough behind for the last pixel group's last tap. A padding
+/// lane costs nothing, as zero padding does on the hardware. Rows no
+/// sampled output row reads are never converted.
+struct InputRows {
+    counts: Vec<u8>,
+    pitch: usize,
+    /// Per input row `y`: its slot among a channel's converted rows.
+    slot: Vec<usize>,
+    /// Converted rows per channel.
+    per_channel: usize,
+    /// Per padded column: how many lanes read it over one weight row's
+    /// taps and every pixel group.
+    reads: Vec<u32>,
+}
+
+impl InputRows {
+    /// The rows of `trace`'s `c`-channel input for a pass of `steps` taps
+    /// per weight row.
+    fn new(
+        cfg: &SeAcceleratorConfig,
+        trace: &LayerTrace,
+        sched: &Schedule,
+        c: usize,
+        steps: usize,
+    ) -> Self {
+        let (h, w) = trace.desc().input_hw();
+        let (stride, padding) = (sched.stride, sched.padding);
+        let f_out = sched.f_groups.last().map_or(0, |&(f0, nf)| f0 + nf);
+        let reach = f_out.saturating_sub(1) * stride + steps;
+        let pitch = (w + 2 * padding).max(reach).max(1);
+        let mut reads = vec![0u32; pitch];
+        for &(f0, nf) in &sched.f_groups {
+            for si in 0..steps {
+                for lane in 0..nf {
+                    reads[(f0 + lane) * stride + si] += 1;
+                }
+            }
+        }
+        let mut slot = vec![usize::MAX; h];
+        for &iy in sched.row_iy.iter().flatten() {
+            slot[iy] = 0;
+        }
+        let read: Vec<usize> = (0..h).filter(|&iy| slot[iy] == 0).collect();
+        for (i, &iy) in read.iter().enumerate() {
+            slot[iy] = i;
+        }
+        let table = serial_mode(cfg).table();
+        let mut counts = vec![0u8; c * read.len() * pitch];
+        for (ci, rows) in counts.chunks_exact_mut((read.len() * pitch).max(1)).enumerate() {
+            for (dst, &iy) in rows.chunks_exact_mut(pitch).zip(&read) {
+                let src = &trace.input().data()[(ci * h + iy) * w..][..w];
+                for (d, &code) in dst[padding..padding + w].iter_mut().zip(src) {
+                    *d = table[usize::from(code as u8)];
+                }
+            }
+        }
+        InputRows { counts, pitch, slot, per_channel: read.len(), reads }
     }
-    (cycles, energy)
+
+    /// Input row `iy` of channel `ci`, padding included.
+    #[inline]
+    fn row(&self, ci: usize, iy: usize) -> &[u8] {
+        &self.counts[(ci * self.per_channel + self.slot[iy]) * self.pitch..][..self.pitch]
+    }
+
+    /// The switching work of one weight row over input row `iy` of channel
+    /// `ci`: every lane's serial count, summed over the taps and pixel
+    /// groups (a column counts once per lane that reads it).
+    fn work(&self, ci: usize, iy: usize) -> u64 {
+        window::window_sum(self.row(ci, iy), &self.reads)
+    }
+}
+
+/// Cycles of one weight row of `steps` taps over the `nf` output pixels of
+/// the pixel group at padded column `row[0]` (`row` starts at the group's
+/// first tap): lanes run in lockstep, so a tap costs its window's slowest
+/// lane, and a fully-zero window still costs one issue cycle.
+#[inline]
+fn tap_cycles(row: &[u8], nf: usize, stride: usize, steps: usize) -> u64 {
+    (0..steps).map(|si| u64::from(window::window_max(&row[si..], stride, nf).max(1))).sum()
 }
 
 /// Input bytes a spatial pass fetches from DRAM: the `w`-byte rows of the
@@ -444,8 +598,7 @@ fn pass_ops(
 /// Standard CONV path (`R = S > 1`).
 fn conv_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace, sched: &Schedule) -> Result<Pass> {
     let desc = trace.desc();
-    let LayerKind::Conv2d { in_channels: c, out_channels: m, kernel, stride, padding } =
-        *desc.kind()
+    let LayerKind::Conv2d { in_channels: c, out_channels: m, kernel, stride, .. } = *desc.kind()
     else {
         unreachable!("dispatch guarantees Conv2d");
     };
@@ -462,7 +615,7 @@ fn conv_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace, sched: &Schedule) -
         },
         (m, c * r, s),
     )?;
-    let sc = window::serial_counts(trace.input(), serial_mode(cfg));
+    let input = InputRows::new(cfg, trace, sched, c, s);
     let act_nz = window::activation_row_nonzero(trace.input());
 
     let (dim_m, dim_c) = (cfg.dim_m, cfg.dim_c);
@@ -472,96 +625,83 @@ fn conv_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace, sched: &Schedule) -
     let mut gb_in_read: u64 = 0;
     let mut index_compares: u64 = 0;
 
-    // Scratch per (e, f0): row cycle/energy tables over (c, kr), valid
-    // where `processed`.
-    let mut t_row = vec![0u64; c * r];
-    let mut e_row = vec![0u64; c * r];
-    let mut processed = vec![false; c * r];
-
-    // Per-filter pooled work for one output row: the index selector
-    // dispatches (coefficient row, pixel group) pairs from the layer-wide
-    // index to whichever PE line is free, so a slice's work pools across
-    // both the f0 groups and the channels of the output row.
-    let mut slice_work = vec![0u64; m];
-    let mut slice_longest = vec![0u64; m];
+    // Which rows are processed depends on the output row alone, not on the
+    // pixel group, so each (channel, kernel-row) pair is costed over all
+    // groups at once: the index selector dispatches (coefficient row, pixel
+    // group) pairs from the layer-wide index to whichever PE line is free,
+    // so a slice's work pools across both the groups and the channels of
+    // the output row, and its longest single item bounds it from below.
+    let groups = sched.f_groups.len() as u64;
+    // Input bytes and MAC lanes of one row over every pixel group.
+    let seg_bytes: u64 = sched.f_groups.iter().map(|&(_, nf)| ((nf - 1) * stride + s) as u64).sum();
+    let lanes = (s * sched.f_groups.iter().map(|&(_, nf)| nf).sum::<usize>()) as u64;
+    // Per (channel, kernel row) of one output row: cycles summed over the
+    // pixel groups and the longest group, both zero where not processed.
+    let mut t_sum = vec![0u64; c * r];
+    let mut t_max = vec![0u64; c * r];
     let mut line_total = vec![0u64; c];
     for ei in 0..sched.e_rows {
-        slice_work.fill(0);
-        slice_longest.fill(0);
+        t_sum.fill(0);
+        t_max.fill(0);
         line_total.fill(0);
-        for &(f0, nf) in &sched.f_groups {
-            // Phase 1: per-(channel, kernel-row) costs, shared by all slices.
-            for ci in 0..c {
-                for kr in 0..r {
-                    let idx = ci * r + kr;
-                    processed[idx] = false;
-                    // Pure padding row: no hardware iterates it.
-                    let Some(iy) = sched.input_row(ei, kr) else {
+        for (ci, line) in line_total.iter_mut().enumerate() {
+            for kr in 0..r {
+                let idx = ci * r + kr;
+                // Pure padding row: no hardware iterates it.
+                let Some(iy) = sched.input_row(ei, kr) else {
+                    continue;
+                };
+                let row = ci * h + iy;
+                // Index selector: zero activation rows are skipped for
+                // every filter; one compare per considered row and group.
+                if cfg.index_select {
+                    index_compares += groups;
+                    if !act_nz[row] {
                         continue;
-                    };
-                    let row = ci * h + iy;
-                    // Index selector: zero activation rows are skipped for
-                    // every filter; one compare per considered row.
-                    if cfg.index_select {
-                        index_compares += 1;
-                        if !act_nz[row] {
-                            continue;
-                        }
                     }
-                    (t_row[idx], e_row[idx]) =
-                        row_cost(&sc[row * w..][..w], f0, nf, stride, padding, s);
-                    processed[idx] = true;
                 }
-            }
-            // Shared activation fetches: a row segment is read once per
-            // (e, f0) if any filter needs it.
-            let seg_bytes = ((nf - 1) * stride + s) as u64;
-            #[allow(clippy::needless_range_loop)]
-            for idx in 0..c * r {
-                if processed[idx] && (!cfg.index_select || pw.any_row[idx]) {
+                let input_row = input.row(ci, iy);
+                for &(f0, nf) in &sched.f_groups {
+                    let cycles = tap_cycles(&input_row[f0 * stride..], nf, stride, s);
+                    t_sum[idx] += cycles;
+                    t_max[idx] = t_max[idx].max(cycles);
+                }
+                // Shared activation fetches: a row segment is read once per
+                // group if any filter needs it; each filter with a non-zero
+                // there (every filter without the selector) pays the work.
+                if !cfg.index_select || pw.row_filters[idx] > 0 {
                     gb_in_read += seg_bytes;
                 }
-            }
-            // Accumulate pooled work per filter (compacted dispatch) or
-            // per line (static ownership).
-            if cfg.index_select {
-                for fi in 0..m {
-                    for idx in 0..c * r {
-                        if !processed[idx] {
-                            continue;
-                        }
-                        index_compares += 1;
-                        if pw.row_nnz(fi, idx) > 0 {
-                            slice_work[fi] += t_row[idx];
-                            slice_longest[fi] = slice_longest[fi].max(t_row[idx]);
-                            pe_busy += e_row[idx];
-                            acc_adds += (s * nf) as u64;
-                        }
-                    }
-                }
-            } else {
-                // Static line ownership: every filter pays the same line
-                // times (no per-filter skipping hardware).
-                for idx in (0..c * r).filter(|&idx| processed[idx]) {
-                    line_total[idx / r] += t_row[idx];
-                    pe_busy += e_row[idx] * m as u64;
-                    acc_adds += (s * nf * m) as u64;
+                let filters = pw.charged_filters(cfg, idx);
+                pe_busy += input.work(ci, iy) * filters;
+                acc_adds += lanes * filters;
+                if cfg.index_select {
+                    index_compares += groups * m as u64;
+                } else {
+                    *line += t_sum[idx];
                 }
             }
         }
         // Close the output row: slices (filters) run in parallel within an
         // m-tile; m-tiles are sequential passes.
         if cfg.index_select {
+            // A slice takes `max(ceil(work / dim_c), longest item)`; the
+            // rounding is monotone, so the tile's maxima are taken first.
             for m0 in (0..m).step_by(dim_m) {
-                let m_hi = (m0 + dim_m).min(m);
-                let mut tile_max = 0u64;
-                for fi in m0..m_hi {
-                    let t = slice_work[fi].div_ceil(dim_c as u64).max(slice_longest[fi]);
-                    tile_max = tile_max.max(t);
+                let (mut most_work, mut longest) = (0u64, 0u64);
+                for fi in m0..(m0 + dim_m).min(m) {
+                    let mut work = 0u64;
+                    for &idx in pw.active_rows(fi) {
+                        work += t_sum[idx as usize];
+                        longest = longest.max(t_max[idx as usize]);
+                    }
+                    most_work = most_work.max(work);
                 }
-                compute += tile_max;
+                compute += most_work.div_ceil(dim_c as u64).max(longest);
             }
         } else {
+            // Static line ownership: every filter pays the same line times
+            // (no per-filter skipping hardware).
             for lines in line_total.chunks(dim_c) {
                 compute += lines.iter().copied().max().unwrap_or(0) * sched.m_tiles;
             }
@@ -572,24 +712,15 @@ fn conv_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace, sched: &Schedule) -
 
     // Rebuild engine: active coefficient rows are rebuilt once per output
     // row (the rebuilt row stays registered across the f0 tiles).
-    let mut rebuild: u64 = 0;
-    let mut active_row_codes: u64 = 0;
-    if pw.is_se {
-        for fi in 0..m {
-            for idx in 0..c * r {
-                if pw.row_nnz(fi, idx) > 0 {
-                    rebuild += u64::from(pw.row_nnz(fi, idx)) * s as u64;
-                    active_row_codes += s as u64;
-                }
-            }
-        }
-        rebuild *= e_out as u64;
-        active_row_codes *= e_out as u64;
-    }
+    let (rebuild, active_row_codes) = if pw.is_se {
+        (pw.total_nnz * (s * e_out) as u64, pw.active_pairs() * (s * e_out) as u64)
+    } else {
+        (0, 0)
+    };
 
     // Needed input rows: non-zero rows of channels any filter uses.
     let needed_in = needed_input_bytes(cfg, &act_nz, (c, h, w), |ci| {
-        !cfg.index_select || (0..r).any(|kr| pw.any_row[ci * r + kr])
+        !cfg.index_select || (0..r).any(|kr| pw.row_filters[ci * r + kr] > 0)
     });
     let per_filter_bytes = (pw.weight_bytes + pw.index_bytes).div_ceil(m.max(1) as u64);
     let spill = weight_chunking(cfg, per_filter_bytes, sched);
@@ -620,15 +751,14 @@ fn pointwise_layer(
     sched: &Schedule,
 ) -> Result<Pass> {
     let desc = trace.desc();
-    let LayerKind::Conv2d { in_channels: c, out_channels: m, stride, padding, .. } = *desc.kind()
-    else {
+    let LayerKind::Conv2d { in_channels: c, out_channels: m, stride, .. } = *desc.kind() else {
         unreachable!("dispatch guarantees Conv2d");
     };
     let (h, w) = desc.input_hw();
 
     let (pw, group) = prepare_weights(trace, fc_width("1x1 CONV"), (m, c, 1))?;
     let groups = pw.rows_per_filter;
-    let sc = window::serial_counts(trace.input(), serial_mode(cfg));
+    let input = InputRows::new(cfg, trace, sched, c, 1);
     let act_nz = window::activation_row_nonzero(trace.input());
 
     let (dim_m, dim_c) = (cfg.dim_m, cfg.dim_c);
@@ -638,103 +768,115 @@ fn pointwise_layer(
     let mut gb_in_read: u64 = 0;
     let mut index_compares: u64 = 0;
 
-    let mut t_row = vec![0u64; groups];
-    let mut e_row = vec![0u64; groups];
+    // Cycles of each coefficient row's input group at each pixel group of
+    // one output row (`groups` per pixel group), zero where the index
+    // selector skips the group.
+    let mut t_rows = vec![0u64; sched.f_groups.len() * groups];
+    // Per line tile (`dim_c` groups) of an m-tile: the most work and the
+    // longest row any slice pools there.
+    let tiles = groups.div_ceil(dim_c);
+    let mut tile_work = vec![0u64; tiles];
+    let mut tile_longest = tile_work.clone();
+    // Per (filter, line tile): the end of the tile's rows in the filter's
+    // active list.
+    let mut tile_ends = Vec::with_capacity(if cfg.index_select { m * tiles } else { 0 });
+    if cfg.index_select {
+        for fi in 0..m {
+            let rows = pw.active_rows(fi);
+            tile_ends.extend(
+                (1..=tiles).map(|t| {
+                    rows.partition_point(|&g| (g as usize) < t.saturating_mul(dim_c)) as u32
+                }),
+            );
+        }
+    }
+    // Input bytes one input group reads and MAC lanes one input channel
+    // drives, over every pixel group.
+    let seg_bytes: u64 =
+        sched.f_groups.iter().map(|&(_, nf)| (((nf - 1) * stride + 1) * group) as u64).sum();
+    let lanes: u64 = sched.f_groups.iter().map(|&(_, nf)| nf as u64).sum();
+    let pixel_groups = sched.f_groups.len() as u64;
+    let channels = |g: usize| g * group..((g + 1) * group).min(c);
     let mut live = vec![false; groups];
-    let mut lanes = vec![0u64; groups];
-
     for ei in 0..sched.e_rows {
         let Some(iy) = sched.input_row(ei, 0) else {
             continue;
         };
-        for &(f0, nf) in &sched.f_groups {
-            for g in 0..groups {
-                let c_lo = g * group;
-                let c_hi = (c_lo + group).min(c);
-                let mut cycles = 0u64;
-                let mut energy = 0u64;
-                let mut act_live = false;
-                for ci in c_lo..c_hi {
-                    let row = ci * h + iy;
-                    act_live |= act_nz[row];
-                    let (cy, en) = row_cost(&sc[row * w..][..w], f0, nf, stride, padding, 1);
-                    cycles += cy;
-                    energy += en;
-                }
-                if cfg.index_select {
-                    index_compares += 1;
-                }
-                live[g] = !cfg.index_select || act_live;
-                if live[g] {
-                    t_row[g] = cycles;
-                    e_row[g] = energy;
-                    lanes[g] = ((c_hi - c_lo) * nf) as u64;
+        t_rows.fill(0);
+        // Which input groups the index selector keeps (one compare per
+        // group and pixel group, and per filter of a kept one), and the
+        // switching work they cost, depend on the output row alone.
+        for (g, live) in live.iter_mut().enumerate() {
+            *live = !cfg.index_select || channels(g).any(|ci| act_nz[ci * h + iy]);
+            if cfg.index_select {
+                index_compares += pixel_groups * if *live { 1 + m as u64 } else { 1 };
+            }
+            if !*live {
+                continue;
+            }
+            if !cfg.index_select || pw.row_filters[g] > 0 {
+                gb_in_read += seg_bytes;
+            }
+            let filters = pw.charged_filters(cfg, g);
+            acc_adds += channels(g).len() as u64 * lanes * filters;
+            for ci in channels(g) {
+                pe_busy += input.work(ci, iy) * filters;
+                let row = input.row(ci, iy);
+                for (t_row, &(f0, nf)) in t_rows.chunks_exact_mut(groups).zip(&sched.f_groups) {
+                    t_row[g] += tap_cycles(&row[f0 * stride..], nf, stride, 1);
                 }
             }
-            let seg_bytes = (((nf - 1) * stride + 1) * group) as u64;
-            #[allow(clippy::needless_range_loop)]
-            for g in 0..groups {
-                if live[g] && (!cfg.index_select || pw.any_row[g]) {
-                    gb_in_read += seg_bytes;
-                }
-            }
-            for m0 in (0..m).step_by(dim_m) {
-                let m_hi = (m0 + dim_m).min(m);
-                for g0 in (0..groups).step_by(dim_c) {
-                    let g_hi = (g0 + dim_c).min(groups);
-                    let mut tile_max = 0u64;
-                    for fi in m0..m_hi {
-                        let slice_time = if cfg.index_select {
-                            let mut work = 0u64;
-                            let mut longest = 0u64;
-                            for g in g0..g_hi {
-                                if !live[g] {
-                                    continue;
-                                }
-                                index_compares += 1;
-                                if pw.row_nnz(fi, g) > 0 {
-                                    work += t_row[g];
-                                    longest = longest.max(t_row[g]);
-                                    pe_busy += e_row[g];
-                                    acc_adds += lanes[g];
-                                }
-                            }
-                            work.div_ceil(dim_c as u64).max(longest)
-                        } else {
-                            let mut line_max = 0u64;
-                            for g in g0..g_hi {
-                                if !live[g] {
-                                    continue;
-                                }
-                                line_max = line_max.max(t_row[g]);
-                                pe_busy += e_row[g];
-                                acc_adds += lanes[g];
-                            }
-                            line_max
-                        };
-                        tile_max = tile_max.max(slice_time);
+        }
+        for t_row in t_rows.chunks_exact(groups.max(1)) {
+            if cfg.index_select {
+                // A slice finishes a line tile with its busiest line or its
+                // longest row, so the tile's slowest slice takes
+                // `max(ceil(most work / dim_c), longest row)`: the rounding
+                // is monotone, so the maxima can be taken first.
+                for m0 in (0..m).step_by(dim_m) {
+                    tile_work.fill(0);
+                    tile_longest.fill(0);
+                    for fi in m0..(m0 + dim_m).min(m) {
+                        let (rows, ends) = (pw.active_rows(fi), &tile_ends[fi * tiles..]);
+                        pool_rows(rows, ends, t_row, &mut tile_work, &mut tile_longest);
                     }
-                    compute += tile_max;
+                    let times = tile_work.iter().zip(&tile_longest);
+                    compute += times.map(|(&w, &l)| w.div_ceil(dim_c as u64).max(l)).sum::<u64>();
                 }
+            } else {
+                // Static line ownership: every filter of every m-tile pays
+                // the same line times.
+                let lines: u64 =
+                    t_row.chunks(dim_c).map(|t| t.iter().copied().max().unwrap_or(0)).sum();
+                compute += lines * m.div_ceil(dim_m) as u64;
             }
         }
     }
     let [compute, pe_busy, acc_adds, gb_in_read, index_compares] =
         [compute, pe_busy, acc_adds, gb_in_read, index_compares].map(|v| sched.scale(v));
 
-    let mut rebuild: u64 = 0;
-    if pw.is_se {
-        for fi in 0..m {
-            for g in 0..groups {
-                rebuild += u64::from(pw.row_nnz(fi, g)) * group as u64;
-            }
-        }
-        rebuild *= sched.e_out as u64;
-    }
-
+    let rebuild = if pw.is_se { pw.total_nnz * (group * sched.e_out) as u64 } else { 0 };
     let needed_in = needed_input_bytes(cfg, &act_nz, (c, h, w), |_| true);
     let mem = pass_mem(cfg, &pw, needed_in, sched.m_tiles, gb_in_read, sched.outputs, rebuild);
     Ok((compute, mem, pass_ops(cfg, pe_busy, acc_adds, rebuild, index_compares)))
+}
+
+/// Pools one slice's `active` rows per line tile, tile `t` holding
+/// `active[ends[t - 1]..ends[t]]`: the tile's summed cycles `t_row` and its
+/// longest row raise the tile's `work` and `longest` maxima (a skipped row
+/// adds nothing).
+fn pool_rows(active: &[u32], ends: &[u32], t_row: &[u64], work: &mut [u64], longest: &mut [u64]) {
+    let mut lo = 0;
+    for ((&end, work), longest) in ends.iter().zip(work).zip(longest) {
+        let (mut sum, mut max) = (0u64, 0u64);
+        for &g in &active[lo..end as usize] {
+            sum += t_row[g as usize];
+            max = max.max(t_row[g as usize]);
+        }
+        lo = end as usize;
+        *work = (*work).max(sum);
+        *longest = (*longest).max(max);
+    }
 }
 
 /// Depth-wise CONV: with the dedicated design, kernel rows run on parallel
@@ -746,15 +888,22 @@ fn depthwise_layer(
     sched: &Schedule,
 ) -> Result<Pass> {
     let desc = trace.desc();
-    let LayerKind::DepthwiseConv2d { channels: c, kernel, stride, padding } = *desc.kind() else {
+    let LayerKind::DepthwiseConv2d { channels: c, kernel, stride, .. } = *desc.kind() else {
         unreachable!("dispatch guarantees DepthwiseConv2d");
     };
     let (h, w) = desc.input_hw();
     let r = kernel;
     let s = kernel;
 
-    let (pw, _) = prepare_weights(trace, |_| Ok(1), (c, r, s))?;
-    let sc = window::serial_counts(trace.input(), serial_mode(cfg));
+    let (pw, _) = prepare_weights(
+        trace,
+        |layout| match layout.rows_per_unit() {
+            rows if rows == r => Ok(1),
+            rows => Err(format!("SE rows {rows} do not match R = {r}")),
+        },
+        (c, r, s),
+    )?;
+    let input = InputRows::new(cfg, trace, sched, c, s);
     let act_nz = window::activation_row_nonzero(trace.input());
 
     let dim_m = cfg.dim_m;
@@ -764,46 +913,53 @@ fn depthwise_layer(
     let mut gb_in_read: u64 = 0;
     let mut index_compares: u64 = 0;
 
-    // Per-kernel-row cycles of one channel, reset per channel.
-    let mut row_times = vec![0u64; r];
+    // Input bytes and MAC lanes of one kernel row over every pixel group.
+    let seg_bytes: u64 = sched.f_groups.iter().map(|&(_, nf)| ((nf - 1) * stride + s) as u64).sum();
+    let lanes = (s * sched.f_groups.iter().map(|&(_, nf)| nf).sum::<usize>()) as u64;
+    // Per pixel group: one channel's time, and the slowest channel of the
+    // channel tile.
+    let mut channel_time = vec![0u64; sched.f_groups.len()];
+    let mut tile_max = channel_time.clone();
+    let all_rows: Vec<u32> = (0..r as u32).collect();
     for ei in 0..sched.e_rows {
-        for &(f0, nf) in &sched.f_groups {
-            let seg_bytes = ((nf - 1) * stride + s) as u64;
-            for c0 in (0..c).step_by(dim_m) {
-                let c_hi = (c0 + dim_m).min(c);
-                let mut tile_max = 0u64;
-                for ci in c0..c_hi {
-                    row_times.fill(0);
-                    #[allow(clippy::needless_range_loop)]
-                    for kr in 0..r {
-                        let Some(iy) = sched.input_row(ei, kr) else {
-                            continue;
-                        };
-                        let row = ci * h + iy;
-                        if cfg.index_select {
-                            index_compares += 1;
-                            if !act_nz[row] || pw.row_nnz(ci, kr) == 0 {
-                                continue;
-                            }
-                        }
-                        let (cycles, energy) =
-                            row_cost(&sc[row * w..][..w], f0, nf, stride, padding, s);
-                        row_times[kr] = cycles;
-                        pe_busy += energy;
-                        acc_adds += (s * nf) as u64;
-                        gb_in_read += seg_bytes;
-                    }
-                    let channel_time: u64 = if cfg.compact_dedicated {
-                        // Kernel rows on parallel PE lines.
-                        row_times.iter().copied().max().unwrap_or(0)
-                    } else {
-                        // Single line processes rows back-to-back.
-                        row_times.iter().sum()
+        if cfg.index_select {
+            // One compare per (channel, kernel row with an input row, group).
+            let rows_in = (0..r).filter(|&kr| sched.input_row(ei, kr).is_some()).count();
+            index_compares += (rows_in * c * sched.f_groups.len()) as u64;
+        }
+        for c0 in (0..c).step_by(dim_m) {
+            tile_max.fill(0);
+            for ci in c0..(c0 + dim_m).min(c) {
+                channel_time.fill(0);
+                // The selector skips zero coefficient rows outright.
+                let kernel_rows = if cfg.index_select { pw.active_rows(ci) } else { &all_rows };
+                for &kr in kernel_rows {
+                    let Some(iy) = sched.input_row(ei, kr as usize) else {
+                        continue;
                     };
-                    tile_max = tile_max.max(channel_time);
+                    if cfg.index_select && !act_nz[ci * h + iy] {
+                        continue;
+                    }
+                    let input_row = input.row(ci, iy);
+                    for (&(f0, nf), time) in sched.f_groups.iter().zip(&mut channel_time) {
+                        let cycles = tap_cycles(&input_row[f0 * stride..], nf, stride, s);
+                        *time = if cfg.compact_dedicated {
+                            // Kernel rows on parallel PE lines.
+                            (*time).max(cycles)
+                        } else {
+                            // Single line processes rows back-to-back.
+                            *time + cycles
+                        };
+                    }
+                    pe_busy += input.work(ci, iy);
+                    acc_adds += lanes;
+                    gb_in_read += seg_bytes;
                 }
-                compute += tile_max;
+                for (slowest, &time) in tile_max.iter_mut().zip(&channel_time) {
+                    *slowest = (*slowest).max(time);
+                }
             }
+            compute += tile_max.iter().sum::<u64>();
         }
     }
     let [compute, pe_busy, acc_adds, gb_in_read, index_compares] =
@@ -813,41 +969,6 @@ fn depthwise_layer(
     let needed_in = needed_input_bytes(cfg, &act_nz, (c, h, w), |_| true);
     let mem = pass_mem(cfg, &pw, needed_in, sched.m_tiles, gb_in_read, sched.outputs, rebuild);
     Ok((compute, mem, pass_ops(cfg, pe_busy, acc_adds, rebuild, index_compares)))
-}
-
-/// Work (serial cycles) for one output neuron of an FC matrix given its
-/// prepared weights and the flat activation serial counts.
-fn fc_neuron_work(
-    cfg: &SeAcceleratorConfig,
-    pw: &PreparedWeights,
-    filter: usize,
-    group: usize,
-    sc: &[u8],
-) -> (u64, u64, u64) {
-    let mut cycles = 0u64;
-    let mut energy = 0u64;
-    let mut adds = 0u64;
-    for g in 0..pw.rows_per_filter {
-        let coeff_live = pw.row_nnz(filter, g) > 0;
-        if cfg.index_select && !coeff_live {
-            continue;
-        }
-        let lo = g * group;
-        let hi = (lo + group).min(sc.len());
-        if lo >= sc.len() {
-            continue;
-        }
-        let seg = &sc[lo..hi];
-        if cfg.index_select && seg.iter().all(|&x| x == 0) {
-            continue;
-        }
-        for &x in seg {
-            cycles += u64::from(x.max(1));
-            energy += u64::from(x);
-        }
-        adds += seg.len() as u64;
-    }
-    (cycles, energy, adds)
 }
 
 /// FC path: output neurons distributed over slices × lines (× 2 clusters
@@ -862,6 +983,13 @@ fn fc_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result<Pass> {
 }
 
 /// Shared FC cycle/memory engine (used by both FC and squeeze-excite).
+///
+/// Coefficient row `g` of a neuron covers inputs `[g·group, (g+1)·group)`;
+/// the row's serial cycles (a zero input still costs one), switching work
+/// and accumulations depend on the inputs alone, so they are summed once
+/// per row and each neuron adds up its rows: the rows holding a non-zero,
+/// with the index selector (which also skips all-zero input groups), or
+/// every row, the same for every neuron, without it.
 fn fc_engine(
     cfg: &SeAcceleratorConfig,
     pw: &PreparedWeights,
@@ -872,25 +1000,46 @@ fn fc_engine(
 ) -> Pass {
     let clusters = if cfg.compact_dedicated { 2 } else { 1 };
     let units = cfg.dim_m * cfg.dim_c * clusters;
+    let row_work: Vec<[u64; 3]> = (0..pw.rows_per_filter)
+        .map(|g| {
+            let seg = sc.get(g * group..((g + 1) * group).min(sc.len())).unwrap_or(&[]);
+            if cfg.index_select && seg.iter().all(|&x| x == 0) {
+                return [0; 3];
+            }
+            let cycles = seg.iter().map(|&x| u64::from(x.max(1))).sum();
+            let energy = seg.iter().map(|&x| u64::from(x)).sum();
+            [cycles, energy, seg.len() as u64]
+        })
+        .collect();
+    let every_row = sum_rows(&row_work, 0..pw.rows_per_filter);
     let mut unit_work = vec![0u64; units.max(1)];
     let mut pe_busy = 0u64;
     let mut acc_adds = 0u64;
-    let mut index_compares = 0u64;
     for fi in 0..m {
-        let (cy, en, adds) = fc_neuron_work(cfg, pw, fi, group, sc);
-        unit_work[fi % units] += cy;
-        pe_busy += en;
+        let [cycles, energy, adds] = if cfg.index_select {
+            sum_rows(&row_work, pw.active_rows(fi).iter().map(|&g| g as usize))
+        } else {
+            every_row
+        };
+        unit_work[fi % units] += cycles;
+        pe_busy += energy;
         acc_adds += adds;
-        if cfg.index_select {
-            index_compares += pw.rows_per_filter as u64;
-        }
     }
+    let index_compares = if cfg.index_select { (m * pw.rows_per_filter) as u64 } else { 0 };
     let compute = unit_work.iter().copied().max().unwrap_or(0);
     let rebuild = if pw.is_se { pw.total_nnz * group as u64 } else { 0 };
     // Every input is read once per round of output neurons over the units.
     let gb_in_read = c as u64 * (m as u64).div_ceil(units as u64).max(1);
     let mem = pass_mem(cfg, pw, c as u64, 1, gb_in_read, m as u64, rebuild);
     (compute, mem, pass_ops(cfg, pe_busy, acc_adds, rebuild, index_compares))
+}
+
+/// Element-wise sum of `row_work` over `rows`.
+fn sum_rows(row_work: &[[u64; 3]], rows: impl Iterator<Item = usize>) -> [u64; 3] {
+    rows.fold([0; 3], |[a, b, c], g| {
+        let [x, y, z] = row_work[g];
+        [a + x, b + y, c + z]
+    })
 }
 
 /// Squeeze-and-excite: global pool, two FC matrices (executed on the FC
@@ -988,6 +1137,9 @@ fn squeeze_excite_layer(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Result
     let compute = cy1 + cy2 + rescale_cycles + pool_cycles;
     Ok((compute, mem, ops))
 }
+
+#[cfg(test)]
+mod flat_reference;
 
 #[cfg(test)]
 mod tests {

@@ -1,13 +1,14 @@
-//! Shared cycle-model machinery: per-activation serial-cycle counts,
-//! the strided window max and sum, and row-occupancy masks.
+//! Shared cycle-model machinery: per-activation serial-cycle counts, the
+//! strided window max, and row-occupancy masks.
 //!
 //! The bit-serial MAC lanes of a PE line run in lockstep: one weight
 //! element is broadcast to `dimF` lanes, each multiplying it by its own
 //! activation over that activation's non-zero Booth digits. The step
 //! therefore costs the **maximum** serial count across the window of
-//! activations, while the **sum** of serial counts is the actual switching
-//! work (PE energy). Both are computed here, with stride-aware windows and
-//! zero padding treated as cost-free.
+//! activations (computed here, with stride-aware windows over rows the
+//! caller zero-pads, so padding lanes cost nothing), while the **sum** of
+//! serial counts is the actual switching work (PE energy), which the
+//! simulator totals per row.
 
 use se_ir::{booth, QuantTensor};
 
@@ -35,34 +36,45 @@ impl SerialMode {
             SerialMode::Unit => 1,
         }
     }
+
+    /// Serial cycles of every code, indexed by its byte (`code as u8`).
+    pub fn table(&self) -> [u8; 256] {
+        std::array::from_fn(|byte| self.cycles(byte as u8 as i8))
+    }
 }
 
 /// Per-element serial-cycle counts for an entire activation tensor.
 pub fn serial_counts(q: &QuantTensor, mode: SerialMode) -> Vec<u8> {
-    q.data().iter().map(|&c| mode.cycles(c)).collect()
+    let table = mode.table();
+    q.data().iter().map(|&c| table[usize::from(c as u8)]).collect()
 }
 
-/// Maximum and sum of the serial counts over a strided window of a row:
-/// the lockstep step cost and the switching work feeding the PE energy
-/// counter, from one walk.
+/// Maximum of the serial counts over a strided window of a row: the
+/// lockstep step cost.
 ///
-/// `start` may be negative or run past the row (zero padding): out-of-range
-/// lanes hold zero activations and cost nothing.
+/// The window's `count` lanes are `row[0]`, `row[stride]`, …: a caller
+/// pads its rows with zero counts (cost-free lanes) so that a window never
+/// needs to start before a row or run past it.
+///
+/// # Panics
+///
+/// Panics if `row` is shorter than a unit-stride window.
 #[inline]
-pub fn window(row: &[u8], start: isize, stride: usize, count: usize) -> (u8, u32) {
-    let (mut max, mut sum) = (0u8, 0u32);
-    let len = row.len() as isize;
-    let stride = stride as isize;
-    let mut x = start;
-    for _ in 0..count {
-        if x >= 0 && x < len {
-            let v = row[x as usize];
-            max = max.max(v);
-            sum += u32::from(v);
-        }
-        x += stride;
+pub fn window_max(row: &[u8], stride: usize, count: usize) -> u8 {
+    if stride == 1 {
+        row[..count].iter().fold(0, |max, &v| max.max(v))
+    } else {
+        row.iter().step_by(stride).take(count).fold(0, |max, &v| max.max(v))
     }
-    (max, sum)
+}
+
+/// Summed serial counts of every tap window of a weight row over `row`:
+/// column `x` counts once per lane reading it, `reads[x]` times. This is
+/// the switching work feeding the PE energy counter, summed over the
+/// windows without walking each one.
+#[inline]
+pub fn window_sum(row: &[u8], reads: &[u32]) -> u64 {
+    row.iter().zip(reads).map(|(&v, &n)| u64::from(v) * u64::from(n)).sum()
 }
 
 /// Per-input-row occupancy of a `(C, H, W)` activation map: `mask[c*H + y]`
@@ -75,11 +87,11 @@ pub fn activation_row_nonzero(q: &QuantTensor) -> Vec<bool> {
         return q.data().iter().map(|&c| c != 0).collect();
     }
     let (c, h, w) = (s[0], s[1], s[2]);
-    let mut mask = Vec::with_capacity(c * h);
-    for row in 0..c * h {
-        mask.push(q.data()[row * w..(row + 1) * w].iter().any(|&x| x != 0));
+    if w == 0 {
+        return vec![false; c * h];
     }
-    mask
+    // A branch-free OR over each row (it vectorizes).
+    q.data().chunks_exact(w).map(|row| row.iter().fold(0, |any, &x| any | x) != 0).collect()
 }
 
 #[cfg(test)]
@@ -106,23 +118,26 @@ mod tests {
 
     #[test]
     fn window_max_respects_stride_and_padding() {
-        let row = [1u8, 5, 2, 7, 3];
-        let max = |start, stride, count| window(&row, start, stride, count).0;
-        assert_eq!(max(0, 1, 3), 5);
-        assert_eq!(max(1, 2, 2), 7); // elements 1 and 3
-        assert_eq!(max(-2, 1, 3), 1); // two padding lanes
-        assert_eq!(max(4, 1, 4), 3); // runs off the end
-        assert_eq!(max(-10, 1, 2), 0); // fully out of range
+        // Two zero padding lanes in front of the row and two behind.
+        let row = [0u8, 0, 1, 5, 2, 7, 3, 0, 0];
+        let max = |start: usize, stride, count| window_max(&row[start..], stride, count);
+        assert_eq!(max(2, 1, 3), 5);
+        assert_eq!(max(3, 2, 2), 7); // elements 1 and 3
+        assert_eq!(max(0, 1, 3), 1); // two padding lanes
+        assert_eq!(max(6, 1, 3), 3); // runs into the back padding
+        assert_eq!(max(0, 1, 2), 0); // padding only
+        assert_eq!(max(6, 2, 2), 3); // a padding lane
     }
 
     #[test]
     fn window_sum_matches_manual() {
-        let row = [1u8, 5, 2, 7, 3];
-        let sum = |start, stride, count| window(&row, start, stride, count).1;
-        assert_eq!(sum(0, 1, 5), 18);
-        assert_eq!(sum(0, 2, 3), 1 + 2 + 3);
-        assert_eq!(sum(-1, 1, 3), 6);
-        assert_eq!(sum(4, 1, 4), 3);
+        let row = [0u8, 1, 5, 2, 7, 3, 0];
+        // Three unit-stride windows of three lanes from column 1.
+        let windows: [u64; 3] = [1 + 5 + 2, 5 + 2 + 7, 2 + 7 + 3];
+        assert_eq!(window_sum(&row, &[0, 1, 2, 3, 2, 1, 0]), windows.iter().sum::<u64>());
+        // Two stride-2 windows of two lanes, from columns 1 and 2.
+        assert_eq!(window_sum(&row, &[0, 1, 1, 1, 1, 0, 0]), (1 + 2) + (5 + 7));
+        assert_eq!(window_sum(&row, &[0; 7]), 0);
     }
 
     #[test]

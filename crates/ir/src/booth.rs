@@ -46,6 +46,33 @@ pub fn booth_digits(code: i8) -> [i8; 4] {
     digits
 }
 
+/// Non-zero radix-4 Booth digits of every 8-bit code, indexed by the
+/// code's two's-complement byte (`code as u8`).
+///
+/// Digit `i` is `b[2i-1] + b[2i] - 2·b[2i+1]` over the sign-extended bits
+/// (`b[-1] = 0`), exactly as [`booth_digits`] computes it; a test checks
+/// the table against [`booth_digits`] on all 256 codes.
+pub const BOOTH_NONZERO_DIGITS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut code = 0;
+    while code < 256 {
+        // The code shifted up by one, so that bit 0 is the implicit
+        // `b[-1] = 0` (the top digit reads no bit above `b[7]`).
+        let bits = (code as u16) << 1;
+        let mut i = 0;
+        while i < 4 {
+            let window = (bits >> (2 * i)) & 0b111;
+            // A radix-4 digit is zero exactly when its three bits agree.
+            if window != 0 && window != 0b111 {
+                table[code] += 1;
+            }
+            i += 1;
+        }
+        code += 1;
+    }
+    table
+};
+
 /// Number of non-zero radix-4 Booth digits of an 8-bit value — the cycle
 /// count of one bit-serial multiplication by this activation.
 ///
@@ -58,8 +85,9 @@ pub fn booth_digits(code: i8) -> [i8; 4] {
 /// assert_eq!(booth::booth_nonzero_digits(64), 1);  // a single power of 4
 /// assert!(booth::booth_nonzero_digits(85) >= 3);   // 0b0101_0101 is dense
 /// ```
+#[inline]
 pub fn booth_nonzero_digits(code: i8) -> u32 {
-    booth_digits(code).iter().filter(|&&d| d != 0).count() as u32
+    u32::from(BOOTH_NONZERO_DIGITS[code as u8 as usize])
 }
 
 /// Aggregate bit/digit sparsity of a slice of 8-bit codes.
@@ -117,6 +145,14 @@ mod tests {
             for d in booth_digits(v) {
                 assert!((-2..=2).contains(&d));
             }
+        }
+    }
+
+    #[test]
+    fn digit_table_matches_booth_digits_on_every_code() {
+        for v in i8::MIN..=i8::MAX {
+            let digits = booth_digits(v).iter().filter(|&&d| d != 0).count() as u32;
+            assert_eq!(booth_nonzero_digits(v), digits, "value {v}");
         }
     }
 

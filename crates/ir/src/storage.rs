@@ -14,6 +14,11 @@
 //!   channel bitmap) plus one bit per row only inside live channels; FC
 //!   layouts use a flat bit per row;
 //! * `B`: 8 bits per element.
+//!
+//! The rule has one home: [`row_nnz`] scans the coefficients once, and
+//! [`storage_from_row_nnz`] derives the breakdown from those per-row
+//! counts. [`se_layer_storage`] is the two in sequence; the accelerator
+//! simulator keeps the counts for its index selector as well.
 
 use crate::{SeLayer, SeLayout};
 
@@ -94,42 +99,80 @@ pub fn dense_bits(params: u64, bits_per_weight: u32) -> u64 {
 /// # }
 /// ```
 pub fn se_layer_storage(layer: &SeLayer) -> SeStorage {
+    storage_from_row_nnz(layer, &row_nnz(layer))
+}
+
+/// Non-zero coefficients of every `Ce` row of `layer`, slices in layout
+/// order: unit `u` (a filter or an FC row) owns the counts
+/// `[u * rows_per_unit, (u + 1) * rows_per_unit)`. This is the one scan of
+/// the coefficients that [`storage_from_row_nnz`] and the accelerator's
+/// index selector both read.
+pub fn row_nnz(layer: &SeLayer) -> Vec<u32> {
+    let mut counts = Vec::with_capacity(layer.total_rows());
+    for slice in layer.slices() {
+        let ce = slice.ce();
+        match ce.cols() {
+            0 => counts.resize(counts.len() + ce.rows(), 0),
+            3 => push_row_nnz::<3>(ce.data(), &mut counts),
+            5 => push_row_nnz::<5>(ce.data(), &mut counts),
+            7 => push_row_nnz::<7>(ce.data(), &mut counts),
+            cols => counts.extend(ce.data().chunks_exact(cols).map(nonzeros)),
+        }
+    }
+    counts
+}
+
+/// Appends the non-zero count of each `W`-wide row of `data`; a constant
+/// width unrolls the count (the paper's kernel sides and FC width).
+fn push_row_nnz<const W: usize>(data: &[f32], counts: &mut Vec<u32>) {
+    counts.extend(data.chunks_exact(W).map(|row| {
+        let row: &[f32; W] = row.try_into().expect("chunks are W wide");
+        nonzeros(row)
+    }));
+}
+
+fn nonzeros(row: &[f32]) -> u32 {
+    row.iter().map(|&x| u32::from(x != 0.0)).sum()
+}
+
+/// The storage breakdown of `layer` from its per-row non-zero counts (as
+/// [`row_nnz`] returns them), in one pass over the counts.
+///
+/// The index is 1-bit direct indexing with clustered zeros removed
+/// (Section IV-B). CONV layouts: per decomposition unit, one bit per input
+/// channel (groups of `kernel` rows) plus `kernel` row bits for every
+/// channel that still holds a non-zero row — pruned channels cost only
+/// their bitmap bit. FC layouts: a flat bit per row.
+///
+/// # Panics
+///
+/// Panics if `row_nnz` holds fewer counts than `layer` has `Ce` rows; it
+/// must hold exactly one count per row.
+pub fn storage_from_row_nnz(layer: &SeLayer, row_nnz: &[u32]) -> SeStorage {
     let code_bits = u64::from(layer.po2().code_bits());
     let mut s = SeStorage::default();
+    let mut rest = row_nnz;
     for slice in layer.slices() {
-        let r = slice.ce().cols() as u64;
-        s.ce_bits += slice.nonzero_rows() as u64 * r * code_bits;
+        let (rows, tail) = rest.split_at(slice.ce().rows());
+        rest = tail;
+        let live = rows.iter().filter(|&&n| n > 0).count() as u64;
+        s.ce_bits += live * slice.ce().cols() as u64 * code_bits;
         s.basis_bits +=
             slice.basis().rows() as u64 * slice.basis().cols() as u64 * u64::from(BASIS_BITS);
     }
-    s.index_bits = index_bits(layer);
+    s.index_bits = match *layer.layout() {
+        SeLayout::FcPerRow { .. } => row_nnz.len() as u64,
+        SeLayout::ConvPerFilter { kernel, .. } => row_nnz
+            .chunks(layer.layout().rows_per_unit().max(1))
+            .flat_map(|unit| unit.chunks(kernel.max(1)))
+            .map(|channel| {
+                // Channel bitmap bit, plus the per-row bits of a live channel.
+                let live = channel.iter().any(|&n| n > 0);
+                1 + if live { channel.len() as u64 } else { 0 }
+            })
+            .sum(),
+    };
     s
-}
-
-/// 1-bit direct index size with clustered zeros removed (Section IV-B).
-///
-/// CONV layouts: per decomposition unit, one bit per input channel (groups
-/// of `kernel` rows) plus `kernel` row bits for every channel that still
-/// holds a non-zero row — pruned channels cost only their bitmap bit.
-/// FC layouts: a flat bit per row.
-fn index_bits(layer: &SeLayer) -> u64 {
-    match *layer.layout() {
-        SeLayout::FcPerRow { .. } => layer.slices().iter().map(|s| s.ce().rows() as u64).sum(),
-        SeLayout::ConvPerFilter { kernel, slices_per_filter, .. } => {
-            let mut bits = 0u64;
-            for unit in layer.slices().chunks(slices_per_filter) {
-                // Concatenate the unit's row mask across its slices.
-                let mask: Vec<bool> = unit.iter().flat_map(|s| s.row_nonzero_mask()).collect();
-                for channel in mask.chunks(kernel.max(1)) {
-                    bits += 1; // channel bitmap bit
-                    if channel.iter().any(|&live| live) {
-                        bits += channel.len() as u64; // per-row bits
-                    }
-                }
-            }
-            bits
-        }
-    }
 }
 
 /// Compression rate: original FP32 bits over compressed bits.
@@ -202,6 +245,32 @@ mod tests {
         // bitmap: 2 bits; live channel rows: 3 bits.
         assert_eq!(s.index_bits, 2 + 3);
         assert_eq!(s.ce_bits, 2 * 3 * 4);
+    }
+
+    #[test]
+    fn row_counts_cover_every_slice_and_width() {
+        // Two slices of width 3 (the unrolled count) and one of width 4.
+        let po2 = Po2Set::default();
+        let slice = |rows: &[&[f32]]| {
+            let ce = Mat::from_rows(rows).unwrap();
+            SeSlice::new(ce.clone(), Mat::identity(ce.cols()), &po2).unwrap()
+        };
+        let layer = SeLayer::new(
+            SeLayout::FcPerRow { out_features: 3, in_features: 6, width: 3, slices_per_row: 1 },
+            po2,
+            vec![
+                slice(&[&[1.0, 0.0, 0.5], &[0.0, 0.0, 0.0]]),
+                slice(&[&[0.0, 0.25, 0.0], &[1.0, 1.0, 1.0]]),
+                slice(&[&[0.0, 0.0, 0.0, 0.5], &[0.5, 0.5, 0.0, 0.0]]),
+            ],
+        )
+        .unwrap();
+        let counts = row_nnz(&layer);
+        assert_eq!(counts, vec![2, 0, 1, 3, 1, 2]);
+        let s = storage_from_row_nnz(&layer, &counts);
+        assert_eq!(s, se_layer_storage(&layer));
+        assert_eq!(s.ce_bits, (3 + 3 + 3 + 4 + 4) * 4); // five live rows
+        assert_eq!(s.index_bits, 6); // a flat bit per FC row
     }
 
     #[test]
