@@ -3,7 +3,9 @@
 //! 3×3 CONV and on the two MobileNetV2 shapes that dominate a compact
 //! model's simulation time (a 1×1 CONV and a depth-wise CONV at 56×56),
 //! plus the serial-vs-parallel five-accelerator comparison grid on a
-//! repeated-geometry (ResNet164-profile) network.
+//! repeated-geometry (ResNet164-profile) network, and the serving
+//! scheduler (`se_serve`'s admit/launch loop) on a 4-instance cluster
+//! with deep queues.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use se_baselines::{BaselineConfig, BitPragmatic, CambriconX, DianNao, Scnn};
@@ -13,6 +15,9 @@ use se_hw::{Accelerator, SeAcceleratorConfig};
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 use se_models::traces::{self, TraceOptions};
 use se_models::zoo;
+use se_serve::cluster::{simulate_cluster, ClusterSpec, ModelService};
+use se_serve::workload::{self, ArrivalPattern};
+use se_serve::{BatchPolicy, FaultAction, FaultEvent, FaultPlan, RouterPolicy};
 use std::hint::black_box;
 
 /// A one-layer network around `kind` at `hw × hw`.
@@ -105,5 +110,72 @@ fn bench_simulation_grid_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulators, bench_simulation_grid_parallel);
+/// The serving scheduler alone: a 4-instance join-shortest-queue cluster
+/// over two synthetic models (batch tables `base + per * k`, no weight
+/// store), offered 25% more than it can serve so every queue runs near
+/// its 256-request cap (a 50 ms deadline, above the ~30 ms a full queue
+/// waits), with and without instance 1 killed at a third of the stream
+/// and restarted at two thirds. No accelerator is simulated:
+/// this isolates admission, routing, EDF batch formation and launch.
+fn bench_cluster_scheduler(c: &mut Criterion) {
+    const REQUESTS: usize = 20_000;
+    const FREQ_HZ: f64 = 1e9;
+    let table = |base: u64, per: u64| (1..=8).map(|k| base + per * k).collect::<Vec<u64>>();
+    let service = |name: &str, base, per| ModelService {
+        name: name.into(),
+        streamed: table(base, per),
+        resident: table(base, per),
+        footprint_bytes: 0,
+        switch_cycles: 0,
+    };
+    // Full batches of 8 take 1.0 and 0.84 ms: about 8.7k req/s per
+    // instance, 35k for the cluster.
+    let services = [service("a", 200_000, 100_000), service("b", 120_000, 90_000)];
+    let rate = 1.25 * 35_000.0;
+    let stream = workload::request_stream(
+        REQUESTS,
+        rate,
+        FREQ_HZ,
+        ArrivalPattern::Uniform,
+        services.len(),
+        Some(50_000_000),
+    )
+    .unwrap();
+    let span = (REQUESTS as f64 / rate * FREQ_HZ) as u64;
+    let steady = ClusterSpec {
+        instances: 4,
+        router: RouterPolicy::JoinShortestQueue,
+        policy: BatchPolicy { max_batch: 8, max_wait: 50_000, queue_cap: 256 },
+        buffer_bytes: None,
+        tiers: None,
+        faults: FaultPlan::default(),
+    };
+    let churn = |at, action| FaultEvent { at, instance: 1, action };
+    let churned = ClusterSpec {
+        faults: FaultPlan {
+            events: vec![
+                churn(span / 3, FaultAction::Kill),
+                churn(2 * span / 3, FaultAction::Restart),
+            ],
+            autoscale: None,
+        },
+        ..steady.clone()
+    };
+
+    let mut group = c.benchmark_group("cluster_4x_jsq_deep_queues_20k_requests");
+    group.sample_size(20);
+    for (label, spec) in [("steady", &steady), ("kill_restart", &churned)] {
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(simulate_cluster(black_box(&stream), &services, spec).unwrap()))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_simulators,
+    bench_simulation_grid_parallel,
+    bench_cluster_scheduler
+);
 criterion_main!(benches);

@@ -24,6 +24,7 @@ use se_serve::cluster::{simulate_cluster_run_obs, ClusterReport, ClusterSpec, Mo
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::{self, ArrivalPattern};
 use se_serve::{BatchEngine, FaultAction, FaultEvent, FaultPlan, RouterPolicy, TierSpec, SE_LANE};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
@@ -516,60 +517,87 @@ fn config_key(cfg: &Json) -> String {
     )
 }
 
+/// One snapshot as `se bench diff` reads it: every config's throughput
+/// under its key (instances, router, batch cap, churn and memory), in
+/// file order.
+pub struct Snapshot {
+    label: String,
+    configs: Vec<(String, f64)>,
+}
+
+impl Snapshot {
+    /// Parses and schema-checks snapshot `text`, named `label` in errors.
+    ///
+    /// # Errors
+    ///
+    /// Unparsable JSON, schema drift, or a config key that appears twice
+    /// (a diff could not tell which of the two to compare).
+    pub fn parse(label: &str, text: &str) -> Result<Snapshot> {
+        let doc = Json::parse(text).map_err(|e| format!("{label}: {e}"))?;
+        validate_report(&doc).map_err(|e| format!("{label}: schema drift: {e}"))?;
+        let configs = doc.get("configs").and_then(Json::as_array).unwrap_or(&[]);
+        let mut seen = HashSet::with_capacity(configs.len());
+        let configs = configs
+            .iter()
+            .map(|cfg| {
+                let key = config_key(cfg);
+                if !seen.insert(key.clone()) {
+                    return Err(format!("{label}: config repeated: {key}"));
+                }
+                Ok((key, cfg.get("throughput_rps").and_then(Json::as_f64).unwrap_or(0.0)))
+            })
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(Snapshot { label: label.to_string(), configs })
+    }
+}
+
 /// `se bench diff <baseline.json> <candidate.json>` — the bench-snapshot
-/// regression check. Both files must pass the current schema (a drifted
-/// `schema_version` or a missing field fails right there), the two
-/// snapshots must cover the same config set, and no config's throughput
-/// may swing by more than 2x in either direction. Wall-clock noise stays
-/// well inside that band; a structural slowdown does not.
+/// regression check: reads both files as [`Snapshot`]s and compares them
+/// with [`diff_snapshots`].
 ///
 /// # Errors
 ///
-/// Fails loudly on unreadable/unparsable files, schema drift, config-set
-/// drift, and any >2x throughput swing (all violations are listed).
+/// Fails loudly on unreadable files and on everything
+/// [`Snapshot::parse`] and [`diff_snapshots`] reject.
 pub fn run_diff(baseline: &Path, candidate: &Path, out: &mut dyn Write) -> Result<()> {
-    let load = |path: &Path| -> Result<Json> {
+    let load = |path: &Path| -> Result<Snapshot> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        validate_report(&doc).map_err(|e| format!("{}: schema drift: {e}", path.display()))?;
-        Ok(doc)
+        Snapshot::parse(&path.display().to_string(), &text)
     };
-    let base = load(baseline)?;
-    let cand = load(candidate)?;
-    let throughputs = |doc: &Json| -> Vec<(String, f64)> {
-        doc.get("configs")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(|cfg| {
-                (config_key(cfg), cfg.get("throughput_rps").and_then(Json::as_f64).unwrap_or(0.0))
-            })
-            .collect()
-    };
-    let base_cfgs = throughputs(&base);
-    let cand_cfgs = throughputs(&cand);
+    diff_snapshots(&load(baseline)?, &load(candidate)?, out)
+}
+
+/// Compares two snapshots config by config: they must cover the same
+/// config set, and no config's throughput may swing by more than 2x in
+/// either direction. Wall-clock noise stays well inside that band; a
+/// structural slowdown does not. Configs are matched by key, so the
+/// check is linear in the number of configs.
+///
+/// # Errors
+///
+/// Config-set drift and any >2x throughput swing (all violations are
+/// listed).
+pub fn diff_snapshots(base: &Snapshot, cand: &Snapshot, out: &mut dyn Write) -> Result<()> {
+    let base_keys: HashSet<&str> = base.configs.iter().map(|(key, _)| key.as_str()).collect();
+    let cand_rps: HashMap<&str, f64> =
+        cand.configs.iter().map(|(key, rps)| (key.as_str(), *rps)).collect();
 
     let mut violations: Vec<String> = Vec::new();
-    for (key, _) in &base_cfgs {
-        if !cand_cfgs.iter().any(|(k, _)| k == key) {
+    for (key, _) in &base.configs {
+        if !cand_rps.contains_key(key.as_str()) {
             violations.push(format!("config dropped from candidate: {key}"));
         }
     }
-    for (key, _) in &cand_cfgs {
-        if !base_cfgs.iter().any(|(k, _)| k == key) {
+    for (key, _) in &cand.configs {
+        if !base_keys.contains(key.as_str()) {
             violations.push(format!("config absent from baseline: {key}"));
         }
     }
 
-    writeln!(
-        out,
-        "se bench diff: {} (baseline) vs {} (candidate)\n",
-        baseline.display(),
-        candidate.display()
-    )?;
+    writeln!(out, "se bench diff: {} (baseline) vs {} (candidate)\n", base.label, cand.label)?;
     let mut rows = Vec::new();
-    for (key, base_rps) in &base_cfgs {
-        let Some((_, cand_rps)) = cand_cfgs.iter().find(|(k, _)| k == key) else { continue };
+    for (key, base_rps) in &base.configs {
+        let Some(&cand_rps) = cand_rps.get(key.as_str()) else { continue };
         let ratio = if *base_rps > 0.0 { cand_rps / base_rps } else { f64::INFINITY };
         let ok = (0.5..=2.0).contains(&ratio);
         if !ok {
@@ -611,8 +639,8 @@ pub fn run_diff(baseline: &Path, candidate: &Path, out: &mut dyn Write) -> Resul
     Err(format!(
         "bench snapshot regression: {} violation(s) between {} and {}",
         violations.len(),
-        baseline.display(),
-        candidate.display()
+        base.label,
+        cand.label
     )
     .into())
 }

@@ -25,11 +25,19 @@
 //! an arrival is admitted before any batch that would launch at or after
 //! its arrival time.
 //!
-//! Each instance keeps its waiting requests in EDF order, one ordered
-//! queue per model keyed by `(deadline or u64::MAX, arrival, id)`. The
-//! next batch is read straight off them: its model is the minimum of at
-//! most M queue heads, its members are that queue's first `max_batch`
-//! entries, and the launch pops them.
+//! Each instance keeps its waiting requests in EDF order, one sorted ring
+//! buffer per model ordered by `(deadline or u64::MAX, arrival, id)`: an
+//! arrival that sorts last is a `push_back`, anything else (a re-routed
+//! kill victim, an earlier deadline) is inserted at its sorted position.
+//! The next batch is read straight off them: its model is the minimum of
+//! at most M queue heads, its members are that queue's first `max_batch`
+//! entries, and the launch pops them off the front. Each instance keeps
+//! that next launch as `(start, model)` and refreshes it only where the
+//! instance changes: an admission or re-route into it and a launch from
+//! it. A kill clears it (nothing launches from a down instance), which a
+//! restart leaves as it is, since the instance comes back empty; a
+//! spawned instance starts with none, and a drain does not change it. So
+//! `ClusterCore::pending_launch` is a minimum over N kept values.
 //!
 //! The core counts each decision into the one [`ClusterReport`] where it
 //! makes it (a rejection at admission, a loss at a kill, latencies and
@@ -44,7 +52,7 @@
 //! tiered miss charges the tier walk, and only tiered runs report
 //! per-tier traffic.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::cluster::router::InstanceView;
 use crate::cluster::sim::{ClusterReport, ClusterSpec, InstanceSummary, ModelService};
@@ -95,24 +103,29 @@ fn fresh_store(spec: &ClusterSpec) -> Option<TieredStore> {
 
 /// One instance's private state. Its waiting requests are kept in EDF
 /// order, one queue per model, so the next batch is read off the queue
-/// heads ([`Instance::next_batch`]) and nothing about it is cached.
+/// heads ([`Instance::next_batch`]) and kept in `next` until the
+/// instance changes.
 struct Instance {
-    /// Waiting requests, `queues[model]` keyed by [`Queued::key`].
-    queues: Vec<BTreeMap<(u64, u64, usize), Queued>>,
+    /// Waiting requests, `queues[model]` strictly ascending by
+    /// [`Queued::key`].
+    queues: Vec<VecDeque<Queued>>,
     /// Requests waiting across `queues`: the depth routing, the queue
     /// cap and autoscale read.
     waiting: usize,
     free: u64,
+    /// The batch this instance launches next as `(start, model)`:
+    /// [`Instance::next_batch`] as of its last change, `None` when
+    /// nothing waits (always so while the instance is killed).
+    next: Option<(u64, usize)>,
     /// Weight store (`None` = residency modeling off).
     store: Option<TieredStore>,
     /// Batch and completion counts; residency and tier traffic are read
     /// off `store` once, at [`ClusterCore::finish`].
     summary: InstanceSummary,
-    /// `false` between a kill and the matching restart: the instance
-    /// neither launches nor accepts.
-    up: bool,
     /// `false` when killed *or* draining (an autoscaled instance told to
-    /// stop accepting; it still launches until its queue empties).
+    /// stop accepting; it still launches until its queue empties). A
+    /// killed instance, between its kill and its restart, has empty
+    /// queues and no kept launch, so it never launches either.
     accepting: bool,
     /// Spawned by autoscale (drain only ever retires these).
     dynamic: bool,
@@ -126,12 +139,12 @@ impl Instance {
     /// `free`.
     fn fresh(spec: &ClusterSpec, models: usize, free: u64, dynamic: bool) -> Instance {
         Instance {
-            queues: vec![BTreeMap::new(); models],
+            queues: vec![VecDeque::new(); models],
             waiting: 0,
             free,
+            next: None,
             store: fresh_store(spec),
             summary: InstanceSummary::default(),
-            up: true,
             accepting: true,
             dynamic,
             doomed: Vec::new(),
@@ -146,20 +159,35 @@ impl Instance {
             .queues
             .iter()
             .enumerate()
-            .filter_map(|(model, queue)| queue.first_key_value().map(|(&k, q)| (k, model, q)))
+            .filter_map(|(model, queue)| queue.front().map(|q| (q.key(), model, q)))
             .min_by_key(|&(key, _, _)| key)?;
         let queue = &self.queues[model];
         let start = if queue.len() >= policy.max_batch {
             // Full batch: ready as soon as its last member is enqueued
             // (= its arrival, or the kill cycle for a re-routed victim).
             let last_enqueued =
-                queue.values().take(policy.max_batch).map(|q| q.enqueued_at).max().unwrap_or(0);
+                queue.range(..policy.max_batch).map(|q| q.enqueued_at).max().unwrap_or(0);
             self.free.max(last_enqueued)
         } else {
             // Short batch: wait out the head-of-line request's patience.
             self.free.max(head.enqueued_at.saturating_add(policy.max_wait))
         };
         Some((start, model))
+    }
+
+    /// Queues `item` in EDF order: appended when it sorts last (every
+    /// first arrival of a uniform-deadline stream), else inserted at its
+    /// sorted position.
+    fn push(&mut self, item: Queued) {
+        let queue = &mut self.queues[item.req.model];
+        let key = item.key();
+        if queue.back().is_none_or(|last| last.key() < key) {
+            queue.push_back(item);
+        } else {
+            let at = queue.partition_point(|q| q.key() < key);
+            queue.insert(at, item);
+        }
+        self.waiting += 1;
     }
 }
 
@@ -247,18 +275,17 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         self.spec.faults.events.get(self.fault_cursor).map(|e| e.at)
     }
 
-    /// The earliest pending launch across the cluster — ties break toward
-    /// the lowest instance index — or `None` when every live queue is
-    /// empty. Killed instances never launch; draining ones still flush
-    /// their queues. A driver hands the launch it chose back to
+    /// The earliest of the instances' kept launches — ties break toward
+    /// the lowest instance index — or `None` when every queue is empty.
+    /// Killed instances keep none; draining ones still flush their
+    /// queues. A driver hands the launch it chose back to
     /// [`ClusterCore::launch`].
     pub(crate) fn pending_launch(&self) -> Option<Launch> {
         self.instances
             .iter()
             .enumerate()
-            .filter(|(_, inst)| inst.up)
             .filter_map(|(instance, inst)| {
-                let (start, model) = inst.next_batch(&self.spec.policy)?;
+                let (start, model) = inst.next?;
                 Some(Launch { start, instance, model })
             })
             .min_by_key(|l| (l.start, l.instance))
@@ -304,10 +331,10 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             return false;
         }
         item.enqueued_at = now;
-        inst.queues[item.req.model].insert(item.key(), item);
-        inst.waiting += 1;
+        inst.push(item);
+        inst.next = inst.next_batch(&self.spec.policy);
         if self.obs.is_some() {
-            let depth = self.instances[target].waiting;
+            let depth = inst.waiting;
             self.emit(
                 now,
                 EventKind::Admitted { id: item.id, model: item.req.model, instance: target },
@@ -345,12 +372,12 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             FaultAction::Kill => {
                 let (mut victims, in_flight) = {
                     let inst = &mut self.instances[event.instance];
-                    inst.up = false;
                     inst.accepting = false;
+                    inst.next = None;
                     let mut victims = std::mem::take(&mut inst.doomed);
                     let in_flight = victims.len() as u64;
                     for queue in &mut inst.queues {
-                        victims.extend(std::mem::take(queue).into_values());
+                        victims.extend(queue.drain(..));
                     }
                     inst.waiting = 0;
                     (victims, in_flight)
@@ -385,9 +412,10 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             FaultAction::Restart => {
                 let obs_on = self.obs.is_some();
                 let inst = &mut self.instances[event.instance];
-                inst.up = true;
                 inst.accepting = true;
                 inst.free = event.at;
+                // The kill emptied the queues and a down instance accepts
+                // nothing, so `next` stays `None`.
                 let mut purged = Vec::new();
                 if let Some(store) = &mut inst.store {
                     store.cold_restart(event.instance, &mut |kind| {
@@ -446,11 +474,11 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
 
     /// Launches the batch `launch` names, which must be the current
     /// [`ClusterCore::pending_launch`]: admits the model's weights,
-    /// charges the batch (plus any switch fetch), pops the members off
-    /// their queue, records their latencies, and returns the batch's
-    /// `(completion cycle, size)`. A batch overlapping a scripted kill of
-    /// its instance is counted killed and its members are parked for
-    /// re-routing instead of completing.
+    /// charges the batch (plus any switch fetch), records its members'
+    /// latencies, pops them off the front of their queue, and returns the
+    /// batch's `(completion cycle, size)`. A batch overlapping a scripted
+    /// kill of its instance is counted killed and its members are parked
+    /// for re-routing instead of completing.
     pub(crate) fn launch(&mut self, launch: Launch) -> (u64, usize) {
         let Launch { start, instance: idx, model } = launch;
         let spec = self.spec;
@@ -461,13 +489,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         // instance borrow ends.
         let mut tier_notes: Vec<EventKind> = Vec::new();
         let inst = &mut self.instances[idx];
-        let queue = &mut inst.queues[model];
-        let members: Vec<Queued> = std::iter::from_fn(|| queue.pop_first())
-            .take(spec.policy.max_batch)
-            .map(|(_, q)| q)
-            .collect();
-        let k = members.len();
-        inst.waiting -= k;
+        let k = inst.queues[model].len().min(spec.policy.max_batch);
         let svc = &services[model];
         let exec = match &mut inst.store {
             None => svc.streamed[k - 1],
@@ -499,16 +521,19 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         inst.summary.batches += 1;
         let killed_at = self.next_kill_before(idx, done);
         let inst = &mut self.instances[idx];
+        // The members stay at the queue's front until the batch is
+        // recorded, and are popped after it.
+        let members = inst.queues[model].range(..k);
         let report = &mut self.report;
         if killed_at.is_some() {
             // The kill fires before this batch completes: its members
             // never finish here. Park them for the kill to re-route.
             assert!(inst.doomed.is_empty(), "one in-flight batch per kill");
-            inst.doomed.extend(members.iter().copied());
+            inst.doomed.extend(members);
             report.killed_batches += 1;
         } else {
             inst.summary.completed += k as u64;
-            for m in &members {
+            for m in members {
                 report.latencies.push(done - m.req.arrival);
                 report.misses += u64::from(m.req.deadline.is_some_and(|d| done > d));
             }
@@ -517,17 +542,18 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         }
         let seq = self.launched;
         self.launched += 1;
-        if obs_on {
-            for kind in std::mem::take(&mut tier_notes) {
-                self.emit(start, kind);
+        if let Some(sink) = self.obs.as_mut() {
+            let mut emit = |at, kind| sink.record(Event { at, kind });
+            for kind in tier_notes {
+                emit(start, kind);
             }
-            self.emit(start, EventKind::BatchFormed { seq, instance: idx, model, size: k });
-            self.emit(start, EventKind::BatchLaunched { seq, instance: idx, model, size: k, done });
+            emit(start, EventKind::BatchFormed { seq, instance: idx, model, size: k });
+            emit(start, EventKind::BatchLaunched { seq, instance: idx, model, size: k, done });
             if let Some(at) = killed_at {
-                self.emit(at, EventKind::BatchKilled { seq, instance: idx });
+                emit(at, EventKind::BatchKilled { seq, instance: idx });
             } else {
-                for m in &members {
-                    self.emit(
+                for m in self.instances[idx].queues[model].range(..k) {
+                    emit(
                         done,
                         EventKind::Served {
                             id: m.id,
@@ -540,9 +566,13 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                         },
                     );
                 }
-                self.emit(done, EventKind::BatchCompleted { seq, instance: idx, size: k });
+                emit(done, EventKind::BatchCompleted { seq, instance: idx, size: k });
             }
         }
+        let inst = &mut self.instances[idx];
+        inst.queues[model].drain(..k);
+        inst.waiting -= k;
+        inst.next = inst.next_batch(&spec.policy);
         self.autoscale_drain(start);
         (done, k)
     }
@@ -762,7 +792,7 @@ mod tests {
     /// the head's wait runs out.
     fn flat_batch(inst: &Instance, policy: &BatchPolicy) -> Option<(usize, Vec<usize>, u64)> {
         let edf = |q: &Queued| (q.req.deadline.unwrap_or(u64::MAX), q.req.arrival, q.id);
-        let waiting: Vec<Queued> = inst.queues.iter().flat_map(|q| q.values().copied()).collect();
+        let waiting: Vec<Queued> = inst.queues.iter().flatten().copied().collect();
         let head = *waiting.iter().min_by_key(|q| edf(q))?;
         let mut members: Vec<Queued> =
             waiting.into_iter().filter(|q| q.req.model == head.req.model).collect();
@@ -776,34 +806,34 @@ mod tests {
         Some((head.req.model, members.iter().map(|q| q.id).collect(), start))
     }
 
-    /// The same triple read off the ordered queues.
+    /// The same triple from the kept launch and the ordered queues.
     fn ordered_batch(inst: &Instance, policy: &BatchPolicy) -> Option<(usize, Vec<usize>, u64)> {
-        let (start, model) = inst.next_batch(policy)?;
-        let members = inst.queues[model].values().take(policy.max_batch).map(|q| q.id).collect();
+        let (start, model) = inst.next?;
+        let members = inst.queues[model].iter().take(policy.max_batch).map(|q| q.id).collect();
         Some((model, members, start))
     }
 
-    /// Every instance's queues hold each request under its own key, in
-    /// its model's queue, counted in `waiting`; every live instance's
-    /// next batch matches the flat rule, and so does the cluster's.
+    /// Every instance's queues hold each request in its model's queue,
+    /// strictly ascending by key, counted in `waiting`; every instance's
+    /// kept launch matches the flat rule (none on a killed instance,
+    /// whose queues are empty), and so does the cluster's.
     fn check(core: &ClusterCore<'_, '_>) -> std::result::Result<(), TestCaseError> {
         let policy = &core.spec.policy;
         for inst in &core.instances {
             let mut waiting = 0;
             for (model, queue) in inst.queues.iter().enumerate() {
-                for (key, q) in queue {
-                    prop_assert!(*key == q.key() && q.req.model == model);
+                for q in queue {
+                    prop_assert!(q.req.model == model);
                     prop_assert!(q.enqueued_at >= q.req.arrival);
                 }
+                let keys: Vec<_> = queue.iter().map(Queued::key).collect();
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "unsorted queue {:?}", keys);
                 waiting += queue.len();
             }
             prop_assert_eq!(inst.waiting, waiting);
-            if inst.up {
-                prop_assert_eq!(ordered_batch(inst, policy), flat_batch(inst, policy));
-            }
+            prop_assert_eq!(ordered_batch(inst, policy), flat_batch(inst, policy));
         }
         let flat_launch = (core.instances.iter().enumerate())
-            .filter(|(_, inst)| inst.up)
             .filter_map(|(i, inst)| flat_batch(inst, policy).map(|(_, _, start)| (start, i)))
             .min();
         prop_assert_eq!(core.next_launch(), flat_launch);
@@ -812,8 +842,7 @@ mod tests {
 
     /// Ids waiting on `inst`, ascending.
     fn waiting_ids(inst: &Instance) -> Vec<usize> {
-        let mut ids: Vec<usize> =
-            inst.queues.iter().flat_map(|q| q.values().map(|q| q.id)).collect();
+        let mut ids: Vec<usize> = inst.queues.iter().flatten().map(|q| q.id).collect();
         ids.sort_unstable();
         ids
     }
@@ -823,10 +852,11 @@ mod tests {
 
         /// Random three-model streams, with and without deadlines (equal
         /// deadlines and equal arrivals included), routed over two
-        /// instances through launches and a kill whose victims re-enqueue
-        /// after their arrival: before every step the ordered queues
-        /// agree with the flat rule, and every launch pops exactly the
-        /// flat rule's members.
+        /// instances through launches, a kill whose victims re-enqueue
+        /// after their arrival, a restart, and (when `autoscale` > 0)
+        /// spawns and drains: before every step the kept launches and
+        /// the ordered queues agree with the flat rule, and every launch
+        /// pops exactly the flat rule's members.
         #[test]
         fn ordered_queues_match_the_flat_edf_rule(
             gaps in collection::vec(0u64..40, 1..80),
@@ -838,6 +868,7 @@ mod tests {
             queue_cap in 1usize..16,
             kill_at in 1u64..1500,
             restart_after in 1u64..800,
+            autoscale in 0u64..4,
         ) {
             let services = [svc(&[30, 34, 38, 42]), svc(&[20, 26, 32, 38]), svc(&[50, 51, 52, 53])];
             let mut sp = spec(max_batch, max_wait, queue_cap);
@@ -847,6 +878,8 @@ mod tests {
                 FaultEvent { at: kill_at, instance: 0, action: FaultAction::Kill },
                 FaultEvent { at: kill_at + restart_after, instance: 0, action: FaultAction::Restart },
             ];
+            sp.faults.autoscale = (autoscale > 0)
+                .then_some(AutoscalePolicy { spawn_above: autoscale, drain_below: autoscale / 2 });
             let mut arrival = 0;
             let requests: Vec<Request> = gaps
                 .iter()
@@ -894,6 +927,35 @@ mod tests {
             }
             prop_assert!(core.finish().conserves(requests.len()));
         }
+    }
+
+    #[test]
+    fn kill_victims_insert_into_the_middle_of_a_survivors_queue() {
+        // Round-robin over two instances, nothing launches before the
+        // kill at 10: instance 1 holds deadlines 100 and 300, and instance
+        // 0's victims (deadlines 200 and 250) land between them.
+        let services = [svc(&[10, 12, 14, 16])];
+        let mut sp = spec(4, 1000, 8);
+        sp.instances = 2;
+        sp.faults.events = vec![FaultEvent { at: 10, instance: 0, action: FaultAction::Kill }];
+        let mut sink = se_obs::NullSink;
+        let mut core = ClusterCore::new(&services, &sp, &mut sink).unwrap();
+        for (id, deadline) in [200, 100, 250, 300].into_iter().enumerate() {
+            assert!(core.admit(id, Request { model: 0, arrival: 0, deadline: Some(deadline) }));
+        }
+        let ids = |core: &ClusterCore<'_, '_>| -> Vec<usize> {
+            core.instances[1].queues[0].iter().map(|q| q.id).collect()
+        };
+        assert_eq!(ids(&core), vec![1, 3]);
+        assert_eq!(core.next_launch(), Some((1000, 0)), "two short batches wait out max_wait");
+        core.apply_next_fault();
+        assert_eq!(ids(&core), vec![1, 0, 2, 3], "victims sort between the survivors");
+        assert_eq!(core.instances[0].next, None, "a killed instance keeps no launch");
+        // Four waiting make a full batch, ready once the victims join.
+        assert_eq!(core.next_launch(), Some((10, 1)));
+        assert_eq!(core.launch_next(), Some((10 + 16, 4)));
+        assert!(ids(&core).is_empty());
+        assert_eq!(core.next_launch(), None);
     }
 
     #[test]
