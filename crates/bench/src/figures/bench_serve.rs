@@ -3,9 +3,9 @@
 //! Sweeps a grid of cluster configurations (instances × router × batch
 //! policy × churn × memory model) over a synthetic request stream and
 //! times each configuration's run through the serial discrete-event
-//! simulation. Every run is checked for request conservation
-//! (completed + rejected + lost == submitted); a violation fails the
-//! command.
+//! simulation, as the median of five runs. Every run is checked for
+//! request conservation (completed + rejected + lost == submitted); a
+//! violation fails the command.
 //!
 //! Results go to `--bench-out` (default `BENCH_serve.json`) as a
 //! machine-readable report (`se_bench::json`); the file is parsed back
@@ -20,6 +20,7 @@ use crate::obs_export::Recording;
 use crate::{cli, runner, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
+use se_obs::{EventSink, NullSink};
 use se_serve::cluster::{simulate_cluster_run_obs, ClusterReport, ClusterSpec, ModelService};
 use se_serve::queue::BatchPolicy;
 use se_serve::workload::{self, ArrivalPattern};
@@ -50,6 +51,10 @@ pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
         .into()),
     }
 }
+
+/// Runs timed per config; the config's wall clock is their median. One run
+/// takes 8–31 ms at CI's size, too close to host noise to read alone.
+const TIMED_RUNS: usize = 5;
 
 /// One point of the sweep grid. Displays as its trace label,
 /// `inst{n} {router} b{k} {churn} {memory}`.
@@ -214,36 +219,57 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         streams.push(stream);
     }
 
+    // The clock times one config's simulation alone.
+    let timed = |i: usize, sink: &mut dyn EventSink| -> Result<(f64, ClusterReport)> {
+        let (_, spec, stream, table) = &grid[i];
+        let start = Instant::now();
+        let report = simulate_cluster_run_obs(&streams[*stream], &tables[*table], spec, sink)?;
+        Ok((start.elapsed().as_secs_f64() * 1e3, report.report))
+    };
     // One job and one recorded stream (trace pid) per config, on one
     // worker: each config's wall clock must time its simulation alone,
-    // with no other config competing for the cores.
+    // with no other config competing for the cores. This first sweep
+    // records into each config's sink; the later sweeps run into a
+    // `NullSink` and only add wall-clock samples (the runs are
+    // deterministic). Whole sweeps, not back-to-back runs of one config,
+    // so that a slow spell of the host lands on one sample of many
+    // configs rather than on every sample of a few.
     let labels: Vec<&Config> = grid.iter().map(|(config, ..)| config).collect();
     let mut recording = Recording::new(flags);
-    let results = recording.run_ordered(&labels, 1, |i, sink| {
-        let (config, spec, stream, table) = &grid[i];
-        let (stream, services) = (&streams[*stream], &tables[*table]);
+    let first = recording.run_ordered(&labels, 1, |i, sink| {
+        let (config, _, stream, _) = &grid[i];
         se_core::se_info!("  bench: {config}...");
-        // The clock times the simulation alone.
-        let start = Instant::now();
-        let report = simulate_cluster_run_obs(stream, services, spec, sink)?.report;
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if !report.conserves(stream.len()) {
+        let (ms, report) = timed(i, sink)?;
+        let submitted = streams[*stream].len();
+        if !report.conserves(submitted) {
             return Err(format!(
                 "request conservation violated at {config}: {} completed + {} rejected + {} \
-                 lost != {} submitted",
+                 lost != {submitted} submitted",
                 report.completed(),
                 report.rejected,
                 report.lost,
-                stream.len()
             )
             .into());
         }
-        Ok((
-            summary_row(config, wall_ms, &report, freq),
-            config_json(config, spec, wall_ms, &report, freq),
-        ))
+        Ok((ms, report))
     })?;
-    let (rows, configs): (Vec<Vec<String>>, Vec<Json>) = results.into_iter().unzip();
+    let mut walls: Vec<Vec<f64>> = first.iter().map(|&(ms, _)| vec![ms]).collect();
+    for _ in 1..TIMED_RUNS {
+        for (i, samples) in walls.iter_mut().enumerate() {
+            samples.push(timed(i, &mut NullSink)?.0);
+        }
+    }
+    let results = grid.iter().zip(first).zip(walls).map(
+        |(((config, spec, ..), (_, report)), mut samples)| {
+            samples.sort_by(f64::total_cmp);
+            let wall_ms = samples[TIMED_RUNS / 2];
+            (
+                summary_row(config, wall_ms, &report, freq),
+                config_json(config, spec, wall_ms, &report, freq),
+            )
+        },
+    );
+    let (rows, configs): (Vec<Vec<String>>, Vec<Json>) = results.unzip();
 
     writeln!(
         out,

@@ -121,9 +121,20 @@ impl CompressedNetwork {
     /// Returns [`CoreError::Ir`] on malformed bytes (bad magic, version or
     /// payload-kind mismatch, truncation, or failed re-validation).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        Self::read(&mut se_ir::serialize::ByteReader::new(bytes))
+    }
+
+    /// Deserializes a compressed network from a reader over a file or a
+    /// byte buffer, consuming it to its end (the general form of
+    /// [`CompressedNetwork::from_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`CompressedNetwork::from_bytes`], plus read failures of the
+    /// reader's source.
+    pub fn read(r: &mut se_ir::serialize::ByteReader<'_>) -> Result<Self> {
         use se_ir::serialize as ser;
-        let mut r = ser::ByteReader::new(bytes);
-        ser::expect_header(&mut r, ser::PayloadKind::CompressedNetwork).map_err(CoreError::from)?;
+        ser::expect_header(r, ser::PayloadKind::CompressedNetwork).map_err(CoreError::from)?;
         let layers = r.get_u32().map_err(CoreError::from)? as usize;
         // No reservations: a hostile count must not size an allocation.
         let (mut parts, mut reports) = (Vec::new(), Vec::new());
@@ -140,7 +151,7 @@ impl CompressedNetwork {
             let n = r.get_u32().map_err(CoreError::from)? as usize;
             let mut layer_parts = Vec::new();
             for _ in 0..n {
-                layer_parts.push(ser::read_se_layer(&mut r).map_err(CoreError::from)?);
+                layer_parts.push(ser::read_se_layer(r).map_err(CoreError::from)?);
             }
             parts.push(layer_parts);
             reports.push(LayerReport { name, params, storage, vector_sparsity, recon_error });

@@ -34,7 +34,7 @@ fn fixture() -> &'static Fixture {
             Walk { r: ByteReader::new(&bytes), len: bytes.len(), u32_fields: Vec::new() };
         walk.file();
         assert_eq!(walk.r.remaining(), 0, "the walk covers the whole artifact");
-        Fixture { u32_fields: walk.u32_fields, bytes }
+        Fixture { u32_fields: walk.u32_fields, bytes: bytes.clone() }
     })
 }
 

@@ -22,7 +22,9 @@
 //! Higher layers compose these primitives: `se_models::traces` persists
 //! whole trace-pair sets (`*.setrace` files) and `se_core`'s
 //! `CompressedNetwork` persists compressed networks, both through the
-//! [`ByteWriter`] / [`ByteReader`] pair defined here.
+//! [`ByteWriter`] / [`ByteReader`] pair defined here. A [`ByteReader`]
+//! reads a file or a byte slice alike through one reused buffer, so an
+//! artifact is decoded without ever being held whole in memory.
 //!
 //! # Examples
 //!
@@ -57,6 +59,8 @@ use crate::{
     SeSlice, WeightData,
 };
 use se_tensor::Mat;
+use std::io::Read;
+use std::sync::Arc;
 
 /// The four magic bytes opening every SmartExchange artifact file.
 pub const MAGIC: [u8; 4] = *b"SETR";
@@ -129,6 +133,17 @@ impl ByteWriter {
     /// Consumes the writer, returning the accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written since the writer was created or last cleared.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drops the bytes written so far and keeps the allocation, so a
+    /// writer drained after each record grows only to the largest record.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Bytes written so far.
@@ -211,25 +226,63 @@ impl ByteWriter {
     }
 }
 
-/// A bounds-checked little-endian byte source over a borrowed buffer.
+/// Bytes a [`ByteReader`] asks its source for at once, when the source has
+/// that many left.
+const READ_CHUNK: usize = 64 << 10;
+
+/// A bounds-checked little-endian byte source: any [`Read`] whose total
+/// length is known, read through one reused buffer. A byte slice is the
+/// same reader over a source that happens to be in memory.
 ///
-/// Every `get_*` method fails with [`IrError::Serialize`] instead of
-/// panicking when the buffer is truncated.
-#[derive(Debug)]
+/// The buffer holds at most 64 KiB, or the largest single field taken
+/// when that is larger, and never more than the source's length. Every
+/// `get_*` method checks the field's length against the bytes left before
+/// it reads or allocates anything, and fails with [`IrError::Serialize`]
+/// instead of panicking when the input is truncated.
 pub struct ByteReader<'a> {
-    buf: &'a [u8],
+    src: Box<dyn Read + 'a>,
+    /// `buf[start..end]` holds bytes read from `src` but not yet taken.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Offset of the next byte to take.
     pos: usize,
+    /// Total length of the source.
+    len: usize,
+}
+
+impl std::fmt::Debug for ByteReader<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ByteReader")
+            .field("pos", &self.pos)
+            .field("len", &self.len)
+            .field("buffer_len", &self.buf.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'a> ByteReader<'a> {
     /// Creates a reader over the whole buffer.
     pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+        ByteReader::from_read(buf, buf.len())
+    }
+
+    /// Creates a reader over a source holding `len` bytes (a file's length,
+    /// say). A source that ends early is reported as truncated input; bytes
+    /// past `len` are never read.
+    pub fn from_read(src: impl Read + 'a, len: usize) -> Self {
+        ByteReader { src: Box::new(src), buf: Vec::new(), start: 0, end: 0, pos: 0, len }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.len - self.pos
+    }
+
+    /// Size of the reused read buffer, which never exceeds the source's
+    /// length.
+    pub fn buffer_len(&self) -> usize {
+        self.buf.len()
     }
 
     /// Fails unless the buffer was consumed exactly to its end — trailing
@@ -245,7 +298,7 @@ impl<'a> ByteReader<'a> {
         Ok(())
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    fn take(&mut self, n: usize) -> Result<&[u8]> {
         if self.remaining() < n {
             return Err(err(format!(
                 "truncated input: wanted {n} bytes at offset {}, {} available",
@@ -253,9 +306,45 @@ impl<'a> ByteReader<'a> {
                 self.remaining()
             )));
         }
-        let s = &self.buf[self.pos..self.pos + n];
+        if self.end - self.start < n {
+            self.fill(n)?;
+        }
+        let at = self.start;
+        self.start += n;
         self.pos += n;
-        Ok(s)
+        Ok(&self.buf[at..at + n])
+    }
+
+    /// Reads from the source until the buffer holds `n` untaken bytes; the
+    /// caller has checked that the source's length covers them.
+    fn fill(&mut self, n: usize) -> Result<()> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let want = n.max(READ_CHUNK).min(self.remaining());
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        // `remaining` counts the buffered bytes too: reading up to it
+        // stops at the source's stated length.
+        let limit = self.buf.len().min(self.remaining());
+        while self.end < n {
+            match self.src.read(&mut self.buf[self.end..limit]) {
+                Ok(0) => {
+                    return Err(err(format!(
+                        "truncated input: wanted {n} bytes at offset {}, the source ended at {}",
+                        self.pos,
+                        self.pos + self.end
+                    )))
+                }
+                Ok(read) => self.end += read,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    return Err(err(format!("read failed at offset {}: {e}", self.pos + self.end)))
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Reads one byte.
@@ -524,13 +613,9 @@ pub fn write_quant_tensor(w: &mut ByteWriter, q: &QuantTensor) -> Result<()> {
     Ok(())
 }
 
-/// Reads a [`QuantTensor`] written by [`write_quant_tensor`].
-///
-/// # Errors
-///
-/// Returns [`IrError::Serialize`] on malformed input, or the underlying
-/// validation error from [`QuantTensor::from_parts`].
-pub fn read_quant_tensor(r: &mut ByteReader<'_>) -> Result<QuantTensor> {
+/// Reads a [`QuantTensor`]'s rank, dims, code width and scale, returning
+/// them with the code count.
+fn read_quant_header(r: &mut ByteReader<'_>) -> Result<(Vec<usize>, u32, f32, usize)> {
     let rank = r.get_u8()? as usize;
     let mut shape = Vec::with_capacity(rank);
     for _ in 0..rank {
@@ -541,8 +626,46 @@ pub fn read_quant_tensor(r: &mut ByteReader<'_>) -> Result<QuantTensor> {
     let len = shape.iter().try_fold(1usize, |acc, &d| {
         acc.checked_mul(d).ok_or_else(|| err("tensor volume overflow"))
     })?;
+    Ok((shape, bits, scale, len))
+}
+
+/// Reads a [`QuantTensor`] written by [`write_quant_tensor`].
+///
+/// # Errors
+///
+/// Returns [`IrError::Serialize`] on malformed input, or the underlying
+/// validation error from [`QuantTensor::from_parts`].
+pub fn read_quant_tensor(r: &mut ByteReader<'_>) -> Result<QuantTensor> {
+    let (shape, bits, scale, len) = read_quant_header(r)?;
     let data = r.get_i8_vec(len)?;
     QuantTensor::from_parts(shape, data, scale, bits)
+}
+
+/// Reads a [`QuantTensor`] like [`read_quant_tensor`], but hands back a
+/// clone of `like` when the stored tensor is bit-identical to it: the same
+/// shape, code width, scale bits and codes. An equal map is then held
+/// once, and an unequal one is decoded into its own allocation.
+///
+/// # Errors
+///
+/// As [`read_quant_tensor`].
+pub fn read_quant_tensor_shared(
+    r: &mut ByteReader<'_>,
+    like: &Arc<QuantTensor>,
+) -> Result<Arc<QuantTensor>> {
+    let (shape, bits, scale, len) = read_quant_header(r)?;
+    let codes = r.take(len)?;
+    let same = like.shape() == shape.as_slice()
+        && like.bits() == bits
+        && like.scale().to_bits() == scale.to_bits()
+        && like.len() == len
+        // Branch-free, so the compare runs at memory speed.
+        && codes.iter().zip(like.data()).fold(true, |eq, (&b, &c)| eq & (b == c as u8));
+    if same {
+        return Ok(Arc::clone(like));
+    }
+    let data = codes.iter().map(|&b| b as i8).collect();
+    Ok(Arc::new(QuantTensor::from_parts(shape, data, scale, bits)?))
 }
 
 /// Writes a [`Mat`] as `u32` rows/cols plus its row-major `f32` blob.
@@ -865,8 +988,23 @@ pub fn layer_trace_len(trace: &LayerTrace) -> usize {
 pub fn read_layer_trace(r: &mut ByteReader<'_>) -> Result<LayerTrace> {
     let desc = read_layer_desc(r)?;
     let weights = read_weight_data(r)?;
-    let input = read_quant_tensor(r)?;
-    LayerTrace::new(desc, weights, input)
+    LayerTrace::new(desc, weights, read_quant_tensor(r)?)
+}
+
+/// Reads a [`LayerTrace`] like [`read_layer_trace`], sharing `like` as its
+/// input when the stored input is bit-identical to it (see
+/// [`read_quant_tensor_shared`]).
+///
+/// # Errors
+///
+/// As [`read_layer_trace`].
+pub fn read_layer_trace_sharing(
+    r: &mut ByteReader<'_>,
+    like: &Arc<QuantTensor>,
+) -> Result<LayerTrace> {
+    let desc = read_layer_desc(r)?;
+    let weights = read_weight_data(r)?;
+    LayerTrace::new(desc, weights, read_quant_tensor_shared(r, like)?)
 }
 
 #[cfg(test)]

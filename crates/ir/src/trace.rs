@@ -1,4 +1,5 @@
 use crate::{IrError, LayerDesc, QuantTensor, Result, SeLayer};
+use std::sync::Arc;
 
 /// A layer's weights as consumed by an accelerator simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,23 +27,31 @@ impl WeightData {
 /// (activation tensors for ImageNet-scale layers are large) and consumed by
 /// both the SmartExchange accelerator simulator (`se-hw`) and the baseline
 /// simulators (`se-baselines`), guaranteeing every accelerator sees the
-/// *same* data — the paper's equal-footing methodology.
+/// *same* data — the paper's equal-footing methodology. The input map is
+/// held behind an [`Arc`], so the dense and SE traces of one layer can
+/// share a single copy of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerTrace {
     desc: LayerDesc,
     weights: WeightData,
-    input: QuantTensor,
+    input: Arc<QuantTensor>,
 }
 
 impl LayerTrace {
     /// Creates a trace, validating that the input tensor volume matches the
-    /// layer geometry.
+    /// layer geometry. The input is an owned tensor or an [`Arc`] shared
+    /// with another trace.
     ///
     /// # Errors
     ///
     /// Returns [`IrError::LayoutMismatch`] if the input element count does
     /// not equal the descriptor's expected input volume.
-    pub fn new(desc: LayerDesc, weights: WeightData, input: QuantTensor) -> Result<Self> {
+    pub fn new(
+        desc: LayerDesc,
+        weights: WeightData,
+        input: impl Into<Arc<QuantTensor>>,
+    ) -> Result<Self> {
+        let input = input.into();
         let expect = desc.input_elems();
         if input.len() as u64 != expect {
             return Err(IrError::LayoutMismatch {
@@ -69,6 +78,12 @@ impl LayerTrace {
     /// The 8-bit input activation map, shaped `(C, H, W)` (or `(C,)` for
     /// FC layers).
     pub fn input(&self) -> &QuantTensor {
+        &self.input
+    }
+
+    /// The shared handle to the input map: two traces built from one
+    /// [`Arc`] hold the same allocation.
+    pub fn shared_input(&self) -> &Arc<QuantTensor> {
         &self.input
     }
 }

@@ -10,7 +10,7 @@
 //! for traces. Artifacts are self-populating: a cached run writes on miss
 //! and replays on hit, and both paths produce bit-identical reports.
 
-use crate::traces::{fnv1a, io_err, publish, put_se_config, sanitize_net_name};
+use crate::traces::{fnv1a, io_err, open_artifact, publish, put_se_config, sanitize_net_name};
 use crate::{weights, Result};
 use se_core::network::{CompressedNetwork, LayerReport};
 use se_core::pipeline::{self, LayerJob, WeightSource};
@@ -63,7 +63,7 @@ pub fn write_network_file(
     network: &CompressedNetwork,
 ) -> Result<PathBuf> {
     let bytes = network.to_bytes()?;
-    publish(dir, &network_file_name(net_name, cfg, seed), &bytes)
+    publish(dir, &network_file_name(net_name, cfg, seed), |out| out(&bytes))
 }
 
 /// Size in bytes of an artifact file of either kind (`*.senet` or
@@ -76,14 +76,14 @@ pub fn artifact_bytes(path: &Path) -> Result<u64> {
     std::fs::metadata(path).map(|m| m.len()).map_err(|e| io_err(path, e))
 }
 
-/// Reads a compressed-network artifact via [`CompressedNetwork::from_bytes`].
+/// Reads a compressed-network artifact via [`CompressedNetwork::read`],
+/// decoding straight from the open file through the reader's buffer.
 ///
 /// # Errors
 ///
 /// Propagates filesystem and decoding failures.
 pub fn read_network_file(path: &Path) -> Result<CompressedNetwork> {
-    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    Ok(CompressedNetwork::from_bytes(&bytes)?)
+    Ok(CompressedNetwork::read(&mut open_artifact(path)?)?)
 }
 
 /// Looks a network's compressed form up in the artifact directory:

@@ -1,7 +1,8 @@
 //! Per-layer simulation traces: the same synthetic weights and activations
 //! packaged both ways — dense 8-bit for the baseline accelerators and
 //! SmartExchange-compressed for the SE accelerator — so every simulator
-//! sees identical data (the paper's equal-footing methodology).
+//! sees identical data (the paper's equal-footing methodology). The two
+//! traces of a pair hold one shared input map.
 //!
 //! [`for_each_chunk`] is the one source of a network's pairs. An artifact
 //! replay (`*.setrace`, built by `se trace build`) holds the whole network
@@ -13,6 +14,7 @@
 use crate::{activations, weights, ModelError, Result};
 use se_core::{pipeline, SeConfig};
 use se_ir::{LayerTrace, NetworkDesc, QuantTensor, WeightData};
+use std::sync::Arc;
 
 /// Options controlling trace generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +90,7 @@ pub struct TracePair {
 /// Generates the matched trace pair for one layer. The synthetic weights
 /// and activations are generated once and shared by both traces: the
 /// dense trace quantizes them to 8 bits, the SE trace compresses the same
-/// weights with `opts.se_config`.
+/// weights with `opts.se_config`, and both hold one quantized input map.
 ///
 /// # Errors
 ///
@@ -99,9 +101,9 @@ pub fn trace_pair(net: &NetworkDesc, layer_index: usize, opts: &TraceOptions) ->
     let w = weights::synthetic_weights(net.name(), &desc, opts.base_seed)?;
     let qw = QuantTensor::quantize(&w, 8)?;
     let act = activations::synthetic_activation(net, layer_index, opts.base_seed)?;
-    let qa = QuantTensor::quantize(&act, 8)?;
+    let qa = Arc::new(QuantTensor::quantize(&act, 8)?);
     let parts = se_core::layer::compress_layer(&desc, &w, &opts.se_config)?;
-    let dense = LayerTrace::new(desc.clone(), WeightData::Dense(qw), qa.clone())?;
+    let dense = LayerTrace::new(desc.clone(), WeightData::Dense(qw), Arc::clone(&qa))?;
     let se = LayerTrace::new(desc, WeightData::Se(parts), qa)?;
     Ok(TracePair { layer_index, dense, se })
 }
@@ -179,6 +181,8 @@ pub fn for_each_chunk<E: From<ModelError>>(
 // a direct one.
 
 use se_ir::serialize::{self as ser, ByteReader, ByteWriter, PayloadKind};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// File extension of persisted trace-pair sets.
@@ -190,16 +194,28 @@ pub(crate) fn io_err(path: &Path, e: impl std::fmt::Display) -> ModelError {
     ModelError::Io { path: path.display().to_string(), reason: e.to_string() }
 }
 
-/// Writes `bytes` to `dir/name`, creating `dir` if needed, and returns the
-/// path (shared by every artifact kind). The file is published atomically
-/// (written to a temp name, then renamed): an interrupted build must never
-/// leave a truncated artifact at the final path, since a present-but-corrupt
-/// artifact is a loud error for every later cached run.
-pub(crate) fn publish(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf> {
+/// Writes `dir/name`, creating `dir` if needed, and returns the path
+/// (shared by every artifact kind). `write` hands its bytes, in as many
+/// pieces as it likes, to the sink it is given. The file is published
+/// atomically (written to a temp name, then renamed; removed if `write`
+/// fails): an interrupted build must never leave a truncated artifact at
+/// the final path, since a present-but-corrupt artifact is a loud error for
+/// every later cached run.
+pub(crate) fn publish(
+    dir: &Path,
+    name: &str,
+    write: impl FnOnce(&mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()>,
+) -> Result<PathBuf> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     let path = dir.join(name);
     let tmp = dir.join(format!("{name}.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, e))?;
+    let mut file = File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
+    let written = write(&mut |bytes| file.write_all(bytes).map_err(|e| io_err(&tmp, e)));
+    drop(file);
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
     std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
     Ok(path)
 }
@@ -307,29 +323,49 @@ pub struct TraceFile {
     pub pairs: Vec<TracePair>,
 }
 
+/// The one encode loop: writes the header and then each pair into `w`,
+/// handing `w` to `drain` before each pair and once at the end. A drain
+/// that empties `w` bounds it by the largest pair; one that keeps the
+/// bytes leaves the whole encoding in `w`.
+fn encode_pairs(
+    w: &mut ByteWriter,
+    net_name: &str,
+    digest: u64,
+    pairs: &[TracePair],
+    mut drain: impl FnMut(&mut ByteWriter) -> Result<()>,
+) -> Result<()> {
+    ser::write_header(w, PayloadKind::TraceSet);
+    w.put_str(net_name)?;
+    w.put_u64(digest);
+    w.put_u32(pairs.len() as u32);
+    for pair in pairs {
+        drain(w)?;
+        w.reserve(pair_len(pair));
+        w.put_u64(pair.layer_index as u64);
+        ser::write_layer_trace(w, &pair.dense)?;
+        ser::write_layer_trace(w, &pair.se)?;
+    }
+    drain(w)
+}
+
+/// The encoded size of one pair: layer index and both traces.
+fn pair_len(pair: &TracePair) -> usize {
+    8 + ser::layer_trace_len(&pair.dense) + ser::layer_trace_len(&pair.se)
+}
+
 /// Serializes trace pairs to the versioned byte format (without touching
-/// the filesystem — the testable core of [`write_trace_file`]).
+/// the filesystem — the in-memory form of [`write_trace_file`], through the
+/// same encode loop).
 ///
 /// # Errors
 ///
 /// Propagates codec failures (oversized dimension fields).
 pub fn encode_trace_pairs(net_name: &str, digest: u64, pairs: &[TracePair]) -> Result<Vec<u8>> {
     let mut w = ByteWriter::new();
-    ser::write_header(&mut w, PayloadKind::TraceSet);
-    w.put_str(net_name)?;
-    w.put_u64(digest);
-    w.put_u32(pairs.len() as u32);
-    w.reserve(
-        pairs
-            .iter()
-            .map(|p| 8 + ser::layer_trace_len(&p.dense) + ser::layer_trace_len(&p.se))
-            .sum(),
-    );
-    for pair in pairs {
-        w.put_u64(pair.layer_index as u64);
-        ser::write_layer_trace(&mut w, &pair.dense)?;
-        ser::write_layer_trace(&mut w, &pair.se)?;
-    }
+    // File header, name, digest and pair count, then the pairs.
+    let header = 7 + 4 + net_name.len() + 8 + 4;
+    w.reserve(header + pairs.iter().map(pair_len).sum::<usize>());
+    encode_pairs(&mut w, net_name, digest, pairs, |_| Ok(()))?;
     Ok(w.into_bytes())
 }
 
@@ -341,8 +377,19 @@ pub fn encode_trace_pairs(net_name: &str, digest: u64, pairs: &[TracePair]) -> R
 /// Propagates codec failures: bad magic, version or payload-kind mismatch,
 /// truncation, trailing garbage, or failed re-validation of a trace.
 pub fn decode_trace_pairs(bytes: &[u8]) -> Result<TraceFile> {
-    let mut r = ByteReader::new(bytes);
-    ser::expect_header(&mut r, PayloadKind::TraceSet)?;
+    read_trace_pairs(&mut ByteReader::new(bytes))
+}
+
+/// Decodes a trace artifact from a reader over a file or a byte buffer.
+/// Each pair's SE trace shares the dense trace's input map when the file
+/// stores the two bit-identically (as every artifact this crate writes
+/// does); an input that differs gets its own allocation.
+///
+/// # Errors
+///
+/// As [`decode_trace_pairs`], plus read failures of the reader's source.
+pub fn read_trace_pairs(r: &mut ByteReader<'_>) -> Result<TraceFile> {
+    ser::expect_header(r, PayloadKind::TraceSet)?;
     let net_name = r.get_str()?;
     let digest = r.get_u64()?;
     let n = r.get_u32()? as usize;
@@ -350,8 +397,8 @@ pub fn decode_trace_pairs(bytes: &[u8]) -> Result<TraceFile> {
     let mut pairs = Vec::new();
     for _ in 0..n {
         let layer_index = r.get_u64()? as usize;
-        let dense = ser::read_layer_trace(&mut r)?;
-        let se = ser::read_layer_trace(&mut r)?;
+        let dense = ser::read_layer_trace(r)?;
+        let se = ser::read_layer_trace_sharing(r, dense.shared_input())?;
         pairs.push(TracePair { layer_index, dense, se });
     }
     r.expect_end()?;
@@ -359,8 +406,10 @@ pub fn decode_trace_pairs(bytes: &[u8]) -> Result<TraceFile> {
 }
 
 /// Writes a network's trace pairs into `dir` under [`trace_file_name`],
-/// creating the directory if needed and publishing atomically. Returns the
-/// file path.
+/// creating the directory if needed and publishing atomically. Pairs are
+/// encoded one at a time into one reused buffer that is drained into the
+/// file after each, so the whole encoding is never held in memory. Returns
+/// the file path.
 ///
 /// # Errors
 ///
@@ -371,18 +420,32 @@ pub fn write_trace_file(
     opts: &TraceOptions,
     pairs: &[TracePair],
 ) -> Result<PathBuf> {
-    let bytes = encode_trace_pairs(net.name(), options_digest(opts), pairs)?;
-    publish(dir, &trace_file_name(net.name(), opts), &bytes)
+    publish(dir, &trace_file_name(net.name(), opts), |out| {
+        encode_pairs(&mut ByteWriter::new(), net.name(), options_digest(opts), pairs, |w| {
+            out(w.as_bytes())?;
+            w.clear();
+            Ok(())
+        })
+    })
 }
 
-/// Reads a trace-artifact file.
+/// Reads a trace-artifact file, decoding straight from the open file
+/// through the reader's buffer (see [`read_trace_pairs`]).
 ///
 /// # Errors
 ///
 /// Propagates filesystem and decoding failures.
 pub fn read_trace_file(path: &Path) -> Result<TraceFile> {
-    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    decode_trace_pairs(&bytes)
+    read_trace_pairs(&mut open_artifact(path)?)
+}
+
+/// A reader over an artifact file of either kind, sized by its length on
+/// disk (shared by every artifact kind).
+pub(crate) fn open_artifact(path: &Path) -> Result<ByteReader<'static>> {
+    let file = File::open(path).map_err(|e| io_err(path, e))?;
+    let len = file.metadata().map_err(|e| io_err(path, e))?.len();
+    let len = usize::try_from(len).map_err(|e| io_err(path, e))?;
+    Ok(ByteReader::from_read(file, len))
 }
 
 /// Looks a network's traces up in the cache directory: `Ok(Some(pairs))`
@@ -649,6 +712,58 @@ mod tests {
         assert_eq!(file.digest, options_digest(&opts));
         assert_eq!(file.pairs, pairs); // bit-identical, every f32
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn each_pair_holds_one_input_map() {
+        let net = tiny_net();
+        let opts = TraceOptions::fast().with_fc_layers();
+        let pairs = trace_pairs(&net, &opts).unwrap();
+        let dir = temp_dir("shared-input");
+        let path = write_trace_file(&dir, &net, &opts, &pairs).unwrap();
+        let file = read_trace_file(&path).unwrap();
+        assert_eq!(file.pairs, pairs);
+        for p in pairs.iter().chain(&file.pairs) {
+            assert!(Arc::ptr_eq(p.dense.shared_input(), p.se.shared_input()), "{}", p.layer_index);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn encode_sizes_its_buffer_once() {
+        let net = tiny_net();
+        let pairs = trace_pairs(&net, &TraceOptions::fast().with_fc_layers()).unwrap();
+        for n in 0..=pairs.len() {
+            let bytes = encode_trace_pairs(net.name(), 0, &pairs[..n]).unwrap();
+            assert_eq!(bytes.capacity(), bytes.len(), "{n} pairs: the buffer was regrown");
+        }
+    }
+
+    #[test]
+    fn unequal_inputs_in_a_file_stay_two_maps() {
+        let pair = trace_pair(&tiny_net(), 0, &TraceOptions::fast()).unwrap();
+        let input = pair.se.input().clone();
+        let bytes = encode_trace_pairs("tiny", 0, std::slice::from_ref(&pair)).unwrap();
+        // The SE input closes the file: its scale (f32), then its codes.
+        let codes = bytes.len() - input.len();
+        let scale = codes - 4;
+        let mut one_code = bytes.clone();
+        one_code[codes + 5] = u8::from(one_code[codes + 5] == 0);
+        let mut one_scale = bytes.clone();
+        one_scale[scale..codes].copy_from_slice(&(2.0 * input.scale()).to_le_bytes());
+        for edited in [one_code, one_scale] {
+            let got = decode_trace_pairs(&edited).unwrap().pairs.remove(0);
+            assert!(!Arc::ptr_eq(got.dense.shared_input(), got.se.shared_input()));
+            assert_eq!(got.dense, pair.dense);
+            let stored = f32::from_le_bytes(edited[scale..codes].try_into().unwrap());
+            let data = edited[codes..].iter().map(|&b| b as i8).collect();
+            let want = QuantTensor::from_parts(input.shape().to_vec(), data, stored, 8).unwrap();
+            assert_ne!(&want, pair.dense.input());
+            assert_eq!(got.se.input(), &want);
+            assert_eq!(got.se.input().scale().to_bits(), stored.to_bits());
+            // The edited file is a legal v1 artifact: it round-trips.
+            assert_eq!(encode_trace_pairs("tiny", 0, &[got]).unwrap(), edited);
+        }
     }
 
     #[test]

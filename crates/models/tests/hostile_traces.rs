@@ -1,13 +1,18 @@
 //! Hostile-input properties of the `.setrace` decoder: a damaged artifact
 //! (truncated, bit-flipped, or with a length field blown up to a huge
 //! count) must decode to `Ok` or `Err`, never panic or abort on a giant
-//! allocation.
+//! allocation. The streaming reader must decode any split of the bytes
+//! into reads exactly like a slice, and a huge length field must fail
+//! before the reader's buffer grows past the file.
 
 use proptest::prelude::*;
 use se_ir::serialize::ByteReader;
 use se_ir::{Dataset, IrError, LayerDesc, LayerKind, NetworkDesc, Po2Set};
-use se_models::traces::{decode_trace_pairs, encode_trace_pairs, trace_pairs, TraceOptions};
+use se_models::traces::{
+    decode_trace_pairs, encode_trace_pairs, read_trace_pairs, trace_pairs, TraceOptions,
+};
 use se_models::ModelError;
+use std::io::Read;
 use std::sync::OnceLock;
 
 /// A small real artifact plus the offsets of its `u32` fields and of its
@@ -52,7 +57,7 @@ fn fixture() -> &'static Fixture {
         assert_eq!(walk.r.remaining(), 0, "the walk covers the whole artifact");
         assert!(!walk.ce_codes.is_empty());
         assert!(walk.ce_codes.iter().all(|&(_, valid)| valid < 256), "one-byte codes only");
-        Fixture { u32_fields: walk.u32_fields, ce_codes: walk.ce_codes, bytes }
+        Fixture { u32_fields: walk.u32_fields, ce_codes: walk.ce_codes, bytes: bytes.clone() }
     })
 }
 
@@ -195,5 +200,86 @@ proptest! {
         bytes[at] = (valid + u32::from(byte) % (256 - valid)) as u8;
         let err = decode_trace_pairs(&bytes).unwrap_err();
         prop_assert!(matches!(err, ModelError::Ir(IrError::InvalidPo2 { .. })), "{err}");
+    }
+}
+
+/// A source handing out its bytes 1 to `k` at a time, the count of each
+/// read drawn from a seeded generator.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    k: usize,
+    state: u64,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        self.state = self.state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let n = (1 + (self.state >> 33) as usize % self.k).min(out.len()).min(self.bytes.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Decodes `bytes` through a [`Trickle`], the reader told the source holds
+/// `len` bytes.
+fn trickle_decode(
+    bytes: &[u8],
+    len: usize,
+    k: usize,
+    seed: u64,
+) -> se_models::Result<se_models::traces::TraceFile> {
+    read_trace_pairs(&mut ByteReader::from_read(Trickle { bytes, k, state: seed }, len))
+}
+
+#[test]
+fn a_huge_length_prefix_fails_before_the_buffer_outgrows_the_file() {
+    let f = fixture();
+    let path = std::env::temp_dir().join(format!("se-hostile-prefix-{}", std::process::id()));
+    // The net-name length is the file's first length prefix; every other
+    // `u32` field blown up must keep the buffer within the file as well.
+    for (i, &at) in f.u32_fields.iter().enumerate() {
+        let mut bytes = f.bytes.clone();
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let mut r = ByteReader::from_read(std::fs::File::open(&path).unwrap(), bytes.len());
+        let got = read_trace_pairs(&mut r);
+        assert!(i > 0 || got.is_err(), "a u32::MAX name length decoded");
+        assert!(r.buffer_len() <= bytes.len(), "field at byte {at}: {}", r.buffer_len());
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn any_split_into_reads_decodes_like_the_slice(k in 1usize..4096, seed in any::<u64>()) {
+        let bytes = &fixture().bytes;
+        let got = trickle_decode(bytes, bytes.len(), k, seed).unwrap();
+        prop_assert_eq!(got, decode_trace_pairs(bytes).unwrap());
+    }
+
+    #[test]
+    fn bytes_past_the_stated_length_are_never_read(k in 1usize..4096, seed in any::<u64>()) {
+        let bytes = &fixture().bytes;
+        let mut longer = bytes.clone();
+        longer.extend_from_slice(&[0xAB; 100]);
+        let mut src = Trickle { bytes: &longer, k, state: seed };
+        let got = read_trace_pairs(&mut ByteReader::from_read(&mut src, bytes.len())).unwrap();
+        prop_assert_eq!(got, decode_trace_pairs(bytes).unwrap());
+        prop_assert_eq!(src.bytes.len(), 100);
+    }
+
+    #[test]
+    fn truncation_through_the_stream_is_an_error(
+        cut in 0..fixture().bytes.len(),
+        k in 1usize..4096,
+        seed in any::<u64>(),
+    ) {
+        let bytes = &fixture().bytes;
+        // A short file, and a source that ends before its stated length.
+        prop_assert!(trickle_decode(&bytes[..cut], cut, k, seed).is_err());
+        prop_assert!(trickle_decode(&bytes[..cut], bytes.len(), k, seed).is_err());
     }
 }
