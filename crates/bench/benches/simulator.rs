@@ -5,13 +5,14 @@
 //! plus the serial-vs-parallel five-accelerator comparison grid on a
 //! repeated-geometry (ResNet164-profile) network, and the serving
 //! scheduler (`se_serve`'s admit/launch loop) on a 4-instance cluster
-//! with deep queues.
+//! with deep queues, and the `.setrace` decode that feeds a replay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use se_baselines::{BaselineConfig, BitPragmatic, CambriconX, DianNao, Scnn};
 use se_bench::runner::{compare_pairs, RunnerOptions};
 use se_hw::sim::SeAccelerator;
 use se_hw::{Accelerator, SeAcceleratorConfig};
+use se_ir::serialize::ByteReader;
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 use se_models::traces::{self, TraceOptions};
 use se_models::zoo;
@@ -172,10 +173,39 @@ fn bench_cluster_scheduler(c: &mut Criterion) {
     group.finish();
 }
 
+/// Decoding an in-memory `.setrace` artifact of three layers (a 3×3 CONV,
+/// a depth-wise CONV and an FC layer, the three `Ce` layouts) through
+/// `read_trace_pairs`, the decode a cached replay starts with.
+fn bench_decode_trace(c: &mut Criterion) {
+    let conv =
+        LayerKind::Conv2d { in_channels: 64, out_channels: 64, kernel: 3, stride: 1, padding: 1 };
+    let dw = LayerKind::DepthwiseConv2d { channels: 144, kernel: 3, stride: 1, padding: 1 };
+    let fc = LayerKind::Linear { in_features: 512, out_features: 256 };
+    let layers = vec![
+        LayerDesc::new("conv", conv, (16, 16)),
+        LayerDesc::new("dw", dw, (28, 28)),
+        LayerDesc::new("fc", fc, (1, 1)),
+    ];
+    let net = NetworkDesc::new("decode", Dataset::Cifar10, layers).unwrap();
+    let pairs = traces::trace_pairs(&net, &TraceOptions::fast().with_fc_layers()).unwrap();
+    let bytes = traces::encode_trace_pairs(net.name(), 0, &pairs).unwrap();
+
+    let mut group = c.benchmark_group("decode_trace");
+    group.sample_size(20);
+    group.bench_function("conv_depthwise_fc", |b| {
+        b.iter(|| {
+            let mut r = ByteReader::new(black_box(&bytes));
+            black_box(traces::read_trace_pairs(&mut r).unwrap())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_simulators,
     bench_simulation_grid_parallel,
-    bench_cluster_scheduler
+    bench_cluster_scheduler,
+    bench_decode_trace
 );
 criterion_main!(benches);

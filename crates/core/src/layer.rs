@@ -345,7 +345,7 @@ mod tests {
             other => panic!("unexpected layout {other:?}"),
         }
         assert_eq!(se.slices().len(), 6);
-        assert!(se.slices().iter().all(|s| s.ce().rows() <= 16));
+        assert!(se.slices().iter().all(|s| s.rows() <= 16));
         let recon = se.reconstruct_weights().unwrap();
         assert_eq!(recon.shape(), w.shape());
     }

@@ -39,7 +39,7 @@ fn digest(parts: &[SeLayer]) -> u64 {
     let mut h = Fnv::new();
     for part in parts {
         for s in part.slices() {
-            h.mat(s.ce());
+            h.mat(&s.ce_values());
             h.mat(s.basis());
         }
     }

@@ -10,23 +10,23 @@
 
 use crate::window::SerialMode;
 use crate::{HwError, Result, SeAcceleratorConfig};
-use se_ir::{LayerKind, LayerTrace, SeLayer, SeLayout, WeightData};
-use se_tensor::{conv, Tensor};
+use se_ir::{LayerKind, LayerTrace, SeLayer, SeLayout, SeSlice, WeightData};
+use se_tensor::{conv, Mat, Tensor};
 
-/// Coefficient row values of one filter's reshaped matrix, straight from
-/// the slice storage (independent of the simulator's mask preparation).
-fn filter_ce_row(layer: &SeLayer, filter: usize, row: usize) -> Vec<f32> {
+/// Coefficient row values of one filter's reshaped matrix, from the
+/// layer's decoded `Ce` matrices in slice order (independent of the
+/// simulator's mask preparation).
+fn filter_ce_row(layer: &SeLayer, ce: &[Mat], filter: usize, row: usize) -> Vec<f32> {
     let per_unit = match *layer.layout() {
         SeLayout::ConvPerFilter { slices_per_filter, .. } => slices_per_filter,
         SeLayout::FcPerRow { slices_per_row, .. } => slices_per_row,
     };
-    let unit = &layer.slices()[filter * per_unit..(filter + 1) * per_unit];
     let mut remaining = row;
-    for slice in unit {
-        if remaining < slice.ce().rows() {
-            return slice.ce().row(remaining).to_vec();
+    for m in &ce[filter * per_unit..(filter + 1) * per_unit] {
+        if remaining < m.rows() {
+            return m.row(remaining).to_vec();
         }
-        remaining -= slice.ce().rows();
+        remaining -= m.rows();
     }
     Vec::new()
 }
@@ -55,6 +55,7 @@ pub fn golden_conv_cycles(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Resu
         return Err(HwError::UnsupportedTrace { reason: "golden model expects SE weights".into() });
     };
     let layer = &parts[0];
+    let ce: Vec<Mat> = layer.slices().iter().map(SeSlice::ce_values).collect();
     let (h, w) = desc.input_hw();
     let (e_out, f_out) = desc.output_hw()?;
     let q = trace.input();
@@ -110,7 +111,7 @@ pub fn golden_conv_cycles(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Resu
                                 continue;
                             }
                             let iy = iy as usize;
-                            let ce_row = filter_ce_row(layer, fi, ci * kernel + kr);
+                            let ce_row = filter_ce_row(layer, &ce, fi, ci * kernel + kr);
                             if ce_row.iter().all(|&x| x == 0.0) || act_row_zero(ci, iy) {
                                 continue;
                             }

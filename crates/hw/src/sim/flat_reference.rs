@@ -107,8 +107,10 @@ fn prepare_se_flat(layer: &SeLayer) -> FlatWeights {
         .slices()
         .iter()
         .flat_map(|slice| {
-            let ce = slice.ce();
-            (0..ce.rows()).map(move |r| ce.row(r).iter().filter(|&&x| x != 0.0).count() as u16)
+            let ce = slice.ce_values();
+            (0..ce.rows())
+                .map(|r| ce.row(r).iter().filter(|&&x| x != 0.0).count() as u16)
+                .collect::<Vec<_>>()
         })
         .collect();
     let mut any_row = vec![false; rows_per_filter];

@@ -1,20 +1,140 @@
 use crate::{IrError, Po2Set, Result};
 use se_tensor::{Mat, Tensor};
 
+/// `Ce` as its [`Po2Set`] codes in row-major order, code `0` being zero:
+/// one byte per code for alphabets of at most 8 code bits, two otherwise
+/// (the widths a `.setrace` file stores). Every code is valid in its
+/// slice's alphabet: codes come from [`SeSlice::new`] or
+/// [`CeCodes::from_le_bytes`], which check them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum CeCodes {
+    Narrow(Vec<u8>),
+    Wide(Vec<u16>),
+}
+
+impl CeCodes {
+    /// Whether codes of this alphabet fit one byte (they do for every
+    /// alphabet up to 8-bit codes, including the paper's 4-bit default).
+    pub(crate) fn narrow(po2: &Po2Set) -> bool {
+        po2.code_bits() <= 8
+    }
+
+    /// Bytes per code of this alphabet.
+    pub(crate) fn width(po2: &Po2Set) -> usize {
+        if CeCodes::narrow(po2) {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// Range-checks a run of codes as a file stores them ([`width`] bytes
+    /// each, little-endian), then copies it.
+    ///
+    /// [`width`]: CeCodes::width
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Po2Set::decode`]'s [`IrError::InvalidPo2`] for the first
+    /// code outside `po2`.
+    pub(crate) fn from_le_bytes(run: &[u8], po2: &Po2Set) -> Result<Self> {
+        if CeCodes::narrow(po2) {
+            check_codes(run, po2)?;
+            return Ok(CeCodes::Narrow(run.to_vec()));
+        }
+        let codes: Vec<u16> =
+            run.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]])).collect();
+        check_codes(&codes, po2)?;
+        Ok(CeCodes::Wide(codes))
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            CeCodes::Narrow(c) => c.len(),
+            CeCodes::Wide(c) => c.len(),
+        }
+    }
+}
+
+/// One branch-free pass finds the largest code; only a run holding an
+/// invalid one is searched for the first offender.
+fn check_codes<T: Copy + Into<u16>>(codes: &[T], po2: &Po2Set) -> Result<()> {
+    let valid = 2 * po2.count() + 1;
+    if u32::from(codes.iter().fold(0, |m: u16, &c| m.max(c.into()))) >= valid {
+        if let Some(&bad) = codes.iter().find(|&&c| u32::from(c.into()) >= valid) {
+            po2.decode(bad.into())?;
+        }
+    }
+    Ok(())
+}
+
+/// Appends the non-zero count of each `cols`-wide row of `codes` to `out`;
+/// a constant width unrolls the count (the paper's kernel sides and FC
+/// width).
+fn extend_row_nnz<T: Copy + Into<u16>>(
+    codes: &[T],
+    rows: usize,
+    cols: usize,
+    out: &mut impl Extend<u32>,
+) {
+    fn nonzeros<T: Copy + Into<u16>>(row: &[T]) -> u32 {
+        row.iter().map(|&c| u32::from(c.into() != 0)).sum()
+    }
+    fn unrolled<T: Copy + Into<u16>, const W: usize>(codes: &[T], out: &mut impl Extend<u32>) {
+        out.extend(
+            codes
+                .chunks_exact(W)
+                .map(|row| nonzeros::<T>(<&[T; W]>::try_from(row).expect("chunks are W wide"))),
+        );
+    }
+    match cols {
+        0 => out.extend(std::iter::repeat_n(0, rows)),
+        3 => unrolled::<T, 3>(codes, out),
+        5 => unrolled::<T, 5>(codes, out),
+        7 => unrolled::<T, 7>(codes, out),
+        cols => out.extend(codes.chunks_exact(cols).map(nonzeros)),
+    }
+}
+
+/// Counts the rows holding a non-zero, as an [`Extend`] sink of per-row
+/// counts, so a count allocates nothing.
+#[derive(Default)]
+struct LiveRows(usize);
+
+impl Extend<u32> for LiveRows {
+    fn extend<I: IntoIterator<Item = u32>>(&mut self, counts: I) {
+        self.0 += counts.into_iter().map(|n| usize::from(n > 0)).sum::<usize>();
+    }
+}
+
+fn shape_mismatch(rows: usize, cols: usize, basis: &Mat) -> IrError {
+    IrError::LayoutMismatch {
+        reason: format!("Ce is {rows}x{cols} but basis is {}x{}", basis.rows(), basis.cols()),
+    }
+}
+
 /// One decomposed unit: a sparse power-of-2 coefficient matrix `Ce`
 /// (`rows × r`) and its small basis matrix `B` (`r × n`), with
 /// `W_slice ≈ Ce · B` (Eq. 1 of the paper).
 ///
-/// Invariant: every entry of `ce` is exactly representable in the owning
-/// layer's [`Po2Set`] — enforced at construction.
+/// `Ce` is held as its codes in the slice's [`Po2Set`] plus its shape, as
+/// the accelerator stores it; [`SeSlice::ce_values`] expands it for the
+/// consumers that need values.
+///
+/// Invariant: every code is valid in the slice's alphabet — enforced at
+/// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeSlice {
-    ce: Mat,
+    rows: usize,
+    cols: usize,
+    po2: Po2Set,
+    codes: CeCodes,
     basis: Mat,
 }
 
 impl SeSlice {
-    /// Creates a slice, validating shapes and the power-of-2 invariant.
+    /// Creates a slice, validating shapes and the power-of-2 invariant,
+    /// and converts `ce` to codes once (`-0.0` becomes code 0, zero).
     ///
     /// # Errors
     ///
@@ -22,15 +142,7 @@ impl SeSlice {
     /// or [`IrError::InvalidPo2`] if any `ce` entry is not in `po2`.
     pub fn new(ce: Mat, basis: Mat, po2: &Po2Set) -> Result<Self> {
         if ce.cols() != basis.rows() {
-            return Err(IrError::LayoutMismatch {
-                reason: format!(
-                    "Ce is {}x{} but basis is {}x{}",
-                    ce.rows(),
-                    ce.cols(),
-                    basis.rows(),
-                    basis.cols()
-                ),
-            });
+            return Err(shape_mismatch(ce.rows(), ce.cols(), &basis));
         }
         // One branch-free pass (it vectorizes); the first offender is looked
         // for only once the pass has failed.
@@ -42,12 +154,63 @@ impl SeSlice {
                 });
             }
         }
-        Ok(SeSlice { ce, basis })
+        let codes = if CeCodes::narrow(po2) {
+            CeCodes::Narrow(ce.data().iter().map(|&v| po2.member_code(v) as u8).collect())
+        } else {
+            CeCodes::Wide(ce.data().iter().map(|&v| po2.member_code(v)).collect())
+        };
+        Ok(SeSlice { rows: ce.rows(), cols: ce.cols(), po2: *po2, codes, basis })
     }
 
-    /// The coefficient matrix `Ce`.
-    pub fn ce(&self) -> &Mat {
-        &self.ce
+    /// Creates a slice from `Ce` codes of `po2` (as
+    /// [`CeCodes::from_le_bytes`] reads them), validating the shapes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::LayoutMismatch`] if the code count is not
+    /// `rows × cols` or `cols != basis.rows()`.
+    pub(crate) fn from_codes(
+        rows: usize,
+        cols: usize,
+        codes: CeCodes,
+        basis: Mat,
+        po2: Po2Set,
+    ) -> Result<Self> {
+        if cols != basis.rows() || Some(codes.len()) != rows.checked_mul(cols) {
+            return Err(shape_mismatch(rows, cols, &basis));
+        }
+        Ok(SeSlice { rows, cols, po2, codes, basis })
+    }
+
+    /// Rows of `Ce`.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of `Ce` (the rank `r`, the rows of `B`).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The power-of-2 alphabet the codes index.
+    pub fn po2(&self) -> &Po2Set {
+        &self.po2
+    }
+
+    /// The `Ce` codes in row-major order.
+    pub(crate) fn codes(&self) -> &CeCodes {
+        &self.codes
+    }
+
+    /// The coefficient matrix `Ce`, decoded from its codes (every zero
+    /// reads `+0.0`).
+    pub fn ce_values(&self) -> Mat {
+        let decode = |c: u16| self.po2.decode(c).expect("codes are validated at construction");
+        let data = match &self.codes {
+            CeCodes::Narrow(c) => c.iter().map(|&c| decode(c.into())).collect(),
+            CeCodes::Wide(c) => c.iter().map(|&c| decode(c)).collect(),
+        };
+        Mat::from_vec(data, self.rows, self.cols).expect("shape validated at construction")
     }
 
     /// The basis matrix `B`.
@@ -57,7 +220,15 @@ impl SeSlice {
 
     /// Rebuilds the dense slice `Ce · B`.
     pub fn reconstruct(&self) -> Mat {
-        self.ce.matmul(&self.basis).expect("shapes validated at construction")
+        self.ce_values().matmul(&self.basis).expect("shapes validated at construction")
+    }
+
+    /// Appends the non-zero count of each `Ce` row, in order, to `out`.
+    pub(crate) fn extend_row_nnz(&self, out: &mut impl Extend<u32>) {
+        match &self.codes {
+            CeCodes::Narrow(c) => extend_row_nnz(c, self.rows, self.cols, out),
+            CeCodes::Wide(c) => extend_row_nnz(c, self.rows, self.cols, out),
+        }
     }
 
     /// Per-row mask: `true` where the `Ce` row has at least one non-zero.
@@ -65,17 +236,24 @@ impl SeSlice {
     /// This is exactly the 1-bit direct index the accelerator stores to skip
     /// zero weight vectors (Section IV-B, "Coefficient matrix indexing").
     pub fn row_nonzero_mask(&self) -> Vec<bool> {
-        (0..self.ce.rows()).map(|i| self.ce.row(i).iter().any(|&x| x != 0.0)).collect()
+        let mut counts = Vec::with_capacity(self.rows);
+        self.extend_row_nnz(&mut counts);
+        counts.into_iter().map(|n| n > 0).collect()
     }
 
     /// Number of rows with at least one non-zero coefficient.
     pub fn nonzero_rows(&self) -> usize {
-        self.row_nonzero_mask().iter().filter(|&&b| b).count()
+        let mut live = LiveRows::default();
+        self.extend_row_nnz(&mut live);
+        live.0
     }
 
     /// Total non-zero coefficients.
     pub fn nnz(&self) -> usize {
-        self.ce.data().iter().filter(|&&x| x != 0.0).count()
+        match &self.codes {
+            CeCodes::Narrow(c) => c.iter().map(|&c| usize::from(c != 0)).sum(),
+            CeCodes::Wide(c) => c.iter().map(|&c| usize::from(c != 0)).sum(),
+        }
     }
 
     /// Total number of shift-and-add operations needed to rebuild this
@@ -183,7 +361,8 @@ impl SeLayer {
     ///
     /// Returns [`IrError::LayoutMismatch`] if the layout has a zero FC
     /// width or zero slices per unit, the slice count differs from the
-    /// layout's expectation, or the per-unit row counts do not add up.
+    /// layout's expectation, or the per-unit row counts do not add up, and
+    /// [`IrError::InvalidPo2`] if a slice is coded in another alphabet.
     pub fn new(layout: SeLayout, po2: Po2Set, slices: Vec<SeSlice>) -> Result<Self> {
         let (per_unit, width) = match layout {
             SeLayout::ConvPerFilter { slices_per_filter, .. } => (slices_per_filter, 1),
@@ -203,9 +382,14 @@ impl SeLayer {
                 ),
             });
         }
+        if let Some(i) = slices.iter().position(|s| s.po2 != po2) {
+            return Err(IrError::InvalidPo2 {
+                reason: format!("slice {i} is coded in {:?}, the layer in {po2:?}", slices[i].po2),
+            });
+        }
         let rows_per_unit = layout.rows_per_unit();
         for unit in slices.chunks(per_unit) {
-            let rows: usize = unit.iter().map(|s| s.ce().rows()).sum();
+            let rows: usize = unit.iter().map(SeSlice::rows).sum();
             if rows != rows_per_unit {
                 return Err(IrError::LayoutMismatch {
                     reason: format!("unit rows {rows} do not match layout's {rows_per_unit}"),
@@ -271,7 +455,7 @@ impl SeLayer {
 
     /// Total `Ce` rows across slices.
     pub fn total_rows(&self) -> usize {
-        self.slices.iter().map(|s| s.ce().rows()).sum()
+        self.slices.iter().map(SeSlice::rows).sum()
     }
 
     /// Total rows with at least one non-zero (the rows the accelerator
@@ -352,6 +536,32 @@ mod tests {
         assert_eq!(s.nonzero_rows(), 2);
         assert_eq!(s.nnz(), 3);
         assert_eq!(s.rebuild_ops(), 9);
+    }
+
+    #[test]
+    fn negative_zero_is_code_zero_and_decodes_to_positive_zero() {
+        let slice = |x: f32| {
+            SeSlice::new(Mat::from_rows(&[&[x, 0.5, 0.0]]).unwrap(), Mat::identity(3), &po2())
+        };
+        let s = slice(-0.0).unwrap();
+        assert_eq!(s.codes(), &CeCodes::Narrow(vec![0, 3, 0]));
+        assert_eq!(s.ce_values().get(0, 0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(s, slice(0.0).unwrap());
+        assert_eq!(s.nnz(), 1);
+    }
+
+    #[test]
+    fn layer_rejects_a_slice_coded_in_another_alphabet() {
+        let other = Po2Set::new(3, 7).unwrap();
+        let s = SeSlice::new(Mat::identity(3), Mat::identity(3), &other).unwrap();
+        let layout = SeLayout::ConvPerFilter {
+            out_channels: 1,
+            in_channels: 1,
+            kernel: 3,
+            slices_per_filter: 1,
+        };
+        let err = SeLayer::new(layout, po2(), vec![s]).unwrap_err();
+        assert!(matches!(err, IrError::InvalidPo2 { .. }), "{err}");
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! `vendor/README.md`), designed for bit-identical round trips:
 //!
 //! * every `f32` is stored as its exact little-endian bit pattern;
-//! * `Ce` coefficient matrices are stored as compact [`Po2Set`] codes
-//!   (exact by construction — every entry is validated against the
-//!   alphabet when an [`SeSlice`] is built), not as floats;
+//! * `Ce` coefficient matrices are stored as the [`Po2Set`] codes an
+//!   [`SeSlice`] holds them in, so reading and writing them is a copy;
 //! * every container is re-validated through its normal constructor on
 //!   read, so a decoded value upholds the same invariants as a freshly
 //!   built one.
@@ -54,6 +53,7 @@
 //! # }
 //! ```
 
+use crate::se_format::CeCodes;
 use crate::{
     IrError, LayerDesc, LayerKind, LayerTrace, Po2Set, QuantTensor, Result, SeLayer, SeLayout,
     SeSlice, WeightData,
@@ -693,113 +693,39 @@ pub fn read_mat(r: &mut ByteReader<'_>) -> Result<Mat> {
     Mat::from_vec(data, rows, cols).map_err(IrError::from)
 }
 
-/// Whether a `Ce` code for this alphabet fits one byte (it does for every
-/// alphabet up to 8-bit codes, including the paper's 4-bit default).
-fn narrow_codes(po2: &Po2Set) -> bool {
-    po2.code_bits() <= 8
-}
-
-/// The value of every valid `Ce` code of one alphabet. It is built by
-/// calling [`Po2Set::decode`] on each code, so a lookup matches `decode`
-/// bit for bit by construction; a code past the table still goes through
-/// `decode`, so an invalid code fails with `decode`'s own error.
-struct CeTable {
-    po2: Po2Set,
-    /// `values[c] = po2.decode(c)` for the `valid` codes; zero padding to
-    /// at least 256 entries lets a byte index it without a bounds check.
-    values: Vec<f32>,
-    valid: usize,
-}
-
-impl CeTable {
-    fn new(po2: &Po2Set) -> Result<Self> {
-        let valid = 2 * po2.count() as usize + 1;
-        let mut values = vec![0.0; valid.max(256)];
-        for (code, v) in (0u16..).zip(&mut values[..valid]) {
-            *v = po2.decode(code)?;
-        }
-        Ok(CeTable { po2: *po2, values, valid })
-    }
-
-    fn lookup(&self, code: u16) -> Result<f32> {
-        match self.values[..self.valid].get(usize::from(code)) {
-            Some(&v) => Ok(v),
-            None => self.po2.decode(code),
-        }
-    }
-
-    /// Decodes a run of `len` codes, taking its bytes with one bounds
-    /// check: a truncated run is reported before any code is checked.
-    fn read(&self, r: &mut ByteReader<'_>, len: usize) -> Result<Vec<f32>> {
-        if !narrow_codes(&self.po2) {
-            let bytes = r.take(len.checked_mul(2).ok_or_else(|| err("Ce volume overflow"))?)?;
-            return bytes
-                .chunks_exact(2)
-                .map(|c| self.lookup(u16::from_le_bytes([c[0], c[1]])))
-                .collect();
-        }
-        let bytes = r.take(len)?;
-        // One branch-free pass finds the largest code; only a run holding
-        // an invalid one takes the per-code path, which stops at the first.
-        if usize::from(bytes.iter().fold(0, |m, &b| m.max(b))) >= self.valid {
-            return bytes.iter().map(|&b| self.lookup(u16::from(b))).collect();
-        }
-        let lut: &[f32; 256] = self.values[..256].try_into().expect("table has 256 entries");
-        Ok(bytes.iter().map(|&b| lut[usize::from(b)]).collect())
-    }
-}
-
-/// Writes one [`SeSlice`] against its owning layer's alphabet: `Ce`
-/// dimensions, the `Ce` entries as [`Po2Set::encode`] codes (one byte per
-/// code for alphabets of at most 8 code bits, two otherwise), then the
-/// basis as an `f32` [`Mat`].
+/// Writes one [`SeSlice`]: `Ce` dimensions, the `Ce` codes as the slice
+/// holds them (one byte per code for alphabets of at most 8 code bits, two
+/// little-endian bytes otherwise), then the basis as an `f32` [`Mat`].
 ///
 /// # Errors
 ///
-/// Returns [`IrError::Serialize`] on oversized dimensions, or
-/// [`IrError::InvalidPo2`] if a `Ce` entry is not in the alphabet (cannot
-/// happen for slices built through [`SeSlice::new`]).
-pub fn write_se_slice(w: &mut ByteWriter, slice: &SeSlice, po2: &Po2Set) -> Result<()> {
-    let ce = slice.ce();
-    w.put_u32(dim_u32(ce.rows(), "Ce rows")?);
-    w.put_u32(dim_u32(ce.cols(), "Ce cols")?);
-    let data = ce.data();
-    // One branch-free membership pass; only a failing slice is encoded
-    // code by code, which stops at the first non-member.
-    if !data.iter().fold(true, |all, &v| all & po2.contains(v)) {
-        for &v in data {
-            po2.encode(v)?;
-        }
-    }
-    if narrow_codes(po2) {
-        w.buf.extend(data.iter().map(|&v| po2.member_code(v) as u8));
-    } else {
-        w.reserve(data.len() * 2);
-        for &v in data {
-            w.put_u16(po2.member_code(v));
-        }
+/// Returns [`IrError::Serialize`] on oversized dimensions.
+pub fn write_se_slice(w: &mut ByteWriter, slice: &SeSlice) -> Result<()> {
+    w.put_u32(dim_u32(slice.rows(), "Ce rows")?);
+    w.put_u32(dim_u32(slice.cols(), "Ce cols")?);
+    match slice.codes() {
+        CeCodes::Narrow(c) => w.put_bytes(c),
+        CeCodes::Wide(c) => w.buf.extend(c.iter().flat_map(|c| c.to_le_bytes())),
     }
     write_mat(w, slice.basis())
 }
 
-/// Reads an [`SeSlice`] written by [`write_se_slice`], decoding the `Ce`
-/// codes against the given alphabet and re-validating the slice.
+/// Reads an [`SeSlice`] written by [`write_se_slice`] against the given
+/// alphabet: the code run is taken with one bounds check, range-checked in
+/// one pass and copied into the slice.
 ///
 /// # Errors
 ///
-/// Returns [`IrError::Serialize`] on malformed input, or the underlying
-/// decode/validation error.
+/// Returns [`IrError::Serialize`] on malformed input, or
+/// [`IrError::InvalidPo2`] naming the first code outside the alphabet.
 pub fn read_se_slice(r: &mut ByteReader<'_>, po2: &Po2Set) -> Result<SeSlice> {
-    read_se_slice_with(r, &CeTable::new(po2)?)
-}
-
-fn read_se_slice_with(r: &mut ByteReader<'_>, table: &CeTable) -> Result<SeSlice> {
     let rows = r.get_u32()? as usize;
     let cols = r.get_u32()? as usize;
     let len = rows.checked_mul(cols).ok_or_else(|| err("Ce volume overflow"))?;
-    let ce = Mat::from_vec(table.read(r, len)?, rows, cols).map_err(IrError::from)?;
+    let run = len.checked_mul(CeCodes::width(po2)).ok_or_else(|| err("Ce volume overflow"))?;
+    let codes = CeCodes::from_le_bytes(r.take(run)?, po2)?;
     let basis = read_mat(r)?;
-    SeSlice::new(ce, basis, &table.po2)
+    SeSlice::from_codes(rows, cols, codes, basis, *po2)
 }
 
 const LAYOUT_CONV_PER_FILTER: u8 = 0;
@@ -863,7 +789,7 @@ pub fn write_se_layer(w: &mut ByteWriter, layer: &SeLayer) -> Result<()> {
     write_se_layout(w, layer.layout())?;
     w.put_u32(dim_u32(layer.slices().len(), "slice count")?);
     for slice in layer.slices() {
-        write_se_slice(w, slice, layer.po2())?;
+        write_se_slice(w, slice)?;
     }
     Ok(())
 }
@@ -879,11 +805,10 @@ pub fn read_se_layer(r: &mut ByteReader<'_>) -> Result<SeLayer> {
     let po2 = read_po2(r)?;
     let layout = read_se_layout(r)?;
     let n = r.get_u32()? as usize;
-    let table = CeTable::new(&po2)?;
     // No reservation: a hostile count must not size an allocation.
     let mut slices = Vec::new();
     for _ in 0..n {
-        slices.push(read_se_slice_with(r, &table)?);
+        slices.push(read_se_slice(r, &po2)?);
     }
     SeLayer::new(layout, po2, slices)
 }
@@ -962,12 +887,12 @@ pub fn layer_trace_len(trace: &LayerTrace) -> usize {
         WeightData::Dense(q) => quant_len(q),
         WeightData::Se(layers) => {
             let layer_len = |l: &SeLayer| {
-                let width = if narrow_codes(l.po2()) { 1 } else { 2 };
+                let width = CeCodes::width(l.po2());
                 // Ce rows and cols, codes, basis rows and cols, floats.
                 let slices: usize = l
                     .slices()
                     .iter()
-                    .map(|s| 8 + s.ce().data().len() * width + 8 + 4 * s.basis().data().len())
+                    .map(|s| 8 + s.rows() * s.cols() * width + 8 + 4 * s.basis().data().len())
                     .sum();
                 // Alphabet, layout tag and fields, slice count.
                 8 + 17 + 4 + slices
@@ -1212,25 +1137,38 @@ mod tests {
         })
     }
 
+    /// A serialized slice: `Ce` shape, the code bytes, then a `cols × 1`
+    /// basis of ones.
+    fn slice_bytes(rows: u32, cols: u32, codes: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(rows);
+        w.put_u32(cols);
+        w.put_bytes(codes);
+        write_mat(&mut w, &Mat::from_fn(cols as usize, 1, |_, _| 1.0)).unwrap();
+        w.into_bytes()
+    }
+
+    /// The decoded value of a one-code slice, or its error.
+    fn decode_one(po2: &Po2Set, code: &[u8]) -> Result<u32> {
+        let slice = read_se_slice(&mut ByteReader::new(&slice_bytes(1, 1, code)), po2)?;
+        Ok(slice.ce_values().get(0, 0).to_bits())
+    }
+
     #[test]
-    fn ce_table_decodes_every_byte_like_po2_decode() {
+    fn ce_codes_decode_every_byte_like_po2_decode() {
         let mut seen = 0;
         for po2 in narrow_alphabets() {
-            assert!(narrow_codes(&po2), "{po2:?}");
+            assert!(CeCodes::narrow(&po2), "{po2:?}");
             seen += 1;
-            let table = CeTable::new(&po2).unwrap();
             let bytes: Vec<u8> = (0..=255).collect();
             for &b in &bytes {
                 let want = po2.decode(u16::from(b)).map(f32::to_bits);
-                let got = table.lookup(u16::from(b));
-                assert_eq!(got.map(f32::to_bits), want, "{po2:?} code {b}");
-                // A one-code run through the reader: the same value or error.
-                let one = table.read(&mut ByteReader::new(&[b]), 1);
-                assert_eq!(one.map(|v| v[0].to_bits()), want, "{po2:?} {b}");
+                assert_eq!(decode_one(&po2, &[b]), want, "{po2:?} code {b}");
             }
             // The whole byte range as one run fails on the first bad code.
             let first_bad = po2.decode(2 * po2.count() as u16 + 1).unwrap_err();
-            assert_eq!(table.read(&mut ByteReader::new(&bytes), 256).unwrap_err(), first_bad);
+            let run = slice_bytes(1, 256, &bytes);
+            assert_eq!(read_se_slice(&mut ByteReader::new(&run), &po2).unwrap_err(), first_bad);
         }
         assert!(seen >= 20, "only {seen} alphabets");
     }
@@ -1238,12 +1176,14 @@ mod tests {
     #[test]
     fn ce_run_truncation_is_reported_before_its_codes() {
         let po2 = Po2Set::default();
-        let table = CeTable::new(&po2).unwrap();
         // An invalid code (15) inside a run that is two bytes short.
-        let err = table.read(&mut ByteReader::new(&[1, 15, 3]), 5).unwrap_err();
+        let mut short = slice_bytes(1, 5, &[1, 15, 3]);
+        short.truncate(8 + 3);
+        let err = read_se_slice(&mut ByteReader::new(&short), &po2).unwrap_err();
         assert!(matches!(err, IrError::Serialize { .. }), "{err}");
-        let err = table.read(&mut ByteReader::new(&[1, 15, 3]), 3).unwrap_err();
-        assert!(matches!(err, IrError::InvalidPo2 { .. }), "{err}");
+        let whole = slice_bytes(1, 3, &[1, 15, 3]);
+        let err = read_se_slice(&mut ByteReader::new(&whole), &po2).unwrap_err();
+        assert_eq!(err, IrError::InvalidPo2 { reason: "code 15 out of range".into() });
     }
 
     #[test]
@@ -1254,17 +1194,16 @@ mod tests {
         let ce = Mat::from_rows(&[&[2.0f32.powi(-100), 0.0, -2.0f32.powi(60)]]).unwrap();
         let slice = SeSlice::new(ce, Mat::from_fn(3, 2, |i, j| (i + j) as f32), &po2).unwrap();
         let mut w = ByteWriter::new();
-        write_se_slice(&mut w, &slice, &po2).unwrap();
+        write_se_slice(&mut w, &slice).unwrap();
         let bytes = w.into_bytes();
         assert_eq!(&bytes[8..14], &[65, 1, 0, 0, 2, 0], "u16 LE codes 321, 0, 2");
         let mut r = ByteReader::new(&bytes);
         assert_eq!(read_se_slice(&mut r, &po2).unwrap(), slice);
         r.expect_end().unwrap();
-        // Past the byte range, the table still agrees with `decode`.
-        let table = CeTable::new(&po2).unwrap();
-        for code in 0..=400 {
+        // Past the byte range, a code decodes like `decode`.
+        for code in 0..=400u16 {
             let want = po2.decode(code).map(f32::to_bits);
-            assert_eq!(table.lookup(code).map(f32::to_bits), want, "code {code}");
+            assert_eq!(decode_one(&po2, &code.to_le_bytes()), want, "code {code}");
         }
     }
 

@@ -15,7 +15,7 @@
 //!   layouts use a flat bit per row;
 //! * `B`: 8 bits per element.
 //!
-//! The rule has one home: [`row_nnz`] scans the coefficients once, and
+//! The rule has one home: [`row_nnz`] scans the `Ce` codes once, and
 //! [`storage_from_row_nnz`] derives the breakdown from those per-row
 //! counts. [`se_layer_storage`] is the two in sequence; the accelerator
 //! simulator keeps the counts for its index selector as well.
@@ -106,33 +106,13 @@ pub fn se_layer_storage(layer: &SeLayer) -> SeStorage {
 /// order: unit `u` (a filter or an FC row) owns the counts
 /// `[u * rows_per_unit, (u + 1) * rows_per_unit)`. This is the one scan of
 /// the coefficients that [`storage_from_row_nnz`] and the accelerator's
-/// index selector both read.
+/// index selector both read; it counts non-zero codes.
 pub fn row_nnz(layer: &SeLayer) -> Vec<u32> {
     let mut counts = Vec::with_capacity(layer.total_rows());
     for slice in layer.slices() {
-        let ce = slice.ce();
-        match ce.cols() {
-            0 => counts.resize(counts.len() + ce.rows(), 0),
-            3 => push_row_nnz::<3>(ce.data(), &mut counts),
-            5 => push_row_nnz::<5>(ce.data(), &mut counts),
-            7 => push_row_nnz::<7>(ce.data(), &mut counts),
-            cols => counts.extend(ce.data().chunks_exact(cols).map(nonzeros)),
-        }
+        slice.extend_row_nnz(&mut counts);
     }
     counts
-}
-
-/// Appends the non-zero count of each `W`-wide row of `data`; a constant
-/// width unrolls the count (the paper's kernel sides and FC width).
-fn push_row_nnz<const W: usize>(data: &[f32], counts: &mut Vec<u32>) {
-    counts.extend(data.chunks_exact(W).map(|row| {
-        let row: &[f32; W] = row.try_into().expect("chunks are W wide");
-        nonzeros(row)
-    }));
-}
-
-fn nonzeros(row: &[f32]) -> u32 {
-    row.iter().map(|&x| u32::from(x != 0.0)).sum()
 }
 
 /// The storage breakdown of `layer` from its per-row non-zero counts (as
@@ -153,10 +133,10 @@ pub fn storage_from_row_nnz(layer: &SeLayer, row_nnz: &[u32]) -> SeStorage {
     let mut s = SeStorage::default();
     let mut rest = row_nnz;
     for slice in layer.slices() {
-        let (rows, tail) = rest.split_at(slice.ce().rows());
+        let (rows, tail) = rest.split_at(slice.rows());
         rest = tail;
         let live = rows.iter().filter(|&&n| n > 0).count() as u64;
-        s.ce_bits += live * slice.ce().cols() as u64 * code_bits;
+        s.ce_bits += live * slice.cols() as u64 * code_bits;
         s.basis_bits +=
             slice.basis().rows() as u64 * slice.basis().cols() as u64 * u64::from(BASIS_BITS);
     }

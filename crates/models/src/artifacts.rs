@@ -10,7 +10,9 @@
 //! for traces. Artifacts are self-populating: a cached run writes on miss
 //! and replays on hit, and both paths produce bit-identical reports.
 
-use crate::traces::{fnv1a, io_err, open_artifact, publish, put_se_config, sanitize_net_name};
+use crate::traces::{
+    decode_err, fnv1a, io_err, open_artifact, publish, put_se_config, sanitize_net_name,
+};
 use crate::{weights, Result};
 use se_core::network::{CompressedNetwork, LayerReport};
 use se_core::pipeline::{self, LayerJob, WeightSource};
@@ -81,9 +83,10 @@ pub fn artifact_bytes(path: &Path) -> Result<u64> {
 ///
 /// # Errors
 ///
-/// Propagates filesystem and decoding failures.
+/// Propagates filesystem failures, and decoding failures as
+/// [`crate::ModelError::Artifact`] naming the file.
 pub fn read_network_file(path: &Path) -> Result<CompressedNetwork> {
-    Ok(CompressedNetwork::read(&mut open_artifact(path)?)?)
+    CompressedNetwork::read(&mut open_artifact(path)?).map_err(|e| decode_err(path, e))
 }
 
 /// Looks a network's compressed form up in the artifact directory:
@@ -250,10 +253,13 @@ mod tests {
         network_reports_cached(&net, &cfg(), 0, Some(&dir)).unwrap();
         let path = dir.join(network_file_name(net.name(), &cfg(), 0));
 
-        // Truncation: error, not a silent miss.
+        // Truncation: an error naming the file and the offset, not a
+        // silent miss.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(cached_compressed_network(&net, &cfg(), 0, &dir).is_err());
+        let err = cached_compressed_network(&net, &cfg(), 0, &dir).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("truncated input") && err.contains(" at offset "), "{err}");
         std::fs::write(&path, &bytes).unwrap();
 
         // A valid artifact planted under another network's key: layer

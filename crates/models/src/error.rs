@@ -25,6 +25,13 @@ pub enum ModelError {
         /// type stays `Clone + PartialEq`).
         reason: String,
     },
+    /// An artifact file failed to decode.
+    Artifact {
+        /// The offending path.
+        path: String,
+        /// The decode failure.
+        source: Box<ModelError>,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -36,6 +43,7 @@ impl fmt::Display for ModelError {
             ModelError::Nn(e) => write!(f, "nn error: {e}"),
             ModelError::Core(e) => write!(f, "compression error: {e}"),
             ModelError::Io { path, reason } => write!(f, "io error on {path}: {reason}"),
+            ModelError::Artifact { path, source } => write!(f, "artifact {path}: {source}"),
         }
     }
 }
@@ -49,6 +57,7 @@ impl std::error::Error for ModelError {
             ModelError::Nn(e) => Some(e),
             ModelError::Core(e) => Some(e),
             ModelError::Io { .. } => None,
+            ModelError::Artifact { source, .. } => Some(source.as_ref()),
         }
     }
 }

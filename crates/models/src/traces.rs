@@ -194,6 +194,12 @@ pub(crate) fn io_err(path: &Path, e: impl std::fmt::Display) -> ModelError {
     ModelError::Io { path: path.display().to_string(), reason: e.to_string() }
 }
 
+/// The error for a failed decode of the artifact at `path` (shared by
+/// every artifact kind): the decoder's own error, prefixed with the path.
+pub(crate) fn decode_err(path: &Path, e: impl Into<ModelError>) -> ModelError {
+    ModelError::Artifact { path: path.display().to_string(), source: Box::new(e.into()) }
+}
+
 /// Writes `dir/name`, creating `dir` if needed, and returns the path
 /// (shared by every artifact kind). `write` hands its bytes, in as many
 /// pieces as it likes, to the sink it is given. The file is published
@@ -434,9 +440,10 @@ pub fn write_trace_file(
 ///
 /// # Errors
 ///
-/// Propagates filesystem and decoding failures.
+/// Propagates filesystem failures, and decoding failures as
+/// [`ModelError::Artifact`] naming the file.
 pub fn read_trace_file(path: &Path) -> Result<TraceFile> {
-    read_trace_pairs(&mut open_artifact(path)?)
+    read_trace_pairs(&mut open_artifact(path)?).map_err(|e| decode_err(path, e))
 }
 
 /// A reader over an artifact file of either kind, sized by its length on
@@ -714,6 +721,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One FC pair whose SE layer is coded in a wide (`u16`) alphabet,
+    /// with codes past the byte range and a `-0.0`.
+    fn wide_pair() -> TracePair {
+        use se_ir::{Po2Set, SeLayer, SeLayout, SeSlice};
+        use se_tensor::Mat;
+        let desc =
+            LayerDesc::new("fc", LayerKind::Linear { in_features: 4, out_features: 2 }, (1, 1));
+        let qw = QuantTensor::from_parts(vec![2, 4], vec![1, -2, 3, -4, 5, 0, 7, -8], 0.25, 8);
+        let input = QuantTensor::from_parts(vec![4], vec![9, 0, -9, 90], 0.5, 8).unwrap();
+        let dense = LayerTrace::new(desc.clone(), WeightData::Dense(qw.unwrap()), input.clone());
+        let po2 = Po2Set::new(60, 180).unwrap();
+        let slice = |ce: &[&[f32]]| {
+            let basis = Mat::from_fn(2, 2, |i, j| (i + 2 * j) as f32 / 4.0);
+            SeSlice::new(Mat::from_rows(ce).unwrap(), basis, &po2).unwrap()
+        };
+        let big = 2.0f32.powi(-100);
+        let slices = vec![
+            slice(&[&[big, -0.0], &[-2.0f32.powi(60), 1.0]]),
+            slice(&[&[0.0, 0.0], &[0.0, 0.0]]),
+        ];
+        let layout =
+            SeLayout::FcPerRow { out_features: 2, in_features: 4, width: 2, slices_per_row: 1 };
+        let layer = SeLayer::new(layout, po2, slices).unwrap();
+        let se = LayerTrace::new(desc, WeightData::Se(vec![layer]), input).unwrap();
+        TracePair { layer_index: 0, dense: dense.unwrap(), se }
+    }
+
+    #[test]
+    fn reencoding_a_read_artifact_gives_its_bytes() {
+        let net = tiny_net();
+        let opts = TraceOptions::fast().with_fc_layers();
+        let dir = temp_dir("reencode");
+        let (real, n) = build_trace_file(&net, &opts, &dir).unwrap();
+        assert_eq!(n, 3);
+        let wide = dir.join("wide.setrace");
+        std::fs::write(&wide, encode_trace_pairs("wide", 3, &[wide_pair()]).unwrap()).unwrap();
+        for path in [real, wide] {
+            let bytes = std::fs::read(&path).unwrap();
+            let file = read_trace_file(&path).unwrap();
+            let again = encode_trace_pairs(&file.net_name, file.digest, &file.pairs).unwrap();
+            assert!(again == bytes, "{} re-encodes differently", path.display());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn each_pair_holds_one_input_map() {
         let net = tiny_net();
@@ -813,10 +865,13 @@ mod tests {
         let dir = temp_dir("corrupt");
         let (path, _) = build_trace_file(&net, &opts, &dir).unwrap();
 
-        // Truncated file: error, not a silent miss.
+        // Truncated file: an error naming the file and the offset, not a
+        // silent miss.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(cached_trace_pairs(&net, &opts, &dir).is_err());
+        let err = cached_trace_pairs(&net, &opts, &dir).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("truncated input") && err.contains(" at offset "), "{err}");
 
         // A valid artifact renamed onto another digest: digest mismatch.
         std::fs::write(&path, &bytes).unwrap();

@@ -7,11 +7,15 @@
 
 use proptest::prelude::*;
 use se_ir::serialize::ByteReader;
-use se_ir::{Dataset, IrError, LayerDesc, LayerKind, NetworkDesc, Po2Set};
+use se_ir::{
+    Dataset, IrError, LayerDesc, LayerKind, LayerTrace, NetworkDesc, Po2Set, QuantTensor, SeLayer,
+    SeLayout, SeSlice, WeightData,
+};
 use se_models::traces::{
-    decode_trace_pairs, encode_trace_pairs, read_trace_pairs, trace_pairs, TraceOptions,
+    decode_trace_pairs, encode_trace_pairs, read_trace_pairs, trace_pairs, TraceOptions, TracePair,
 };
 use se_models::ModelError;
+use se_tensor::Mat;
 use std::io::Read;
 use std::sync::OnceLock;
 
@@ -46,19 +50,48 @@ fn fixture() -> &'static Fixture {
         )
         .unwrap();
         let pairs = trace_pairs(&net, &TraceOptions::fast().with_fc_layers()).unwrap();
-        let bytes = encode_trace_pairs(net.name(), 7, &pairs).unwrap();
-        let mut walk = Walk {
-            r: ByteReader::new(&bytes),
-            len: bytes.len(),
-            u32_fields: Vec::new(),
-            ce_codes: Vec::new(),
-        };
-        walk.file();
-        assert_eq!(walk.r.remaining(), 0, "the walk covers the whole artifact");
-        assert!(!walk.ce_codes.is_empty());
-        assert!(walk.ce_codes.iter().all(|&(_, valid)| valid < 256), "one-byte codes only");
-        Fixture { u32_fields: walk.u32_fields, ce_codes: walk.ce_codes, bytes: bytes.clone() }
+        let f = walked(encode_trace_pairs(net.name(), 7, &pairs).unwrap());
+        assert!(f.ce_codes.iter().all(|&(_, valid)| valid < 256), "one-byte codes only");
+        f
     })
+}
+
+/// An artifact of one FC pair whose SE layer is coded in a wide alphabet
+/// (two-byte codes).
+fn wide_fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let desc =
+            LayerDesc::new("fc", LayerKind::Linear { in_features: 4, out_features: 2 }, (1, 1));
+        let qw = QuantTensor::from_parts(vec![2, 4], vec![1, -2, 3, -4, 5, 0, 7, -8], 0.25, 8);
+        let input = QuantTensor::from_parts(vec![4], vec![9, 0, -9, 90], 0.5, 8).unwrap();
+        let dense = LayerTrace::new(desc.clone(), WeightData::Dense(qw.unwrap()), input.clone());
+        let po2 = Po2Set::new(60, 180).unwrap();
+        let ce = Mat::from_rows(&[&[2.0f32.powi(-100), 0.0], &[-2.0f32.powi(60), 1.0]]).unwrap();
+        let slice = || SeSlice::new(ce.clone(), Mat::identity(2), &po2).unwrap();
+        let layout =
+            SeLayout::FcPerRow { out_features: 2, in_features: 4, width: 2, slices_per_row: 1 };
+        let layer = SeLayer::new(layout, po2, vec![slice(), slice()]).unwrap();
+        let se = LayerTrace::new(desc, WeightData::Se(vec![layer]), input).unwrap();
+        let pair = TracePair { layer_index: 0, dense: dense.unwrap(), se };
+        let f = walked(encode_trace_pairs("wide", 7, &[pair]).unwrap());
+        assert!(f.ce_codes.iter().all(|&(_, valid)| valid > 256), "two-byte codes only");
+        f
+    })
+}
+
+/// The offsets of `bytes`' `u32` fields and `Ce` codes.
+fn walked(bytes: Vec<u8>) -> Fixture {
+    let mut walk = Walk {
+        r: ByteReader::new(&bytes),
+        len: bytes.len(),
+        u32_fields: Vec::new(),
+        ce_codes: Vec::new(),
+    };
+    walk.file();
+    assert_eq!(walk.r.remaining(), 0, "the walk covers the whole artifact");
+    assert!(!walk.ce_codes.is_empty());
+    Fixture { u32_fields: walk.u32_fields, ce_codes: walk.ce_codes, bytes: bytes.clone() }
 }
 
 /// Steps through an artifact along the layout of docs/TRACE_FORMAT.md,
@@ -198,6 +231,19 @@ proptest! {
         let (at, valid) = fixture().ce_codes[code];
         let mut bytes = fixture().bytes.clone();
         bytes[at] = (valid + u32::from(byte) % (256 - valid)) as u8;
+        let err = decode_trace_pairs(&bytes).unwrap_err();
+        prop_assert!(matches!(err, ModelError::Ir(IrError::InvalidPo2 { .. })), "{err}");
+    }
+
+    #[test]
+    fn a_u16_code_past_a_wide_alphabet_is_invalid_po2(
+        code in 0..wide_fixture().ce_codes.len(),
+        past in any::<u16>(),
+    ) {
+        let (at, valid) = wide_fixture().ce_codes[code];
+        let mut bytes = wide_fixture().bytes.clone();
+        let bad = (valid + u32::from(past) % (65_536 - valid)) as u16;
+        bytes[at..at + 2].copy_from_slice(&bad.to_le_bytes());
         let err = decode_trace_pairs(&bytes).unwrap_err();
         prop_assert!(matches!(err, ModelError::Ir(IrError::InvalidPo2 { .. })), "{err}");
     }

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Every coefficient is exactly 0 or ±2^p:
     let all_po2 =
-        se.slices().iter().all(|sl| sl.ce().data().iter().all(|&x| cfg.po2().contains(x)));
+        se.slices().iter().all(|sl| sl.ce_values().data().iter().all(|&x| cfg.po2().contains(x)));
     println!("all coefficients power-of-2: {all_po2}");
 
     // Rebuild and measure fidelity.

@@ -198,3 +198,72 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The `Ce` counts read from codes equal the old rule over the `f32`
+    /// matrix the slice was built from (an entry counts when `x != 0.0`, so
+    /// `-0.0` does not), for narrow and wide (`u16`) alphabets and `Ce`
+    /// widths 0, 3, 5, 7 and 9 (the unrolled widths and the general path).
+    #[test]
+    fn code_counts_match_the_f32_rule(
+        seed in any::<u64>(),
+        width in 0usize..5,
+        wide in any::<bool>(),
+        rows in 1usize..24,
+        slices in 1usize..4,
+        zero_pct in 0u64..101,
+    ) {
+        use smartexchange::ir::{storage, SeLayer, SeLayout, SeSlice};
+
+        let po2 = if wide { Po2Set::new(60, 180).unwrap() } else { Po2Set::default() };
+        let cols = [0, 3, 5, 7, 9][width];
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let exps: Vec<i32> = po2.exponents().collect();
+        let ces: Vec<Mat> = (0..slices)
+            .map(|_| {
+                Mat::from_fn(rows, cols, |_, _| match next() % 100 {
+                    p if p < zero_pct => if next() % 2 == 0 { 0.0 } else { -0.0 },
+                    _ => {
+                        let v = (exps[next() as usize % exps.len()] as f32).exp2();
+                        if next() % 2 == 0 { v } else { -v }
+                    }
+                })
+            })
+            .collect();
+        let parts: Vec<SeSlice> = ces
+            .iter()
+            .map(|ce| SeSlice::new(ce.clone(), Mat::zeros(cols, 2), &po2).unwrap())
+            .collect();
+        let layout = SeLayout::FcPerRow {
+            out_features: slices,
+            in_features: 2 * rows,
+            width: 2,
+            slices_per_row: 1,
+        };
+        let layer = SeLayer::new(layout, po2, parts).unwrap();
+
+        let row_nnz = |ce: &Mat| -> Vec<u32> {
+            (0..ce.rows()).map(|r| ce.row(r).iter().filter(|&&x| x != 0.0).count() as u32).collect()
+        };
+        let mut all_rows = Vec::new();
+        for (slice, ce) in layer.slices().iter().zip(&ces) {
+            let counts = row_nnz(ce);
+            let nnz = ce.data().iter().filter(|&&x| x != 0.0).count();
+            let mask: Vec<bool> = counts.iter().map(|&n| n > 0).collect();
+            prop_assert_eq!(slice.row_nonzero_mask(), mask.clone());
+            prop_assert_eq!(slice.nonzero_rows(), mask.iter().filter(|&&b| b).count());
+            prop_assert_eq!(slice.nnz(), nnz);
+            prop_assert_eq!(slice.rebuild_ops(), nnz as u64 * 2);
+            prop_assert_eq!(row_nnz(&slice.ce_values()), counts.clone());
+            all_rows.extend(counts);
+        }
+        prop_assert_eq!(storage::row_nnz(&layer), all_rows.clone());
+        prop_assert_eq!(layer.total_nonzero_rows(), all_rows.iter().filter(|&&n| n > 0).count());
+    }
+}
