@@ -64,7 +64,11 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     writeln!(out, "se batch: weight-fetch amortization across batch sizes\n")?;
     for net in models {
         se_core::se_info!("  batching {} x{:?}...", net.name(), sizes);
-        let runs = runner::compare_model(net, &opts, flags.traces_dir.as_deref())?.runs;
+        let runs =
+            runner::compare_queued(std::slice::from_ref(net), &opts, flags.traces_dir.as_deref())
+                .map_err(|(_, e)| e)?
+                .remove(0)
+                .runs;
         let se = runs[SE_LANE].as_ref().expect("SmartExchange supports every layer");
 
         // Per-image SmartExchange cost vs batch size.

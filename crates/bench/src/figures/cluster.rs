@@ -76,13 +76,15 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     let deadline = latency::deadline_cycles(flags.deadline_us, freq);
     let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
 
-    // One per-image comparison pass per model; every lane's service
-    // profile and every batch size derive from it.
-    let mut per_model: Vec<[Option<RunResult>; 5]> = Vec::with_capacity(models.len());
-    for net in models {
-        se_core::se_info!("  clustering {}...", net.name());
-        per_model.push(runner::compare_model(net, &opts, flags.traces_dir.as_deref())?.runs);
-    }
+    // One per-image comparison pass over every model; every lane's
+    // service profile and every batch size derive from it.
+    se_core::se_info!("  clustering {} model(s)...", models.len());
+    let per_model: Vec<[Option<RunResult>; 5]> =
+        runner::compare_queued(models, &opts, flags.traces_dir.as_deref())
+            .map_err(|(_, e)| e)?
+            .into_iter()
+            .map(|c| c.runs)
+            .collect();
 
     writeln!(
         out,

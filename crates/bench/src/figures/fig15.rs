@@ -40,19 +40,31 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
 
     writeln!(out, "Fig. 15: MobileNetV2 depth-wise layers, dedicated design on/off\n")?;
     let opts = TraceOptions::fast().with_seed(flags.seed);
-    // The four picked layers come from the artifact when `--traces-dir`
-    // holds one (decoded once; it covers every depth-wise layer), else
-    // each is generated alone: the same bits either way.
-    let cached = match flags.traces_dir.as_deref() {
-        Some(dir) => traces::cached_trace_pairs(&net, &opts, dir)?,
-        None => None,
-    };
+    let picked: Vec<usize> =
+        picks.iter().map(|&p| dw_indices[p.min(dw_indices.len() - 1)]).collect();
+    // The picked layers come from the artifact when `--traces-dir` holds
+    // one (read a pair at a time, keeping only the picked pairs; it covers
+    // every depth-wise layer), else each is generated alone: the same bits
+    // either way.
+    let mut cached = Vec::new();
+    if let Some(dir) = flags.traces_dir.as_deref() {
+        if let Some(mut reader) = traces::TraceReader::lookup(&net, &opts, dir)? {
+            while let Some(pair) = reader.next_pair()? {
+                if picked.contains(&pair.layer_index) {
+                    cached.push(pair);
+                }
+            }
+        }
+    }
     let mut rows = Vec::new();
-    for &p in &picks {
-        let li = dw_indices[p.min(dw_indices.len() - 1)];
-        let pair = match cached.as_ref().and_then(|c| c.iter().find(|p| p.layer_index == li)) {
-            Some(pair) => pair.clone(),
-            None => traces::trace_pair(&net, li, &opts)?,
+    for &li in &picked {
+        let generated;
+        let pair = match cached.iter().find(|p| p.layer_index == li) {
+            Some(pair) => pair,
+            None => {
+                generated = traces::trace_pair(&net, li, &opts)?;
+                &generated
+            }
         };
         let with = with_accel.process_layer(&pair.se)?;
         let without = without_accel.process_layer(&pair.se)?;

@@ -12,17 +12,21 @@
 //! Both halves of a sweep run on the deterministic work queue of
 //! [`se_core::pipeline`]:
 //!
-//! 1. **Trace generation**, the SmartExchange decomposition per layer,
-//!    comes from [`traces::for_each_chunk`]: it replays a persisted
-//!    artifact whole, or generates the layers in chunks of
+//! 1. **Trace source**: each model's pairs come from a
+//!    [`PairStream`]: read a pair at a time from a persisted artifact, or
+//!    generated (the SmartExchange decomposition per layer) in chunks of
 //!    `chunk_pairs` on `RunnerOptions::traces.se_config.parallelism()`
 //!    workers.
-//! 2. **Simulation**: each chunk of [`TracePair`]s goes through the
-//!    serving subsystem's [`BatchEngine`], the single five-lane dispatch:
-//!    [`BatchEngine::per_image_comparison`] fans every pair out as five
-//!    `(layer, accelerator)` grid jobs drained by
-//!    `RunnerOptions::sim_parallelism` workers, and
-//!    [`BatchEngine::per_image_se`] runs the SmartExchange lane alone.
+//! 2. **Simulation**: [`compare_models`] puts consecutive models that
+//!    have an artifact on one `(layer, accelerator)` grid drained by
+//!    `RunnerOptions::sim_parallelism` workers, which pull the next pair
+//!    from the open artifact as the queue runs low, so decoding overlaps
+//!    simulation and only the pairs in flight are alive; a generated
+//!    model's chunks each go through the grid in turn. The serving
+//!    subsystem's [`BatchEngine`] is the single five-lane dispatch
+//!    ([`BatchEngine::simulate_lane`], [`BatchEngine::fold_lanes`]);
+//!    [`BatchEngine::per_image_se`] runs the SmartExchange lane alone on
+//!    each chunk of [`traces::for_each_chunk`].
 //!
 //! Results are reassembled in network order at both levels, so a
 //! comparison sweep is **bit-identical for every worker count** at either
@@ -35,11 +39,12 @@
 //! with an artifact there replays it instead of regenerating its traces,
 //! bit-identically.
 
-use crate::Result;
+use crate::{BoxError, Result};
 use se_baselines::BaselineConfig;
+use se_core::pipeline;
 use se_hw::{EnergyModel, RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
-use se_models::traces::{self, TraceOptions, TracePair};
+use se_models::traces::{self, PairStream, TraceOptions, TracePair};
 use se_serve::BatchEngine;
 use std::path::Path;
 
@@ -158,42 +163,9 @@ fn chunk_pairs(sim_parallelism: usize) -> usize {
     4.max(sim_parallelism.div_ceil(ACCEL_NAMES.len()))
 }
 
-/// Runs one model through all five accelerators, replaying its persisted
-/// traces from `traces_dir` when an artifact for this network and these
-/// trace options is there (built by `se trace build`; cached and direct
-/// runs are bit-identical). Each chunk goes through
-/// [`BatchEngine::per_image_comparison`] and the lanes are concatenated;
-/// a lane that is `None` in any chunk is `None` for the model.
-///
-/// # Errors
-///
-/// Propagates trace-generation/load failures and unexpected simulator
-/// errors (`UnsupportedTrace` is converted into a `None` run instead; a
-/// corrupt or mismatched artifact is an error, not a miss).
-pub fn compare_model(
-    net: &NetworkDesc,
-    opts: &RunnerOptions,
-    traces_dir: Option<&Path>,
-) -> Result<ModelComparison> {
-    let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
-    let mut runs: [Option<RunResult>; 5] = std::array::from_fn(|_| Some(RunResult::default()));
-    let chunk = chunk_pairs(opts.sim_parallelism);
-    traces::for_each_chunk(net, &opts.traces, traces_dir, chunk, |pairs| {
-        let chunk_runs = engine.per_image_comparison(&pairs, opts.sim_parallelism)?;
-        for (run, part) in runs.iter_mut().zip(chunk_runs) {
-            match (run.as_mut(), part) {
-                (Some(run), Some(part)) => run.layers.extend(part.layers),
-                _ => *run = None,
-            }
-        }
-        Result::Ok(())
-    })?;
-    Ok(ModelComparison { model: net.name().to_string(), runs })
-}
-
 /// Runs pre-generated trace pairs through all five accelerators on the
 /// simulation grid ([`BatchEngine::per_image_comparison`]) —
-/// [`compare_model`] without the trace-generation half; results are
+/// [`compare_models`] without the trace-source half; results are
 /// bit-identical to it on the same pairs.
 ///
 /// # Errors
@@ -210,8 +182,8 @@ pub fn compare_pairs(
 }
 
 /// Runs one model through the SmartExchange accelerator alone
-/// ([`BatchEngine::per_image_se`] per chunk), with the trace source of
-/// [`compare_model`] — the engine behind the energy-breakdown figures.
+/// ([`BatchEngine::per_image_se`] per chunk of [`traces::for_each_chunk`])
+/// — the engine behind the energy-breakdown figures.
 ///
 /// # Errors
 ///
@@ -231,32 +203,189 @@ pub fn run_se_model(
     Ok(run)
 }
 
-/// Runs a set of models through all five accelerators ([`compare_model`]
-/// each, with the same optional trace cache).
+/// Runs a set of models through all five accelerators. Consecutive models
+/// with an artifact in `traces_dir` (built by `se trace build`, matching
+/// the network and these trace options) share one simulation queue: its
+/// workers take `(pair, accelerator)` jobs from every such model in
+/// order, and the next pair is read from the open artifact as the queue
+/// runs low, so decoding overlaps simulation and only the pairs in flight
+/// are alive. A model without an artifact is generated `chunk_pairs`
+/// layers at a time, each chunk simulated before the next is generated:
+/// generation is parallel itself, and a grid drawing on it would take
+/// cores from it at every chunk's last layer. Cached and direct runs are
+/// bit-identical. The lanes of each model are folded by
+/// [`BatchEngine::fold_lanes`]; a lane that cannot run some layer is
+/// `None` for the model.
 ///
 /// # Errors
 ///
-/// Propagates the first model failure, naming the failing model in the
-/// error (completed models' work is discarded with it — a sweep is
-/// all-or-nothing).
+/// The failure a serial model-by-model run reports, naming the failing
+/// model: the first model, in order, that fails; within it, a decode
+/// failure anywhere in its artifact before any simulator failure, and
+/// otherwise the failure of the lowest `(layer, accelerator)` job.
+/// `UnsupportedTrace` is a `None` lane, not a failure; a corrupt or
+/// mismatched artifact is an error, not a miss. Completed models' work is
+/// discarded with it — a sweep is all-or-nothing.
 pub fn compare_models(
     models: &[NetworkDesc],
     opts: &RunnerOptions,
     traces_dir: Option<&Path>,
 ) -> Result<Vec<ModelComparison>> {
-    models
-        .iter()
-        .map(|m| {
-            compare_model(m, opts, traces_dir)
-                .map_err(|e| format!("model {} failed: {e}", m.name()).into())
+    compare_queued(models, opts, traces_dir)
+        .map_err(|(model, e)| format!("model {} failed: {e}", models[model].name()).into())
+}
+
+/// [`compare_models`] with its failure left as the failing model's index
+/// and that model's own error, which `se cluster` and `se batch` report
+/// as it is.
+pub(crate) fn compare_queued(
+    models: &[NetworkDesc],
+    opts: &RunnerOptions,
+    traces_dir: Option<&Path>,
+) -> std::result::Result<Vec<ModelComparison>, (usize, BoxError)> {
+    if models.is_empty() {
+        return Ok(Vec::new());
+    }
+    let engine =
+        BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone()).map_err(|e| (0, e))?;
+    let chunk = chunk_pairs(opts.sim_parallelism);
+    let grid = |pairs: &mut dyn Iterator<Item = _>| {
+        pipeline::try_run_grid(pairs, ACCEL_NAMES.len(), opts.sim_parallelism, |_, item, lane| {
+            let (model, pair): &(usize, TracePair) = item;
+            engine.simulate_lane(pair, lane).map_err(|e| (*model, BoxError::from(e)))
         })
-        .collect()
+    };
+    let mut source = ModelPairs {
+        models,
+        opts: &opts.traces,
+        dir: traces_dir,
+        chunk,
+        stream: None,
+        counts: Vec::new(),
+    };
+    let mut out = Vec::with_capacity(models.len());
+    let mut done = |m: usize, runs| {
+        out.push(ModelComparison { model: models[m].name().to_string(), runs });
+    };
+    let mut next = 0;
+    loop {
+        let rows = match grid(&mut source) {
+            Ok(rows) => rows,
+            Err((model, e)) => return Err((model, source.decode_failure_first(model, e))),
+        };
+        let mut rows = rows.into_iter();
+        let queued = source.counts.len() - usize::from(source.generating());
+        for m in next..queued {
+            done(m, BatchEngine::fold_lanes(rows.by_ref().take(source.counts[m])));
+        }
+        next = queued;
+        let Some(mut stream) = source.take_generating() else { break };
+        let mut rows = Vec::new();
+        loop {
+            let pairs = stream.next_chunk(chunk).map_err(|e| (next, e.into()))?;
+            if pairs.is_empty() {
+                break;
+            }
+            rows.extend(grid(&mut pairs.into_iter().map(|pair| Ok((next, pair))))?);
+        }
+        done(next, BatchEngine::fold_lanes(rows));
+        next += 1;
+    }
+    Ok(out)
+}
+
+/// The source of the one queue: the pairs of consecutive models with an
+/// artifact, in order, each tagged with its model's index, counting the
+/// pairs of each model as they are read. It ends at a model without an
+/// artifact, holding that model's stream, and resumes after it. Its errors
+/// carry the index of the model that failed.
+struct ModelPairs<'a> {
+    models: &'a [NetworkDesc],
+    opts: &'a TraceOptions,
+    dir: Option<&'a Path>,
+    chunk: usize,
+    /// The stream of the last model in `counts`, until it is spent.
+    stream: Option<PairStream<'a>>,
+    /// Pairs read per model, for the models reached so far.
+    counts: Vec<usize>,
+}
+
+impl<'a> ModelPairs<'a> {
+    /// Whether the source stopped at a model it generates.
+    fn generating(&self) -> bool {
+        self.stream.as_ref().is_some_and(|s| !s.is_cached())
+    }
+
+    /// The stream of the model the source stopped at, to be generated
+    /// chunk by chunk outside the queue.
+    fn take_generating(&mut self) -> Option<PairStream<'a>> {
+        if self.generating() {
+            self.stream.take()
+        } else {
+            None
+        }
+    }
+
+    /// The error to report for the failure `e` of `model`: a simulator
+    /// failure in a model whose artifact is still open (a source failure
+    /// closes it) gives way to a decode failure later in that file.
+    fn decode_failure_first(&mut self, model: usize, e: BoxError) -> BoxError {
+        match self.stream.as_mut() {
+            Some(stream) if self.counts.len() == model + 1 => {
+                stream.finish().err().map_or(e, BoxError::from)
+            }
+            _ => e,
+        }
+    }
+}
+
+impl Iterator for ModelPairs<'_> {
+    type Item = std::result::Result<(usize, TracePair), (usize, BoxError)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if self.stream.is_none() {
+                let model = self.counts.len();
+                let net = self.models.get(model)?;
+                self.counts.push(0);
+                match PairStream::open(net, self.opts, self.dir, self.chunk) {
+                    Ok(stream) => self.stream = Some(stream),
+                    Err(e) => return Some(Err((model, e.into()))),
+                }
+            }
+            if self.generating() {
+                return None;
+            }
+            let model = self.counts.len() - 1;
+            let stream = self.stream.as_mut().expect("opened above");
+            match stream.next_pair() {
+                Ok(Some(pair)) => {
+                    self.counts[model] += 1;
+                    return Some(Ok((model, pair)));
+                }
+                Ok(None) => self.stream = None,
+                Err(e) => {
+                    self.stream = None;
+                    return Some(Err((model, e.into())));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use se_ir::{Dataset, LayerDesc, LayerKind};
+
+    /// One model through the comparison queue.
+    fn compare_model(
+        net: &NetworkDesc,
+        opts: &RunnerOptions,
+        traces_dir: Option<&Path>,
+    ) -> Result<ModelComparison> {
+        compare_models(std::slice::from_ref(net), opts, traces_dir).map(|mut c| c.remove(0))
+    }
 
     fn tiny() -> NetworkDesc {
         NetworkDesc::new(
@@ -389,6 +518,75 @@ mod tests {
         assert_eq!(se_direct, se_warm);
         assert_eq!(&se_warm, warm.runs[4].as_ref().unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_queue_over_models_matches_each_model_alone() {
+        let models = [multi_geometry(), tiny(), multi_geometry()];
+        let dir = std::env::temp_dir().join(format!("se-runner-queue-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunnerOptions::default().with_parallelism(2).unwrap();
+        se_models::traces::build_trace_file(&models[0], &opts.traces, &dir).unwrap();
+        let alone: Vec<_> =
+            models.iter().map(|m| compare_model(m, &opts, None).unwrap().runs).collect();
+        // Cached and generated models mixed on one queue, at every worker
+        // count of either level.
+        for (gen, sim) in [(1, 1), (1, 2), (2, 4), (4, 8)] {
+            let opts = RunnerOptions::default()
+                .with_parallelism(gen)
+                .unwrap()
+                .with_sim_parallelism(sim)
+                .unwrap();
+            let all = compare_models(&models, &opts, Some(&dir)).unwrap();
+            let names: Vec<_> = all.iter().map(|c| c.model.as_str()).collect();
+            assert_eq!(names, ["multi", "tiny", "multi"]);
+            let runs: Vec<_> = all.into_iter().map(|c| c.runs).collect();
+            assert_eq!(runs, alone, "generation {gen} simulation {sim}");
+        }
+        assert!(compare_models(&[], &opts, Some(&dir)).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_truncated_artifact_fails_the_sweep_naming_model_and_file() {
+        let models = [tiny(), multi_geometry()];
+        let dir = std::env::temp_dir().join(format!("se-runner-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunnerOptions::default();
+        for net in &models {
+            se_models::traces::build_trace_file(net, &opts.traces, &dir).unwrap();
+        }
+        let path = dir.join(se_models::traces::trace_file_name("multi", &opts.traces));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        for workers in [1usize, 2, 4] {
+            let opts = RunnerOptions::default().with_parallelism(workers).unwrap();
+            let err = compare_models(&models, &opts, Some(&dir)).unwrap_err().to_string();
+            assert!(err.starts_with("model multi failed: artifact "), "{err}");
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            assert!(err.contains("truncated input"), "{err}");
+            // The first model in order that fails is the one reported.
+            let err = compare_models(&[models[1].clone(), badnet()], &opts, Some(&dir))
+                .unwrap_err()
+                .to_string();
+            assert!(err.starts_with("model multi failed: "), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A squeeze-excite bottleneck of width 0 passes geometry checks but
+    /// fails compression during trace generation.
+    fn badnet() -> NetworkDesc {
+        NetworkDesc::new(
+            "badnet",
+            Dataset::Cifar10,
+            vec![LayerDesc::new(
+                "se0",
+                LayerKind::SqueezeExcite { channels: 8, reduced: 0 },
+                (8, 8),
+            )],
+        )
+        .unwrap()
     }
 
     #[test]

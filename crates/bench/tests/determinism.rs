@@ -5,9 +5,14 @@
 //! `se_bench::runner` must produce bit-identical `RunResult`s for every
 //! worker count at both parallelism levels.
 
-use se_bench::runner::{compare_model, RunnerOptions};
+use se_bench::runner::{compare_models, ModelComparison, RunnerOptions};
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 use se_models::zoo;
+
+/// One model through the comparison queue.
+fn compare_model(net: &NetworkDesc, opts: &RunnerOptions) -> ModelComparison {
+    compare_models(std::slice::from_ref(net), opts, None).unwrap().remove(0)
+}
 
 /// conv1 plus the first two bottlenecks of ResNet164 (7 layers, with the
 /// 16→64→16 shapes of block 2 repeating block 1's), followed by a
@@ -27,8 +32,7 @@ fn resnet_profile_with_se() -> NetworkDesc {
 #[test]
 fn comparison_is_bit_identical_across_worker_counts() {
     let net = resnet_profile_with_se();
-    let serial =
-        compare_model(&net, &RunnerOptions::fast().with_parallelism(1).unwrap(), None).unwrap();
+    let serial = compare_model(&net, &RunnerOptions::fast().with_parallelism(1).unwrap());
     // The None lane must be exercised, not just empty-supported.
     assert!(serial.runs[1].is_none(), "SCNN must drop the squeeze-excite profile");
     for lane in [0usize, 2, 3, 4] {
@@ -36,8 +40,7 @@ fn comparison_is_bit_identical_across_worker_counts() {
     }
     for workers in [4usize, 8] {
         let parallel =
-            compare_model(&net, &RunnerOptions::fast().with_parallelism(workers).unwrap(), None)
-                .unwrap();
+            compare_model(&net, &RunnerOptions::fast().with_parallelism(workers).unwrap());
         assert_eq!(serial.runs, parallel.runs, "workers = {workers}");
     }
 }

@@ -55,8 +55,9 @@
 //! # }
 //! ```
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::network::{compress_layer_reported, LayerReport};
 use crate::{CoreError, Result, SeConfig};
@@ -220,30 +221,196 @@ where
 /// independent of every other, so results are bit-identical for every
 /// worker count.
 ///
+/// Items are pulled from `source` as the queue drains, not collected up
+/// front. The calling thread is one of the `workers` and the only one
+/// that pulls, so `source` need not be `Send`: before it runs a job it
+/// pulls the next item if fewer than `lanes` jobs are queued, and it
+/// pulls whenever it finds the queue empty; the other workers wait on an
+/// empty queue. Producing an item (decoding it, say) thus overlaps the
+/// jobs of the item before it, and an item is dropped once its last lane
+/// has run, so at most `workers + 2` items are alive at once. A slice is
+/// the source `items.iter().map(Ok)`.
+///
 /// # Errors
 ///
 /// The failure of the lowest `(item, lane)` coordinate in item-major
-/// order — the same error a serial item-then-lane loop reports.
-pub fn try_run_grid<I, O, E, F>(
-    items: &[I],
+/// order — the same error a serial item-then-lane loop reports. A source
+/// error in pulling item `i` sits before every lane of `i` and after every
+/// lane of the items before it; nothing is pulled after it.
+pub fn try_run_grid<I, O, E, S, F>(
+    source: S,
     lanes: usize,
     workers: usize,
     f: F,
 ) -> std::result::Result<Vec<Vec<O>>, E>
 where
-    I: Sync,
+    S: IntoIterator<Item = std::result::Result<I, E>>,
+    I: Send + Sync,
     O: Send,
     E: Send,
     F: Fn(usize, &I, usize) -> std::result::Result<O, E> + Sync,
 {
+    let source = source.into_iter();
     if lanes == 0 {
-        return Ok(items.iter().map(|_| Vec::new()).collect());
+        return source.map(|item| item.map(|_| Vec::new())).collect();
     }
-    let coords: Vec<(usize, usize)> =
-        (0..items.len()).flat_map(|i| (0..lanes).map(move |l| (i, l))).collect();
-    let flat = try_run_ordered(&coords, workers, |_, &(i, l)| f(i, &items[i], l))?;
-    let mut flat = flat.into_iter();
-    Ok((0..items.len()).map(|_| flat.by_ref().take(lanes).collect()).collect())
+    if workers <= 1 {
+        let mut out = Vec::new();
+        for (i, item) in source.enumerate() {
+            let item = item?;
+            out.push((0..lanes).map(|l| f(i, &item, l)).collect::<std::result::Result<_, _>>()?);
+        }
+        return Ok(out);
+    }
+
+    let grid =
+        Mutex::new(Grid { jobs: VecDeque::new(), rows: Vec::new(), failed: None, spent: false });
+    // Wakes the workers waiting on an empty queue.
+    let queued = Condvar::new();
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(|| work(&grid, &queued, lanes, &f, None::<std::iter::Empty<_>>));
+        }
+        work(&grid, &queued, lanes, &f, Some(source));
+    });
+    let grid = grid.into_inner().expect("grid never poisoned");
+    if let Some((_, e)) = grid.failed {
+        return Err(e);
+    }
+    Ok(grid
+        .rows
+        .into_iter()
+        .map(|row| row.into_iter().map(|o| o.expect("every job ran")).collect())
+        .collect())
+}
+
+/// An `(item, lane)` coordinate; item-major order is tuple order.
+type Coord = (usize, usize);
+
+/// One worker of [`try_run_grid`]: runs queued jobs until the source is
+/// spent (or a job has failed) and the queue is empty. The worker given
+/// the source (the calling thread) also pulls from it, one item ahead:
+/// before a job, when fewer than one item's jobs are queued, and whenever
+/// the queue is empty. The others wait for jobs on an empty queue.
+fn work<I, O, E>(
+    grid: &Mutex<Grid<I, O, E>>,
+    queued: &Condvar,
+    lanes: usize,
+    f: &impl Fn(usize, &I, usize) -> std::result::Result<O, E>,
+    mut source: Option<impl Iterator<Item = std::result::Result<I, E>>>,
+) {
+    let _stop = Stop { grid, queued };
+    let mut done: Option<(Coord, std::result::Result<O, E>)> = None;
+    let mut g = grid.lock().expect("grid never poisoned");
+    loop {
+        if let Some((at, out)) = done.take() {
+            g.record(at, out);
+        }
+        let job = g.next_job();
+        if let Some(source) = source.as_mut() {
+            let below = if job.is_some() { lanes } else { 1 };
+            if g.open() && g.jobs.len() < below {
+                drop(g);
+                let next = source.next();
+                g = grid.lock().expect("grid never poisoned");
+                g.push(next, lanes);
+                queued.notify_all();
+            }
+        }
+        match job {
+            Some((at, item)) => {
+                drop(g);
+                done = Some((at, f(at.0, &item, at.1)));
+                drop(item);
+                g = grid.lock().expect("grid never poisoned");
+            }
+            None if !g.jobs.is_empty() => {}
+            // Only a worker without the source waits: the puller has just
+            // pulled, so an empty queue means the source is closed.
+            None if g.open() => g = queued.wait(g).expect("grid never poisoned"),
+            None => break,
+        }
+    }
+}
+
+/// Marks the source spent and wakes the waiting workers when a worker
+/// stops: normally (once the source is closed, so this changes nothing) or
+/// by a panic in the source or a job, when taking the lock while unwinding
+/// poisons the grid, so that the others stop instead of waiting forever.
+struct Stop<'a, I, O, E> {
+    grid: &'a Mutex<Grid<I, O, E>>,
+    queued: &'a Condvar,
+}
+
+impl<I, O, E> Drop for Stop<'_, I, O, E> {
+    fn drop(&mut self) {
+        let mut g = self.grid.lock().unwrap_or_else(PoisonError::into_inner);
+        g.spent = true;
+        self.queued.notify_all();
+    }
+}
+
+/// The state [`try_run_grid`]'s workers share: queued jobs, one output
+/// row per pulled item, the lowest failure seen, and whether the source
+/// is spent.
+struct Grid<I, O, E> {
+    jobs: VecDeque<(Coord, Arc<I>)>,
+    rows: Vec<Vec<Option<O>>>,
+    failed: Option<(Coord, E)>,
+    spent: bool,
+}
+
+impl<I, O, E> Grid<I, O, E> {
+    /// Whether items may still arrive: the source is not spent and
+    /// nothing has failed (every later item would sit behind the failure).
+    fn open(&self) -> bool {
+        !self.spent && self.failed.is_none()
+    }
+
+    fn record(&mut self, at: Coord, out: std::result::Result<O, E>) {
+        match out {
+            Ok(o) => self.rows[at.0][at.1] = Some(o),
+            Err(e) => {
+                if self.before_failure(at) {
+                    self.failed = Some((at, e));
+                }
+            }
+        }
+    }
+
+    /// Queues one job per lane of a pulled item; a source error is the
+    /// failure of the item it was pulling, before any of its lanes.
+    fn push(&mut self, next: Option<std::result::Result<I, E>>, lanes: usize) {
+        let index = self.rows.len();
+        match next {
+            Some(Ok(item)) => {
+                let item = Arc::new(item);
+                self.jobs.extend((0..lanes).map(|l| ((index, l), Arc::clone(&item))));
+                self.rows.push((0..lanes).map(|_| None).collect());
+            }
+            Some(Err(e)) => {
+                self.spent = true;
+                self.record((index, 0), Err(e));
+            }
+            None => self.spent = true,
+        }
+    }
+
+    /// The next queued job, dropping those behind a failure (their
+    /// results could never be observed).
+    fn next_job(&mut self) -> Option<(Coord, Arc<I>)> {
+        while let Some((at, item)) = self.jobs.pop_front() {
+            if self.before_failure(at) {
+                return Some((at, item));
+            }
+        }
+        None
+    }
+
+    /// Whether `at` precedes every failure recorded so far.
+    fn before_failure(&self, at: Coord) -> bool {
+        self.failed.as_ref().is_none_or(|(first, _)| at < *first)
+    }
 }
 
 /// The configuration each worker compresses its layers with: the total
@@ -334,12 +501,16 @@ mod tests {
     fn grid_is_item_major_and_order_preserving() {
         let items: Vec<usize> = (0..9).collect();
         for workers in [1usize, 3, 8] {
-            let grid: Vec<Vec<(usize, usize)>> =
-                try_run_grid::<_, _, CoreError, _>(&items, 4, workers, |i, &item, lane| {
+            let grid: Vec<Vec<(usize, usize)>> = try_run_grid::<_, _, CoreError, _, _>(
+                items.iter().copied().map(Ok),
+                4,
+                workers,
+                |i, &item, lane| {
                     assert_eq!(i, item);
                     Ok((item, lane))
-                })
-                .unwrap();
+                },
+            )
+            .unwrap();
             assert_eq!(grid.len(), 9);
             for (i, row) in grid.iter().enumerate() {
                 assert_eq!(row, &[(i, 0), (i, 1), (i, 2), (i, 3)], "workers = {workers}");
@@ -350,10 +521,13 @@ mod tests {
     #[test]
     fn grid_handles_degenerate_shapes() {
         let none: Vec<u32> = vec![];
-        let empty = try_run_grid::<_, u32, CoreError, _>(&none, 3, 4, |_, &x, _| Ok(x)).unwrap();
+        let empty =
+            try_run_grid::<_, u32, CoreError, _, _>(none.iter().map(Ok), 3, 4, |_, &x, _| Ok(*x))
+                .unwrap();
         assert!(empty.is_empty());
         let lanes0 =
-            try_run_grid::<_, u32, CoreError, _>(&[1u32, 2], 0, 4, |_, &x, _| Ok(x)).unwrap();
+            try_run_grid::<_, u32, CoreError, _, _>([1u32, 2].map(Ok), 0, 4, |_, &x, _| Ok(x))
+                .unwrap();
         assert_eq!(lanes0, vec![Vec::<u32>::new(), Vec::new()]);
     }
 
@@ -362,7 +536,7 @@ mod tests {
         let items: Vec<usize> = (0..6).collect();
         // Fail at (1, 2) and (3, 0): item-major order makes (1, 2) first.
         for workers in [1usize, 2, 8] {
-            let err = try_run_grid::<_, (), String, _>(&items, 3, workers, |i, _, lane| {
+            let err = try_run_grid(items.iter().map(Ok), 3, workers, |i, _, lane| {
                 if (i, lane) == (1, 2) || (i, lane) == (3, 0) {
                     Err(format!("fail at ({i}, {lane})"))
                 } else {
@@ -371,6 +545,132 @@ mod tests {
             })
             .unwrap_err();
             assert_eq!(err, "fail at (1, 2)", "workers = {workers}");
+        }
+    }
+
+    /// An item that counts the items alive at once, and the most ever
+    /// alive, through its construction and drop.
+    struct Counted<'a> {
+        value: u64,
+        alive: &'a AtomicUsize,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(value: u64, alive: &'a AtomicUsize, peak: &'a AtomicUsize) -> Self {
+            let now = alive.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            Counted { value, alive }
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.alive.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A job with some float work whose result depends on every input bit.
+    fn mix(item: u64, lane: usize) -> f64 {
+        (0..200).fold(item as f64 + 0.5, |acc, k| (acc * 1.000_1 + (k * (lane + 1)) as f64).sqrt())
+    }
+
+    #[test]
+    fn pulled_grid_is_item_major_and_matches_a_serial_loop() {
+        let serial: Vec<Vec<f64>> =
+            (0..37u64).map(|i| (0..5).map(|l| mix(i, l)).collect()).collect();
+        for workers in [1usize, 2, 4, 8] {
+            let (alive, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut next = 0u64;
+            let source = std::iter::from_fn(|| {
+                next += 1;
+                (next <= 37).then(|| Ok::<_, String>(Counted::new(next - 1, &alive, &peak)))
+            });
+            let grid = try_run_grid(source, 5, workers, |i, item, lane| {
+                assert_eq!(i as u64, item.value);
+                Ok(mix(item.value, lane))
+            })
+            .unwrap();
+            let bits =
+                |g: &[Vec<f64>]| -> Vec<u64> { g.iter().flatten().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&grid), bits(&serial), "workers = {workers}");
+            assert_eq!(alive.load(Ordering::SeqCst), 0);
+        }
+    }
+
+    #[test]
+    fn at_most_workers_plus_two_items_are_alive() {
+        for workers in [1usize, 2, 4, 8] {
+            let (alive, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut next = 0u64;
+            let source = std::iter::from_fn(|| {
+                next += 1;
+                (next <= 60).then(|| Ok::<_, String>(Counted::new(next, &alive, &peak)))
+            });
+            let grid = try_run_grid(source, 5, workers, |_, item, lane| {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                Ok(mix(item.value, lane))
+            })
+            .unwrap();
+            assert_eq!(grid.len(), 60);
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= workers + 2, "workers = {workers}: {peak} items alive at once");
+        }
+    }
+
+    #[test]
+    fn source_and_lane_errors_follow_item_major_order() {
+        // (source fails pulling item, lane failure) -> the error reported.
+        let cases: [(Option<usize>, Option<Coord>, &str); 5] = [
+            (Some(6), None, "source at 6"),
+            (Some(6), Some((5, 4)), "lane (5, 4)"),
+            (Some(6), Some((2, 1)), "lane (2, 1)"),
+            (Some(0), None, "source at 0"),
+            (None, Some((8, 0)), "lane (8, 0)"),
+        ];
+        for (source_fails, lane_fails, want) in cases {
+            for workers in [1usize, 2, 4, 8] {
+                let pulled = AtomicUsize::new(0);
+                let source = (0..20usize).map(|i| {
+                    pulled.fetch_add(1, Ordering::SeqCst);
+                    if Some(i) == source_fails {
+                        Err(format!("source at {i}"))
+                    } else {
+                        Ok(i)
+                    }
+                });
+                let err = try_run_grid(source, 5, workers, |i, _, lane| {
+                    if Some((i, lane)) == lane_fails {
+                        Err(format!("lane ({i}, {lane})"))
+                    } else {
+                        Ok(())
+                    }
+                })
+                .unwrap_err();
+                assert_eq!(err, want, "workers = {workers}");
+                // Nothing is pulled past a source failure.
+                if let Some(at) = source_fails {
+                    assert!(pulled.load(Ordering::SeqCst) <= at + 1, "workers = {workers}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_job_or_the_source_propagates_instead_of_hanging() {
+        for workers in [2usize, 4] {
+            for panic_in_source in [false, true] {
+                let run = std::panic::AssertUnwindSafe(|| {
+                    let source = (0..50usize).map(|i| {
+                        assert!(!(panic_in_source && i == 30), "source panics");
+                        Ok::<_, String>(i)
+                    });
+                    try_run_grid(source, 5, workers, |i, _, _| {
+                        assert!(panic_in_source || i != 3, "job panics");
+                        Ok(())
+                    })
+                });
+                assert!(std::panic::catch_unwind(run).is_err(), "workers = {workers}");
+            }
         }
     }
 

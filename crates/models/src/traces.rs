@@ -4,12 +4,14 @@
 //! sees identical data (the paper's equal-footing methodology). The two
 //! traces of a pair hold one shared input map.
 //!
-//! [`for_each_chunk`] is the one source of a network's pairs. An artifact
-//! replay (`*.setrace`, built by `se trace build`) holds the whole network
-//! in memory and is handed over as one chunk; generation streams the
-//! traced layers in chunks of a caller-chosen size, so peak memory stays
-//! bounded on ImageNet-scale models. [`trace_pairs`] is the collect-all
-//! form and [`trace_pair`] generates one layer.
+//! [`PairStream`] is the one source of a network's pairs, handed out one at
+//! a time in network order. An artifact (`*.setrace`, built by
+//! `se trace build`) is read a pair at a time from the open file through a
+//! [`TraceReader`]; without one, the traced layers are generated in chunks
+//! of a caller-chosen size. Either way only the pairs in flight are alive,
+//! so peak memory stays bounded on ImageNet-scale models.
+//! [`for_each_chunk`] hands a stream over in chunks, [`trace_pairs`] is the
+//! collect-all form and [`trace_pair`] generates one layer.
 
 use crate::{activations, weights, ModelError, Result};
 use se_core::{pipeline, SeConfig};
@@ -138,18 +140,133 @@ pub fn trace_pairs(net: &NetworkDesc, opts: &TraceOptions) -> Result<Vec<TracePa
     generate(net, &traced_layers(net, opts), opts)
 }
 
-/// Feeds a network's trace pairs to `consume` in network order: the one
-/// place that decides where pairs come from. When `dir` holds an artifact
-/// for this network and these options, the whole artifact is handed over
-/// as one chunk (see [`cached_trace_pairs`]). Otherwise the traced layers
-/// are generated `chunk` at a time, so at most `chunk` generated pairs are
-/// alive at once. Both sources give the same bits: artifacts round-trip
-/// exactly and generation is a pure function of the options.
+/// One network's trace pairs, one at a time in network order: the one
+/// place that decides where pairs come from. When the cache directory
+/// holds an artifact for this network and these options, pairs are read
+/// from it as they are asked for (see [`TraceReader::lookup`]). Otherwise
+/// the traced layers are generated `chunk` at a time on the work queue, so
+/// at most `chunk` generated pairs wait here. Both sources give the same
+/// bits: artifacts round-trip exactly and generation is a pure function of
+/// the options.
+#[derive(Debug)]
+pub struct PairStream<'a> {
+    net: &'a NetworkDesc,
+    opts: &'a TraceOptions,
+    source: PairSource,
+}
+
+#[derive(Debug)]
+enum PairSource {
+    Artifact(TraceReader),
+    Generated {
+        layers: Vec<usize>,
+        next: usize,
+        chunk: usize,
+        ready: std::vec::IntoIter<TracePair>,
+    },
+}
+
+impl<'a> PairStream<'a> {
+    /// Opens the stream of `net`'s pairs: from the artifact in `dir` when
+    /// there is one, generated `chunk` layers at a time otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the artifact's open, header, name and digest failures.
+    pub fn open(
+        net: &'a NetworkDesc,
+        opts: &'a TraceOptions,
+        dir: Option<&Path>,
+        chunk: usize,
+    ) -> Result<Self> {
+        let reader = match dir {
+            Some(dir) => TraceReader::lookup(net, opts, dir)?,
+            None => None,
+        };
+        let source = match reader {
+            Some(reader) => PairSource::Artifact(reader),
+            None => PairSource::Generated {
+                layers: traced_layers(net, opts),
+                next: 0,
+                chunk: chunk.max(1),
+                ready: Vec::new().into_iter(),
+            },
+        };
+        Ok(PairStream { net, opts, source })
+    }
+
+    /// The next pair, or `Ok(None)` after the last one (for an artifact,
+    /// once its end has been checked). A caller stops at the first error.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the artifact's decode failures (naming the file) and the
+    /// lowest-index generation failure of the chunk being generated.
+    pub fn next_pair(&mut self) -> Result<Option<TracePair>> {
+        match &mut self.source {
+            PairSource::Artifact(reader) => reader.next_pair(),
+            PairSource::Generated { layers, next, chunk, ready } => {
+                if let Some(pair) = ready.next() {
+                    return Ok(Some(pair));
+                }
+                if *next == layers.len() {
+                    return Ok(None);
+                }
+                let end = layers.len().min(next.saturating_add(*chunk));
+                *ready = generate(self.net, &layers[*next..end], self.opts)?.into_iter();
+                *next = end;
+                Ok(ready.next())
+            }
+        }
+    }
+
+    /// Whether the pairs are read from an artifact (else they are
+    /// generated).
+    pub fn is_cached(&self) -> bool {
+        matches!(self.source, PairSource::Artifact(_))
+    }
+
+    /// The next `chunk` pairs (fewer at the end; none after the last).
+    ///
+    /// # Errors
+    ///
+    /// As [`PairStream::next_pair`].
+    pub fn next_chunk(&mut self, chunk: usize) -> Result<Vec<TracePair>> {
+        let mut pairs = Vec::new();
+        while pairs.len() < chunk.max(1) {
+            match self.next_pair()? {
+                Some(pair) => pairs.push(pair),
+                None => break,
+            }
+        }
+        Ok(pairs)
+    }
+
+    /// Reads the rest of an artifact, keeping no pair, so that a decode
+    /// error anywhere in the file is reported as it would be had the file
+    /// been read before any pair was used. Generation has nothing to check.
+    ///
+    /// # Errors
+    ///
+    /// The artifact's first decode failure past the pairs already read.
+    pub fn finish(&mut self) -> Result<()> {
+        if let PairSource::Artifact(reader) = &mut self.source {
+            while reader.next_pair()?.is_some() {}
+        }
+        Ok(())
+    }
+}
+
+/// Feeds a network's trace pairs to `consume` in network order, `chunk`
+/// pairs at a time (the last chunk may be shorter), from a
+/// [`PairStream`]: at most one chunk is alive at once, whether it was read
+/// from an artifact or generated.
 ///
 /// # Errors
 ///
 /// Propagates artifact read/decode failures, the lowest-index generation
-/// failure, and the first failure of `consume`.
+/// failure, and the first failure of `consume`. A decode failure anywhere
+/// in an artifact beats a failure of `consume`.
 pub fn for_each_chunk<E: From<ModelError>>(
     net: &NetworkDesc,
     opts: &TraceOptions,
@@ -157,15 +274,17 @@ pub fn for_each_chunk<E: From<ModelError>>(
     chunk: usize,
     mut consume: impl FnMut(Vec<TracePair>) -> std::result::Result<(), E>,
 ) -> std::result::Result<(), E> {
-    if let Some(dir) = dir {
-        if let Some(pairs) = cached_trace_pairs(net, opts, dir)? {
-            return consume(pairs);
+    let mut stream = PairStream::open(net, opts, dir, chunk)?;
+    loop {
+        let pairs = stream.next_chunk(chunk)?;
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        if let Err(e) = consume(pairs) {
+            stream.finish()?;
+            return Err(e);
         }
     }
-    for layers in traced_layers(net, opts).chunks(chunk.max(1)) {
-        consume(generate(net, layers, opts)?)?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -181,6 +300,7 @@ pub fn for_each_chunk<E: From<ModelError>>(
 // a direct one.
 
 use se_ir::serialize::{self as ser, ByteReader, ByteWriter, PayloadKind};
+use std::borrow::BorrowMut;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -386,29 +506,184 @@ pub fn decode_trace_pairs(bytes: &[u8]) -> Result<TraceFile> {
     read_trace_pairs(&mut ByteReader::new(bytes))
 }
 
-/// Decodes a trace artifact from a reader over a file or a byte buffer.
-/// Each pair's SE trace shares the dense trace's input map when the file
-/// stores the two bit-identically (as every artifact this crate writes
-/// does); an input that differs gets its own allocation.
+/// Decodes a whole trace artifact from a reader over a file or a byte
+/// buffer: every pair of a [`TraceReader`] over it.
 ///
 /// # Errors
 ///
 /// As [`decode_trace_pairs`], plus read failures of the reader's source.
 pub fn read_trace_pairs(r: &mut ByteReader<'_>) -> Result<TraceFile> {
-    ser::expect_header(r, PayloadKind::TraceSet)?;
-    let net_name = r.get_str()?;
-    let digest = r.get_u64()?;
-    let n = r.get_u32()? as usize;
-    // No reservation: a hostile count must not size an allocation.
-    let mut pairs = Vec::new();
-    for _ in 0..n {
-        let layer_index = r.get_u64()? as usize;
-        let dense = ser::read_layer_trace(r)?;
-        let se = ser::read_layer_trace_sharing(r, dense.shared_input())?;
-        pairs.push(TracePair { layer_index, dense, se });
+    TraceReader::new(r)?.into_file()
+}
+
+/// A trace artifact read one pair at a time. Opening one reads the
+/// header, network name, options digest and pair count;
+/// [`TraceReader::next_pair`] decodes the next pair, and after the last
+/// one checks that nothing follows it. Each pair's SE trace shares the
+/// dense trace's input map when the file stores the two bit-identically
+/// (as every artifact this crate writes does); an input that differs gets
+/// its own allocation.
+///
+/// `R` is the [`ByteReader`] itself or a borrow of one; a reader opened
+/// on a file ([`TraceReader::open`], [`TraceReader::lookup`]) owns its
+/// file and names it in every decode error.
+#[derive(Debug)]
+pub struct TraceReader<R = ByteReader<'static>> {
+    r: R,
+    path: Option<PathBuf>,
+    net_name: String,
+    digest: u64,
+    /// Pairs not yet read.
+    left: u32,
+}
+
+impl<'a, R: BorrowMut<ByteReader<'a>>> TraceReader<R> {
+    /// Reads the artifact's header, network name, options digest and pair
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates codec failures: bad magic, version or payload-kind
+    /// mismatch, truncation, and read failures of the reader's source.
+    fn new(mut r: R) -> Result<Self> {
+        let b = r.borrow_mut();
+        ser::expect_header(b, PayloadKind::TraceSet)?;
+        let net_name = b.get_str()?;
+        let digest = b.get_u64()?;
+        let left = b.get_u32()?;
+        Ok(TraceReader { r, path: None, net_name, digest, left })
     }
-    r.expect_end()?;
-    Ok(TraceFile { net_name, digest, pairs })
+
+    /// Decodes the next pair; `Ok(None)` after the last one, once the end
+    /// of the artifact has been checked. A caller stops at the first error.
+    ///
+    /// # Errors
+    ///
+    /// Propagates codec failures (as [`ModelError::Artifact`] naming the
+    /// file, for a reader opened on one): truncation, trailing bytes after
+    /// the last pair, failed re-validation of a trace, and read failures.
+    pub fn next_pair(&mut self) -> Result<Option<TracePair>> {
+        let r: &mut ByteReader<'a> = self.r.borrow_mut();
+        let pair = if self.left == 0 {
+            r.expect_end().map(|()| None).map_err(ModelError::from)
+        } else {
+            self.left -= 1;
+            read_pair(r).map(Some)
+        };
+        pair.map_err(|e| match &self.path {
+            Some(path) => decode_err(path, e),
+            None => e,
+        })
+    }
+
+    /// Every remaining pair, as one decoded file.
+    fn into_file(mut self) -> Result<TraceFile> {
+        // No reservation: a hostile count must not size an allocation.
+        let mut pairs = Vec::new();
+        while let Some(pair) = self.next_pair()? {
+            pairs.push(pair);
+        }
+        Ok(TraceFile { net_name: self.net_name, digest: self.digest, pairs })
+    }
+}
+
+/// Decodes one pair: its layer index, then the dense and SE traces.
+fn read_pair(r: &mut ByteReader<'_>) -> Result<TracePair> {
+    let layer_index = r.get_u64()? as usize;
+    let dense = ser::read_layer_trace(r)?;
+    let se = ser::read_layer_trace_sharing(r, dense.shared_input())?;
+    Ok(TracePair { layer_index, dense, se })
+}
+
+impl TraceReader {
+    /// A reader over the artifact file at `path`, streaming from the open
+    /// file through the reader's buffer.
+    fn at(path: &Path) -> Result<Self> {
+        let mut reader = TraceReader::new(open_artifact(path)?).map_err(|e| decode_err(path, e))?;
+        reader.path = Some(path.to_path_buf());
+        Ok(reader)
+    }
+
+    /// Opens the artifact at `path` for `net` under `opts`, checking up
+    /// front that it was built for this network under these options.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures and header decode failures (as
+    /// [`ModelError::Artifact`] naming the file), and rejects an artifact
+    /// of another network or options digest — replaying wrong traces would
+    /// silently change results.
+    pub fn open(net: &NetworkDesc, opts: &TraceOptions, path: &Path) -> Result<Self> {
+        let reader = TraceReader::at(path)?;
+        if reader.net_name != net.name() {
+            return Err(io_err(
+                path,
+                format!("artifact is for network {:?}, wanted {:?}", reader.net_name, net.name()),
+            ));
+        }
+        let expect = options_digest(opts);
+        if reader.digest != expect {
+            return Err(io_err(
+                path,
+                format!(
+                    "artifact was built under options digest {:016x}, current options are {expect:016x}",
+                    reader.digest
+                ),
+            ));
+        }
+        Ok(reader)
+    }
+
+    /// Looks a network's traces up in the cache directory: `Ok(Some(_))`
+    /// on a hit ([`TraceReader::open`] on [`trace_file_name`]), `Ok(None)`
+    /// when no artifact exists for these options (the caller falls back to
+    /// generating). A miss while `dir` holds an artifact of the same
+    /// network under other options prints a warning on stderr naming that
+    /// file and both digests. A present-but-corrupt or mismatched artifact
+    /// is an error, not a silent miss.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceReader::open`].
+    pub fn lookup(net: &NetworkDesc, opts: &TraceOptions, dir: &Path) -> Result<Option<Self>> {
+        let path = dir.join(trace_file_name(net.name(), opts));
+        if path.exists() {
+            return TraceReader::open(net, opts, &path).map(Some);
+        }
+        if let Some(note) = bypass_note(net, opts, dir) {
+            se_core::se_warn!("{note}");
+        }
+        Ok(None)
+    }
+}
+
+/// The warning for a cache miss in a directory that holds an artifact of
+/// the same network under another options digest (the first such file by
+/// name), or `None` when it holds none.
+fn bypass_note(net: &NetworkDesc, opts: &TraceOptions, dir: &Path) -> Option<String> {
+    let prefix = format!("{}-", sanitize_net_name(net.name()));
+    let suffix = format!(".{TRACE_FILE_EXT}");
+    let mut others: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .ok()?
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            let hex = name.strip_prefix(&prefix)?.strip_suffix(&suffix)?;
+            if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return None;
+            }
+            let digest = u64::from_str_radix(hex, 16).ok()?;
+            Some((name, digest))
+        })
+        .collect();
+    others.sort();
+    let (name, digest) = others.into_iter().next()?;
+    Some(format!(
+        "warning: {} holds {name} (options digest {digest:016x}) but no {} artifact for the \
+         current options (digest {:016x}); generating its traces instead",
+        dir.display(),
+        net.name(),
+        options_digest(opts)
+    ))
 }
 
 /// Writes a network's trace pairs into `dir` under [`trace_file_name`],
@@ -435,15 +710,15 @@ pub fn write_trace_file(
     })
 }
 
-/// Reads a trace-artifact file, decoding straight from the open file
-/// through the reader's buffer (see [`read_trace_pairs`]).
+/// Reads a whole trace-artifact file, decoding straight from the open
+/// file through the reader's buffer (see [`TraceReader`]).
 ///
 /// # Errors
 ///
 /// Propagates filesystem failures, and decoding failures as
 /// [`ModelError::Artifact`] naming the file.
 pub fn read_trace_file(path: &Path) -> Result<TraceFile> {
-    read_trace_pairs(&mut open_artifact(path)?).map_err(|e| decode_err(path, e))
+    TraceReader::at(path)?.into_file()
 }
 
 /// A reader over an artifact file of either kind, sized by its length on
@@ -453,44 +728,6 @@ pub(crate) fn open_artifact(path: &Path) -> Result<ByteReader<'static>> {
     let len = file.metadata().map_err(|e| io_err(path, e))?.len();
     let len = usize::try_from(len).map_err(|e| io_err(path, e))?;
     Ok(ByteReader::from_read(file, len))
-}
-
-/// Looks a network's traces up in the cache directory: `Ok(Some(pairs))`
-/// on a hit, `Ok(None)` when no artifact exists for these options (the
-/// caller falls back to generating). A present-but-corrupt or mismatched
-/// artifact is an error, not a silent miss — replaying wrong traces would
-/// silently change results.
-///
-/// # Errors
-///
-/// Propagates read/decode failures and name/digest mismatches.
-pub fn cached_trace_pairs(
-    net: &NetworkDesc,
-    opts: &TraceOptions,
-    dir: &Path,
-) -> Result<Option<Vec<TracePair>>> {
-    let path = dir.join(trace_file_name(net.name(), opts));
-    if !path.exists() {
-        return Ok(None);
-    }
-    let file = read_trace_file(&path)?;
-    if file.net_name != net.name() {
-        return Err(io_err(
-            &path,
-            format!("artifact is for network {:?}, wanted {:?}", file.net_name, net.name()),
-        ));
-    }
-    let expect = options_digest(opts);
-    if file.digest != expect {
-        return Err(io_err(
-            &path,
-            format!(
-                "artifact was built under options digest {:016x}, current options are {expect:016x}",
-                file.digest
-            ),
-        ));
-    }
-    Ok(Some(file.pairs))
 }
 
 /// Generates a network's trace pairs (on the parallel work queue, like
@@ -642,12 +879,13 @@ mod tests {
                     assert_eq!(got.concat(), all, "{} chunk {chunk} workers {workers}", net.name());
                 }
             }
-            // An artifact hit is one chunk holding the whole network, at
-            // any chunk size; a miss in `dir` falls back to generation.
+            // A miss in `dir` falls back to generation; an artifact hit is
+            // read in chunks of the same size as generation's.
             assert_eq!(chunks(&net, &opts, Some(&dir), 1).concat(), all);
             build_trace_file(&net, &opts, &dir).unwrap();
-            for chunk in [1, 2] {
-                assert_eq!(chunks(&net, &opts, Some(&dir), chunk), vec![all.clone()]);
+            for chunk in [1, 2, all.len()] {
+                let got = chunks(&net, &opts, Some(&dir), chunk);
+                assert_eq!(got, chunks(&net, &opts, None, chunk), "{} chunk {chunk}", net.name());
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -830,29 +1068,41 @@ mod tests {
         assert!(decode_trace_pairs(&bytes).is_err());
     }
 
+    /// Every pair of the artifact [`TraceReader::lookup`] finds in `dir`.
+    fn cached(
+        net: &NetworkDesc,
+        opts: &TraceOptions,
+        dir: &Path,
+    ) -> Result<Option<Vec<TracePair>>> {
+        match TraceReader::lookup(net, opts, dir)? {
+            Some(reader) => reader.into_file().map(|file| Some(file.pairs)),
+            None => Ok(None),
+        }
+    }
+
     #[test]
     fn cache_hits_across_parallelism_and_misses_across_options() {
         let net = tiny_net();
         let opts = TraceOptions::fast();
         let dir = temp_dir("cache");
-        assert_eq!(cached_trace_pairs(&net, &opts, &dir).unwrap(), None, "cold cache misses");
+        assert_eq!(cached(&net, &opts, &dir).unwrap(), None, "cold cache misses");
         let (_, n) = build_trace_file(&net, &opts, &dir).unwrap();
         assert_eq!(n, 2);
 
         // Hit: same options.
-        let hit = cached_trace_pairs(&net, &opts, &dir).unwrap().unwrap();
+        let hit = cached(&net, &opts, &dir).unwrap().unwrap();
         assert_eq!(hit.len(), 2);
 
         // Hit: different worker count (parallelism is excluded from the
         // digest — results are bit-identical across worker counts).
         let par = opts.clone().with_se_config(opts.se_config.clone().with_parallelism(3).unwrap());
         assert_eq!(options_digest(&par), options_digest(&opts));
-        assert!(cached_trace_pairs(&net, &par, &dir).unwrap().is_some());
+        assert!(cached(&net, &par, &dir).unwrap().is_some());
 
         // Miss: any generation-relevant option changes the digest.
         let seeded = opts.clone().with_seed(9);
         assert_ne!(options_digest(&seeded), options_digest(&opts));
-        assert_eq!(cached_trace_pairs(&net, &seeded, &dir).unwrap(), None);
+        assert_eq!(cached(&net, &seeded, &dir).unwrap(), None);
         let with_fc = opts.clone().with_fc_layers();
         assert_ne!(options_digest(&with_fc), options_digest(&opts));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -869,7 +1119,7 @@ mod tests {
         // silent miss.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = cached_trace_pairs(&net, &opts, &dir).unwrap_err().to_string();
+        let err = cached(&net, &opts, &dir).unwrap_err().to_string();
         assert!(err.contains(&path.display().to_string()), "{err}");
         assert!(err.contains("truncated input") && err.contains(" at offset "), "{err}");
 
@@ -878,8 +1128,66 @@ mod tests {
         let other = opts.clone().with_seed(1);
         let renamed = dir.join(trace_file_name(net.name(), &other));
         std::fs::rename(&path, &renamed).unwrap();
-        let err = cached_trace_pairs(&net, &other, &dir).unwrap_err();
+        let err = cached(&net, &other, &dir).unwrap_err();
         assert!(err.to_string().contains("digest"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_decode_error_anywhere_in_the_artifact_beats_a_consumer_error() {
+        let net = tiny_net();
+        let opts = TraceOptions::fast().with_fc_layers();
+        let dir = temp_dir("precedence");
+        let (path, n) = build_trace_file(&net, &opts, &dir).unwrap();
+        assert_eq!(n, 3);
+        let bytes = std::fs::read(&path).unwrap();
+        // The first pair is whole; the file ends inside the last one.
+        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        let mut handed = 0;
+        let err = for_each_chunk(&net, &opts, Some(&dir), 1, |_| {
+            handed += 1;
+            Err(ModelError::Io { path: "consumer".into(), reason: "refused".into() })
+        })
+        .unwrap_err();
+        assert_eq!(handed, 1);
+        assert!(matches!(err, ModelError::Artifact { .. }), "{err}");
+        assert!(err.to_string().contains("truncated input"), "{err}");
+        // Trailing bytes after the last pair are a decode error too.
+        let mut longer = bytes.clone();
+        longer.push(0);
+        std::fs::write(&path, &longer).unwrap();
+        let err = for_each_chunk(&net, &opts, Some(&dir), 2, |_| Result::Ok(())).unwrap_err();
+        assert!(err.to_string().contains("1 trailing bytes after payload"), "{err}");
+        std::fs::write(&path, &bytes).unwrap();
+        let mut stream = PairStream::open(&net, &opts, Some(&dir), 1).unwrap();
+        let first = stream.next_pair().unwrap().unwrap();
+        assert_eq!(first, trace_pair(&net, 0, &opts).unwrap());
+        stream.finish().unwrap();
+        assert_eq!(stream.next_pair().unwrap(), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cache_of_other_options_is_named_when_it_is_bypassed() {
+        let net = tiny_net();
+        let dir = temp_dir("bypass");
+        std::fs::create_dir_all(&dir).unwrap();
+        let replay = TraceOptions::fast();
+        assert_eq!(bypass_note(&net, &replay, &dir), None, "an empty directory is a cold cache");
+        // Built under seed 1, replayed under seed 0: a miss, with a warning
+        // naming the file and both digests.
+        let built = TraceOptions::fast().with_seed(1);
+        let (path, _) = build_trace_file(&net, &built, &dir).unwrap();
+        build_trace_file(&zoo::mlp1(), &replay.clone().with_fc_layers(), &dir).unwrap();
+        assert!(TraceReader::lookup(&net, &replay, &dir).unwrap().is_none());
+        let note = bypass_note(&net, &replay, &dir).unwrap();
+        let file = path.file_name().unwrap().to_str().unwrap();
+        assert!(note.starts_with("warning: ") && note.contains(file), "{note}");
+        assert!(note.contains(&format!("{:016x}", options_digest(&built))), "{note}");
+        assert!(note.contains(&format!("{:016x}", options_digest(&replay))), "{note}");
+        // Another network's artifact alone is no reason to warn.
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(bypass_note(&net, &replay, &dir), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,9 @@
 //! count) must decode to `Ok` or `Err`, never panic or abort on a giant
 //! allocation. The streaming reader must decode any split of the bytes
 //! into reads exactly like a slice, and a huge length field must fail
-//! before the reader's buffer grows past the file.
+//! before the reader's buffer grows past the file. A `TraceReader` over
+//! the file, drained a pair at a time, must give the slice decode's pairs
+//! or its error (naming the file) at every cut and every flipped byte.
 
 use proptest::prelude::*;
 use se_ir::serialize::ByteReader;
@@ -12,11 +14,13 @@ use se_ir::{
     SeLayout, SeSlice, WeightData,
 };
 use se_models::traces::{
-    decode_trace_pairs, encode_trace_pairs, read_trace_pairs, trace_pairs, TraceOptions, TracePair,
+    decode_trace_pairs, encode_trace_pairs, options_digest, read_trace_file, read_trace_pairs,
+    trace_pairs, TraceOptions, TracePair, TraceReader,
 };
 use se_models::ModelError;
 use se_tensor::Mat;
 use std::io::Read;
+use std::path::Path;
 use std::sync::OnceLock;
 
 /// A small real artifact plus the offsets of its `u32` fields and of its
@@ -328,4 +332,78 @@ proptest! {
         prop_assert!(trickle_decode(&bytes[..cut], cut, k, seed).is_err());
         prop_assert!(trickle_decode(&bytes[..cut], bytes.len(), k, seed).is_err());
     }
+}
+
+/// The fixture's pairs under the options digest [`TraceReader::open`]
+/// expects, with the network it expects.
+fn opened_fixture() -> &'static (Vec<u8>, NetworkDesc, TraceOptions) {
+    static FIXTURE: OnceLock<(Vec<u8>, NetworkDesc, TraceOptions)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let opts = TraceOptions::fast().with_fc_layers();
+        let pairs = decode_trace_pairs(&fixture().bytes).unwrap().pairs;
+        let bytes = encode_trace_pairs("hostile", options_digest(&opts), &pairs).unwrap();
+        let fc =
+            LayerDesc::new("fc", LayerKind::Linear { in_features: 4, out_features: 5 }, (1, 1));
+        (bytes, NetworkDesc::new("hostile", Dataset::Cifar10, vec![fc]).unwrap(), opts)
+    })
+}
+
+/// Every pair a reader hands out, up to its end or its first error.
+fn drain(mut reader: TraceReader) -> se_models::Result<Vec<TracePair>> {
+    let mut pairs = Vec::new();
+    while let Some(pair) = reader.next_pair()? {
+        pairs.push(pair);
+    }
+    Ok(pairs)
+}
+
+/// `bytes` damaged at every cut and with every byte flipped, one at a
+/// time, each written to `path`; `check` gets the damaged bytes and the
+/// flipped offset (`None` for a cut).
+fn every_cut_and_flip(bytes: &[u8], tag: &str, mut check: impl FnMut(&Path, &[u8], Option<usize>)) {
+    let path =
+        std::env::temp_dir().join(format!("se-hostile-{tag}-{}.setrace", std::process::id()));
+    for cut in 0..bytes.len() {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        check(&path, &bytes[..cut], None);
+    }
+    for at in 0..bytes.len() {
+        let mut flipped = bytes.to_vec();
+        flipped[at] ^= 0xA5;
+        std::fs::write(&path, &flipped).unwrap();
+        check(&path, &flipped, Some(at));
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `decode_trace_pairs`' error on `bytes`, as a reader of the file at
+/// `path` reports it.
+fn named(path: &Path, e: ModelError) -> ModelError {
+    ModelError::Artifact { path: path.display().to_string(), source: Box::new(e) }
+}
+
+#[test]
+fn a_file_reader_decodes_every_cut_and_flip_like_the_slice() {
+    every_cut_and_flip(&fixture().bytes, "file", |path, bytes, _| {
+        let want = decode_trace_pairs(bytes).map_err(|e| named(path, e));
+        assert_eq!(read_trace_file(path), want);
+    });
+}
+
+#[test]
+fn draining_an_opened_reader_gives_the_slice_decode_or_a_mismatch() {
+    let (bytes, net, opts) = opened_fixture();
+    // The network name and options digest, after the 7-byte header.
+    let checked = 7..7 + 4 + net.name().len() + 8;
+    every_cut_and_flip(bytes, "opened", |path, damaged, flipped| {
+        let got = TraceReader::open(net, opts, path).and_then(drain);
+        let want = decode_trace_pairs(damaged).map(|file| file.pairs).map_err(|e| named(path, e));
+        match (&got, flipped) {
+            // A flip in the checked fields may fail the up-front check.
+            (Err(ModelError::Io { reason, .. }), Some(at)) if checked.contains(&at) => {
+                assert!(reason.contains("for network") || reason.contains("digest"), "{reason}");
+            }
+            _ => assert_eq!(got, want, "cut or flip {flipped:?}"),
+        }
+    });
 }

@@ -124,12 +124,24 @@ impl BatchEngine {
         pairs: &[TracePair],
         workers: usize,
     ) -> Result<[Option<RunResult>; 5]> {
-        let grid = pipeline::try_run_grid(pairs, ACCEL_NAMES.len(), workers, |_, pair, lane| {
-            self.simulate_lane(pair, lane)
-        })
+        let grid = pipeline::try_run_grid(
+            pairs.iter().map(Ok),
+            ACCEL_NAMES.len(),
+            workers,
+            |_, pair, lane| self.simulate_lane(pair, lane),
+        )
         .map_err(BoxError::from)?;
+        Ok(Self::fold_lanes(grid))
+    }
+
+    /// Folds per-pair grid rows (one [`BatchEngine::simulate_lane`] result
+    /// per lane, pairs in network order) into one run per lane. A lane
+    /// that cannot run some layer is `None` for the whole run.
+    pub fn fold_lanes(
+        rows: impl IntoIterator<Item = Vec<Option<LayerResult>>>,
+    ) -> [Option<RunResult>; 5] {
         let mut runs: [Option<RunResult>; 5] = std::array::from_fn(|_| Some(RunResult::default()));
-        for per_pair in grid {
+        for per_pair in rows {
             for (lane, result) in per_pair.into_iter().enumerate() {
                 match result {
                     Some(layer) => {
@@ -141,7 +153,7 @@ impl BatchEngine {
                 }
             }
         }
-        Ok(runs)
+        runs
     }
 
     /// The batched result for `lane`: `per_image` (one image through that
