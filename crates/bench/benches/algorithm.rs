@@ -80,7 +80,6 @@ fn bench_reconstruct(c: &mut Criterion) {
 /// ≥2× on ≥4 cores — layers are fully independent jobs).
 fn bench_compress_network_parallel(c: &mut Criterion) {
     let net = zoo::resnet164();
-    let descs: Vec<_> = net.layers().to_vec();
     let base = SeConfig::default().with_max_iterations(4).unwrap();
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
@@ -93,7 +92,7 @@ fn bench_compress_network_parallel(c: &mut Criterion) {
         group.bench_function(&label, |b| {
             b.iter(|| {
                 black_box(
-                    network::compress_network_reports(&descs, &cfg, |d| {
+                    network::compress_network(net.layers(), &cfg, |_, d| {
                         Ok(weights::synthetic_weights(net.name(), d, 0)
                             .expect("synthetic weights are infallible"))
                     })

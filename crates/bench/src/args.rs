@@ -169,15 +169,9 @@ fn check_model_names(value: &str) -> std::result::Result<(), String> {
 }
 
 impl Flags {
-    /// Parses flags from `std::env::args`, ignoring unknown arguments.
-    pub fn parse() -> Flags {
-        Flags::from_args(std::env::args().skip(1))
-    }
-
-    /// Parses flags from an explicit argument list (testable core of
-    /// [`Flags::parse`]). Lenient: unknown arguments are ignored and a
-    /// malformed value leaves its field at the default. The `se` binary
-    /// parses with [`Flags::from_args_checked`] instead.
+    /// Parses flags from an argument list. Lenient: unknown arguments are
+    /// ignored and a malformed value leaves its field at the default. The
+    /// `se` binary parses with [`Flags::from_args_checked`] instead.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Flags {
         let args: Vec<String> = args.into_iter().collect();
         let mut flags = Flags::default();

@@ -108,8 +108,8 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
         };
         // `--traces-dir` replays (or populates) the persisted
         // `CompressedNetwork` artifact for this configuration; without it
-        // the streaming report-only path runs as before. Reports are
-        // bit-identical either way.
+        // the network is compressed as on a miss, without writing.
+        // Reports are bit-identical either way.
         let reports = artifacts::network_reports_cached(
             &entry.net,
             &se_cfg,

@@ -10,7 +10,7 @@
 use crate::args::Flags;
 use crate::{cli, table, Result};
 use se_models::artifacts::{self, NETWORK_FILE_EXT};
-use se_models::traces::{self, TRACE_FILE_EXT};
+use se_models::traces::{self, TraceReader, TRACE_FILE_EXT};
 use std::io::Write;
 use std::path::Path;
 
@@ -99,21 +99,25 @@ fn artifact_paths(dir: &Path, ext: &str) -> Result<Vec<std::path::PathBuf>> {
 }
 
 /// `se trace info`: decodes every artifact in the directory and tabulates
-/// its contents — trace-pair sets (`*.setrace`) and persisted compressed
-/// networks (`*.senet`, written by the table2/table3/postproc
-/// subcommands under `--traces-dir`).
+/// its contents — trace-pair sets (`*.setrace`, read a pair at a time) and
+/// persisted compressed networks (`*.senet`, written by the
+/// table2/table3/postproc subcommands under `--traces-dir`).
 fn info(flags: &Flags, out: &mut dyn Write) -> Result<()> {
     let dir = traces_dir(flags)?;
     let paths = artifact_paths(dir, TRACE_FILE_EXT)?;
     writeln!(out, "trace artifacts in {}\n", dir.display())?;
     let mut rows = Vec::new();
     for path in &paths {
-        let file = traces::read_trace_file(path)?;
-        let with_fc = file.pairs.iter().any(|p| !p.dense.desc().kind().is_conv_like());
+        let mut reader = TraceReader::at(path)?;
+        let (mut pairs, mut with_fc) = (0usize, false);
+        while let Some(pair) = reader.next_pair()? {
+            pairs += 1;
+            with_fc |= !pair.dense.desc().kind().is_conv_like();
+        }
         rows.push(vec![
-            file.net_name,
-            format!("{:016x}", file.digest),
-            file.pairs.len().to_string(),
+            reader.net_name().to_string(),
+            format!("{:016x}", reader.digest()),
+            pairs.to_string(),
             if with_fc { "yes" } else { "no" }.to_string(),
             megabytes(path)?,
             file_name(path),

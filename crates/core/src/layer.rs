@@ -88,7 +88,7 @@ fn decompose_chunk(chunk: &Mat, cfg: &SeConfig, forced: Option<&[bool]>) -> Resu
 /// [`SeConfig::parallelism`], capped at 4 — per-unit work is too small to
 /// feed more), so a network-level pipeline running many layer jobs
 /// concurrently can force this inner level inline instead of
-/// oversubscribing the machine (see `crate::pipeline::worker_config`).
+/// oversubscribing the machine (see [`crate::pipeline::try_run_nested`]).
 /// Results are bit-identical for every budget: units are independent and
 /// reassembled in unit order.
 fn parallel_units<T, F>(units: usize, budget: usize, f: F) -> Result<Vec<T>>

@@ -2,16 +2,19 @@
 //! layer of a network and aggregates the storage accounting that backs the
 //! paper's Tables II and III.
 //!
-//! Since the decomposition never looks across layers, both entry points
-//! here execute on the parallel work queue of [`crate::pipeline`]
-//! (worker count from [`SeConfig::parallelism`], default all cores) with
-//! results reassembled in network order — output is bit-identical to a
-//! serial run for every worker count.
+//! Since the decomposition never looks across layers, [`compress_network`]
+//! — the one whole-network entry point — runs one job per layer on the
+//! parallel work queue of [`crate::pipeline`] (worker count from
+//! [`SeConfig::parallelism`], default all cores), with results reassembled
+//! in network order: output is bit-identical to a serial run for every
+//! worker count. Each job fetches its layer's weights on its worker and
+//! drops them when the layer is done, so only the layers in flight hold
+//! weights; the compressed parts are kept.
 
-use crate::pipeline::{self, LayerJob, WeightSource};
-use crate::{layer, CoreError, Result, SeConfig};
+use crate::{layer, pipeline, CoreError, Result, SeConfig};
 use se_ir::{storage, LayerDesc, SeLayer};
 use se_tensor::Tensor;
+use std::borrow::Borrow;
 
 /// Per-layer compression report.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,8 +168,22 @@ impl CompressedNetwork {
 ///
 /// # Errors
 ///
-/// Propagates decomposition and shape-validation failures.
+/// Propagates decomposition and shape-validation failures; an
+/// [`CoreError::InvalidWeights`] reason is prefixed with the layer name.
 pub fn compress_layer_reported(
+    desc: &LayerDesc,
+    weights: &Tensor,
+    cfg: &SeConfig,
+) -> Result<(Vec<SeLayer>, LayerReport)> {
+    report_layer(desc, weights, cfg).map_err(|e| match e {
+        CoreError::InvalidWeights { reason } => {
+            CoreError::InvalidWeights { reason: format!("{}: {reason}", desc.name()) }
+        }
+        other => other,
+    })
+}
+
+fn report_layer(
     desc: &LayerDesc,
     weights: &Tensor,
     cfg: &SeConfig,
@@ -181,7 +198,7 @@ pub fn compress_layer_reported(
         zero_rows += p.total_rows() - p.total_nonzero_rows();
     }
     let recon = layer::reconstruct_layer(desc, &parts)?;
-    let diff = weights.sub(&recon).map_err(CoreError::from)?.norm();
+    let diff = weights.distance(&recon).map_err(CoreError::from)?;
     let denom = weights.norm();
     let report = LayerReport {
         name: desc.name().to_string(),
@@ -193,11 +210,16 @@ pub fn compress_layer_reported(
     Ok((parts, report))
 }
 
-/// Compresses every layer of a network given `(descriptor, weights)` pairs.
+/// Compresses every layer of a network, in network order. `weights_for`
+/// gives layer `i`'s weights on the worker that compresses it: a tensor
+/// it generates (dropped once the layer is done) or a borrow of one the
+/// caller holds (`W` is anything that lends a [`Tensor`]).
 ///
 /// # Errors
 ///
-/// Propagates per-layer failures, identifying the offending layer.
+/// The failure of the lowest-indexed failing layer, as a serial run
+/// reports it: a `weights_for` error, or a compression failure naming the
+/// layer.
 ///
 /// # Examples
 ///
@@ -215,50 +237,25 @@ pub fn compress_layer_reported(
 /// );
 /// let w = rng::kaiming_tensor(&mut r, &[8, 4, 3, 3], 36);
 /// let cfg = SeConfig::default().with_max_iterations(5)?;
-/// let net = network::compress_network(&[(desc, w)], &cfg)?;
+/// let net = network::compress_network(&[desc], &cfg, |_, _| Ok(&w))?;
 /// assert!(net.compression_rate() > 4.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn compress_network(
-    layers: &[(LayerDesc, Tensor)],
-    cfg: &SeConfig,
-) -> Result<CompressedNetwork> {
-    let jobs: Vec<LayerJob<'_>> = layers
-        .iter()
-        .map(|(desc, w)| LayerJob { desc, weights: WeightSource::Borrowed(w) })
-        .collect();
-    let (parts, reports) = pipeline::compress_jobs(&jobs, cfg)?.into_iter().unzip();
-    Ok(CompressedNetwork { parts, reports })
-}
-
-/// Streaming variant of [`compress_network`] that keeps only the reports,
-/// generating weights on demand and dropping compressed parts immediately —
-/// used for ImageNet-scale models where holding every `Ce` would be large.
-/// Weights are generated on the worker threads, so `weights_for` must be
-/// `Fn + Sync`; peak memory is bounded by [`SeConfig::parallelism`] layers.
-///
-/// # Errors
-///
-/// Propagates per-layer failures, identifying the offending layer.
-pub fn compress_network_reports<F>(
+pub fn compress_network<W, F>(
     descs: &[LayerDesc],
     cfg: &SeConfig,
     weights_for: F,
-) -> Result<Vec<LayerReport>>
+) -> Result<CompressedNetwork>
 where
-    F: Fn(&LayerDesc) -> Result<Tensor> + Sync,
+    W: Borrow<Tensor>,
+    F: Fn(usize, &LayerDesc) -> Result<W> + Sync,
 {
-    let jobs: Vec<LayerJob<'_>> = descs
-        .iter()
-        .map(|desc| LayerJob { desc, weights: WeightSource::Generate(&weights_for) })
-        .collect();
-    let wcfg = pipeline::worker_config(cfg, jobs.len());
-    // Parts are dropped inside the worker (only the report crosses the
-    // queue), which is what keeps the streaming path's memory bounded.
-    pipeline::try_run_ordered(&jobs, cfg.parallelism(), |_, job| {
-        job.run(&wcfg).map(|(_, report)| report)
-    })
+    let layers = pipeline::try_run_nested(descs, cfg, |i, desc, inner| {
+        compress_layer_reported(desc, weights_for(i, desc)?.borrow(), inner)
+    })?;
+    let (parts, reports) = layers.into_iter().unzip();
+    Ok(CompressedNetwork { parts, reports })
 }
 
 #[cfg(test)]
@@ -296,13 +293,46 @@ mod tests {
         ]
     }
 
+    /// A six-layer conv net with seeded weights, layers `c0`..`c5`.
+    fn six_layer_net(seed: u64) -> Vec<(LayerDesc, Tensor)> {
+        let mut r = rng::seeded(seed);
+        let chans = [3usize, 8, 8, 16, 16, 8];
+        (0..6)
+            .map(|i| {
+                let (ci, co) = (chans[i], chans[(i + 1) % 6].max(4));
+                let kind = LayerKind::Conv2d {
+                    in_channels: ci,
+                    out_channels: co,
+                    kernel: 3,
+                    stride: 1,
+                    padding: 1,
+                };
+                let w = rng::kaiming_tensor(&mut r, &[co, ci, 3, 3], ci * 9);
+                (LayerDesc::new(format!("c{i}"), kind, (8, 8)), w)
+            })
+            .collect()
+    }
+
+    fn descs(layers: &[(LayerDesc, Tensor)]) -> Vec<LayerDesc> {
+        layers.iter().map(|(d, _)| d.clone()).collect()
+    }
+
+    /// Compresses layers the caller holds, lending each tensor.
+    fn compress(layers: &[(LayerDesc, Tensor)], cfg: &SeConfig) -> Result<CompressedNetwork> {
+        compress_network(&descs(layers), cfg, |i, _| Ok(&layers[i].1))
+    }
+
     fn cfg() -> SeConfig {
         SeConfig::default().with_max_iterations(6).unwrap()
     }
 
+    fn workers(n: usize) -> SeConfig {
+        SeConfig::default().with_max_iterations(5).unwrap().with_parallelism(n).unwrap()
+    }
+
     #[test]
     fn network_compression_rates_exceed_fp32_to_4bit_floor() {
-        let net = compress_network(&small_net(), &cfg()).unwrap();
+        let net = compress(&small_net(), &cfg()).unwrap();
         assert_eq!(net.reports.len(), 2);
         // 32-bit -> ~4-bit coefficients plus overheads: CR must beat 4x.
         assert!(net.compression_rate() > 4.0, "CR {}", net.compression_rate());
@@ -312,13 +342,13 @@ mod tests {
     #[test]
     fn sparsity_is_weighted_by_params() {
         let c = cfg().with_vector_sparsity(VectorSparsity::KeepFraction(0.25)).unwrap();
-        let net = compress_network(&small_net(), &c).unwrap();
+        let net = compress(&small_net(), &c).unwrap();
         assert!(net.overall_sparsity() > 0.5, "sparsity {}", net.overall_sparsity());
     }
 
     #[test]
     fn reports_match_parts() {
-        let net = compress_network(&small_net(), &cfg()).unwrap();
+        let net = compress(&small_net(), &cfg()).unwrap();
         for (parts, report) in net.parts.iter().zip(&net.reports) {
             let mut st = storage::SeStorage::default();
             for p in parts {
@@ -330,31 +360,66 @@ mod tests {
 
     #[test]
     fn streaming_variant_matches_owned() {
+        // Weights generated on the worker give what lent ones give.
         let layers = small_net();
-        let owned = compress_network(&layers, &cfg()).unwrap();
-        let descs: Vec<_> = layers.iter().map(|(d, _)| d.clone()).collect();
-        let streamed = compress_network_reports(&descs, &cfg(), |d| {
-            Ok(layers
-                .iter()
-                .find(|(ld, _)| ld.name() == d.name())
-                .map(|(_, w)| w.clone())
-                .expect("known layer"))
-        })
-        .unwrap();
-        assert_eq!(owned.reports, streamed);
+        let owned = compress(&layers, &cfg()).unwrap();
+        let streamed = compress_network(&descs(&layers), &cfg(), |i, _| Ok(layers[i].1.clone()));
+        assert_eq!(owned, streamed.unwrap());
+    }
+
+    #[test]
+    fn streaming_reports_match_owned_in_parallel() {
+        let layers = six_layer_net(23);
+        let owned = compress(&layers, &workers(4)).unwrap();
+        let streamed =
+            compress_network(&descs(&layers), &workers(4), |i, _| Ok(layers[i].1.clone()));
+        assert_eq!(owned, streamed.unwrap());
+        // And both match a serial run, bit for bit.
+        assert_eq!(owned, compress(&layers, &workers(1)).unwrap());
+    }
+
+    #[test]
+    fn error_reported_matches_serial_first_failure() {
+        let mut layers = six_layer_net(31);
+        // Two failures: the queue must report the lower-indexed one.
+        layers[1].1 = Tensor::zeros(&[2, 2]);
+        layers[4].1 = Tensor::zeros(&[3, 3]);
+        let serial_err = compress(&layers, &workers(1)).unwrap_err();
+        for n in [2usize, 4, 8] {
+            let parallel_err = compress(&layers, &workers(n)).unwrap_err();
+            assert_eq!(serial_err.to_string(), parallel_err.to_string());
+            assert!(parallel_err.to_string().contains("c1"), "err {parallel_err}");
+        }
+    }
+
+    #[test]
+    fn generated_weights_failure_is_deterministic() {
+        let layers = six_layer_net(5);
+        let failing = |i: usize, d: &LayerDesc| -> Result<Tensor> {
+            if d.name() == "c2" {
+                Err(CoreError::InvalidWeights { reason: "synthetic failure".into() })
+            } else {
+                Ok(layers[i].1.clone())
+            }
+        };
+        let e1 = compress_network(&descs(&layers), &workers(1), failing).unwrap_err();
+        let e4 = compress_network(&descs(&layers), &workers(4), failing).unwrap_err();
+        assert_eq!(e1.to_string(), e4.to_string());
+        // A weight-source error is passed on as it is, without a prefix.
+        assert_eq!(e1.to_string(), failing(2, &layers[2].0).unwrap_err().to_string());
     }
 
     #[test]
     fn error_identifies_layer() {
         let mut layers = small_net();
         layers[1].1 = Tensor::zeros(&[3, 3]); // wrong shape
-        let err = compress_network(&layers, &cfg()).unwrap_err();
+        let err = compress(&layers, &cfg()).unwrap_err();
         assert!(err.to_string().contains("fc"), "error was {err}");
     }
 
     #[test]
     fn serialized_roundtrip_is_bit_identical() {
-        let net = compress_network(&small_net(), &cfg()).unwrap();
+        let net = compress(&small_net(), &cfg()).unwrap();
         let bytes = net.to_bytes().unwrap();
         let back = CompressedNetwork::from_bytes(&bytes).unwrap();
         assert_eq!(net, back);
@@ -386,7 +451,7 @@ mod tests {
 
     #[test]
     fn recon_error_reported_and_bounded() {
-        let net = compress_network(&small_net(), &cfg()).unwrap();
+        let net = compress(&small_net(), &cfg()).unwrap();
         for r in &net.reports {
             assert!(r.recon_error.is_finite());
             assert!(r.recon_error < 0.6, "{}: {}", r.name, r.recon_error);

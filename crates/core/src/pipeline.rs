@@ -1,29 +1,29 @@
 //! Deterministic parallel execution of independent per-item jobs.
 //!
-//! The primitives here — [`run_ordered`], [`try_run_ordered`], and the 2-D
-//! [`try_run_grid`] — run a batch of independent jobs on a shared work
-//! queue drained by [`std::thread::scope`] workers and reassemble the
-//! results **in item order**, which makes the parallel output bit-identical
-//! to a serial run: every job's work happens on exactly one thread with
-//! exactly the same inputs regardless of the worker count, and only the
-//! reassembly order is fixed, not the completion order. Four subsystems
-//! ride this queue: whole-network compression (the [`LayerJob`] batch of
-//! this module), trace generation (`se-models`), the five-accelerator
-//! simulation grid (`se-serve`'s `BatchEngine`, behind `se-bench`'s
-//! comparison figures), and `se-bench`'s recorded serving runs (one job
-//! per `se cluster` lane).
-//!
-//! SmartExchange compresses each layer independently — the decomposition
-//! of Algorithm 1 never looks across layers — so whole-network compression
-//! is an embarrassingly parallel batch of [`LayerJob`]s.
+//! The primitives here — [`run_ordered`], [`try_run_ordered`], the
+//! budget-splitting [`try_run_nested`] and the 2-D [`try_run_grid`] — run a
+//! batch of independent jobs on a shared work queue drained by
+//! [`std::thread::scope`] workers and reassemble the results **in item
+//! order**, which makes the parallel output bit-identical to a serial run:
+//! every job's work happens on exactly one thread with exactly the same
+//! inputs regardless of the worker count, and only the reassembly order is
+//! fixed, not the completion order. Four subsystems ride this queue:
+//! whole-network compression (`network::compress_network`, one job per
+//! layer), trace generation (`se-models`), the five-accelerator simulation
+//! grid (`se-serve`'s `BatchEngine`, behind `se-bench`'s comparison
+//! figures), and `se-bench`'s recorded serving runs (one job per
+//! `se cluster` lane).
 //!
 //! The worker count comes from [`SeConfig::parallelism`] (default: all
 //! available cores); `parallelism = 1` degenerates to an inline loop with
-//! no thread spawned at all.
+//! no thread spawned at all. When each job is itself parallel (a layer's
+//! decomposition splits its units across threads),
+//! [`try_run_nested`] owns the split of that one thread budget between the
+//! two levels.
 //!
 //! # Error determinism
 //!
-//! A serial run reports the error of the *first* failing layer. Workers
+//! A serial run reports the error of the *first* failing item. Workers
 //! here publish the lowest failing index seen so far and skip queued jobs
 //! behind it; because a job is only skipped when a *lower* index has
 //! already failed, the minimal failing index is always computed, and the
@@ -32,25 +32,19 @@
 //! # Examples
 //!
 //! ```
-//! use se_core::{network, SeConfig};
-//! use se_ir::{LayerDesc, LayerKind};
-//! use se_tensor::rng;
+//! use se_core::{pipeline, CoreError, SeConfig};
 //!
-//! # fn main() -> Result<(), se_core::CoreError> {
-//! let mut r = rng::seeded(5);
-//! let layers: Vec<_> = (0..4)
-//!     .map(|i| {
-//!         let desc = LayerDesc::new(
-//!             format!("c{i}"),
-//!             LayerKind::Conv2d { in_channels: 4, out_channels: 8, kernel: 3, stride: 1, padding: 1 },
-//!             (8, 8),
-//!         );
-//!         (desc, rng::kaiming_tensor(&mut r, &[8, 4, 3, 3], 36))
-//!     })
-//!     .collect();
-//! let serial = network::compress_network(&layers, &SeConfig::default().with_parallelism(1)?)?;
-//! let parallel = network::compress_network(&layers, &SeConfig::default().with_parallelism(4)?)?;
-//! assert_eq!(serial, parallel); // bit-identical, including every f32
+//! # fn main() -> Result<(), CoreError> {
+//! let items: Vec<u64> = (0..16).collect();
+//! let root = |_: usize, &x: &u64| (x as f64).sqrt();
+//! assert_eq!(pipeline::run_ordered(&items, 1, root), pipeline::run_ordered(&items, 4, root));
+//!
+//! // Two jobs share a budget of four threads: each runs with two inside.
+//! let cfg = SeConfig::default().with_parallelism(4)?;
+//! let inner = pipeline::try_run_nested(&["a", "b"], &cfg, |_, _, inner: &SeConfig| {
+//!     Ok::<_, CoreError>(inner.parallelism())
+//! })?;
+//! assert_eq!(inner, [2, 2]);
 //! # Ok(())
 //! # }
 //! ```
@@ -59,61 +53,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use crate::network::{compress_layer_reported, LayerReport};
-use crate::{CoreError, Result, SeConfig};
-use se_ir::{LayerDesc, SeLayer};
-use se_tensor::Tensor;
-
-/// Where a job's weight tensor comes from.
-pub enum WeightSource<'a> {
-    /// The caller already owns the tensor (the in-memory network path).
-    Borrowed(&'a Tensor),
-    /// The tensor is generated on the worker thread and dropped with the
-    /// job (the streaming path for ImageNet-scale models, where holding
-    /// every layer's weights at once would be large).
-    Generate(&'a (dyn Fn(&LayerDesc) -> Result<Tensor> + Sync)),
-}
-
-impl std::fmt::Debug for WeightSource<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WeightSource::Borrowed(t) => f.debug_tuple("Borrowed").field(&t.shape()).finish(),
-            WeightSource::Generate(_) => f.debug_tuple("Generate").finish(),
-        }
-    }
-}
-
-/// One unit of work on the compression queue: compress one layer. Results
-/// are reassembled in job order.
-#[derive(Debug)]
-pub struct LayerJob<'a> {
-    /// Layer geometry.
-    pub desc: &'a LayerDesc,
-    /// Weight tensor source.
-    pub weights: WeightSource<'a>,
-}
-
-impl LayerJob<'_> {
-    /// Runs the job: resolves the weights and compresses the layer,
-    /// tagging failures with the layer name exactly as the serial
-    /// [`crate::network::compress_network`] historically did.
-    pub(crate) fn run(&self, cfg: &SeConfig) -> Result<(Vec<SeLayer>, LayerReport)> {
-        let owned;
-        let weights = match self.weights {
-            WeightSource::Borrowed(t) => t,
-            WeightSource::Generate(f) => {
-                owned = f(self.desc)?;
-                &owned
-            }
-        };
-        compress_layer_reported(self.desc, weights, cfg).map_err(|e| match e {
-            CoreError::InvalidWeights { reason } => {
-                CoreError::InvalidWeights { reason: format!("{}: {reason}", self.desc.name()) }
-            }
-            other => other,
-        })
-    }
-}
+use crate::SeConfig;
 
 /// Runs `f` over every item of `items`, spreading the calls across up to
 /// `workers` scoped threads, and returns the outputs **in item order**.
@@ -413,40 +353,48 @@ impl<I, O, E> Grid<I, O, E> {
     }
 }
 
-/// The configuration each worker compresses its layers with: the total
-/// thread budget `cfg.parallelism()` is split between the outer job queue
-/// and the per-layer decomposition threads of `crate::layer` (which also
-/// read `parallelism`), so nested parallelism never oversubscribes —
-/// `outer × inner ≤ cfg.parallelism()`. With more jobs than budget the
-/// inner level degrades to inline; with a few big layers the leftover
-/// budget goes to the per-layer level.
-pub fn worker_config(cfg: &SeConfig, jobs: usize) -> SeConfig {
+/// Runs `f` over every item of `items` like [`try_run_ordered`] on
+/// `cfg.parallelism()` workers, handing each call the configuration its
+/// own inner work runs with: the one thread budget `cfg.parallelism()` is
+/// split between the job queue and the threads inside each job (the
+/// per-layer decomposition of `crate::layer` reads `parallelism`), so
+/// nesting never oversubscribes. With more items than budget the inner
+/// level runs inline; with a few big items the leftover budget goes
+/// inside.
+///
+/// # Errors
+///
+/// The lowest-indexed failure of `f`, as [`try_run_ordered`].
+pub fn try_run_nested<I, O, E, F>(
+    items: &[I],
+    cfg: &SeConfig,
+    f: F,
+) -> std::result::Result<Vec<O>, E>
+where
+    I: Sync,
+    O: Send,
+    E: Send,
+    F: Fn(usize, &I, &SeConfig) -> std::result::Result<O, E> + Sync,
+{
+    let inner = worker_config(cfg, items.len());
+    try_run_ordered(items, cfg.parallelism(), |i, item| f(i, item, &inner))
+}
+
+/// The configuration each of [`try_run_nested`]'s jobs runs with:
+/// `outer × inner ≤ cfg.parallelism()`, where `outer` is the number of
+/// workers the queue can keep busy.
+fn worker_config(cfg: &SeConfig, jobs: usize) -> SeConfig {
     let outer = cfg.parallelism().clamp(1, jobs.max(1));
     let inner = (cfg.parallelism() / outer).max(1);
     cfg.clone().with_parallelism(inner).expect("inner worker count is at least 1")
 }
 
-/// Compresses a batch of [`LayerJob`]s on the work queue and reassembles
-/// `(parts, report)` pairs in network order.
-///
-/// # Errors
-///
-/// Returns the failure of the lowest-indexed failing job — the same error
-/// a serial in-order run reports.
-pub fn compress_jobs(
-    jobs: &[LayerJob<'_>],
-    cfg: &SeConfig,
-) -> Result<Vec<(Vec<SeLayer>, LayerReport)>> {
-    let wcfg = worker_config(cfg, jobs.len());
-    try_run_ordered(jobs, cfg.parallelism(), |_, job| job.run(&wcfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{compress_network, compress_network_reports};
-    use se_ir::LayerKind;
-    use se_tensor::rng;
+    use crate::CoreError;
+    use se_ir::{LayerDesc, LayerKind};
+    use se_tensor::{rng, Tensor};
 
     fn conv_desc(name: &str, in_ch: usize, out_ch: usize) -> LayerDesc {
         LayerDesc::new(
@@ -689,61 +637,18 @@ mod tests {
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
+        // Real nested work: each job decomposes a layer with the inner
+        // config, whose own threads come out of the same budget.
         let layers = six_layer_net(17);
-        let serial = compress_network(&layers, &cfg(1)).unwrap();
-        for workers in [2usize, 3, 4, 8] {
-            let parallel = compress_network(&layers, &cfg(workers)).unwrap();
-            assert_eq!(serial, parallel, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn streaming_reports_match_owned_in_parallel() {
-        let layers = six_layer_net(23);
-        let owned = compress_network(&layers, &cfg(4)).unwrap();
-        let descs: Vec<_> = layers.iter().map(|(d, _)| d.clone()).collect();
-        let streamed = compress_network_reports(&descs, &cfg(4), |d| {
-            Ok(layers
-                .iter()
-                .find(|(ld, _)| ld.name() == d.name())
-                .map(|(_, w)| w.clone())
-                .expect("known layer"))
-        })
-        .unwrap();
-        assert_eq!(owned.reports, streamed);
-    }
-
-    #[test]
-    fn error_reported_matches_serial_first_failure() {
-        let mut layers = six_layer_net(31);
-        // Two failures: the pipeline must report the lower-indexed one.
-        layers[1].1 = Tensor::zeros(&[2, 2]);
-        layers[4].1 = Tensor::zeros(&[3, 3]);
-        let serial_err = compress_network(&layers, &cfg(1)).unwrap_err();
-        for workers in [2usize, 4, 8] {
-            let parallel_err = compress_network(&layers, &cfg(workers)).unwrap_err();
-            assert_eq!(serial_err.to_string(), parallel_err.to_string());
-            assert!(parallel_err.to_string().contains("c1"), "err {parallel_err}");
-        }
-    }
-
-    #[test]
-    fn generated_weights_failure_is_deterministic() {
-        let layers = six_layer_net(5);
-        let descs: Vec<_> = layers.iter().map(|(d, _)| d.clone()).collect();
-        let failing = |d: &LayerDesc| -> Result<Tensor> {
-            if d.name() == "c2" {
-                Err(CoreError::InvalidWeights { reason: "synthetic failure".into() })
-            } else {
-                Ok(layers
-                    .iter()
-                    .find(|(ld, _)| ld.name() == d.name())
-                    .map(|(_, w)| w.clone())
-                    .expect("known layer"))
-            }
+        let run = |workers: usize| {
+            try_run_nested(&layers, &cfg(workers), |_, (desc, w), inner| {
+                crate::layer::compress_layer(desc, w, inner)
+            })
+            .unwrap()
         };
-        let e1 = compress_network_reports(&descs, &cfg(1), failing).unwrap_err();
-        let e4 = compress_network_reports(&descs, &cfg(4), failing).unwrap_err();
-        assert_eq!(e1.to_string(), e4.to_string());
+        let serial = run(1);
+        for workers in [2usize, 3, 4, 8] {
+            assert_eq!(serial, run(workers), "workers = {workers}");
+        }
     }
 }

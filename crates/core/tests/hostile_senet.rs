@@ -24,12 +24,14 @@ fn fixture() -> &'static Fixture {
         let conv =
             LayerKind::Conv2d { in_channels: 3, out_channels: 4, kernel: 3, stride: 1, padding: 1 };
         let fc = LayerKind::Linear { in_features: 12, out_features: 4 };
-        let layers = vec![
+        let layers = [
             (LayerDesc::new("conv", conv, (6, 6)), rng::kaiming_tensor(&mut r, &[4, 3, 3, 3], 27)),
             (LayerDesc::new("fc", fc, (1, 1)), rng::kaiming_tensor(&mut r, &[4, 12], 12)),
         ];
         let cfg = SeConfig::default().with_max_iterations(4).unwrap().with_parallelism(1).unwrap();
-        let bytes = compress_network(&layers, &cfg).unwrap().to_bytes().unwrap();
+        let descs: Vec<LayerDesc> = layers.iter().map(|(d, _)| d.clone()).collect();
+        let network = compress_network(&descs, &cfg, |i, _| Ok(&layers[i].1)).unwrap();
+        let bytes = network.to_bytes().unwrap();
         let mut walk =
             Walk { r: ByteReader::new(&bytes), len: bytes.len(), u32_fields: Vec::new() };
         walk.file();

@@ -8,18 +8,19 @@
 //! the [`CompressedNetwork`] trades that recomputation for one file read,
 //! the same inverse-of-the-paper trade the simulation side already makes
 //! for traces. Artifacts are self-populating: a cached run writes on miss
-//! and replays on hit, and both paths produce bit-identical reports.
+//! and replays on hit, and both paths produce bit-identical reports. A
+//! miss compresses through [`se_core::network::compress_network`], with
+//! each layer's synthetic weights generated on the worker that compresses
+//! it.
 
 use crate::traces::{
     decode_err, fnv1a, io_err, open_artifact, publish, put_se_config, sanitize_net_name,
 };
 use crate::{weights, Result};
-use se_core::network::{CompressedNetwork, LayerReport};
-use se_core::pipeline::{self, LayerJob, WeightSource};
+use se_core::network::{compress_network, CompressedNetwork, LayerReport};
 use se_core::{CoreError, SeConfig};
 use se_ir::serialize::ByteWriter;
-use se_ir::{LayerDesc, NetworkDesc};
-use se_tensor::Tensor;
+use se_ir::NetworkDesc;
 use std::path::{Path, PathBuf};
 
 /// File extension of persisted compressed networks.
@@ -135,39 +136,12 @@ pub fn cached_compressed_network(
     Ok(Some(network))
 }
 
-/// Compresses every layer of `net` from its synthetic weights on the
-/// parallel work queue, keeping the compressed parts (unlike the
-/// streaming report-only path) so the result can be persisted.
-///
-/// # Errors
-///
-/// Propagates weight-generation and compression failures.
-pub fn compress_network(net: &NetworkDesc, cfg: &SeConfig, seed: u64) -> Result<CompressedNetwork> {
-    let generate = |d: &LayerDesc| -> se_core::Result<Tensor> {
-        weights::synthetic_weights(net.name(), d, seed)
-            .map_err(|e| CoreError::InvalidWeights { reason: e.to_string() })
-    };
-    let jobs: Vec<LayerJob<'_>> = net
-        .layers()
-        .iter()
-        .map(|desc| LayerJob { desc, weights: WeightSource::Generate(&generate) })
-        .collect();
-    let (parts, reports) = pipeline::compress_jobs(&jobs, cfg)?.into_iter().unzip();
-    Ok(CompressedNetwork { parts, reports })
-}
-
 /// The per-layer compression reports for `net` under `cfg`/`seed`, through
-/// the artifact cache when `dir` is given:
-///
-/// * **hit** — the persisted [`CompressedNetwork`] is replayed (reports
-///   round-trip bit-identically, every `f32`);
-/// * **miss with a directory** — the network is compressed once (keeping
-///   parts) and the artifact written for subsequent runs;
-/// * **no directory** — the streaming report-only path of
-///   [`se_core::network::compress_network_reports`], which never holds a
-///   whole network's parts in memory.
-///
-/// All three paths produce identical reports.
+/// the artifact cache when `dir` is given: a hit replays the persisted
+/// [`CompressedNetwork`] (reports round-trip bit-identically, every
+/// `f32`); otherwise the network is compressed from its synthetic weights
+/// and, when `dir` is given, the artifact is written for later runs. Every
+/// path gives identical reports.
 ///
 /// # Errors
 ///
@@ -178,18 +152,18 @@ pub fn network_reports_cached(
     seed: u64,
     dir: Option<&Path>,
 ) -> Result<Vec<LayerReport>> {
-    let Some(dir) = dir else {
-        let descs: Vec<LayerDesc> = net.layers().to_vec();
-        return Ok(se_core::network::compress_network_reports(&descs, cfg, |d| {
-            weights::synthetic_weights(net.name(), d, seed)
-                .map_err(|e| CoreError::InvalidWeights { reason: e.to_string() })
-        })?);
-    };
-    if let Some(cached) = cached_compressed_network(net, cfg, seed, dir)? {
-        return Ok(cached.reports);
+    if let Some(dir) = dir {
+        if let Some(cached) = cached_compressed_network(net, cfg, seed, dir)? {
+            return Ok(cached.reports);
+        }
     }
-    let network = compress_network(net, cfg, seed)?;
-    write_network_file(dir, net.name(), cfg, seed, &network)?;
+    let network = compress_network(net.layers(), cfg, |_, d| {
+        weights::synthetic_weights(net.name(), d, seed)
+            .map_err(|e| CoreError::InvalidWeights { reason: e.to_string() })
+    })?;
+    if let Some(dir) = dir {
+        write_network_file(dir, net.name(), cfg, seed, &network)?;
+    }
     Ok(network.reports)
 }
 
@@ -226,24 +200,33 @@ mod tests {
     #[test]
     fn roundtrip_and_cache_reports_are_bit_identical() {
         let net = zoo::mlp2();
-        let dir = temp_dir("roundtrip");
         let direct = network_reports_cached(&net, &cfg(), 0, None).unwrap();
-
-        // Miss with a directory: compresses, persists, same reports.
-        let written = network_reports_cached(&net, &cfg(), 0, Some(&dir)).unwrap();
-        assert_eq!(direct, written);
-        let path = dir.join(network_file_name(net.name(), &cfg(), 0));
-        assert!(path.exists());
-
-        // Hit: replayed from disk, still identical — including parts.
-        let replayed = network_reports_cached(&net, &cfg(), 0, Some(&dir)).unwrap();
-        assert_eq!(direct, replayed);
-        let full = cached_compressed_network(&net, &cfg(), 0, &dir).unwrap().unwrap();
-        assert_eq!(full, compress_network(&net, &cfg(), 0).unwrap());
-
-        // Other options miss.
-        assert!(cached_compressed_network(&net, &cfg(), 7, &dir).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
+        // The written artifact is the same at every worker count.
+        let mut written = Vec::new();
+        for workers in [1usize, 4] {
+            let wcfg = cfg().with_parallelism(workers).unwrap();
+            let dir = temp_dir(&format!("roundtrip-{workers}"));
+            // Miss with a directory: compresses, persists, same reports.
+            let missed = network_reports_cached(&net, &wcfg, 0, Some(&dir)).unwrap();
+            assert_eq!(direct, missed, "workers = {workers}");
+            // Hit: replayed from disk, still identical.
+            let hit = network_reports_cached(&net, &wcfg, 0, Some(&dir)).unwrap();
+            assert_eq!(direct, hit, "workers = {workers}");
+            let path = dir.join(network_file_name(net.name(), &wcfg, 0));
+            written.push(std::fs::read(&path).unwrap());
+            if workers == 1 {
+                // The replayed artifact holds the parts a fresh run makes.
+                let full = cached_compressed_network(&net, &wcfg, 0, &dir).unwrap().unwrap();
+                let fresh = compress_network(net.layers(), &wcfg, |_, d| {
+                    Ok(weights::synthetic_weights(net.name(), d, 0).unwrap())
+                });
+                assert_eq!(full, fresh.unwrap());
+                // Other options miss.
+                assert!(cached_compressed_network(&net, &wcfg, 7, &dir).unwrap().is_none());
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(written[0] == written[1], "the .senet bytes differ between 1 and 4 workers");
     }
 
     #[test]

@@ -118,14 +118,13 @@ fn traced_layers(net: &NetworkDesc, opts: &TraceOptions) -> Vec<usize> {
 }
 
 /// Generates the pairs of `layers` on the work queue of
-/// [`se_core::pipeline`], in the given order. `pipeline::worker_config`
+/// [`se_core::pipeline`], in the given order. [`pipeline::try_run_nested`]
 /// splits the thread budget of `opts.se_config.parallelism()` between the
 /// layer queue and the per-layer decomposition threads; results are
 /// bit-identical for every worker count.
 fn generate(net: &NetworkDesc, layers: &[usize], opts: &TraceOptions) -> Result<Vec<TracePair>> {
-    let wopts = opts.clone().with_se_config(pipeline::worker_config(&opts.se_config, layers.len()));
-    pipeline::try_run_ordered(layers, opts.se_config.parallelism(), |_, &i| {
-        trace_pair(net, i, &wopts)
+    pipeline::try_run_nested(layers, &opts.se_config, |_, &i, inner| {
+        trace_pair(net, i, &opts.clone().with_se_config(inner.clone()))
     })
 }
 
@@ -596,12 +595,28 @@ fn read_pair(r: &mut ByteReader<'_>) -> Result<TracePair> {
 }
 
 impl TraceReader {
-    /// A reader over the artifact file at `path`, streaming from the open
-    /// file through the reader's buffer.
-    fn at(path: &Path) -> Result<Self> {
+    /// A reader over the artifact file at `path`, of whatever network and
+    /// options it holds ([`TraceReader::net_name`], [`TraceReader::digest`]),
+    /// streaming from the open file through the reader's buffer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures, and header decode failures as
+    /// [`ModelError::Artifact`] naming the file.
+    pub fn at(path: &Path) -> Result<Self> {
         let mut reader = TraceReader::new(open_artifact(path)?).map_err(|e| decode_err(path, e))?;
         reader.path = Some(path.to_path_buf());
         Ok(reader)
+    }
+
+    /// The network name the artifact was built for.
+    pub fn net_name(&self) -> &str {
+        &self.net_name
+    }
+
+    /// The [`options_digest`] the artifact was built under.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Opens the artifact at `path` for `net` under `opts`, checking up
@@ -708,17 +723,6 @@ pub fn write_trace_file(
             Ok(())
         })
     })
-}
-
-/// Reads a whole trace-artifact file, decoding straight from the open
-/// file through the reader's buffer (see [`TraceReader`]).
-///
-/// # Errors
-///
-/// Propagates filesystem failures, and decoding failures as
-/// [`ModelError::Artifact`] naming the file.
-pub fn read_trace_file(path: &Path) -> Result<TraceFile> {
-    TraceReader::at(path)?.into_file()
 }
 
 /// A reader over an artifact file of either kind, sized by its length on
@@ -952,7 +956,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let path = write_trace_file(&dir, &net, &opts, &pairs).unwrap();
         assert_eq!(path.extension().unwrap(), TRACE_FILE_EXT);
-        let file = read_trace_file(&path).unwrap();
+        let file = TraceReader::at(&path).and_then(TraceReader::into_file).unwrap();
         assert_eq!(file.net_name, "tiny");
         assert_eq!(file.digest, options_digest(&opts));
         assert_eq!(file.pairs, pairs); // bit-identical, every f32
@@ -997,7 +1001,7 @@ mod tests {
         std::fs::write(&wide, encode_trace_pairs("wide", 3, &[wide_pair()]).unwrap()).unwrap();
         for path in [real, wide] {
             let bytes = std::fs::read(&path).unwrap();
-            let file = read_trace_file(&path).unwrap();
+            let file = TraceReader::at(&path).and_then(TraceReader::into_file).unwrap();
             let again = encode_trace_pairs(&file.net_name, file.digest, &file.pairs).unwrap();
             assert!(again == bytes, "{} re-encodes differently", path.display());
         }
@@ -1011,7 +1015,7 @@ mod tests {
         let pairs = trace_pairs(&net, &opts).unwrap();
         let dir = temp_dir("shared-input");
         let path = write_trace_file(&dir, &net, &opts, &pairs).unwrap();
-        let file = read_trace_file(&path).unwrap();
+        let file = TraceReader::at(&path).and_then(TraceReader::into_file).unwrap();
         assert_eq!(file.pairs, pairs);
         for p in pairs.iter().chain(&file.pairs) {
             assert!(Arc::ptr_eq(p.dense.shared_input(), p.se.shared_input()), "{}", p.layer_index);

@@ -80,15 +80,11 @@ pub fn compress_trainable(
     input_shape: &[usize],
     cfg: &SeConfig,
 ) -> Result<se_core::network::CompressedNetwork> {
-    let descs = weighted_layer_descs(model, input_shape)?;
-    let layers: Vec<(LayerDesc, Tensor)> = descs
-        .into_iter()
-        .map(|(i, d)| {
-            let w = model.layers()[i].weights().expect("weighted layer").clone();
-            (d, w)
-        })
-        .collect();
-    Ok(se_core::network::compress_network(&layers, cfg)?)
+    let (layer_of, descs): (Vec<usize>, Vec<LayerDesc>) =
+        weighted_layer_descs(model, input_shape)?.into_iter().unzip();
+    Ok(se_core::network::compress_network(&descs, cfg, |j, _| {
+        Ok(model.layers()[layer_of[j]].weights().expect("weighted layer"))
+    })?)
 }
 
 #[cfg(test)]

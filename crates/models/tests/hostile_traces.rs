@@ -14,8 +14,8 @@ use se_ir::{
     SeLayout, SeSlice, WeightData,
 };
 use se_models::traces::{
-    decode_trace_pairs, encode_trace_pairs, options_digest, read_trace_file, read_trace_pairs,
-    trace_pairs, TraceOptions, TracePair, TraceReader,
+    decode_trace_pairs, encode_trace_pairs, options_digest, read_trace_pairs, trace_pairs,
+    TraceFile, TraceOptions, TracePair, TraceReader,
 };
 use se_models::ModelError;
 use se_tensor::Mat;
@@ -386,7 +386,11 @@ fn named(path: &Path, e: ModelError) -> ModelError {
 fn a_file_reader_decodes_every_cut_and_flip_like_the_slice() {
     every_cut_and_flip(&fixture().bytes, "file", |path, bytes, _| {
         let want = decode_trace_pairs(bytes).map_err(|e| named(path, e));
-        assert_eq!(read_trace_file(path), want);
+        let got = TraceReader::at(path).and_then(|reader| {
+            let (net_name, digest) = (reader.net_name().to_string(), reader.digest());
+            Ok(TraceFile { net_name, digest, pairs: drain(reader)? })
+        });
+        assert_eq!(got, want);
     });
 }
 

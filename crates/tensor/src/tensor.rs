@@ -185,6 +185,17 @@ impl Tensor {
     }
 
     fn zip(&self, other: &Tensor, op: &'static str, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
+        let data = self.pairs(other, op)?.map(|(a, b)| f(a, b)).collect();
+        Ok(Tensor { shape: self.shape.clone(), data })
+    }
+
+    /// The elements of `self` and `other` side by side, in order, when the
+    /// shapes match; `op` names the operation in the error.
+    fn pairs<'a>(
+        &'a self,
+        other: &'a Tensor,
+        op: &'static str,
+    ) -> Result<impl Iterator<Item = (f32, f32)> + 'a> {
         if self.shape != other.shape {
             return Err(TensorError::ShapeMismatch {
                 op,
@@ -192,10 +203,7 @@ impl Tensor {
                 rhs: other.shape.clone(),
             });
         }
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
-        })
+        Ok(self.data.iter().copied().zip(other.data.iter().copied()))
     }
 
     /// Multiplies every element by a scalar, in place.
@@ -232,6 +240,21 @@ impl Tensor {
     /// Frobenius / L2 norm of the flattened tensor.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt() as f32
+    }
+
+    /// The [`norm`](Tensor::norm) of `self - other`, folded element by
+    /// element in order without building the difference tensor: the bits
+    /// of `self.sub(other)?.norm()`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
+    pub fn distance(&self, other: &Tensor) -> Result<f32> {
+        let squares = self.pairs(other, "distance")?.map(|(a, b)| {
+            let d = a - b;
+            (d as f64) * (d as f64)
+        });
+        Ok(squares.sum::<f64>().sqrt() as f32)
     }
 
     /// Fraction of elements equal to exactly zero, in `[0, 1]`.
@@ -275,6 +298,17 @@ impl From<Mat> for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn distance_is_the_bits_of_the_difference_norm() {
+        let mut r = crate::rng::seeded(3);
+        let a = crate::rng::kaiming_tensor(&mut r, &[7, 5, 3], 15);
+        let b = crate::rng::kaiming_tensor(&mut r, &[7, 5, 3], 15);
+        let want = a.sub(&b).unwrap().norm();
+        assert_eq!(a.distance(&b).unwrap().to_bits(), want.to_bits());
+        assert_eq!(a.distance(&a).unwrap(), 0.0);
+        assert!(a.distance(&Tensor::zeros(&[7, 15])).is_err());
+    }
 
     #[test]
     fn zeros_and_full() {

@@ -34,9 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SeConfig::default()
         .with_max_iterations(6)?
         .with_vector_sparsity(VectorSparsity::RelativeThreshold(0.4))?;
-    let reports = network::compress_network_reports(&head, &cfg, |d| {
+    let reports = network::compress_network(&head, &cfg, |_, d| {
         Ok(weights::synthetic_weights(net.name(), d, 0).expect("synthetic weights"))
-    })?;
+    })?
+    .reports;
     let mut total = storage::SeStorage::default();
     let mut params = 0u64;
     for r in &reports {

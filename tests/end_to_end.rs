@@ -63,20 +63,17 @@ fn compress_reconstruct_simulate_pipeline() {
         .unwrap();
 
     // Compress every layer and verify CR and fidelity.
-    let layers: Vec<_> = net
+    let tensors: Vec<_> = net
         .layers()
         .iter()
-        .map(|d| {
-            let w = weights::synthetic_weights(net.name(), d, 0).unwrap();
-            (d.clone(), w)
-        })
+        .map(|d| weights::synthetic_weights(net.name(), d, 0).unwrap())
         .collect();
-    let compressed = network::compress_network(&layers, &cfg).unwrap();
+    let compressed = network::compress_network(net.layers(), &cfg, |i, _| Ok(&tensors[i])).unwrap();
     assert!(compressed.compression_rate() > 6.0, "CR {}", compressed.compression_rate());
     assert!(compressed.mean_recon_error() < 0.6);
 
     // Rebuild each layer and confirm shapes match the originals.
-    for ((desc, w), parts) in layers.iter().zip(&compressed.parts) {
+    for ((desc, w), parts) in net.layers().iter().zip(&tensors).zip(&compressed.parts) {
         let rebuilt = layer::reconstruct_layer(desc, parts).unwrap();
         assert_eq!(rebuilt.shape(), w.shape());
     }
@@ -146,11 +143,11 @@ fn zoo_models_produce_consistent_storage_accounting() {
         .unwrap()
         .with_vector_sparsity(VectorSparsity::RelativeThreshold(0.4))
         .unwrap();
-    let descs: Vec<_> = net.layers().to_vec();
-    let reports = network::compress_network_reports(&descs, &cfg, |d| {
+    let reports = network::compress_network(net.layers(), &cfg, |_, d| {
         Ok(weights::synthetic_weights(net.name(), d, 0).unwrap())
     })
-    .unwrap();
+    .unwrap()
+    .reports;
     let mut total = storage::SeStorage::default();
     for r in &reports {
         total.accumulate(&r.storage);

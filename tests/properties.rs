@@ -120,8 +120,10 @@ proptest! {
             .with_max_iterations(4).unwrap()
             .with_parallelism(1).unwrap();
         let parallel_cfg = serial_cfg.clone().with_parallelism(4).unwrap();
-        let serial = network::compress_network(&layers, &serial_cfg).unwrap();
-        let parallel = network::compress_network(&layers, &parallel_cfg).unwrap();
+        let descs: Vec<LayerDesc> = layers.iter().map(|(d, _)| d.clone()).collect();
+        let lend = |i: usize, _: &LayerDesc| Ok(&layers[i].1);
+        let serial = network::compress_network(&descs, &serial_cfg, lend).unwrap();
+        let parallel = network::compress_network(&descs, &parallel_cfg, lend).unwrap();
         prop_assert_eq!(&serial.reports, &parallel.reports);
         prop_assert_eq!(serial, parallel);
     }
