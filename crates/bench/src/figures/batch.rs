@@ -15,7 +15,7 @@ use crate::runner::{self, RunnerOptions};
 use crate::{cli, table, Result};
 use se_hw::{EnergyModel, RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
-use se_models::traces::{self, TracePair};
+use se_models::traces::{PairStream, TracePair};
 use se_serve::{BatchEngine, ACCEL_NAMES, SE_LANE};
 use std::io::Write;
 
@@ -32,21 +32,17 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
 }
 
 /// Every trace pair of one model at once, from the one trace source
-/// (`se_models::traces::for_each_chunk`): replayed from a `--traces-dir`
-/// artifact when a matching one exists, generated otherwise
-/// (bit-identical either way). For callers that need the whole network in
-/// memory, such as the `perfbench` layer harness.
+/// ([`PairStream`]): replayed from a `--traces-dir` artifact when a
+/// matching one exists, generated otherwise (bit-identical either way).
+/// For callers that need the whole network in memory, such as the
+/// `perfbench` layer harness.
 ///
 /// # Errors
 ///
 /// Propagates trace generation and artifact failures.
 pub fn pairs_for(net: &NetworkDesc, flags: &Flags, opts: &RunnerOptions) -> Result<Vec<TracePair>> {
-    let mut pairs = Vec::new();
-    traces::for_each_chunk(net, &opts.traces, flags.traces_dir.as_deref(), usize::MAX, |chunk| {
-        pairs.extend(chunk);
-        Result::Ok(())
-    })?;
-    Ok(pairs)
+    let dir = flags.traces_dir.as_deref();
+    Ok(PairStream::open(net, &opts.traces, dir, usize::MAX)?.next_chunk(usize::MAX)?)
 }
 
 /// [`run`] on an explicit model set (the testable core).

@@ -14,19 +14,20 @@
 //!
 //! 1. **Trace source**: each model's pairs come from a
 //!    [`PairStream`]: read a pair at a time from a persisted artifact, or
-//!    generated (the SmartExchange decomposition per layer) in chunks of
-//!    `chunk_pairs` on `RunnerOptions::traces.se_config.parallelism()`
+//!    generated (the SmartExchange decomposition per layer) a few layers
+//!    at a time on `RunnerOptions::traces.se_config.parallelism()`
 //!    workers.
-//! 2. **Simulation**: [`compare_models`] puts consecutive models that
-//!    have an artifact on one `(layer, accelerator)` grid drained by
-//!    `RunnerOptions::sim_parallelism` workers, which pull the next pair
-//!    from the open artifact as the queue runs low, so decoding overlaps
-//!    simulation and only the pairs in flight are alive; a generated
-//!    model's chunks each go through the grid in turn. The serving
-//!    subsystem's [`BatchEngine`] is the single five-lane dispatch
-//!    ([`BatchEngine::simulate_lane`], [`BatchEngine::fold_lanes`]);
-//!    [`BatchEngine::per_image_se`] runs the SmartExchange lane alone on
-//!    each chunk of [`traces::for_each_chunk`].
+//! 2. **Simulation**: one queue (`run_queued`) runs every sweep: its
+//!    `RunnerOptions::sim_parallelism` workers drain a `(layer, lane)`
+//!    grid over consecutive models that have an artifact, pulling the next
+//!    pair from the open artifact as the queue runs low, so decoding
+//!    overlaps simulation and only the pairs in flight are alive; a
+//!    generated model's chunks each go through the grid in turn. The lanes
+//!    are the caller's: [`compare_models`] runs the five accelerators of
+//!    the serving subsystem's [`BatchEngine`] (the single five-lane
+//!    dispatch, [`BatchEngine::simulate_lane`]), [`run_se_model`] its
+//!    SmartExchange lane alone, and `se ablation` its four accelerator
+//!    steps. [`BatchEngine::fold_lanes`] folds each model's rows.
 //!
 //! Results are reassembled in network order at both levels, so a
 //! comparison sweep is **bit-identical for every worker count** at either
@@ -42,10 +43,10 @@
 use crate::{BoxError, Result};
 use se_baselines::BaselineConfig;
 use se_core::pipeline;
-use se_hw::{EnergyModel, RunResult, SeAcceleratorConfig};
+use se_hw::{EnergyModel, LayerResult, RunResult, SeAcceleratorConfig};
 use se_ir::NetworkDesc;
-use se_models::traces::{self, PairStream, TraceOptions, TracePair};
-use se_serve::BatchEngine;
+use se_models::traces::{PairStream, TraceOptions, TracePair};
+use se_serve::{BatchEngine, SE_LANE};
 use std::path::Path;
 
 /// Names of the five accelerators in presentation order (shared with the
@@ -155,14 +156,6 @@ impl RunnerOptions {
     }
 }
 
-/// Generated trace pairs per simulation chunk: enough grid jobs to feed
-/// the `sim_parallelism` workers, and at least four pairs so generation
-/// has layers to spread over its workers, while keeping the number of
-/// pairs alive at once bounded.
-fn chunk_pairs(sim_parallelism: usize) -> usize {
-    4.max(sim_parallelism.div_ceil(ACCEL_NAMES.len()))
-}
-
 /// Runs pre-generated trace pairs through all five accelerators on the
 /// simulation grid ([`BatchEngine::per_image_comparison`]) —
 /// [`compare_models`] without the trace-source half; results are
@@ -181,41 +174,32 @@ pub fn compare_pairs(
     Ok(ModelComparison { model: model.to_string(), runs })
 }
 
-/// Runs one model through the SmartExchange accelerator alone
-/// ([`BatchEngine::per_image_se`] per chunk of [`traces::for_each_chunk`])
-/// — the engine behind the energy-breakdown figures.
+/// Runs one model through the SmartExchange lane alone on the one
+/// simulation queue — the engine behind the energy-breakdown figures and
+/// the serving profiles; bit-identical to that lane of [`compare_models`].
 ///
 /// # Errors
 ///
-/// Propagates trace-generation/load and simulator failures.
+/// As [`compare_models`], without the model's name.
 pub fn run_se_model(
     net: &NetworkDesc,
     opts: &RunnerOptions,
     traces_dir: Option<&Path>,
 ) -> Result<RunResult> {
     let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone())?;
-    let mut run = RunResult::default();
-    let chunk = chunk_pairs(opts.sim_parallelism);
-    traces::for_each_chunk(net, &opts.traces, traces_dir, chunk, |pairs| {
-        run.layers.extend(engine.per_image_se(&pairs, opts.sim_parallelism)?.layers);
-        Result::Ok(())
-    })?;
-    Ok(run)
+    let [se] = run_queued(std::slice::from_ref(net), opts, traces_dir, |pair, _| {
+        engine.simulate_lane(pair, SE_LANE)
+    })
+    .map_err(|(_, e)| e)?
+    .remove(0);
+    Ok(se.expect("SmartExchange supports every layer"))
 }
 
-/// Runs a set of models through all five accelerators. Consecutive models
-/// with an artifact in `traces_dir` (built by `se trace build`, matching
-/// the network and these trace options) share one simulation queue: its
-/// workers take `(pair, accelerator)` jobs from every such model in
-/// order, and the next pair is read from the open artifact as the queue
-/// runs low, so decoding overlaps simulation and only the pairs in flight
-/// are alive. A model without an artifact is generated `chunk_pairs`
-/// layers at a time, each chunk simulated before the next is generated:
-/// generation is parallel itself, and a grid drawing on it would take
-/// cores from it at every chunk's last layer. Cached and direct runs are
-/// bit-identical. The lanes of each model are folded by
-/// [`BatchEngine::fold_lanes`]; a lane that cannot run some layer is
-/// `None` for the model.
+/// Runs a set of models through all five accelerators
+/// ([`BatchEngine::simulate_lane`]) on the one simulation queue, replaying
+/// the artifacts in `traces_dir` (built by `se trace build`)
+/// bit-identically. A lane that cannot run some layer is `None` for the
+/// model.
 ///
 /// # Errors
 ///
@@ -243,16 +227,47 @@ pub(crate) fn compare_queued(
     opts: &RunnerOptions,
     traces_dir: Option<&Path>,
 ) -> std::result::Result<Vec<ModelComparison>, (usize, BoxError)> {
-    if models.is_empty() {
-        return Ok(Vec::new());
-    }
     let engine =
         BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone()).map_err(|e| (0, e))?;
-    let chunk = chunk_pairs(opts.sim_parallelism);
+    let runs = run_queued(models, opts, traces_dir, |pair, lane| engine.simulate_lane(pair, lane))?;
+    let named = models.iter().zip(runs);
+    Ok(named.map(|(net, runs)| ModelComparison { model: net.name().to_string(), runs }).collect())
+}
+
+/// The one simulation queue behind every sweep: runs each model's pairs
+/// through `N` lanes (`lane(pair, l)` for `l < N`; `Ok(None)` where the
+/// lane cannot run the layer) and folds each model's rows into one run
+/// per lane ([`BatchEngine::fold_lanes`]).
+///
+/// Consecutive models with an artifact in `traces_dir` (built by
+/// `se trace build`, matching the network and `opts.traces`) share one
+/// [`pipeline::try_run_grid`] queue: its `opts.sim_parallelism` workers
+/// take `(pair, lane)` jobs from every such model in order, and the next
+/// pair is read from the open artifact as the queue runs low, so decoding
+/// overlaps simulation and only the pairs in flight are alive. A model
+/// without an artifact is generated a few layers at a time,
+/// each chunk simulated before the next is generated: generation is
+/// parallel itself, and a grid drawing on it would take cores from it at
+/// every chunk's last layer.
+///
+/// # Errors
+///
+/// The index of the first model, in order, that fails, with its error:
+/// a decode failure anywhere in its artifact before any lane failure, and
+/// otherwise the failure of the lowest `(layer, lane)` job.
+pub(crate) fn run_queued<const N: usize>(
+    models: &[NetworkDesc],
+    opts: &RunnerOptions,
+    traces_dir: Option<&Path>,
+    lane: impl Fn(&TracePair, usize) -> se_hw::Result<Option<LayerResult>> + Sync,
+) -> std::result::Result<Vec<[Option<RunResult>; N]>, (usize, BoxError)> {
+    // Generated pairs per chunk: enough jobs for every worker, and at
+    // least four layers for generation to spread over its own workers.
+    let chunk = 4.max(opts.sim_parallelism.div_ceil(N));
     let grid = |pairs: &mut dyn Iterator<Item = _>| {
-        pipeline::try_run_grid(pairs, ACCEL_NAMES.len(), opts.sim_parallelism, |_, item, lane| {
+        pipeline::try_run_grid(pairs, N, opts.sim_parallelism, |_, item, l| {
             let (model, pair): &(usize, TracePair) = item;
-            engine.simulate_lane(pair, lane).map_err(|e| (*model, BoxError::from(e)))
+            lane(pair, l).map_err(|e| (*model, BoxError::from(e)))
         })
     };
     let mut source = ModelPairs {
@@ -264,10 +279,6 @@ pub(crate) fn compare_queued(
         counts: Vec::new(),
     };
     let mut out = Vec::with_capacity(models.len());
-    let mut done = |m: usize, runs| {
-        out.push(ModelComparison { model: models[m].name().to_string(), runs });
-    };
-    let mut next = 0;
     loop {
         let rows = match grid(&mut source) {
             Ok(rows) => rows,
@@ -275,21 +286,20 @@ pub(crate) fn compare_queued(
         };
         let mut rows = rows.into_iter();
         let queued = source.counts.len() - usize::from(source.generating());
-        for m in next..queued {
-            done(m, BatchEngine::fold_lanes(rows.by_ref().take(source.counts[m])));
+        for &count in &source.counts[out.len()..queued] {
+            out.push(BatchEngine::fold_lanes(rows.by_ref().take(count)));
         }
-        next = queued;
         let Some(mut stream) = source.take_generating() else { break };
+        let model = out.len();
         let mut rows = Vec::new();
         loop {
-            let pairs = stream.next_chunk(chunk).map_err(|e| (next, e.into()))?;
+            let pairs = stream.next_chunk(chunk).map_err(|e| (model, e.into()))?;
             if pairs.is_empty() {
                 break;
             }
-            rows.extend(grid(&mut pairs.into_iter().map(|pair| Ok((next, pair))))?);
+            rows.extend(grid(&mut pairs.into_iter().map(|pair| Ok((model, pair))))?);
         }
-        done(next, BatchEngine::fold_lanes(rows));
-        next += 1;
+        out.push(BatchEngine::fold_lanes(rows));
     }
     Ok(out)
 }
@@ -490,10 +500,44 @@ mod tests {
     #[test]
     fn run_se_model_matches_the_comparison_lane() {
         let net = multi_geometry();
-        let opts = RunnerOptions::default().with_parallelism(4).unwrap();
+        let dir = std::env::temp_dir().join(format!("se-runner-se-lane-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunnerOptions::default().with_parallelism(1).unwrap();
         let cmp = compare_model(&net, &opts, None).unwrap();
-        let se_only = run_se_model(&net, &opts, None).unwrap();
-        assert_eq!(cmp.runs[4].as_ref().unwrap(), &se_only);
+        let se = cmp.runs[SE_LANE].as_ref().unwrap();
+        se_models::traces::build_trace_file(&net, &opts.traces, &dir).unwrap();
+        // Direct and cached, at every worker count of either level.
+        for (gen, sim) in [(1, 1), (2, 2), (4, 4), (1, 4)] {
+            let opts = RunnerOptions::default()
+                .with_parallelism(gen)
+                .unwrap()
+                .with_sim_parallelism(sim)
+                .unwrap();
+            for traces_dir in [None, Some(dir.as_path())] {
+                let se_only = run_se_model(&net, &opts, traces_dir).unwrap();
+                assert_eq!(&se_only, se, "generation {gen} simulation {sim} {traces_dir:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn run_se_model_reports_the_decode_error_of_its_artifact() {
+        let net = multi_geometry();
+        let dir = std::env::temp_dir().join(format!("se-runner-se-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunnerOptions::default();
+        let (path, _) = se_models::traces::build_trace_file(&net, &opts.traces, &dir).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        for workers in [1usize, 2, 4] {
+            let opts = RunnerOptions::default().with_parallelism(workers).unwrap();
+            let err = run_se_model(&net, &opts, Some(&dir)).unwrap_err().to_string();
+            assert!(err.starts_with("artifact "), "{err}");
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            assert!(err.contains("truncated input"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

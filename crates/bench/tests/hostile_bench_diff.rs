@@ -1,7 +1,9 @@
 //! Hostile-input properties of `se bench diff`: a damaged snapshot
 //! (truncated, byte-flipped, or blown up to many copies of its configs)
-//! must give `Err` or a verdict, never a panic or a hang, and diffing a
-//! snapshot must cost time linear in its config count.
+//! must give `Err` or a verdict, never a panic or a hang. (That diffing
+//! costs time linear in the config count is checked in
+//! `bench_diff_scaling.rs`, a binary of its own so that its timings do not
+//! share the cores with these proptests.)
 
 use proptest::prelude::*;
 use se_bench::figures::bench_serve::{diff_snapshots, Snapshot};
@@ -107,31 +109,4 @@ fn distinct_configs_diff_clean_against_themselves() {
     diff_snapshots(&snap, &snap, &mut out).unwrap();
     let out = String::from_utf8(out).unwrap();
     assert!(out.contains("ok: 100 config(s) compared, all within 2x"), "{out}");
-}
-
-/// Seconds of the fastest of three self-diffs of `text`. Parsing is
-/// left out: the JSON reader has its own scaling test, and its linear
-/// cost would hide a quadratic config match at these sizes.
-fn diff_seconds(text: &str) -> f64 {
-    let snap = Snapshot::parse("scale", text).unwrap();
-    (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            diff_snapshots(&snap, &snap, &mut std::io::sink()).unwrap();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-#[test]
-fn diffing_doubles_at_most_linearly() {
-    // A quadratic match takes 4x as long on twice the configs; a linear
-    // one about 2x. 3x leaves room for noise and still catches it.
-    let (small, large) = (distinct(8_000), distinct(16_000));
-    let (t_small, t_large) = (diff_seconds(&small), diff_seconds(&large));
-    assert!(
-        t_large < 3.0 * t_small,
-        "doubling the configs took {:.1}x ({t_small:.4} s -> {t_large:.4} s)",
-        t_large / t_small
-    );
 }

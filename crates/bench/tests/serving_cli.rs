@@ -75,7 +75,9 @@ fn weight_dram_and_energy_per_image_decrease_monotonically() {
     for net in &model_set() {
         let pairs = traces::trace_pairs(net, &opts.traces).unwrap();
         let engine = BatchEngine::new(opts.se_cfg.clone(), opts.baseline_cfg.clone()).unwrap();
-        let per_image = engine.per_image_se(&pairs, opts.sim_parallelism).unwrap();
+        let per_image = engine.per_image_comparison(&pairs, opts.sim_parallelism).unwrap()[SE_LANE]
+            .clone()
+            .unwrap();
         let mut prev_weight = f64::INFINITY;
         let mut prev_energy = f64::INFINITY;
         for n in [1usize, 4, 16] {

@@ -10,7 +10,8 @@
 //! [`TraceReader`]; without one, the traced layers are generated in chunks
 //! of a caller-chosen size. Either way only the pairs in flight are alive,
 //! so peak memory stays bounded on ImageNet-scale models.
-//! [`for_each_chunk`] hands a stream over in chunks, [`trace_pairs`] is the
+//! [`PairStream::next_chunk`] hands a stream over in chunks (the simulation
+//! queue of `se_bench::runner` drains one), [`trace_pairs`] is the
 //! collect-all form and [`trace_pair`] generates one layer.
 
 use crate::{activations, weights, ModelError, Result};
@@ -129,7 +130,7 @@ fn generate(net: &NetworkDesc, layers: &[usize], opts: &TraceOptions) -> Result<
 }
 
 /// Generates every traced layer's pair at once, in network order. This
-/// holds the whole network; [`for_each_chunk`] bounds memory for
+/// holds the whole network; a [`PairStream`] bounds memory for
 /// ImageNet-scale models.
 ///
 /// # Errors
@@ -253,36 +254,6 @@ impl<'a> PairStream<'a> {
             while reader.next_pair()?.is_some() {}
         }
         Ok(())
-    }
-}
-
-/// Feeds a network's trace pairs to `consume` in network order, `chunk`
-/// pairs at a time (the last chunk may be shorter), from a
-/// [`PairStream`]: at most one chunk is alive at once, whether it was read
-/// from an artifact or generated.
-///
-/// # Errors
-///
-/// Propagates artifact read/decode failures, the lowest-index generation
-/// failure, and the first failure of `consume`. A decode failure anywhere
-/// in an artifact beats a failure of `consume`.
-pub fn for_each_chunk<E: From<ModelError>>(
-    net: &NetworkDesc,
-    opts: &TraceOptions,
-    dir: Option<&Path>,
-    chunk: usize,
-    mut consume: impl FnMut(Vec<TracePair>) -> std::result::Result<(), E>,
-) -> std::result::Result<(), E> {
-    let mut stream = PairStream::open(net, opts, dir, chunk)?;
-    loop {
-        let pairs = stream.next_chunk(chunk)?;
-        if pairs.is_empty() {
-            return Ok(());
-        }
-        if let Err(e) = consume(pairs) {
-            stream.finish()?;
-            return Err(e);
-        }
     }
 }
 
@@ -848,19 +819,34 @@ mod tests {
         opts.with_se_config(cfg)
     }
 
-    /// Every chunk [`for_each_chunk`] hands over, in order.
+    /// Every chunk [`PairStream::next_chunk`] hands over, in order, and
+    /// the error that ended the stream, if any.
+    fn drain(
+        net: &NetworkDesc,
+        opts: &TraceOptions,
+        dir: Option<&Path>,
+        chunk: usize,
+    ) -> (Vec<Vec<TracePair>>, Result<()>) {
+        let mut out = Vec::new();
+        let mut stream = PairStream::open(net, opts, dir, chunk).unwrap();
+        loop {
+            match stream.next_chunk(chunk) {
+                Ok(pairs) if pairs.is_empty() => return (out, Ok(())),
+                Ok(pairs) => out.push(pairs),
+                Err(e) => return (out, Err(e)),
+            }
+        }
+    }
+
+    /// Every chunk of a stream that must not fail.
     fn chunks(
         net: &NetworkDesc,
         opts: &TraceOptions,
         dir: Option<&Path>,
         chunk: usize,
     ) -> Vec<Vec<TracePair>> {
-        let mut out = Vec::new();
-        for_each_chunk(net, opts, dir, chunk, |pairs| {
-            out.push(pairs);
-            Result::Ok(())
-        })
-        .unwrap();
+        let (out, end) = drain(net, opts, dir, chunk);
+        end.unwrap();
         out
     }
 
@@ -927,13 +913,9 @@ mod tests {
         for workers in [1usize, 4] {
             let opts = with_workers(opts.clone(), workers);
             for chunk in [1, 2, net.layers().len()] {
-                let mut consumed = Vec::new();
-                let err = for_each_chunk(&net, &opts, None, chunk, |pairs| {
-                    consumed.extend(pairs.into_iter().map(|p| p.layer_index));
-                    Result::Ok(())
-                })
-                .unwrap_err();
-                assert_eq!(err, expected, "chunk {chunk} workers {workers}");
+                let (handed, end) = drain(&net, &opts, None, chunk);
+                let consumed: Vec<_> = handed.concat().iter().map(|p| p.layer_index).collect();
+                assert_eq!(end.unwrap_err(), expected, "chunk {chunk} workers {workers}");
                 // Only the whole chunks before the failing layer were
                 // handed over.
                 let before = if chunk > 2 { 0 } else { 2 };
@@ -1147,20 +1129,20 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         // The first pair is whole; the file ends inside the last one.
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        let mut handed = 0;
-        let err = for_each_chunk(&net, &opts, Some(&dir), 1, |_| {
-            handed += 1;
-            Err(ModelError::Io { path: "consumer".into(), reason: "refused".into() })
-        })
-        .unwrap_err();
-        assert_eq!(handed, 1);
+        // A consumer that refuses the first chunk reads the rest of the
+        // file before it reports: the decode error is what it reports.
+        let mut stream = PairStream::open(&net, &opts, Some(&dir), 1).unwrap();
+        let handed = stream.next_chunk(1).unwrap();
+        assert_eq!(handed.len(), 1);
+        let refused = ModelError::Io { path: "consumer".into(), reason: "refused".into() };
+        let err = stream.finish().err().unwrap_or(refused);
         assert!(matches!(err, ModelError::Artifact { .. }), "{err}");
         assert!(err.to_string().contains("truncated input"), "{err}");
         // Trailing bytes after the last pair are a decode error too.
         let mut longer = bytes.clone();
         longer.push(0);
         std::fs::write(&path, &longer).unwrap();
-        let err = for_each_chunk(&net, &opts, Some(&dir), 2, |_| Result::Ok(())).unwrap_err();
+        let err = drain(&net, &opts, Some(&dir), 2).1.unwrap_err();
         assert!(err.to_string().contains("1 trailing bytes after payload"), "{err}");
         std::fs::write(&path, &bytes).unwrap();
         let mut stream = PairStream::open(&net, &opts, Some(&dir), 1).unwrap();

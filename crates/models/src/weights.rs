@@ -113,18 +113,16 @@ fn prune_input_channels(
     if count == 0 {
         return;
     }
-    let mut norms: Vec<(usize, f32)> = (0..in_channels)
-        .map(|ci| {
-            let mut s = 0.0f32;
-            for fi in 0..out_channels {
-                let base = fi * per_filter + ci * per_chan;
-                s += w.data()[base..base + per_chan].iter().map(|&x| x * x).sum::<f32>();
-            }
-            (ci, s)
-        })
-        .collect();
-    norms.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weights"));
-    for &(ci, _) in norms.iter().take(count.min(in_channels)) {
+    let pruned = smallest_norms(in_channels, count, |ci| {
+        let mut s = 0.0f32;
+        for fi in 0..out_channels {
+            let base = fi * per_filter + ci * per_chan;
+            s += w.data()[base..base + per_chan].iter().map(|&x| x * x).sum::<f32>();
+        }
+        s
+    });
+    for (ci, _) in pruned {
+        let ci = ci as usize;
         for fi in 0..out_channels {
             let base = fi * per_filter + ci * per_chan;
             w.data_mut()[base..base + per_chan].fill(0.0);
@@ -140,16 +138,30 @@ fn vector_prune_in_place(w: &mut Tensor, fraction: f32, group: usize) {
     if prune == 0 || vectors == 0 {
         return;
     }
-    let mut norms: Vec<(usize, f32)> = (0..vectors)
-        .map(|v| {
-            let s: f32 = w.data()[v * group..(v + 1) * group].iter().map(|&x| x * x).sum();
-            (v, s)
-        })
-        .collect();
-    norms.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite weights"));
-    for &(v, _) in norms.iter().take(prune.min(vectors)) {
+    let pruned = smallest_norms(vectors, prune, |v| {
+        w.data()[v * group..(v + 1) * group].iter().map(|&x| x * x).sum()
+    });
+    for (v, _) in pruned {
+        let v = v as usize;
         w.data_mut()[v * group..(v + 1) * group].fill(0.0);
     }
+}
+
+/// The `(index, norm)` of the `count` smallest `norm(i)` for `i < n` (all
+/// of them when `count >= n`), in no particular order: the `count` first in
+/// (norm, then index) order, i.e. the set a stable sort by norm puts first.
+/// A selection over 8-byte entries, not a sort: on VGG11's 102.8 M-weight
+/// FC layer that is half the scratch of `(usize, f32)` and no sort buffer.
+fn smallest_norms(n: usize, count: usize, norm: impl Fn(usize) -> f32) -> Vec<(u32, f32)> {
+    let index = |i: usize| u32::try_from(i).expect("at most u32::MAX vectors");
+    let mut norms: Vec<(u32, f32)> = (0..n).map(|i| (index(i), norm(i))).collect();
+    if count < n {
+        norms.select_nth_unstable_by(count, |a, b| {
+            a.1.partial_cmp(&b.1).expect("finite weights").then(a.0.cmp(&b.0))
+        });
+        norms.truncate(count);
+    }
+    norms
 }
 
 /// Like [`synthetic_weights`] but with an explicit sparsity target instead
@@ -190,6 +202,63 @@ pub fn synthetic_weights_with_sparsity(
 mod tests {
     use super::*;
     use crate::zoo;
+
+    /// The vectors a stable sort by norm zeroes: the rule the selection
+    /// replaced.
+    fn stable_sort_pruned(w: &Tensor, fraction: f32, group: usize) -> Tensor {
+        let mut w = w.clone();
+        let vectors = w.len() / group;
+        let prune = ((vectors as f64) * f64::from(fraction)).round() as usize;
+        let mut norms: Vec<(usize, f32)> = (0..vectors)
+            .map(|v| (v, w.data()[v * group..(v + 1) * group].iter().map(|&x| x * x).sum()))
+            .collect();
+        norms.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        for &(v, _) in norms.iter().take(prune.min(vectors)) {
+            w.data_mut()[v * group..(v + 1) * group].fill(0.0);
+        }
+        w
+    }
+
+    #[test]
+    fn selection_prunes_the_stable_sort_set_with_ties() {
+        let mut r = rng::seeded(11);
+        let mut w = rng::kaiming_tensor(&mut r, &[4, 6, 3, 3], 54);
+        // Every third of the 72 vectors all zero (24 tied norms), and the
+        // three next-smallest tied at a non-zero norm: at 25 and 26 pruned
+        // vectors (fractions 0.35 and 0.36) the tie-break by index decides
+        // which of those three are zeroed.
+        for v in (0..w.len() / 3).step_by(3) {
+            w.data_mut()[v * 3..v * 3 + 3].fill(0.0);
+        }
+        for v in [13usize, 1, 7] {
+            w.data_mut()[v * 3..v * 3 + 3].copy_from_slice(&[0.01, -0.01, 0.005]);
+        }
+        for fraction in [0.0f32, 0.1, 0.2, 1.0 / 3.0, 0.35, 0.36, 0.4, 0.5, 0.9, 1.0] {
+            let mut got = w.clone();
+            vector_prune_in_place(&mut got, fraction, 3);
+            let want = stable_sort_pruned(&w, fraction, 3);
+            assert_eq!(got.data(), want.data(), "fraction {fraction}");
+        }
+    }
+
+    #[test]
+    fn selection_keeps_the_stable_sort_set_at_every_count() {
+        // Three tied norms repeating, with -0.0 among the zeros: the set
+        // is decided by the tie-break alone.
+        let norm = |i: usize| [0.0f32, -0.0, 0.5, 0.0, 0.25][i % 5];
+        for n in [0usize, 1, 7, 20] {
+            let mut sorted: Vec<usize> = (0..n).collect();
+            sorted.sort_by(|&a, &b| norm(a).partial_cmp(&norm(b)).unwrap());
+            for count in 0..=n + 1 {
+                let mut got: Vec<usize> =
+                    smallest_norms(n, count, norm).into_iter().map(|(i, _)| i as usize).collect();
+                got.sort_unstable();
+                let mut want = sorted[..count.min(n)].to_vec();
+                want.sort_unstable();
+                assert_eq!(got, want, "n {n} count {count}");
+            }
+        }
+    }
 
     #[test]
     fn weights_match_descriptor_shapes() {

@@ -10,7 +10,10 @@
 //! requested batch size from that single pass. This keeps a whole batch-size sweep as
 //! cheap as one per-image simulation and, by construction, bit-identical
 //! for every worker count. The engine is also the single five-lane
-//! dispatch behind `se_bench::runner`'s comparison figures.
+//! dispatch ([`BatchEngine::simulate_lane`]) behind `se_bench::runner`'s
+//! one simulation queue, which runs all five lanes for the comparison
+//! figures and the SmartExchange lane alone for the energy breakdown and
+//! the serving profiles; [`BatchEngine::fold_lanes`] folds its rows.
 
 use crate::{BoxError, Result};
 use se_baselines::{BaselineConfig, BitPragmatic, CambriconX, DianNao, Scnn};
@@ -70,21 +73,6 @@ impl BatchEngine {
         }
     }
 
-    /// Simulates the pairs through the SmartExchange accelerator once per
-    /// image, fanning the layers out over `workers` threads; results are
-    /// reassembled in network order (bit-identical for every worker
-    /// count).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator failures.
-    pub fn per_image_se(&self, pairs: &[TracePair], workers: usize) -> Result<RunResult> {
-        let layers =
-            pipeline::try_run_ordered(pairs, workers, |_, pair| self.se.process_layer(&pair.se))
-                .map_err(BoxError::from)?;
-        Ok(RunResult { layers })
-    }
-
     /// One `(layer, accelerator)` grid job: a pure function of the trace
     /// pair, so grid scheduling can never leak into results. `Ok(None)`
     /// marks a design that cannot run the layer (`UnsupportedTrace`, e.g.
@@ -134,13 +122,19 @@ impl BatchEngine {
         Ok(Self::fold_lanes(grid))
     }
 
-    /// Folds per-pair grid rows (one [`BatchEngine::simulate_lane`] result
-    /// per lane, pairs in network order) into one run per lane. A lane
-    /// that cannot run some layer is `None` for the whole run.
-    pub fn fold_lanes(
+    /// Folds per-pair grid rows (one result per lane, `N` lanes, pairs in
+    /// network order) into one run per lane — the five
+    /// [`BatchEngine::simulate_lane`] lanes, or any other lane set on the
+    /// same grid. A lane that cannot run some layer is `None` for the
+    /// whole run.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a row with more than `N` results.
+    pub fn fold_lanes<const N: usize>(
         rows: impl IntoIterator<Item = Vec<Option<LayerResult>>>,
-    ) -> [Option<RunResult>; 5] {
-        let mut runs: [Option<RunResult>; 5] = std::array::from_fn(|_| Some(RunResult::default()));
+    ) -> [Option<RunResult>; N] {
+        let mut runs: [Option<RunResult>; N] = std::array::from_fn(|_| Some(RunResult::default()));
         for per_pair in rows {
             for (lane, result) in per_pair.into_iter().enumerate() {
                 match result {
@@ -239,10 +233,6 @@ mod tests {
         assert!(serial[SE_LANE].is_some());
         for workers in [2usize, 4, 8] {
             assert_eq!(e.per_image_comparison(&pairs, workers).unwrap(), serial);
-            assert_eq!(
-                &e.per_image_se(&pairs, workers).unwrap(),
-                serial[SE_LANE].as_ref().unwrap()
-            );
         }
     }
 
@@ -250,7 +240,7 @@ mod tests {
     fn batch_one_is_the_per_image_result() {
         let pairs = trace_pairs(&tiny(), &TraceOptions::fast()).unwrap();
         let e = engine();
-        let per_image = e.per_image_se(&pairs, 2).unwrap();
+        let per_image = e.per_image_comparison(&pairs, 2).unwrap()[SE_LANE].clone().unwrap();
         assert_eq!(e.batched(SE_LANE, &per_image, 1), per_image);
         assert_eq!(e.latency_table(SE_LANE, &per_image, 3)[0], per_image.total_cycles());
     }
@@ -259,7 +249,7 @@ mod tests {
     fn growing_batches_amortize_weight_dram_per_image() {
         let pairs = trace_pairs(&tiny(), &TraceOptions::fast()).unwrap();
         let e = engine();
-        let per_image = e.per_image_se(&pairs, 2).unwrap();
+        let per_image = e.per_image_comparison(&pairs, 2).unwrap()[SE_LANE].clone().unwrap();
         let weight_per_image = |n: usize| {
             let m = e.batched(SE_LANE, &per_image, n).mem_totals();
             (m.dram_weight_bytes + m.dram_index_bytes) as f64 / n as f64

@@ -73,7 +73,8 @@ fn cluster_reports_are_bit_identical_across_worker_counts() {
             .iter()
             .map(|net| {
                 let pairs = trace_pairs(net, &TraceOptions::fast()).unwrap();
-                let per_image = engine.per_image_se(&pairs, workers).unwrap();
+                let per_image =
+                    engine.per_image_comparison(&pairs, workers).unwrap()[SE_LANE].clone().unwrap();
                 ModelService::from_engine(&engine, SE_LANE, net.name(), &per_image, 4)
             })
             .collect();
@@ -98,7 +99,8 @@ fn residency_fetches_once_when_resident_and_thrashes_when_not() {
         .iter()
         .map(|net| {
             let pairs = trace_pairs(net, &TraceOptions::fast()).unwrap();
-            let per_image = engine.per_image_se(&pairs, 2).unwrap();
+            let per_image =
+                engine.per_image_comparison(&pairs, 2).unwrap()[SE_LANE].clone().unwrap();
             ModelService::from_engine(&engine, SE_LANE, net.name(), &per_image, 4)
         })
         .collect();

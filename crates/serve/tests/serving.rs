@@ -112,7 +112,7 @@ fn serve_once(sim_workers: usize, trace_workers: usize) -> (ClusterReport, Vec<u
         .with_se_config(TraceOptions::fast().se_config.with_parallelism(trace_workers).unwrap());
     let pairs = trace_pairs(&net, &opts).unwrap();
     let e = engine();
-    let per_image = e.per_image_se(&pairs, sim_workers).unwrap();
+    let per_image = e.per_image_comparison(&pairs, sim_workers).unwrap()[SE_LANE].clone().unwrap();
     let spec = one_instance(BatchPolicy { max_batch: 4, max_wait: 2_000, queue_cap: 64 });
     let service = ModelService::from_engine(&e, SE_LANE, "det", &per_image, spec.policy.max_batch);
     let requests: Vec<Request> = workload::open_loop_arrivals(
@@ -148,7 +148,7 @@ fn batched_serving_beats_single_image_serving_on_throughput() {
     // bottleneck — the regime where batch amortization pays in latency.
     let se_cfg = SeAcceleratorConfig { dram_bytes_per_cycle: 0.25, ..Default::default() };
     let e = BatchEngine::new(se_cfg, BaselineConfig::default()).unwrap();
-    let per_image = e.per_image_se(&pairs, 2).unwrap();
+    let per_image = e.per_image_comparison(&pairs, 2).unwrap()[SE_LANE].clone().unwrap();
     let services = [ModelService::from_engine(&e, SE_LANE, "thr", &per_image, 8)];
     // A closed loop saturates the server; wider batches finish the same
     // demand sooner because each batch fetches weights once.

@@ -7,7 +7,7 @@
 use smartexchange::baselines::{BaselineConfig, DianNao};
 use smartexchange::hw::sim::SeAccelerator;
 use smartexchange::hw::{Accelerator, EnergyModel, RunResult, SeAcceleratorConfig};
-use smartexchange::models::traces::{self, TraceOptions};
+use smartexchange::models::traces::{PairStream, TraceOptions};
 use smartexchange::models::zoo;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,14 +28,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("generating traces and simulating (a minute or two)...");
     let mut se_run = RunResult::default();
     let mut dn_run = RunResult::default();
-    // Four layers' traces at a time: generation stays bounded in memory.
-    traces::for_each_chunk(&net, &TraceOptions::fast(), None, 4, |pairs| {
-        for pair in &pairs {
-            se_run.layers.push(se.process_layer(&pair.se)?);
-            dn_run.layers.push(diannao.process_layer(&pair.dense)?);
-        }
-        Ok::<_, Box<dyn std::error::Error>>(())
-    })?;
+    // One pair at a time from the network's pair stream, generated four
+    // layers at a time: only one chunk of traces is alive at once.
+    let opts = TraceOptions::fast();
+    let mut pairs = PairStream::open(&net, &opts, None, 4)?;
+    while let Some(pair) = pairs.next_pair()? {
+        se_run.layers.push(se.process_layer(&pair.se)?);
+        dn_run.layers.push(diannao.process_layer(&pair.dense)?);
+    }
 
     let se_energy = se_run.energy_mj(&em, &se_cfg);
     let dn_energy = dn_run.energy_mj(&em, &se_cfg);
