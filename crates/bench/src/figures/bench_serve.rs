@@ -8,14 +8,18 @@
 //! violation fails the command.
 //!
 //! Results go to `--bench-out` (default `BENCH_serve.json`) as a
-//! machine-readable report (`se_bench::json`); the file is parsed back
-//! and schema-checked after writing, so a green exit implies a valid
+//! machine-readable report (`se_bench::json`); the text is decoded and
+//! schema-checked before it is written, so a green exit implies a valid
 //! snapshot. Wall-clock numbers vary run to run — the JSON is a perf
 //! snapshot, not a determinism surface; only the outcome counts are.
+//!
+//! One config is one `ConfigRow`, declared once: the driver builds it
+//! from the run, prints its table cells and writes it; `se bench diff`
+//! reads it back through the same declaration, which is the schema check.
 
 use crate::args::Flags;
 use crate::figures::latency;
-use crate::json::Json;
+use crate::json::{json_record, mistyped, Field, Json};
 use crate::obs_export::Recording;
 use crate::{cli, runner, table, Result};
 use se_hw::{RunResult, SeAcceleratorConfig};
@@ -56,20 +60,136 @@ pub fn run(rest: &[String], flags: &Flags, out: &mut dyn Write) -> Result<()> {
 /// takes 8–31 ms at CI's size, too close to host noise to read alone.
 const TIMED_RUNS: usize = 5;
 
-/// One point of the sweep grid. Displays as its trace label,
-/// `inst{n} {router} b{k} {churn} {memory}`.
-struct Config {
-    instances: usize,
-    router: RouterPolicy,
-    max_batch: usize,
-    churn: &'static str,
-    memory: &'static str,
+/// What `tiers` must hold: flat configs carry null and tiered ones a
+/// non-empty array, so the two memory shapes are unmistakable.
+const TIERS: &str = "null for flat memory and a non-empty array for tiered memory";
+
+impl Field for Option<Vec<TierRow>> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, |t| Json::Arr(t.iter().map(TierRow::to_json).collect()))
+    }
+    fn from_json(at: &str, key: &str, v: &Json) -> Result<Option<Vec<TierRow>>> {
+        match v {
+            Json::Null => Ok(None),
+            Json::Arr(tiers) if !tiers.is_empty() => {
+                let tier = |(k, t)| TierRow::read(&format!("{at} tier {k}"), t);
+                tiers.iter().enumerate().map(tier).collect::<Result<_>>().map(Some)
+            }
+            _ => Err(mistyped(at, key, TIERS)),
+        }
+    }
 }
 
-impl fmt::Display for Config {
+json_record! {
+    /// One tier's spec and accumulated traffic in a tiered config.
+    struct TierRow {
+        name: String, capacity_bytes: f64, bytes_per_cycle: f64,
+        hits: f64, promotions: f64, demotions: f64, evictions: f64, up_mb: f64, down_mb: f64,
+    }
+}
+
+json_record! {
+    /// One config of the sweep: its five axes, which display as its trace
+    /// label `inst{n} {router} b{k} {churn} {memory}`, and what its run
+    /// measured, each number the `f64` the file holds.
+    #[derive(Default)]
+    struct ConfigRow {
+        instances: f64, router: String, max_batch: f64, churn: String, memory: String,
+        tiers: Option<Vec<TierRow>>,
+        wall_ms: f64, throughput_rps: f64,
+        completed: f64, rejected: f64, misses: f64, lost: f64, rerouted: f64, killed_batches: f64,
+        goodput_per_s: f64, p50_ms: Option<f64>, p95_ms: Option<f64>, p99_ms: Option<f64>,
+        weight_fetches: f64, fetch_mb: f64,
+    }
+}
+
+impl ConfigRow {
+    /// Reads config `i` of a snapshot: [`ConfigRow::read`] plus the axis
+    /// values the sweep can produce, and `tiers` matching `memory`.
+    fn from_json(i: usize, v: &Json) -> Result<ConfigRow> {
+        let at = format!("config {i}");
+        let row = ConfigRow::read(&at, v)?;
+        if !["none", "kill-restart"].contains(&row.churn.as_str()) {
+            return Err(mistyped(&at, "churn", "\"none\" or \"kill-restart\""));
+        }
+        if !["flat", "tiered"].contains(&row.memory.as_str()) {
+            return Err(mistyped(&at, "memory", "\"flat\" or \"tiered\""));
+        }
+        if row.tiers.is_some() != (row.memory == "tiered") {
+            return Err(mistyped(&at, "tiers", TIERS));
+        }
+        Ok(row)
+    }
+
+    /// This config's row once `spec`'s run is measured: it took `wall_ms`
+    /// (the median) and produced `report`.
+    fn measured(self, spec: &ClusterSpec, wall_ms: f64, report: &ClusterReport, freq: f64) -> Self {
+        let pct = |p: f64| report.latency_percentile(p).map(|c| latency::ms(freq, c as f64));
+        let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+        let tiers = spec.tiers.as_ref().map(|stack| {
+            let traffic = stack.iter().zip(&report.tier_traffic);
+            traffic
+                .map(|(t, s)| TierRow {
+                    name: t.name.clone(),
+                    capacity_bytes: t.capacity_bytes as f64,
+                    bytes_per_cycle: t.bytes_per_cycle,
+                    hits: s.hits as f64,
+                    promotions: s.promotions as f64,
+                    demotions: s.demotions as f64,
+                    evictions: s.evictions as f64,
+                    up_mb: mb(s.bytes_up),
+                    down_mb: mb(s.bytes_down),
+                })
+                .collect()
+        });
+        ConfigRow {
+            tiers,
+            wall_ms,
+            throughput_rps: report.completed() as f64 / (wall_ms / 1e3),
+            completed: report.completed() as f64,
+            rejected: report.rejected as f64,
+            misses: report.misses as f64,
+            lost: report.lost as f64,
+            rerouted: report.rerouted as f64,
+            killed_batches: report.killed_batches as f64,
+            goodput_per_s: report.goodput_per_s(freq),
+            p50_ms: pct(50.0),
+            p95_ms: pct(95.0),
+            p99_ms: pct(99.0),
+            weight_fetches: report.residency.fetches as f64,
+            fetch_mb: mb(report.residency.bytes_fetched),
+            ..self
+        }
+    }
+
+    /// The identity of a config within a snapshot, every sweep axis: the
+    /// join key of `se bench diff`.
+    fn key(&self) -> String {
+        let ConfigRow { instances, router, max_batch, churn, memory, .. } = self;
+        format!("inst={instances} router={router} batch={max_batch} churn={churn} memory={memory}")
+    }
+
+    /// The row's cells in the driver's printed table.
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.instances.to_string(),
+            self.router.clone(),
+            self.max_batch.to_string(),
+            self.churn.clone(),
+            self.memory.clone(),
+            format!("{:.1}", self.wall_ms),
+            format!("{:.0}", self.throughput_rps),
+            self.p99_ms.map_or_else(|| "-".to_string(), |p| format!("{p:.4}")),
+            format!("{:.1}", self.goodput_per_s),
+            format!("{:.2}", self.fetch_mb),
+        ]
+    }
+}
+
+impl fmt::Display for ConfigRow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let Config { instances, router, max_batch, churn, memory } = self;
-        write!(f, "inst{instances} {} b{max_batch} {churn} {memory}", router.name())
+        let ConfigRow { instances, router, max_batch, churn, memory, .. } = self;
+        write!(f, "inst{instances} {router} b{max_batch} {churn} {memory}")
     }
 }
 
@@ -171,10 +291,11 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
 
     // The grid's configs, each with its spec, its stream (one per
     // instance count) and its service tables (one set per batch cap), the
-    // last two as indices into `streams` and `tables`.
+    // last two as indices into `streams` and `tables`. A config's row
+    // holds its axes until its run is measured.
     let tables: Vec<Vec<ModelService>> = max_batches.iter().map(|&b| services(b)).collect();
     let mut streams = Vec::new();
-    let mut grid: Vec<(Config, ClusterSpec, usize, usize)> = Vec::new();
+    let mut grid: Vec<(ConfigRow, ClusterSpec, usize, usize)> = Vec::new();
     for &instances in &instance_counts {
         // Arrival pressure scales with capacity so every instance count
         // sees the same per-instance load.
@@ -188,10 +309,10 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             deadline,
         )?;
         // The churn axis: every multi-instance config is measured healthy
-        // ("none") and with one instance killed mid-run and restarted
-        // later ("kill-restart") — the wall-clock cost of re-routing and
-        // cold-restart re-fetches. Single instances skip churn: killing
-        // the only instance measures an outage, not elasticity.
+        // and with one instance killed mid-run and restarted later — the
+        // wall-clock cost of re-routing and cold-restart re-fetches.
+        // Single instances skip churn: killing the only instance measures
+        // an outage, not elasticity.
         let last_arrival = stream.last().map_or(0, |r| r.arrival);
         let churns: &[&str] =
             if instances > 1 && last_arrival > 0 { &["none", "kill-restart"] } else { &["none"] };
@@ -210,8 +331,15 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
                                 _ => kill_restart(last_arrival),
                             },
                         };
-                        let config = Config { instances, router, max_batch, churn, memory };
-                        grid.push((config, spec, streams.len(), table));
+                        let row = ConfigRow {
+                            instances: instances as f64,
+                            router: router.name().to_string(),
+                            max_batch: max_batch as f64,
+                            churn: churn.to_string(),
+                            memory: memory.to_string(),
+                            ..ConfigRow::default()
+                        };
+                        grid.push((row, spec, streams.len(), table));
                     }
                 }
             }
@@ -234,7 +362,7 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
     // deterministic). Whole sweeps, not back-to-back runs of one config,
     // so that a slow spell of the host lands on one sample of many
     // configs rather than on every sample of a few.
-    let labels: Vec<&Config> = grid.iter().map(|(config, ..)| config).collect();
+    let labels: Vec<&ConfigRow> = grid.iter().map(|(row, ..)| row).collect();
     let mut recording = Recording::new(flags);
     let first = recording.run_ordered(&labels, 1, |i, sink| {
         let (config, _, stream, _) = &grid[i];
@@ -259,47 +387,27 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
             samples.push(timed(i, &mut NullSink)?.0);
         }
     }
-    let results = grid.iter().zip(first).zip(walls).map(
-        |(((config, spec, ..), (_, report)), mut samples)| {
+    let rows: Vec<ConfigRow> = grid
+        .into_iter()
+        .zip(first)
+        .zip(walls)
+        .map(|(((row, spec, ..), (_, report)), mut samples)| {
             samples.sort_by(f64::total_cmp);
-            let wall_ms = samples[TIMED_RUNS / 2];
-            (
-                summary_row(config, wall_ms, &report, freq),
-                config_json(config, spec, wall_ms, &report, freq),
-            )
-        },
-    );
-    let (rows, configs): (Vec<Vec<String>>, Vec<Json>) = results.unzip();
+            row.measured(&spec, samples[TIMED_RUNS / 2], &report, freq)
+        })
+        .collect();
 
-    writeln!(
-        out,
-        "{}",
-        table::render(
-            &[
-                "inst",
-                "router",
-                "batch",
-                "churn",
-                "memory",
-                "wall ms",
-                "req/s",
-                "p99 ms",
-                "goodput/s",
-                "fetch MB",
-            ],
-            &rows,
-        )
-    )?;
+    let cells: Vec<Vec<String>> = rows.iter().map(ConfigRow::cells).collect();
+    let header: Vec<&str> =
+        "inst,router,batch,churn,memory,wall ms,req/s,p99 ms,goodput/s,fetch MB"
+            .split(',')
+            .collect();
+    writeln!(out, "{}", table::render(&header, &cells))?;
 
     let doc = Json::Obj(vec![
         ("bench".into(), Json::Str("serve".into())),
-        // v2: churn axis (churn/lost/rerouted/killed_batches per config)
-        // and null percentiles for empty latency samples.
-        // v3: memory axis ("flat" | "tiered") with per-tier traffic
-        // (`tiers`: null for flat, else one entry per tier with spec and
-        // hit/promotion/demotion/eviction counters and bytes moved).
-        // v4: one runtime — the per-config runtime, worker-count, and
-        // outcome-equality fields are gone.
+        // v2: churn axis; v3: memory axis with per-tier traffic; v4: one
+        // runtime (no per-config runtime, worker-count or outcome fields).
         ("schema_version".into(), Json::Num(4.0)),
         (
             "models".into(),
@@ -310,108 +418,25 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         ("frequency_hz".into(), Json::Num(freq)),
         ("requests_per_config".into(), Json::Num(requests as f64)),
         ("host_parallelism".into(), Json::Num(host as f64)),
-        ("configs".into(), Json::Arr(configs)),
+        ("configs".into(), Json::Arr(rows.iter().map(ConfigRow::to_json).collect())),
     ]);
     let path = flags.bench_out.clone().unwrap_or_else(|| "BENCH_serve.json".into());
     let text = doc.render();
-    // Self-validate before writing: the committed snapshot must always
-    // satisfy the schema the CI dry-run checks.
-    validate_report(&Json::parse(&text)?)?;
+    // Decode what is about to be written: the committed snapshot must
+    // always read back as the snapshot `se bench diff` checks.
+    Snapshot::parse(&path.display().to_string(), &text)?;
     std::fs::write(&path, &text)?;
-    writeln!(out, "wrote {} ({} configs)", path.display(), doc_configs(&doc))?;
+    writeln!(out, "wrote {} ({} configs)", path.display(), rows.len())?;
     recording.write()
 }
 
-fn doc_configs(doc: &Json) -> usize {
-    doc.get("configs").and_then(Json::as_array).map_or(0, <[Json]>::len)
-}
-
-fn summary_row(config: &Config, wall_ms: f64, report: &ClusterReport, freq: f64) -> Vec<String> {
-    vec![
-        config.instances.to_string(),
-        config.router.name().to_string(),
-        config.max_batch.to_string(),
-        config.churn.to_string(),
-        config.memory.to_string(),
-        format!("{wall_ms:.1}"),
-        format!("{:.0}", report.completed() as f64 / (wall_ms / 1e3)),
-        match report.latency_percentile(99.0) {
-            Some(p) => format!("{:.4}", latency::ms(freq, p as f64)),
-            None => "-".to_string(),
-        },
-        format!("{:.1}", report.goodput_per_s(freq)),
-        format!("{:.2}", report.residency.bytes_fetched as f64 / (1024.0 * 1024.0)),
-    ]
-}
-
-fn config_json(
-    config: &Config,
-    spec: &ClusterSpec,
-    wall_ms: f64,
-    report: &ClusterReport,
-    freq: f64,
-) -> Json {
-    // An all-rejected/all-lost run has no latency sample: percentiles are
-    // null, not a fake 0.
-    let pct = |p: f64| {
-        report.latency_percentile(p).map_or(Json::Null, |c| Json::Num(latency::ms(freq, c as f64)))
-    };
-    // Per-tier traffic: the spec's tier stack zipped with the report's
-    // accumulated counters (flat configs carry null, not an empty array,
-    // so the two memory shapes are unmistakable in the JSON).
-    let tiers = match &spec.tiers {
-        None => Json::Null,
-        Some(stack) => Json::Arr(
-            stack
-                .iter()
-                .zip(&report.tier_traffic)
-                .map(|(t, s)| {
-                    Json::Obj(vec![
-                        ("name".into(), Json::Str(t.name.clone())),
-                        ("capacity_bytes".into(), Json::Num(t.capacity_bytes as f64)),
-                        ("bytes_per_cycle".into(), Json::Num(t.bytes_per_cycle)),
-                        ("hits".into(), Json::Num(s.hits as f64)),
-                        ("promotions".into(), Json::Num(s.promotions as f64)),
-                        ("demotions".into(), Json::Num(s.demotions as f64)),
-                        ("evictions".into(), Json::Num(s.evictions as f64)),
-                        ("up_mb".into(), Json::Num(s.bytes_up as f64 / (1024.0 * 1024.0))),
-                        ("down_mb".into(), Json::Num(s.bytes_down as f64 / (1024.0 * 1024.0))),
-                    ])
-                })
-                .collect(),
-        ),
-    };
-    Json::Obj(vec![
-        ("instances".into(), Json::Num(config.instances as f64)),
-        ("router".into(), Json::Str(config.router.name().into())),
-        ("max_batch".into(), Json::Num(config.max_batch as f64)),
-        ("churn".into(), Json::Str(config.churn.into())),
-        ("memory".into(), Json::Str(config.memory.into())),
-        ("tiers".into(), tiers),
-        ("wall_ms".into(), Json::Num(wall_ms)),
-        ("throughput_rps".into(), Json::Num(report.completed() as f64 / (wall_ms / 1e3))),
-        ("completed".into(), Json::Num(report.completed() as f64)),
-        ("rejected".into(), Json::Num(report.rejected as f64)),
-        ("misses".into(), Json::Num(report.misses as f64)),
-        ("lost".into(), Json::Num(report.lost as f64)),
-        ("rerouted".into(), Json::Num(report.rerouted as f64)),
-        ("killed_batches".into(), Json::Num(report.killed_batches as f64)),
-        ("goodput_per_s".into(), Json::Num(report.goodput_per_s(freq))),
-        ("p50_ms".into(), pct(50.0)),
-        ("p95_ms".into(), pct(95.0)),
-        ("p99_ms".into(), pct(99.0)),
-        ("weight_fetches".into(), Json::Num(report.residency.fetches as f64)),
-        ("fetch_mb".into(), Json::Num(report.residency.bytes_fetched as f64 / (1024.0 * 1024.0))),
-    ])
-}
-
-/// Schema check for a `BENCH_serve.json` document — shared by the driver
-/// (self-validation after writing) and the CI dry-run test.
+/// Decodes a `BENCH_serve.json` document: checks the header and reads
+/// every config as a [`ConfigRow`].
 ///
 /// # Errors
 ///
 /// Describes the first missing or mistyped field.
-pub fn validate_report(doc: &Json) -> Result<()> {
+fn decode(doc: &Json) -> Result<Vec<ConfigRow>> {
     let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing top-level `{key}`"));
     if field("bench")?.as_str() != Some("serve") {
         return Err("`bench` must be \"serve\"".into());
@@ -437,118 +462,24 @@ pub fn validate_report(doc: &Json) -> Result<()> {
     if configs.is_empty() {
         return Err("`configs` must be non-empty".into());
     }
-    for (i, cfg) in configs.iter().enumerate() {
-        let field = |key: &str| cfg.get(key).ok_or_else(|| format!("config {i}: missing `{key}`"));
-        if field("router")?.as_str().is_none() {
-            return Err(format!("config {i}: `router` must be a string").into());
-        }
-        match field("churn")?.as_str() {
-            Some("none" | "kill-restart") => {}
-            _ => {
-                return Err(
-                    format!("config {i}: `churn` must be \"none\" or \"kill-restart\"").into()
-                )
-            }
-        }
-        // v3 memory axis: flat configs carry `tiers: null`, tiered ones a
-        // non-empty per-tier traffic array.
-        let memory = match field("memory")?.as_str() {
-            Some(m @ ("flat" | "tiered")) => m,
-            _ => return Err(format!("config {i}: `memory` must be \"flat\" or \"tiered\"").into()),
-        };
-        let tiers = field("tiers")?;
-        match (memory, tiers) {
-            ("flat", Json::Null) => {}
-            ("tiered", Json::Arr(entries)) if !entries.is_empty() => {
-                for (k, entry) in entries.iter().enumerate() {
-                    let tf = |key: &str| {
-                        entry
-                            .get(key)
-                            .ok_or_else(|| format!("config {i} tier {k}: missing `{key}`"))
-                    };
-                    if tf("name")?.as_str().is_none() {
-                        return Err(format!("config {i} tier {k}: `name` must be a string").into());
-                    }
-                    for key in [
-                        "capacity_bytes",
-                        "bytes_per_cycle",
-                        "hits",
-                        "promotions",
-                        "demotions",
-                        "evictions",
-                        "up_mb",
-                        "down_mb",
-                    ] {
-                        if tf(key)?.as_f64().is_none() {
-                            return Err(
-                                format!("config {i} tier {k}: `{key}` must be a number").into()
-                            );
-                        }
-                    }
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "config {i}: `tiers` must be null for flat memory and a non-empty \
-                     array for tiered memory"
-                )
-                .into())
-            }
-        }
-        for key in [
-            "instances",
-            "max_batch",
-            "wall_ms",
-            "throughput_rps",
-            "completed",
-            "rejected",
-            "misses",
-            "lost",
-            "rerouted",
-            "killed_batches",
-            "goodput_per_s",
-            "weight_fetches",
-            "fetch_mb",
-        ] {
-            if field(key)?.as_f64().is_none() {
-                return Err(format!("config {i}: `{key}` must be a number").into());
-            }
-        }
-        for key in ["p50_ms", "p95_ms", "p99_ms"] {
-            let v = field(key)?;
-            if v.as_f64().is_none() && *v != Json::Null {
-                return Err(format!("config {i}: `{key}` must be a number or null").into());
-            }
-        }
-    }
-    Ok(())
+    configs.iter().enumerate().map(|(i, cfg)| ConfigRow::from_json(i, cfg)).collect()
 }
 
-/// The identity of one config within a snapshot: every sweep axis — the
-/// join key of `se bench diff`.
-fn config_key(cfg: &Json) -> String {
-    let s = |key: &str| cfg.get(key).and_then(Json::as_str).unwrap_or("?").to_string();
-    let n = |key: &str| {
-        cfg.get(key).map_or("null".to_string(), |v| {
-            v.as_f64().map_or("null".to_string(), |x| format!("{x}"))
-        })
-    };
-    format!(
-        "inst={} router={} batch={} churn={} memory={}",
-        n("instances"),
-        s("router"),
-        n("max_batch"),
-        s("churn"),
-        s("memory"),
-    )
+/// Schema check for a `BENCH_serve.json` document: [`Snapshot::parse`]'s
+/// decoder without the repeated-config check.
+///
+/// # Errors
+///
+/// Describes the first missing or mistyped field.
+pub fn validate_report(doc: &Json) -> Result<()> {
+    decode(doc).map(drop)
 }
 
-/// One snapshot as `se bench diff` reads it: every config's throughput
-/// under its key (instances, router, batch cap, churn and memory), in
-/// file order.
+/// One snapshot as `se bench diff` reads it: every config's decoded row
+/// under its key, in file order.
 pub struct Snapshot {
     label: String,
-    configs: Vec<(String, f64)>,
+    rows: Vec<(String, ConfigRow)>,
 }
 
 impl Snapshot {
@@ -560,20 +491,17 @@ impl Snapshot {
     /// (a diff could not tell which of the two to compare).
     pub fn parse(label: &str, text: &str) -> Result<Snapshot> {
         let doc = Json::parse(text).map_err(|e| format!("{label}: {e}"))?;
-        validate_report(&doc).map_err(|e| format!("{label}: schema drift: {e}"))?;
-        let configs = doc.get("configs").and_then(Json::as_array).unwrap_or(&[]);
-        let mut seen = HashSet::with_capacity(configs.len());
-        let configs = configs
-            .iter()
-            .map(|cfg| {
-                let key = config_key(cfg);
-                if !seen.insert(key.clone()) {
-                    return Err(format!("{label}: config repeated: {key}"));
-                }
-                Ok((key, cfg.get("throughput_rps").and_then(Json::as_f64).unwrap_or(0.0)))
-            })
-            .collect::<std::result::Result<_, _>>()?;
-        Ok(Snapshot { label: label.to_string(), configs })
+        let rows = decode(&doc).map_err(|e| format!("{label}: schema drift: {e}"))?;
+        let mut seen = HashSet::with_capacity(rows.len());
+        let keyed = |row: ConfigRow| {
+            let key = row.key();
+            if !seen.insert(key.clone()) {
+                return Err(format!("{label}: config repeated: {key}"));
+            }
+            Ok((key, row))
+        };
+        let rows = rows.into_iter().map(keyed).collect::<std::result::Result<_, _>>()?;
+        Ok(Snapshot { label: label.to_string(), rows })
     }
 }
 
@@ -604,17 +532,17 @@ pub fn run_diff(baseline: &Path, candidate: &Path, out: &mut dyn Write) -> Resul
 /// Config-set drift and any >2x throughput swing (all violations are
 /// listed).
 pub fn diff_snapshots(base: &Snapshot, cand: &Snapshot, out: &mut dyn Write) -> Result<()> {
-    let base_keys: HashSet<&str> = base.configs.iter().map(|(key, _)| key.as_str()).collect();
+    let base_keys: HashSet<&str> = base.rows.iter().map(|(key, _)| key.as_str()).collect();
     let cand_rps: HashMap<&str, f64> =
-        cand.configs.iter().map(|(key, rps)| (key.as_str(), *rps)).collect();
+        cand.rows.iter().map(|(key, row)| (key.as_str(), row.throughput_rps)).collect();
 
     let mut violations: Vec<String> = Vec::new();
-    for (key, _) in &base.configs {
+    for (key, _) in &base.rows {
         if !cand_rps.contains_key(key.as_str()) {
             violations.push(format!("config dropped from candidate: {key}"));
         }
     }
-    for (key, _) in &cand.configs {
+    for (key, _) in &cand.rows {
         if !base_keys.contains(key.as_str()) {
             violations.push(format!("config absent from baseline: {key}"));
         }
@@ -622,9 +550,10 @@ pub fn diff_snapshots(base: &Snapshot, cand: &Snapshot, out: &mut dyn Write) -> 
 
     writeln!(out, "se bench diff: {} (baseline) vs {} (candidate)\n", base.label, cand.label)?;
     let mut rows = Vec::new();
-    for (key, base_rps) in &base.configs {
+    for (key, row) in &base.rows {
         let Some(&cand_rps) = cand_rps.get(key.as_str()) else { continue };
-        let ratio = if *base_rps > 0.0 { cand_rps / base_rps } else { f64::INFINITY };
+        let base_rps = row.throughput_rps;
+        let ratio = if base_rps > 0.0 { cand_rps / base_rps } else { f64::INFINITY };
         let ok = (0.5..=2.0).contains(&ratio);
         if !ok {
             violations.push(format!(
@@ -669,4 +598,23 @@ pub fn diff_snapshots(base: &Snapshot, cand: &Snapshot, out: &mut dyn Write) -> 
         cand.label
     )
     .into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshots_decode_into_rows_that_rerender_byte_identically() {
+        let golden = include_str!("../../tests/fixtures/bench_serve_golden.json");
+        let committed = include_str!("../../../../BENCH_serve.json");
+        for text in [golden, committed] {
+            let mut doc = Json::parse(text).unwrap();
+            let rows = decode(&doc).unwrap();
+            let Json::Obj(fields) = &mut doc else { panic!("snapshot is an object") };
+            let slot = fields.iter_mut().find(|(k, _)| k == "configs").unwrap();
+            slot.1 = Json::Arr(rows.iter().map(ConfigRow::to_json).collect());
+            assert_eq!(doc.render(), text);
+        }
+    }
 }

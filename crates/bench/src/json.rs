@@ -326,6 +326,81 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64> {
     }
 }
 
+/// One field of a typed record ([`json_record!`]): how it is written,
+/// and the strict read back that is the record's schema check.
+pub(crate) trait Field: Sized {
+    fn to_json(&self) -> Json;
+    /// Reads field `key` of the record named `at` in errors (`config 3`,
+    /// `config 3 tier 1`).
+    fn from_json(at: &str, key: &str, v: &Json) -> Result<Self>;
+}
+
+/// The error for field `key` of record `at` holding something other than
+/// `what`.
+pub(crate) fn mistyped(at: &str, key: &str, what: &str) -> crate::BoxError {
+    format!("{at}: `{key}` must be {what}").into()
+}
+
+impl Field for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn from_json(at: &str, key: &str, v: &Json) -> Result<f64> {
+        v.as_f64().ok_or_else(|| mistyped(at, key, "a number"))
+    }
+}
+
+impl Field for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(at: &str, key: &str, v: &Json) -> Result<String> {
+        v.as_str().map(str::to_string).ok_or_else(|| mistyped(at, key, "a string"))
+    }
+}
+
+/// A number that may be null (a statistic of an empty sample).
+impl Field for Option<f64> {
+    fn to_json(&self) -> Json {
+        self.map_or(Json::Null, Json::Num)
+    }
+    fn from_json(at: &str, key: &str, v: &Json) -> Result<Option<f64>> {
+        match v {
+            Json::Null => Ok(None),
+            _ => v.as_f64().map(Some).ok_or_else(|| mistyped(at, key, "a number or null")),
+        }
+    }
+}
+
+/// Declares a record type from one list of [`Field`]s in file order: the
+/// struct, its writer `to_json` (an object with the fields in that order)
+/// and its strict reader `read(at, v)` (every field present and of its
+/// type), so what is written and what is checked cannot drift apart.
+macro_rules! json_record {
+    ($(#[$meta:meta])* struct $record:ident { $($field:ident: $ty:ty,)* }) => {
+        $(#[$meta])*
+        struct $record {
+            $($field: $ty,)*
+        }
+
+        impl $record {
+            fn to_json(&self) -> $crate::json::Json {
+                use $crate::json::Field;
+                $crate::json::Json::Obj(vec![$((stringify!($field).into(), self.$field.to_json()),)*])
+            }
+
+            fn read(at: &str, v: &$crate::json::Json) -> $crate::Result<$record> {
+                use $crate::json::Field;
+                let get = |key: &str| v.get(key).ok_or_else(|| format!("{at}: missing `{key}`"));
+                Ok($record {
+                    $($field: Field::from_json(at, stringify!($field), get(stringify!($field))?)?,)*
+                })
+            }
+        }
+    };
+}
+pub(crate) use json_record;
+
 #[cfg(test)]
 mod tests {
     use super::*;
