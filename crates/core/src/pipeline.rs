@@ -1,8 +1,8 @@
 //! Deterministic parallel execution of independent per-item jobs.
 //!
-//! The primitives here — [`run_ordered`], [`try_run_ordered`], the
-//! budget-splitting [`try_run_nested`] and the 2-D [`try_run_grid`] — run a
-//! batch of independent jobs on a shared work queue drained by
+//! The primitives here — [`try_run_ordered`], the budget-splitting
+//! [`try_run_nested`] and the 2-D [`try_run_grid`] — run a batch of
+//! independent jobs on a shared work queue drained by
 //! [`std::thread::scope`] workers and reassemble the results **in item
 //! order**, which makes the parallel output bit-identical to a serial run:
 //! every job's work happens on exactly one thread with exactly the same
@@ -36,8 +36,9 @@
 //!
 //! # fn main() -> Result<(), CoreError> {
 //! let items: Vec<u64> = (0..16).collect();
-//! let root = |_: usize, &x: &u64| (x as f64).sqrt();
-//! assert_eq!(pipeline::run_ordered(&items, 1, root), pipeline::run_ordered(&items, 4, root));
+//! let root = |_: usize, &x: &u64| Ok::<_, CoreError>((x as f64).sqrt());
+//! let serial = pipeline::try_run_ordered(&items, 1, root)?;
+//! assert_eq!(serial, pipeline::try_run_ordered(&items, 4, root)?);
 //!
 //! // Two jobs share a budget of four threads: each runs with two inside.
 //! let cfg = SeConfig::default().with_parallelism(4)?;
@@ -56,64 +57,23 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use crate::SeConfig;
 
 /// Runs `f` over every item of `items`, spreading the calls across up to
-/// `workers` scoped threads, and returns the outputs **in item order**.
+/// `workers` scoped threads, and returns the outputs **in item order**, or
+/// the failure of the **lowest-indexed** failing item — the same error a
+/// serial in-order run reports.
 ///
 /// This is the deterministic work-queue primitive behind the compression
 /// pipeline (and the trace generators in `se-models`): each item is
 /// processed exactly once on exactly one thread, so any per-item
 /// computation — floating-point included — is bit-identical to a serial
-/// loop; only wall-clock time depends on `workers`.
-///
-/// `workers` is clamped to `[1, items.len()]`; `workers <= 1` runs inline
-/// without spawning.
-pub fn run_ordered<I, O, F>(items: &[I], workers: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(usize, &I) -> O + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i, &items[i]);
-                *slots[i].lock().expect("result slot never poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot never poisoned")
-                .expect("every queue index was drained exactly once")
-        })
-        .collect()
-}
-
-/// Fallible [`run_ordered`]: runs `f` over every item and returns outputs
-/// in item order, or the failure of the **lowest-indexed** failing item —
-/// the same error a serial in-order run reports. Items queued behind an
+/// loop; only wall-clock time depends on `workers`. Items queued behind an
 /// already-failed index are skipped (their results could never be
 /// observed); the minimal failing index is always computed because an item
-/// is only skipped when a *lower* index has already failed.
+/// is only skipped when a *lower* index has already failed. Generic over
+/// the error type so any subsystem (compression, trace generation,
+/// simulation) can put its own jobs on the queue.
 ///
-/// Generic over the error type so any subsystem (compression, trace
-/// generation, simulation) can put its own jobs on the queue.
+/// `workers` is clamped to `[1, items.len()]`; one worker runs inline
+/// without spawning and stops at the first failure.
 ///
 /// # Errors
 ///
@@ -129,29 +89,45 @@ where
     E: Send,
     F: Fn(usize, &I) -> std::result::Result<O, E> + Sync,
 {
+    let n = items.len();
+    let workers = workers.clamp(1, n.max(1));
+    if workers == 1 {
+        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+    }
+
+    let next = AtomicUsize::new(0);
     // Lowest failing index observed so far; items behind it are skipped.
     let failed_at = AtomicUsize::new(usize::MAX);
-    let results = run_ordered(items, workers, |i, item| {
-        if i > failed_at.load(Ordering::Relaxed) {
-            return None;
+    let slots: Vec<Mutex<Option<std::result::Result<O, E>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                if i > failed_at.load(Ordering::Relaxed) {
+                    continue;
+                }
+                let out = f(i, &items[i]);
+                if out.is_err() {
+                    failed_at.fetch_min(i, Ordering::Relaxed);
+                }
+                *slots[i].lock().expect("result slot never poisoned") = Some(out);
+            });
         }
-        let out = f(i, item);
-        if out.is_err() {
-            failed_at.fetch_min(i, Ordering::Relaxed);
-        }
-        Some(out)
     });
-    let mut done = Vec::with_capacity(items.len());
-    for out in results {
-        match out {
-            Some(Ok(v)) => done.push(v),
-            // The lowest-indexed error: everything before it succeeded.
-            Some(Err(e)) => return Err(e),
-            // Skipped behind a failure; the error above is reached first.
-            None => unreachable!("skipped item precedes the failing index"),
-        }
-    }
-    Ok(done)
+    // Collecting stops at the lowest-indexed error, before any skipped
+    // slot: everything before that error ran and succeeded.
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot never poisoned")
+                .expect("skipped items lie behind the failing index")
+        })
+        .collect()
 }
 
 /// Fans a 2-D grid of jobs — every `(item, lane)` pair — onto the work
@@ -191,16 +167,10 @@ where
     F: Fn(usize, &I, usize) -> std::result::Result<O, E> + Sync,
 {
     let source = source.into_iter();
+    // With no lanes no job is ever queued, so the pulling worker would
+    // wait for one on its own condvar.
     if lanes == 0 {
         return source.map(|item| item.map(|_| Vec::new())).collect();
-    }
-    if workers <= 1 {
-        let mut out = Vec::new();
-        for (i, item) in source.enumerate() {
-            let item = item?;
-            out.push((0..lanes).map(|l| f(i, &item, l)).collect::<std::result::Result<_, _>>()?);
-        }
-        return Ok(out);
     }
 
     let grid =
@@ -428,21 +398,29 @@ mod tests {
     }
 
     #[test]
-    fn run_ordered_preserves_item_order() {
+    fn try_run_ordered_preserves_item_order() {
         let items: Vec<usize> = (0..64).collect();
-        let doubled = run_ordered(&items, 8, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
-        assert_eq!(doubled, (0..64).map(|x| x * 2).collect::<Vec<_>>());
+        for workers in [1, 8] {
+            let doubled = try_run_ordered::<_, _, CoreError, _>(&items, workers, |i, &x| {
+                assert_eq!(i, x);
+                Ok(x * 2)
+            });
+            assert_eq!(doubled.unwrap(), (0..64).map(|x| x * 2).collect::<Vec<_>>());
+            // Items 20 and 40 fail: the lower one's error is the one returned.
+            let err = try_run_ordered(&items, workers, |i, &x| match x {
+                20 | 40 => Err(i),
+                _ => Ok(x),
+            });
+            assert_eq!(err, Err(20), "workers {workers}");
+        }
     }
 
     #[test]
-    fn run_ordered_handles_empty_and_oversubscribed() {
+    fn try_run_ordered_handles_empty_and_oversubscribed() {
         let empty: Vec<u32> = vec![];
-        assert!(run_ordered(&empty, 4, |_, &x| x).is_empty());
-        let one = vec![7u32];
-        assert_eq!(run_ordered(&one, 16, |_, &x| x + 1), vec![8]);
+        let ok = |_, &x: &u32| Ok::<_, CoreError>(x + 1);
+        assert!(try_run_ordered(&empty, 4, ok).unwrap().is_empty());
+        assert_eq!(try_run_ordered(&[7u32], 16, ok).unwrap(), vec![8]);
     }
 
     #[test]

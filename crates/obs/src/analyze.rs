@@ -220,25 +220,43 @@ pub struct Attribution {
     pub post_restart_cold: bool,
 }
 
+/// The miss-cycle buckets of [`Analysis::miss_cycles_by_segment`] and
+/// [`diff`], in pipeline order: the lifetime segments (the cold one split
+/// by [`Attribution::post_restart_cold`]) and `lost`.
+pub const BUCKETS: [&str; 7] =
+    ["reroute", "queue", "formation", "cold", "cold-restart", "exec", "lost"];
+
 impl Attribution {
-    /// The dominant lifetime segment — the miss cause this request is
-    /// ranked under. Ties break toward the earlier pipeline stage
-    /// (reroute, then queue, formation, cold, exec): the earlier segment
-    /// had the first claim on the deadline budget.
-    pub fn cause(&self) -> &'static str {
-        if self.lost {
-            return "lost";
-        }
-        let segments = [
+    /// The five lifetime segments as `(name, cycles)` in pipeline order;
+    /// the cold segment is named `cold-restart` when the batch's walk
+    /// cold-fetched after the instance's last restart.
+    pub fn segments(&self) -> [(&'static str, u64); 5] {
+        [
             ("reroute", self.reroute),
             ("queue", self.queue),
             ("formation", self.formation),
             (if self.post_restart_cold { "cold-restart" } else { "cold" }, self.cold),
             ("exec", self.exec),
-        ];
+        ]
+    }
+
+    /// The dominant segment as `(name, cycles)`; a lost request's whole
+    /// lifetime is `lost`. Ties break toward the earlier pipeline stage
+    /// (reroute, then queue, formation, cold, exec): the earlier segment
+    /// had the first claim on the deadline budget.
+    fn dominant(&self) -> (&'static str, u64) {
+        if self.lost {
+            return ("lost", self.done.saturating_sub(self.arrival));
+        }
         // max_by_key returns the *last* maximum; reversing makes that the
         // earliest pipeline stage.
-        segments.iter().rev().max_by_key(|&&(_, cycles)| cycles).map_or("exec", |&(name, _)| name)
+        self.segments().into_iter().rev().max_by_key(|&(_, cycles)| cycles).unwrap_or(("exec", 0))
+    }
+
+    /// The dominant lifetime segment — the miss cause this request is
+    /// ranked under.
+    pub fn cause(&self) -> &'static str {
+        self.dominant().0
     }
 }
 
@@ -317,18 +335,7 @@ impl Analysis {
             if !(a.missed || a.lost) {
                 continue;
             }
-            let cause = a.cause();
-            let over = if a.lost {
-                a.done.saturating_sub(a.arrival)
-            } else {
-                match cause {
-                    "reroute" => a.reroute,
-                    "queue" => a.queue,
-                    "formation" => a.formation,
-                    "cold" | "cold-restart" => a.cold,
-                    _ => a.exec,
-                }
-            };
+            let (cause, over) = a.dominant();
             let entry = groups.entry((cause, a.model, a.instance)).or_insert((0, 0));
             entry.0 += 1;
             entry.1 += over;
@@ -355,24 +362,16 @@ impl Analysis {
     /// requests, keyed by segment name — the attribution buckets the
     /// diff compares. Lost lifetimes land whole in `lost`.
     pub fn miss_cycles_by_segment(&self) -> BTreeMap<&'static str, u64> {
-        let mut buckets: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for name in ["reroute", "queue", "formation", "cold", "cold-restart", "exec", "lost"] {
-            buckets.insert(name, 0);
-        }
-        for a in &self.attributions {
+        let mut buckets: BTreeMap<&'static str, u64> = BUCKETS.iter().map(|&b| (b, 0)).collect();
+        for a in self.attributions.iter().filter(|a| a.missed || a.lost) {
+            let mut add = |(name, cycles)| {
+                *buckets.get_mut(name).expect("every segment is a bucket") += cycles;
+            };
             if a.lost {
-                *buckets.get_mut("lost").expect("seeded") += a.done.saturating_sub(a.arrival);
-                continue;
+                add(a.dominant());
+            } else {
+                a.segments().into_iter().for_each(add);
             }
-            if !a.missed {
-                continue;
-            }
-            *buckets.get_mut("reroute").expect("seeded") += a.reroute;
-            *buckets.get_mut("queue").expect("seeded") += a.queue;
-            *buckets.get_mut("formation").expect("seeded") += a.formation;
-            let cold_key = if a.post_restart_cold { "cold-restart" } else { "cold" };
-            *buckets.get_mut(cold_key).expect("seeded") += a.cold;
-            *buckets.get_mut("exec").expect("seeded") += a.exec;
         }
         buckets
     }
@@ -654,18 +653,7 @@ pub fn diff(baseline: &Analysis, candidate: &Analysis) -> AnalysisDiff {
     let base_buckets = baseline.miss_cycles_by_segment();
     let cand_buckets = candidate.miss_cycles_by_segment();
     let buckets: Vec<(&'static str, i64)> =
-        ["reroute", "queue", "formation", "cold", "cold-restart", "exec", "lost"]
-            .into_iter()
-            .map(|name| {
-                (
-                    name,
-                    d(
-                        base_buckets.get(name).copied().unwrap_or(0),
-                        cand_buckets.get(name).copied().unwrap_or(0),
-                    ),
-                )
-            })
-            .collect();
+        BUCKETS.into_iter().map(|name| (name, d(base_buckets[name], cand_buckets[name]))).collect();
     let dominant_regressor =
         buckets.iter().filter(|&&(_, delta)| delta > 0).max_by_key(|&&(_, delta)| delta).copied();
     AnalysisDiff { windows, buckets, dominant_regressor, worst_window }
