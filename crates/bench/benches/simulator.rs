@@ -127,7 +127,7 @@ fn bench_cluster_scheduler(c: &mut Criterion) {
         streamed: table(base, per),
         resident: table(base, per),
         footprint_bytes: 0,
-        switch_cycles: 0,
+        dram_bytes_per_cycle: 64.0,
     };
     // Full batches of 8 take 1.0 and 0.84 ms: about 8.7k req/s per
     // instance, 35k for the cluster.

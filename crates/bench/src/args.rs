@@ -382,8 +382,9 @@ impl Flags {
     /// # Errors
     ///
     /// Rejects malformed triples, non-positive capacities or
-    /// bandwidths, fewer than two tiers (a one-tier "stack" is exactly
-    /// `--buffer-kb`), and combining `--tiers` with `--buffer-kb`.
+    /// bandwidths, fewer than two tiers (`--buffer-kb` is the two-tier
+    /// stack of its buffer over the lane's DRAM), and combining `--tiers`
+    /// with `--buffer-kb`.
     pub fn tier_specs(&self) -> Result<Option<Vec<se_serve::TierSpec>>> {
         let Some(raw) = self.tiers.as_deref() else {
             return Ok(None);
@@ -437,8 +438,8 @@ impl Flags {
             specs.push(se_serve::TierSpec::new(name, capacity(part, cap)?, bytes_per_cycle));
         }
         if specs.len() < 2 {
-            return Err("--tiers needs at least two tiers (top buffer + a backing tier); a \
-                        single-tier stack is exactly --buffer-kb"
+            return Err("--tiers needs at least two tiers (top buffer + a backing tier); \
+                        --buffer-kb is the two-tier stack of that buffer over the lane's DRAM"
                 .into());
         }
         Ok(Some(specs))

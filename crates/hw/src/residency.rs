@@ -14,9 +14,10 @@
 //! of memory tiers (weight buffer ↔ DRAM ↔ SSD/remote), each with a
 //! capacity and a bandwidth, LRU eviction demoting to the next tier down,
 //! and promotion charging serialized transfer time through every tier
-//! crossed. The flat weight buffer is the one-tier stack. Models are
-//! identified by caller-assigned indices, capacities and footprints are
-//! byte counts, and every decision is a pure function of the admission
+//! crossed. The serving front's flat weight buffer is the two-tier stack
+//! of that buffer over the lane's DRAM. Models are identified by
+//! caller-assigned indices, capacities and footprints are byte counts,
+//! and every decision is a pure function of the admission
 //! sequence — no clocks, no randomness — so cluster simulations built on
 //! it stay bit-identical across worker counts.
 //!
@@ -444,8 +445,8 @@ mod tests {
         store.admit(model, bytes, 0, &mut |_| {})
     }
 
-    /// The flat weight buffer: a one-tier store (its bandwidth is never
-    /// charged — one tier crosses nothing).
+    /// A one-tier store (its bandwidth is never charged — one tier
+    /// crosses nothing).
     fn buffer(capacity_bytes: u64) -> TieredStore {
         TieredStore::new(vec![TierSpec::new("buf", capacity_bytes, 1.0)])
     }

@@ -15,14 +15,15 @@
 //!   are single-model by construction. A full batch of another model never
 //!   jumps the EDF head;
 //! * **weight-buffer residency** — with a finite per-instance buffer
-//!   ([`ClusterSpec::buffer_bytes`], a one-tier
-//!   [`se_hw::residency::TieredStore`]), each batch first *admits* its
-//!   model's weight footprint: a hit runs at the resident batch latency,
-//!   a miss serializes the switch fetch in front of it (evicting LRU
-//!   models), and an oversized model streams at the per-batch-fetch
-//!   latency. With `buffer_bytes: None` every batch streams — exactly the
-//!   `se serve` execution model. [`ClusterSpec::tiers`] swaps the flat
-//!   buffer for a deeper stack.
+//!   ([`ClusterSpec::buffer_bytes`], the two-tier
+//!   [`se_hw::residency::TieredStore`] of the buffer over the lane's
+//!   DRAM), each batch first *admits* its model's weight footprint: a hit
+//!   runs at the resident batch latency, a miss serializes the footprint's
+//!   DRAM fetch in front of it (demoting LRU models to DRAM), and an
+//!   oversized model streams at the per-batch-fetch latency. With
+//!   `buffer_bytes: None` every batch streams — exactly the `se serve`
+//!   execution model. [`ClusterSpec::tiers`] swaps the flat buffer for a
+//!   stack of its own.
 //!
 //! The whole simulation is a serial event loop over pre-computed latency
 //! tables, so its output is bit-identical for any worker count of the
@@ -41,14 +42,14 @@ use crate::queue::BatchPolicy;
 use crate::sched::{self, ClusterCore};
 use crate::workload::{check_sorted, Request};
 use crate::{BoxError, Result};
-use se_hw::residency::{fetch_cycles, ResidencyStats, TierSpec, TierStats};
+use se_hw::residency::{ResidencyStats, TierSpec, TierStats};
 use se_hw::RunResult;
 use se_obs::{Event, EventSink, NullSink};
 
 /// One model's execution profile on one accelerator lane — everything the
 /// cluster needs to charge its batches, derived from a single per-image
 /// simulation pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelService {
     /// Model name (for reports).
     pub name: String,
@@ -63,9 +64,10 @@ pub struct ModelService {
     /// Whole-model weight footprint in bytes (what a switch re-fetches and
     /// the buffer must hold — `RunResult::weight_footprint_bytes`).
     pub footprint_bytes: u64,
-    /// DRAM cycles a model switch serializes in front of its first batch
-    /// (`se_hw::residency::fetch_cycles` of the footprint).
-    pub switch_cycles: u64,
+    /// The lane's DRAM bandwidth in bytes per cycle: the bottom tier of
+    /// the flat `buffer_bytes` store, whose misses are charged the
+    /// footprint's fetch at it (`se_hw::residency::fetch_cycles`).
+    pub dram_bytes_per_cycle: f64,
 }
 
 impl ModelService {
@@ -78,16 +80,12 @@ impl ModelService {
         per_image: &RunResult,
         max_batch: usize,
     ) -> ModelService {
-        let footprint_bytes = per_image.weight_footprint_bytes();
         ModelService {
             name: name.to_string(),
             streamed: engine.latency_table(lane, per_image, max_batch),
             resident: engine.resident_latency_table(lane, per_image, max_batch),
-            footprint_bytes,
-            switch_cycles: fetch_cycles(
-                footprint_bytes,
-                engine.accelerator(lane).dram_bytes_per_cycle(),
-            ),
+            footprint_bytes: per_image.weight_footprint_bytes(),
+            dram_bytes_per_cycle: engine.accelerator(lane).dram_bytes_per_cycle(),
         }
     }
 }
@@ -104,14 +102,16 @@ pub struct ClusterSpec {
     pub policy: BatchPolicy,
     /// Per-instance weight-buffer capacity in bytes; `None` disables
     /// residency modeling (every batch streams its weights, the `se serve`
-    /// execution model).
+    /// execution model). The buffer is the two-tier store of itself over
+    /// the lane's DRAM ([`ModelService::dram_bytes_per_cycle`], a tier no
+    /// model outgrows), so a miss is charged the DRAM fetch of its
+    /// footprint.
     pub buffer_bytes: Option<u64>,
     /// Per-instance tiered weight store (top tier first, bottom tier the
     /// durable origin — see [`se_hw::residency::TieredStore`]); `None`
     /// keeps the flat buffer above. Mutually exclusive with
-    /// `buffer_bytes`: a tier stack *replaces* the flat buffer, charging
-    /// each miss its real tier-walk cost instead of the flat
-    /// `switch_cycles`, and reporting per-tier traffic.
+    /// `buffer_bytes`: a tier stack *replaces* the flat buffer, and only a
+    /// tier stack's traffic is reported per tier.
     pub tiers: Option<Vec<TierSpec>>,
     /// Deterministic failure injection and elasticity script (see
     /// [`crate::fault`]). The default empty plan reproduces a cluster
@@ -125,8 +125,9 @@ impl ClusterSpec {
     /// # Errors
     ///
     /// Rejects an empty cluster, an invalid batch policy, an invalid
-    /// fault plan, an empty model set, and service tables shorter than
-    /// `max_batch`.
+    /// fault plan, an empty model set, service tables shorter than
+    /// `max_batch`, and a flat buffer over services whose DRAM bandwidths
+    /// differ or are not positive and finite.
     pub fn validate(&self, services: &[ModelService]) -> Result<()> {
         if self.instances == 0 {
             return Err(BoxError::from("a cluster needs at least one instance"));
@@ -144,6 +145,22 @@ impl ClusterSpec {
                     s.name,
                     s.streamed.len().min(s.resident.len()),
                     self.policy.max_batch
+                )));
+            }
+        }
+        if self.tiers.is_none() && self.buffer_bytes.is_some() {
+            let bw = services[0].dram_bytes_per_cycle;
+            if !(bw > 0.0 && bw.is_finite()) {
+                return Err(BoxError::from(format!(
+                    "model {}: DRAM bandwidth must be positive and finite, got {bw}",
+                    services[0].name
+                )));
+            }
+            if let Some(s) = services.iter().find(|s| s.dram_bytes_per_cycle != bw) {
+                return Err(BoxError::from(format!(
+                    "a flat weight buffer sits over one DRAM: model {} reads it at {bw} B/cycle, \
+                     model {} at {} B/cycle",
+                    services[0].name, s.name, s.dram_bytes_per_cycle
                 )));
             }
         }
@@ -376,7 +393,7 @@ mod tests {
             streamed: (1..=8).map(|k| base + per * k).collect(),
             resident: (1..=8).map(|k| base - fetch + per * k).collect(),
             footprint_bytes: footprint,
-            switch_cycles: fetch,
+            dram_bytes_per_cycle: bw as f64,
         }
     }
 
@@ -502,6 +519,17 @@ mod tests {
         assert_eq!(r2.residency.fetches, 2);
         assert_eq!(r2.residency.hits, 2);
         assert_eq!(r2.residency.evictions, 0);
+    }
+
+    #[test]
+    fn a_flat_buffer_sits_over_one_dram_bandwidth() {
+        let services = [svc("a", 100, 2, 600, 64), svc("b", 100, 2, 600, 32)];
+        let rs = reqs(&[(0, 0), (10_000, 1)]);
+        let flat = spec(1, RouterPolicy::RoundRobin, Some(700));
+        let err = simulate_cluster(&rs, &services, &flat).unwrap_err();
+        assert!(err.to_string().contains("one DRAM"), "{err}");
+        // Without a flat buffer no DRAM tier is built.
+        assert!(simulate_cluster(&rs, &services, &spec(1, RouterPolicy::RoundRobin, None)).is_ok());
     }
 
     #[test]

@@ -75,7 +75,7 @@ mod tests {
             streamed: exec.to_vec(),
             resident: exec.to_vec(),
             footprint_bytes: 0,
-            switch_cycles: 0,
+            dram_bytes_per_cycle: 64.0,
         };
         let spec = ClusterSpec {
             instances: 1,

@@ -46,11 +46,10 @@
 //!
 //! Residency is one model: an instance owns an optional
 //! [`TieredStore`] (`None` = every batch streams its weights; a
-//! `--buffer-kb` buffer is the one-tier stack). Flat and tiered runs
-//! differ in exactly two ways, both keyed on [`ClusterSpec::tiers`]: a
-//! flat miss charges the lane's pre-computed `switch_cycles` where a
-//! tiered miss charges the tier walk, and only tiered runs report
-//! per-tier traffic.
+//! `--buffer-kb` buffer is the two-tier stack of that buffer over the
+//! lane's DRAM), and every miss is charged its tier walk. A flat run is a
+//! tiered run over that stack; only the printed tier lines and the
+//! reports built from them key on [`ClusterSpec::tiers`].
 
 use std::collections::VecDeque;
 
@@ -89,16 +88,21 @@ impl Queued {
     }
 }
 
-/// A fresh (empty) weight store for one instance: the `--tiers` stack,
-/// the flat `--buffer-kb` buffer as a one-tier stack (its bandwidth is
-/// never charged — flat misses charge the lane's `switch_cycles`), or
+/// The empty weight store every instance starts (and restarts) from: the
+/// `--tiers` stack; the flat `--buffer-kb` buffer over the lane's DRAM as
+/// an origin no model outgrows, so a miss walks one crossing at the DRAM
+/// bandwidth (`validate` has checked that the services share it); or
 /// `None` when residency modeling is off.
-fn fresh_store(spec: &ClusterSpec) -> Option<TieredStore> {
-    match (&spec.tiers, spec.buffer_bytes) {
-        (Some(tiers), _) => Some(TieredStore::new(tiers.clone())),
-        (None, Some(bytes)) => Some(TieredStore::new(vec![TierSpec::new("buf", bytes, 1.0)])),
-        (None, None) => None,
-    }
+fn empty_store(spec: &ClusterSpec, services: &[ModelService]) -> Option<TieredStore> {
+    let stack = match (&spec.tiers, spec.buffer_bytes) {
+        (Some(tiers), _) => tiers.clone(),
+        (None, Some(bytes)) => {
+            let bw = services[0].dram_bytes_per_cycle;
+            vec![TierSpec::new("buf", bytes, bw), TierSpec::new("dram", u64::MAX, bw)]
+        }
+        (None, None) => return None,
+    };
+    Some(TieredStore::new(stack))
 }
 
 /// One instance's private state. Its waiting requests are kept in EDF
@@ -135,15 +139,15 @@ struct Instance {
 }
 
 impl Instance {
-    /// A fresh (empty, cold) instance serving `models` models, free from
-    /// `free`.
-    fn fresh(spec: &ClusterSpec, models: usize, free: u64, dynamic: bool) -> Instance {
+    /// A fresh (empty, cold) instance over `store` serving `models`
+    /// models, free from `free`.
+    fn fresh(store: Option<TieredStore>, models: usize, free: u64, dynamic: bool) -> Instance {
         Instance {
             queues: vec![VecDeque::new(); models],
             waiting: 0,
             free,
             next: None,
-            store: fresh_store(spec),
+            store,
             summary: InstanceSummary::default(),
             accepting: true,
             dynamic,
@@ -211,6 +215,8 @@ pub(crate) struct ClusterCore<'a, 'o> {
     services: &'a [ModelService],
     spec: &'a ClusterSpec,
     instances: Vec<Instance>,
+    /// The store a spawned instance starts with ([`empty_store`]).
+    empty_store: Option<TieredStore>,
     launched: u64,
     /// Next unapplied event in `spec.faults.events`.
     fault_cursor: usize,
@@ -243,12 +249,15 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         sink: &'o mut dyn EventSink,
     ) -> Result<Self> {
         spec.validate(services)?;
-        let instances =
-            (0..spec.instances).map(|_| Instance::fresh(spec, services.len(), 0, false)).collect();
+        let empty_store = empty_store(spec, services);
+        let instances = (0..spec.instances)
+            .map(|_| Instance::fresh(empty_store.clone(), services.len(), 0, false))
+            .collect();
         Ok(ClusterCore {
             services,
             spec,
             instances,
+            empty_store,
             launched: 0,
             fault_cursor: 0,
             report: ClusterReport::default(),
@@ -450,7 +459,12 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             self.instances.iter().filter(|i| i.accepting).map(|i| i.waiting as u64).sum();
         if queued > auto.spawn_above.saturating_mul(accepting) {
             let instance = self.instances.len();
-            self.instances.push(Instance::fresh(self.spec, self.services.len(), now, true));
+            self.instances.push(Instance::fresh(
+                self.empty_store.clone(),
+                self.services.len(),
+                now,
+                true,
+            ));
             self.membership(now, EventKind::InstanceSpawned { instance });
         }
     }
@@ -474,7 +488,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
 
     /// Launches the batch `launch` names, which must be the current
     /// [`ClusterCore::pending_launch`]: admits the model's weights,
-    /// charges the batch (plus any switch fetch), records its members'
+    /// charges the batch (plus any miss's tier walk), records its members'
     /// latencies, pops them off the front of their queue, and returns the
     /// batch's `(completion cycle, size)`. A batch overlapping a scripted
     /// kill of its instance is counted killed and its members are parked
@@ -501,13 +515,10 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
                 });
                 match admission {
                     TierAdmission::Hit => svc.resident[k - 1],
-                    // A miss serializes its fetch in front of the batch:
-                    // the lane's flat switch fetch, or the real walk
-                    // through every crossed tier.
+                    // A miss serializes its walk through every crossed
+                    // tier in front of the batch.
                     walk @ (TierAdmission::Promoted { .. } | TierAdmission::Cold { .. }) => {
-                        let fetch =
-                            if spec.tiers.is_some() { walk.cycles() } else { svc.switch_cycles };
-                        fetch + svc.resident[k - 1]
+                        walk.cycles() + svc.resident[k - 1]
                     }
                     // A stream pays its deep haul (0 cycles in one or two
                     // tiers) on top of the per-batch-fetch table, whose
@@ -578,16 +589,16 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
     }
 
     /// Tears the core down into the run's report: each instance's
-    /// residency counters (and, in tiered runs, per-tier traffic) are
-    /// read off its store once and summed into the cluster totals. An
-    /// instance that never launched reports no tier traffic.
+    /// residency counters and per-tier traffic are read off its store
+    /// once and summed into the cluster totals. An instance that never
+    /// launched reports no tier traffic.
     pub(crate) fn finish(self) -> ClusterReport {
         let mut report = self.report;
         for inst in self.instances {
             let mut summary = inst.summary;
             if let Some(store) = &inst.store {
                 summary.residency = *store.summary();
-                if self.spec.tiers.is_some() && summary.batches > 0 {
+                if summary.batches > 0 {
                     summary.tier_traffic = store.tier_stats().to_vec();
                 }
             }
@@ -721,7 +732,7 @@ mod tests {
             streamed: exec.to_vec(),
             resident: exec.to_vec(),
             footprint_bytes: 0,
-            switch_cycles: 0,
+            dram_bytes_per_cycle: 64.0,
         }
     }
 

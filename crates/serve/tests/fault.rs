@@ -23,7 +23,7 @@ fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) ->
         streamed,
         resident,
         footprint_bytes: footprint,
-        switch_cycles: base / 2,
+        dram_bytes_per_cycle: 4.0,
     }
 }
 

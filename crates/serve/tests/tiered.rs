@@ -4,9 +4,12 @@
 //! * **tier conservation**: over random admission streams, stacks, and
 //!   restarts, `admissions == Σ tier hits + cold_fetches + streams`, and
 //!   no tier ever holds more bytes than its capacity;
-//! * **flat buffer**: a one-tier store (the `--buffer-kb` buffer) never
-//!   promotes and never charges a walk — its misses cost exactly the
-//!   lane's flat switch fetch;
+//! * **one tier**: a one-tier store never promotes and never charges a
+//!   walk;
+//! * **flat buffer**: over random streams, routers, batch policies,
+//!   buffer sizes and fault plans, the `--buffer-kb` buffer runs exactly
+//!   as the two-tier stack of that buffer over the lane's DRAM — same
+//!   report, same event stream;
 //! * **report folding**: over random tier stacks crossed with random
 //!   fault plans, the cluster's tier traffic is the per-instance fold;
 //! * **cost ordering** (directed): a post-restart cold load is strictly
@@ -16,7 +19,7 @@
 
 use proptest::prelude::*;
 use se_hw::residency::{TierAdmission, TierSpec, TieredStore};
-use se_obs::NullSink;
+use se_obs::{NullSink, Recorder};
 use se_serve::cluster::{simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy};
 use se_serve::fault::{FaultAction, FaultEvent, FaultPlan};
 use se_serve::queue::BatchPolicy;
@@ -43,7 +46,7 @@ fn service(name: &str, base: u64, per: u64, max_batch: usize, footprint: u64) ->
         streamed,
         resident,
         footprint_bytes: footprint,
-        switch_cycles: base / 2,
+        dram_bytes_per_cycle: 4.0,
     }
 }
 
@@ -102,10 +105,9 @@ proptest! {
         prop_assert_eq!(store.summary().hits + store.summary().fetches, store.admissions());
     }
 
-    /// The flat buffer is the one-tier stack: with nothing below the top
-    /// tier, no admission ever promotes or charges walk cycles (so a flat
-    /// miss costs exactly the lane's `switch_cycles`), evictions drop
-    /// cold, and a restart empties the buffer.
+    /// A one-tier store: with nothing below the top tier, no admission
+    /// ever promotes or charges walk cycles, evictions drop cold, and a
+    /// restart empties the buffer.
     #[test]
     fn a_one_tier_store_never_promotes_or_charges_a_walk(
         cap in 1u64..4000,
@@ -125,6 +127,73 @@ proptest! {
             }
         }
         prop_assert_eq!(store.tier_stats()[0].demotions, 0);
+    }
+
+    /// The flat `--buffer-kb` buffer is the two-tier stack of that buffer
+    /// over the lane's DRAM, a tier no model outgrows: `buffer_bytes:
+    /// Some(b)` gives the same report and the same event stream as that
+    /// stack spelled out in `tiers`, so every flat miss is charged its
+    /// DRAM walk.
+    #[test]
+    fn a_flat_buffer_runs_as_the_two_tier_stack_over_the_lane_dram(
+        buffer in 1u64..2500,
+        quarter_bw in 1u64..64,
+        gaps in proptest::collection::vec(0u64..1000, 1..60),
+        model_picks in proptest::collection::vec(0usize..3, 60..61),
+        instances in 1usize..4,
+        router_idx in 0usize..3,
+        max_batch in 1usize..4,
+        max_wait in 0u64..800,
+        kill_at in 1u64..30_000,
+        restart_gap in 0u64..20_000,
+        fault_kind in 0usize..3,
+    ) {
+        let bw = quarter_bw as f64 / 4.0;
+        let services: Vec<ModelService> =
+            [("a", 300, 60, 700), ("b", 250, 90, 500), ("c", 400, 30, 900)]
+                .into_iter()
+                .map(|(name, base, per, footprint)| ModelService {
+                    dram_bytes_per_cycle: bw,
+                    ..service(name, base, per, max_batch, footprint)
+                })
+                .collect();
+        let mut requests = Vec::with_capacity(gaps.len());
+        let mut t = 0u64;
+        for (i, g) in gaps.iter().enumerate() {
+            t += g;
+            requests.push(Request { model: model_picks[i], arrival: t, deadline: Some(t + 5000) });
+        }
+        let mut events = Vec::new();
+        if fault_kind >= 1 {
+            events.push(FaultEvent { at: kill_at, instance: 0, action: FaultAction::Kill });
+            if fault_kind == 2 {
+                let at = kill_at + 1 + restart_gap;
+                events.push(FaultEvent { at, instance: 0, action: FaultAction::Restart });
+            }
+        }
+        let flat = ClusterSpec {
+            instances,
+            router: [
+                RouterPolicy::RoundRobin,
+                RouterPolicy::JoinShortestQueue,
+                RouterPolicy::ModelAffinity,
+            ][router_idx],
+            policy: BatchPolicy { max_batch, max_wait, queue_cap: 8 },
+            buffer_bytes: Some(buffer),
+            tiers: None,
+            faults: FaultPlan { events, autoscale: None },
+        };
+        let tiered = ClusterSpec {
+            buffer_bytes: None,
+            tiers: Some(vec![TierSpec::new("buf", buffer, bw), TierSpec::new("dram", u64::MAX, bw)]),
+            ..flat.clone()
+        };
+        let run = |spec: &ClusterSpec| {
+            let mut recorder = Recorder::new();
+            let run = simulate_cluster_run_obs(&requests, &services, spec, &mut recorder).unwrap();
+            (run.report, recorder.into_events())
+        };
+        prop_assert_eq!(run(&flat), run(&tiered));
     }
 
     /// Over random tier stacks crossed with random fault plans, requests
