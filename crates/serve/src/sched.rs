@@ -88,12 +88,12 @@ impl Queued {
     }
 }
 
-/// The empty weight store every instance starts (and restarts) from: the
-/// `--tiers` stack; the flat `--buffer-kb` buffer over the lane's DRAM as
-/// an origin no model outgrows, so a miss walks one crossing at the DRAM
-/// bandwidth (`validate` has checked that the services share it); or
-/// `None` when residency modeling is off.
-fn empty_store(spec: &ClusterSpec, services: &[ModelService]) -> Option<TieredStore> {
+/// A fresh (empty) weight store for one instance: the `--tiers` stack;
+/// the flat `--buffer-kb` buffer over the lane's DRAM, an origin no model
+/// outgrows read at the bandwidth the services share (`validate` checks
+/// it), so a miss walks one crossing at that bandwidth; or `None` when
+/// residency modeling is off.
+fn fresh_store(spec: &ClusterSpec, services: &[ModelService]) -> Option<TieredStore> {
     let stack = match (&spec.tiers, spec.buffer_bytes) {
         (Some(tiers), _) => tiers.clone(),
         (None, Some(bytes)) => {
@@ -139,15 +139,15 @@ struct Instance {
 }
 
 impl Instance {
-    /// A fresh (empty, cold) instance over `store` serving `models`
-    /// models, free from `free`.
-    fn fresh(store: Option<TieredStore>, models: usize, free: u64, dynamic: bool) -> Instance {
+    /// A fresh (empty, cold) instance serving `services`, free from
+    /// `free`.
+    fn fresh(spec: &ClusterSpec, services: &[ModelService], free: u64, dynamic: bool) -> Instance {
         Instance {
-            queues: vec![VecDeque::new(); models],
+            queues: vec![VecDeque::new(); services.len()],
             waiting: 0,
             free,
             next: None,
-            store,
+            store: fresh_store(spec, services),
             summary: InstanceSummary::default(),
             accepting: true,
             dynamic,
@@ -215,8 +215,6 @@ pub(crate) struct ClusterCore<'a, 'o> {
     services: &'a [ModelService],
     spec: &'a ClusterSpec,
     instances: Vec<Instance>,
-    /// The store a spawned instance starts with ([`empty_store`]).
-    empty_store: Option<TieredStore>,
     launched: u64,
     /// Next unapplied event in `spec.faults.events`.
     fault_cursor: usize,
@@ -249,15 +247,12 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
         sink: &'o mut dyn EventSink,
     ) -> Result<Self> {
         spec.validate(services)?;
-        let empty_store = empty_store(spec, services);
-        let instances = (0..spec.instances)
-            .map(|_| Instance::fresh(empty_store.clone(), services.len(), 0, false))
-            .collect();
+        let instances =
+            (0..spec.instances).map(|_| Instance::fresh(spec, services, 0, false)).collect();
         Ok(ClusterCore {
             services,
             spec,
             instances,
-            empty_store,
             launched: 0,
             fault_cursor: 0,
             report: ClusterReport::default(),
@@ -459,12 +454,7 @@ impl<'a, 'o> ClusterCore<'a, 'o> {
             self.instances.iter().filter(|i| i.accepting).map(|i| i.waiting as u64).sum();
         if queued > auto.spawn_above.saturating_mul(accepting) {
             let instance = self.instances.len();
-            self.instances.push(Instance::fresh(
-                self.empty_store.clone(),
-                self.services.len(),
-                now,
-                true,
-            ));
+            self.instances.push(Instance::fresh(self.spec, self.services, now, true));
             self.membership(now, EventKind::InstanceSpawned { instance });
         }
     }
