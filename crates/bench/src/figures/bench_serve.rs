@@ -8,10 +8,10 @@
 //! violation fails the command.
 //!
 //! Results go to `--bench-out` (default `BENCH_serve.json`) as a
-//! machine-readable report (`se_bench::json`); the text is decoded and
-//! schema-checked before it is written, so a green exit implies a valid
-//! snapshot. Wall-clock numbers vary run to run — the JSON is a perf
-//! snapshot, not a determinism surface; only the outcome counts are.
+//! machine-readable report (`se_bench::json`); the written file is read
+//! back and schema-checked, so a green exit implies a valid snapshot.
+//! Wall-clock numbers vary run to run — the JSON is a perf snapshot, not
+//! a determinism surface; only the outcome counts are.
 //!
 //! One config is one `ConfigRow`, declared once: the driver builds it
 //! from the run, prints its table cells and writes it; `se bench diff`
@@ -421,11 +421,10 @@ pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Writ
         ("configs".into(), Json::Arr(rows.iter().map(ConfigRow::to_json).collect())),
     ]);
     let path = flags.bench_out.clone().unwrap_or_else(|| "BENCH_serve.json".into());
-    let text = doc.render();
-    // Decode what is about to be written: the committed snapshot must
-    // always read back as the snapshot `se bench diff` checks.
-    Snapshot::parse(&path.display().to_string(), &text)?;
-    std::fs::write(&path, &text)?;
+    std::fs::write(&path, doc.render())?;
+    // Read the file back as `se bench diff` does: a written snapshot must
+    // always pass the check the diff applies.
+    Snapshot::parse(&path.display().to_string(), &std::fs::read_to_string(&path)?)?;
     writeln!(out, "wrote {} ({} configs)", path.display(), rows.len())?;
     recording.write()
 }

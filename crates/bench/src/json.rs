@@ -3,7 +3,9 @@
 //! serialization crates, and the subset needed here — objects with stable
 //! key order, arrays, strings, numbers, booleans, null — is small enough
 //! to own. The emitter and parser round-trip each other, which is how the
-//! bench driver self-validates the file it just wrote.
+//! bench driver self-validates the file it just wrote. A document's rows
+//! are declared once with `json_record!`, which gives each its writer and
+//! its strict, schema-checking reader.
 
 use crate::Result;
 
@@ -329,6 +331,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64> {
 /// One field of a typed record ([`json_record!`]): how it is written,
 /// and the strict read back that is the record's schema check.
 pub(crate) trait Field: Sized {
+    /// The value as written.
     fn to_json(&self) -> Json;
     /// Reads field `key` of the record named `at` in errors (`config 3`,
     /// `config 3 tier 1`).
