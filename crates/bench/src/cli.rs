@@ -71,7 +71,7 @@ pub fn usage() -> String {
          --models a,b,c       restrict to a subset of model names\n  \
          --sim-parallelism N  worker threads for the simulation grid (bit-identical)\n  \
          --traces-dir DIR     replay persisted trace/compression artifacts (se trace build)\n  \
-         --with-fc            include FC layers when building traces\n\n\
+         --with-fc            include FC layers (se trace build only)\n\n\
          SERVING FLAGS (se batch / se serve):\n  \
          --batch-sizes 1,4,16 batch sizes swept by se batch\n  \
          --max-batch N        aggregator batch-size cap (default 8)\n  \
@@ -150,6 +150,16 @@ pub fn run_subcommand(name: &str, rest: &[String], out: &mut dyn Write) -> Resul
     };
     let flags =
         Flags::from_args_checked(rest).map_err(|e| format!("se {name}: {e} (see `se help`)"))?;
+    // Only `se trace build` reads --with-fc (fig13 adds the FC layers it
+    // needs by itself), so anywhere else the flag is an error.
+    if flags.with_fc
+        && !(canon == "trace" && crate::args::positionals(rest).first() == Some(&"build"))
+    {
+        return Err(format!(
+            "se {name}: --with-fc applies to se trace build only; no other subcommand reads it"
+        )
+        .into());
+    }
     match canon {
         "table1" => figures::table1::run(&flags, out),
         "table2" => figures::table2::run(&flags, out),
@@ -268,7 +278,7 @@ mod tests {
         assert!(out.is_empty(), "nothing runs before the flag check");
         // A flag's value is never mistaken for a flag, and the boolean
         // flags pass.
-        let ok = args(&["table1", "--fast", "--with-fc", "--traces-dir", "--not-a-flag"]);
+        let ok = args(&["table1", "--fast", "--traces-dir", "--not-a-flag"]);
         run_from_args(&ok, &mut out).unwrap();
         let err = run_from_args(&args(&["table1", "--models", "--not-a-flag"]), &mut out)
             .unwrap_err()

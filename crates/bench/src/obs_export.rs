@@ -16,7 +16,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
 use std::path::Path;
 
-use se_obs::{Event, EventKind, EventSink, MetricsRegistry, NullSink, Recorder};
+use se_obs::{
+    Event, EventKind, EventSink, Field, FieldReader, MetricsRegistry, NullSink, Recorder,
+};
 
 use crate::args::Flags;
 use crate::json::Json;
@@ -41,7 +43,7 @@ pub fn chrome_trace(streams: &[(String, &[Event])]) -> Json {
         }
     }
     for (pid, (_, stream)) in streams.iter().enumerate() {
-        events.extend(stream.iter().filter_map(|event| trace_event(pid, event)));
+        events.extend(stream.iter().map(|event| trace_event(pid, event)));
     }
     Json::Obj(vec![
         ("traceEvents".to_string(), Json::Arr(events)),
@@ -172,106 +174,39 @@ fn metadata(pid: usize, tid: usize, name: &str, arg_name: &str) -> Json {
     ])
 }
 
-/// One trace event: a span, counter, or instant — every kind lands.
-fn trace_event(pid: usize, event: &Event) -> Option<Json> {
+/// One trace event, by one rule: every kind is an instant (`i`) named by
+/// its kind, except the batch span (`X`) and the queue-depth counter
+/// (`C`). `args` hold every payload field except `instance`, which is the
+/// `tid`, and the span's `done`, which is its `dur`.
+fn trace_event(pid: usize, event: &Event) -> Json {
     let kind = &event.kind;
-    let args = |fields: Vec<(&str, Json)>| {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    let (name, ph) = match *kind {
+        EventKind::BatchLaunched { model, size, .. } => (format!("batch m{model} x{size}"), "X"),
+        EventKind::QueueDepth { instance, .. } => (format!("{} i{instance}", kind.name()), "C"),
+        _ => (kind.name().to_string(), "i"),
     };
-    // Spans and counters first; everything else is an instant.
-    match *kind {
-        EventKind::BatchLaunched { seq, instance, model, size, done } => {
-            return Some(Json::Obj(vec![
-                ("name".to_string(), Json::Str(format!("batch m{model} x{size}"))),
-                ("ph".to_string(), Json::Str("X".to_string())),
-                ("pid".to_string(), num(pid as u64)),
-                ("tid".to_string(), num(instance as u64)),
-                ("ts".to_string(), num(event.at)),
-                ("dur".to_string(), num(done.saturating_sub(event.at))),
-                (
-                    "args".to_string(),
-                    args(vec![
-                        ("seq", num(seq)),
-                        ("model", num(model as u64)),
-                        ("size", num(size as u64)),
-                    ]),
-                ),
-            ]));
-        }
-        EventKind::QueueDepth { instance, depth } => {
-            return Some(Json::Obj(vec![
-                ("name".to_string(), Json::Str(format!("queue_depth i{instance}"))),
-                ("ph".to_string(), Json::Str("C".to_string())),
-                ("pid".to_string(), num(pid as u64)),
-                ("tid".to_string(), num(instance as u64)),
-                ("ts".to_string(), num(event.at)),
-                ("args".to_string(), args(vec![("depth", num(depth as u64))])),
-            ]));
-        }
-        _ => {}
-    }
-    let details = match *kind {
-        EventKind::Admitted { id, model, .. } | EventKind::Rejected { id, model } => {
-            vec![("id", num(id as u64)), ("model", num(model as u64))]
-        }
-        EventKind::Lost { id, model } => {
-            vec![("id", num(id as u64)), ("model", num(model as u64))]
-        }
-        EventKind::BatchCompleted { seq, size, .. } => {
-            vec![("seq", num(seq)), ("size", num(size as u64))]
-        }
-        EventKind::BatchKilled { seq, .. } => vec![("seq", num(seq))],
-        EventKind::BatchFormed { seq, model, size, .. } => {
-            vec![("seq", num(seq)), ("model", num(model as u64)), ("size", num(size as u64))]
-        }
-        EventKind::Served { id, model, batch, enqueued, latency, missed, .. } => vec![
-            ("id", num(id as u64)),
-            ("model", num(model as u64)),
-            ("batch", num(batch)),
-            ("enqueued", num(enqueued)),
-            ("latency", num(latency)),
-            ("missed", Json::Bool(missed)),
-        ],
-        EventKind::InstanceKilled { in_flight, rerouted, lost, .. } => {
-            vec![("in_flight", num(in_flight)), ("rerouted", num(rerouted)), ("lost", num(lost))]
-        }
-        EventKind::InstanceRestarted { .. }
-        | EventKind::InstanceSpawned { .. }
-        | EventKind::InstanceDraining { .. } => vec![],
-        EventKind::TierHit { model, .. } => vec![("model", num(model as u64))],
-        EventKind::TierPromoted { model, from, cycles, bytes, .. } => vec![
-            ("model", num(model as u64)),
-            ("from", num(from as u64)),
-            ("cycles", num(cycles)),
-            ("bytes", num(bytes)),
-        ],
-        EventKind::TierDemoted { model, to, bytes, dropped, .. } => vec![
-            ("model", num(model as u64)),
-            ("to", num(to as u64)),
-            ("bytes", num(bytes)),
-            ("dropped", Json::Bool(dropped)),
-        ],
-        EventKind::TierColdFetch { model, cycles, bytes, .. } => {
-            vec![("model", num(model as u64)), ("cycles", num(cycles)), ("bytes", num(bytes))]
-        }
-        EventKind::TierStreamed { model, cycles, .. } => {
-            vec![("model", num(model as u64)), ("cycles", num(cycles))]
-        }
-        _ => unreachable!("spans and counters are handled above"),
-    };
-    let (tid, scope) = match kind.instance() {
-        Some(instance) => (instance as u64, "t"),
-        None => (0, "p"),
-    };
-    Some(Json::Obj(vec![
-        ("name".to_string(), Json::Str(kind.name().to_string())),
-        ("ph".to_string(), Json::Str("i".to_string())),
+    let (mut tid, mut dur, mut args) = (None, None, Vec::with_capacity(6));
+    kind.for_each_field(|field, value| match (field, value) {
+        ("instance", Field::Count(instance)) => tid = Some(instance),
+        ("done", Field::Count(done)) => dur = Some(done.saturating_sub(event.at)),
+        (_, Field::Count(n)) => args.push((field.to_string(), num(n))),
+        (_, Field::Flag(flag)) => args.push((field.to_string(), Json::Bool(flag))),
+    });
+    let mut entry = Vec::with_capacity(7);
+    entry.extend([
+        ("name".to_string(), Json::Str(name)),
+        ("ph".to_string(), Json::Str(ph.to_string())),
         ("pid".to_string(), num(pid as u64)),
-        ("tid".to_string(), num(tid)),
+        ("tid".to_string(), num(tid.unwrap_or(0))),
         ("ts".to_string(), num(event.at)),
-        ("s".to_string(), Json::Str(scope.to_string())),
-        ("args".to_string(), args(details)),
-    ]))
+    ]);
+    entry.extend(dur.map(|dur| ("dur".to_string(), num(dur))));
+    if ph == "i" {
+        let scope = if tid.is_some() { "t" } else { "p" };
+        entry.push(("s".to_string(), Json::Str(scope.to_string())));
+    }
+    entry.push(("args".to_string(), Json::Obj(args)));
+    Json::Obj(entry)
 }
 
 /// The exact inverse of [`chrome_trace`]: reconstructs the named event
@@ -327,98 +262,63 @@ pub fn events_from_chrome_trace(doc: &Json) -> crate::Result<Vec<(String, Vec<Ev
     Ok(out)
 }
 
-/// Inverts one non-metadata trace entry back into its [`Event`].
+/// The kinds [`trace_event`] writes as the span (`X`) and the counter
+/// (`C`) rather than as instants under their names.
+const SPAN_KIND: &str = "batch_launched";
+const COUNTER_KIND: &str = "queue_depth";
+
+/// Inverts one non-metadata trace entry back into its [`Event`]: the
+/// phase or the instant's name gives the kind, [`EntryFields`] its fields.
 fn invert_event(entry: &Json, ph: &str, pos: usize) -> crate::Result<Event> {
     let at = u64_field(entry, "ts", pos)?;
-    let tid = u64_field(entry, "tid", pos)? as usize;
-    let arg = |name: &str| arg_u64(entry, name, pos);
-    let kind = match ph {
-        "X" => EventKind::BatchLaunched {
-            seq: arg("seq")?,
-            instance: tid,
-            model: arg("model")? as usize,
-            size: arg("size")? as usize,
-            done: at
-                .checked_add(u64_field(entry, "dur", pos)?)
-                .ok_or_else(|| format!("trace event #{pos}: `ts` + `dur` overflows the clock"))?,
-        },
-        "C" => EventKind::QueueDepth { instance: tid, depth: arg("depth")? as usize },
+    let tid = u64_field(entry, "tid", pos)?;
+    let unknown =
+        |name: &str| format!("trace event #{pos}: unknown instant `{name}` — foreign trace?");
+    let name = match ph {
+        "X" => SPAN_KIND,
+        "C" => COUNTER_KIND,
         "i" => match str_field(entry, "name", pos)? {
-            "admitted" => EventKind::Admitted {
-                id: arg("id")? as usize,
-                model: arg("model")? as usize,
-                instance: tid,
-            },
-            "rejected" => {
-                EventKind::Rejected { id: arg("id")? as usize, model: arg("model")? as usize }
-            }
-            "lost" => EventKind::Lost { id: arg("id")? as usize, model: arg("model")? as usize },
-            "batch_formed" => EventKind::BatchFormed {
-                seq: arg("seq")?,
-                instance: tid,
-                model: arg("model")? as usize,
-                size: arg("size")? as usize,
-            },
-            "batch_completed" => EventKind::BatchCompleted {
-                seq: arg("seq")?,
-                instance: tid,
-                size: arg("size")? as usize,
-            },
-            "batch_killed" => EventKind::BatchKilled { seq: arg("seq")?, instance: tid },
-            "served" => EventKind::Served {
-                id: arg("id")? as usize,
-                model: arg("model")? as usize,
-                instance: tid,
-                batch: arg("batch")?,
-                enqueued: arg("enqueued")?,
-                latency: arg("latency")?,
-                missed: arg_bool(entry, "missed", pos)?,
-            },
-            "instance_killed" => EventKind::InstanceKilled {
-                instance: tid,
-                in_flight: arg("in_flight")?,
-                rerouted: arg("rerouted")?,
-                lost: arg("lost")?,
-            },
-            "instance_restarted" => EventKind::InstanceRestarted { instance: tid },
-            "instance_spawned" => EventKind::InstanceSpawned { instance: tid },
-            "instance_draining" => EventKind::InstanceDraining { instance: tid },
-            "tier_hit" => EventKind::TierHit { instance: tid, model: arg("model")? as usize },
-            "tier_promoted" => EventKind::TierPromoted {
-                instance: tid,
-                model: arg("model")? as usize,
-                from: arg("from")? as usize,
-                cycles: arg("cycles")?,
-                bytes: arg("bytes")?,
-            },
-            "tier_demoted" => EventKind::TierDemoted {
-                instance: tid,
-                model: arg("model")? as usize,
-                to: arg("to")? as usize,
-                bytes: arg("bytes")?,
-                dropped: arg_bool(entry, "dropped", pos)?,
-            },
-            "tier_cold_fetch" => EventKind::TierColdFetch {
-                instance: tid,
-                model: arg("model")? as usize,
-                cycles: arg("cycles")?,
-                bytes: arg("bytes")?,
-            },
-            "tier_streamed" => EventKind::TierStreamed {
-                instance: tid,
-                model: arg("model")? as usize,
-                cycles: arg("cycles")?,
-            },
-            other => {
-                return Err(format!(
-                    "trace event #{pos}: unknown instant `{other}` — foreign trace?"
-                )
-                .into())
-            }
+            name @ (SPAN_KIND | COUNTER_KIND) => return Err(unknown(name).into()),
+            name => name,
         },
         other => return Err(format!("trace event #{pos}: unsupported phase `{other}`").into()),
     };
+    let kind = EventKind::decode(name, &mut EntryFields { entry, pos, at, tid })?
+        .ok_or_else(|| unknown(name))?;
     Ok(Event { at, kind })
+}
+
+/// Reads an entry's payload back by [`trace_event`]'s rule: `instance`
+/// from `tid`, `done` from `ts` + `dur`, every other field from `args`.
+struct EntryFields<'j> {
+    entry: &'j Json,
+    pos: usize,
+    at: u64,
+    tid: u64,
+}
+
+impl FieldReader for EntryFields<'_> {
+    type Error = crate::BoxError;
+
+    fn count(&mut self, name: &'static str) -> crate::Result<u64> {
+        let pos = self.pos;
+        match name {
+            "instance" => Ok(self.tid),
+            "done" => self.at.checked_add(u64_field(self.entry, "dur", pos)?).ok_or_else(|| {
+                format!("trace event #{pos}: `ts` + `dur` overflows the clock").into()
+            }),
+            _ => u64_in(self.entry.get("args"), "arg ", name, pos),
+        }
+    }
+
+    fn flag(&mut self, name: &'static str) -> crate::Result<bool> {
+        let pos = self.pos;
+        self.entry
+            .get("args")
+            .and_then(|a| a.get(name))
+            .and_then(Json::as_bool)
+            .ok_or_else(|| format!("trace event #{pos}: missing boolean arg `{name}`").into())
+    }
 }
 
 fn str_field<'j>(entry: &'j Json, name: &str, pos: usize) -> crate::Result<&'j str> {
@@ -429,27 +329,19 @@ fn str_field<'j>(entry: &'j Json, name: &str, pos: usize) -> crate::Result<&'j s
 }
 
 fn u64_field(entry: &Json, name: &str, pos: usize) -> crate::Result<u64> {
-    let value = entry
-        .get(name)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("trace event #{pos}: missing numeric `{name}`"))?;
-    if !fits_u64(value) {
-        return Err(
-            format!("trace event #{pos}: `{name}` = {value} is not an unsigned integer").into()
-        );
-    }
-    Ok(value as u64)
+    u64_in(Some(entry), "", name, pos)
 }
 
-fn arg_u64(entry: &Json, name: &str, pos: usize) -> crate::Result<u64> {
-    let value = entry
-        .get("args")
-        .and_then(|a| a.get(name))
+/// Reads `name` of `fields` (an entry, or with `prefix` "arg " its `args`)
+/// as a `u64`.
+fn u64_in(fields: Option<&Json>, prefix: &str, name: &str, pos: usize) -> crate::Result<u64> {
+    let value = fields
+        .and_then(|f| f.get(name))
         .and_then(Json::as_f64)
-        .ok_or_else(|| format!("trace event #{pos}: missing numeric arg `{name}`"))?;
+        .ok_or_else(|| format!("trace event #{pos}: missing numeric {prefix}`{name}`"))?;
     if !fits_u64(value) {
         return Err(format!(
-            "trace event #{pos}: arg `{name}` = {value} is not an unsigned integer"
+            "trace event #{pos}: {prefix}`{name}` = {value} is not an unsigned integer"
         )
         .into());
     }
@@ -460,14 +352,6 @@ fn arg_u64(entry: &Json, name: &str, pos: usize) -> crate::Result<u64> {
 /// rounds up to 2^64, which a cast would clamp, so it is out of range.
 fn fits_u64(value: f64) -> bool {
     value >= 0.0 && value.fract() == 0.0 && value < u64::MAX as f64
-}
-
-fn arg_bool(entry: &Json, name: &str, pos: usize) -> crate::Result<bool> {
-    entry
-        .get("args")
-        .and_then(|a| a.get(name))
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("trace event #{pos}: missing boolean arg `{name}`").into())
 }
 
 #[cfg(test)]
@@ -669,6 +553,9 @@ mod tests {
     #[test]
     fn chrome_trace_round_trips_every_event_kind() {
         let a = full_taxonomy_stream();
+        // A kind added to the taxonomy needs a case here.
+        let kinds: BTreeSet<&str> = a.iter().map(|e| e.kind.name()).collect();
+        assert_eq!(kinds, EventKind::NAMES.iter().copied().collect(), "one case per kind");
         let b = vec![Event { at: 2, kind: EventKind::TierHit { instance: 1, model: 0 } }];
         let streams = vec![
             ("se".to_string(), a.clone()),

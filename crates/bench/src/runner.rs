@@ -121,8 +121,10 @@ impl Default for RunnerOptions {
 }
 
 impl RunnerOptions {
-    /// The `--fast` profile: sampled output rows and fewer decomposition
-    /// iterations.
+    /// The `--fast` profile: sampled output rows (`se_cfg.row_sample = 4`).
+    /// The traces are [`TraceOptions::fast`] either way; `table2`, `table3`
+    /// and `postproc` cut their decomposition iterations under `--fast`
+    /// themselves.
     pub fn fast() -> Self {
         let mut o = RunnerOptions::default();
         o.se_cfg.row_sample = 4;

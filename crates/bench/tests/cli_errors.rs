@@ -25,6 +25,12 @@ fn a_usage_error_is_a_message_and_status_one() {
 }
 
 #[test]
+fn a_flag_the_subcommand_does_not_read_is_an_error_naming_it() {
+    let stderr = failing_run(&["fig10", "--fast", "--with-fc"]);
+    assert!(stderr.contains("--with-fc applies to se trace build only"), "{stderr}");
+}
+
+#[test]
 fn a_truncated_artifact_is_a_message_naming_the_file() {
     let net = NetworkDesc::new(
         "tiny",

@@ -5,8 +5,9 @@
 
 use se_bench::args::Flags;
 use se_bench::figures::obs;
-use se_bench::obs_export::chrome_trace;
-use se_obs::{Event, Recorder};
+use se_bench::json::Json;
+use se_bench::obs_export::{chrome_trace, events_from_chrome_trace};
+use se_obs::{Event, EventKind, Recorder};
 use se_serve::cluster::{
     simulate_cluster_run_obs, ClusterSpec, ModelService, RouterPolicy, TierSpec,
 };
@@ -123,6 +124,26 @@ fn analyzer_output_is_byte_identical_across_runs() {
     for path in &traces {
         std::fs::remove_file(path).ok();
     }
+}
+
+/// The churned tiered trace, read back from its file, tells the fault and
+/// tier story: the kill, the restart, a promotion out of a lower tier, and
+/// the batch spans.
+#[test]
+fn churned_tiered_trace_reads_back_kill_restart_promotion_and_spans() {
+    let services = [service("se", 200, 40, 4, 300), service("dense", 260, 50, 4, 1600)];
+    let mut rec = Recorder::new();
+    simulate_cluster_run_obs(&workload(), &services, &spec(true), &mut rec).unwrap();
+    let path = write_trace("story", rec.events());
+    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).ok();
+    let streams = events_from_chrome_trace(&doc).unwrap();
+    let kinds: Vec<&EventKind> = streams.iter().flat_map(|(_, s)| s).map(|e| &e.kind).collect();
+    let any = |pred: fn(&EventKind) -> bool| kinds.iter().any(|k| pred(k));
+    assert!(any(|k| matches!(k, EventKind::InstanceKilled { instance: 1, .. })));
+    assert!(any(|k| matches!(k, EventKind::InstanceRestarted { instance: 1 })));
+    assert!(any(|k| matches!(k, EventKind::TierPromoted { .. })));
+    assert!(any(|k| matches!(k, EventKind::BatchLaunched { .. })));
 }
 
 #[test]

@@ -54,12 +54,6 @@ impl TrainConfig {
         self
     }
 
-    /// Sets the momentum coefficient.
-    pub fn with_momentum(mut self, m: f32) -> Self {
-        self.momentum = m;
-        self
-    }
-
     /// Sets the epoch count.
     pub fn with_epochs(mut self, e: usize) -> Self {
         self.epochs = e;

@@ -30,5 +30,5 @@ pub mod analyze;
 pub mod event;
 pub mod metrics;
 
-pub use event::{Event, EventKind, EventSink, NullSink, Recorder};
+pub use event::{Event, EventKind, EventSink, Field, FieldReader, NullSink, Recorder};
 pub use metrics::{Histogram, MetricsRegistry};
