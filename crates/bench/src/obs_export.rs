@@ -497,6 +497,152 @@ mod tests {
         assert_eq!(reparsed.render(), text, "render → parse → render is byte-stable");
     }
 
+    /// The golden bytes of the writer's edge cases: a label that needs
+    /// escapes, an empty `args`, a process-scoped instant, both flag
+    /// values, a counter track, a stream with no events, and counts at and
+    /// past 2^53, which print as the nearest `f64` in its shortest form
+    /// (2^53 + 1 as 2^53, `u64::MAX` as 18446744073709552000).
+    #[test]
+    fn chrome_trace_golden_bytes_of_edge_cases() {
+        assert_eq!(
+            chrome_trace(&[]).render(),
+            "{\n  \"traceEvents\": [],\n  \"displayTimeUnit\": \"ms\"\n}\n"
+        );
+        let big = (1u64 << 53) + 1;
+        let stream = vec![
+            Event { at: 3, kind: EventKind::InstanceRestarted { instance: 2 } },
+            Event { at: big, kind: EventKind::Rejected { id: big as usize, model: 0 } },
+            Event {
+                at: 4,
+                kind: EventKind::TierDemoted {
+                    instance: 0,
+                    model: 3,
+                    to: 1,
+                    bytes: u64::MAX,
+                    dropped: false,
+                },
+            },
+            Event {
+                at: 5,
+                kind: EventKind::TierDemoted {
+                    instance: 0,
+                    model: 4,
+                    to: 3,
+                    bytes: 32,
+                    dropped: true,
+                },
+            },
+            Event { at: 6, kind: EventKind::QueueDepth { instance: 2, depth: 7 } },
+        ];
+        let label = "a \"q\" \\ b\nc\t\r\u{1}d \u{e9}\u{1F600}/";
+        let text =
+            chrome_trace(&[(label.to_string(), stream.as_slice()), ("idle".to_string(), &[])])
+                .render();
+        let golden = concat!(
+            "{\n",
+            "  \"traceEvents\": [\n",
+            "    {\n",
+            "      \"name\": \"process_name\",\n",
+            "      \"ph\": \"M\",\n",
+            "      \"pid\": 0,\n",
+            "      \"tid\": 0,\n",
+            "      \"args\": {\n",
+            "        \"name\": \"a \\\"q\\\" \\\\ b\\nc\\t\\r\\u0001d \u{e9}\u{1F600}/\"\n",
+            "      }\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"thread_name\",\n",
+            "      \"ph\": \"M\",\n",
+            "      \"pid\": 0,\n",
+            "      \"tid\": 0,\n",
+            "      \"args\": {\n",
+            "        \"name\": \"instance 0\"\n",
+            "      }\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"thread_name\",\n",
+            "      \"ph\": \"M\",\n",
+            "      \"pid\": 0,\n",
+            "      \"tid\": 2,\n",
+            "      \"args\": {\n",
+            "        \"name\": \"instance 2\"\n",
+            "      }\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"process_name\",\n",
+            "      \"ph\": \"M\",\n",
+            "      \"pid\": 1,\n",
+            "      \"tid\": 0,\n",
+            "      \"args\": {\n",
+            "        \"name\": \"idle\"\n",
+            "      }\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"instance_restarted\",\n",
+            "      \"ph\": \"i\",\n",
+            "      \"pid\": 0,\n",
+            "      \"tid\": 2,\n",
+            "      \"ts\": 3,\n",
+            "      \"s\": \"t\",\n",
+            "      \"args\": {}\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"rejected\",\n",
+            "      \"ph\": \"i\",\n",
+            "      \"pid\": 0,\n",
+            "      \"tid\": 0,\n",
+            "      \"ts\": 9007199254740992,\n",
+            "      \"s\": \"p\",\n",
+            "      \"args\": {\n",
+            "        \"id\": 9007199254740992,\n",
+            "        \"model\": 0\n",
+            "      }\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"tier_demoted\",\n",
+            "      \"ph\": \"i\",\n",
+            "      \"pid\": 0,\n",
+            "      \"tid\": 0,\n",
+            "      \"ts\": 4,\n",
+            "      \"s\": \"t\",\n",
+            "      \"args\": {\n",
+            "        \"model\": 3,\n",
+            "        \"to\": 1,\n",
+            "        \"bytes\": 18446744073709552000,\n",
+            "        \"dropped\": false\n",
+            "      }\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"tier_demoted\",\n",
+            "      \"ph\": \"i\",\n",
+            "      \"pid\": 0,\n",
+            "      \"tid\": 0,\n",
+            "      \"ts\": 5,\n",
+            "      \"s\": \"t\",\n",
+            "      \"args\": {\n",
+            "        \"model\": 4,\n",
+            "        \"to\": 3,\n",
+            "        \"bytes\": 32,\n",
+            "        \"dropped\": true\n",
+            "      }\n",
+            "    },\n",
+            "    {\n",
+            "      \"name\": \"queue_depth i2\",\n",
+            "      \"ph\": \"C\",\n",
+            "      \"pid\": 0,\n",
+            "      \"tid\": 2,\n",
+            "      \"ts\": 6,\n",
+            "      \"args\": {\n",
+            "        \"depth\": 7\n",
+            "      }\n",
+            "    }\n",
+            "  ],\n",
+            "  \"displayTimeUnit\": \"ms\"\n",
+            "}\n",
+        );
+        assert_eq!(text, golden);
+    }
+
     #[test]
     fn every_trace_kind_lands_in_the_right_phase() {
         let stream = small_stream();
