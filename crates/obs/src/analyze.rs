@@ -108,6 +108,11 @@ impl WindowStats {
     pub fn latency_percentile(&self, p: f64) -> Option<u64> {
         percentile(&self.latencies, p)
     }
+
+    /// The [`percentiles`] of the window's completion latencies.
+    pub fn latency_percentiles<const N: usize>(&self, ps: [f64; N]) -> [Option<u64>; N] {
+        percentiles(&self.latencies, ps)
+    }
 }
 
 /// The `p`-th percentile of `values` (`p` in `[0, 100]`; nearest-rank on
@@ -117,13 +122,22 @@ impl WindowStats {
 /// one percentile definition of every serving report and analysis, so
 /// their latency columns are directly comparable.
 pub fn percentile(values: &[u64], p: f64) -> Option<u64> {
+    let [value] = percentiles(values, [p]);
+    value
+}
+
+/// The [`percentile`] of `values` at each of `ps`, in order, from one
+/// sorted copy of `values`.
+pub fn percentiles<const N: usize>(values: &[u64], ps: [f64; N]) -> [Option<u64>; N] {
     if values.is_empty() {
-        return None;
+        return [None; N];
     }
     let mut sorted = values.to_vec();
     sorted.sort_unstable();
-    let rank = ((p.clamp(0.0, 100.0) / 100.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
+    ps.map(|p| {
+        let rank = ((p.clamp(0.0, 100.0) / 100.0) * sorted.len() as f64).ceil() as usize;
+        Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
+    })
 }
 
 /// Whole-stream totals, tallied independently of the windows (the
@@ -730,6 +744,12 @@ mod tests {
         assert_eq!(percentile(&[10, 30, 20, 40], 100.0), Some(40));
         assert_eq!(percentile(&[10, 30, 20, 40], 0.0), Some(10));
         assert_eq!(percentile(&[5, 1, 3], 99.0), Some(5));
+        // Several ranks from one sort agree with one rank at a time.
+        let values = [10, 30, 20, 40, 50, 5, 25];
+        let ps = [0.0, 50.0, 95.0, 99.0, 100.0];
+        assert_eq!(percentiles(&values, ps), ps.map(|p| percentile(&values, p)));
+        assert_eq!(percentiles(&values, [50.0, 99.0]), [Some(25), Some(50)]);
+        assert_eq!(percentiles(&[], [50.0, 95.0, 99.0]), [None; 3]);
     }
 
     #[test]
