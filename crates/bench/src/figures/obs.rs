@@ -2,7 +2,7 @@
 //!
 //! Consumes `--trace-out` Chrome-trace files written by `se serve`,
 //! `se cluster`, or `se bench serve`, reconstructs the exact event
-//! streams via [`crate::obs_export::events_from_chrome_trace`] (the
+//! streams via [`crate::obs_export::read_chrome_trace`] (the
 //! round-trip guarantee), and runs [`se_obs::analyze`] over them:
 //!
 //! * `se obs summarize <trace.json>` — windowed timeseries: per-window
@@ -23,13 +23,13 @@
 //! converted to cycles at the accelerator frequency.
 
 use crate::args::Flags;
-use crate::json::Json;
-use crate::obs_export::events_from_chrome_trace;
+use crate::obs_export::read_chrome_trace;
 use crate::{table, Result};
 use se_hw::SeAcceleratorConfig;
 use se_obs::analyze::{analyze, Analysis};
 use se_obs::Event;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufReader, Write};
 use std::path::Path;
 
 /// Dispatches the `obs` subcommand's action: `summarize` / `attribute`
@@ -66,11 +66,12 @@ fn window_cycles(flags: &Flags) -> u64 {
     ((flags.window_us.unwrap_or(200.0) * 1e-6 * freq).round() as u64).max(1)
 }
 
-/// Loads a `--trace-out` file back into its named event streams.
+/// Streams a `--trace-out` file back into its named event streams.
 fn load_streams(path: &Path) -> Result<Vec<(String, Vec<Event>)>> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    events_from_chrome_trace(&doc).map_err(|e| format!("{}: {e}", path.display()).into())
+    let streams = File::open(path)
+        .map_err(Into::into)
+        .and_then(|file| read_chrome_trace(BufReader::with_capacity(1 << 16, file)));
+    streams.map_err(|e| format!("{}: {e}", path.display()).into())
 }
 
 /// Cycles → microseconds at the accelerator frequency.
@@ -152,9 +153,9 @@ fn run_summarize(trace: &Path, flags: &Flags, out: &mut dyn Write) -> Result<()>
         let rows: Vec<Vec<String>> = active
             .iter()
             .map(|w| {
-                let pct = |p: f64| {
-                    w.latency_percentile(p).map_or_else(|| "-".into(), |c| format!("{:.1}", us(c)))
-                };
+                let [p50, p95, p99] = w
+                    .latency_percentiles([50.0, 95.0, 99.0])
+                    .map(|c| c.map_or_else(|| "-".into(), |c| format!("{:.1}", us(c))));
                 vec![
                     w.index.to_string(),
                     format!("{:.0}", us(w.start)),
@@ -164,9 +165,9 @@ fn run_summarize(trace: &Path, flags: &Flags, out: &mut dyn Write) -> Result<()>
                     w.served.to_string(),
                     w.served_ok().to_string(),
                     w.missed.to_string(),
-                    pct(50.0),
-                    pct(95.0),
-                    pct(99.0),
+                    p50,
+                    p95,
+                    p99,
                     w.queue_depth_max.to_string(),
                     format!("{:.1}", w.queue_depth_mean()),
                     w.tier_hits.to_string(),

@@ -7,6 +7,10 @@
 //! are declared once with `json_record!`, which gives each its writer and
 //! its strict, schema-checking reader.
 
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Read};
+use std::ops::Range;
+
 use crate::Result;
 
 /// A JSON value. Objects preserve insertion order so emitted reports are
@@ -83,31 +87,21 @@ impl Json {
             Json::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => render_number(*n, s),
             Json::Str(text) => render_string(text, s),
-            Json::Arr(items) if items.is_empty() => s.push_str("[]"),
             Json::Arr(items) => {
-                s.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    s.push_str(if i == 0 { "\n" } else { ",\n" });
-                    push_indent(s, indent + 1);
+                let mut arr = Pretty::array(s, indent);
+                for item in items {
+                    arr.item(s);
                     item.render_into(s, indent + 1);
                 }
-                s.push('\n');
-                push_indent(s, indent);
-                s.push(']');
+                arr.close(s);
             }
-            Json::Obj(fields) if fields.is_empty() => s.push_str("{}"),
             Json::Obj(fields) => {
-                s.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    s.push_str(if i == 0 { "\n" } else { ",\n" });
-                    push_indent(s, indent + 1);
-                    render_string(key, s);
-                    s.push_str(": ");
+                let mut obj = Pretty::object(s, indent);
+                for (key, value) in fields {
+                    obj.key(s, key);
                     value.render_into(s, indent + 1);
                 }
-                s.push('\n');
-                push_indent(s, indent);
-                s.push('}');
+                obj.close(s);
             }
         }
     }
@@ -120,13 +114,9 @@ impl Json {
     /// Fails on malformed input, trailing garbage, and arrays or objects
     /// nested more than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}").into());
-        }
+        let mut lexer = Lexer::new(text.as_bytes());
+        let value = lexer.value(0)?;
+        lexer.end()?;
         Ok(value)
     }
 }
@@ -137,6 +127,53 @@ impl Json {
 /// levels deep.
 pub const MAX_DEPTH: usize = 128;
 
+/// An array or object written item by item in [`Json::render`]'s layout:
+/// each item on its own line, indented one step past the value's
+/// `indent`, and `[]` / `{}` when empty. Streaming writers use it to lay
+/// out a document they never hold whole.
+pub(crate) struct Pretty {
+    indent: usize,
+    items: usize,
+    close: char,
+}
+
+impl Pretty {
+    /// Opens an array at `indent`.
+    pub(crate) fn array(s: &mut String, indent: usize) -> Pretty {
+        s.push('[');
+        Pretty { indent, items: 0, close: ']' }
+    }
+
+    /// Opens an object at `indent`.
+    pub(crate) fn object(s: &mut String, indent: usize) -> Pretty {
+        s.push('{');
+        Pretty { indent, items: 0, close: '}' }
+    }
+
+    /// Starts the next item: the separator and the indent.
+    pub(crate) fn item(&mut self, s: &mut String) {
+        s.push_str(if self.items == 0 { "\n" } else { ",\n" });
+        push_indent(s, self.indent + 1);
+        self.items += 1;
+    }
+
+    /// Starts the next field of an object: its key and the `: `.
+    pub(crate) fn key(&mut self, s: &mut String, key: &str) {
+        self.item(s);
+        render_string(key, s);
+        s.push_str(": ");
+    }
+
+    /// Closes the array or object.
+    pub(crate) fn close(self, s: &mut String) {
+        if self.items > 0 {
+            s.push('\n');
+            push_indent(s, self.indent);
+        }
+        s.push(self.close);
+    }
+}
+
 fn push_indent(s: &mut String, indent: usize) {
     for _ in 0..indent {
         s.push_str("  ");
@@ -146,13 +183,34 @@ fn push_indent(s: &mut String, indent: usize) {
 fn render_number(n: f64, s: &mut String) {
     if n.is_finite() {
         // Shortest-roundtrip display: integers print bare (`5`, not `5.0`).
-        s.push_str(&format!("{n}"));
+        write!(s, "{n}").expect("writing to a String cannot fail");
     } else {
         s.push_str("null");
     }
 }
 
-fn render_string(text: &str, s: &mut String) {
+/// Renders a count exactly as [`render_number`] renders it as an `f64`:
+/// bare digits below 2^53, and past it the `f64` the count rounds to.
+pub(crate) fn render_count(n: u64, s: &mut String) {
+    if n >= 1 << 53 {
+        return render_number(n as f64, s);
+    }
+    let mut digits = [0u8; 16];
+    let mut at = digits.len();
+    let mut rest = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&digits[at..]).expect("digits are ASCII"));
+}
+
+/// Renders `text` as a JSON string literal.
+pub(crate) fn render_string(text: &str, s: &mut String) {
     s.push('"');
     for c in text.chars() {
         match c {
@@ -161,95 +219,381 @@ fn render_string(text: &str, s: &mut String) {
             '\n' => s.push_str("\\n"),
             '\t' => s.push_str("\\t"),
             '\r' => s.push_str("\\r"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(s, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
             c => s.push(c),
         }
     }
     s.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
+/// A value that is neither an array nor an object, as [`Lexer::scalar`]
+/// reads it. A string's text goes to the caller's buffer, at `Str`'s range.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Scalar {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Range<usize>),
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<()> {
-    if bytes[*pos..].starts_with(token.as_bytes()) {
-        *pos += token.len();
+/// The bytes [`Lexer`] reads from its input at a time.
+const WINDOW: usize = 1 << 16;
+
+/// The one JSON grammar of the crate, over a document in memory
+/// ([`Json::parse`] reads its text as a `&[u8]`) or streamed from a file
+/// ([`crate::obs_export::read_chrome_trace`]): whitespace, literals, the
+/// number grammar, string escapes, the array and object punctuation and
+/// the [`MAX_DEPTH`] bound. It reads through a window of the input, which
+/// keeps the token being read whole across reads, so memory is the
+/// longest token, not the document. Errors name the byte offset in the
+/// document.
+pub(crate) struct Lexer<R> {
+    input: R,
+    /// `buf[pos..end]` is read from the input and not yet consumed.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// The document offset of `buf[0]`.
+    base: usize,
+    /// One key buffer per nesting level, reused across objects.
+    keys: Vec<String>,
+}
+
+impl<R: Read> Lexer<R> {
+    /// A lexer at the start of the document `input` holds.
+    pub(crate) fn new(input: R) -> Self {
+        Lexer { input, buf: vec![0; WINDOW], pos: 0, end: 0, base: 0, keys: Vec::new() }
+    }
+
+    /// The document offset of the next unread byte.
+    fn offset(&self) -> usize {
+        self.base + self.pos
+    }
+
+    /// Reads more of the input behind the unconsumed bytes, which move to
+    /// the front of the window (growing it when they fill it); `false` at
+    /// the end of the input.
+    #[cold]
+    fn more(&mut self) -> Result<bool> {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.base += self.pos;
+        self.end -= self.pos;
+        self.pos = 0;
+        if self.end == self.buf.len() {
+            self.buf.resize(2 * self.end, 0);
+        }
+        loop {
+            match self.input.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n > 0);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    #[inline]
+    fn peek(&mut self) -> Result<Option<u8>> {
+        if self.pos == self.end && !self.more()? {
+            return Ok(None);
+        }
+        Ok(Some(self.buf[self.pos]))
+    }
+
+    /// Skips whitespace; the next byte, if any.
+    #[inline]
+    pub(crate) fn skip_ws(&mut self) -> Result<Option<u8>> {
+        loop {
+            let unread = &self.buf[self.pos..self.end];
+            if let Some(at) = unread.iter().position(|b| !b.is_ascii_whitespace()) {
+                self.pos += at;
+                return Ok(Some(unread[at]));
+            }
+            self.pos = self.end;
+            if !self.more()? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// Consumes `byte` when it is next after whitespace; otherwise fails
+    /// as [`Lexer::expect`] does.
+    #[inline]
+    fn punct(&mut self, byte: u8, token: &str) -> Result<()> {
+        if self.skip_ws()? == Some(byte) {
+            self.pos += 1;
+            return Ok(());
+        }
+        self.expect(token)
+    }
+
+    fn expect(&mut self, token: &str) -> Result<()> {
+        let at = self.offset();
+        for &byte in token.as_bytes() {
+            if self.peek()? != Some(byte) {
+                return Err(format!("expected `{token}` at byte {at}").into());
+            }
+            self.pos += 1;
+        }
         Ok(())
-    } else {
-        Err(format!("expected `{token}` at byte {pos}").into())
+    }
+
+    /// Fails unless only whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<()> {
+        match self.skip_ws()? {
+            Some(_) => Err(format!("trailing garbage at byte {}", self.offset()).into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Reads the value next in the document, which sits inside `depth`
+    /// arrays/objects.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json> {
+        Ok(match self.skip_ws()? {
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(depth, |lexer| {
+                    items.push(lexer.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(depth, |lexer, key| {
+                    fields.push((key.to_string(), lexer.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Json::Obj(fields)
+            }
+            _ => {
+                let mut text = String::new();
+                match self.scalar(&mut text)? {
+                    Scalar::Null => Json::Null,
+                    Scalar::Bool(b) => Json::Bool(b),
+                    Scalar::Num(n) => Json::Num(n),
+                    Scalar::Str(_) => Json::Str(text),
+                }
+            }
+        })
+    }
+
+    /// Consumes the `[` or `{` of a value inside `depth` arrays/objects.
+    fn open(&mut self, depth: usize) -> Result<()> {
+        if depth >= MAX_DEPTH {
+            let at = self.offset();
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {at}").into());
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads the array next in the document (its `[` already peeked),
+    /// which sits inside `depth` arrays/objects: `item` reads each element.
+    pub(crate) fn array(
+        &mut self,
+        depth: usize,
+        mut item: impl FnMut(&mut Self) -> Result<()>,
+    ) -> Result<()> {
+        self.open(depth)?;
+        for index in 0.. {
+            match self.skip_ws()? {
+                Some(b']') => {
+                    self.pos += 1;
+                    break;
+                }
+                Some(b',') if index > 0 => self.pos += 1,
+                _ if index > 0 => self.expect(",")?,
+                _ => {}
+            }
+            item(self)?;
+        }
+        Ok(())
+    }
+
+    /// Reads the object next in the document (its `{` already peeked),
+    /// which sits inside `depth` arrays/objects: `field` reads each
+    /// field's value, given its key.
+    pub(crate) fn object(
+        &mut self,
+        depth: usize,
+        mut field: impl FnMut(&mut Self, &str) -> Result<()>,
+    ) -> Result<()> {
+        self.open(depth)?;
+        if self.keys.len() <= depth {
+            self.keys.resize_with(depth + 1, String::new);
+        }
+        let mut key = std::mem::take(&mut self.keys[depth]);
+        for index in 0.. {
+            match self.skip_ws()? {
+                Some(b'}') => {
+                    self.pos += 1;
+                    break;
+                }
+                Some(b',') if index > 0 => {
+                    self.pos += 1;
+                    self.skip_ws()?;
+                }
+                _ if index > 0 => self.expect(",")?,
+                _ => {}
+            }
+            key.clear();
+            self.string(&mut key)?;
+            self.punct(b':', ":")?;
+            field(self, &key)?;
+        }
+        self.keys[depth] = key;
+        Ok(())
+    }
+
+    /// Reads the literal, string or number next in the document; a string
+    /// is appended to `text`.
+    #[inline]
+    pub(crate) fn scalar(&mut self, text: &mut String) -> Result<Scalar> {
+        match self.skip_ws()? {
+            None => Err("unexpected end of input".into()),
+            Some(b'n') => self.expect("null").map(|()| Scalar::Null),
+            Some(b't') => self.expect("true").map(|()| Scalar::Bool(true)),
+            Some(b'f') => self.expect("false").map(|()| Scalar::Bool(false)),
+            Some(b'"') => {
+                let start = text.len();
+                self.string(text)?;
+                Ok(Scalar::Str(start..text.len()))
+            }
+            Some(_) => self.number().map(Scalar::Num),
+        }
+    }
+
+    /// Reads a string literal, appending its text to `out`.
+    #[inline]
+    fn string(&mut self, out: &mut String) -> Result<()> {
+        if self.peek()? != Some(b'"') {
+            return self.expect("\"");
+        }
+        self.pos += 1;
+        // Find the closing quote before validating UTF-8, so each string
+        // costs its own length rather than the rest of the document.
+        // Multi-byte UTF-8 sequences never contain `"` or `\`, so a byte
+        // scan is exact.
+        let (mut scanned, mut escapes) = (0, false);
+        loop {
+            let body = &self.buf[self.pos..self.end];
+            while scanned < body.len() {
+                match body[scanned..].iter().position(|&b| b == b'"' || b == b'\\') {
+                    Some(at) if body[scanned + at] == b'"' => {
+                        let raw = &body[..scanned + at];
+                        let text = std::str::from_utf8(raw)
+                            .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
+                        if escapes {
+                            unescape(text, out)?;
+                        } else {
+                            out.push_str(text);
+                        }
+                        self.pos += scanned + at + 1;
+                        return Ok(());
+                    }
+                    // An escape: skip the escaped byte, which may be unread.
+                    Some(at) => (scanned, escapes) = (scanned + at + 2, true),
+                    None => scanned = body.len(),
+                }
+            }
+            if !self.more()? {
+                return Err("unterminated string".into());
+            }
+        }
+    }
+
+    /// Reads a number (see [`number_prefix`]).
+    #[inline]
+    fn number(&mut self) -> Result<f64> {
+        // The common case, a short integer the window holds with the byte
+        // after it: read in place.
+        let unread = &self.buf[self.pos..self.end];
+        let len = unread.iter().take(15).take_while(|b| b.is_ascii_digit()).count();
+        let plain = |next: &u8| !matches!(next, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+        if len > 0 && (len == 1 || unread[0] != b'0') && unread.get(len).is_some_and(plain) {
+            let n = unread[..len].iter().fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
+            self.pos += len;
+            return Ok(n as f64);
+        }
+        // The bytes a number can hold, gathered whole into the window.
+        let mut len = 0;
+        loop {
+            let rest = &self.buf[self.pos + len..self.end];
+            let run = rest
+                .iter()
+                .position(|&b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'));
+            len += run.unwrap_or(rest.len());
+            if run.is_some() || !self.more()? {
+                break;
+            }
+        }
+        let (used, value) = number_prefix(&self.buf[self.pos..self.pos + len], self.offset())?;
+        self.pos += used;
+        Ok(value)
     }
 }
 
-/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
-    skip_ws(bytes, pos);
-    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}").into());
+/// Reads the number `bytes` start with, which begins at document offset
+/// `start`: JSON's grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?` followed by an
+/// optional `[eE][+-]?[0-9]+`, whose value is finite. The bytes read and
+/// the value.
+fn number_prefix(bytes: &[u8], start: usize) -> Result<(usize, f64)> {
+    let mut pos = 0;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    let invalid = || format!("invalid number at byte {start}").into();
+    if bytes.first() == Some(&b'-') {
+        pos += 1;
     }
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            loop {
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                if !items.is_empty() {
-                    expect(bytes, pos, ",")?;
-                }
-                items.push(parse_value(bytes, pos, depth + 1)?);
-            }
+    let int_start = pos;
+    match digits(&mut pos) {
+        0 => return Err(invalid()),
+        1 => {}
+        _ if bytes[int_start] == b'0' => return Err(invalid()),
+        _ => {}
+    }
+    if bytes.get(pos) == Some(&b'.') {
+        pos += 1;
+        if digits(&mut pos) == 0 {
+            return Err(invalid());
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            loop {
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                if !fields.is_empty() {
-                    expect(bytes, pos, ",")?;
-                    skip_ws(bytes, pos);
-                }
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, ":")?;
-                fields.push((key, parse_value(bytes, pos, depth + 1)?));
-            }
+    }
+    if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+        pos += 1;
+        if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+            pos += 1;
         }
-        Some(_) => parse_number(bytes, pos).map(Json::Num),
+        if digits(&mut pos) == 0 {
+            return Err(invalid());
+        }
+    }
+    let text = &bytes[..pos];
+    // Up to 15 plain digits are an integer an f64 holds exactly.
+    if pos <= 15 && text.iter().all(u8::is_ascii_digit) {
+        let n = text.iter().fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
+        return Ok((pos, n as f64));
+    }
+    let text = std::str::from_utf8(text).expect("the grammar is ASCII");
+    match text.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok((pos, value)),
+        _ => Err(format!("number at byte {start} is out of range").into()),
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    expect(bytes, pos, "\"")?;
-    // Find the closing quote before validating UTF-8, so each string costs
-    // its own length rather than the rest of the document. Multi-byte
-    // UTF-8 sequences never contain `"` or `\`, so a byte scan is exact.
-    let mut end = *pos;
-    loop {
-        match bytes.get(end) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => break,
-            Some(b'\\') => end += 2,
-            Some(_) => end += 1,
-        }
-    }
-    let text = std::str::from_utf8(&bytes[*pos..end])
-        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-    let mut out = String::with_capacity(text.len());
+/// Appends the text of a string literal's body `text` (between its
+/// quotes) to `out`, escapes resolved.
+fn unescape(text: &str, out: &mut String) -> Result<()> {
+    let raw = text.as_bytes();
     let mut chars = text.char_indices();
     while let Some((offset, c)) = chars.next() {
         match c {
@@ -261,11 +605,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
                 Some((_, 't')) => out.push('\t'),
                 Some((_, 'r')) => out.push('\r'),
                 Some((_, 'u')) => {
-                    let hex_at = *pos + offset + 2;
+                    let hex_at = offset + 2;
                     // Exactly four hex digits, inside the string (a sign,
                     // a short escape or the closing quote is an error).
-                    let hex = bytes
-                        .get(hex_at..(hex_at + 4).min(end))
+                    let hex = raw
+                        .get(hex_at..(hex_at + 4).min(raw.len()))
                         .filter(|h| h.len() == 4 && h.iter().all(u8::is_ascii_hexdigit))
                         .ok_or("\\u escape needs four hex digits")?;
                     let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
@@ -280,52 +624,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
             c => out.push(c),
         }
     }
-    *pos = end + 1;
-    Ok(out)
-}
-
-/// Parses a number of JSON's grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?`
-/// followed by an optional `[eE][+-]?[0-9]+`, whose value is finite.
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64> {
-    let start = *pos;
-    let digits = |pos: &mut usize| {
-        let from = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos - from
-    };
-    let invalid = || format!("invalid number at byte {start}").into();
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_start = *pos;
-    match digits(pos) {
-        0 => return Err(invalid()),
-        1 => {}
-        _ if bytes[int_start] == b'0' => return Err(invalid()),
-        _ => {}
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if digits(pos) == 0 {
-            return Err(invalid());
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if digits(pos) == 0 {
-            return Err(invalid());
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("the grammar is ASCII");
-    match text.parse::<f64>() {
-        Ok(value) if value.is_finite() => Ok(value),
-        _ => Err(format!("number at byte {start} is out of range").into()),
-    }
+    Ok(())
 }
 
 /// One field of a typed record ([`json_record!`]): how it is written,

@@ -13,7 +13,10 @@
 //! per virtual cycle.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Display;
+use std::fmt::{Display, Write as _};
+use std::fs::File;
+use std::io::{BufRead, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use se_obs::{
@@ -21,34 +24,62 @@ use se_obs::{
 };
 
 use crate::args::Flags;
-use crate::json::Json;
+use crate::json::{render_count, render_string, Json, Lexer, Pretty, Scalar};
 
-/// Builds a Chrome-trace document from named event streams (one trace
-/// `pid` per stream, in order — e.g. one per cluster lane). Batch
-/// executions become `ph: "X"` duration spans on their instance's
-/// thread, queue-depth samples become `ph: "C"` counter tracks, and
-/// everything else — admissions, per-request completions, faults, tier
-/// traffic — becomes a `ph: "i"` instant carrying its full payload in
-/// `args`. Every event kind lands in the trace, so the document is a
-/// lossless encoding of the stream: [`events_from_chrome_trace`] is its
+/// Writes the Chrome-trace document of named event streams to `out`, one
+/// entry at a time, so memory stays that of one entry whatever the event
+/// count. One trace `pid` per stream, in order (e.g. one per cluster
+/// lane). Batch executions become `ph: "X"` duration spans on their
+/// instance's thread, queue-depth samples become `ph: "C"` counter
+/// tracks, and everything else — admissions, per-request completions,
+/// faults, tier traffic — becomes a `ph: "i"` instant carrying its full
+/// payload in `args`. Every event kind lands in the trace, so the document
+/// is a lossless encoding of the stream: [`read_chrome_trace`] is its
 /// exact inverse, which is what lets `se obs` re-analyze a `--trace-out`
-/// artifact long after the run.
-pub fn chrome_trace(streams: &[(String, &[Event])]) -> Json {
-    let mut events = Vec::new();
+/// artifact long after the run. The bytes are [`Json::render`]'s layout.
+///
+/// # Errors
+///
+/// The first failed write.
+pub fn write_chrome_trace(
+    streams: &[(String, &[Event])],
+    out: &mut impl Write,
+) -> std::io::Result<()> {
+    let mut w = TraceWriter::default();
+    let mut top = Pretty::object(&mut w.text, 0);
+    top.key(&mut w.text, "traceEvents");
+    let mut entries = Pretty::array(&mut w.text, 1);
     for (pid, (label, stream)) in streams.iter().enumerate() {
-        events.push(metadata(pid, 0, "process_name", label));
+        entries.item(&mut w.text);
+        w.metadata(pid, 0, "process_name", label);
         let tids: BTreeSet<usize> = stream.iter().filter_map(|e| e.kind.instance()).collect();
         for tid in tids {
-            events.push(metadata(pid, tid, "thread_name", &format!("instance {tid}")));
+            entries.item(&mut w.text);
+            w.metadata(pid, tid, "thread_name", &format!("instance {tid}"));
         }
+        w.flush(out)?;
     }
     for (pid, (_, stream)) in streams.iter().enumerate() {
-        events.extend(stream.iter().map(|event| trace_event(pid, event)));
+        for event in stream.iter() {
+            entries.item(&mut w.text);
+            w.event(pid, event);
+            w.flush(out)?;
+        }
     }
-    Json::Obj(vec![
-        ("traceEvents".to_string(), Json::Arr(events)),
-        ("displayTimeUnit".to_string(), Json::Str("ms".to_string())),
-    ])
+    entries.close(&mut w.text);
+    top.key(&mut w.text, "displayTimeUnit");
+    render_string("ms", &mut w.text);
+    top.close(&mut w.text);
+    w.text.push('\n');
+    out.write_all(w.text.as_bytes())
+}
+
+/// The [`Json`] of [`write_chrome_trace`]'s document, for callers that
+/// want a tree; the CLI streams instead.
+pub fn chrome_trace(streams: &[(String, &[Event])]) -> Json {
+    let mut text = Vec::new();
+    write_chrome_trace(streams, &mut text).expect("writing to memory cannot fail");
+    Json::parse(std::str::from_utf8(&text).expect("the writer writes UTF-8")).expect("valid JSON")
 }
 
 /// Renders named event streams as Prometheus-style text exposition: each
@@ -69,7 +100,21 @@ pub fn metrics_text(streams: &[(String, &[Event])]) -> String {
 ///
 /// Propagates the I/O error, naming the file.
 pub fn write_export(path: &Path, content: &str) -> crate::Result<()> {
-    std::fs::write(path, content).map_err(|e| format!("writing {}: {e}", path.display()).into())
+    export_to(path, |out| out.write_all(content.as_bytes()))
+}
+
+/// Creates `path` and lets `write` stream the export into it through a
+/// buffer, with [`write_export`]'s error message.
+fn export_to(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> crate::Result<()> {
+    let written = File::create(path).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        write(&mut out)?;
+        out.flush()
+    });
+    written.map_err(|e| format!("writing {}: {e}", path.display()).into())
 }
 
 /// The `--trace-out` / `--metrics-out` recording shared by `se serve`,
@@ -146,7 +191,7 @@ impl<'a> Recording<'a> {
         let views: Vec<(String, &[Event])> =
             self.streams.iter().map(|(name, events)| (name.clone(), events.as_slice())).collect();
         if let Some(path) = self.trace_out {
-            write_export(path, &chrome_trace(&views).render())?;
+            export_to(path, |out| write_chrome_trace(&views, out))?;
             se_core::se_info!("wrote Chrome-trace JSON to {}", path.display());
         }
         if let Some(path) = self.metrics_out {
@@ -157,127 +202,335 @@ impl<'a> Recording<'a> {
     }
 }
 
-fn num(n: u64) -> Json {
-    Json::Num(n as f64)
+/// [`write_chrome_trace`]'s state: the entry being written, flushed to
+/// the output after each, and a reused buffer for built names.
+#[derive(Default)]
+struct TraceWriter {
+    text: String,
+    name: String,
+    args: String,
 }
 
-fn metadata(pid: usize, tid: usize, name: &str, arg_name: &str) -> Json {
-    Json::Obj(vec![
-        ("name".to_string(), Json::Str(name.to_string())),
-        ("ph".to_string(), Json::Str("M".to_string())),
-        ("pid".to_string(), num(pid as u64)),
-        ("tid".to_string(), num(tid as u64)),
-        (
-            "args".to_string(),
-            Json::Obj(vec![("name".to_string(), Json::Str(arg_name.to_string()))]),
-        ),
-    ])
-}
-
-/// One trace event, by one rule: every kind is an instant (`i`) named by
-/// its kind, except the batch span (`X`) and the queue-depth counter
-/// (`C`). `args` hold every payload field except `instance`, which is the
-/// `tid`, and the span's `done`, which is its `dur`.
-fn trace_event(pid: usize, event: &Event) -> Json {
-    let kind = &event.kind;
-    let (name, ph) = match *kind {
-        EventKind::BatchLaunched { model, size, .. } => (format!("batch m{model} x{size}"), "X"),
-        EventKind::QueueDepth { instance, .. } => (format!("{} i{instance}", kind.name()), "C"),
-        _ => (kind.name().to_string(), "i"),
-    };
-    let (mut tid, mut dur, mut args) = (None, None, Vec::with_capacity(6));
-    kind.for_each_field(|field, value| match (field, value) {
-        ("instance", Field::Count(instance)) => tid = Some(instance),
-        ("done", Field::Count(done)) => dur = Some(done.saturating_sub(event.at)),
-        (_, Field::Count(n)) => args.push((field.to_string(), num(n))),
-        (_, Field::Flag(flag)) => args.push((field.to_string(), Json::Bool(flag))),
-    });
-    let mut entry = Vec::with_capacity(7);
-    entry.extend([
-        ("name".to_string(), Json::Str(name)),
-        ("ph".to_string(), Json::Str(ph.to_string())),
-        ("pid".to_string(), num(pid as u64)),
-        ("tid".to_string(), num(tid.unwrap_or(0))),
-        ("ts".to_string(), num(event.at)),
-    ]);
-    entry.extend(dur.map(|dur| ("dur".to_string(), num(dur))));
-    if ph == "i" {
-        let scope = if tid.is_some() { "t" } else { "p" };
-        entry.push(("s".to_string(), Json::Str(scope.to_string())));
+impl TraceWriter {
+    fn flush(&mut self, out: &mut impl Write) -> std::io::Result<()> {
+        out.write_all(self.text.as_bytes())?;
+        self.text.clear();
+        Ok(())
     }
-    entry.push(("args".to_string(), Json::Obj(args)));
-    Json::Obj(entry)
+
+    fn metadata(&mut self, pid: usize, tid: usize, name: &str, arg_name: &str) {
+        let s = &mut self.text;
+        let mut entry = Pretty::object(s, 2);
+        entry.key(s, "name");
+        render_string(name, s);
+        entry.key(s, "ph");
+        render_string("M", s);
+        entry.key(s, "pid");
+        render_count(pid as u64, s);
+        entry.key(s, "tid");
+        render_count(tid as u64, s);
+        entry.key(s, "args");
+        let mut args = Pretty::object(s, 3);
+        args.key(s, "name");
+        render_string(arg_name, s);
+        args.close(s);
+        entry.close(s);
+    }
+
+    /// One trace event, by one rule: every kind is an instant (`i`) named
+    /// by its kind, except the batch span (`X`) and the queue-depth
+    /// counter (`C`). `args` hold every payload field except `instance`,
+    /// which is the `tid`, and the span's `done`, which is its `dur`.
+    fn event(&mut self, pid: usize, event: &Event) {
+        let kind = &event.kind;
+        self.name.clear();
+        let ph = match *kind {
+            EventKind::BatchLaunched { model, size, .. } => {
+                write!(self.name, "batch m{model} x{size}").expect("writing to a String");
+                "X"
+            }
+            EventKind::QueueDepth { instance, .. } => {
+                write!(self.name, "{} i{instance}", kind.name()).expect("writing to a String");
+                "C"
+            }
+            _ => {
+                self.name.push_str(kind.name());
+                "i"
+            }
+        };
+        let (mut tid, mut dur, args) = (None, None, &mut self.args);
+        args.clear();
+        let mut fields = Pretty::object(args, 3);
+        kind.for_each_field(|field, value| match (field, value) {
+            ("instance", Field::Count(instance)) => tid = Some(instance),
+            ("done", Field::Count(done)) => dur = Some(done.saturating_sub(event.at)),
+            (_, Field::Count(n)) => {
+                fields.key(args, field);
+                render_count(n, args);
+            }
+            (_, Field::Flag(flag)) => {
+                fields.key(args, field);
+                args.push_str(if flag { "true" } else { "false" });
+            }
+        });
+        fields.close(args);
+        let s = &mut self.text;
+        let mut entry = Pretty::object(s, 2);
+        entry.key(s, "name");
+        render_string(&self.name, s);
+        entry.key(s, "ph");
+        render_string(ph, s);
+        entry.key(s, "pid");
+        render_count(pid as u64, s);
+        entry.key(s, "tid");
+        render_count(tid.unwrap_or(0), s);
+        entry.key(s, "ts");
+        render_count(event.at, s);
+        if let Some(dur) = dur {
+            entry.key(s, "dur");
+            render_count(dur, s);
+        }
+        if ph == "i" {
+            entry.key(s, "s");
+            render_string(if tid.is_some() { "t" } else { "p" }, s);
+        }
+        entry.key(s, "args");
+        s.push_str(&self.args);
+        entry.close(s);
+    }
 }
 
-/// The exact inverse of [`chrome_trace`]: reconstructs the named event
-/// streams from a parsed trace document, in stream (`pid`) order, each
-/// stream in its original emission order. `chrome_trace` loses nothing —
-/// every [`EventKind`] is rendered with its full payload — so
-/// `events_from_chrome_trace(&chrome_trace(streams))` returns `streams`
-/// verbatim, and `se obs` can analyze a `--trace-out` file exactly as it
-/// would the in-memory recording.
+/// Reads a Chrome-trace document from `input` entry by entry — holding
+/// neither its text nor a tree, only the events decoded so far — back
+/// into its named event streams, in stream (`pid`) order, each stream in
+/// its original emission order. The exact inverse of
+/// [`write_chrome_trace`]: `write_chrome_trace` loses nothing, so reading
+/// its document returns the streams verbatim, and `se obs` analyzes a
+/// `--trace-out` file exactly as it would the in-memory recording. The
+/// document is read as [`Json::parse`] reads it: any key order, and of a
+/// repeated key the first.
 ///
 /// # Errors
 ///
-/// Fails loudly — naming the offending entry — on anything that is not a
-/// trace this exporter wrote: a missing `traceEvents` array, an entry
-/// without `ph`/`pid`/`ts`, an unknown instant name, a missing or
-/// mistyped payload field, or a `pid` with no `process_name` metadata
-/// (a truncated or foreign trace).
+/// Malformed JSON, as [`Json::parse`] reports it. Otherwise it fails
+/// loudly — naming the offending entry — on anything that is not a trace
+/// this exporter wrote: a missing `traceEvents` array, an entry without
+/// `ph`/`pid`/`ts`, an unknown instant name, a missing or mistyped payload
+/// field, or a `pid` with no `process_name` metadata (a truncated or
+/// foreign trace).
+pub fn read_chrome_trace(input: impl BufRead) -> crate::Result<Vec<(String, Vec<Event>)>> {
+    let mut lexer = Lexer::new(input);
+    let mut trace = TraceReader::default();
+    if lexer.skip_ws()? == Some(b'{') {
+        lexer.object(0, |lexer, key| match key {
+            "traceEvents" if !trace.found => trace.entries(lexer),
+            _ => lexer.value(1).map(drop),
+        })?;
+    } else {
+        lexer.value(0)?;
+    }
+    lexer.end()?;
+    trace.finish()
+}
+
+/// [`read_chrome_trace`] over a parsed document, for callers that hold a
+/// tree; the CLI streams instead.
+///
+/// # Errors
+///
+/// As [`read_chrome_trace`].
 pub fn events_from_chrome_trace(doc: &Json) -> crate::Result<Vec<(String, Vec<Event>)>> {
-    let entries = doc
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .ok_or("not a Chrome-trace document: no `traceEvents` array")?;
-    let mut labels: BTreeMap<u64, String> = BTreeMap::new();
-    let mut streams: BTreeMap<u64, Vec<Event>> = BTreeMap::new();
-    for (pos, entry) in entries.iter().enumerate() {
-        let ph = str_field(entry, "ph", pos)?;
-        let pid = u64_field(entry, "pid", pos)?;
+    read_chrome_trace(doc.render().as_bytes())
+}
+
+/// [`read_chrome_trace`]'s state. The first decode error is kept while the
+/// rest of the document is still checked, so malformed JSON anywhere is
+/// reported first, as it is by a reader that parses before decoding.
+#[derive(Default)]
+struct TraceReader {
+    /// Whether the first `traceEvents` key was seen, and whether it held
+    /// an array.
+    found: bool,
+    array: bool,
+    /// The index of the next entry.
+    next: usize,
+    entry: Entry,
+    labels: BTreeMap<u64, String>,
+    streams: BTreeMap<u64, Vec<Event>>,
+    error: Option<crate::BoxError>,
+}
+
+impl TraceReader {
+    /// Reads the value of the top-level `traceEvents` key.
+    fn entries<R: Read>(&mut self, lexer: &mut Lexer<R>) -> crate::Result<()> {
+        self.found = true;
+        if lexer.skip_ws()? != Some(b'[') {
+            return lexer.value(1).map(drop);
+        }
+        self.array = true;
+        lexer.array(1, |lexer| {
+            let pos = self.next;
+            self.next += 1;
+            if self.error.is_some() || lexer.skip_ws()? != Some(b'{') {
+                // A non-object entry has no fields, which decoding reports.
+                lexer.value(2)?;
+                self.entry.clear();
+            } else {
+                self.entry.clear();
+                lexer.object(2, |lexer, key| self.entry.read(lexer, key))?;
+            }
+            if self.error.is_none() {
+                self.error = self.decode(pos).err();
+            }
+            Ok(())
+        })
+    }
+
+    /// Decodes the entry just read, the `pos`-th.
+    fn decode(&mut self, pos: usize) -> crate::Result<()> {
+        let entry = &self.entry;
+        let ph = entry.str_field("ph", pos)?;
+        let pid = entry.u64_field("pid", pos)?;
         if ph == "M" {
             // thread_name metadata is derived from the events; only the
             // process_name rows carry reconstruction state (the labels).
-            if str_field(entry, "name", pos)? == "process_name" {
-                let label = entry
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| {
-                        format!("trace event #{pos}: process_name metadata without args.name")
-                    })?;
-                labels.insert(pid, label.to_string());
-                streams.entry(pid).or_default();
+            if entry.str_field("name", pos)? == "process_name" {
+                let label = entry.arg("name").and_then(|v| entry.as_str(v)).ok_or_else(|| {
+                    format!("trace event #{pos}: process_name metadata without args.name")
+                })?;
+                self.labels.insert(pid, label.to_string());
+                self.streams.entry(pid).or_default();
             }
         } else {
-            streams.entry(pid).or_default().push(invert_event(entry, ph, pos)?);
+            let event = invert_event(entry, ph, pos)?;
+            self.streams.entry(pid).or_default().push(event);
         }
+        Ok(())
     }
-    let mut out = Vec::with_capacity(streams.len());
-    for (pid, stream) in streams {
-        let label = labels.remove(&pid).ok_or_else(|| {
-            format!("trace names no process for pid {pid} — truncated or foreign trace?")
-        })?;
-        out.push((label, stream));
+
+    fn finish(mut self) -> crate::Result<Vec<(String, Vec<Event>)>> {
+        if let Some(error) = self.error {
+            return Err(error);
+        }
+        if !self.array {
+            return Err("not a Chrome-trace document: no `traceEvents` array".into());
+        }
+        let mut out = Vec::with_capacity(self.streams.len());
+        for (pid, stream) in self.streams {
+            let label = self.labels.remove(&pid).ok_or_else(|| {
+                format!("trace names no process for pid {pid} — truncated or foreign trace?")
+            })?;
+            out.push((label, stream));
+        }
+        Ok(out)
     }
-    Ok(out)
 }
 
-/// The kinds [`trace_event`] writes as the span (`X`) and the counter
-/// (`C`) rather than as instants under their names.
+/// One trace entry's fields as read: the first value of each field the
+/// decoder reads, and the fields of the first `args` object, with string
+/// values and argument names in one text buffer. Of a repeated key the
+/// first counts, as for [`Json::get`]; a nested value reads as `null`.
+#[derive(Default)]
+struct Entry {
+    text: String,
+    fields: [Option<Scalar>; 6],
+    args: Vec<(Range<usize>, Scalar)>,
+    has_args: bool,
+}
+
+/// The index in [`Entry::fields`] of the entry field `key`.
+fn field_slot(key: &str) -> Option<usize> {
+    Some(match key {
+        "name" => 0,
+        "ph" => 1,
+        "pid" => 2,
+        "tid" => 3,
+        "ts" => 4,
+        "dur" => 5,
+        _ => return None,
+    })
+}
+
+impl Entry {
+    fn clear(&mut self) {
+        self.text.clear();
+        self.fields = Default::default();
+        self.args.clear();
+        self.has_args = false;
+    }
+
+    /// Reads the value of the entry's field `key`.
+    fn read<R: Read>(&mut self, lexer: &mut Lexer<R>, key: &str) -> crate::Result<()> {
+        if key == "args" && !self.has_args {
+            self.has_args = true;
+            if lexer.skip_ws()? == Some(b'{') {
+                return lexer.object(3, |lexer, key| {
+                    let start = self.text.len();
+                    self.text.push_str(key);
+                    let name = start..self.text.len();
+                    let value = self.value(lexer, 4)?;
+                    self.args.push((name, value));
+                    Ok(())
+                });
+            }
+        }
+        let value = self.value(lexer, 3)?;
+        if let Some(slot) = field_slot(key) {
+            self.fields[slot].get_or_insert(value);
+        }
+        Ok(())
+    }
+
+    fn value<R: Read>(&mut self, lexer: &mut Lexer<R>, depth: usize) -> crate::Result<Scalar> {
+        match lexer.skip_ws()? {
+            Some(b'[' | b'{') => lexer.value(depth).map(|_| Scalar::Null),
+            _ => lexer.scalar(&mut self.text),
+        }
+    }
+
+    fn get(&self, name: &str) -> Option<&Scalar> {
+        self.fields[field_slot(name)?].as_ref()
+    }
+
+    fn arg(&self, name: &str) -> Option<&Scalar> {
+        let mut args = self.args.iter();
+        args.find(|(key, _)| self.text.as_bytes()[key.clone()] == *name.as_bytes()).map(|(_, v)| v)
+    }
+
+    fn as_str(&self, value: &Scalar) -> Option<&str> {
+        match value {
+            Scalar::Str(range) => Some(&self.text[range.clone()]),
+            _ => None,
+        }
+    }
+
+    fn str_field(&self, name: &str, pos: usize) -> crate::Result<&str> {
+        self.get(name)
+            .and_then(|v| self.as_str(v))
+            .ok_or_else(|| format!("trace event #{pos}: missing string `{name}`").into())
+    }
+
+    fn u64_field(&self, name: &str, pos: usize) -> crate::Result<u64> {
+        as_u64(self.get(name), "", name, pos)
+    }
+}
+
+/// The kinds [`TraceWriter::event`] writes as the span (`X`) and the
+/// counter (`C`) rather than as instants under their names.
 const SPAN_KIND: &str = "batch_launched";
 const COUNTER_KIND: &str = "queue_depth";
 
 /// Inverts one non-metadata trace entry back into its [`Event`]: the
 /// phase or the instant's name gives the kind, [`EntryFields`] its fields.
-fn invert_event(entry: &Json, ph: &str, pos: usize) -> crate::Result<Event> {
-    let at = u64_field(entry, "ts", pos)?;
-    let tid = u64_field(entry, "tid", pos)?;
+fn invert_event(entry: &Entry, ph: &str, pos: usize) -> crate::Result<Event> {
+    let at = entry.u64_field("ts", pos)?;
+    let tid = entry.u64_field("tid", pos)?;
     let unknown =
         |name: &str| format!("trace event #{pos}: unknown instant `{name}` — foreign trace?");
     let name = match ph {
         "X" => SPAN_KIND,
         "C" => COUNTER_KIND,
-        "i" => match str_field(entry, "name", pos)? {
+        "i" => match entry.str_field("name", pos)? {
             name @ (SPAN_KIND | COUNTER_KIND) => return Err(unknown(name).into()),
             name => name,
         },
@@ -288,10 +541,11 @@ fn invert_event(entry: &Json, ph: &str, pos: usize) -> crate::Result<Event> {
     Ok(Event { at, kind })
 }
 
-/// Reads an entry's payload back by [`trace_event`]'s rule: `instance`
-/// from `tid`, `done` from `ts` + `dur`, every other field from `args`.
-struct EntryFields<'j> {
-    entry: &'j Json,
+/// Reads an entry's payload back by [`TraceWriter::event`]'s rule:
+/// `instance` from `tid`, `done` from `ts` + `dur`, every other field from
+/// `args`.
+struct EntryFields<'e> {
+    entry: &'e Entry,
     pos: usize,
     at: u64,
     tid: u64,
@@ -304,41 +558,27 @@ impl FieldReader for EntryFields<'_> {
         let pos = self.pos;
         match name {
             "instance" => Ok(self.tid),
-            "done" => self.at.checked_add(u64_field(self.entry, "dur", pos)?).ok_or_else(|| {
+            "done" => self.at.checked_add(self.entry.u64_field("dur", pos)?).ok_or_else(|| {
                 format!("trace event #{pos}: `ts` + `dur` overflows the clock").into()
             }),
-            _ => u64_in(self.entry.get("args"), "arg ", name, pos),
+            _ => as_u64(self.entry.arg(name), "arg ", name, pos),
         }
     }
 
     fn flag(&mut self, name: &'static str) -> crate::Result<bool> {
-        let pos = self.pos;
-        self.entry
-            .get("args")
-            .and_then(|a| a.get(name))
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("trace event #{pos}: missing boolean arg `{name}`").into())
+        match self.entry.arg(name) {
+            Some(&Scalar::Bool(flag)) => Ok(flag),
+            _ => Err(format!("trace event #{}: missing boolean arg `{name}`", self.pos).into()),
+        }
     }
 }
 
-fn str_field<'j>(entry: &'j Json, name: &str, pos: usize) -> crate::Result<&'j str> {
-    entry
-        .get(name)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("trace event #{pos}: missing string `{name}`").into())
-}
-
-fn u64_field(entry: &Json, name: &str, pos: usize) -> crate::Result<u64> {
-    u64_in(Some(entry), "", name, pos)
-}
-
-/// Reads `name` of `fields` (an entry, or with `prefix` "arg " its `args`)
-/// as a `u64`.
-fn u64_in(fields: Option<&Json>, prefix: &str, name: &str, pos: usize) -> crate::Result<u64> {
-    let value = fields
-        .and_then(|f| f.get(name))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("trace event #{pos}: missing numeric {prefix}`{name}`"))?;
+/// Reads `value`, field `name` of an entry (or with `prefix` "arg " of its
+/// `args`), as a `u64`.
+fn as_u64(value: Option<&Scalar>, prefix: &str, name: &str, pos: usize) -> crate::Result<u64> {
+    let Some(&Scalar::Num(value)) = value else {
+        return Err(format!("trace event #{pos}: missing numeric {prefix}`{name}`").into());
+    };
     if !fits_u64(value) {
         return Err(format!(
             "trace event #{pos}: {prefix}`{name}` = {value} is not an unsigned integer"
@@ -357,6 +597,39 @@ fn fits_u64(value: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytes [`write_chrome_trace`] writes.
+    fn written(streams: &[(String, &[Event])]) -> String {
+        let mut out = Vec::new();
+        write_chrome_trace(streams, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// A reader handing out at most three bytes per read, so every token
+    /// of a document straddles reads.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(3);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// [`read_chrome_trace`] of `text` through a [`Trickle`], checked
+    /// against the reading of the whole text at once.
+    fn read_trickled(text: &str) -> crate::Result<Vec<(String, Vec<Event>)>> {
+        let trickle = std::io::BufReader::with_capacity(1, Trickle(text.as_bytes()));
+        let (trickled, whole) = (read_chrome_trace(trickle), read_chrome_trace(text.as_bytes()));
+        match (&trickled, &whole) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+            _ => panic!("trickled {trickled:?} against whole {whole:?}"),
+        }
+        trickled
+    }
 
     fn small_stream() -> Vec<Event> {
         vec![
@@ -495,6 +768,7 @@ mod tests {
         assert_eq!(text, golden);
         let reparsed = Json::parse(&text).unwrap();
         assert_eq!(reparsed.render(), text, "render → parse → render is byte-stable");
+        assert_eq!(written(&[("lane".to_string(), stream.as_slice())]), golden);
     }
 
     /// The golden bytes of the writer's edge cases: a label that needs
@@ -538,6 +812,9 @@ mod tests {
         let text =
             chrome_trace(&[(label.to_string(), stream.as_slice()), ("idle".to_string(), &[])])
                 .render();
+        let streams = [(label.to_string(), stream.as_slice()), ("idle".to_string(), &[][..])];
+        assert_eq!(written(&streams), text);
+        assert_eq!(written(&[]), chrome_trace(&[]).render());
         let golden = concat!(
             "{\n",
             "  \"traceEvents\": [\n",
@@ -710,12 +987,114 @@ mod tests {
         ];
         let views: Vec<(String, &[Event])> =
             streams.iter().map(|(n, e)| (n.clone(), e.as_slice())).collect();
-        let text = chrome_trace(&views).render();
+        let text = written(&views);
+        assert_eq!(read_trickled(&text).unwrap(), streams, "write → read must be the identity");
         let reparsed = Json::parse(&text).unwrap();
         let recovered = events_from_chrome_trace(&reparsed).unwrap();
         assert_eq!(recovered, streams, "export → parse → invert must be the identity");
     }
 
+    /// A label longer than the reader's window, with escapes, makes the
+    /// window grow to hold the token whole.
+    #[test]
+    fn tokens_longer_than_the_read_window_are_read_whole() {
+        let label = "\u{e9}\"\n".repeat(40_000);
+        let stream = small_stream();
+        let text = written(&[(label.clone(), stream.as_slice())]);
+        assert!(text.len() > 2 * (1 << 16));
+        assert_eq!(read_trickled(&text).unwrap(), vec![(label, stream)]);
+    }
+
+    /// The reader takes any JSON layout and key order, and of a repeated
+    /// key the first, as `Json::get` does.
+    #[test]
+    fn compact_reordered_and_repeated_keys_read_as_json_does() {
+        let compact = concat!(
+            r#"{"displayTimeUnit":"ms","traceEvents":[{"args":{"name":"se"},"tid":0,"#,
+            r#""pid":0,"ph":"M","name":"process_name"},{"s":"t","args":{"model":2,"id":5,"#,
+            r#""id":"x"},"ts":1e3,"tid":3,"pid":0,"pid":9,"ph":"i","name":"admitted","#,
+            r#""args":5,"extra":[{"a":null}]}],"traceEvents":7}"#,
+        );
+        let admitted =
+            Event { at: 1000, kind: EventKind::Admitted { id: 5, model: 2, instance: 3 } };
+        assert_eq!(read_trickled(compact).unwrap(), vec![("se".to_string(), vec![admitted])]);
+        let doc = Json::parse(compact).unwrap();
+        assert_eq!(events_from_chrome_trace(&doc).unwrap(), read_trickled(compact).unwrap());
+    }
+
+    /// Every way a document can fail, with its message: malformed JSON
+    /// first wherever it is, then the first entry that does not decode.
+    #[test]
+    fn read_errors_name_the_fault() {
+        let meta =
+            r#"{"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "l"}}"#;
+        let doc = |entry: &str| format!(r#"{{"traceEvents": [{meta}, {entry}]}}"#);
+        let admitted = |pid: &str, args: &str| {
+            doc(&format!(
+                r#"{{"name": "admitted", "ph": "i", "pid": {pid}, "tid": 0, "ts": 0, "args": {args}}}"#
+            ))
+        };
+        let demoted = r#"{"name": "tier_demoted", "ph": "i", "pid": 0, "tid": 0, "ts": 0, "args": {"model": 0, "to": 1, "bytes": 3, "dropped": 1}}"#;
+        let span = r#"{"name": "b", "ph": "X", "pid": 0, "tid": 0, "ts": 18446744073709549568, "dur": 18446744073709549568, "args": {"seq": 0, "model": 0, "size": 1}}"#;
+        let orphan = r#"{"traceEvents": [{"name": "admitted", "ph": "i", "pid": 7, "tid": 0, "ts": 0, "args": {"id": 0, "model": 0}}]}"#;
+        let unlabelled = r#"{"traceEvents": [{"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {}}]}"#;
+        let no_array = "not a Chrome-trace document: no `traceEvents` array";
+        let cases = [
+            (
+                admitted("0", r#"{"id": "zero", "model": 0}"#),
+                "trace event #1: missing numeric arg `id`",
+            ),
+            (
+                admitted("0", r#"{"id": 1.5, "model": 0}"#),
+                "trace event #1: arg `id` = 1.5 is not an unsigned integer",
+            ),
+            (admitted("0", "[1]"), "trace event #1: missing numeric arg `id`"),
+            (admitted("-1", "{}"), "trace event #1: `pid` = -1 is not an unsigned integer"),
+            (admitted("01", "{}"), "invalid number at byte 136"),
+            (admitted("1e400", "{}"), "number at byte 136 is out of range"),
+            (doc(r#"{"pid": 0, "name": "admitted"}"#), "trace event #1: missing string `ph`"),
+            (doc(r#"{"ph": 1, "ph": "i", "pid": 0}"#), "trace event #1: missing string `ph`"),
+            (doc("5"), "trace event #1: missing string `ph`"),
+            (doc(demoted), "trace event #1: missing boolean arg `dropped`"),
+            (
+                doc(r#"{"name": "gc_pause", "ph": "i", "pid": 0, "tid": 0, "ts": 0}"#),
+                "trace event #1: unknown instant `gc_pause` — foreign trace?",
+            ),
+            (
+                doc(r#"{"name": "batch_launched", "ph": "i", "pid": 0, "tid": 0, "ts": 0}"#),
+                "trace event #1: unknown instant `batch_launched` — foreign trace?",
+            ),
+            (
+                doc(r#"{"name": "x", "ph": "B", "pid": 0, "tid": 0, "ts": 0}"#),
+                "trace event #1: unsupported phase `B`",
+            ),
+            (doc(span), "trace event #1: `ts` + `dur` overflows the clock"),
+            (orphan.to_string(), "trace names no process for pid 7 — truncated or foreign trace?"),
+            (unlabelled.to_string(), "trace event #0: process_name metadata without args.name"),
+            (r#"{"hello": 1}"#.to_string(), no_array),
+            (r#"{"traceEvents": {}, "traceEvents": []}"#.to_string(), no_array),
+            ("[1, 2]".to_string(), no_array),
+            (
+                "[".repeat(100_000) + &"]".repeat(100_000),
+                "nesting deeper than 128 levels at byte 128",
+            ),
+            (doc(r#"{"ph": "i", "x": [1"#), "expected `,` at byte 118"),
+            (doc("{}") + " x", "trailing garbage at byte 102"),
+            // A decode error before malformed JSON: the JSON error wins.
+            (format!(r#"{{"traceEvents": [{{"ph": 1}}, {meta}],"#), "expected `\"` at byte 108"),
+            (r#"{"traceEvents": ["abc"#.to_string(), "unterminated string"),
+            (r#"{"traceEvents": ["a\uD800"]}"#.to_string(), r"\u escape outside the BMP"),
+            (r#"{"traceEvents": ["a\x"]}"#.to_string(), "unsupported escape Some((2, 'x'))"),
+            (r#"{"traceEvents" []}"#.to_string(), "expected `:` at byte 15"),
+            (String::new(), "unexpected end of input"),
+        ];
+        for (text, message) in cases {
+            let err = read_trickled(&text).unwrap_err().to_string();
+            assert_eq!(err, message, "{}", &text[..text.len().min(200)]);
+        }
+    }
+
+    /// The tree adapter reports what the reader reports.
     #[test]
     fn foreign_and_truncated_traces_fail_loudly() {
         let foreign = Json::parse("{\"hello\": 1}\n").unwrap();

@@ -17,8 +17,10 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
             if i > 0 {
                 line.push_str("  ");
             }
+            // `{cell:>w$}`: padded to `w` chars.
             let w = widths.get(i).copied().unwrap_or(cell.len());
-            line.push_str(&format!("{cell:>w$}"));
+            line.extend(std::iter::repeat_n(' ', w.saturating_sub(cell.chars().count())));
+            line.push_str(cell);
         }
         line
     };
