@@ -1,11 +1,13 @@
-//! Hostile-input properties of the JSON reader and of the Chrome-trace
-//! inverter: a damaged `--trace-out` document (truncated, byte-flipped,
-//! with absurd numbers or `\u` escapes) must give `Err` or a value, never
-//! a panic, and reading a document must cost time linear in its size.
+//! Hostile-input properties of the JSON reader and of the streaming
+//! Chrome-trace reader: a damaged `--trace-out` document (truncated,
+//! byte-flipped, with absurd numbers or `\u` escapes) must give `Err` or a
+//! value, never a panic, the same outcome as parsing it into a tree and
+//! inverting that, and reading a document must cost time linear in its
+//! size.
 
 use proptest::prelude::*;
 use se_bench::json::Json;
-use se_bench::obs_export::{chrome_trace, events_from_chrome_trace};
+use se_bench::obs_export::{chrome_trace, events_from_chrome_trace, read_chrome_trace};
 use se_obs::{Event, EventKind};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -68,11 +70,62 @@ fn fixture() -> &'static String {
     })
 }
 
-/// Reads `text` the way `se obs` does: parse, then invert. Any outcome but
-/// a panic is acceptable here; the properties assert which one.
-fn read(text: &str) -> Result<Vec<(String, Vec<Event>)>, String> {
+type Streams = Vec<(String, Vec<Event>)>;
+
+/// Reads `text` the way `se obs` does, streaming. Any outcome but a panic
+/// is acceptable here; the properties assert which one.
+fn read(text: &str) -> Result<Streams, String> {
+    read_chrome_trace(text.as_bytes()).map_err(|e| e.to_string())
+}
+
+/// Reads `text` through a tree: parse, then invert.
+fn read_tree(text: &str) -> Result<Streams, String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
     events_from_chrome_trace(&doc).map_err(|e| e.to_string())
+}
+
+/// Whether the streaming and the tree reading of `text` agree: both
+/// `Err`, or the same streams.
+fn agree(text: &str) -> Result<(), TestCaseError> {
+    match (read(text), read_tree(text)) {
+        (Ok(streamed), Ok(tree)) => prop_assert_eq!(streamed, tree),
+        (Err(_), Err(_)) => {}
+        (streamed, tree) => {
+            prop_assert!(
+                false,
+                "streamed {:?} but tree {:?}",
+                streamed.map(|_| ()),
+                tree.map(|_| ())
+            )
+        }
+    }
+    Ok(())
+}
+
+/// `doc` on one line with no whitespace, each object's keys rotated left
+/// by `turn` (modulo its length): a layout and key order the writer never
+/// uses.
+fn compact(doc: &Json, turn: usize) -> String {
+    match doc {
+        Json::Arr(items) => {
+            let items: Vec<String> = items.iter().map(|item| compact(item, turn)).collect();
+            format!("[{}]", items.join(","))
+        }
+        Json::Obj(fields) => {
+            let mut fields: Vec<String> = fields
+                .iter()
+                .map(|(key, value)| {
+                    format!("{}:{}", compact(&Json::Str(key.clone()), turn), compact(value, turn))
+                })
+                .collect();
+            if !fields.is_empty() {
+                let len = fields.len();
+                fields.rotate_left(turn % len);
+            }
+            format!("{{{}}}", fields.join(","))
+        }
+        scalar => scalar.render().trim_end().to_string(),
+    }
 }
 
 /// Byte spans of the values of numeric field `"name"` that the inverter
@@ -123,6 +176,7 @@ proptest! {
         let cut = cut % end;
         if doc.is_char_boundary(cut) {
             prop_assert!(read(&doc[..cut]).is_err(), "cut at {} of {} decoded", cut, end);
+            agree(&doc[..cut])?;
         }
         let bytes = &doc.as_bytes()[..cut];
         if let Ok(text) = std::str::from_utf8(bytes) {
@@ -138,7 +192,20 @@ proptest! {
         // A flip can leave valid JSON (a digit for a digit) or a trace the
         // inverter accepts; it must never panic.
         if let Ok(text) = String::from_utf8(bytes) {
-            let _ = read(&text);
+            agree(&text)?;
+        }
+    }
+
+    #[test]
+    fn compact_reordered_traces_read_back(turn in any::<usize>(), at in any::<usize>(), mask in 1u16..256) {
+        // One line, keys in any order, as hand-written traces have them.
+        let text = compact(&Json::parse(fixture()).unwrap(), turn);
+        prop_assert_eq!(read(&text), Ok(streams(1)));
+        let mut bytes = text.into_bytes();
+        let at = at % bytes.len();
+        bytes[at] ^= mask as u8;
+        if let Ok(text) = String::from_utf8(bytes) {
+            agree(&text)?;
         }
     }
 
@@ -152,6 +219,7 @@ proptest! {
         let text = format!("{}{}{}", &doc[..start], absurd, &doc[end..]);
         let outcome = read(&text);
         prop_assert!(outcome.is_err(), "`{}` = {} decoded: {:?}", name, absurd, outcome);
+        agree(&text)?;
     }
 
     #[test]
@@ -167,6 +235,7 @@ proptest! {
         }
         let text = format!("{}{}{}", &doc[..cut], escape, &doc[cut..]);
         prop_assert!(Json::parse(&text).is_err(), "escape {} at {} parsed", escape, cut);
+        prop_assert!(read(&text).is_err(), "escape {} at {} read", escape, cut);
     }
 }
 
