@@ -577,13 +577,7 @@ fn number_prefix(bytes: &[u8], start: usize) -> Result<(usize, f64)> {
             return Err(invalid());
         }
     }
-    let text = &bytes[..pos];
-    // Up to 15 plain digits are an integer an f64 holds exactly.
-    if pos <= 15 && text.iter().all(u8::is_ascii_digit) {
-        let n = text.iter().fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
-        return Ok((pos, n as f64));
-    }
-    let text = std::str::from_utf8(text).expect("the grammar is ASCII");
+    let text = std::str::from_utf8(&bytes[..pos]).expect("the grammar is ASCII");
     match text.parse::<f64>() {
         Ok(value) if value.is_finite() => Ok((pos, value)),
         _ => Err(format!("number at byte {start} is out of range").into()),

@@ -103,13 +103,8 @@ impl WindowStats {
         }
     }
 
-    /// The [`percentile`] of the window's completion latencies (`None`
+    /// The [`percentiles`] of the window's completion latencies (`None`
     /// when nothing completed).
-    pub fn latency_percentile(&self, p: f64) -> Option<u64> {
-        percentile(&self.latencies, p)
-    }
-
-    /// The [`percentiles`] of the window's completion latencies.
     pub fn latency_percentiles<const N: usize>(&self, ps: [f64; N]) -> [Option<u64>; N] {
         percentiles(&self.latencies, ps)
     }
@@ -724,8 +719,8 @@ mod tests {
         assert_eq!(a.windows[2].missed, 1);
         assert_eq!(a.windows[2].rejected, 1);
         assert_eq!(a.windows[2].served_ok(), 0);
-        assert_eq!(a.windows[0].latency_percentile(50.0), Some(50));
-        assert_eq!(a.windows[1].latency_percentile(50.0), None);
+        assert_eq!(a.windows[0].latency_percentiles([50.0]), [Some(50)]);
+        assert_eq!(a.windows[1].latency_percentiles([50.0]), [None]);
         assert_eq!(a.totals.served, 2);
         assert_eq!(a.totals.submitted, 3);
         assert!(a.totals.conserves());
