@@ -1,7 +1,7 @@
 //! Exporters for the observability layer (`se_obs`): Chrome-trace /
-//! Perfetto `traceEvents` JSON and Prometheus-style text exposition,
-//! built on the same hand-rolled [`crate::json`] emitter as the bench
-//! reports.
+//! Perfetto `traceEvents` JSON, written and read back an entry at a time
+//! through the same hand-rolled [`crate::json`] layout and lexer as the
+//! bench reports, and Prometheus-style text exposition.
 //!
 //! Both exports are **deterministic renderings of the virtual-time event
 //! stream**: the stream is byte-identical across `--sim-parallelism`
