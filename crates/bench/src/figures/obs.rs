@@ -29,7 +29,7 @@ use se_hw::SeAcceleratorConfig;
 use se_obs::analyze::{analyze, Analysis};
 use se_obs::Event;
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Dispatches the `obs` subcommand's action: `summarize` / `attribute`
@@ -68,9 +68,7 @@ fn window_cycles(flags: &Flags) -> u64 {
 
 /// Streams a `--trace-out` file back into its named event streams.
 fn load_streams(path: &Path) -> Result<Vec<(String, Vec<Event>)>> {
-    let streams = File::open(path)
-        .map_err(Into::into)
-        .and_then(|file| read_chrome_trace(BufReader::with_capacity(1 << 16, file)));
+    let streams = File::open(path).map_err(Into::into).and_then(read_chrome_trace);
     streams.map_err(|e| format!("{}: {e}", path.display()).into())
 }
 

@@ -195,18 +195,7 @@ pub(crate) fn render_count(n: u64, s: &mut String) {
     if n >= 1 << 53 {
         return render_number(n as f64, s);
     }
-    let mut digits = [0u8; 16];
-    let mut at = digits.len();
-    let mut rest = n;
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    s.push_str(std::str::from_utf8(&digits[at..]).expect("digits are ASCII"));
+    write!(s, "{n}").expect("writing to a String cannot fail");
 }
 
 /// Renders `text` as a JSON string literal.
@@ -347,6 +336,24 @@ impl<R: Read> Lexer<R> {
         match self.skip_ws()? {
             Some(_) => Err(format!("trailing garbage at byte {}", self.offset()).into()),
             None => Ok(()),
+        }
+    }
+
+    /// Whether the unconsumed rest of the input is UTF-8. What the lexer
+    /// consumed is: whitespace, punctuation, literals and numbers are
+    /// ASCII and every string was checked.
+    pub(crate) fn rest_is_utf8(&mut self) -> Result<bool> {
+        loop {
+            let unread = &self.buf[self.pos..self.end];
+            match std::str::from_utf8(unread) {
+                Ok(_) => self.pos = self.end,
+                // A sequence cut by the window's end: read on behind it.
+                Err(e) if e.error_len().is_none() => self.pos += e.valid_up_to(),
+                Err(_) => return Ok(false),
+            }
+            if !self.more()? {
+                return Ok(self.pos == self.end);
+            }
         }
     }
 
@@ -510,16 +517,6 @@ impl<R: Read> Lexer<R> {
     /// Reads a number (see [`number_prefix`]).
     #[inline]
     fn number(&mut self) -> Result<f64> {
-        // The common case, a short integer the window holds with the byte
-        // after it: read in place.
-        let unread = &self.buf[self.pos..self.end];
-        let len = unread.iter().take(15).take_while(|b| b.is_ascii_digit()).count();
-        let plain = |next: &u8| !matches!(next, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
-        if len > 0 && (len == 1 || unread[0] != b'0') && unread.get(len).is_some_and(plain) {
-            let n = unread[..len].iter().fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
-            self.pos += len;
-            return Ok(n as f64);
-        }
         // The bytes a number can hold, gathered whole into the window.
         let mut len = 0;
         loop {

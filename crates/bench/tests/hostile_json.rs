@@ -2,8 +2,9 @@
 //! Chrome-trace reader: a damaged `--trace-out` document (truncated,
 //! byte-flipped, with absurd numbers or `\u` escapes) must give `Err` or a
 //! value, never a panic, the same outcome as parsing it into a tree and
-//! inverting that, and reading a document must cost time linear in its
-//! size.
+//! inverting that (or, for bytes that are not UTF-8, the error of reading
+//! them into a string), and reading a document must cost time linear in
+//! its size.
 
 use proptest::prelude::*;
 use se_bench::json::Json;
@@ -102,6 +103,19 @@ fn agree(text: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// [`agree`] on `bytes` that are UTF-8; on any others the streaming
+/// reader must fail as reading the file into a string first does.
+fn agree_bytes(bytes: Vec<u8>) -> Result<(), TestCaseError> {
+    match String::from_utf8(bytes) {
+        Ok(text) => agree(&text),
+        Err(e) => {
+            let outcome = read_chrome_trace(e.as_bytes()).map_err(|e| e.to_string());
+            prop_assert_eq!(outcome, Err("stream did not contain valid UTF-8".to_string()));
+            Ok(())
+        }
+    }
+}
+
 /// `doc` on one line with no whitespace, each object's keys rotated left
 /// by `turn` (modulo its length): a layout and key order the writer never
 /// uses.
@@ -174,14 +188,12 @@ proptest! {
         // Anything short of the closing brace is an unfinished document.
         let end = doc.trim_end().len();
         let cut = cut % end;
-        if doc.is_char_boundary(cut) {
-            prop_assert!(read(&doc[..cut]).is_err(), "cut at {} of {} decoded", cut, end);
-            agree(&doc[..cut])?;
-        }
         let bytes = &doc.as_bytes()[..cut];
+        prop_assert!(read_chrome_trace(bytes).is_err(), "cut at {} of {} decoded", cut, end);
         if let Ok(text) = std::str::from_utf8(bytes) {
             prop_assert!(Json::parse(text).is_err());
         }
+        agree_bytes(bytes.to_vec())?;
     }
 
     #[test]
@@ -191,9 +203,7 @@ proptest! {
         bytes[at] ^= mask as u8;
         // A flip can leave valid JSON (a digit for a digit) or a trace the
         // inverter accepts; it must never panic.
-        if let Ok(text) = String::from_utf8(bytes) {
-            agree(&text)?;
-        }
+        agree_bytes(bytes)?;
     }
 
     #[test]
@@ -204,9 +214,7 @@ proptest! {
         let mut bytes = text.into_bytes();
         let at = at % bytes.len();
         bytes[at] ^= mask as u8;
-        if let Ok(text) = String::from_utf8(bytes) {
-            agree(&text)?;
-        }
+        agree_bytes(bytes)?;
     }
 
     #[test]
