@@ -1200,4 +1200,148 @@ mod tests {
         assert!(both.contains("se_requests_served_total{stream=\"dense\"} 1\n"), "{both}");
         assert!(both.contains("se_requests_served_total{stream=\"se\"} 1\n"), "{both}");
     }
+
+    /// The golden bytes of the exposition's ordering edge cases: series
+    /// sort by their whole key text, so `SE 2` precedes `SE` (a space
+    /// sorts before the closing quote) and tier `10` precedes tier `2`; a
+    /// stream without queue-depth samples has no depth gauges, a stream
+    /// whose only tier event is a drop has no occupancy gauge, a family
+    /// that never fires (spawns, drains, kills, streams) is absent, and an
+    /// observation at or past 2^63 lands in the `u64::MAX` bucket.
+    #[test]
+    fn metrics_text_golden_bytes_of_edge_cases() {
+        let at = |at, kind| Event { at, kind };
+        let served = |id, latency, missed| EventKind::Served {
+            id,
+            model: 0,
+            instance: 0,
+            batch: 0,
+            enqueued: 0,
+            latency,
+            missed,
+        };
+        let se = vec![
+            at(0, EventKind::Admitted { id: 0, model: 0, instance: 0 }),
+            at(0, EventKind::QueueDepth { instance: 0, depth: 3 }),
+            at(1, EventKind::QueueDepth { instance: 1, depth: 1 }),
+            at(2, EventKind::TierColdFetch { instance: 0, model: 0, cycles: 9, bytes: 700 }),
+            at(
+                2,
+                EventKind::TierDemoted {
+                    instance: 0,
+                    model: 0,
+                    to: 10,
+                    bytes: 700,
+                    dropped: false,
+                },
+            ),
+            at(3, EventKind::TierColdFetch { instance: 1, model: 1, cycles: 5, bytes: 300 }),
+            at(
+                3,
+                EventKind::TierDemoted { instance: 1, model: 1, to: 2, bytes: 300, dropped: false },
+            ),
+            at(4, EventKind::TierPromoted { instance: 0, model: 2, from: 2, cycles: 0, bytes: 40 }),
+            at(4, EventKind::BatchFormed { seq: 0, instance: 0, model: 0, size: 2 }),
+            at(4, EventKind::BatchLaunched { seq: 0, instance: 0, model: 0, size: 2, done: 9 }),
+            at(9, served(0, u64::MAX, true)),
+            at(9, served(1, 6, false)),
+            at(9, EventKind::BatchCompleted { seq: 0, instance: 0, size: 2 }),
+        ];
+        let se2 = vec![
+            at(0, EventKind::Rejected { id: 0, model: 0 }),
+            at(1, EventKind::TierDemoted { instance: 0, model: 0, to: 1, bytes: 9, dropped: true }),
+            at(2, served(1, 1 << 63, true)),
+        ];
+        let text = metrics_text(&[
+            ("SE".to_string(), se.as_slice()),
+            ("SE 2".to_string(), se2.as_slice()),
+            ("idle".to_string(), &[]),
+        ]);
+        let golden = concat!(
+            "# TYPE se_batches_completed_total counter\n",
+            "se_batches_completed_total{stream=\"SE\"} 1\n",
+            "# TYPE se_batches_formed_total counter\n",
+            "se_batches_formed_total{stream=\"SE\"} 1\n",
+            "# TYPE se_batches_launched_total counter\n",
+            "se_batches_launched_total{stream=\"SE\"} 1\n",
+            "# TYPE se_deadline_misses_total counter\n",
+            "se_deadline_misses_total{stream=\"SE 2\"} 1\n",
+            "se_deadline_misses_total{stream=\"SE\"} 1\n",
+            "# TYPE se_requests_admitted_total counter\n",
+            "se_requests_admitted_total{stream=\"SE\"} 1\n",
+            "# TYPE se_requests_rejected_total counter\n",
+            "se_requests_rejected_total{stream=\"SE 2\"} 1\n",
+            "# TYPE se_requests_served_total counter\n",
+            "se_requests_served_total{stream=\"SE 2\"} 1\n",
+            "se_requests_served_total{stream=\"SE\"} 2\n",
+            "# TYPE se_tier_cold_fetches_total counter\n",
+            "se_tier_cold_fetches_total{stream=\"SE\"} 2\n",
+            "# TYPE se_tier_demotions_total counter\n",
+            "se_tier_demotions_total{stream=\"SE\"} 2\n",
+            "# TYPE se_tier_drops_total counter\n",
+            "se_tier_drops_total{stream=\"SE 2\"} 1\n",
+            "# TYPE se_tier_promotions_total counter\n",
+            "se_tier_promotions_total{stream=\"SE\"} 1\n",
+            "# TYPE se_queue_depth_high_watermark gauge\n",
+            "se_queue_depth_high_watermark{stream=\"SE\"} 3\n",
+            "# TYPE se_queue_depth gauge\n",
+            "se_queue_depth{stream=\"SE\"} 1\n",
+            "# TYPE se_tier_occupancy_bytes gauge\n",
+            "se_tier_occupancy_bytes{stream=\"SE\",tier=\"0\"} 40\n",
+            "se_tier_occupancy_bytes{stream=\"SE\",tier=\"10\"} 700\n",
+            "se_tier_occupancy_bytes{stream=\"SE\",tier=\"2\"} 300\n",
+            "# TYPE se_batch_cycles histogram\n",
+            "se_batch_cycles_bucket{stream=\"SE\",le=\"7\"} 1\n",
+            "se_batch_cycles_bucket{stream=\"SE\",le=\"+Inf\"} 1\n",
+            "se_batch_cycles{stream=\"SE\",quantile=\"0.5\"} 7\n",
+            "se_batch_cycles{stream=\"SE\",quantile=\"0.95\"} 7\n",
+            "se_batch_cycles{stream=\"SE\",quantile=\"0.99\"} 7\n",
+            "se_batch_cycles_sum{stream=\"SE\"} 5\n",
+            "se_batch_cycles_count{stream=\"SE\"} 1\n",
+            "# TYPE se_batch_size histogram\n",
+            "se_batch_size_bucket{stream=\"SE\",le=\"3\"} 1\n",
+            "se_batch_size_bucket{stream=\"SE\",le=\"+Inf\"} 1\n",
+            "se_batch_size{stream=\"SE\",quantile=\"0.5\"} 3\n",
+            "se_batch_size{stream=\"SE\",quantile=\"0.95\"} 3\n",
+            "se_batch_size{stream=\"SE\",quantile=\"0.99\"} 3\n",
+            "se_batch_size_sum{stream=\"SE\"} 2\n",
+            "se_batch_size_count{stream=\"SE\"} 1\n",
+            "# TYPE se_queue_depth_samples histogram\n",
+            "se_queue_depth_samples_bucket{stream=\"SE\",le=\"1\"} 1\n",
+            "se_queue_depth_samples_bucket{stream=\"SE\",le=\"3\"} 2\n",
+            "se_queue_depth_samples_bucket{stream=\"SE\",le=\"+Inf\"} 2\n",
+            "se_queue_depth_samples{stream=\"SE\",quantile=\"0.5\"} 1\n",
+            "se_queue_depth_samples{stream=\"SE\",quantile=\"0.95\"} 3\n",
+            "se_queue_depth_samples{stream=\"SE\",quantile=\"0.99\"} 3\n",
+            "se_queue_depth_samples_sum{stream=\"SE\"} 4\n",
+            "se_queue_depth_samples_count{stream=\"SE\"} 2\n",
+            "# TYPE se_request_latency_cycles histogram\n",
+            "se_request_latency_cycles_bucket{stream=\"SE 2\",le=\"18446744073709551615\"} 1\n",
+            "se_request_latency_cycles_bucket{stream=\"SE 2\",le=\"+Inf\"} 1\n",
+            "se_request_latency_cycles{stream=\"SE 2\",quantile=\"0.5\"} 18446744073709552000\n",
+            "se_request_latency_cycles{stream=\"SE 2\",quantile=\"0.95\"} 18446744073709552000\n",
+            "se_request_latency_cycles{stream=\"SE 2\",quantile=\"0.99\"} 18446744073709552000\n",
+            "se_request_latency_cycles_sum{stream=\"SE 2\"} 9223372036854775808\n",
+            "se_request_latency_cycles_count{stream=\"SE 2\"} 1\n",
+            "se_request_latency_cycles_bucket{stream=\"SE\",le=\"7\"} 1\n",
+            "se_request_latency_cycles_bucket{stream=\"SE\",le=\"18446744073709551615\"} 2\n",
+            "se_request_latency_cycles_bucket{stream=\"SE\",le=\"+Inf\"} 2\n",
+            "se_request_latency_cycles{stream=\"SE\",quantile=\"0.5\"} 7\n",
+            "se_request_latency_cycles{stream=\"SE\",quantile=\"0.95\"} 18446744073709552000\n",
+            "se_request_latency_cycles{stream=\"SE\",quantile=\"0.99\"} 18446744073709552000\n",
+            "se_request_latency_cycles_sum{stream=\"SE\"} 18446744073709551621\n",
+            "se_request_latency_cycles_count{stream=\"SE\"} 2\n",
+            "# TYPE se_tier_walk_cycles histogram\n",
+            "se_tier_walk_cycles_bucket{stream=\"SE\",le=\"0\"} 1\n",
+            "se_tier_walk_cycles_bucket{stream=\"SE\",le=\"7\"} 2\n",
+            "se_tier_walk_cycles_bucket{stream=\"SE\",le=\"15\"} 3\n",
+            "se_tier_walk_cycles_bucket{stream=\"SE\",le=\"+Inf\"} 3\n",
+            "se_tier_walk_cycles{stream=\"SE\",quantile=\"0.5\"} 7\n",
+            "se_tier_walk_cycles{stream=\"SE\",quantile=\"0.95\"} 15\n",
+            "se_tier_walk_cycles{stream=\"SE\",quantile=\"0.99\"} 15\n",
+            "se_tier_walk_cycles_sum{stream=\"SE\"} 14\n",
+            "se_tier_walk_cycles_count{stream=\"SE\"} 3\n",
+        );
+        assert_eq!(text, golden, "{text}");
+    }
 }
