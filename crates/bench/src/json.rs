@@ -293,12 +293,14 @@ impl<R: Read> Lexer<R> {
         Ok(Some(self.buf[self.pos]))
     }
 
-    /// Skips whitespace; the next byte, if any.
+    /// Skips JSON whitespace (space, tab, LF, CR: not a form feed); the
+    /// next byte, if any.
     #[inline]
     pub(crate) fn skip_ws(&mut self) -> Result<Option<u8>> {
         loop {
             let unread = &self.buf[self.pos..self.end];
-            if let Some(at) = unread.iter().position(|b| !b.is_ascii_whitespace()) {
+            if let Some(at) = unread.iter().position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            {
                 self.pos += at;
                 return Ok(Some(unread[at]));
             }
@@ -743,7 +745,7 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected_loudly() {
-        for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "nul", "1 2", "[1] trailing"] {
+        for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "nul", "1 2", "[1] trailing", "[\u{c}1]"] {
             assert!(Json::parse(bad).is_err(), "must reject {bad:?}");
         }
     }

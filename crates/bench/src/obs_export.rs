@@ -19,9 +19,7 @@ use std::io::{BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::Path;
 
-use se_obs::{
-    Event, EventKind, EventSink, Field, FieldReader, MetricsRegistry, NullSink, Recorder,
-};
+use se_obs::{Event, EventKind, EventSink, Field, FieldReader, NullSink, Recorder};
 
 use crate::args::Flags;
 use crate::json::{render_count, render_string, Json, Lexer, Pretty, Scalar};
@@ -83,14 +81,10 @@ pub fn chrome_trace(streams: &[(String, &[Event])]) -> Json {
 }
 
 /// Renders named event streams as Prometheus-style text exposition: each
-/// stream is folded through [`MetricsRegistry::ingest`] under a
-/// `stream="<label>"` label, so lanes stay comparable side by side.
+/// stream's metrics under a `stream="<label>"` label
+/// ([`se_obs::metrics::render`]), so lanes stay comparable side by side.
 pub fn metrics_text(streams: &[(String, &[Event])]) -> String {
-    let mut registry = MetricsRegistry::new();
-    for (label, stream) in streams {
-        registry.ingest(stream, &[("stream", label)]);
-    }
-    registry.render()
+    se_obs::metrics::render(streams)
 }
 
 /// Writes `content` to `path` (shared by the `--trace-out` /
@@ -1103,6 +1097,8 @@ mod tests {
             (r#"{"traceEvents": ["a\uD800"]}"#.to_string(), r"\u escape outside the BMP"),
             (r#"{"traceEvents": ["a\x"]}"#.to_string(), "unsupported escape Some((2, 'x'))"),
             (r#"{"traceEvents" []}"#.to_string(), "expected `:` at byte 15"),
+            // A form feed is not JSON whitespace.
+            ("{\"traceEvents\":\u{c}[]}".to_string(), "invalid number at byte 15"),
             (String::new(), "unexpected end of input"),
         ];
         for (text, message) in cases {

@@ -3,15 +3,14 @@
 //! byte-flipped, with absurd numbers or `\u` escapes) must give `Err` or a
 //! value, never a panic, the same outcome as parsing it into a tree and
 //! inverting that (or, for bytes that are not UTF-8, the error of reading
-//! them into a string), and reading a document must cost time linear in
-//! its size.
+//! them into a string). `json_read_scaling.rs` checks that reading costs
+//! time linear in a document's size.
 
 use proptest::prelude::*;
 use se_bench::json::Json;
 use se_bench::obs_export::{chrome_trace, events_from_chrome_trace, read_chrome_trace};
 use se_obs::{Event, EventKind};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Two lanes of every event kind, `rounds` times over.
 fn streams(rounds: u64) -> Vec<(String, Vec<Event>)> {
@@ -268,29 +267,4 @@ fn launches_ending_past_the_clock_are_errors() {
 #[test]
 fn valid_escapes_still_decode() {
     assert_eq!(Json::parse("\"\\u0041\\u00e9\"").unwrap(), Json::Str("A\u{e9}".into()));
-}
-
-/// Seconds of the fastest of five reads of `text`.
-fn read_seconds(text: &str) -> f64 {
-    (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            assert!(read(text).is_ok());
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-#[test]
-fn reading_doubles_at_most_linearly() {
-    // A quadratic reader takes 4x as long on twice the document; a linear
-    // one about 2x. 3x leaves room for noise and still catches it.
-    let (small, large) = (document(250), document(500));
-    assert!(large.len() >= 2 * small.len() - 2_000);
-    let (t_small, t_large) = (read_seconds(&small), read_seconds(&large));
-    assert!(
-        t_large < 3.0 * t_small,
-        "doubling the document took {:.1}x ({t_small:.4} s -> {t_large:.4} s)",
-        t_large / t_small
-    );
 }

@@ -136,7 +136,9 @@ pub fn percentiles<const N: usize>(values: &[u64], ps: [f64; N]) -> [Option<u64>
 }
 
 /// Whole-stream totals, tallied independently of the windows (the
-/// conservation cross-check) plus per-id terminal accounting.
+/// conservation cross-check) plus per-id terminal accounting. The
+/// per-kind counts are [`StreamTotals::record`]'s, which both
+/// [`analyze`] and the `--metrics-out` counters fold through.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamTotals {
     /// Queue admissions, counting each kill re-route again.
@@ -152,17 +154,23 @@ pub struct StreamTotals {
     /// Distinct request ids with a terminal event (served, rejected, or
     /// lost) — the submitted count when conservation holds.
     pub submitted: u64,
-    /// Batch lifecycle counts.
+    /// Batches formed.
+    pub batches_formed: u64,
+    /// Batches launched.
     pub batches_launched: u64,
     /// Batches that ran to completion.
     pub batches_completed: u64,
     /// Batches caught in flight by a kill.
     pub batches_killed: u64,
-    /// Membership churn.
+    /// Instance kills.
     pub kills: u64,
     /// Instance restarts.
     pub restarts: u64,
-    /// Tier traffic.
+    /// Instances spawned by the autoscaler.
+    pub spawns: u64,
+    /// Instances set draining by the autoscaler.
+    pub drains: u64,
+    /// Top-tier weight hits.
     pub tier_hits: u64,
     /// Lower-tier promotions.
     pub tier_promotions: u64,
@@ -184,6 +192,45 @@ pub struct StreamTotals {
 }
 
 impl StreamTotals {
+    /// Counts one event into the per-kind tallies. Leaves `submitted`,
+    /// `duplicate_terminals` and `makespan`, which are not per-kind
+    /// counts, untouched.
+    pub fn record(&mut self, event: &Event) {
+        match event.kind {
+            EventKind::Admitted { .. } => self.admitted += 1,
+            EventKind::Rejected { .. } => self.rejected += 1,
+            EventKind::Lost { .. } => self.lost += 1,
+            EventKind::QueueDepth { .. } => {}
+            EventKind::BatchFormed { .. } => self.batches_formed += 1,
+            EventKind::BatchLaunched { .. } => self.batches_launched += 1,
+            EventKind::BatchCompleted { .. } => self.batches_completed += 1,
+            EventKind::BatchKilled { .. } => self.batches_killed += 1,
+            EventKind::Served { missed, .. } => {
+                self.served += 1;
+                self.missed += u64::from(missed);
+            }
+            EventKind::InstanceKilled { .. } => self.kills += 1,
+            EventKind::InstanceRestarted { .. } => self.restarts += 1,
+            EventKind::InstanceSpawned { .. } => self.spawns += 1,
+            EventKind::InstanceDraining { .. } => self.drains += 1,
+            EventKind::TierHit { .. } => self.tier_hits += 1,
+            EventKind::TierPromoted { cycles, .. } => {
+                self.tier_promotions += 1;
+                self.tier_walk_cycles += cycles;
+            }
+            EventKind::TierDemoted { dropped: true, .. } => self.tier_drops += 1,
+            EventKind::TierDemoted { dropped: false, .. } => self.tier_demotions += 1,
+            EventKind::TierColdFetch { cycles, .. } => {
+                self.tier_cold_fetches += 1;
+                self.tier_walk_cycles += cycles;
+            }
+            EventKind::TierStreamed { cycles, .. } => {
+                self.tier_streams += 1;
+                self.tier_walk_cycles += cycles;
+            }
+        }
+    }
+
     /// Whether every id reached exactly one terminal event and the
     /// terminal counts account for every submitted request.
     pub fn conserves(&self) -> bool {
@@ -304,14 +351,17 @@ impl Analysis {
     /// Re-sums the windows into a [`StreamTotals`] — equal to
     /// [`Analysis::totals`] on every well-formed stream (the fold
     /// property the tests pin). Per-id fields (`submitted`,
-    /// `duplicate_terminals`) and churn/makespan carry over unchanged:
-    /// they are not window aggregates.
+    /// `duplicate_terminals`), batch formation, churn and makespan carry
+    /// over unchanged: they are not window aggregates.
     pub fn fold_windows(&self) -> StreamTotals {
         let mut folded = StreamTotals {
             submitted: self.totals.submitted,
             duplicate_terminals: self.totals.duplicate_terminals,
+            batches_formed: self.totals.batches_formed,
             kills: self.totals.kills,
             restarts: self.totals.restarts,
+            spawns: self.totals.spawns,
+            drains: self.totals.drains,
             makespan: self.totals.makespan,
             ..StreamTotals::default()
         };
@@ -432,20 +482,18 @@ pub fn analyze(events: &[Event], window: u64) -> Analysis {
             end: (index * window).saturating_add(window),
             ..WindowStats::default()
         });
+        totals.record(event);
         match &event.kind {
             EventKind::Admitted { id, .. } => {
                 w.admitted += 1;
-                totals.admitted += 1;
                 first_admitted.entry(*id).or_insert(event.at);
             }
             EventKind::Rejected { id, .. } => {
                 w.rejected += 1;
-                totals.rejected += 1;
                 *terminals.entry(*id).or_insert(0) += 1;
             }
             EventKind::Lost { id, model } => {
                 w.lost += 1;
-                totals.lost += 1;
                 *terminals.entry(*id).or_insert(0) += 1;
                 let arrival = first_admitted.get(id).copied().unwrap_or(event.at);
                 attributions.push(Attribution {
@@ -478,24 +526,13 @@ pub fn analyze(events: &[Event], window: u64) -> Analysis {
             }
             EventKind::BatchLaunched { instance, done, .. } => {
                 w.batches_launched += 1;
-                totals.batches_launched += 1;
                 busy_until.insert(*instance, *done);
             }
-            EventKind::BatchCompleted { .. } => {
-                w.batches_completed += 1;
-                totals.batches_completed += 1;
-            }
-            EventKind::BatchKilled { .. } => {
-                w.batches_killed += 1;
-                totals.batches_killed += 1;
-            }
+            EventKind::BatchCompleted { .. } => w.batches_completed += 1,
+            EventKind::BatchKilled { .. } => w.batches_killed += 1,
             EventKind::Served { id, model, instance, batch, enqueued, latency, missed } => {
                 w.served += 1;
-                totals.served += 1;
-                if *missed {
-                    w.missed += 1;
-                    totals.missed += 1;
-                }
+                w.missed += u64::from(*missed);
                 w.latencies.push(*latency);
                 *terminals.entry(*id).or_insert(0) += 1;
                 let info = batches.get(batch).copied().unwrap_or_default();
@@ -521,50 +558,32 @@ pub fn analyze(events: &[Event], window: u64) -> Analysis {
                     post_restart_cold: info.cold_fetch && info.post_restart,
                 });
             }
-            EventKind::InstanceKilled { .. } => {
-                totals.kills += 1;
-            }
             EventKind::InstanceRestarted { instance } => {
-                totals.restarts += 1;
                 last_restart.insert(*instance, event.at);
                 let busy = busy_until.entry(*instance).or_insert(0);
                 *busy = (*busy).max(event.at);
             }
-            EventKind::InstanceSpawned { .. } | EventKind::InstanceDraining { .. } => {}
-            EventKind::TierHit { .. } => {
-                w.tier_hits += 1;
-                totals.tier_hits += 1;
-            }
+            EventKind::InstanceKilled { .. }
+            | EventKind::InstanceSpawned { .. }
+            | EventKind::InstanceDraining { .. } => {}
+            EventKind::TierHit { .. } => w.tier_hits += 1,
             EventKind::TierPromoted { instance, cycles, .. } => {
                 w.tier_promotions += 1;
-                totals.tier_promotions += 1;
                 w.tier_walk_cycles += cycles;
-                totals.tier_walk_cycles += cycles;
                 pending_walk.entry(*instance).or_insert((0, false)).0 += cycles;
             }
-            EventKind::TierDemoted { dropped, .. } => {
-                if *dropped {
-                    w.tier_drops += 1;
-                    totals.tier_drops += 1;
-                } else {
-                    w.tier_demotions += 1;
-                    totals.tier_demotions += 1;
-                }
-            }
+            EventKind::TierDemoted { dropped: true, .. } => w.tier_drops += 1,
+            EventKind::TierDemoted { dropped: false, .. } => w.tier_demotions += 1,
             EventKind::TierColdFetch { instance, cycles, .. } => {
                 w.tier_cold_fetches += 1;
-                totals.tier_cold_fetches += 1;
                 w.tier_walk_cycles += cycles;
-                totals.tier_walk_cycles += cycles;
                 let entry = pending_walk.entry(*instance).or_insert((0, false));
                 entry.0 += cycles;
                 entry.1 = true;
             }
             EventKind::TierStreamed { instance, cycles, .. } => {
                 w.tier_streams += 1;
-                totals.tier_streams += 1;
                 w.tier_walk_cycles += cycles;
-                totals.tier_walk_cycles += cycles;
                 pending_walk.entry(*instance).or_insert((0, false)).0 += cycles;
             }
         }

@@ -6,11 +6,13 @@
 //! deterministic virtual cycle. This crate gives those decisions a
 //! structured, virtual-time-stamped event model ([`Event`]) and a sink
 //! abstraction ([`EventSink`]) the scheduler core emits into, plus a
-//! metrics registry ([`MetricsRegistry`]) that folds an event stream into
-//! counters, gauges, and log-bucketed histograms with a Prometheus-style
-//! text exposition, and an analytics engine ([`analyze`]) that turns a
-//! stream into windowed timeseries, SLO-miss attributions, and
-//! cross-run diffs.
+//! metrics fold that turns each event stream into counters, gauges, and
+//! log-bucketed histograms held in typed slots, with a Prometheus-style
+//! text exposition ([`metrics::render`]), and an analytics engine
+//! ([`analyze`]) that turns a stream into windowed timeseries, SLO-miss
+//! attributions, and cross-run diffs. Both count events by one rule,
+//! [`analyze::StreamTotals::record`]: the exposition's counters are a
+//! stream's [`analyze::StreamTotals`].
 //!
 //! **Determinism contract.** Events are emitted from the serial scheduler
 //! core only, stamped with virtual time and never wall-clock time, so the
@@ -31,4 +33,4 @@ pub mod event;
 pub mod metrics;
 
 pub use event::{Event, EventKind, EventSink, Field, FieldReader, NullSink, Recorder};
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::Histogram;

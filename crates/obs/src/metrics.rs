@@ -1,10 +1,14 @@
 //! The metrics layer: log₂-bucketed histograms with a quantile
-//! estimator ([`Histogram`]) and a deterministic registry that folds an
-//! event stream into counters/gauges/histograms and renders them as a
-//! Prometheus-style text exposition ([`MetricsRegistry`]).
+//! estimator ([`Histogram`]) and the Prometheus-style text exposition of
+//! event streams ([`render`]), each stream folded into counters, gauges
+//! and histograms held in typed slots. The counters are the stream's
+//! [`StreamTotals`], tallied by [`StreamTotals::record`] as
+//! [`crate::analyze::analyze`] tallies them.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
+use crate::analyze::StreamTotals;
 use crate::event::{Event, EventKind};
 
 /// A log₂-bucketed histogram: bucket `i` counts observed values of bit
@@ -95,267 +99,210 @@ impl Histogram {
     }
 }
 
-/// A deterministic metrics registry: counters, gauges, and log-bucketed
-/// histograms keyed by Prometheus-style metric names (labels inline in
-/// the key, e.g. `se_queue_depth{lane="se"}`). Iteration order is sorted
-/// by key, so renders are byte-stable.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+/// The metrics of one event stream, folded an event at a time into
+/// typed slots: the per-kind counts ([`StreamTotals::record`]), five
+/// log₂ histograms, the last and the deepest queue-depth sample, and the
+/// weight-residency ledger behind `se_tier_occupancy_bytes` (end-of-stream
+/// resident bytes per tier, summed over instances, tracked through
+/// installs, demotions, drops and restart purges).
+#[derive(Default)]
+struct StreamMetrics {
+    totals: StreamTotals,
+    batch_cycles: Histogram,
+    batch_size: Histogram,
+    queue_depth_samples: Histogram,
+    request_latency_cycles: Histogram,
+    tier_walk_cycles: Histogram,
+    /// The last and the deepest queue-depth sample.
+    queue_depth: Option<(usize, usize)>,
+    /// (instance, model) → (tier, bytes); a dropped demotion (a capacity
+    /// drop or a restart purge) removes the entry.
+    holdings: BTreeMap<(usize, usize), (usize, u64)>,
+    /// Every tier weights were installed in.
+    tiers: BTreeSet<usize>,
 }
 
-/// Joins a metric family name with label pairs into a registry key.
-fn keyed(name: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
-    }
-    let body: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-    format!("{name}{{{}}}", body.join(","))
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `by` to a counter (created at zero).
-    pub fn inc(&mut self, key: &str, by: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += by;
-    }
-
-    /// Sets a gauge (last write wins).
-    pub fn set_gauge(&mut self, key: &str, value: f64) {
-        self.gauges.insert(key.to_string(), value);
-    }
-
-    /// Raises a gauge to `value` if it is below (created at `value`) —
-    /// the high-watermark update.
-    pub fn raise_gauge(&mut self, key: &str, value: f64) {
-        let entry = self.gauges.entry(key.to_string()).or_insert(value);
-        if *entry < value {
-            *entry = value;
-        }
-    }
-
-    /// Records one observation into a histogram (created empty).
-    pub fn observe(&mut self, key: &str, value: u64) {
-        self.histograms.entry(key.to_string()).or_default().observe(value);
-    }
-
-    /// A counter's current value (`None` if never incremented).
-    pub fn counter(&self, key: &str) -> Option<u64> {
-        self.counters.get(key).copied()
-    }
-
-    /// A gauge's current value.
-    pub fn gauge(&self, key: &str) -> Option<f64> {
-        self.gauges.get(key).copied()
-    }
-
-    /// A histogram, if anything was observed under `key`.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
-    }
-
-    /// Folds an event stream into the registry. `labels` is appended to
-    /// every metric key (e.g. `[("lane", "se")]` when aggregating several
-    /// accelerator lanes into one registry).
-    ///
-    /// Besides per-kind counters and latency/size histograms, the fold
-    /// derives two stateful families from the stream:
-    /// `se_queue_depth_high_watermark` (the deepest queue-depth sample,
-    /// merged across repeated ingests under the same labels) and
-    /// `se_tier_occupancy_bytes{tier="k"}` (end-of-stream resident bytes
-    /// per tier, summed over instances, tracked through installs,
-    /// demotions, drops, and restart purges).
-    pub fn ingest(&mut self, events: &[Event], labels: &[(&str, &str)]) {
-        // Weight-residency ledger: (instance, model) → (tier, bytes),
-        // maintained from the tier events alone. `dropped` demotions
-        // (capacity drops and restart purges) remove the entry.
-        let mut holdings: BTreeMap<(usize, usize), (usize, u64)> = BTreeMap::new();
-        let mut tiers_seen: BTreeSet<usize> = BTreeSet::new();
+impl StreamMetrics {
+    fn fold(events: &[Event]) -> StreamMetrics {
+        let mut metrics = StreamMetrics::default();
         for event in events {
-            match &event.kind {
-                EventKind::Admitted { .. } => {
-                    self.inc(&keyed("se_requests_admitted_total", labels), 1);
-                }
-                EventKind::Rejected { .. } => {
-                    self.inc(&keyed("se_requests_rejected_total", labels), 1);
-                }
-                EventKind::Lost { .. } => {
-                    self.inc(&keyed("se_requests_lost_total", labels), 1);
-                }
-                EventKind::QueueDepth { depth, .. } => {
-                    self.set_gauge(&keyed("se_queue_depth", labels), *depth as f64);
-                    self.raise_gauge(
-                        &keyed("se_queue_depth_high_watermark", labels),
-                        *depth as f64,
-                    );
-                    self.observe(&keyed("se_queue_depth_samples", labels), *depth as u64);
-                }
-                EventKind::BatchFormed { size, .. } => {
-                    self.inc(&keyed("se_batches_formed_total", labels), 1);
-                    self.observe(&keyed("se_batch_size", labels), *size as u64);
-                }
-                EventKind::BatchLaunched { done, .. } => {
-                    self.inc(&keyed("se_batches_launched_total", labels), 1);
-                    self.observe(&keyed("se_batch_cycles", labels), done.saturating_sub(event.at));
-                }
-                EventKind::BatchCompleted { .. } => {
-                    self.inc(&keyed("se_batches_completed_total", labels), 1);
-                }
-                EventKind::BatchKilled { .. } => {
-                    self.inc(&keyed("se_batches_killed_total", labels), 1);
-                }
-                EventKind::Served { latency, missed, .. } => {
-                    self.inc(&keyed("se_requests_served_total", labels), 1);
-                    self.observe(&keyed("se_request_latency_cycles", labels), *latency);
-                    if *missed {
-                        self.inc(&keyed("se_deadline_misses_total", labels), 1);
-                    }
-                }
-                EventKind::InstanceKilled { .. } => {
-                    self.inc(&keyed("se_instance_kills_total", labels), 1);
-                }
-                EventKind::InstanceRestarted { .. } => {
-                    self.inc(&keyed("se_instance_restarts_total", labels), 1);
-                }
-                EventKind::InstanceSpawned { .. } => {
-                    self.inc(&keyed("se_instance_spawns_total", labels), 1);
-                }
-                EventKind::InstanceDraining { .. } => {
-                    self.inc(&keyed("se_instance_drains_total", labels), 1);
-                }
-                EventKind::TierHit { .. } => {
-                    self.inc(&keyed("se_tier_hits_total", labels), 1);
-                }
-                EventKind::TierPromoted { instance, model, cycles, bytes, .. } => {
-                    self.inc(&keyed("se_tier_promotions_total", labels), 1);
-                    self.observe(&keyed("se_tier_walk_cycles", labels), *cycles);
-                    tiers_seen.insert(0);
-                    holdings.insert((*instance, *model), (0, *bytes));
-                }
-                EventKind::TierDemoted { instance, model, to, bytes, dropped } => {
-                    if *dropped {
-                        self.inc(&keyed("se_tier_drops_total", labels), 1);
-                        holdings.remove(&(*instance, *model));
-                    } else {
-                        self.inc(&keyed("se_tier_demotions_total", labels), 1);
-                        tiers_seen.insert(*to);
-                        holdings.insert((*instance, *model), (*to, *bytes));
-                    }
-                }
-                EventKind::TierColdFetch { instance, model, cycles, bytes } => {
-                    self.inc(&keyed("se_tier_cold_fetches_total", labels), 1);
-                    self.observe(&keyed("se_tier_walk_cycles", labels), *cycles);
-                    tiers_seen.insert(0);
-                    holdings.insert((*instance, *model), (0, *bytes));
-                }
-                EventKind::TierStreamed { cycles, .. } => {
-                    self.inc(&keyed("se_tier_streams_total", labels), 1);
-                    self.observe(&keyed("se_tier_walk_cycles", labels), *cycles);
-                }
+            metrics.record(event);
+        }
+        metrics
+    }
+
+    fn record(&mut self, event: &Event) {
+        self.totals.record(event);
+        match event.kind {
+            EventKind::QueueDepth { depth, .. } => {
+                let deepest = self.queue_depth.map_or(depth, |(_, deepest)| deepest.max(depth));
+                self.queue_depth = Some((depth, deepest));
+                self.queue_depth_samples.observe(depth as u64);
+            }
+            EventKind::BatchFormed { size, .. } => self.batch_size.observe(size as u64),
+            EventKind::BatchLaunched { done, .. } => {
+                self.batch_cycles.observe(done.saturating_sub(event.at));
+            }
+            EventKind::Served { latency, .. } => self.request_latency_cycles.observe(latency),
+            EventKind::TierPromoted { instance, model, cycles, bytes, .. }
+            | EventKind::TierColdFetch { instance, model, cycles, bytes } => {
+                self.tier_walk_cycles.observe(cycles);
+                self.hold(instance, model, 0, bytes);
+            }
+            EventKind::TierStreamed { cycles, .. } => self.tier_walk_cycles.observe(cycles),
+            EventKind::TierDemoted { instance, model, dropped: true, .. } => {
+                self.holdings.remove(&(instance, model));
+            }
+            EventKind::TierDemoted { instance, model, to, bytes, dropped: false } => {
+                self.hold(instance, model, to, bytes);
+            }
+            _ => {}
+        }
+    }
+
+    fn hold(&mut self, instance: usize, model: usize, tier: usize, bytes: u64) {
+        self.tiers.insert(tier);
+        self.holdings.insert((instance, model), (tier, bytes));
+    }
+
+    /// Resident bytes of every tier weights were installed in, by tier.
+    fn occupancy(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.tiers.iter().map(|&tier| {
+            (tier, self.holdings.values().filter(|&&(t, _)| t == tier).map(|&(_, b)| b).sum())
+        })
+    }
+
+    /// The counter families, each with its [`StreamTotals`] count.
+    fn counters(&self) -> [(&'static str, u64); 19] {
+        let t = &self.totals;
+        [
+            ("se_requests_admitted_total", t.admitted),
+            ("se_requests_rejected_total", t.rejected),
+            ("se_requests_lost_total", t.lost),
+            ("se_requests_served_total", t.served),
+            ("se_deadline_misses_total", t.missed),
+            ("se_batches_formed_total", t.batches_formed),
+            ("se_batches_launched_total", t.batches_launched),
+            ("se_batches_completed_total", t.batches_completed),
+            ("se_batches_killed_total", t.batches_killed),
+            ("se_instance_kills_total", t.kills),
+            ("se_instance_restarts_total", t.restarts),
+            ("se_instance_spawns_total", t.spawns),
+            ("se_instance_drains_total", t.drains),
+            ("se_tier_hits_total", t.tier_hits),
+            ("se_tier_promotions_total", t.tier_promotions),
+            ("se_tier_cold_fetches_total", t.tier_cold_fetches),
+            ("se_tier_streams_total", t.tier_streams),
+            ("se_tier_demotions_total", t.tier_demotions),
+            ("se_tier_drops_total", t.tier_drops),
+        ]
+    }
+
+    fn histograms(&self) -> [(&'static str, &Histogram); 5] {
+        [
+            ("se_batch_cycles", &self.batch_cycles),
+            ("se_batch_size", &self.batch_size),
+            ("se_queue_depth_samples", &self.queue_depth_samples),
+            ("se_request_latency_cycles", &self.request_latency_cycles),
+            ("se_tier_walk_cycles", &self.tier_walk_cycles),
+        ]
+    }
+}
+
+/// Renders labelled event streams as Prometheus-style text exposition,
+/// each stream folded on its own and its series put under
+/// `stream="<label>"`: counters, then gauges, then histograms with
+/// cumulative `_bucket{le=...}` lines, summary-style
+/// `quantile="0.5|0.95|0.99"` estimate lines, `_sum`, and `_count`. A
+/// series prints once something fed it. Within each part the series are
+/// in the byte order of their `family{labels}` keys, with a `# TYPE`
+/// header where the family changes. Labels are not merged, so each
+/// stream needs its own.
+pub fn render(streams: &[(String, &[Event])]) -> String {
+    let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
+    let folds: Vec<StreamMetrics> = streams.iter().map(|(_, s)| StreamMetrics::fold(s)).collect();
+    for ((label, _), metrics) in streams.iter().zip(&folds) {
+        let stream = format!("stream=\"{label}\"");
+        for (family, count) in metrics.counters() {
+            if count > 0 {
+                counters.push((family, stream.clone(), count));
             }
         }
-        for &tier in &tiers_seen {
-            let occupied: u64 =
-                holdings.values().filter(|&&(t, _)| t == tier).map(|&(_, b)| b).sum();
-            let tier_label = tier.to_string();
-            let mut with_tier: Vec<(&str, &str)> = labels.to_vec();
-            with_tier.push(("tier", &tier_label));
-            self.set_gauge(&keyed("se_tier_occupancy_bytes", &with_tier), occupied as f64);
+        if let Some((last, deepest)) = metrics.queue_depth {
+            gauges.push(("se_queue_depth", stream.clone(), last as f64));
+            gauges.push(("se_queue_depth_high_watermark", stream.clone(), deepest as f64));
         }
-    }
-
-    /// Renders the registry as Prometheus-style text exposition:
-    /// `# TYPE` headers (once per family), counters, then gauges, then
-    /// histograms with cumulative `_bucket{le=...}` lines, summary-style
-    /// `quantile="0.5|0.95|0.99"` estimate lines, `_sum`, and `_count`.
-    /// Byte-stable for a given registry state.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut last_family = String::new();
-        for (key, value) in &self.counters {
-            type_header(&mut out, key, "counter", &mut last_family);
-            out.push_str(&format!("{key} {value}\n"));
+        for (tier, bytes) in metrics.occupancy() {
+            let labels = format!("{stream},tier=\"{tier}\"");
+            gauges.push(("se_tier_occupancy_bytes", labels, bytes as f64));
         }
-        last_family.clear();
-        for (key, value) in &self.gauges {
-            type_header(&mut out, key, "gauge", &mut last_family);
-            out.push_str(&format!("{key} {value}\n"));
-        }
-        last_family.clear();
-        for (key, hist) in &self.histograms {
-            type_header(&mut out, key, "histogram", &mut last_family);
-            let (family, labels) = split_key(key);
-            let mut cumulative = 0u64;
-            for (idx, &count) in hist.buckets().iter().enumerate() {
-                cumulative += count;
-                if count > 0 || idx + 1 == hist.buckets().len() {
-                    let bound = Histogram::bucket_bound(idx);
-                    out.push_str(&format!(
-                        "{family}_bucket{{{}le=\"{bound}\"}} {cumulative}\n",
-                        labels_prefix(labels)
-                    ));
-                }
+        for (family, hist) in metrics.histograms() {
+            if hist.count() > 0 {
+                histograms.push((family, stream.clone(), hist));
             }
-            out.push_str(&format!(
-                "{family}_bucket{{{}le=\"+Inf\"}} {}\n",
-                labels_prefix(labels),
-                hist.count()
-            ));
-            for (q, q_label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                if let Some(estimate) = hist.quantile(q) {
-                    out.push_str(&format!(
-                        "{family}{{{}quantile=\"{q_label}\"}} {estimate}\n",
-                        labels_prefix(labels)
-                    ));
-                }
-            }
-            out.push_str(&format!("{family}_sum{} {}\n", brace(labels), hist.sum()));
-            out.push_str(&format!("{family}_count{} {}\n", brace(labels), hist.count()));
         }
-        out
+    }
+    let mut out = String::new();
+    part(&mut out, "counter", counters, write_value);
+    part(&mut out, "gauge", gauges, write_value);
+    part(&mut out, "histogram", histograms, write_histogram);
+    out
+}
+
+/// Writes one part of the exposition: `series` sorted by key, each
+/// written by `write`, under a `# TYPE` header per family.
+fn part<T>(
+    out: &mut String,
+    kind: &str,
+    mut series: Vec<(&str, String, T)>,
+    write: impl Fn(&mut String, &str, &str, T) -> std::fmt::Result,
+) {
+    series.sort_by_cached_key(|(family, labels, _)| format!("{family}{{{labels}}}"));
+    let mut last_family = "";
+    for (family, labels, value) in series {
+        if family != last_family {
+            writeln!(out, "# TYPE {family} {kind}").expect("writing to a String");
+            last_family = family;
+        }
+        write(out, family, &labels, value).expect("writing to a String");
     }
 }
 
-/// Splits a registry key into `(family, label body)` — the label body is
-/// the text between the braces, empty when unlabeled.
-fn split_key(key: &str) -> (&str, &str) {
-    match key.find('{') {
-        Some(pos) => (&key[..pos], key[pos + 1..].trim_end_matches('}')),
-        None => (key, ""),
-    }
+/// A counter's or a gauge's line.
+fn write_value(
+    out: &mut String,
+    family: &str,
+    labels: &str,
+    value: impl std::fmt::Display,
+) -> std::fmt::Result {
+    writeln!(out, "{family}{{{labels}}} {value}")
 }
 
-/// Label body followed by a comma, ready to precede an `le` label.
-fn labels_prefix(labels: &str) -> String {
-    if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{labels},")
+/// One histogram's lines: the non-empty buckets (and the last) with
+/// cumulative counts, `+Inf`, the quantile estimates, `_sum` and `_count`.
+fn write_histogram(
+    out: &mut String,
+    family: &str,
+    labels: &str,
+    hist: &Histogram,
+) -> std::fmt::Result {
+    let buckets = hist.buckets();
+    let mut cumulative = 0u64;
+    for (idx, &count) in buckets.iter().enumerate() {
+        cumulative += count;
+        if count > 0 || idx + 1 == buckets.len() {
+            let bound = Histogram::bucket_bound(idx);
+            writeln!(out, "{family}_bucket{{{labels},le=\"{bound}\"}} {cumulative}")?;
+        }
     }
-}
-
-/// Label body wrapped back in braces, empty when unlabeled.
-fn brace(labels: &str) -> String {
-    if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
+    writeln!(out, "{family}_bucket{{{labels},le=\"+Inf\"}} {}", hist.count())?;
+    for (q, q_label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+        if let Some(estimate) = hist.quantile(q) {
+            writeln!(out, "{family}{{{labels},quantile=\"{q_label}\"}} {estimate}")?;
+        }
     }
-}
-
-/// Emits a `# TYPE` header when the metric family changes.
-fn type_header(out: &mut String, key: &str, kind: &str, last_family: &mut String) {
-    let (family, _) = split_key(key);
-    if family != last_family {
-        out.push_str(&format!("# TYPE {family} {kind}\n"));
-        *last_family = family.to_string();
-    }
+    writeln!(out, "{family}_sum{{{labels}}} {}", hist.sum())?;
+    writeln!(out, "{family}_count{{{labels}}} {}", hist.count())
 }
 
 #[cfg(test)]
@@ -441,17 +388,17 @@ mod tests {
                 },
             },
         ];
-        let mut reg = MetricsRegistry::new();
-        reg.ingest(&events, &[]);
-        assert_eq!(reg.counter("se_requests_admitted_total"), Some(1));
-        assert_eq!(reg.counter("se_requests_rejected_total"), Some(1));
-        assert_eq!(reg.counter("se_batches_completed_total"), Some(1));
-        assert_eq!(reg.counter("se_deadline_misses_total"), Some(1));
-        assert_eq!(reg.counter("se_tier_promotions_total"), Some(1));
-        assert_eq!(reg.gauge("se_queue_depth"), Some(1.0));
-        assert_eq!(reg.histogram("se_request_latency_cycles").unwrap().count(), 1);
-        assert_eq!(reg.histogram("se_batch_cycles").unwrap().sum(), 10);
-        assert_eq!(reg.histogram("se_tier_walk_cycles").unwrap().count(), 1);
+        let m = StreamMetrics::fold(&events);
+        assert_eq!(m.totals.admitted, 1);
+        assert_eq!(m.totals.rejected, 1);
+        assert_eq!(m.totals.batches_completed, 1);
+        assert_eq!(m.totals.missed, 1);
+        assert_eq!(m.totals.tier_promotions, 1);
+        assert_eq!(m.queue_depth, Some((1, 1)));
+        assert_eq!(m.request_latency_cycles.count(), 1);
+        assert_eq!(m.batch_cycles.sum(), 10);
+        assert_eq!(m.tier_walk_cycles.count(), 1);
+        assert_eq!(m.batch_size.count(), 0, "no batch was formed");
     }
 
     #[test]
@@ -503,47 +450,114 @@ mod tests {
                 },
             },
         ];
-        let mut reg = MetricsRegistry::new();
-        reg.ingest(&events, &[]);
-        assert_eq!(reg.gauge("se_queue_depth_high_watermark"), Some(7.0));
-        // Current value is the last sample, watermark the deepest.
-        assert_eq!(reg.gauge("se_queue_depth"), Some(2.0));
-        assert_eq!(reg.gauge("se_tier_occupancy_bytes{tier=\"0\"}"), Some(500.0));
-        assert_eq!(reg.gauge("se_tier_occupancy_bytes{tier=\"1\"}"), Some(700.0));
+        let m = StreamMetrics::fold(&events);
+        // The last sample, then the deepest.
+        assert_eq!(m.queue_depth, Some((2, 7)));
+        // Instance 1's tier 0 emptied, so tier 0 holds instance 0's 500.
         // The drop tier is not occupancy; drops count separately.
-        assert_eq!(reg.gauge("se_tier_occupancy_bytes{tier=\"3\"}"), None);
-        assert_eq!(reg.counter("se_tier_drops_total"), Some(1));
-        assert_eq!(reg.counter("se_tier_demotions_total"), Some(1));
-        // Re-ingesting under the same labels keeps the deepest watermark.
-        reg.ingest(&[Event { at: 0, kind: EventKind::QueueDepth { instance: 0, depth: 4 } }], &[]);
-        assert_eq!(reg.gauge("se_queue_depth_high_watermark"), Some(7.0));
+        assert_eq!(m.occupancy().collect::<Vec<_>>(), [(0, 500), (1, 700)]);
+        assert_eq!(m.totals.tier_drops, 1);
+        assert_eq!(m.totals.tier_demotions, 1);
+    }
+
+    /// Kind `k` of the list below occurs `k + 1` times, so a counter
+    /// family that read another kind's count would print a wrong number.
+    #[test]
+    fn each_counter_family_counts_its_own_kind() {
+        let served = |missed| EventKind::Served {
+            id: 0,
+            model: 0,
+            instance: 0,
+            batch: 0,
+            enqueued: 0,
+            latency: 1,
+            missed,
+        };
+        let demoted =
+            |dropped| EventKind::TierDemoted { instance: 0, model: 0, to: 1, bytes: 1, dropped };
+        let kinds = [
+            EventKind::Admitted { id: 0, model: 0, instance: 0 },
+            EventKind::Rejected { id: 0, model: 0 },
+            EventKind::Lost { id: 0, model: 0 },
+            EventKind::BatchFormed { seq: 0, instance: 0, model: 0, size: 1 },
+            EventKind::BatchLaunched { seq: 0, instance: 0, model: 0, size: 1, done: 1 },
+            EventKind::BatchCompleted { seq: 0, instance: 0, size: 1 },
+            EventKind::BatchKilled { seq: 0, instance: 0 },
+            served(true),
+            served(false),
+            EventKind::InstanceKilled { instance: 0, in_flight: 0, rerouted: 0, lost: 0 },
+            EventKind::InstanceRestarted { instance: 0 },
+            EventKind::InstanceSpawned { instance: 0 },
+            EventKind::InstanceDraining { instance: 0 },
+            EventKind::TierHit { instance: 0, model: 0 },
+            EventKind::TierPromoted { instance: 0, model: 0, from: 1, cycles: 1, bytes: 1 },
+            EventKind::TierColdFetch { instance: 0, model: 0, cycles: 1, bytes: 1 },
+            EventKind::TierStreamed { instance: 0, model: 0, cycles: 1 },
+            demoted(false),
+            demoted(true),
+        ];
+        let events: Vec<Event> = kinds
+            .iter()
+            .enumerate()
+            .flat_map(|(k, kind)| vec![Event { at: 0, kind: kind.clone() }; k + 1])
+            .collect();
+        let text = render(&[("s".to_string(), &events[..])]);
+        let counters: Vec<&str> = text.lines().filter(|l| l.contains("_total{")).collect();
+        assert_eq!(
+            counters,
+            [
+                "se_batches_completed_total{stream=\"s\"} 6",
+                "se_batches_formed_total{stream=\"s\"} 4",
+                "se_batches_killed_total{stream=\"s\"} 7",
+                "se_batches_launched_total{stream=\"s\"} 5",
+                "se_deadline_misses_total{stream=\"s\"} 8",
+                "se_instance_drains_total{stream=\"s\"} 13",
+                "se_instance_kills_total{stream=\"s\"} 10",
+                "se_instance_restarts_total{stream=\"s\"} 11",
+                "se_instance_spawns_total{stream=\"s\"} 12",
+                "se_requests_admitted_total{stream=\"s\"} 1",
+                "se_requests_lost_total{stream=\"s\"} 3",
+                "se_requests_rejected_total{stream=\"s\"} 2",
+                "se_requests_served_total{stream=\"s\"} 17",
+                "se_tier_cold_fetches_total{stream=\"s\"} 16",
+                "se_tier_demotions_total{stream=\"s\"} 18",
+                "se_tier_drops_total{stream=\"s\"} 19",
+                "se_tier_hits_total{stream=\"s\"} 14",
+                "se_tier_promotions_total{stream=\"s\"} 15",
+                "se_tier_streams_total{stream=\"s\"} 17",
+            ]
+        );
     }
 
     #[test]
     fn labeled_ingest_keys_and_render_are_byte_stable() {
-        let events =
-            vec![Event { at: 0, kind: EventKind::Admitted { id: 0, model: 0, instance: 0 } }];
-        let mut reg = MetricsRegistry::new();
-        reg.ingest(&events, &[("lane", "se")]);
-        reg.ingest(&events, &[("lane", "dense")]);
-        reg.observe("se_batch_size{lane=\"se\"}", 3);
-        assert_eq!(reg.counter("se_requests_admitted_total{lane=\"se\"}"), Some(1));
-        let text = reg.render();
+        let admitted = Event { at: 0, kind: EventKind::Admitted { id: 0, model: 0, instance: 0 } };
+        let formed = Event {
+            at: 0,
+            kind: EventKind::BatchFormed { seq: 0, instance: 0, model: 0, size: 3 },
+        };
+        let se = [admitted.clone(), formed];
+        let dense = [admitted];
+        let streams = [("se".to_string(), &se[..]), ("dense".to_string(), &dense[..])];
+        let text = render(&streams);
         assert_eq!(
             text,
-            "# TYPE se_requests_admitted_total counter\n\
-             se_requests_admitted_total{lane=\"dense\"} 1\n\
-             se_requests_admitted_total{lane=\"se\"} 1\n\
+            "# TYPE se_batches_formed_total counter\n\
+             se_batches_formed_total{stream=\"se\"} 1\n\
+             # TYPE se_requests_admitted_total counter\n\
+             se_requests_admitted_total{stream=\"dense\"} 1\n\
+             se_requests_admitted_total{stream=\"se\"} 1\n\
              # TYPE se_batch_size histogram\n\
-             se_batch_size_bucket{lane=\"se\",le=\"3\"} 1\n\
-             se_batch_size_bucket{lane=\"se\",le=\"+Inf\"} 1\n\
-             se_batch_size{lane=\"se\",quantile=\"0.5\"} 3\n\
-             se_batch_size{lane=\"se\",quantile=\"0.95\"} 3\n\
-             se_batch_size{lane=\"se\",quantile=\"0.99\"} 3\n\
-             se_batch_size_sum{lane=\"se\"} 3\n\
-             se_batch_size_count{lane=\"se\"} 1\n"
+             se_batch_size_bucket{stream=\"se\",le=\"3\"} 1\n\
+             se_batch_size_bucket{stream=\"se\",le=\"+Inf\"} 1\n\
+             se_batch_size{stream=\"se\",quantile=\"0.5\"} 3\n\
+             se_batch_size{stream=\"se\",quantile=\"0.95\"} 3\n\
+             se_batch_size{stream=\"se\",quantile=\"0.99\"} 3\n\
+             se_batch_size_sum{stream=\"se\"} 3\n\
+             se_batch_size_count{stream=\"se\"} 1\n"
         );
         // Rendering twice is byte-identical.
-        assert_eq!(text, reg.render());
+        assert_eq!(text, render(&streams));
+        assert_eq!(render(&[]), "");
     }
 }
