@@ -299,8 +299,8 @@ impl<R: Read> Lexer<R> {
     pub(crate) fn skip_ws(&mut self) -> Result<Option<u8>> {
         loop {
             let unread = &self.buf[self.pos..self.end];
-            if let Some(at) = unread.iter().position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-            {
+            let is_ws = |b: &u8| matches!(b, b' ' | b'\t' | b'\n' | b'\r');
+            if let Some(at) = unread.iter().position(|b| !is_ws(b)) {
                 self.pos += at;
                 return Ok(Some(unread[at]));
             }
