@@ -2,9 +2,10 @@
 //! `se serve` and `se bench serve` on the small in-test networks of
 //! `cluster_cli.rs`, each case pinning the `--trace-out` Chrome trace and
 //! the `--metrics-out` exposition against committed fixtures, plus stdout
-//! where it holds no wall-clock numbers. The other end-to-end tests
-//! compare runs against each other; these compare against fixed bytes, so
-//! a refactor of the serving path that shifts any output fails here.
+//! where it holds no wall-clock numbers, and the `se help` text. The other
+//! end-to-end tests compare runs against each other; these compare against
+//! fixed bytes, so a refactor of the serving path or of the flag table
+//! that shifts any output fails here.
 
 use se_bench::args::Flags;
 use se_bench::figures;
@@ -168,4 +169,11 @@ fn bench_serve_exports_match_the_golden_bytes() {
     let stdout =
         check_exports("bench_serve", figures::bench_serve::run_with_models, flags, &model_set());
     assert!(stdout.contains("(4 configs)"), "{stdout}");
+}
+
+#[test]
+fn help_matches_the_golden_bytes() {
+    let mut out = Vec::new();
+    se_bench::cli::run_from_args(&["help".to_string()], &mut out).unwrap();
+    assert_bytes("help.stdout.txt", &String::from_utf8(out).unwrap());
 }
