@@ -1,4 +1,5 @@
-//! Minimal CLI-flag reading for the experiment binaries.
+//! Minimal CLI-flag reading for the experiment binaries: one table declares
+//! every flag's [`Flags`] field, parser, `se help` entry and scope.
 
 use crate::runner::RunnerOptions;
 use crate::Result;
@@ -7,184 +8,384 @@ use se_serve::{ArrivalPattern, BatchPolicy, RouterPolicy};
 /// `--max-batch` when absent: also the default `--burst` size.
 const DEFAULT_MAX_BATCH: usize = 8;
 
-/// Parsed common flags.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Flags {
-    /// `--fast`: sample output rows and cut decomposition iterations so the
-    /// ImageNet-scale sweeps finish quickly (shapes are preserved; absolute
-    /// numbers move by a few percent).
-    pub fast: bool,
-    /// `--seed N`: base seed for synthetic weights/activations.
-    pub seed: u64,
-    /// `--models a,b,c`: restrict to a subset of model names.
-    pub models: Option<Vec<String>>,
-    /// `--sim-parallelism N`: worker threads for the `(layer, accelerator)`
-    /// simulation grid (see `se_bench::runner`) and for `se cluster`'s
-    /// five lanes (one job per lane). Results are bit-identical
-    /// for every value; absent means the default (the `SE_PARALLELISM`
-    /// environment variable, else all cores).
-    pub sim_parallelism: Option<usize>,
-    /// `--traces-dir DIR`: directory of persisted trace artifacts
-    /// (`*.setrace`, built by `se trace build`). Subcommands that consume
-    /// traces replay matching artifacts from here instead of regenerating
-    /// the decompositions; cached and direct runs are bit-identical. A
-    /// missing artifact silently falls back to direct generation.
-    pub traces_dir: Option<std::path::PathBuf>,
-    /// `--with-fc`: include FC layers in the generated traces (the
-    /// Fig. 13(b) protocol) — consumed by `se trace build`.
-    pub with_fc: bool,
-    /// `--batch-sizes 1,4,16`: batch sizes swept by `se batch`.
-    pub batch_sizes: Option<Vec<usize>>,
-    /// `--max-batch N`: maximum images per batch for `se serve`'s
-    /// aggregator.
-    pub max_batch: Option<usize>,
-    /// `--max-wait-us F`: maximum microseconds the oldest queued request
-    /// waits before `se serve`'s aggregator closes the batch short.
-    pub max_wait_us: Option<f64>,
-    /// `--arrival uniform|burst|closed`: `se serve` workload shape.
-    pub arrival: Option<String>,
-    /// `--requests N`: total requests issued by the `se serve` workload.
-    pub requests: Option<usize>,
-    /// `--rate F`: open-loop arrival rate in requests per second (default:
-    /// derived from the model's single-image service rate).
-    pub rate: Option<f64>,
-    /// `--queue-cap N`: bounded request-queue capacity for `se serve`.
-    pub queue_cap: Option<usize>,
-    /// `--concurrency N`: closed-loop clients for `--arrival closed`.
-    pub concurrency: Option<usize>,
-    /// `--burst N`: requests per burst for `--arrival burst`.
-    pub burst: Option<usize>,
-    /// `--instances N`: accelerator instances behind `se cluster`'s shared
-    /// front.
-    pub instances: Option<usize>,
-    /// `--router rr|jsq|affinity`: `se cluster` routing policy.
-    pub router: Option<String>,
-    /// `--deadline-us F`: per-request deadline in microseconds (`se serve`
-    /// reports misses against it; `se cluster` schedules EDF with it).
-    /// Absent = best effort.
-    pub deadline_us: Option<f64>,
-    /// `--buffer-kb F`: per-instance weight-buffer capacity in KB for
-    /// `se cluster`'s residency model. Absent = residency modeling off
-    /// (weights streamed per batch).
-    pub buffer_kb: Option<f64>,
-    /// `--bench-out FILE`: where `se bench serve` writes its
-    /// machine-readable JSON report (default `BENCH_serve.json`).
-    pub bench_out: Option<std::path::PathBuf>,
-    /// `--kill i@t_us`: scripted instance kills for `se cluster`
-    /// (repeatable; comma-separated specs). Raw specs, parsed and
-    /// validated by [`Flags::fault_plan`].
-    pub kill: Vec<String>,
-    /// `--restart i@t_us`: scripted instance restarts for `se cluster`
-    /// (repeatable; comma-separated specs). A restarted instance rejoins
-    /// with an empty queue and a cold weight buffer.
-    pub restart: Vec<String>,
-    /// `--autoscale hi:lo`: queue-depth autoscaling thresholds for
-    /// `se cluster` (spawn above `hi` waiting requests per accepting
-    /// instance, drain below `lo`).
-    pub autoscale: Option<String>,
-    /// `--tiers name:CAP:BW,...`: per-instance tiered weight store for
-    /// `se cluster` (top tier first, e.g.
-    /// `buf:64kb:16,dram:4mb:8,ssd:2gb:1`). Capacities take `kb`/`mb`/
-    /// `gb` suffixes (plain numbers are bytes), bandwidths are bytes per
-    /// cycle. Raw string here; parsed and validated loudly by
-    /// [`Flags::tier_specs`]. Mutually exclusive with `--buffer-kb`.
-    pub tiers: Option<String>,
-    /// `--trace-out FILE`: write the run's virtual-time scheduling trace
-    /// as Chrome-trace/Perfetto `traceEvents` JSON (`se serve`,
-    /// `se cluster`, `se bench serve`). The file is byte-identical across
-    /// `--sim-parallelism` values.
-    pub trace_out: Option<std::path::PathBuf>,
-    /// `--metrics-out FILE`: write the run's folded counters, gauges, and
-    /// latency histograms as Prometheus-style text exposition.
-    pub metrics_out: Option<std::path::PathBuf>,
-    /// `--window-us F`: analysis window width in microseconds for
-    /// `se obs` (default 200). Converted to cycles at the accelerator
-    /// frequency; every windowed aggregate covers `[k·W, (k+1)·W)`.
-    pub window_us: Option<f64>,
+/// A flag's parser: stores a well-formed value in its field, or fails with
+/// any detail to append to ``invalid value `V` for `--flag` ``.
+type Parser = fn(&mut Flags, &str) -> std::result::Result<(), String>;
+
+/// One `se` flag, a row of the table below.
+pub(crate) struct Flag {
+    /// `--name` for a switch, `--name METAVAR` for a flag that takes a
+    /// value, as `se help` prints it.
+    usage: &'static str,
+    /// The `se help` description, one entry per printed line.
+    help: &'static [&'static str],
+    /// Every subcommand that reads the flag, comma-separated: a name of
+    /// [`crate::cli::SUBCOMMANDS`], or `<subcommand> <action>` for one with
+    /// [`crate::cli::ACTIONS`] (`trace build`). Anywhere else the flag is
+    /// an error.
+    pub(crate) scope: &'static str,
+    parse: Parser,
 }
 
-/// Every flag that consumes the next argument as its value — the single
-/// inventory shared by both parsers below (a flag not listed here
-/// structurally cannot take a value) and by [`positionals`], which must
-/// skip flag values when looking for an action.
-pub const VALUE_FLAGS: &[&str] = &[
-    "--seed",
-    "--models",
-    "--sim-parallelism",
-    "--traces-dir",
-    "--batch-sizes",
-    "--max-batch",
-    "--max-wait-us",
-    "--arrival",
-    "--requests",
-    "--rate",
-    "--burst",
-    "--queue-cap",
-    "--concurrency",
-    "--instances",
-    "--router",
-    "--deadline-us",
-    "--buffer-kb",
-    "--bench-out",
-    "--kill",
-    "--restart",
-    "--autoscale",
-    "--tiers",
-    "--trace-out",
-    "--metrics-out",
-    "--window-us",
-];
-
-/// The positional arguments of a subcommand's `rest`, in order: every
-/// argument that is neither a `--` flag nor the value of a
-/// [`VALUE_FLAGS`] flag. So `se trace --traces-dir d build` finds
-/// `build`, and `se bench --bench-out serve diff a b` never mistakes the
-/// output path for the action.
-pub fn positionals(rest: &[String]) -> Vec<&str> {
-    let mut found = Vec::new();
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            iter.next(); // skip the flag's value
-        } else if !arg.starts_with("--") {
-            found.push(arg.as_str());
-        }
+impl Flag {
+    /// The flag, `--name`.
+    pub(crate) fn name(&self) -> &'static str {
+        self.usage.split_once(' ').map_or(self.usage, |(name, _)| name)
     }
-    found
+
+    /// Whether the flag consumes the next argument as its value.
+    pub(crate) fn takes_value(&self) -> bool {
+        self.usage.contains(' ')
+    }
 }
 
-/// Fails unless every comma-separated `--models` entry names a model of
+/// Declares [`Flags`] and [`FLAG_GROUPS`] from one table of rows
+/// `field: Type = "--name METAVAR" parser ["help line", …] in scope;`
+/// under their `se help` headings, so each flag is spelled once.
+macro_rules! flag_table {
+    ($(
+        $heading:literal {
+            $(
+                $(#[$doc:meta])*
+                $field:ident: $ty:ty = $usage:literal $parse:ident
+                    [$($help:literal),+] in $scope:literal;
+            )*
+        }
+    )*) => {
+        /// Parsed common flags.
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct Flags {
+            $($(#[doc = concat!("`", $usage, "`:")] $(#[$doc])* pub $field: $ty,)*)*
+        }
+
+        /// Every flag `se` knows, grouped under its `se help` heading. A
+        /// flag's scope lists exactly the subcommands whose code reads its
+        /// field, directly or through a [`Flags`] helper.
+        const FLAG_GROUPS: &[(&str, &[Flag])] = &[$(($heading, &[$(Flag {
+            usage: $usage,
+            help: &[$($help),+],
+            scope: $scope,
+            parse: |flags, value| $parse(&mut flags.$field, value),
+        },)*]),)*];
+    };
+}
+
+flag_table! {
+    "COMMON FLAGS" {
+        /// sample output rows and cut decomposition iterations so the
+        /// ImageNet-scale sweeps finish quickly (shapes are preserved; absolute
+        /// numbers move by a few percent).
+        fast: bool = "--fast" switch ["sampled output rows + fewer decomposition iterations"]
+            in "table2, table3, fig8, fig10, fig11, fig12, fig13, fig14, compare, ablation, \
+                postproc, trace build, batch, serve, cluster, bench serve";
+        /// base seed for synthetic weights/activations.
+        seed: u64 = "--seed N" seed ["base seed for synthetic weights/activations (default 0)"]
+            in "table2, table3, fig4, fig8, fig10, fig11, fig12, fig13, fig14, fig15, compare, \
+                ablation, postproc, trace build, batch, serve, cluster, bench serve";
+        /// restrict to a subset of model names.
+        models: Option<Vec<String>> = "--models a,b,c" models
+            ["restrict to a subset of model names"]
+            in "table2, table3, fig4, fig10, fig11, fig12, fig13, compare, trace build, batch, \
+                serve, cluster, bench serve";
+        /// worker threads for the `(layer, accelerator)`
+        /// simulation grid (see `se_bench::runner`) and for `se cluster`'s
+        /// five lanes (one job per lane). Results are bit-identical
+        /// for every value; absent means the default (the `SE_PARALLELISM`
+        /// environment variable, else all cores).
+        sim_parallelism: Option<usize> = "--sim-parallelism N" count
+            ["worker threads for the simulation grid (bit-identical)"]
+            in "fig10, fig11, fig12, fig13, compare, ablation, trace build, batch, serve, \
+                cluster, bench serve";
+        /// directory of persisted trace artifacts
+        /// (`*.setrace`, built by `se trace build`). Subcommands that consume
+        /// traces replay matching artifacts from here instead of regenerating
+        /// the decompositions; cached and direct runs are bit-identical. A
+        /// missing artifact silently falls back to direct generation.
+        traces_dir: Option<std::path::PathBuf> = "--traces-dir DIR" text
+            ["replay persisted trace/compression artifacts (se trace build)"]
+            in "table2, table3, fig10, fig11, fig12, fig13, fig15, compare, ablation, postproc, \
+                trace build, trace info, batch, serve, cluster, bench serve";
+        /// include FC layers in the generated traces (the
+        /// Fig. 13(b) protocol) — consumed by `se trace build`.
+        with_fc: bool = "--with-fc" switch ["include FC layers (se trace build only)"]
+            in "trace build";
+    }
+    "SERVING FLAGS (se batch / se serve)" {
+        /// batch sizes swept by `se batch`.
+        batch_sizes: Option<Vec<usize>> = "--batch-sizes 1,4,16" counts
+            ["batch sizes swept by se batch"] in "batch";
+        /// maximum images per batch for the serving aggregator.
+        max_batch: Option<usize> = "--max-batch N" count
+            ["aggregator batch-size cap (default 8)"] in "serve, cluster, bench serve";
+        /// maximum microseconds the oldest queued request
+        /// waits before the serving aggregator closes the batch short.
+        max_wait_us: Option<f64> = "--max-wait-us F" non_negative
+            ["aggregator max wait for the oldest request (default 50)"]
+            in "serve, cluster, bench serve";
+        /// the workload shape, `uniform`, `burst` or `closed`.
+        arrival: Option<String> = "--arrival KIND" text
+            ["uniform | burst | closed (default uniform)"] in "serve, cluster";
+        /// total requests issued by the serving workload.
+        requests: Option<usize> = "--requests N" count
+            ["total requests in the workload (default 256)"] in "serve, cluster, bench serve";
+        /// open-loop arrival rate in requests per second (default:
+        /// derived from the model's single-image service rate).
+        rate: Option<f64> = "--rate F" positive
+            ["open-loop arrival rate in req/s (default: 1.5x service rate)"]
+            in "serve, cluster, bench serve";
+        /// requests per burst for `--arrival burst`.
+        burst: Option<usize> = "--burst N" count
+            ["requests per burst for --arrival burst"] in "serve, cluster";
+        /// bounded request-queue capacity of the serving front.
+        queue_cap: Option<usize> = "--queue-cap N" count
+            ["bounded request-queue capacity (default 256)"] in "serve, cluster, bench serve";
+        /// closed-loop clients for `--arrival closed`.
+        concurrency: Option<usize> = "--concurrency N" count
+            ["clients for --arrival closed (default 2x max batch)"] in "serve, cluster";
+        /// per-request deadline in microseconds (`se serve`
+        /// reports misses against it; `se cluster` schedules EDF with it).
+        /// Absent = best effort.
+        deadline_us: Option<f64> = "--deadline-us F" positive
+            ["per-request deadline; misses are reported (se serve/cluster)"]
+            in "serve, cluster, bench serve";
+        /// write the run's virtual-time scheduling trace
+        /// as Chrome-trace/Perfetto `traceEvents` JSON (`se serve`,
+        /// `se cluster`, `se bench serve`). The file is byte-identical across
+        /// `--sim-parallelism` values.
+        trace_out: Option<std::path::PathBuf> = "--trace-out FILE" text
+            ["write a Chrome-trace/Perfetto JSON of the run",
+             "(se serve / se cluster / se bench serve)"] in "serve, cluster, bench serve";
+        /// write the run's folded counters, gauges, and
+        /// latency histograms as Prometheus-style text exposition.
+        metrics_out: Option<std::path::PathBuf> = "--metrics-out FILE" text
+            ["write Prometheus-style text metrics of the run"] in "serve, cluster, bench serve";
+    }
+    "CLUSTER FLAGS (se cluster)" {
+        /// accelerator instances behind the cluster's shared front.
+        instances: Option<usize> = "--instances N" count
+            ["accelerator instances behind the shared front (default 4)"] in "cluster, bench serve";
+        /// the routing policy, `rr`, `jsq` or `affinity`.
+        router: Option<String> = "--router KIND" text
+            ["rr | jsq | affinity routing policy (default jsq)"] in "cluster, bench serve";
+        /// per-instance weight-buffer capacity in KB for
+        /// the cluster's residency model. Absent = residency modeling off
+        /// (weights streamed per batch).
+        buffer_kb: Option<f64> = "--buffer-kb F" positive
+            ["per-instance weight buffer; enables residency modeling"] in "cluster, bench serve";
+        /// per-instance tiered weight store, comma-separated
+        /// `name:CAP:BW` triples, top tier first (e.g.
+        /// `buf:64kb:16,dram:4mb:8,ssd:2gb:1`). Capacities take `kb`/`mb`/
+        /// `gb` suffixes (plain numbers are bytes), bandwidths are bytes per
+        /// cycle. Raw string here; parsed and validated loudly by
+        /// [`Flags::tier_specs`]. Mutually exclusive with `--buffer-kb`.
+        tiers: Option<String> = "--tiers SPECS" text
+            ["tiered weight store, top tier first (replaces --buffer-kb):",
+             "name:CAP:BW triples, e.g. buf:64kb:16,dram:4mb:8,ssd:2gb:1"]
+            in "cluster, bench serve";
+        /// scripted instance kills for `se cluster`
+        /// (repeatable; comma-separated specs). Raw specs, parsed and
+        /// validated by [`Flags::fault_plan`].
+        kill: Vec<String> = "--kill i@t_us" specs
+            ["kill instance i at t microseconds (repeatable; in-flight",
+             "requests re-route with original arrival/deadline)"] in "cluster";
+        /// scripted instance restarts for `se cluster`
+        /// (repeatable; comma-separated specs). A restarted instance rejoins
+        /// with an empty queue and a cold weight buffer.
+        restart: Vec<String> = "--restart i@t_us" specs
+            ["restart a killed instance (empty queue, cold weight store)"] in "cluster";
+        /// queue-depth autoscaling thresholds for
+        /// `se cluster` (spawn above `hi` waiting requests per accepting
+        /// instance, drain below `lo`).
+        autoscale: Option<String> = "--autoscale hi:lo" text
+            ["spawn above hi waiting/instance, drain below lo"] in "cluster";
+    }
+    "BENCH FLAGS (se bench serve)" {
+        /// where `se bench serve` writes its
+        /// machine-readable JSON report (default `BENCH_serve.json`).
+        bench_out: Option<std::path::PathBuf> = "--bench-out FILE" text
+            ["machine-readable report path (default BENCH_serve.json)"] in "bench serve";
+    }
+    "OBS FLAGS (se obs summarize|attribute|diff)" {
+        /// analysis window width in microseconds for
+        /// `se obs` (default 200). Converted to cycles at the accelerator
+        /// frequency; every windowed aggregate covers `[k·W, (k+1)·W)`.
+        window_us: Option<f64> = "--window-us F" positive
+            ["analysis window width in microseconds (default 200)"]
+            in "obs summarize, obs attribute, obs diff";
+    }
+}
+
+type Parsed = std::result::Result<(), String>;
+
+/// `Ok` for a well-formed value, else an error with no detail.
+fn well_formed(ok: bool) -> Parsed {
+    ok.then_some(()).ok_or_else(String::new)
+}
+
+/// Stores `parsed`; fails when there was no well-formed value to store.
+fn set<T>(field: &mut Option<T>, parsed: Option<T>) -> Parsed {
+    *field = parsed;
+    well_formed(field.is_some())
+}
+
+/// A count: an integer of at least 1.
+fn at_least_one(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|&n| n >= 1)
+}
+
+/// The trimmed entries of a comma-separated list.
+fn entries(value: &str) -> impl Iterator<Item = &str> {
+    value.split(',').map(str::trim)
+}
+
+fn switch(field: &mut bool, _: &str) -> Parsed {
+    *field = true;
+    Ok(())
+}
+
+fn seed(field: &mut u64, value: &str) -> Parsed {
+    let seed = value.parse().ok();
+    *field = seed.unwrap_or(0);
+    well_formed(seed.is_some())
+}
+
+/// Stores the list; fails unless every entry names a model of
 /// [`se_models::zoo::all_models`], ignoring case.
-fn check_model_names(value: &str) -> std::result::Result<(), String> {
+fn models(field: &mut Option<Vec<String>>, value: &str) -> Parsed {
+    *field = Some(entries(value).map(String::from).collect());
     let names: Vec<String> =
         se_models::zoo::all_models().iter().map(|m| m.name().to_string()).collect();
-    match value.split(',').map(str::trim).find(|m| !names.iter().any(|n| n.eq_ignore_ascii_case(m)))
-    {
+    match entries(value).find(|m| !names.iter().any(|n| n.eq_ignore_ascii_case(m))) {
         None => Ok(()),
-        Some(m) => Err(format!(
-            "invalid value `{value}` for `--models`: `{m}` matches no models (known: {})",
-            names.join(", ")
-        )),
+        Some(m) => Err(format!(": `{m}` matches no models (known: {})", names.join(", "))),
     }
+}
+
+fn count(field: &mut Option<usize>, value: &str) -> Parsed {
+    set(field, at_least_one(value))
+}
+
+/// Keeps the well-formed sizes, failing if any is malformed.
+fn counts(field: &mut Option<Vec<usize>>, value: &str) -> Parsed {
+    let sizes: Vec<Option<usize>> = entries(value).map(at_least_one).collect();
+    let valid: Vec<usize> = sizes.iter().flatten().copied().collect();
+    set(field, Some(valid).filter(|v| !v.is_empty()))?;
+    well_formed(sizes.iter().all(Option::is_some))
+}
+
+fn non_negative(field: &mut Option<f64>, value: &str) -> Parsed {
+    set(field, value.parse().ok().filter(|&x: &f64| x >= 0.0))
+}
+
+fn positive(field: &mut Option<f64>, value: &str) -> Parsed {
+    set(field, value.parse().ok().filter(|&x: &f64| x > 0.0))
+}
+
+/// Any string; the subcommand that reads it checks it.
+fn text<T: for<'a> From<&'a str>>(field: &mut Option<T>, value: &str) -> Parsed {
+    set(field, Some(value.into()))
+}
+
+/// Kill/restart specs accumulate across repeats and commas; they stay raw
+/// strings here and are parsed loudly by [`Flags::fault_plan`] (a
+/// malformed spec must error, not vanish).
+fn specs(field: &mut Vec<String>, value: &str) -> Parsed {
+    field.extend(entries(value).map(String::from));
+    Ok(())
+}
+
+/// Every flag, in `se help` order.
+pub(crate) fn flags() -> impl Iterator<Item = &'static Flag> {
+    FLAG_GROUPS.iter().flat_map(|(_, group)| group.iter())
+}
+
+/// The flag block of `se help`: each group's heading, then one line per
+/// flag (`--name METAVAR` and its help) and any further help lines.
+pub(crate) fn help() -> String {
+    let mut s = String::new();
+    for (heading, group) in FLAG_GROUPS {
+        s.push_str(&format!("\n{heading}:\n"));
+        for flag in *group {
+            let (first, more) = flag.help.split_first().expect("every flag has help");
+            s.push_str(&format!("  {:<20} {first}\n", flag.usage));
+            for line in more {
+                s.push_str(&format!("  {line}\n"));
+            }
+        }
+    }
+    s
+}
+
+/// One argument of a subcommand's list, as the flag table reads it.
+enum Arg<'a> {
+    /// A flag with its value: empty for a switch, `None` when the list
+    /// ends before a value flag's value.
+    Flag(&'static Flag, Option<&'a str>),
+    /// Anything else: a positional, or an unknown `--` flag.
+    Other(&'a str),
+}
+
+/// Reads `rest` against the flag table. A value flag takes the next
+/// argument, whatever it looks like; nothing else takes a value.
+fn walk(rest: &[String]) -> impl Iterator<Item = Arg<'_>> {
+    let mut iter = rest.iter();
+    std::iter::from_fn(move || {
+        let arg = iter.next()?;
+        Some(match flags().find(|f| f.name() == arg) {
+            Some(flag) if flag.takes_value() => Arg::Flag(flag, iter.next().map(String::as_str)),
+            Some(flag) => Arg::Flag(flag, Some("")),
+            None => Arg::Other(arg),
+        })
+    })
+}
+
+/// The positional arguments of a subcommand's `rest`, in order: every
+/// argument that is neither a `--` flag nor a flag's value. So
+/// `se trace --traces-dir d build` finds `build`, and
+/// `se bench --bench-out serve diff a b` never mistakes the output path
+/// for the action.
+pub fn positionals(rest: &[String]) -> Vec<&str> {
+    walk(rest)
+        .filter_map(|arg| match arg {
+            Arg::Other(arg) if !arg.starts_with("--") => Some(arg),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Fails naming the first flag of `rest` that `command` (a scope name: a
+/// subcommand, or `<subcommand> <action>`) does not read, and the
+/// subcommands that do.
+///
+/// # Errors
+///
+/// The first out-of-scope flag, as a message.
+pub(crate) fn check_scope(command: &str, rest: &[String]) -> std::result::Result<(), String> {
+    for arg in walk(rest) {
+        let Arg::Flag(flag, _) = arg else { continue };
+        if !flag.scope.split(", ").any(|reader| reader == command) {
+            let readers: Vec<String> = flag.scope.split(", ").map(|r| format!("se {r}")).collect();
+            return Err(match &readers[..] {
+                [only] => format!("{} applies to {only} only", flag.name()),
+                many => format!("{} applies to {}", flag.name(), many.join(", ")),
+            });
+        }
+    }
+    Ok(())
 }
 
 impl Flags {
-    /// Parses flags from an argument list. Lenient: unknown arguments are
-    /// ignored and a malformed value leaves its field at the default. The
-    /// `se` binary parses with [`Flags::from_args_checked`] instead.
+    /// Parses flags from an argument list. Lenient: unknown arguments and a
+    /// value flag without its value are ignored, and a malformed value
+    /// leaves its field at the default. The `se` binary parses with
+    /// [`Flags::from_args_checked`] instead.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Flags {
         let args: Vec<String> = args.into_iter().collect();
         let mut flags = Flags::default();
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            if VALUE_FLAGS.contains(&arg.as_str()) {
-                // A value flag with no value left is ignored, like any
-                // unknown argument.
-                if let Some(value) = iter.next() {
-                    flags.apply_value(arg, value);
-                }
-            } else {
-                flags.apply_switch(arg);
+        for arg in walk(&args) {
+            if let Arg::Flag(flag, Some(value)) = arg {
+                // A malformed value leaves its field at the default.
+                let _ = (flag.parse)(&mut flags, value);
             }
         }
         flags
@@ -202,97 +403,23 @@ impl Flags {
     /// The first offending argument, as a message.
     pub fn from_args_checked(args: &[String]) -> std::result::Result<Flags, String> {
         let mut flags = Flags::default();
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            if VALUE_FLAGS.contains(&arg.as_str()) {
-                let value = iter.next().ok_or_else(|| format!("flag `{arg}` needs a value"))?;
-                if !flags.apply_value(arg, value) {
-                    return Err(format!("invalid value `{value}` for `{arg}`"));
+        for arg in walk(args) {
+            match arg {
+                Arg::Flag(flag, None) => {
+                    return Err(format!("flag `{}` needs a value", flag.name()))
                 }
-                if arg == "--models" {
-                    check_model_names(value)?;
+                Arg::Flag(flag, Some(value)) => {
+                    (flag.parse)(&mut flags, value).map_err(|detail| {
+                        format!("invalid value `{value}` for `{}`{detail}", flag.name())
+                    })?
                 }
-            } else if arg.starts_with("--") && !flags.apply_switch(arg) {
-                return Err(format!("unknown flag `{arg}`"));
+                Arg::Other(arg) if arg.starts_with("--") => {
+                    return Err(format!("unknown flag `{arg}`"))
+                }
+                Arg::Other(_) => {}
             }
         }
         Ok(flags)
-    }
-
-    /// Applies a boolean flag; `false` when `arg` is not one.
-    fn apply_switch(&mut self, arg: &str) -> bool {
-        match arg {
-            "--fast" => self.fast = true,
-            "--with-fc" => self.with_fc = true,
-            _ => return false,
-        }
-        true
-    }
-
-    /// Applies one value-taking flag (listed in [`VALUE_FLAGS`]) to the
-    /// parsed set and returns whether the value was well formed. A
-    /// malformed value (zero sizes, negative rates, non-numerics) leaves
-    /// the field at its default.
-    fn apply_value(&mut self, flag: &str, value: &str) -> bool {
-        /// Stores `parsed` and reports whether there was a value to store.
-        fn set<T>(field: &mut Option<T>, parsed: Option<T>) -> bool {
-            *field = parsed;
-            field.is_some()
-        }
-        let count = |s: &str| s.parse().ok().filter(|&n: &usize| n >= 1);
-        let positive = || value.parse().ok().filter(|&x: &f64| x > 0.0);
-        let path = || Some(std::path::PathBuf::from(value));
-        match flag {
-            "--seed" => {
-                let seed = value.parse().ok();
-                self.seed = seed.unwrap_or(0);
-                seed.is_some()
-            }
-            "--models" => set(
-                &mut self.models,
-                Some(value.split(',').map(|s| s.trim().to_string()).collect()),
-            ),
-            "--sim-parallelism" => set(&mut self.sim_parallelism, count(value)),
-            "--traces-dir" => set(&mut self.traces_dir, path()),
-            "--batch-sizes" => {
-                let sizes: Vec<Option<usize>> = value.split(',').map(|s| count(s.trim())).collect();
-                let valid: Vec<usize> = sizes.iter().flatten().copied().collect();
-                set(&mut self.batch_sizes, Some(valid).filter(|v| !v.is_empty()))
-                    && sizes.iter().all(Option::is_some)
-            }
-            "--max-batch" => set(&mut self.max_batch, count(value)),
-            "--max-wait-us" => {
-                set(&mut self.max_wait_us, value.parse().ok().filter(|&w: &f64| w >= 0.0))
-            }
-            "--arrival" => set(&mut self.arrival, Some(value.to_string())),
-            "--requests" => set(&mut self.requests, count(value)),
-            "--rate" => set(&mut self.rate, positive()),
-            "--queue-cap" => set(&mut self.queue_cap, count(value)),
-            "--concurrency" => set(&mut self.concurrency, count(value)),
-            "--burst" => set(&mut self.burst, count(value)),
-            "--instances" => set(&mut self.instances, count(value)),
-            "--router" => set(&mut self.router, Some(value.to_string())),
-            "--deadline-us" => set(&mut self.deadline_us, positive()),
-            "--buffer-kb" => set(&mut self.buffer_kb, positive()),
-            "--bench-out" => set(&mut self.bench_out, path()),
-            // Kill/restart specs accumulate across repeats and commas;
-            // they stay raw strings here and are parsed loudly by
-            // `fault_plan` (a malformed spec must error, not vanish).
-            "--kill" => {
-                self.kill.extend(value.split(',').map(|s| s.trim().to_string()));
-                true
-            }
-            "--restart" => {
-                self.restart.extend(value.split(',').map(|s| s.trim().to_string()));
-                true
-            }
-            "--autoscale" => set(&mut self.autoscale, Some(value.to_string())),
-            "--tiers" => set(&mut self.tiers, Some(value.to_string())),
-            "--trace-out" => set(&mut self.trace_out, path()),
-            "--metrics-out" => set(&mut self.metrics_out, path()),
-            "--window-us" => set(&mut self.window_us, positive()),
-            other => unreachable!("VALUE_FLAGS entry {other} not handled"),
-        }
     }
 
     /// Whether `name` is selected by `--models` (everything is when the
@@ -302,13 +429,6 @@ impl Flags {
             None => true,
             Some(list) => list.iter().any(|m| m.eq_ignore_ascii_case(name)),
         }
-    }
-
-    /// Whether any fault-injection flag (`--kill`, `--restart`,
-    /// `--autoscale`) was given. Subcommands without a fault model use
-    /// this to reject the flags loudly instead of silently ignoring them.
-    pub fn has_fault_flags(&self) -> bool {
-        !self.kill.is_empty() || !self.restart.is_empty() || self.autoscale.is_some()
     }
 
     /// The fault plan described by `--kill` / `--restart` / `--autoscale`,
@@ -714,8 +834,6 @@ mod tests {
         let f = parse(&["--kill", "0@10,1@20", "--restart", "0@50", "--kill", "2@30"]);
         assert_eq!(f.kill, vec!["0@10", "1@20", "2@30"]);
         assert_eq!(f.restart, vec!["0@50"]);
-        assert!(f.has_fault_flags());
-        assert!(!Flags::default().has_fault_flags());
         // 1 MHz: t_us == cycles, ordered by (at, instance).
         let plan = f.fault_plan(1e6).unwrap();
         let shape: Vec<(u64, usize, FaultAction)> =

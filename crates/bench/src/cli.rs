@@ -13,7 +13,7 @@
 //! five-accelerator sweep prologue ([`comparison_sweep`]), and the
 //! normalized table with its geometric-mean row ([`normalized_view`]).
 
-use crate::args::Flags;
+use crate::args::{self, Flags};
 use crate::runner::{self, ModelComparison, ACCEL_NAMES};
 use crate::{figures, table, Result};
 use se_ir::NetworkDesc;
@@ -46,6 +46,14 @@ pub const SUBCOMMANDS: &[(&str, &[&str], &str)] = &[
     ("obs", &[], "trace analytics over --trace-out files (se obs summarize|attribute|diff)"),
 ];
 
+/// The subcommands whose first positional argument names an action, with
+/// their actions (`se trace build`, `se obs diff`, …).
+pub const ACTIONS: &[(&str, &[&str])] = &[
+    ("trace", &["build", "info"]),
+    ("bench", &["serve", "diff"]),
+    ("obs", &["summarize", "attribute", "diff"]),
+];
+
 /// Resolves a user-supplied subcommand name (alias-aware) to its canonical
 /// name, or `None` for unknown commands.
 pub fn canonical(name: &str) -> Option<&'static str> {
@@ -64,43 +72,9 @@ pub fn usage() -> String {
     for (name, _, about) in SUBCOMMANDS {
         s.push_str(&format!("  {name:<10} {about}\n"));
     }
+    s.push_str(&args::help());
     s.push_str(
-        "\nCOMMON FLAGS:\n  \
-         --fast               sampled output rows + fewer decomposition iterations\n  \
-         --seed N             base seed for synthetic weights/activations (default 0)\n  \
-         --models a,b,c       restrict to a subset of model names\n  \
-         --sim-parallelism N  worker threads for the simulation grid (bit-identical)\n  \
-         --traces-dir DIR     replay persisted trace/compression artifacts (se trace build)\n  \
-         --with-fc            include FC layers (se trace build only)\n\n\
-         SERVING FLAGS (se batch / se serve):\n  \
-         --batch-sizes 1,4,16 batch sizes swept by se batch\n  \
-         --max-batch N        aggregator batch-size cap (default 8)\n  \
-         --max-wait-us F      aggregator max wait for the oldest request (default 50)\n  \
-         --arrival KIND       uniform | burst | closed (default uniform)\n  \
-         --requests N         total requests in the workload (default 256)\n  \
-         --rate F             open-loop arrival rate in req/s (default: 1.5x service rate)\n  \
-         --burst N            requests per burst for --arrival burst\n  \
-         --queue-cap N        bounded request-queue capacity (default 256)\n  \
-         --concurrency N      clients for --arrival closed (default 2x max batch)\n  \
-         --deadline-us F      per-request deadline; misses are reported (se serve/cluster)\n  \
-         --trace-out FILE     write a Chrome-trace/Perfetto JSON of the run\n  \
-                              (se serve / se cluster / se bench serve)\n  \
-         --metrics-out FILE   write Prometheus-style text metrics of the run\n\n\
-         CLUSTER FLAGS (se cluster):\n  \
-         --instances N        accelerator instances behind the shared front (default 4)\n  \
-         --router KIND        rr | jsq | affinity routing policy (default jsq)\n  \
-         --buffer-kb F        per-instance weight buffer; enables residency modeling\n  \
-         --tiers SPECS        tiered weight store, top tier first (replaces --buffer-kb):\n  \
-                              name:CAP:BW triples, e.g. buf:64kb:16,dram:4mb:8,ssd:2gb:1\n  \
-         --kill i@t_us        kill instance i at t microseconds (repeatable; in-flight\n  \
-                              requests re-route with original arrival/deadline)\n  \
-         --restart i@t_us     restart a killed instance (empty queue, cold weight store)\n  \
-         --autoscale hi:lo    spawn above hi waiting/instance, drain below lo\n\n\
-         BENCH FLAGS (se bench serve):\n  \
-         --bench-out FILE     machine-readable report path (default BENCH_serve.json)\n\n\
-         OBS FLAGS (se obs summarize|attribute|diff):\n  \
-         --window-us F        analysis window width in microseconds (default 200)\n\n\
-         ENVIRONMENT:\n  \
+        "\nENVIRONMENT:\n  \
          SE_PARALLELISM       default worker count for all parallel stages\n  \
          SE_LOG               stderr log level: error|warn|info|debug (default warn)\n",
     );
@@ -140,25 +114,19 @@ pub fn run_from_args(args: &[String], out: &mut dyn Write) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Fails on unknown subcommands and on any argument
+/// Fails on unknown subcommands, on any argument
 /// [`Flags::from_args_checked`] rejects (an unknown flag, or a missing or
-/// malformed value, named in the message), and propagates subcommand
-/// failures.
+/// malformed value, named in the message) and on a flag the subcommand does
+/// not read (the flag table's scopes), all before any output, and propagates
+/// subcommand failures.
 pub fn run_subcommand(name: &str, rest: &[String], out: &mut dyn Write) -> Result<()> {
     let Some(canon) = canonical(name) else {
         return Err(format!("unknown subcommand `{name}`\n\n{}", usage()).into());
     };
     let flags =
         Flags::from_args_checked(rest).map_err(|e| format!("se {name}: {e} (see `se help`)"))?;
-    // Only `se trace build` reads --with-fc (fig13 adds the FC layers it
-    // needs by itself), so anywhere else the flag is an error.
-    if flags.with_fc
-        && !(canon == "trace" && crate::args::positionals(rest).first() == Some(&"build"))
-    {
-        return Err(format!(
-            "se {name}: --with-fc applies to se trace build only; no other subcommand reads it"
-        )
-        .into());
+    if let Some(command) = scope_name(canon, rest) {
+        args::check_scope(&command, rest).map_err(|e| format!("se {command}: {e}"))?;
     }
     match canon {
         "table1" => figures::table1::run(&flags, out),
@@ -184,6 +152,18 @@ pub fn run_subcommand(name: &str, rest: &[String], out: &mut dyn Write) -> Resul
         "obs" => figures::obs::run(rest, &flags, out),
         _ => unreachable!("canonical() only returns inventory names"),
     }
+}
+
+/// What `se <canon> <rest>` runs, as the flag table's scopes name it: the
+/// subcommand, or `<subcommand> <action>` for one with [`ACTIONS`].
+/// `None` for a missing or unknown action, which the subcommand reports
+/// with its usage.
+fn scope_name(canon: &str, rest: &[String]) -> Option<String> {
+    let Some((_, actions)) = ACTIONS.iter().find(|(name, _)| *name == canon) else {
+        return Some(canon.to_string());
+    };
+    let action = args::positionals(rest).first().copied()?;
+    actions.contains(&action).then(|| format!("{canon} {action}"))
 }
 
 /// The accelerator-comparison model set (Figs. 10–13) restricted by
@@ -278,8 +258,10 @@ mod tests {
         assert!(out.is_empty(), "nothing runs before the flag check");
         // A flag's value is never mistaken for a flag, and the boolean
         // flags pass.
-        let ok = args(&["table1", "--fast", "--traces-dir", "--not-a-flag"]);
-        run_from_args(&ok, &mut out).unwrap();
+        let ok = Flags::from_args_checked(&args(&["--fast", "--traces-dir", "--not-a-flag"]));
+        let ok = ok.unwrap();
+        assert!(ok.fast);
+        assert_eq!(ok.traces_dir.as_deref(), Some(std::path::Path::new("--not-a-flag")));
         let err = run_from_args(&args(&["table1", "--models", "--not-a-flag"]), &mut out)
             .unwrap_err()
             .to_string();
@@ -320,7 +302,8 @@ mod tests {
     #[test]
     fn malformed_flag_values_are_errors_naming_flag_and_value() {
         let mut listed: Vec<&str> = MALFORMED.iter().map(|(flag, _)| *flag).collect();
-        let mut all = crate::args::VALUE_FLAGS.to_vec();
+        let mut all: Vec<&str> =
+            args::flags().filter(|f| f.takes_value()).map(|f| f.name()).collect();
         listed.sort_unstable();
         all.sort_unstable();
         assert_eq!(listed, all, "every value flag has a row");
@@ -340,9 +323,87 @@ mod tests {
             }
         }
         // Model names match any zoo model, ignoring case.
-        run(&["table1", "--models", "resnet164,MOBILENETV2, mlp-1"]).unwrap();
+        let models = ["--models", "resnet164,MOBILENETV2, mlp-1"].map(String::from);
+        Flags::from_args_checked(&models).unwrap();
         let err = run(&["table1", "--models", "vgg11,"]).unwrap_err().to_string();
         assert!(err.contains("--models"), "{err}");
+    }
+
+    /// A well-formed value for every value flag.
+    const WELL_FORMED: &[(&str, &str)] = &[
+        ("--seed", "3"),
+        ("--models", "resnet164"),
+        ("--sim-parallelism", "2"),
+        ("--traces-dir", "traces"),
+        ("--batch-sizes", "1,4"),
+        ("--max-batch", "4"),
+        ("--max-wait-us", "10"),
+        ("--arrival", "burst"),
+        ("--requests", "8"),
+        ("--rate", "1000"),
+        ("--burst", "2"),
+        ("--queue-cap", "16"),
+        ("--concurrency", "2"),
+        ("--instances", "2"),
+        ("--router", "rr"),
+        ("--deadline-us", "50"),
+        ("--buffer-kb", "64"),
+        ("--bench-out", "bench.json"),
+        ("--kill", "1@5"),
+        ("--restart", "1@9"),
+        ("--autoscale", "2:1"),
+        ("--tiers", "buf:64kb:16,dram:1mb:4"),
+        ("--trace-out", "trace.json"),
+        ("--metrics-out", "metrics.prom"),
+        ("--window-us", "100"),
+    ];
+
+    #[test]
+    fn every_flag_is_accepted_in_its_scope_and_refused_outside_it() {
+        let commands: Vec<String> = SUBCOMMANDS
+            .iter()
+            .flat_map(|(name, ..)| match ACTIONS.iter().find(|(sub, _)| sub == name) {
+                Some((_, actions)) => actions.iter().map(|a| format!("{name} {a}")).collect(),
+                None => vec![name.to_string()],
+            })
+            .collect();
+        assert_eq!(commands.len(), 25);
+        let mut accepted = 0;
+        for flag in args::flags() {
+            let readers: Vec<&str> = flag.scope.split(", ").collect();
+            for reader in &readers {
+                assert!(
+                    commands.iter().any(|c| c == reader),
+                    "{}: unknown {reader:?}",
+                    flag.name()
+                );
+            }
+            let listed: Vec<String> = readers.iter().map(|r| format!("se {r}")).collect();
+            let expected = match &listed[..] {
+                [only] => format!("{} applies to {only} only", flag.name()),
+                many => format!("{} applies to {}", flag.name(), many.join(", ")),
+            };
+            for command in &commands {
+                let mut argv: Vec<String> = command.split(' ').map(String::from).collect();
+                argv.push(flag.name().to_string());
+                if flag.takes_value() {
+                    let value = WELL_FORMED.iter().find(|(name, _)| *name == flag.name());
+                    argv.push(value.expect("every value flag has a value").1.to_string());
+                }
+                if readers.contains(&command.as_str()) {
+                    accepted += 1;
+                    let rest = &argv[command.split(' ').count()..];
+                    args::check_scope(command, rest).unwrap();
+                } else {
+                    let mut out = Vec::new();
+                    let err = run_from_args(&argv, &mut out).unwrap_err().to_string();
+                    assert!(out.is_empty(), "se {argv:?} wrote before failing");
+                    assert!(err.ends_with(&expected), "se {argv:?}: {err}");
+                }
+            }
+        }
+        // Before the table, 637 of these 675 pairs were accepted.
+        assert_eq!(accepted, 121, "accepted (subcommand or action, flag) pairs");
     }
 
     #[test]

@@ -211,26 +211,9 @@ fn kill_restart(last_arrival: u64) -> FaultPlan {
 ///
 /// # Errors
 ///
-/// Fails on fault and arrival-shape flags, on any request-conservation
-/// violation, and propagates trace, simulation, and I/O failures.
+/// Fails without models and on any request-conservation violation, and
+/// propagates trace, simulation, and I/O failures.
 pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Write) -> Result<()> {
-    if flags.has_fault_flags() {
-        return Err("se bench serve scripts its own churn axis (none / kill-restart); \
-                    --kill/--restart/--autoscale only apply to se cluster"
-            .into());
-    }
-    let shape_flags = [
-        ("--arrival", flags.arrival.is_some()),
-        ("--burst", flags.burst.is_some()),
-        ("--concurrency", flags.concurrency.is_some()),
-    ];
-    if let Some((flag, _)) = shape_flags.iter().find(|(_, set)| *set) {
-        return Err(format!(
-            "{flag} does not apply to se bench serve: every config runs uniform \
-             open-loop arrivals (--rate sets the pressure)"
-        )
-        .into());
-    }
     if models.is_empty() {
         return Err("se bench serve needs at least one model (check --models)".into());
     }

@@ -39,25 +39,6 @@ pub fn run(flags: &Flags, out: &mut dyn Write) -> Result<()> {
 ///
 /// Propagates trace, simulation, policy, and I/O failures.
 pub fn run_with_models(flags: &Flags, models: &[NetworkDesc], out: &mut dyn Write) -> Result<()> {
-    if flags.has_fault_flags() {
-        return Err("fault injection (--kill/--restart/--autoscale) applies to \
-                    se cluster; the single-instance se serve queue has no \
-                    fault model"
-            .into());
-    }
-    let cluster_only = [
-        ("--tiers", flags.tiers.is_some()),
-        ("--buffer-kb", flags.buffer_kb.is_some()),
-        ("--instances", flags.instances.is_some()),
-        ("--router", flags.router.is_some()),
-    ];
-    if let Some((flag, _)) = cluster_only.iter().find(|(_, set)| *set) {
-        return Err(format!(
-            "{flag} applies to se cluster; se serve is a single instance with no \
-             residency model or routing"
-        )
-        .into());
-    }
     let opts = flags.runner_options()?;
     let freq = SeAcceleratorConfig::default().frequency_hz;
     let spec = ClusterSpec {

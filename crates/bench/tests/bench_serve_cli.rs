@@ -96,13 +96,10 @@ fn dry_run_emits_a_valid_schema_checked_report() {
 #[test]
 fn conflicting_flags_error_loudly() {
     let mut out = Vec::new();
-    let err = bench_serve::run_with_models(
-        &Flags { kill: vec!["0@10".into()], ..Flags::default() },
-        &model_set(),
-        &mut out,
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("churn axis"), "{err}");
+    let argv = ["bench", "serve", "--kill", "0@10"].map(String::from);
+    let err = se_bench::cli::run_from_args(&argv, &mut out).unwrap_err();
+    assert!(err.to_string().contains("--kill applies to se cluster only"), "{err}");
+    assert!(out.is_empty(), "nothing is printed before the error");
 
     let err = bench_serve::run_with_models(&Flags::default(), &[], &mut out).unwrap_err();
     assert!(err.to_string().contains("at least one model"), "{err}");
@@ -113,16 +110,14 @@ fn arrival_shape_flags_are_errors() {
     // Every config runs uniform open-loop arrivals, so a shape flag would
     // be silently ignored.
     let path = std::env::temp_dir().join(format!("se-bench-shape-{}.json", std::process::id()));
-    let base = Flags { requests: Some(24), bench_out: Some(path), ..Flags::default() };
-    let cases = [
-        ("--arrival", Flags { arrival: Some("burst".into()), ..base.clone() }),
-        ("--burst", Flags { burst: Some(4), ..base.clone() }),
-        ("--concurrency", Flags { concurrency: Some(3), ..base }),
-    ];
-    for (flag, flags) in cases {
+    let base = ["bench", "serve", "--requests", "24", "--bench-out", path.to_str().unwrap()];
+    let cases = [("--arrival", "burst"), ("--burst", "4"), ("--concurrency", "3")];
+    for (flag, value) in cases {
         let mut out = Vec::new();
-        let err = bench_serve::run_with_models(&flags, &model_set(), &mut out).unwrap_err();
+        let argv: Vec<String> = base.iter().chain(&[flag, value]).map(|s| s.to_string()).collect();
+        let err = se_bench::cli::run_from_args(&argv, &mut out).unwrap_err();
         assert!(err.to_string().contains(flag), "{flag}: {err}");
+        assert!(!path.exists(), "{flag}: nothing is written before the error");
     }
 }
 

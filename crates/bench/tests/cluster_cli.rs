@@ -201,17 +201,17 @@ fn serve_rejects_fault_flags() {
     // Every cluster-only flag — fault injection, residency, and routing —
     // is an error naming the flag and pointing at `se cluster`, never a
     // silently ignored option.
-    let models = vec![model_set().remove(0)];
     let cases = [
-        ("--kill", Flags { kill: vec!["0@10".into()], ..Flags::default() }),
-        ("--tiers", Flags { tiers: Some("buf:64kb:16".into()), ..Flags::default() }),
-        ("--buffer-kb", Flags { buffer_kb: Some(64.0), ..Flags::default() }),
-        ("--instances", Flags { instances: Some(2), ..Flags::default() }),
-        ("--router", Flags { router: Some("bogus".into()), ..Flags::default() }),
+        ("--kill", "0@10"),
+        ("--tiers", "buf:64kb:16"),
+        ("--buffer-kb", "64"),
+        ("--instances", "2"),
+        ("--router", "bogus"),
     ];
-    for (flag, flags) in cases {
+    for (flag, value) in cases {
         let mut out = Vec::new();
-        let err = figures::serve::run_with_models(&flags, &models, &mut out).unwrap_err();
+        let argv = ["serve", flag, value].map(String::from);
+        let err = se_bench::cli::run_from_args(&argv, &mut out).unwrap_err();
         let err = err.to_string();
         assert!(err.contains(flag) && err.contains("se cluster"), "{flag}: {err}");
         assert!(out.is_empty(), "{flag}: nothing is printed before the error");
