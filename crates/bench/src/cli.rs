@@ -1,12 +1,12 @@
 //! The unified `se` command-line interface.
 //!
-//! One binary hosts every experiment as a subcommand on the shared
-//! [`Flags`] flag surface (`se fig10`, `se table2`, `se compare`, …),
-//! trace artifact management (`se trace build` / `se trace info`), and the
-//! serving subsystem (`se batch`, `se serve`). The old standalone
-//! per-figure binaries went through a deprecation window as forwarding
-//! shims and have been removed; the full subcommand and flag reference
-//! lives in `docs/CLI.md`.
+//! One binary hosts every experiment as a subcommand (`se fig10`,
+//! `se table2`, `se compare`, …), trace artifact management (`se trace
+//! build` / `se trace info`), and the serving subsystem (`se batch`,
+//! `se serve`), each accepting the [`Flags`] its code reads. The old
+//! standalone per-figure binaries went through a deprecation window as
+//! forwarding shims and have been removed; the full subcommand and flag
+//! reference lives in `docs/CLI.md`.
 //!
 //! This module also hosts the output boilerplate the per-figure binaries
 //! used to duplicate: model selection ([`selected_models`]), the

@@ -56,14 +56,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
@@ -738,7 +730,7 @@ mod tests {
         assert_eq!(items[0].as_f64(), Some(1.0));
         assert_eq!(items[1].as_f64(), Some(2.5));
         assert_eq!(items[2].as_str(), Some("x"));
-        assert_eq!(items[3].as_bool(), Some(false));
+        assert_eq!(items[3], Json::Bool(false));
         assert_eq!(doc.get("b").unwrap().get("c"), Some(&Json::Null));
         assert_eq!(doc.get("nope"), None);
     }

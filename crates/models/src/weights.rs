@@ -68,19 +68,35 @@ pub fn natural_sparsity(net_name: &str) -> f32 {
 ///
 /// Infallible for valid descriptors; kept fallible for interface stability.
 pub fn synthetic_weights(net_name: &str, desc: &LayerDesc, base_seed: u64) -> Result<Tensor> {
+    synthetic_weights_with_sparsity(net_name, desc, base_seed, natural_sparsity(net_name))
+}
+
+/// [`synthetic_weights`] with an explicit sparsity target instead of the
+/// network's [`natural_sparsity`] — used by sweeps such as Fig. 14 that
+/// vary the sparsity of one model.
+///
+/// # Errors
+///
+/// Infallible for valid descriptors; kept fallible for interface stability.
+pub fn synthetic_weights_with_sparsity(
+    net_name: &str,
+    desc: &LayerDesc,
+    base_seed: u64,
+    sparsity: f32,
+) -> Result<Tensor> {
     let mut r = rng::seeded(layer_seed(net_name, desc.name(), base_seed));
     let mut w = rng::kaiming_tensor(&mut r, &desc.weight_shape(), fan_in(desc));
-    let sparsity = natural_sparsity(net_name);
+    let sparsity = sparsity.clamp(0.0, 1.0);
     if sparsity > 0.0 {
         // A share of the sparsity is *global channel pruning* — the same
         // input channels zeroed across every filter, as Network-Slimming
         // style training produces (removing a channel of the previous
         // layer's output removes it from all of this layer's filters).
         // This is what lets the accelerator skip whole input-activation
-        // fetches (Section IV-A).
+        // fetches (Section IV-A), and lets that skipping scale with a
+        // sparsity sweep as in the paper.
         if let LayerKind::Conv2d { in_channels, out_channels, kernel, .. } = *desc.kind() {
-            let chan_frac = 0.4 * sparsity;
-            prune_input_channels(&mut w, out_channels, in_channels, kernel, chan_frac);
+            prune_input_channels(&mut w, out_channels, in_channels, kernel, 0.4 * sparsity);
         }
         // The full target at weight-vector granularity (already-zero
         // channel vectors sort first, so the channel share is subsumed):
@@ -162,40 +178,6 @@ fn smallest_norms(n: usize, count: usize, norm: impl Fn(usize) -> f32) -> Vec<(u
         norms.truncate(count);
     }
     norms
-}
-
-/// Like [`synthetic_weights`] but with an explicit sparsity target instead
-/// of the network's [`natural_sparsity`] — used by sweeps such as Fig. 14
-/// that vary the sparsity of one model. The same 40% global-channel share
-/// applies, so input-activation skipping scales with the sweep as in the
-/// paper.
-///
-/// # Errors
-///
-/// Infallible for valid descriptors; kept fallible for interface stability.
-pub fn synthetic_weights_with_sparsity(
-    net_name: &str,
-    desc: &LayerDesc,
-    base_seed: u64,
-    sparsity: f32,
-) -> Result<Tensor> {
-    let mut r = rng::seeded(layer_seed(net_name, desc.name(), base_seed));
-    let mut w = rng::kaiming_tensor(&mut r, &desc.weight_shape(), fan_in(desc));
-    let sparsity = sparsity.clamp(0.0, 1.0);
-    if sparsity > 0.0 {
-        if let LayerKind::Conv2d { in_channels, out_channels, kernel, .. } = *desc.kind() {
-            prune_input_channels(&mut w, out_channels, in_channels, kernel, 0.4 * sparsity);
-        }
-        let group = match *desc.kind() {
-            LayerKind::Conv2d { kernel, .. } => kernel,
-            LayerKind::DepthwiseConv2d { kernel, .. } => kernel,
-            LayerKind::Linear { .. } | LayerKind::SqueezeExcite { .. } => 3,
-        }
-        .min(w.len())
-        .max(1);
-        vector_prune_in_place(&mut w, sparsity, group);
-    }
-    Ok(w)
 }
 
 #[cfg(test)]

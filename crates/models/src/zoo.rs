@@ -5,7 +5,6 @@
 //! the spatial-size bookkeeping. Parameter totals are validated against the
 //! published counts in this module's tests.
 
-use crate::{ModelError, Result};
 use se_ir::{Dataset, LayerDesc, LayerKind, NetworkDesc};
 
 /// Incrementally builds a network descriptor while tracking the activation
@@ -365,26 +364,6 @@ pub fn accelerator_benchmark_models() -> Vec<NetworkDesc> {
     ]
 }
 
-/// Looks a model up by its paper name (case-insensitive).
-///
-/// # Errors
-///
-/// Returns [`ModelError::UnknownModel`] for unrecognised names.
-pub fn by_name(name: &str) -> Result<NetworkDesc> {
-    match name.to_ascii_lowercase().as_str() {
-        "vgg11" => Ok(vgg11()),
-        "vgg19" => Ok(vgg19_cifar()),
-        "resnet50" => Ok(resnet50()),
-        "resnet164" => Ok(resnet164()),
-        "mobilenetv2" | "mbv2" => Ok(mobilenet_v2()),
-        "efficientnet-b0" | "eff-b0" | "efficientnetb0" => Ok(efficientnet_b0()),
-        "deeplabv3+" | "deeplab" => Ok(deeplab_v3plus()),
-        "mlp-1" | "mlp1" => Ok(mlp1()),
-        "mlp-2" | "mlp2" => Ok(mlp2()),
-        other => Err(ModelError::UnknownModel { name: other.to_string() }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,16 +467,6 @@ mod tests {
                 assert!(l.output_hw().is_ok(), "{}:{} invalid", net.name(), l.name());
             }
         }
-    }
-
-    #[test]
-    fn by_name_roundtrip() {
-        for net in all_models() {
-            let found = by_name(net.name()).unwrap();
-            assert_eq!(found.name(), net.name());
-            assert_eq!(found.total_params(), net.total_params());
-        }
-        assert!(by_name("alexnet").is_err());
     }
 
     #[test]

@@ -35,26 +35,6 @@ pub struct Linear {
     cache: Option<Tensor>, // input
 }
 
-/// Per-channel batch normalisation with running statistics.
-///
-/// Training uses per-sample channel statistics (and updates the running
-/// averages); inference uses the running averages. The backward pass treats
-/// the normalisation statistics as constants — the frozen-statistics
-/// approximation noted in DESIGN.md, adequate for the small models trained
-/// here.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchNorm2d {
-    gamma: Vec<f32>,
-    beta: Vec<f32>,
-    running_mean: Vec<f32>,
-    running_var: Vec<f32>,
-    eps: f32,
-    momentum: f32,
-    grad_gamma: Vec<f32>,
-    grad_beta: Vec<f32>,
-    cache: Option<(Tensor, Vec<f32>, Vec<f32>)>, // normalised x, mean, var
-}
-
 /// One trainable or structural layer of a [`Sequential`](crate::model::Sequential)
 /// model.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +42,6 @@ pub struct BatchNorm2d {
 pub enum Layer {
     Conv2d(Conv2d),
     Linear(Linear),
-    BatchNorm2d(BatchNorm2d),
     ReLU { mask: Option<Vec<bool>> },
     MaxPool2d { size: usize, cache: Option<(Vec<usize>, Vec<usize>)> }, // shape, argmax
     GlobalAvgPool { cache: Option<Vec<usize>> },
@@ -135,28 +114,6 @@ impl Layer {
         }))
     }
 
-    /// A batch-normalisation layer over `channels` feature maps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidLayer`] for zero channels.
-    pub fn batch_norm(channels: usize) -> Result<Layer> {
-        if channels == 0 {
-            return Err(NnError::InvalidLayer { reason: "batch_norm needs channels".into() });
-        }
-        Ok(Layer::BatchNorm2d(BatchNorm2d {
-            gamma: vec![1.0; channels],
-            beta: vec![0.0; channels],
-            running_mean: vec![0.0; channels],
-            running_var: vec![1.0; channels],
-            eps: 1e-5,
-            momentum: 0.1,
-            grad_gamma: vec![0.0; channels],
-            grad_beta: vec![0.0; channels],
-            cache: None,
-        }))
-    }
-
     /// A ReLU activation.
     pub fn relu() -> Layer {
         Layer::ReLU { mask: None }
@@ -189,7 +146,6 @@ impl Layer {
                 Ok(add_channel_bias(out, &c.bias))
             }
             Layer::Linear(l) => linear_forward(l, x),
-            Layer::BatchNorm2d(b) => bn_forward(b, x, false).map(|(y, _, _)| y),
             Layer::ReLU { .. } => Ok(x.map(|v| v.max(0.0))),
             Layer::MaxPool2d { size, .. } => max_pool_forward(x, *size).map(|(y, _)| y),
             Layer::GlobalAvgPool { .. } => global_avg_forward(x),
@@ -218,13 +174,6 @@ impl Layer {
             Layer::Linear(l) => {
                 l.cache = Some(x.clone());
                 linear_forward(l, x)
-            }
-            Layer::BatchNorm2d(b) => {
-                let (y, mean, var) = bn_forward(b, x, true)?;
-                b.update_running(&mean, &var);
-                let xhat = compute_xhat(x, &mean, &var, b.eps);
-                b.cache = Some((xhat, mean, var));
-                Ok(y)
             }
             Layer::ReLU { mask } => {
                 *mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
@@ -294,24 +243,6 @@ impl Layer {
                 }
                 Ok(Tensor::from_vec(dx, &[in_f])?)
             }
-            Layer::BatchNorm2d(b) => {
-                let (xhat, _mean, var) = b.cache.take().ok_or_else(|| no_cache("BatchNorm2d"))?;
-                let c = b.gamma.len();
-                let per = xhat.len() / c;
-                let mut dx = vec![0.0f32; xhat.len()];
-                #[allow(clippy::needless_range_loop)]
-                for ch in 0..c {
-                    let inv_std = 1.0 / (var[ch] + b.eps).sqrt();
-                    for i in 0..per {
-                        let idx = ch * per + i;
-                        let d = dout.data()[idx];
-                        b.grad_gamma[ch] += d * xhat.data()[idx];
-                        b.grad_beta[ch] += d;
-                        dx[idx] = d * b.gamma[ch] * inv_std;
-                    }
-                }
-                Ok(Tensor::from_vec(dx, xhat.shape())?)
-            }
             Layer::ReLU { mask } => {
                 let mask = mask.take().ok_or_else(|| no_cache("ReLU"))?;
                 let data =
@@ -371,16 +302,6 @@ impl Layer {
                 );
                 sgd_update(&mut l.bias, &mut l.grad_b, &mut l.vel_b, lr, momentum, scale);
             }
-            Layer::BatchNorm2d(b) => {
-                for (g, grad) in b.gamma.iter_mut().zip(&mut b.grad_gamma) {
-                    *g -= lr * *grad * scale;
-                    *grad = 0.0;
-                }
-                for (bta, grad) in b.beta.iter_mut().zip(&mut b.grad_beta) {
-                    *bta -= lr * *grad * scale;
-                    *grad = 0.0;
-                }
-            }
             _ => {}
         }
     }
@@ -409,7 +330,6 @@ impl Layer {
         match self {
             Layer::Conv2d(c) => (c.weights.len() + c.bias.len()) as u64,
             Layer::Linear(l) => (l.weights.len() + l.bias.len()) as u64,
-            Layer::BatchNorm2d(b) => (b.gamma.len() * 2) as u64,
             _ => 0,
         }
     }
@@ -472,66 +392,6 @@ fn linear_forward(l: &Linear, x: &Tensor) -> Result<Tensor> {
         out.push(dot + l.bias[i]);
     }
     Ok(Tensor::from_vec(out, &[out_f])?)
-}
-
-fn channel_stats(x: &Tensor, channels: usize) -> (Vec<f32>, Vec<f32>) {
-    let per = x.len() / channels;
-    let mut means = Vec::with_capacity(channels);
-    let mut vars = Vec::with_capacity(channels);
-    for c in 0..channels {
-        let slice = &x.data()[c * per..(c + 1) * per];
-        let mean = slice.iter().sum::<f32>() / per as f32;
-        let var = slice.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / per as f32;
-        means.push(mean);
-        vars.push(var);
-    }
-    (means, vars)
-}
-
-fn compute_xhat(x: &Tensor, mean: &[f32], var: &[f32], eps: f32) -> Tensor {
-    let c = mean.len();
-    let per = x.len() / c;
-    let mut out = x.clone();
-    for ch in 0..c {
-        let inv = 1.0 / (var[ch] + eps).sqrt();
-        for v in &mut out.data_mut()[ch * per..(ch + 1) * per] {
-            *v = (*v - mean[ch]) * inv;
-        }
-    }
-    out
-}
-
-fn bn_forward(b: &BatchNorm2d, x: &Tensor, train: bool) -> Result<(Tensor, Vec<f32>, Vec<f32>)> {
-    let c = b.gamma.len();
-    if x.len() % c != 0 || x.is_empty() {
-        return Err(NnError::InvalidLayer {
-            reason: format!("batch_norm over {c} channels got {} elements", x.len()),
-        });
-    }
-    let (mean, var) =
-        if train { channel_stats(x, c) } else { (b.running_mean.clone(), b.running_var.clone()) };
-    let per = x.len() / c;
-    let mut out = x.clone();
-    for ch in 0..c {
-        let inv = 1.0 / (var[ch] + b.eps).sqrt();
-        let (g, bt) = (b.gamma[ch], b.beta[ch]);
-        for v in &mut out.data_mut()[ch * per..(ch + 1) * per] {
-            *v = (*v - mean[ch]) * inv * g + bt;
-        }
-    }
-    Ok((out, mean, var))
-}
-
-impl BatchNorm2d {
-    /// Folds a training-time statistics update into the running averages.
-    pub(crate) fn update_running(&mut self, mean: &[f32], var: &[f32]) {
-        for i in 0..self.gamma.len() {
-            self.running_mean[i] =
-                (1.0 - self.momentum) * self.running_mean[i] + self.momentum * mean[i];
-            self.running_var[i] =
-                (1.0 - self.momentum) * self.running_var[i] + self.momentum * var[i];
-        }
-    }
 }
 
 fn max_pool_forward(x: &Tensor, size: usize) -> Result<(Tensor, Vec<usize>)> {
@@ -716,20 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_norm_normalises_in_training() {
-        let mut r = rng::seeded(9);
-        let x = rng::normal_tensor(&mut r, &[2, 8, 8], 3.0).map(|v| v + 5.0);
-        let mut layer = Layer::batch_norm(2).unwrap();
-        let out = layer.forward_train(&x).unwrap();
-        // Per-channel output should be ~zero-mean, unit-var.
-        for ch in 0..2 {
-            let slice = &out.data()[ch * 64..(ch + 1) * 64];
-            let mean = slice.iter().sum::<f32>() / 64.0;
-            assert!(mean.abs() < 1e-4, "mean {mean}");
-        }
-    }
-
-    #[test]
     fn bias_applied_per_channel() {
         let mut layer = Layer::conv2d(1, 2, 1, 1, 0, 11).unwrap();
         if let Layer::Conv2d(c) = &mut layer {
@@ -765,6 +611,5 @@ mod tests {
         assert!(Layer::conv2d(0, 1, 3, 1, 1, 0).is_err());
         assert!(Layer::conv2d(1, 1, 3, 0, 1, 0).is_err());
         assert!(Layer::linear(0, 1, 0).is_err());
-        assert!(Layer::batch_norm(0).is_err());
     }
 }

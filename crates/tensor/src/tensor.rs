@@ -68,11 +68,6 @@ impl Tensor {
         &self.shape
     }
 
-    /// Number of dimensions.
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
-    }
-
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -102,7 +97,7 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if `idx.len() != self.ndim()` or any index is out of bounds
+    /// Panics if `idx.len() != self.shape().len()` or any index is out of bounds
     /// (this is an internal indexing contract, like slice indexing).
     fn offset(&self, idx: &[usize]) -> usize {
         assert_eq!(idx.len(), self.shape.len(), "index rank mismatch");
@@ -314,7 +309,7 @@ mod tests {
     fn zeros_and_full() {
         let z = Tensor::zeros(&[2, 3, 4]);
         assert_eq!(z.len(), 24);
-        assert_eq!(z.ndim(), 3);
+        assert_eq!(z.shape(), &[2, 3, 4]);
         let f = Tensor::full(&[2], 7.5);
         assert_eq!(f.data(), &[7.5, 7.5]);
     }
