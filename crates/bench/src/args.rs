@@ -8,9 +8,10 @@ use se_serve::{ArrivalPattern, BatchPolicy, RouterPolicy};
 /// `--max-batch` when absent: also the default `--burst` size.
 const DEFAULT_MAX_BATCH: usize = 8;
 
-/// A flag's parser: stores a well-formed value in its field, or fails with
-/// any detail to append to ``invalid value `V` for `--flag` ``.
-type Parser = fn(&mut Flags, &str) -> std::result::Result<(), String>;
+/// What a flag's parser returns: `Ok` once a well-formed value is stored
+/// in its field, else any detail to append to
+/// ``invalid value `V` for `--flag` ``.
+type Parsed = std::result::Result<(), String>;
 
 /// One `se` flag, a row of the table below.
 pub(crate) struct Flag {
@@ -24,7 +25,7 @@ pub(crate) struct Flag {
     /// [`crate::cli::ACTIONS`] (`trace build`). Anywhere else the flag is
     /// an error.
     pub(crate) scope: &'static str,
-    parse: Parser,
+    parse: fn(&mut Flags, &str) -> Parsed,
 }
 
 impl Flag {
@@ -214,8 +215,6 @@ flag_table! {
             in "obs summarize, obs attribute, obs diff";
     }
 }
-
-type Parsed = std::result::Result<(), String>;
 
 /// `Ok` for a well-formed value, else an error with no detail.
 fn well_formed(ok: bool) -> Parsed {

@@ -48,7 +48,7 @@ pub const SUBCOMMANDS: &[(&str, &[&str], &str)] = &[
 
 /// The subcommands whose first positional argument names an action, with
 /// their actions (`se trace build`, `se obs diff`, …).
-pub const ACTIONS: &[(&str, &[&str])] = &[
+pub(crate) const ACTIONS: &[(&str, &[&str])] = &[
     ("trace", &["build", "info"]),
     ("bench", &["serve", "diff"]),
     ("obs", &["summarize", "attribute", "diff"]),
@@ -258,8 +258,8 @@ mod tests {
         assert!(out.is_empty(), "nothing runs before the flag check");
         // A flag's value is never mistaken for a flag, and the boolean
         // flags pass.
-        let ok = Flags::from_args_checked(&args(&["--fast", "--traces-dir", "--not-a-flag"]));
-        let ok = ok.unwrap();
+        let ok =
+            Flags::from_args_checked(&args(&["--fast", "--traces-dir", "--not-a-flag"])).unwrap();
         assert!(ok.fast);
         assert_eq!(ok.traces_dir.as_deref(), Some(std::path::Path::new("--not-a-flag")));
         let err = run_from_args(&args(&["table1", "--models", "--not-a-flag"]), &mut out)
