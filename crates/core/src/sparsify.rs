@@ -121,7 +121,7 @@ fn zero_rows_below<const N: usize>(ce: &mut Mat, theta: f32) -> usize {
 ///
 /// A channel is pruned (`false`) when its saliency — the RMS of its rows —
 /// falls below `rel_threshold ×` the mean channel saliency. This mirrors the
-/// paper's batch-norm-scale criterion with the norm standing in for the
+/// paper's batch-norm-scale rule with the norm standing in for the
 /// unavailable BN statistics.
 ///
 /// Returns one flag per channel. If `group_rows` is zero or does not divide
