@@ -24,10 +24,11 @@
 //!
 //! [`sim::SeAccelerator`] computes cycle and access counts exactly from the
 //! trace data (activation Booth digits, coefficient row masks) using the
-//! tile decomposition above; [`golden`] re-derives the same counts with a
-//! brute-force per-window event loop on small layers, and the test suite
-//! enforces equality — the reproduction's analogue of the paper validating
-//! its simulator against RTL.
+//! tile decomposition above; a brute-force per-window event loop in the
+//! workspace's test tree (`tests/golden`) re-derives the same compute
+//! cycles on small layers, and the test suite enforces equality — the
+//! reproduction's analogue of the paper validating its simulator against
+//! RTL.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +38,6 @@ mod error;
 pub mod accelerator;
 pub mod config;
 pub mod energy;
-pub mod golden;
 pub mod residency;
 pub mod schedule;
 pub mod sim;

@@ -1,16 +1,21 @@
-//! Brute-force reference model for validating [`crate::sim::SeAccelerator`].
+//! Brute-force reference model for validating `se_hw::sim::SeAccelerator`.
 //!
 //! The paper validates its cycle-accurate simulator against RTL; this
 //! module is the reproduction's analogue: an independently-written,
 //! per-window event loop (no shared scratch tables, different loop
-//! structure) that recomputes CONV compute-cycles. The test suite enforces
-//! exact agreement on a grid of small layers; the fast simulator is then
-//! trusted at full scale.
+//! structure) that recomputes CONV compute-cycles. The tests below enforce
+//! exact agreement on a grid of small layers, and `properties.rs`'s
+//! `simulator_matches_golden_on_random_conv_geometries` on random ones; the
+//! fast simulator is then trusted at full scale.
 
-use crate::window::SerialMode;
-use crate::{HwError, Result, SeAcceleratorConfig};
-use se_ir::{LayerKind, LayerTrace, SeLayer, SeLayout, SeSlice, WeightData};
-use se_tensor::Mat;
+use smartexchange::core::{layer as se_layer, SeConfig, VectorSparsity};
+use smartexchange::hw::sim::SeAccelerator;
+use smartexchange::hw::window::SerialMode;
+use smartexchange::hw::{Accelerator, HwError, Result, SeAcceleratorConfig};
+use smartexchange::ir::{
+    LayerDesc, LayerKind, LayerTrace, QuantTensor, SeLayer, SeLayout, SeSlice, WeightData,
+};
+use smartexchange::tensor::{rng, Mat, Tensor};
 
 /// Coefficient row values of one filter's reshaped matrix, from the
 /// layer's decoded `Ce` matrices in slice order (independent of the
@@ -155,110 +160,98 @@ pub fn golden_conv_cycles(cfg: &SeAcceleratorConfig, trace: &LayerTrace) -> Resu
     Ok(cycles)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sim::SeAccelerator;
-    use crate::Accelerator;
-    use se_core::{layer as se_layer, SeConfig, VectorSparsity};
-    use se_ir::{LayerDesc, QuantTensor};
-    use se_tensor::{rng, Tensor};
+#[allow(clippy::too_many_arguments)]
+fn make_trace(
+    c: usize,
+    m: usize,
+    hw: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    keep: f32,
+    seed: u64,
+) -> LayerTrace {
+    let desc = LayerDesc::new(
+        "g",
+        LayerKind::Conv2d { in_channels: c, out_channels: m, kernel: k, stride, padding: pad },
+        (hw, hw),
+    );
+    let mut r = rng::seeded(seed);
+    let w = rng::kaiming_tensor(&mut r, &[m, c, k, k], c * k * k);
+    let cfg = SeConfig::default()
+        .with_max_iterations(4)
+        .unwrap()
+        .with_vector_sparsity(VectorSparsity::KeepFraction(keep))
+        .unwrap();
+    let parts = se_layer::compress_layer(&desc, &w, &cfg).unwrap();
+    let act = rng::normal_tensor(&mut r, &[c, hw, hw], 1.0).map(|v| if v < 0.3 { 0.0 } else { v });
+    let q = QuantTensor::quantize(&act, 8).unwrap();
+    LayerTrace::new(desc, WeightData::Se(parts), q).unwrap()
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn make_trace(
-        c: usize,
-        m: usize,
-        hw: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        keep: f32,
-        seed: u64,
-    ) -> LayerTrace {
-        let desc = LayerDesc::new(
-            "g",
-            LayerKind::Conv2d { in_channels: c, out_channels: m, kernel: k, stride, padding: pad },
-            (hw, hw),
-        );
-        let mut r = rng::seeded(seed);
-        let w = rng::kaiming_tensor(&mut r, &[m, c, k, k], c * k * k);
-        let cfg = SeConfig::default()
-            .with_max_iterations(4)
-            .unwrap()
-            .with_vector_sparsity(VectorSparsity::KeepFraction(keep))
-            .unwrap();
-        let parts = se_layer::compress_layer(&desc, &w, &cfg).unwrap();
-        let act =
-            rng::normal_tensor(&mut r, &[c, hw, hw], 1.0).map(|v| if v < 0.3 { 0.0 } else { v });
-        let q = QuantTensor::quantize(&act, 8).unwrap();
-        LayerTrace::new(desc, WeightData::Se(parts), q).unwrap()
-    }
-
-    /// The fast simulator and the brute-force model must agree exactly.
-    #[test]
-    fn simulator_matches_golden_on_small_grid() {
-        let configs: [(usize, usize, usize, usize, usize, usize, f32); 5] = [
-            (2, 3, 6, 3, 1, 1, 1.0),
-            (3, 4, 8, 3, 1, 1, 0.5),
-            (2, 2, 9, 3, 2, 1, 0.6),
-            (1, 5, 7, 3, 1, 0, 0.4),
-            (4, 3, 10, 5, 2, 2, 0.7),
-        ];
-        for (i, &(c, m, hw, k, stride, pad, keep)) in configs.iter().enumerate() {
-            let trace = make_trace(c, m, hw, k, stride, pad, keep, 100 + i as u64);
-            let cfg = SeAcceleratorConfig { dim_m: 2, dim_c: 2, dim_f: 4, ..Default::default() };
-            let sim = SeAccelerator::new(cfg.clone()).unwrap();
-            let fast = sim.process_layer(&trace).unwrap().compute_cycles;
-            let golden = golden_conv_cycles(&cfg, &trace).unwrap();
-            assert_eq!(fast, golden, "config {i}: fast {fast} vs golden {golden}");
-        }
-    }
-
-    #[test]
-    fn simulator_matches_golden_with_default_array() {
-        let trace = make_trace(4, 8, 12, 3, 1, 1, 0.5, 42);
-        let cfg = SeAcceleratorConfig::default();
+/// The fast simulator and the brute-force model must agree exactly.
+#[test]
+fn simulator_matches_golden_on_small_grid() {
+    let configs: [(usize, usize, usize, usize, usize, usize, f32); 5] = [
+        (2, 3, 6, 3, 1, 1, 1.0),
+        (3, 4, 8, 3, 1, 1, 0.5),
+        (2, 2, 9, 3, 2, 1, 0.6),
+        (1, 5, 7, 3, 1, 0, 0.4),
+        (4, 3, 10, 5, 2, 2, 0.7),
+    ];
+    for (i, &(c, m, hw, k, stride, pad, keep)) in configs.iter().enumerate() {
+        let trace = make_trace(c, m, hw, k, stride, pad, keep, 100 + i as u64);
+        let cfg = SeAcceleratorConfig { dim_m: 2, dim_c: 2, dim_f: 4, ..Default::default() };
         let sim = SeAccelerator::new(cfg.clone()).unwrap();
         let fast = sim.process_layer(&trace).unwrap().compute_cycles;
         let golden = golden_conv_cycles(&cfg, &trace).unwrap();
-        assert_eq!(fast, golden);
+        assert_eq!(fast, golden, "config {i}: fast {fast} vs golden {golden}");
     }
+}
 
-    #[test]
-    fn simulator_matches_golden_without_index_select() {
-        let trace = make_trace(3, 4, 8, 3, 1, 1, 0.5, 77);
-        let mut cfg = SeAcceleratorConfig { dim_m: 2, dim_c: 2, dim_f: 4, ..Default::default() };
-        cfg.index_select = false;
-        let sim = SeAccelerator::new(cfg.clone()).unwrap();
-        assert_eq!(
-            sim.process_layer(&trace).unwrap().compute_cycles,
-            golden_conv_cycles(&cfg, &trace).unwrap()
-        );
-    }
+#[test]
+fn simulator_matches_golden_with_default_array() {
+    let trace = make_trace(4, 8, 12, 3, 1, 1, 0.5, 42);
+    let cfg = SeAcceleratorConfig::default();
+    let sim = SeAccelerator::new(cfg.clone()).unwrap();
+    let fast = sim.process_layer(&trace).unwrap().compute_cycles;
+    let golden = golden_conv_cycles(&cfg, &trace).unwrap();
+    assert_eq!(fast, golden);
+}
 
-    #[test]
-    fn simulator_matches_golden_without_bit_serial() {
-        let trace = make_trace(3, 4, 8, 3, 1, 1, 0.6, 78);
-        let mut cfg = SeAcceleratorConfig { dim_m: 4, dim_c: 2, dim_f: 4, ..Default::default() };
-        cfg.bit_serial = false;
-        let sim = SeAccelerator::new(cfg.clone()).unwrap();
-        assert_eq!(
-            sim.process_layer(&trace).unwrap().compute_cycles,
-            golden_conv_cycles(&cfg, &trace).unwrap()
-        );
-    }
+#[test]
+fn simulator_matches_golden_without_index_select() {
+    let trace = make_trace(3, 4, 8, 3, 1, 1, 0.5, 77);
+    let mut cfg = SeAcceleratorConfig { dim_m: 2, dim_c: 2, dim_f: 4, ..Default::default() };
+    cfg.index_select = false;
+    let sim = SeAccelerator::new(cfg.clone()).unwrap();
+    assert_eq!(
+        sim.process_layer(&trace).unwrap().compute_cycles,
+        golden_conv_cycles(&cfg, &trace).unwrap()
+    );
+}
 
-    #[test]
-    fn golden_rejects_unsupported() {
-        let desc =
-            LayerDesc::new("fc", LayerKind::Linear { in_features: 4, out_features: 2 }, (1, 1));
-        let q = QuantTensor::quantize(&Tensor::full(&[4], 1.0), 8).unwrap();
-        let t = LayerTrace::new(
-            desc,
-            WeightData::Dense(QuantTensor::quantize(&Tensor::zeros(&[2, 4]), 8).unwrap()),
-            q,
-        )
-        .unwrap();
-        assert!(golden_conv_cycles(&SeAcceleratorConfig::default(), &t).is_err());
-    }
+#[test]
+fn simulator_matches_golden_without_bit_serial() {
+    let trace = make_trace(3, 4, 8, 3, 1, 1, 0.6, 78);
+    let mut cfg = SeAcceleratorConfig { dim_m: 4, dim_c: 2, dim_f: 4, ..Default::default() };
+    cfg.bit_serial = false;
+    let sim = SeAccelerator::new(cfg.clone()).unwrap();
+    assert_eq!(
+        sim.process_layer(&trace).unwrap().compute_cycles,
+        golden_conv_cycles(&cfg, &trace).unwrap()
+    );
+}
+
+#[test]
+fn golden_rejects_unsupported() {
+    let desc = LayerDesc::new("fc", LayerKind::Linear { in_features: 4, out_features: 2 }, (1, 1));
+    let q = QuantTensor::quantize(&Tensor::full(&[4], 1.0), 8).unwrap();
+    let t = LayerTrace::new(
+        desc,
+        WeightData::Dense(QuantTensor::quantize(&Tensor::zeros(&[2, 4]), 8).unwrap()),
+        q,
+    )
+    .unwrap();
+    assert!(golden_conv_cycles(&SeAcceleratorConfig::default(), &t).is_err());
 }

@@ -5,6 +5,8 @@ use smartexchange::core::{algorithm, SeConfig, VectorSparsity};
 use smartexchange::ir::{booth, Po2Set, QuantTensor};
 use smartexchange::tensor::{linalg, Mat, Tensor};
 
+mod golden;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -142,8 +144,8 @@ proptest! {
 
     /// For randomized CONV geometries, the fast simulator's compute-cycle
     /// count equals the brute-force golden model's — the randomized
-    /// extension of the fixed-grid validation in `se_hw::golden` (which
-    /// only checks hand-picked cases). Every geometry drawn here is valid
+    /// extension of the fixed-grid validation in `golden` (which only
+    /// checks hand-picked cases). Every geometry drawn here is valid
     /// by construction: `hw >= 6` and `kernel <= 5`, so `hw + 2·padding >=
     /// kernel` always holds.
     #[test]
@@ -161,7 +163,7 @@ proptest! {
     ) {
         use smartexchange::core::{layer as se_layer, SeConfig, VectorSparsity};
         use smartexchange::hw::sim::SeAccelerator;
-        use smartexchange::hw::{golden, Accelerator, SeAcceleratorConfig};
+        use smartexchange::hw::{Accelerator, SeAcceleratorConfig};
         use smartexchange::ir::{LayerDesc, LayerKind, LayerTrace, QuantTensor, WeightData};
         use smartexchange::tensor::rng;
 
