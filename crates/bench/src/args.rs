@@ -38,6 +38,11 @@ impl Flag {
     pub(crate) fn takes_value(&self) -> bool {
         self.usage.contains(' ')
     }
+
+    /// The scope names of the subcommands that read the flag.
+    fn readers(&self) -> impl Iterator<Item = &'static str> {
+        self.scope.split(", ")
+    }
 }
 
 /// Declares [`Flags`] and [`FLAG_GROUPS`] from one table of rows
@@ -103,18 +108,18 @@ flag_table! {
         /// the decompositions; cached and direct runs are bit-identical. A
         /// missing artifact silently falls back to direct generation.
         traces_dir: Option<std::path::PathBuf> = "--traces-dir DIR" text
-            ["replay persisted trace/compression artifacts (se trace build)"]
+            ["directory of persisted trace/compression artifacts"]
             in "table2, table3, fig10, fig11, fig12, fig13, fig15, compare, ablation, postproc, \
                 trace build, trace info, batch, serve, cluster, bench serve";
         /// include FC layers in the generated traces (the
         /// Fig. 13(b) protocol) — consumed by `se trace build`.
-        with_fc: bool = "--with-fc" switch ["include FC layers (se trace build only)"]
+        with_fc: bool = "--with-fc" switch ["include FC layers in the generated traces"]
             in "trace build";
     }
-    "SERVING FLAGS (se batch / se serve)" {
+    "SERVING FLAGS" {
         /// batch sizes swept by `se batch`.
         batch_sizes: Option<Vec<usize>> = "--batch-sizes 1,4,16" counts
-            ["batch sizes swept by se batch"] in "batch";
+            ["batch sizes to sweep"] in "batch";
         /// maximum images per batch for the serving aggregator.
         max_batch: Option<usize> = "--max-batch N" count
             ["aggregator batch-size cap (default 8)"] in "serve, cluster, bench serve";
@@ -147,21 +152,20 @@ flag_table! {
         /// reports misses against it; `se cluster` schedules EDF with it).
         /// Absent = best effort.
         deadline_us: Option<f64> = "--deadline-us F" positive
-            ["per-request deadline; misses are reported (se serve/cluster)"]
+            ["per-request deadline; misses are reported"]
             in "serve, cluster, bench serve";
         /// write the run's virtual-time scheduling trace
         /// as Chrome-trace/Perfetto `traceEvents` JSON (`se serve`,
         /// `se cluster`, `se bench serve`). The file is byte-identical across
         /// `--sim-parallelism` values.
         trace_out: Option<std::path::PathBuf> = "--trace-out FILE" text
-            ["write a Chrome-trace/Perfetto JSON of the run",
-             "(se serve / se cluster / se bench serve)"] in "serve, cluster, bench serve";
+            ["write a Chrome-trace/Perfetto JSON of the run"] in "serve, cluster, bench serve";
         /// write the run's folded counters, gauges, and
         /// latency histograms as Prometheus-style text exposition.
         metrics_out: Option<std::path::PathBuf> = "--metrics-out FILE" text
             ["write Prometheus-style text metrics of the run"] in "serve, cluster, bench serve";
     }
-    "CLUSTER FLAGS (se cluster)" {
+    "CLUSTER FLAGS" {
         /// accelerator instances behind the cluster's shared front.
         instances: Option<usize> = "--instances N" count
             ["accelerator instances behind the shared front (default 4)"] in "cluster, bench serve";
@@ -200,13 +204,13 @@ flag_table! {
         autoscale: Option<String> = "--autoscale hi:lo" text
             ["spawn above hi waiting/instance, drain below lo"] in "cluster";
     }
-    "BENCH FLAGS (se bench serve)" {
+    "BENCH FLAGS" {
         /// where `se bench serve` writes its
         /// machine-readable JSON report (default `BENCH_serve.json`).
         bench_out: Option<std::path::PathBuf> = "--bench-out FILE" text
             ["machine-readable report path (default BENCH_serve.json)"] in "bench serve";
     }
-    "OBS FLAGS (se obs summarize|attribute|diff)" {
+    "OBS FLAGS" {
         /// analysis window width in microseconds for
         /// `se obs` (default 200). Converted to cycles at the accelerator
         /// frequency; every windowed aggregate covers `[k·W, (k+1)·W)`.
@@ -298,8 +302,16 @@ pub(crate) fn flags() -> impl Iterator<Item = &'static Flag> {
     FLAG_GROUPS.iter().flat_map(|(_, group)| group.iter())
 }
 
+/// Where `se help` starts a flag's description: after two spaces and its
+/// `--name METAVAR` padded to 20 columns and a space.
+const HELP_COLUMN: usize = 23;
+
+/// The width `se help` wraps a flag's reader list to.
+const HELP_WIDTH: usize = 80;
+
 /// The flag block of `se help`: each group's heading, then one line per
-/// flag (`--name METAVAR` and its help) and any further help lines.
+/// flag (`--name METAVAR` and its help), its further help lines and the
+/// subcommands that read it, under the description column.
 pub(crate) fn help() -> String {
     let mut s = String::new();
     for (heading, group) in FLAG_GROUPS {
@@ -308,11 +320,36 @@ pub(crate) fn help() -> String {
             let (first, more) = flag.help.split_first().expect("every flag has help");
             s.push_str(&format!("  {:<20} {first}\n", flag.usage));
             for line in more {
-                s.push_str(&format!("  {line}\n"));
+                s.push_str(&format!("{:HELP_COLUMN$}{line}\n", ""));
             }
+            s.push_str(&reader_lines(flag));
         }
     }
     s
+}
+
+/// `read by: ` and the flag's scope, comma-separated and wrapped at
+/// [`HELP_WIDTH`], each further line under the first reader.
+fn reader_lines(flag: &Flag) -> String {
+    const LEAD: &str = "read by: ";
+    let indent = HELP_COLUMN + LEAD.len();
+    let mut lines = format!("{:HELP_COLUMN$}{LEAD}", "");
+    let mut width = indent;
+    let mut readers = flag.readers().peekable();
+    while let Some(reader) = readers.next() {
+        let item = if readers.peek().is_some() { format!("{reader},") } else { reader.into() };
+        if width > indent && width + 1 + item.len() > HELP_WIDTH {
+            lines.push_str(&format!("\n{:indent$}", ""));
+            width = indent;
+        } else if width > indent {
+            lines.push(' ');
+            width += 1;
+        }
+        lines.push_str(&item);
+        width += item.len();
+    }
+    lines.push('\n');
+    lines
 }
 
 /// One argument of a subcommand's list, as the flag table reads it.
@@ -362,8 +399,8 @@ pub fn positionals(rest: &[String]) -> Vec<&str> {
 pub(crate) fn check_scope(command: &str, rest: &[String]) -> std::result::Result<(), String> {
     for arg in walk(rest) {
         let Arg::Flag(flag, _) = arg else { continue };
-        if !flag.scope.split(", ").any(|reader| reader == command) {
-            let readers: Vec<String> = flag.scope.split(", ").map(|r| format!("se {r}")).collect();
+        if !flag.readers().any(|reader| reader == command) {
+            let readers: Vec<String> = flag.readers().map(|r| format!("se {r}")).collect();
             return Err(match &readers[..] {
                 [only] => format!("{} applies to {only} only", flag.name()),
                 many => format!("{} applies to {}", flag.name(), many.join(", ")),
@@ -661,6 +698,34 @@ mod tests {
 
     fn parse(args: &[&str]) -> Flags {
         Flags::from_args(args.iter().map(|s| (*s).to_string()))
+    }
+
+    #[test]
+    fn help_names_each_flags_readers_from_its_scope() {
+        let help = help();
+        let indent = " ".repeat(HELP_COLUMN + "read by: ".len());
+        let lists: Vec<String> = help
+            .split("read by: ")
+            .skip(1)
+            .map(|rest| {
+                let mut lines = rest.lines();
+                let first = lines.next().unwrap_or_default();
+                let list: Vec<&str> = std::iter::once(first)
+                    .chain(lines.take_while(|line| line.starts_with(&indent)))
+                    .flat_map(str::split_whitespace)
+                    .collect();
+                list.join(" ")
+            })
+            .collect();
+        let scopes: Vec<String> = flags()
+            .map(|flag| flag.scope.split_whitespace().collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(lists, scopes);
+        let reader_line =
+            |line: &&str| line.starts_with(&indent) || line.trim_start().starts_with("read by: ");
+        for line in help.lines().filter(reader_line) {
+            assert!(line.len() <= HELP_WIDTH, "{line}");
+        }
     }
 
     #[test]
