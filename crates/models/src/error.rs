@@ -4,11 +4,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ModelError {
-    /// An unknown model name was requested.
-    UnknownModel {
-        /// The requested name.
-        name: String,
-    },
     /// An underlying interchange-format operation failed.
     Ir(se_ir::IrError),
     /// An underlying tensor operation failed.
@@ -37,7 +32,6 @@ pub enum ModelError {
 impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ModelError::UnknownModel { name } => write!(f, "unknown model: {name}"),
             ModelError::Ir(e) => write!(f, "format error: {e}"),
             ModelError::Tensor(e) => write!(f, "tensor error: {e}"),
             ModelError::Nn(e) => write!(f, "nn error: {e}"),
@@ -51,7 +45,6 @@ impl fmt::Display for ModelError {
 impl std::error::Error for ModelError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ModelError::UnknownModel { .. } => None,
             ModelError::Ir(e) => Some(e),
             ModelError::Tensor(e) => Some(e),
             ModelError::Nn(e) => Some(e),
@@ -93,8 +86,8 @@ mod tests {
     #[test]
     fn display_and_source() {
         use std::error::Error;
-        let e = ModelError::UnknownModel { name: "vgg99".into() };
-        assert!(e.to_string().contains("vgg99"));
+        let e = ModelError::Io { path: "a.setrace".into(), reason: "denied".into() };
+        assert!(e.to_string().contains("a.setrace"));
         assert!(e.source().is_none());
         let e = ModelError::Tensor(se_tensor::TensorError::Singular);
         assert!(e.source().is_some());
